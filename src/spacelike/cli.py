@@ -2,14 +2,13 @@
 
 Commands: analyze | lagrangian | solve-maximal | solve-ma | scan | check.
 Configuration comes from a single JSON file plus flag overrides
-(--config, --out, --format, --oracle, --threads, --seed).  Exit codes:
+(--config, --out, --format, --oracle, --seed).  Exit codes:
 0 success (warnings allowed), 1 config error, 2 numerical failure,
 3 invariant violation (check only).
 
 Output is fully deterministic: records are emitted in lexicographic node
-order, floats are printed with shortest round-trip repr, and any
-parallelism preserves the reduction order, so identical configs produce
-byte-identical files.
+order and floats are printed with shortest round-trip repr, so identical
+configs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,7 +64,6 @@ class JobConfig:
     out: str = None
     format: str = "csv"
     oracle: bool = False
-    threads: int = 1
     seed: int = 0
     raw: dict = field(default_factory=dict)
 
@@ -151,8 +148,6 @@ def load_config(args) -> JobConfig:
     cfg.format = args.format or raw.get("format", "csv")
     _require(cfg.format in ("csv", "json"), "format", "must be csv or json")
     cfg.oracle = bool(args.oracle or raw.get("oracle", False))
-    cfg.threads = int(args.threads if args.threads is not None else raw.get("threads", 1))
-    _require(cfg.threads >= 1, "threads", "must be >= 1")
     cfg.seed = int(args.seed if args.seed is not None else raw.get("seed", 0))
     return cfg
 
@@ -226,13 +221,6 @@ def _meta(cfg: JobConfig) -> dict:
     return {"version": __version__, "command": cfg.command, "config": cfg.raw}
 
 
-def _pmap(fn, items, threads):
-    if threads <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))  # order preserved, values pure
-
-
 # ---------------------------------------------------------------------------
 # analyze
 
@@ -289,7 +277,7 @@ def cmd_analyze(cfg: JobConfig) -> int:
                 rec.setdefault(c, np.nan)
         return rec
 
-    records = _pmap(one, range(pts.shape[0]), cfg.threads)
+    records = [one(flat) for flat in range(pts.shape[0])]
     columns = ["index"] + [f"x{d+1}" for d in range(cfg.m)] + ["status"] + _NAN_COLS_ANALYZE
     write_records(cfg.out, columns, records, _meta(cfg), cfg.format)
     warn = sum(1 for r in records if r["status"] not in ("ok", "inactive"))
@@ -337,7 +325,7 @@ def cmd_lagrangian(cfg: JobConfig) -> int:
         rec["status"] = "ok"
         return rec
 
-    records = _pmap(one, range(pts.shape[0]), cfg.threads)
+    records = [one(flat) for flat in range(pts.shape[0])]
     columns = ["index"] + [f"x{d+1}" for d in range(cfg.m)] + ["status"] + cols
     write_records(cfg.out, columns, records, _meta(cfg), cfg.format)
     warn = sum(1 for r in records if r["status"] != "ok")
@@ -652,7 +640,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--format", choices=["csv", "json"], default=None)
     ap.add_argument("--oracle", action="store_true", default=None,
                     help="emit independent-oracle comparison columns")
-    ap.add_argument("--threads", type=int, default=None)
     ap.add_argument("--seed", type=int, default=None,
                     help="seed for sample-point jitter in property suites")
     return ap

@@ -26,7 +26,7 @@ from scipy.linalg import solve_triangular
 
 from . import lattice as lat_mod
 from .exprparse import parse
-from .jets import Dual, evaluate_jet
+from .jets import evaluate_jet
 from .lattice import Lattice, LatticeError
 
 # Default tolerances: analytically exact identities, jet-vs-coordinate
@@ -148,6 +148,7 @@ class ImmersionGeometry:
     min_eig: float
     tangent_coeff: np.ndarray
     tangent: np.ndarray
+    normal_coeff: np.ndarray
     normal: np.ndarray
     h: np.ndarray        # (n, m, m)
     H: np.ndarray        # (n,)
@@ -183,14 +184,18 @@ def immersion_geometry(J: np.ndarray, Hss: np.ndarray, sig: np.ndarray,
     H_norm = float(np.linalg.norm(H))
     S = float(np.sum(h * h))
     return ImmersionGeometry(g=g, g_inv=np.linalg.inv(g), min_eig=min_eig,
-                             tangent_coeff=E, tangent=tangent, normal=normal,
-                             h=h, H=H, H_norm=H_norm, S=S)
+                             tangent_coeff=E, tangent=tangent, normal_coeff=Nc,
+                             normal=normal, h=h, H=H, H_norm=H_norm, S=S)
 
 
 def graph_immersion_jet(gm: GraphMap, x):
     """J, Hss and the raw normal basis of the graph immersion at x."""
     _, A, He, _ = gm.jet_data(x)
-    m, n = gm.m, gm.n
+    return _graph_immersion(A, He)
+
+
+def _graph_immersion(A: np.ndarray, He: np.ndarray):
+    n, m = A.shape
     J = np.hstack([np.eye(m), A.T])
     Hss = np.concatenate([np.zeros((m, m, m)), He.transpose(1, 2, 0)], axis=2)
     normals_raw = np.hstack([A, np.eye(n)])  # Ntilde_s = sum_i f^s_i d_i + d_{y^s}
@@ -202,12 +207,8 @@ def adapted_frames(gm: GraphMap, x, tol: float = SPACELIKE_TOL) -> Frames:
     J, Hss, normals_raw = graph_immersion_jet(gm, x)
     sig = signature(gm.m, gm.n)
     geo = immersion_geometry(J, Hss, sig, normals_raw, tol=tol)
-    A = normals_raw[:, : gm.m]  # Jacobian rows recover the raw normal Gram
-    gram_n = np.eye(gm.n) - A @ A.T
-    D = np.linalg.cholesky(gram_n)
-    Nc = solve_triangular(D, np.eye(gm.n), lower=True)
     return Frames(tangent=geo.tangent, normal=geo.normal,
-                  tangent_coeff=geo.tangent_coeff, normal_coeff=Nc)
+                  tangent_coeff=geo.tangent_coeff, normal_coeff=geo.normal_coeff)
 
 
 # ---------------------------------------------------------------------------
@@ -369,136 +370,50 @@ class CovariantH:
     mean_curv_deriv: np.ndarray  # (n, m), DH components (1/m) sum_i h_siik
 
 
-def _dual_matrix(values: np.ndarray, grads: np.ndarray):
-    rows, cols = values.shape[:2]
-    return [[Dual(values[i, j], grads[i, j]) for j in range(cols)] for i in range(rows)]
+def _d_inv_cholesky(Linv: np.ndarray, dG: np.ndarray) -> np.ndarray:
+    """d_p(L^-1) for G = L L^T, given L^-1 and the stack dG[p] = d_p G.
 
-
-def _d_matmul(A, B):
-    rows, inner, cols = len(A), len(B), len(B[0])
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = A[i][0] * B[0][j]
-            for k in range(1, inner):
-                acc = acc + A[i][k] * B[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def _d_cholesky(G):
-    n = len(G)
-    L = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1):
-            s = G[i][j]
-            for k in range(j):
-                s = s - L[i][k] * L[j][k]
-            if i == j:
-                L[i][j] = s.sqrt() if isinstance(s, Dual) else Dual.const(np.sqrt(s), 0)
-            else:
-                L[i][j] = s / L[j][j]
-    return L
-
-
-def _d_inv_lower(L):
-    n = len(L)
-    X = [[None] * n for _ in range(n)]
-    for i in range(n):
-        X[i][i] = 1.0 / L[i][i]
-        for j in range(i - 1, -1, -1):
-            s = L[i][j] * X[j][j]
-            for k in range(j + 1, i):
-                s = s + L[i][k] * X[k][j]
-            X[i][j] = -s / L[i][i]
-        for j in range(i + 1, n):
-            X[i][j] = Dual.const(0.0, L[i][i].g.shape[0])
-    return X
-
-
-def _dual_pipeline(gm: GraphMap, x):
-    """Frames and h as first-order jets in the base coordinate x."""
-    _, A, He, Th = gm.jet_data(x)
-    m, n = gm.m, gm.n
-    Ad = [[Dual(A[s, i], He[s, i]) for i in range(m)] for s in range(n)]
-    Hd = [[[Dual(He[s, i, j], Th[s, i, j]) for j in range(m)] for i in range(m)] for s in range(n)]
-
-    # induced metric g = I - A^T A
-    g = [[Dual.const(1.0 if i == j else 0.0, m) for j in range(m)] for i in range(m)]
-    for i in range(m):
-        for j in range(m):
-            for s in range(n):
-                g[i][j] = g[i][j] - Ad[s][i] * Ad[s][j]
-    C = _d_cholesky(g)
-    E = _d_inv_lower(C)
-
-    # tangent frame rows: x-part E, y-part E A^T
-    tan = [[None] * (m + n) for _ in range(m)]
-    for i in range(m):
-        for p in range(m):
-            tan[i][p] = E[i][p]
-        for s in range(n):
-            acc = E[i][0] * Ad[s][0]
-            for j in range(1, m):
-                acc = acc + E[i][j] * Ad[s][j]
-            tan[i][m + s] = acc
-
-    # normal Gram I - A A^T, frame rows: x-part Nc A, y-part Nc
-    gn = [[Dual.const(1.0 if s == t else 0.0, m) for t in range(n)] for s in range(n)]
-    for s in range(n):
-        for t in range(n):
-            for i in range(m):
-                gn[s][t] = gn[s][t] - Ad[s][i] * Ad[t][i]
-    D = _d_cholesky(gn)
-    Nc = _d_inv_lower(D)
-    nor = [[None] * (m + n) for _ in range(n)]
-    for s in range(n):
-        for p in range(m):
-            acc = Nc[s][0] * Ad[0][p]
-            for t in range(1, n):
-                acc = acc + Nc[s][t] * Ad[t][p]
-            nor[s][p] = acc
-        for t in range(n):
-            nor[s][m + t] = Nc[s][t]
-
-    # h_sij = -sum_t Nc[s][t] * (E H^t E^T)_ij
-    h = [[[None] * m for _ in range(m)] for _ in range(n)]
-    for t in range(n):
-        EH = _d_matmul(E, Hd[t])
-        EHEt = _d_matmul(EH, [[E[j][l] for j in range(m)] for l in range(m)])
-        for s in range(n):
-            for i in range(m):
-                for j in range(m):
-                    term = Nc[s][t] * EHEt[i][j]
-                    h[s][i][j] = -term if h[s][i][j] is None else h[s][i][j] - term
-    return tan, nor, h, E
+    Forward-mode Cholesky rule d_p L = L Phi(L^-1 dG_p L^-T), Phi keeping
+    the lower triangle and halving the diagonal (Murray 2016,
+    arXiv:1602.07527); hence d_p(L^-1) = -Phi(L^-1 dG_p L^-T) L^-1.
+    """
+    X = Linv @ dG @ Linv.T
+    phi = np.tril(X) - 0.5 * X * np.eye(Linv.shape[0])
+    return -phi @ Linv
 
 
 def covariant_h(gm: GraphMap, x) -> CovariantH:
     """h_sijk from the structure-equation recipe, with a Codazzi symmetry report."""
     m, n = gm.m, gm.n
-    tan, nor, h, E = _dual_pipeline(gm, x)
+    _, A, He, Th = gm.jet_data(x)
+    J, Hss, normals_raw = _graph_immersion(A, He)
     sig = signature(m, n)
+    geo = immersion_geometry(J, Hss, sig, normals_raw)
+    E, Nc = geo.tangent_coeff, geo.normal_coeff
 
-    tan0 = np.array([[tan[i][B].v for B in range(m + n)] for i in range(m)])
-    dtan = np.array([[tan[i][B].g for B in range(m + n)] for i in range(m)])  # (m, m+n, m)
-    nor0 = np.array([[nor[s][B].v for B in range(m + n)] for s in range(n)])
-    dnor = np.array([[nor[s][B].g for B in range(m + n)] for s in range(n)])
-    h0 = np.array([[[h[s][i][j].v for j in range(m)] for i in range(m)] for s in range(n)])
-    dh = np.array([[[h[s][i][j].g for j in range(m)] for i in range(m)] for s in range(n)])
-    E0 = np.array([[E[i][j].v for j in range(m)] for i in range(m)])
+    # first derivatives d_p along the coordinates, stacked on a leading p axis
+    dA = He.transpose(2, 0, 1)                                  # d_p A, (m, n, m)
+    dAt = dA.transpose(0, 2, 1)
+    dE = _d_inv_cholesky(E, -(dAt @ A + A.T @ dA))              # g = I - A^T A
+    dNc = _d_inv_cholesky(Nc, -(dA @ A.T + A @ dAt))            # I - A A^T
+    dtan = np.concatenate([dE, dE @ A.T + E @ dAt], axis=2)     # rows E [I, A^T]
+    dnor = np.concatenate([dNc @ A + Nc @ dA, dNc], axis=2)     # rows Nc [A, I]
+    # h_sij = -sum_t Nc[s, t] (E He^t E^T)_ij
+    EHE = E @ He @ E.T
+    dEHE = (dE[:, None] @ He @ E.T + E @ Th.transpose(3, 0, 1, 2) @ E.T
+            + E @ He @ dE[:, None].transpose(0, 1, 3, 2))
+    dh = -(np.einsum("pst,tij->psij", dNc, EHE) + np.einsum("st,ptij->psij", Nc, dEHE))
 
-    # directional derivatives along frame vectors: e_k = sum_p E0[k,p] d/dx^p
-    d_tan_along = np.einsum("kp,iBp->kiB", E0, dtan)
-    d_nor_along = np.einsum("kp,sBp->ksB", E0, dnor)
-    dh_along = np.einsum("kp,sijp->ksij", E0, dh)
+    # directional derivatives along frame vectors: e_k = sum_p E[k,p] d/dx^p
+    d_tan_along = np.einsum("kp,piB->kiB", E, dtan)
+    d_nor_along = np.einsum("kp,psB->ksB", E, dnor)
+    dh_along = np.einsum("kp,psij->ksij", E, dh)
 
     # connection coefficients w_AB(e_k) = <D_{e_k} e_A, e_B>
-    w_tt = np.einsum("kiB,B,jB->kij", d_tan_along, sig, tan0)   # w_ij(e_k)
-    w_nn = np.einsum("ksB,B,tB->kst", d_nor_along, sig, nor0)   # w_st(e_k)
+    w_tt = np.einsum("kiB,B,jB->kij", d_tan_along, sig, geo.tangent)   # w_ij(e_k)
+    w_nn = np.einsum("ksB,B,tB->kst", d_nor_along, sig, geo.normal)    # w_st(e_k)
 
+    h0 = geo.h
     h_cov = (dh_along.transpose(1, 2, 3, 0)
              + np.einsum("slj,kli->sijk", h0, w_tt)
              + np.einsum("sil,klj->sijk", h0, w_tt)

@@ -5,9 +5,6 @@ derivatives of a scalar function of m variables at a point, propagated
 exactly through the AST by truncated Taylor arithmetic (never by finite
 differences).  Symmetric tensors are stored packed, one entry per
 unordered index pair / triple; dense views are materialized on demand.
-
-Dual is the matching first-order scalar (value + gradient) used to push
-derivatives through matrix factorizations such as the frame Cholesky.
 """
 
 from __future__ import annotations
@@ -306,58 +303,3 @@ def finite_diff_check(expr: Expr, point, h: float) -> FiniteDiffReport:
                 report[3] = max(report[3], rel(T[i, j, k], fd))
     return FiniteDiffReport(h=h, max_rel=report)
 
-
-# ---------------------------------------------------------------------------
-# First-order duals: scalars carrying value + gradient, enough to push
-# derivatives through Cholesky factorizations and matrix algebra.
-
-class Dual:
-    __slots__ = ("v", "g")
-
-    def __init__(self, v: float, g: np.ndarray):
-        self.v = float(v)
-        self.g = np.asarray(g, dtype=float)
-
-    @classmethod
-    def const(cls, v: float, m: int) -> "Dual":
-        return cls(v, np.zeros(m))
-
-    def __add__(self, o):
-        if isinstance(o, Dual):
-            return Dual(self.v + o.v, self.g + o.g)
-        return Dual(self.v + o, self.g)
-
-    __radd__ = __add__
-
-    def __sub__(self, o):
-        if isinstance(o, Dual):
-            return Dual(self.v - o.v, self.g - o.g)
-        return Dual(self.v - o, self.g)
-
-    def __rsub__(self, o):
-        return Dual(o - self.v, -self.g)
-
-    def __neg__(self):
-        return Dual(-self.v, -self.g)
-
-    def __mul__(self, o):
-        if isinstance(o, Dual):
-            return Dual(self.v * o.v, self.v * o.g + o.v * self.g)
-        return Dual(self.v * o, self.g * o)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, o):
-        if isinstance(o, Dual):
-            return Dual(self.v / o.v, (self.g * o.v - self.v * o.g) / (o.v * o.v))
-        return Dual(self.v / o, self.g / o)
-
-    def __rtruediv__(self, o):
-        return Dual(o / self.v, -o * self.g / (self.v * self.v))
-
-    def sqrt(self) -> "Dual":
-        r = math.sqrt(self.v)
-        return Dual(r, self.g / (2.0 * r))
-
-    def __repr__(self):
-        return f"Dual({self.v!r}, grad={self.g!r})"

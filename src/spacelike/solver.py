@@ -143,21 +143,26 @@ def _full_from_interior(ops: _Ops, bvals: np.ndarray, u_int: np.ndarray) -> np.n
     return u
 
 
+def _face_gradient(ops: _Ops, u_full: np.ndarray, d: int):
+    """Normal difference pd and squared gradient psq on the axis-d faces."""
+    fc = ops.faces[d]
+    pd = (u_full[fc["R"]] - u_full[fc["L"]]) / ops.h[d]
+    psq = pd * pd
+    for t in range(ops.m):
+        if t == d:
+            continue
+        cL = (u_full[fc["trans"][("L", t, "p")]] - u_full[fc["trans"][("L", t, "m")]]) / (2 * ops.h[t])
+        cR = (u_full[fc["trans"][("R", t, "p")]] - u_full[fc["trans"][("R", t, "m")]]) / (2 * ops.h[t])
+        pt = 0.5 * (cL + cR)
+        psq = psq + pt * pt
+    return pd, psq
+
+
 def _maximal_residual(ops: _Ops, u_full: np.ndarray, lam: float) -> np.ndarray:
-    m = ops.m
     res = np.zeros(ops.K, dtype=u_full.dtype)
-    for d in range(m):
+    for d in range(ops.m):
         fc = ops.faces[d]
-        L, R = fc["L"], fc["R"]
-        pd = (u_full[R] - u_full[L]) / ops.h[d]
-        psq = pd * pd
-        for t in range(m):
-            if t == d:
-                continue
-            cL = (u_full[fc["trans"][("L", t, "p")]] - u_full[fc["trans"][("L", t, "m")]]) / (2 * ops.h[t])
-            cR = (u_full[fc["trans"][("R", t, "p")]] - u_full[fc["trans"][("R", t, "m")]]) / (2 * ops.h[t])
-            pt = 0.5 * (cL + cR)
-            psq = psq + pt * pt
+        pd, psq = _face_gradient(ops, u_full, d)
         phi = pd / np.sqrt(1.0 - lam * psq)
         okL = fc["rowsL"] >= 0
         okR = fc["rowsR"] >= 0
@@ -169,19 +174,8 @@ def _maximal_residual(ops: _Ops, u_full: np.ndarray, lam: float) -> np.ndarray:
 def _maximal_speed2(ops: _Ops, u_full: np.ndarray) -> float:
     """Largest face |grad f|^2 (the space-like safeguard quantity)."""
     worst = 0.0
-    m = ops.m
-    for d in range(m):
-        fc = ops.faces[d]
-        L, R = fc["L"], fc["R"]
-        pd = (u_full[R] - u_full[L]) / ops.h[d]
-        psq = pd * pd
-        for t in range(m):
-            if t == d:
-                continue
-            cL = (u_full[fc["trans"][("L", t, "p")]] - u_full[fc["trans"][("L", t, "m")]]) / (2 * ops.h[t])
-            cR = (u_full[fc["trans"][("R", t, "p")]] - u_full[fc["trans"][("R", t, "m")]]) / (2 * ops.h[t])
-            pt = 0.5 * (cL + cR)
-            psq = psq + pt * pt
+    for d in range(ops.m):
+        _, psq = _face_gradient(ops, u_full, d)
         if psq.size:
             worst = max(worst, float(np.max(psq)))
     return worst

@@ -265,6 +265,44 @@ def test_covariant_h_fully_symmetric_tensor():
     assert np.max(np.abs(hc - hc.transpose(0, 3, 2, 1))) <= 1e-6 * scale
 
 
+def _finite_difference_h_cov(gm, x, eps=1e-5):
+    """h_sijk from central differences of the frames and h along each e_k."""
+    sig = signature(gm.m, gm.n)
+    fr = adapted_frames(gm, x)
+    h = fundamental_forms(gm, x).h
+    d_tan, d_nor, d_h = [], [], []
+    for v in fr.tangent_coeff:  # e_k = sum_p tangent_coeff[k, p] d/dx^p
+        fp, fm = adapted_frames(gm, x + eps * v), adapted_frames(gm, x - eps * v)
+        d_tan.append((fp.tangent - fm.tangent) / (2 * eps))
+        d_nor.append((fp.normal - fm.normal) / (2 * eps))
+        d_h.append((fundamental_forms(gm, x + eps * v).h
+                    - fundamental_forms(gm, x - eps * v).h) / (2 * eps))
+    w_tt = np.einsum("kiB,B,jB->kij", np.array(d_tan), sig, fr.tangent)
+    w_nn = np.einsum("ksB,B,tB->kst", np.array(d_nor), sig, fr.normal)
+    return (np.array(d_h).transpose(1, 2, 3, 0)
+            + np.einsum("slj,kli->sijk", h, w_tt)
+            + np.einsum("sil,klj->sijk", h, w_tt)
+            - np.einsum("tij,kts->sijk", h, w_nn))
+
+
+@pytest.mark.parametrize("m,n", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_covariant_h_matches_finite_difference_oracle(m, n):
+    rng = np.random.default_rng(100 + 10 * m + n)
+    for _ in range(5):
+        gm, x = random_spacelike_graph(rng, m, n, degree=3)
+        hc = covariant_h(gm, x).h_cov
+        oracle = _finite_difference_h_cov(gm, x)
+        assert np.max(np.abs(hc - oracle)) <= 1e-6 * np.max(np.abs(oracle))
+
+
+def test_covariant_h_not_spacelike_raises():
+    gm = GraphMap.from_strings(2, ["2*x1 + x2^2"])
+    with pytest.raises(NotSpacelikeError):
+        fundamental_forms(gm, [0.1, 0.2])
+    with pytest.raises(NotSpacelikeError):
+        covariant_h(gm, [0.1, 0.2])
+
+
 # -- pseudo-distance ----------------------------------------------------------
 
 def test_pseudo_distance_origin():

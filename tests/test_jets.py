@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spacelike.exprparse import DomainError, parse
-from spacelike.jets import Dual, evaluate_jet, finite_diff_check
+from spacelike.jets import evaluate_jet, finite_diff_check
 
 
 def test_square_jet():
@@ -125,14 +125,3 @@ def test_packed_storage_sizes():
     assert np.array_equal(t, t.transpose(1, 0, 2))
     assert np.array_equal(t, t.transpose(0, 2, 1))
 
-
-def test_dual_arithmetic():
-    x = Dual(2.0, np.array([1.0, 0.0]))
-    y = Dual(3.0, np.array([0.0, 1.0]))
-    z = (x * y + 1.0) / (x - 1.0)
-    # z = (xy + 1)/(x - 1); dz/dx = (y(x-1) - (xy+1))/(x-1)^2, dz/dy = x/(x-1)
-    assert np.isclose(z.v, 7.0)
-    assert np.allclose(z.g, [(3.0 * 1.0 - 7.0) / 1.0, 2.0])
-    r = x.sqrt()
-    assert np.isclose(r.v, np.sqrt(2.0))
-    assert np.allclose(r.g, [0.5 / np.sqrt(2.0), 0.0])
