@@ -252,15 +252,15 @@ def cmd_analyze(cfg: JobConfig) -> int:
             for c in _NAN_COLS_ANALYZE:
                 rec[c] = np.nan
             return rec
-        mp = induced_metric(gm, pts[flat])
-        rec["min_eig"] = mp.min_eig
-        rec["det_g"] = mp.det_g
-        if not mp.spacelike:
-            rec["status"] = "not-spacelike"
-            for c in _NAN_COLS_ANALYZE[2:]:
-                rec[c] = np.nan
-            return rec
         try:
+            mp = induced_metric(gm, pts[flat])
+            rec["min_eig"] = mp.min_eig
+            rec["det_g"] = mp.det_g
+            if not mp.spacelike:
+                rec["status"] = "not-spacelike"
+                for c in _NAN_COLS_ANALYZE[2:]:
+                    rec[c] = np.nan
+                return rec
             pg = fundamental_forms(gm, pts[flat])
             rec["H_norm"] = pg.H_norm
             rec["S"] = pg.S
@@ -658,7 +658,7 @@ def main(argv=None) -> int:
         if cfg.command == "scan":
             return cmd_scan(cfg)
         return cmd_check(cfg)
-    except ConfigError as err:
+    except (ConfigError, ParseError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except (SolverError, NotSpacelikeError, NotConvexError, BasePointError,

@@ -189,7 +189,10 @@ class _Parser:
     def base(self) -> Expr:
         tok = self.take()
         if tok.kind == "num":
-            return Const(span=(tok.pos, tok.pos + len(tok.text)), value=float(tok.text))
+            value = float(tok.text)
+            if not math.isfinite(value):
+                raise ParseError(f"literal {tok.text!r} is not a finite number", tok.pos)
+            return Const(span=(tok.pos, tok.pos + len(tok.text)), value=value)
         if tok.kind == "ident":
             name = tok.text
             span = (tok.pos, tok.pos + len(name))
@@ -229,7 +232,12 @@ def parse(text: str, dim: int) -> Expr:
     """Parse ``text`` into an AST over the variables x1..x<dim>."""
     if dim < 1:
         raise ValueError("dimension must be >= 1")
-    return _Parser(text, dim).parse()
+    parser = _Parser(text, dim)
+    try:
+        return parser.parse()
+    except RecursionError:
+        tok = parser.tokens[min(parser.i, len(parser.tokens) - 1)]
+        raise ParseError("expression nested too deeply", tok.pos) from None
 
 
 # ---------------------------------------------------------------------------
@@ -275,61 +283,14 @@ def pretty(node: Expr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Plain (vectorized) evaluation.  Jets live in spacelike.jets; this is the
-# cheap value-only path used for boundary data on lattices.
+# Plain (vectorized) evaluation: the value-only case of the Taylor evaluator in
+# spacelike.jets, which also computes the jets.  This is the cheap path used
+# for boundary data on lattices.
 
 def eval_values(node: Expr, points: np.ndarray):
     """Evaluate at one point (shape (m,)) or a batch (shape (k, m))."""
+    from .jets import _taylor  # jets imports this module
+
     pts = np.asarray(points, dtype=float)
-    single = pts.ndim == 1
-    if single:
-        pts = pts[None, :]
-    out = _eval_rec(node, pts)
-    out = np.broadcast_to(out, (pts.shape[0],)).astype(float)
-    return float(out[0]) if single else out.copy()
-
-
-def _eval_rec(node: Expr, pts: np.ndarray):
-    if isinstance(node, Const):
-        return np.full(pts.shape[0], node.value)
-    if isinstance(node, Var):
-        return pts[:, node.index - 1]
-    if isinstance(node, Unary):
-        u = _eval_rec(node.child, pts)
-        if node.op == "neg":
-            return -u
-        if node.op == "log":
-            if np.any(u <= 0):
-                raise DomainError("log argument out of range", node.span)
-            return np.log(u)
-        if node.op == "sqrt":
-            if np.any(u < 0):
-                raise DomainError("sqrt argument out of range", node.span)
-            return np.sqrt(u)
-        if node.op == "atanh":
-            if np.any(np.abs(u) >= 1):
-                raise DomainError("atanh argument out of range", node.span)
-            return np.arctanh(u)
-        fn = {
-            "sin": np.sin, "cos": np.cos, "exp": np.exp, "sinh": np.sinh,
-            "cosh": np.cosh, "tanh": np.tanh, "asinh": np.arcsinh,
-        }[node.op]
-        return fn(u)
-    if isinstance(node, BinOp):
-        a = _eval_rec(node.lhs, pts)
-        b = _eval_rec(node.rhs, pts)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if np.any(b == 0):
-            raise DomainError("division by zero", node.span)
-        return a / b
-    if isinstance(node, Pow):
-        u = _eval_rec(node.base, pts)
-        if node.exponent < 0 and np.any(u == 0):
-            raise DomainError("zero raised to a negative power", node.span)
-        return u ** node.exponent
-    raise TypeError(f"not an Expr: {node!r}")
+    (out,) = _taylor(node, np.atleast_2d(pts), 0)
+    return float(out[0]) if pts.ndim == 1 else np.array(out, dtype=float)

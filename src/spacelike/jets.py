@@ -1,257 +1,220 @@
-"""Forward-mode automatic differentiation of expression ASTs.
+"""Truncated Taylor evaluation of expression ASTs over any batch of points.
 
-Jet3 carries the value, gradient, Hessian and all third-order partial
-derivatives of a scalar function of m variables at a point, propagated
-exactly through the AST by truncated Taylor arithmetic (never by finite
-differences).  Symmetric tensors are stored packed, one entry per
-unordered index pair / triple; dense views are materialized on demand.
+``_taylor`` is the one evaluator: order 0 gives values (``eval_values``),
+order 3 exact jets (``evaluate_jet``), propagated by truncated Taylor
+arithmetic, never by finite differences (Griewank & Walther, *Evaluating
+Derivatives*, 2008, ch. 13).  It walks the AST iteratively, so depth is not
+bounded by the recursion limit.  A jet is four dense arrays: value (...),
+gradient (..., m), Hessian (..., m, m) and third derivatives (..., m, m, m)
+for a batch of points of shape (..., m).  Arithmetic broadcasts from the
+right, so a point and a batch share one code path, and the tensors are made
+exactly symmetric by one gather from their sorted (i <= j <= k) slots.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .exprparse import BinOp, Const, DomainError, Expr, Pow, Unary, Var
+from .exprparse import BinOp, Const, DomainError, Expr, Pow, Unary, Var, eval_values
 
-MAX_DIM = 8  # packed jet sizes stay tiny up to here
+MAX_DIM = 8  # a dense jet holds m^3 third derivatives per point
 
-_SYM_CHECK_TOL = 1e-10
+
+def _outer(a, b):
+    return a[..., :, None] * b[..., None, :]
+
+
+def _sym3(g, H):
+    """g_i H_jk + g_j H_ik + g_k H_ij over the trailing axes (H symmetric)."""
+    return (g[..., :, None, None] * H[..., None, :, :]
+            + g[..., None, :, None] * H[..., :, None, :]
+            + g[..., None, None, :] * H[..., :, :, None])
+
+
+def _mul(a, b):
+    """Truncated Taylor product of two (value, grad, hess, third) tuples."""
+    (a0, ag, aH, aT), (b0, bg, bH, bT) = a, b
+    a1, b1 = a0[..., None], b0[..., None]
+    return (a0 * b0,
+            a1 * bg + b1 * ag,
+            a1[..., None] * bH + b1[..., None] * aH + _outer(ag, bg) + _outer(bg, ag),
+            a1[..., None, None] * bT + b1[..., None, None] * aT
+            + _sym3(ag, bH) + _sym3(bg, aH))
+
+
+def _compose(u, d0, d1, d2, d3):
+    """Chain rule through a univariate function with derivatives d0..d3 at u's value."""
+    _, g, H, T = u
+    d1, d2, d3 = d1[..., None], d2[..., None], d3[..., None]
+    gg = _outer(g, g)
+    return (d0,
+            d1 * g,
+            d1[..., None] * H + d2[..., None] * gg,
+            d1[..., None, None] * T + d2[..., None, None] * _sym3(g, H)
+            + d3[..., None, None] * gg[..., None] * g[..., None, None, :])
+
+
+def _power(u, p: int):
+    """Chain rule for u^p; a vanishing coefficient of the derivatives stays exactly 0."""
+    u0 = u[0]
+    coeffs = (p, p * (p - 1), p * (p - 1) * (p - 2))
+    return _compose(u, u0 ** p, *(c * u0 ** (p - k) if c else np.zeros_like(u0)
+                                  for k, c in enumerate(coeffs, 1)))
+
+
+def _tanh_derivs(u, t):
+    s = 1.0 - t * t
+    return s, -2.0 * t * s, -2.0 * s * s + 4.0 * t * t * s
+
+
+# name -> (numpy function, its derivatives 1..3 from the argument u and value v).
+# Values and jets share this table, so both orders evaluate the same functions.
+_ELEMENTARY = {
+    "sin": (np.sin, lambda u, v: (np.cos(u), -v, -np.cos(u))),
+    "cos": (np.cos, lambda u, v: (-np.sin(u), -v, np.sin(u))),
+    "exp": (np.exp, lambda u, v: (v, v, v)),
+    "log": (np.log, lambda u, v: (1.0 / u, -1.0 / u**2, 2.0 / u**3)),
+    "sqrt": (np.sqrt, lambda u, v: (0.5 / v, -0.25 / v**3, 0.375 / v**5)),
+    "sinh": (np.sinh, lambda u, v: (np.cosh(u), v, np.cosh(u))),
+    "cosh": (np.cosh, lambda u, v: (np.sinh(u), v, np.sinh(u))),
+    "tanh": (np.tanh, _tanh_derivs),
+    "asinh": (np.arcsinh, lambda u, v: ((1.0 + u * u) ** -0.5, -u * (1.0 + u * u) ** -1.5,
+                                        (2.0 * u * u - 1.0) * (1.0 + u * u) ** -2.5)),
+    "atanh": (np.arctanh, lambda u, v: (1.0 / (1.0 - u * u), 2.0 * u / (1.0 - u * u) ** 2,
+                                        (2.0 + 6.0 * u * u) / (1.0 - u * u) ** 3)),
+}
+
+# name -> arguments outside the domain.  sqrt(0) has a value but no derivative.
+_OUT_OF_DOMAIN = {
+    "log": lambda u: u <= 0,
+    "sqrt": lambda u: u < 0,
+    "atanh": lambda u: np.abs(u) >= 1,
+}
+
+
+def _taylor(expr: Expr, pts: np.ndarray, order: int) -> tuple:
+    """Truncated Taylor data of ``expr`` at points of shape (..., m).
+
+    Returns (value,) for order 0 and (value, grad, hess, third) for order 3,
+    each led by the batch shape of ``pts``.  A DomainError carries the span
+    of the offending subexpression.
+    """
+    shape, m = pts.shape[:-1], pts.shape[-1]
+    zeros = (np.zeros(shape + (m,)), np.zeros(shape + (m, m)),
+             np.zeros(shape + (m, m, m))) if order else ()
+    post, todo = [], [expr]
+    while todo:
+        node = todo.pop()
+        post.append(node)
+        if isinstance(node, Unary):
+            todo.append(node.child)
+        elif isinstance(node, BinOp):
+            todo += (node.lhs, node.rhs)
+        elif isinstance(node, Pow):
+            todo.append(node.base)
+    stack = []
+    for node in reversed(post):
+        if isinstance(node, Const):
+            t = (np.full(shape, node.value),) + zeros
+        elif isinstance(node, Var):
+            t = (pts[..., node.index - 1],)
+            if order:
+                g = np.zeros(shape + (m,))
+                g[..., node.index - 1] = 1.0
+                t += (g,) + zeros[1:]
+        elif isinstance(node, Unary):
+            u = stack.pop()
+            if node.op == "neg":
+                t = tuple(-c for c in u)
+            else:
+                bad = _OUT_OF_DOMAIN.get(node.op)
+                if bad is not None and np.any(bad(u[0])):
+                    raise DomainError(f"{node.op} argument out of range", node.span)
+                if order and node.op == "sqrt" and np.any(u[0] == 0):
+                    raise DomainError("sqrt argument must be positive for differentiation",
+                                      node.span)
+                fn, derivs = _ELEMENTARY[node.op]
+                v = fn(u[0])
+                t = _compose(u, v, *derivs(u[0], v)) if order else (v,)
+        elif isinstance(node, BinOp):
+            b, a = stack.pop(), stack.pop()
+            if node.op == "+":
+                t = tuple(x + y for x, y in zip(a, b))
+            elif node.op == "-":
+                t = tuple(x - y for x, y in zip(a, b))
+            elif node.op == "*":
+                t = _mul(a, b) if order else (a[0] * b[0],)
+            else:
+                if np.any(b[0] == 0):
+                    raise DomainError("division by zero", node.span)
+                t = _mul(a, _power(b, -1)) if order else (a[0] / b[0],)
+        elif isinstance(node, Pow):
+            u = stack.pop()
+            if node.exponent < 0 and np.any(u[0] == 0):
+                raise DomainError("zero raised to a negative power", node.span)
+            t = _power(u, node.exponent) if order else (u[0] ** node.exponent,)
+        else:
+            raise TypeError(f"not an Expr: {node!r}")
+        stack.append(t)
+    return stack[0]
 
 
 @lru_cache(maxsize=None)
-def _pair_indices(m: int):
-    return np.triu_indices(m)
-
-
-@lru_cache(maxsize=None)
-def _triple_indices(m: int):
-    idx = [(i, j, k) for i in range(m) for j in range(i, m) for k in range(j, m)]
-    arr = np.array(idx, dtype=int).reshape(-1, 3)
-    return arr[:, 0], arr[:, 1], arr[:, 2]
-
-
-def pack_sym2(mat: np.ndarray) -> np.ndarray:
-    iu = _pair_indices(mat.shape[0])
-    return mat[iu].copy()
-
-
-def unpack_sym2(vec: np.ndarray, m: int) -> np.ndarray:
-    iu = _pair_indices(m)
-    out = np.zeros((m, m))
-    out[iu] = vec
-    out.T[iu] = vec
-    return out
-
-
-def pack_sym3(t: np.ndarray) -> np.ndarray:
-    ii, jj, kk = _triple_indices(t.shape[0])
-    return t[ii, jj, kk].copy()
-
-
-def unpack_sym3(vec: np.ndarray, m: int) -> np.ndarray:
-    ii, jj, kk = _triple_indices(m)
-    out = np.zeros((m, m, m))
-    for p in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
-        axes = (ii, jj, kk)
-        out[axes[p.index(0)], axes[p.index(1)], axes[p.index(2)]] = vec
-    return out
-
-
-def _sym3_outer(g: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """Symmetrized g_i H_jk + g_j H_ik + g_k H_ij (H symmetric)."""
-    return (
-        g[:, None, None] * H[None, :, :]
-        + g[None, :, None] * H[:, None, :]
-        + g[None, None, :] * H[:, :, None]
-    )
+def _sorted_slots(m: int, rank: int) -> np.ndarray:
+    """Flat indices that read every entry of an m^rank tensor from its sorted slot."""
+    idx = np.sort(np.indices((m,) * rank).reshape(rank, -1), axis=0)
+    flat = np.ravel_multi_index(idx, (m,) * rank)
+    flat.flags.writeable = False
+    return flat
 
 
 @dataclass
 class Jet3:
-    """Truncated Taylor data of a scalar function at a point, to order 3."""
+    """Order-3 Taylor data of a scalar function at a point or a batch of points.
 
-    m: int
-    value: float
-    grad: np.ndarray      # (m,)
-    hess_p: np.ndarray    # packed, m(m+1)/2 entries, pairs i <= j
-    third_p: np.ndarray   # packed, C(m+2,3) entries, triples i <= j <= k
+    ``value`` has the batch shape (a numpy scalar for one point); ``grad``,
+    ``hess`` and ``third`` append m, (m, m) and (m, m, m) to it.
+    """
 
-    @property
-    def hess(self) -> np.ndarray:
-        return unpack_sym2(self.hess_p, self.m)
+    value: np.ndarray
+    grad: np.ndarray
+    hess: np.ndarray
+    third: np.ndarray
 
-    @property
-    def third(self) -> np.ndarray:
-        return unpack_sym3(self.third_p, self.m)
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def from_dense(cls, value, grad, hess, third, check: bool = True) -> "Jet3":
-        grad = np.asarray(grad, dtype=float)
-        hess = np.asarray(hess, dtype=float)
-        third = np.asarray(third, dtype=float)
-        m = grad.shape[0]
-        if check:
-            scale = 1.0 + np.max(np.abs(hess), initial=0.0)
-            if np.max(np.abs(hess - hess.T), initial=0.0) > _SYM_CHECK_TOL * scale:
-                raise AssertionError("Hessian lost symmetry")
-            scale3 = 1.0 + np.max(np.abs(third), initial=0.0)
-            for perm in ((0, 2, 1), (1, 0, 2)):
-                if np.max(np.abs(third - third.transpose(perm)), initial=0.0) > _SYM_CHECK_TOL * scale3:
-                    raise AssertionError("third-order tensor lost symmetry")
-        return cls(m, float(value), grad.copy(), pack_sym2(hess), pack_sym3(third))
-
-    @classmethod
-    def constant(cls, c: float, m: int) -> "Jet3":
-        return cls.from_dense(c, np.zeros(m), np.zeros((m, m)), np.zeros((m, m, m)), check=False)
-
-    @classmethod
-    def variable(cls, index: int, m: int, x_i: float) -> "Jet3":
-        g = np.zeros(m)
-        g[index] = 1.0
-        return cls.from_dense(x_i, g, np.zeros((m, m)), np.zeros((m, m, m)), check=False)
-
-    # -- linear arithmetic ---------------------------------------------------
+    def _coeffs(self) -> tuple:
+        return self.value, self.grad, self.hess, self.third
 
     def __add__(self, other: "Jet3") -> "Jet3":
-        return Jet3(self.m, self.value + other.value, self.grad + other.grad,
-                    self.hess_p + other.hess_p, self.third_p + other.third_p)
-
-    def __sub__(self, other: "Jet3") -> "Jet3":
-        return Jet3(self.m, self.value - other.value, self.grad - other.grad,
-                    self.hess_p - other.hess_p, self.third_p - other.third_p)
-
-    def __neg__(self) -> "Jet3":
-        return Jet3(self.m, -self.value, -self.grad, -self.hess_p, -self.third_p)
-
-    def scale(self, a: float) -> "Jet3":
-        return Jet3(self.m, a * self.value, a * self.grad, a * self.hess_p, a * self.third_p)
-
-    # -- truncated Taylor product and composition ----------------------------
+        return Jet3(*(a + b for a, b in zip(self._coeffs(), other._coeffs())))
 
     def __mul__(self, other: "Jet3") -> "Jet3":
-        a, b = self, other
-        H_a, H_b = a.hess, b.hess
-        value = a.value * b.value
-        grad = a.value * b.grad + b.value * a.grad
-        hess = a.value * H_b + b.value * H_a + np.outer(a.grad, b.grad) + np.outer(b.grad, a.grad)
-        third = (
-            a.value * b.third + b.value * a.third
-            + _sym3_outer(a.grad, H_b) + _sym3_outer(b.grad, H_a)
-        )
-        return Jet3.from_dense(value, grad, hess, third)
-
-    def compose(self, d0: float, d1: float, d2: float, d3: float) -> "Jet3":
-        """Chain rule through a univariate function with derivatives d0..d3 at self.value."""
-        H = self.hess
-        g = self.grad
-        value = d0
-        grad = d1 * g
-        hess = d1 * H + d2 * np.outer(g, g)
-        third = d1 * self.third + d2 * _sym3_outer(g, H) + d3 * np.einsum("i,j,k->ijk", g, g, g)
-        return Jet3.from_dense(value, grad, hess, third)
-
-    def reciprocal(self) -> "Jet3":
-        v = self.value
-        return self.compose(1.0 / v, -1.0 / v**2, 2.0 / v**3, -6.0 / v**4)
-
-    def __truediv__(self, other: "Jet3") -> "Jet3":
-        return self * other.reciprocal()
-
-    def pow_int(self, k: int) -> "Jet3":
-        if k < 0:
-            return self.pow_int(-k).reciprocal()
-        result = Jet3.constant(1.0, self.m)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
-
-
-# Elementary function tables: value and first three derivatives at u.
-def _func_derivs(op: str, u: float, span) -> tuple[float, float, float, float]:
-    if op == "sin":
-        s, c = math.sin(u), math.cos(u)
-        return s, c, -s, -c
-    if op == "cos":
-        s, c = math.sin(u), math.cos(u)
-        return c, -s, -c, s
-    if op == "exp":
-        e = math.exp(u)
-        return e, e, e, e
-    if op == "log":
-        if u <= 0:
-            raise DomainError("log argument out of range", span)
-        return math.log(u), 1.0 / u, -1.0 / u**2, 2.0 / u**3
-    if op == "sqrt":
-        if u <= 0:
-            raise DomainError("sqrt argument must be positive for differentiation", span)
-        r = math.sqrt(u)
-        return r, 0.5 / r, -0.25 / r**3, 0.375 / r**5
-    if op == "sinh":
-        return math.sinh(u), math.cosh(u), math.sinh(u), math.cosh(u)
-    if op == "cosh":
-        return math.cosh(u), math.sinh(u), math.cosh(u), math.sinh(u)
-    if op == "tanh":
-        t = math.tanh(u)
-        s = 1.0 - t * t
-        return t, s, -2.0 * t * s, -2.0 * s * s + 4.0 * t * t * s
-    if op == "asinh":
-        w = 1.0 + u * u
-        return math.asinh(u), w**-0.5, -u * w**-1.5, (2.0 * u * u - 1.0) * w**-2.5
-    if op == "atanh":
-        if abs(u) >= 1:
-            raise DomainError("atanh argument out of range", span)
-        w = 1.0 - u * u
-        return math.atanh(u), 1.0 / w, 2.0 * u / w**2, (2.0 + 6.0 * u * u) / w**3
-    raise ValueError(f"unknown function {op!r}")
+        return Jet3(*_mul(self._coeffs(), other._coeffs()))
 
 
 def evaluate_jet(expr: Expr, point) -> Jet3:
-    """Exact order-3 Taylor data of ``expr`` at ``point`` (up to rounding)."""
-    x = np.asarray(point, dtype=float).ravel()
-    m = x.shape[0]
+    """Exact order-3 Taylor data of ``expr`` at a point (shape (m,)) or a batch
+    of points (shape (..., m)), up to rounding.
+
+    Raises DomainError outside an elementary function's domain and where the
+    jet overflows or is otherwise not finite.
+    """
+    x = np.asarray(point, dtype=float)
+    shape, m = x.shape[:-1], x.shape[-1]
     if m > MAX_DIM:
         raise ValueError(f"dimension {m} exceeds the supported cap {MAX_DIM}")
-    return _jet_rec(expr, x, m)
-
-
-def _jet_rec(expr: Expr, x: np.ndarray, m: int) -> Jet3:
-    if isinstance(expr, Const):
-        return Jet3.constant(expr.value, m)
-    if isinstance(expr, Var):
-        return Jet3.variable(expr.index - 1, m, x[expr.index - 1])
-    if isinstance(expr, Unary):
-        u = _jet_rec(expr.child, x, m)
-        if expr.op == "neg":
-            return -u
-        return u.compose(*_func_derivs(expr.op, u.value, expr.span))
-    if isinstance(expr, BinOp):
-        a = _jet_rec(expr.lhs, x, m)
-        b = _jet_rec(expr.rhs, x, m)
-        if expr.op == "+":
-            return a + b
-        if expr.op == "-":
-            return a - b
-        if expr.op == "*":
-            return a * b
-        if b.value == 0:
-            raise DomainError("division by zero", expr.span)
-        return a / b
-    if isinstance(expr, Pow):
-        u = _jet_rec(expr.base, x, m)
-        if expr.exponent < 0 and u.value == 0:
-            raise DomainError("zero raised to a negative power", expr.span)
-        return u.pow_int(expr.exponent)
-    raise TypeError(f"not an Expr: {expr!r}")
+    # One point runs as a batch of one: numpy scalars and arrays round some
+    # operations (u ** p, for one) differently, and rows must match batches.
+    with np.errstate(all="ignore"):
+        value, grad, hess, third = _taylor(expr, x.reshape(-1, m), 3)
+    if not all(np.isfinite(a).all() for a in (value, grad, hess, third)):
+        raise DomainError("non-finite jet (overflow or NaN)", expr.span)
+    return Jet3(np.array(value).reshape(shape)[()],  # a copy: value may view x
+                grad.reshape(shape + (m,)),
+                hess.reshape(-1, m * m)[:, _sorted_slots(m, 2)].reshape(shape + (m, m)),
+                third.reshape(-1, m**3)[:, _sorted_slots(m, 3)].reshape(shape + (m, m, m)))
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +231,6 @@ class FiniteDiffReport:
 def finite_diff_check(expr: Expr, point, h: float) -> FiniteDiffReport:
     if h <= 0:
         raise ValueError("step h must be positive")
-    from .exprparse import eval_values
-
     x = np.asarray(point, dtype=float).ravel()
     m = x.shape[0]
     jet = evaluate_jet(expr, x)
@@ -302,4 +263,3 @@ def finite_diff_check(expr: Expr, point, h: float) -> FiniteDiffReport:
                 fd = central(central(central(f, k), j), i)(x)
                 report[3] = max(report[3], rel(T[i, j, k], fd))
     return FiniteDiffReport(h=h, max_rel=report)
-

@@ -97,6 +97,7 @@ def lagrangian_forms(P: Potential, x) -> LagrangianForms:
     with g = det Hess F.  Frame-invariant norms:
     S = 1/4 g^{ik} g^{jl} g^{ab} F_ija F_klb and |H|^2 = g_pq H^p H^q.
     """
+    x = np.asarray(x, dtype=float)
     gg = gradient_graph(P, x)
     if not gg.convex:
         raise NotConvexError(gg.min_eig)
@@ -108,14 +109,11 @@ def lagrangian_forms(P: Potential, x) -> LagrangianForms:
     dlog = np.einsum("ij,ijl->l", g_inv, T)
     H = -(1.0 / (2.0 * P.m)) * (dlog @ g_inv)
     # independent route to d_l ln g via central differences of the jet values
-    resid = 0.0
     h_fd = 1e-6
-    for l in range(P.m):
-        e = np.zeros(P.m)
-        e[l] = h_fd
-        dp = float(np.linalg.det(P.jet(np.asarray(x) + e).hess))
-        dm = float(np.linalg.det(P.jet(np.asarray(x) - e).hess))
-        resid = max(resid, abs((np.log(dp) - np.log(dm)) / (2 * h_fd) - dlog[l]))
+    shifts = h_fd * np.eye(P.m)
+    dets = np.linalg.det(P.jet(np.concatenate([x + shifts, x - shifts])).hess)
+    dp, dm = dets[:P.m], dets[P.m:]
+    resid = float(np.max(np.abs((np.log(dp) - np.log(dm)) / (2 * h_fd) - dlog)))
     S = 0.25 * float(np.einsum("ik,jl,ab,ija,klb->", g_inv, g_inv, g_inv, T, T))
     H_norm = float(np.sqrt(H @ g @ H))
     return LagrangianForms(B_coeff=B, H_coeff=H, S=S, H_norm=H_norm,
@@ -209,12 +207,10 @@ def moduli_curvature_oracle(P: Potential, x, fd_step: float = 1e-4) -> np.ndarra
     g = jet.hess
     dg = np.einsum("ijp->pij", jet.third)
     m = P.m
-    ddg = np.zeros((m, m, m, m))
-    for p in range(m):
-        e = np.zeros(m)
-        e[p] = fd_step
-        diff = (evaluate_jet(P.F, x + e).third - evaluate_jet(P.F, x - e).third) / (2 * fd_step)
-        ddg[p] = np.einsum("ijq->qij", diff)  # ddg[p,q,i,j] = d_p d_q g_ij
+    shifts = fd_step * np.eye(m)
+    third = evaluate_jet(P.F, np.concatenate([x + shifts, x - shifts])).third
+    diff = (third[:m] - third[m:]) / (2 * fd_step)
+    ddg = np.einsum("pijq->pqij", diff)  # ddg[p,q,i,j] = d_p d_q g_ij
     rm = riemann_lowered(g, dg, ddg)
     return paper_riemann_from_lowered(rm)
 

@@ -62,6 +62,36 @@ def test_analyze_not_spacelike_warns_but_succeeds(tmp_path, capsys):
     assert "nan" in body
 
 
+def test_analyze_domain_error_is_a_node_status(tmp_path):
+    out = str(tmp_path / "r.csv")
+    cfg = analyze_config(tmp_path, out, components=["0.2*log(x1+0.5)"],
+                         extra={"lattice": {"lo": [-1, -1], "hi": [1, 1], "nodes": 5}})
+    assert run_cli(["analyze", "--config", cfg]) == 0
+    lines = (tmp_path / "r.csv").read_text().strip().split("\n")
+    header = lines[0].split(",")
+    rows = [dict(zip(header, l.split(","))) for l in lines[1:]]
+    assert len(rows) == 25
+    for r in rows:
+        if float(r["x1"]) <= -0.5:
+            assert r["status"] == "error:DomainError"
+            assert r["min_eig"] == r["S"] == "nan"
+        else:
+            assert r["status"] == "ok"
+
+
+def test_bad_expression_exits_1_without_traceback(tmp_path):
+    cfg = write_config(tmp_path, "cfg.json", {
+        "m": 2, "n": 1, "components": ["1e400*x1"],
+        "lattice": {"lo": [-1, -1], "hi": [1, 1], "nodes": 9},
+        "out": str(tmp_path / "f.json"),
+    })
+    res = subprocess.run([sys.executable, "-m", "spacelike", "solve-maximal", "--config", cfg],
+                         capture_output=True, text=True)
+    assert res.returncode == 1
+    assert "not a finite number" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_lagrangian_quadratic_zero_curvature(tmp_path):
     out = str(tmp_path / "l.json")
     cfg = write_config(tmp_path, "cfg.json", {

@@ -44,6 +44,20 @@ def test_fractional_exponent_rejected():
         parse("x1^1.5", 1)
 
 
+@pytest.mark.parametrize("text, offset", [("1e400*x1", 0), ("x1 + 2e308", 5)])
+def test_non_finite_literal_rejected(text, offset):
+    with pytest.raises(ParseError, match="not a finite number") as err:
+        parse(text, 1)
+    assert err.value.offset == offset
+
+
+@pytest.mark.parametrize("text", ["(" * 2000 + "x1" + ")" * 2000, "-" * 3000 + "x1"],
+                         ids=["parentheses", "unary-minus"])
+def test_deep_nesting_is_a_parse_error(text):
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse(text, 1)
+
+
 def test_constants():
     assert eval_values(parse("pi", 1), np.zeros(1)) == math.pi
     assert eval_values(parse("e", 1), np.zeros(1)) == math.e

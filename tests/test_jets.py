@@ -1,9 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
+from test_exprparse import _exprs
 
-from spacelike.exprparse import DomainError, parse
+from spacelike.exprparse import DomainError, eval_values, parse
+from spacelike.graphgeom import GraphMap, fundamental_forms
 from spacelike.jets import evaluate_jet, finite_diff_check
 
 
@@ -95,11 +99,12 @@ def test_linearity_exact(a, b, p1, p2):
     combo = parse(f"({a!r})*(sin(x1)*x2) + ({b!r})*(x1^2 - x2^3)", 2)
     x = np.array([p1, p2])
     j1, j2, jc = evaluate_jet(e1, x), evaluate_jet(e2, x), evaluate_jet(combo, x)
-    ref = j1.scale(a) + j2.scale(b)
+    ja, jb = evaluate_jet(parse(f"({a!r})", 2), x), evaluate_jet(parse(f"({b!r})", 2), x)
+    ref = ja * j1 + jb * j2
     assert jc.value == ref.value
     assert np.array_equal(jc.grad, ref.grad)
-    assert np.array_equal(jc.hess_p, ref.hess_p)
-    assert np.array_equal(jc.third_p, ref.third_p)
+    assert np.array_equal(jc.hess, ref.hess)
+    assert np.array_equal(jc.third, ref.third)
 
 
 def test_product_rule_truncated_taylor():
@@ -117,11 +122,50 @@ def test_product_rule_truncated_taylor():
 def test_packed_storage_sizes():
     m = 4
     jet = evaluate_jet(parse("x1*x2*x3*x4", m), [1.0, 2.0, 3.0, 4.0])
-    assert jet.hess_p.shape == (m * (m + 1) // 2,)
-    assert jet.third_p.shape == (m * (m + 1) * (m + 2) // 6,)
     # dense views are exactly symmetric
     assert np.array_equal(jet.hess, jet.hess.T)
     t = jet.third
     assert np.array_equal(t, t.transpose(1, 0, 2))
     assert np.array_equal(t, t.transpose(0, 2, 1))
 
+
+def test_overflowing_jet_raises_domain_error():
+    gm = GraphMap.from_strings(1, ["exp(x1)^40"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as err:
+            fundamental_forms(gm, [30.0])
+    assert err.value.span == (0, 10)
+
+
+def test_deep_left_sum_evaluates():
+    # a 3000-term sum is far deeper than the interpreter's recursion limit
+    expr = parse("+".join(["x1"] * 3000), 1)
+    assert eval_values(expr, np.array([0.5])) == 1500.0
+    jet = evaluate_jet(expr, [0.5])
+    assert jet.value == 1500.0
+    assert jet.grad[0] == 3000.0
+    assert jet.hess[0, 0] == 0.0 and jet.third[0, 0, 0] == 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    _exprs(3),
+    st.lists(st.tuples(st.floats(-2, 2), st.floats(-2, 2)), min_size=1, max_size=4),
+)
+def test_batched_rows_equal_single_point_jets(text, points):
+    expr = parse(text, 2)
+    pts = np.array(points)
+    try:
+        batch = evaluate_jet(expr, pts)
+    except DomainError:
+        reject()
+    for row, p in enumerate(pts):
+        single = evaluate_jet(expr, p)
+        assert np.array_equal(batch.value[row], single.value)
+        assert np.array_equal(batch.grad[row], single.grad)
+        assert np.array_equal(batch.hess[row], single.hess)
+        assert np.array_equal(batch.third[row], single.third)
+    assert np.array_equal(batch.hess, batch.hess.transpose(0, 2, 1))
+    for perm in ((0, 2, 1, 3), (0, 1, 3, 2)):
+        assert np.array_equal(batch.third, batch.third.transpose(perm))
