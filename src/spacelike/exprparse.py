@@ -288,9 +288,13 @@ def pretty(node: Expr) -> str:
 # for boundary data on lattices.
 
 def eval_values(node: Expr, points: np.ndarray):
-    """Evaluate at one point (shape (m,)) or a batch (shape (k, m))."""
+    """Evaluate at one point (shape (m,)) or a batch (shape (k, m)); raises
+    DomainError outside a function's domain and for a non-finite value."""
     from .jets import _taylor  # jets imports this module
 
     pts = np.asarray(points, dtype=float)
-    (out,) = _taylor(node, np.atleast_2d(pts), 0)
+    with np.errstate(all="ignore"):
+        (out,) = _taylor(node, np.atleast_2d(pts), 0)
+    if not np.isfinite(out).all():
+        raise DomainError("non-finite value (overflow or NaN)", node.span)
     return float(out[0]) if pts.ndim == 1 else np.array(out, dtype=float)

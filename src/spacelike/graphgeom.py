@@ -18,6 +18,7 @@ of the induced metric (both are tested).
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,15 +77,16 @@ class GraphMap:
         return np.concatenate([x, vals])
 
     def jet_data(self, x):
-        """Values, Jacobian, Hessians and third derivatives of all components."""
+        """Values, Jacobian, Hessians and third derivatives of all components;
+        a batch of points (..., m) leads each result with its shape (...)."""
         x = np.asarray(x, dtype=float)
         jets = [evaluate_jet(c, x) for c in self.components]
-        vals = np.array([j.value for j in jets])
+        vals = np.stack([j.value for j in jets], axis=-1)    # (..., n)
         if self.offset is not None:
             vals = vals - np.asarray(self.offset)
-        A = np.stack([j.grad for j in jets])                 # (n, m)
-        He = np.stack([j.hess for j in jets])                # (n, m, m)
-        Th = np.stack([j.third for j in jets])               # (n, m, m, m)
+        A = np.stack([j.grad for j in jets], axis=-2)        # (..., n, m)
+        He = np.stack([j.hess for j in jets], axis=-3)       # (..., n, m, m)
+        Th = np.stack([j.third for j in jets], axis=-4)      # (..., n, m, m, m)
         return vals, A, He, Th
 
 
@@ -523,88 +525,48 @@ def simons_report(gm: GraphMap, lattice: Lattice, stride: int = 1) -> SimonsRepo
     mean curvature; dh_max reports how far DH is from zero.
 
     stride > 1 evaluates the slack on every stride-th interior node per
-    axis (the S field itself always uses the full lattice resolution).
+    axis (the S field itself always uses the full lattice resolution, on
+    the +-1 cubes of those nodes).
     """
     if any(s < 5 for s in lattice.shape):
         raise LatticeError("simons_report needs at least 5 nodes per axis")
     m, n = gm.m, gm.n
-    act = lat_mod.active_mask(lattice)
-    inter = lat_mod.interior_mask(lattice)
     pts = lat_mod.node_points(lattice)
-    h_ax = lattice.spacing
+    chosen = lat_mod.interior_mask(lattice)
+    if stride > 1:
+        chosen = chosen & np.all(np.indices(lattice.shape) % stride == 0, axis=0)
+    # interior nodes have their whole +-1 cube active and inside the lattice
+    cube = [lat_mod.flat_offset(lattice, off) for off in itertools.product((-1, 0, 1), repeat=m)]
+    s_nodes = np.unique(np.flatnonzero(chosen)[:, None] + cube)
 
-    eval_nodes = [tuple(idx) for idx in np.argwhere(inter)
-                  if stride <= 1 or not any(c % stride for c in idx)]
-    import itertools as _it
-
-    needed = set()
-    for idx in eval_nodes:
-        for off in _it.product((-1, 0, 1), repeat=m):
-            needed.add(tuple(a + b for a, b in zip(idx, off)))
-
-    s_field = np.full(act.shape, np.nan)
-    for idx in needed:
-        if any(c < 0 or c >= s for c, s in zip(idx, act.shape)) or not act[idx]:
-            continue
-        x = pts[np.ravel_multi_index(idx, lattice.shape)]
+    s_field = np.full(pts.shape[0], np.nan)
+    for flat in s_nodes:
         try:
-            s_field[idx] = fundamental_forms(gm, x).S
+            s_field[flat] = fundamental_forms(gm, pts[flat]).S
         except NotSpacelikeError:
             pass
+    ready = chosen & lat_mod.cube_all(np.isfinite(s_field).reshape(lattice.shape), 1)
+    flats = np.flatnonzero(ready)
+    if not flats.size:
+        raise LatticeError("no interior nodes with a full space-like neighborhood")
+    grad_s = lat_mod.central_gradient(s_field, lattice, flats)
+    hess_s = lat_mod.central_hessian(s_field, lattice, flats)
 
-    out_pts, out_slack, out_s = [], [], []
+    slack = np.zeros(flats.size)
+    s_values = np.zeros(flats.size)
     dh_max = 0.0
-    for idx in eval_nodes:
-        if not _full_neighborhood_finite(s_field, idx):
-            continue
-        x = pts[np.ravel_multi_index(idx, lattice.shape)]
+    for k, flat in enumerate(flats):
+        x = pts[flat]
         g, dg, _ = graph_metric_derivs_order2(gm, x)
         g_inv = np.linalg.inv(g)
         gamma = christoffel(g, dg)
-        grad_s = np.zeros(m)
-        hess_s = np.zeros((m, m))
-        for d in range(m):
-            ip, im = _shift(idx, d, 1), _shift(idx, d, -1)
-            grad_s[d] = (s_field[ip] - s_field[im]) / (2 * h_ax[d])
-            hess_s[d, d] = (s_field[ip] - 2 * s_field[idx] + s_field[im]) / h_ax[d] ** 2
-        for d in range(m):
-            for e in range(d + 1, m):
-                pp = _shift(_shift(idx, d, 1), e, 1)
-                pm = _shift(_shift(idx, d, 1), e, -1)
-                mp = _shift(_shift(idx, d, -1), e, 1)
-                mm = _shift(_shift(idx, d, -1), e, -1)
-                v = (s_field[pp] - s_field[pm] - s_field[mp] + s_field[mm]) / (4 * h_ax[d] * h_ax[e])
-                hess_s[d, e] = hess_s[e, d] = v
-        lap_s = float(np.einsum("ij,ij->", g_inv, hess_s)
-                      - np.einsum("ij,kij,k->", g_inv, gamma, grad_s))
+        lap_s = float(np.einsum("ij,ij->", g_inv, hess_s[k])
+                      - np.einsum("ij,kij,k->", g_inv, gamma, grad_s[k]))
         pg = fundamental_forms(gm, x)
         ch = covariant_h(gm, x)
         dh_max = max(dh_max, float(np.linalg.norm(ch.mean_curv_deriv)))
         rhs = float(np.sum(ch.h_cov**2)) - m * pg.H_norm * pg.S**1.5 + pg.S**2 / n
-        out_pts.append(x)
-        out_slack.append(0.5 * lap_s - rhs)
-        out_s.append(pg.S)
-    if not out_pts:
-        raise LatticeError("no interior nodes with a full space-like neighborhood")
-    slack = np.array(out_slack)
-    return SimonsReport(points=np.array(out_pts), slack=slack,
-                        min_slack=float(slack.min()), dh_max=dh_max,
-                        s_values=np.array(out_s))
-
-
-def _shift(idx, d, step):
-    lst = list(idx)
-    lst[d] += step
-    return tuple(lst)
-
-
-def _full_neighborhood_finite(field, idx):
-    import itertools as _it
-
-    for off in _it.product((-1, 0, 1), repeat=len(idx)):
-        j = tuple(a + b for a, b in zip(idx, off))
-        if any(c < 0 or c >= s for c, s in zip(j, field.shape)):
-            return False
-        if not np.isfinite(field[j]):
-            return False
-    return True
+        slack[k] = 0.5 * lap_s - rhs
+        s_values[k] = pg.S
+    return SimonsReport(points=pts[flats], slack=slack, min_slack=float(slack.min()),
+                        dh_max=dh_max, s_values=s_values)

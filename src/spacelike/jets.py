@@ -66,7 +66,7 @@ def _power(u, p: int):
 
 
 def _tanh_derivs(u, t):
-    s = 1.0 - t * t
+    s = np.cosh(u) ** -2.0  # 1 - t^2 cancels once |u| is a few units
     return s, -2.0 * t * s, -2.0 * s * s + 4.0 * t * t * s
 
 

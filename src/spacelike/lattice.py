@@ -3,16 +3,20 @@
 Nodes are classified as inactive (outside the mask), boundary (active
 and either on the array edge or adjacent to an inactive node within the
 full 3^m - 1 neighborhood), or interior.  Solvers impose Dirichlet data
-on boundary nodes and unknowns live on interior nodes.
+on boundary nodes and unknowns live on interior nodes.  The cached node
+and mask arrays are read-only: every caller shares them.  ``cube_all``
+tests a mask over the +-k cube around each node (the interior mask is its
+k = 1 case); ``central_gradient`` and ``central_hessian`` difference a
+lattice field at chosen nodes.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 class LatticeError(ValueError):
@@ -75,11 +79,16 @@ class Lattice:
         return cls(lo, hi, shape, mask=mask)
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False  # cached and shared by every caller
+    return arr
+
+
 @lru_cache(maxsize=64)
 def node_points(lat: Lattice) -> np.ndarray:
     """All node coordinates, shape (prod(shape), m), C-order."""
     grids = np.meshgrid(*lat.axes(), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
+    return _frozen(np.stack([g.ravel() for g in grids], axis=-1))
 
 
 @lru_cache(maxsize=64)
@@ -96,42 +105,55 @@ def active_mask(lat: Lattice) -> np.ndarray:
             act = (r >= lat.mask[1] - eps) & (r <= lat.mask[2] + eps)
         else:
             raise LatticeError(f"unknown mask kind {lat.mask[0]!r}")
-    return act.reshape(lat.shape)
+    return _frozen(act.reshape(lat.shape))
 
 
 @lru_cache(maxsize=64)
 def boundary_mask(lat: Lattice) -> np.ndarray:
-    act = active_mask(lat)
-    bnd = np.zeros_like(act)
-    for d in range(lat.m):
-        sl_lo = [slice(None)] * lat.m
-        sl_lo[d] = 0
-        sl_hi = [slice(None)] * lat.m
-        sl_hi[d] = act.shape[d] - 1
-        bnd[tuple(sl_lo)] = True
-        bnd[tuple(sl_hi)] = True
-    # adjacency to an inactive node anywhere in the 3^m - 1 neighborhood
-    for off in itertools.product((-1, 0, 1), repeat=lat.m):
-        if all(o == 0 for o in off):
-            continue
-        shifted = np.ones_like(act)
-        src = [slice(None)] * lat.m
-        dst = [slice(None)] * lat.m
-        for d, o in enumerate(off):
-            if o == 1:
-                src[d] = slice(1, None)
-                dst[d] = slice(0, -1)
-            elif o == -1:
-                src[d] = slice(0, -1)
-                dst[d] = slice(1, None)
-        shifted[tuple(dst)] = act[tuple(src)]
-        bnd |= ~shifted
-    return bnd & act
+    return _frozen(active_mask(lat) & ~interior_mask(lat))
 
 
 @lru_cache(maxsize=64)
 def interior_mask(lat: Lattice) -> np.ndarray:
-    return active_mask(lat) & ~boundary_mask(lat)
+    return _frozen(cube_all(active_mask(lat), 1))
+
+
+def cube_all(mask: np.ndarray, margin: int) -> np.ndarray:
+    """True where ``mask`` holds on the whole +-margin cube around a node,
+    False where that cube leaves the array.  A cube is a product of
+    intervals, so the test runs one axis at a time over a False-padded copy."""
+    ok = np.pad(np.asarray(mask, dtype=bool), margin)
+    for d in range(ok.ndim):
+        ok = sliding_window_view(ok, 2 * margin + 1, axis=d).all(axis=-1)
+    return ok
+
+
+def central_gradient(u: np.ndarray, lat: Lattice, flat: np.ndarray) -> np.ndarray:
+    """Central-difference gradient (k, m) of the flattened field ``u`` at the
+    flat node indices ``flat``, in u's dtype."""
+    h = np.array(lat.spacing)
+    return np.stack([(u[flat + s] - u[flat - s]) / (2 * h[d])
+                     for d, s in enumerate(strides(lat))], axis=-1)
+
+
+def central_hessian(u: np.ndarray, lat: Lattice, flat: np.ndarray) -> np.ndarray:
+    """Compact central-difference Hessian (k, m, m) of the flattened field
+    ``u`` at the flat node indices ``flat``.
+
+    Each node needs its +-1 cube inside the lattice.  The result keeps u's
+    dtype, so a complex-step perturbation passes through.
+    """
+    h = np.array(lat.spacing)
+    st = strides(lat)
+    hess = np.empty((flat.size, lat.m, lat.m), dtype=u.dtype)
+    u0 = u[flat]
+    for d, sd in enumerate(st):
+        hess[:, d, d] = (u[flat + sd] - 2 * u0 + u[flat - sd]) / h[d] ** 2
+        for e in range(d + 1, lat.m):
+            s1, s2 = sd + st[e], sd - st[e]
+            v = (u[flat + s1] - u[flat + s2] - u[flat - s2] + u[flat - s1]) / (4 * h[d] * h[e])
+            hess[:, d, e] = hess[:, e, d] = v
+    return hess
 
 
 def strides(lat: Lattice) -> np.ndarray:

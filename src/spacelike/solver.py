@@ -29,7 +29,7 @@ from scipy.sparse.linalg import spsolve
 
 from . import lattice as lat_mod
 from .exprparse import Expr, eval_values
-from .graphgeom import immersion_geometry, signature
+from .graphgeom import _graph_immersion, immersion_geometry, signature
 from .lattice import Lattice, LatticeError
 
 
@@ -98,14 +98,12 @@ class _Ops:
         for d in range(m):
             self.colors += (multi[:, d] % 3) * 3**d
 
-        # offset -> (rows alpha, cols beta) over interior pairs
+        # offset -> (rows alpha, cols beta) over interior pairs; an interior
+        # node's +-1 cube lies inside the lattice
         self.offset_pairs = {}
-        self.stencil_offsets = [off for off in itertools.product((-1, 0, 1), repeat=m)]
-        for off in self.stencil_offsets:
-            nb = self.int_flat + lat_mod.flat_offset(lattice, off)
-            ok = (nb >= 0) & (nb < act.size)
-            ok[ok] &= self.int_id[nb[ok]] >= 0
-            self.offset_pairs[off] = (np.flatnonzero(ok), self.int_id[nb[ok]])
+        for off in itertools.product((-1, 0, 1), repeat=m):
+            nb = self.int_id[self.int_flat + lat_mod.flat_offset(lattice, off)]
+            self.offset_pairs[off] = (np.flatnonzero(nb >= 0), nb[nb >= 0])
 
         # axis faces for the divergence-form flux
         self.faces = []
@@ -182,19 +180,7 @@ def _maximal_speed2(ops: _Ops, u_full: np.ndarray) -> float:
 
 
 def _ma_hessians(ops: _Ops, u_full: np.ndarray) -> np.ndarray:
-    m = ops.m
-    K = ops.K
-    base = ops.int_flat
-    H = np.zeros((K, m, m), dtype=u_full.dtype)
-    for d in range(m):
-        sp = int(ops.strides[d])
-        H[:, d, d] = (u_full[base + sp] - 2 * u_full[base] + u_full[base - sp]) / ops.h[d] ** 2
-        for e in range(d + 1, m):
-            se = int(ops.strides[e])
-            v = (u_full[base + sp + se] - u_full[base + sp - se]
-                 - u_full[base - sp + se] + u_full[base - sp - se]) / (4 * ops.h[d] * ops.h[e])
-            H[:, d, e] = H[:, e, d] = v
-    return H
+    return lat_mod.central_hessian(u_full, ops.lattice, ops.int_flat)
 
 
 def _ma_residual(ops: _Ops, u_full: np.ndarray, c: float) -> np.ndarray:
@@ -383,30 +369,7 @@ def solve_ma(lattice: Lattice, boundary, c: float = 1.0, tol: float = 1e-10,
 
 def _stencil_ready_nodes(field: GridField, margin: int):
     """Multi-indices of active nodes whose full +-margin cube is active."""
-    act = lat_mod.active_mask(field.lattice)
-    ok = act.copy()
-    for off in itertools.product(range(-margin, margin + 1), repeat=field.lattice.m):
-        if all(o == 0 for o in off):
-            continue
-        shifted = np.zeros_like(act)
-        src = [slice(None)] * field.lattice.m
-        dst = [slice(None)] * field.lattice.m
-        good = True
-        for d, o in enumerate(off):
-            if abs(o) >= act.shape[d]:
-                good = False
-                break
-            if o > 0:
-                src[d] = slice(o, None)
-                dst[d] = slice(0, -o)
-            elif o < 0:
-                src[d] = slice(0, o)
-                dst[d] = slice(-o, None)
-        if not good:
-            return np.empty((0, field.lattice.m), dtype=int)
-        shifted[tuple(dst)] = act[tuple(src)]
-        ok &= shifted
-    return np.argwhere(ok)
+    return np.argwhere(lat_mod.cube_all(lat_mod.active_mask(field.lattice), margin))
 
 
 def field_jet2(field: GridField, nodes=None):
@@ -416,29 +379,13 @@ def field_jet2(field: GridField, nodes=None):
     whose +-1 cube is active (or the provided node list).
     """
     lat = field.lattice
-    m = lat.m
-    h = np.array(lat.spacing)
     if nodes is None:
         nodes = _stencil_ready_nodes(field, 1)
-    nodes = np.asarray(nodes, dtype=int).reshape(-1, m)
-    u = field.values
-    k = nodes.shape[0]
-    grad = np.zeros((k, m))
-    hess = np.zeros((k, m, m))
+    nodes = np.asarray(nodes, dtype=int).reshape(-1, lat.m)
     flat = np.ravel_multi_index(nodes.T, lat.shape)
-    uf = u.ravel()
-    st = lat_mod.strides(lat)
-    for d in range(m):
-        sp = int(st[d])
-        grad[:, d] = (uf[flat + sp] - uf[flat - sp]) / (2 * h[d])
-        hess[:, d, d] = (uf[flat + sp] - 2 * uf[flat] + uf[flat - sp]) / h[d] ** 2
-        for e in range(d + 1, m):
-            se = int(st[e])
-            v = (uf[flat + sp + se] - uf[flat + sp - se]
-                 - uf[flat - sp + se] + uf[flat - sp - se]) / (4 * h[d] * h[e])
-            hess[:, d, e] = hess[:, e, d] = v
-    pts = lat_mod.node_points(lat)[flat]
-    return nodes, pts, grad, hess
+    u = field.values.ravel()
+    return (nodes, lat_mod.node_points(lat)[flat], lat_mod.central_gradient(u, lat, flat),
+            lat_mod.central_hessian(u, lat, flat))
 
 
 def field_third(field: GridField, nodes=None):
@@ -471,17 +418,7 @@ def field_third(field: GridField, nodes=None):
 def field_immersion_geometry(field: GridField, nodes=None):
     """Frame-level S and |H| of the solved graph at stencil-ready nodes."""
     nodes, pts, grad, hess = field_jet2(field, nodes)
-    m = field.lattice.m
-    sig = signature(m, 1)
-    S = np.zeros(nodes.shape[0])
-    H = np.zeros(nodes.shape[0])
-    for i in range(nodes.shape[0]):
-        J = np.hstack([np.eye(m), grad[i][:, None]])
-        Hss = np.concatenate([np.zeros((m, m, m)), hess[i][:, :, None]], axis=2)
-        normals = np.hstack([grad[i][None, :], np.ones((1, 1))])
-        geo = immersion_geometry(J, Hss, sig, normals)
-        S[i] = geo.S
-        H[i] = geo.H_norm
+    S, H = _n1_geometry(grad, hess)
     return nodes, pts, S, H
 
 
@@ -502,18 +439,20 @@ def spline_geometry(field: GridField, pts, index_box):
         raise LatticeError("index_box must select an active subrectangle")
     sp = RectBivariateSpline(xs[i0:i1], ys[j0:j1], sub, kx=3, ky=3)
     pts = np.asarray(pts, dtype=float).reshape(-1, 2)
-    sig = signature(2, 1)
-    S = np.zeros(pts.shape[0])
-    H = np.zeros(pts.shape[0])
-    for i, (x, y) in enumerate(pts):
-        grad = np.array([sp(x, y, dx=1)[0, 0], sp(x, y, dy=1)[0, 0]])
-        hess = np.array([
-            [sp(x, y, dx=2)[0, 0], sp(x, y, dx=1, dy=1)[0, 0]],
-            [sp(x, y, dx=1, dy=1)[0, 0], sp(x, y, dy=2)[0, 0]],
-        ])
-        J = np.hstack([np.eye(2), grad[:, None]])
-        Hss = np.concatenate([np.zeros((2, 2, 2)), hess[:, :, None]], axis=2)
-        normals = np.hstack([grad[None, :], np.ones((1, 1))])
+    grad = [[sp(x, y, dx=1)[0, 0], sp(x, y, dy=1)[0, 0]] for x, y in pts]
+    hess = [[[sp(x, y, dx=2)[0, 0], sp(x, y, dx=1, dy=1)[0, 0]],
+             [sp(x, y, dx=1, dy=1)[0, 0], sp(x, y, dy=2)[0, 0]]] for x, y in pts]
+    return _n1_geometry(np.reshape(grad, (-1, 2)), np.reshape(hess, (-1, 2, 2)))
+
+
+def _n1_geometry(grad: np.ndarray, hess: np.ndarray):
+    """Frame-level S and |H| of the hypersurface graph with the given
+    gradients (k, m) and Hessians (k, m, m)."""
+    sig = signature(grad.shape[1], 1)
+    S = np.zeros(grad.shape[0])
+    H = np.zeros(grad.shape[0])
+    for i in range(grad.shape[0]):
+        J, Hss, normals = _graph_immersion(grad[i][None], hess[i][None])
         geo = immersion_geometry(J, Hss, sig, normals)
         S[i] = geo.S
         H[i] = geo.H_norm

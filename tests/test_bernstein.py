@@ -6,7 +6,7 @@ from spacelike.bernstein import (
     estimate_report, geodesic_radius,
 )
 from spacelike.exprparse import parse
-from spacelike.graphgeom import GraphMap
+from spacelike.graphgeom import GraphMap, NotSpacelikeError
 from spacelike.lattice import Lattice, LatticeError
 
 
@@ -64,6 +64,25 @@ def test_radius_triangle_inequality_on_samples():
     # d(0, x) <= d(0, p) + d(p, x) with p the second source
     p_from_0 = r0[15, 15]
     assert np.nanmax(r0 - (p_from_0 + r1)) <= 1e-9
+
+
+def test_radius_flat_3d_axes_exact():
+    gm = GraphMap.from_strings(3, ["0"])
+    lat = Lattice.box((-1, -1, -1), (1, 1, 1), 9)
+    rf = geodesic_radius(gm, lat, [0.0, 0.0, 0.0])
+    import spacelike.lattice as lm
+
+    exact = np.linalg.norm(lm.node_points(lat), axis=1).reshape(lat.shape)
+    mid = 4
+    for axis_line in (rf.r[:, mid, mid], rf.r[mid, :, mid], rf.r[mid, mid, :]):
+        assert np.array_equal(axis_line, np.abs(lat.axes()[0]))
+    assert np.all(rf.r >= exact - 1e-12)  # lattice paths never beat the line
+
+
+def test_radius_not_spacelike_raises():
+    gm = GraphMap.from_strings(2, ["2*x1"])
+    with pytest.raises(NotSpacelikeError):
+        geodesic_radius(gm, Lattice.box((-1, -1), (1, 1), 5), [0.0, 0.0])
 
 
 def test_radius_disconnected_lattice():

@@ -92,6 +92,19 @@ def test_bad_expression_exits_1_without_traceback(tmp_path):
     assert "Traceback" not in res.stderr
 
 
+def test_overflowing_boundary_data_exits_2_as_domain_error(tmp_path):
+    cfg = write_config(tmp_path, "cfg.json", {
+        "m": 2, "n": 1, "components": ["exp(40*x1)^20"],
+        "lattice": {"lo": [-1, -1], "hi": [1, 1], "nodes": 9},
+        "out": str(tmp_path / "f.json"),
+    })
+    res = subprocess.run([sys.executable, "-m", "spacelike", "solve-maximal", "--config", cfg],
+                         capture_output=True, text=True)
+    assert res.returncode == 2
+    assert "non-finite value" in res.stderr
+    assert "Warning" not in res.stderr and "Traceback" not in res.stderr
+
+
 def test_lagrangian_quadratic_zero_curvature(tmp_path):
     out = str(tmp_path / "l.json")
     cfg = write_config(tmp_path, "cfg.json", {

@@ -373,6 +373,16 @@ def test_hess_z_matches_geodesic_second_differences():
         assert abs(fd - pd.hess[k, k]) <= 5e-3 * (1 + abs(pd.hess[k, k]))
 
 
+def test_batched_jet_data_rows_equal_single_points():
+    gm = GraphMap.from_strings(2, ["sqrt(1+x1^2+x2^2)", "0.3*sin(x1)*x2 + 2"]).with_base_point()
+    pts = np.array([[0.3, -0.2], [-0.5, 0.7]])  # k == n, so a wrong axis still broadcasts
+    batch = gm.jet_data(pts)
+    assert [a.shape for a in batch] == [(2, 2), (2, 2, 2), (2, 2, 2, 2), (2, 2, 2, 2, 2)]
+    for row, p in enumerate(pts):
+        for b, single in zip(batch, gm.jet_data(p)):
+            assert np.array_equal(b[row], single)
+
+
 # -- Simons slack -------------------------------------------------------------
 
 def test_simons_affine_zero():

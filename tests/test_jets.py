@@ -138,6 +138,23 @@ def test_overflowing_jet_raises_domain_error():
     assert err.value.span == (0, 10)
 
 
+def test_overflowing_value_raises_domain_error():
+    with pytest.raises(DomainError) as err:
+        eval_values(parse("exp(x1)^40", 1), [30.0])
+    assert err.value.span == (0, 10)
+
+
+@pytest.mark.parametrize("u", [5.0, 10.0, 20.0, 30.0])
+def test_tanh_derivatives_do_not_cancel(u):
+    # closed forms in e = exp(-2u), free of cancellation for u > 0
+    e = np.exp(-2.0 * u)
+    ref = (4 * e / (1 + e) ** 2, -8 * e * (1 - e) / (1 + e) ** 3,
+           16 * e * (1 - 4 * e + e * e) / (1 + e) ** 4)
+    jet = evaluate_jet(parse("tanh(x1)", 1), [u])
+    for got, want in zip((jet.grad[0], jet.hess[0, 0], jet.third[0, 0, 0]), ref):
+        assert abs(got - want) <= 1e-14 * abs(want)
+
+
 def test_deep_left_sum_evaluates():
     # a 3000-term sum is far deeper than the interpreter's recursion limit
     expr = parse("+".join(["x1"] * 3000), 1)
