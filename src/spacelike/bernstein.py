@@ -29,10 +29,10 @@ import numpy as np
 from . import lattice as lat_mod
 from .exprparse import DomainError, Expr, eval_values
 from .graphgeom import (
-    BasePointError, GraphMap, NotSpacelikeError, fundamental_forms,
-    integrate_geodesic, pseudo_distance,
+    SPACELIKE_TOL, BasePointError, GraphMap, NotSpacelikeError, _geometry_checks,
+    _raise_first, graph_geometry, integrate_geodesic, pseudo_distance,
 )
-from .grassmann import SpacelikePlane, distance, gauss_map
+from .grassmann import SpacelikePlane, _distances, _gauss_checks, gauss_map
 from .lattice import Lattice, LatticeError
 from .solver import SolverError, field_immersion_geometry, solve_maximal
 
@@ -142,14 +142,11 @@ def estimate_report(gm: GraphMap, x0, a: float, lattice: Lattice,
     if ref is None:
         ref = gauss_map(gm, np.asarray(x0, dtype=float))
 
-    S = np.zeros(sel.size)
-    H = np.zeros(sel.size)
-    mu_d = np.zeros(sel.size)
-    for k, flat in enumerate(sel):
-        pg = fundamental_forms(gm, pts[flat])
-        S[k] = pg.S
-        H[k] = pg.H_norm
-        mu_d[k] = distance(gauss_map(gm, pts[flat]), ref)
+    geo = graph_geometry(gm, pts[sel])
+    planes = SpacelikePlane(geo.A)
+    mu_d, check = _distances(planes, ref)
+    _raise_first(*_geometry_checks(geo, SPACELIKE_TOL), *_gauss_checks(planes, geo.fault), check)
+    S, H = geo.S, geo.H_norm
     h_bar = float(H.max(initial=0.0))
     mu = float(mu_d.max(initial=0.0))
     r = rflat[sel]
@@ -284,13 +281,8 @@ def completeness_probe(gm: GraphMap, directions, T: float, n_samples: int = 200,
                                  region_halfwidth=region_halfwidth)
         status = "ok" if sol.t[-1] >= T * (1 - 1e-9) else "left-region"
         ts = np.linspace(0.0, sol.t[-1], n_samples + 1)[1:]
-        zs = np.zeros(ts.size)
-        ratios = np.zeros(ts.size)
-        for k, t in enumerate(ts):
-            x = sol.sol(t)[: gm.m]
-            pd = pseudo_distance(gm, x)
-            zs[k] = pd.z
-            ratios[k] = pd.ratio
+        pd = pseudo_distance(gm, sol.sol(ts)[: gm.m].T)
+        zs, ratios = pd.z, pd.ratio
         b_emp = float(np.max(np.log(zs + 1.0) / ts))
         reports.append(ProbeReport(direction=d, t=ts, z=zs, ratio=ratios,
                                    b_emp=b_emp, ratio_sup=float(ratios.max()),

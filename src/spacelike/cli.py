@@ -25,14 +25,15 @@ from . import lattice as lat_mod
 from .bernstein import ScanConfig, completeness_probe, decay_scan
 from .exprparse import DomainError, ParseError, parse
 from .graphgeom import (
-    BasePointError, GraphMap, NotSpacelikeError, covariant_h, curvature,
-    extremal_residual, fundamental_forms, induced_metric, pseudo_distance,
-    ricci_bound_check,
+    SPACELIKE_TOL, BasePointError, GraphMap, NotSpacelikeError, _extremal_residual,
+    _pseudo_distance, _ricci_margin, _take, _with_curvature, covariant_h, curvature,
+    fundamental_forms, graph_geometry, pseudo_distance, ricci_bound_check, signature,
 )
-from .grassmann import distance, gauss_map
+from .grassmann import SpacelikePlane, _distances, distance, gauss_map
 from .lagrangian import (
-    NotConvexError, Potential, gradient_graph, lagrangian_forms, ma_residual,
-    moduli_curvature, moduli_curvature_oracle, to_standard,
+    ORACLE_FD_STEP, NotConvexError, Potential, _gradient_graph, _lagrangian_forms, _moduli_oracle,
+    _potential_jets, _shifted_jets, gradient_graph, lagrangian_forms, moduli_curvature,
+    moduli_curvature_arrays, moduli_curvature_oracle, to_standard,
 )
 from .lattice import Lattice, LatticeError
 from .solver import SolverError, save_field, solve_ma, solve_maximal
@@ -73,33 +74,51 @@ def _require(cond, path, message):
         raise ConfigError(f"{path}: {message}")
 
 
+def _as(kind, value, path):
+    """``kind(value)`` (int or float), or a ConfigError naming the entry."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as err:
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{path}: must be {what}, got {value!r}") from err
+
+
+def _object(value, path) -> dict:
+    _require(isinstance(value, dict), path, "must be an object")
+    return value
+
+
 def _parse_lattice(d: dict, path: str) -> Lattice:
-    _require(isinstance(d, dict), path, "must be an object")
+    _object(d, path)
     lo = d.get("lo")
     hi = d.get("hi")
     _require(isinstance(lo, list) and isinstance(hi, list), path, "needs lo and hi arrays")
     _require(len(lo) == len(hi), path, "lo and hi must have equal length")
+    lo = tuple(_as(float, v, f"{path}.lo[{i}]") for i, v in enumerate(lo))
+    hi = tuple(_as(float, v, f"{path}.hi[{i}]") for i, v in enumerate(hi))
     mask = None
     md = d.get("mask")
     if md is not None:
-        kind = md.get("kind")
+        kind = _object(md, f"{path}.mask").get("kind")
         if kind == "disc":
-            mask = ("disc", float(md["r_max"]))
+            mask = ("disc", _as(float, md.get("r_max"), f"{path}.mask.r_max"))
         elif kind == "annulus":
-            _require(0 < md["r_min"] < md["r_max"], f"{path}.mask", "needs 0 < r_min < r_max")
-            mask = ("annulus", float(md["r_min"]), float(md["r_max"]))
+            r_min = _as(float, md.get("r_min"), f"{path}.mask.r_min")
+            r_max = _as(float, md.get("r_max"), f"{path}.mask.r_max")
+            _require(0 < r_min < r_max, f"{path}.mask", "needs 0 < r_min < r_max")
+            mask = ("annulus", r_min, r_max)
         else:
             raise ConfigError(f"{path}.mask.kind: unknown kind {kind!r}")
     try:
         if d.get("spacing") is not None:
-            _require(d["spacing"] > 0, f"{path}.spacing", "must be > 0")
-            return Lattice.from_spacing(lo, hi, float(d["spacing"]), mask=mask)
+            spacing = _as(float, d["spacing"], f"{path}.spacing")
+            _require(spacing > 0, f"{path}.spacing", "must be > 0")
+            return Lattice.from_spacing(lo, hi, spacing, mask=mask)
         nodes = d.get("nodes")
         _require(nodes is not None, path, "needs spacing or nodes")
-        if isinstance(nodes, int):
+        if not isinstance(nodes, list):
             nodes = [nodes] * len(lo)
-        return Lattice(tuple(map(float, lo)), tuple(map(float, hi)),
-                       tuple(int(v) for v in nodes), mask)
+        return Lattice(lo, hi, tuple(_as(int, v, f"{path}.nodes") for v in nodes), mask)
     except LatticeError as err:
         raise ConfigError(f"{path}: {err}") from err
 
@@ -112,43 +131,52 @@ def load_config(args) -> JobConfig:
                 raw = json.load(fh)
         except (OSError, json.JSONDecodeError) as err:
             raise ConfigError(f"config: cannot read {args.config}: {err}") from err
+    _object(raw, "config")
     cfg = JobConfig(command=args.command, raw=raw)
-    cfg.m = int(raw.get("m", cfg.m))
-    cfg.n = int(raw.get("n", cfg.n))
+    cfg.m = _as(int, raw.get("m", cfg.m), "m")
+    cfg.n = _as(int, raw.get("n", cfg.n), "n")
     _require(cfg.m >= 1, "m", "must be >= 1")
     _require(cfg.n >= 1, "n", "must be >= 1")
-    cfg.components = list(raw.get("components", []))
+    cfg.components = raw.get("components", [])
+    _require(isinstance(cfg.components, list), "components", "must be an array")
+    for i, text in enumerate(cfg.components):
+        _require(isinstance(text, str), f"components[{i}]", "must be an expression string")
     cfg.potential = raw.get("potential")
+    _require(cfg.potential is None or isinstance(cfg.potential, str), "potential",
+             "must be an expression string")
     if "lattice" in raw:
         cfg.lattice = _parse_lattice(raw["lattice"], "lattice")
-    sol = raw.get("solver", {})
-    cfg.tol = float(sol.get("tol", cfg.tol))
-    cfg.max_iter = int(sol.get("max_iter", cfg.max_iter))
-    cfg.c = float(sol.get("c", cfg.c))
-    cfg.delta_safe = float(sol.get("delta_safe", cfg.delta_safe))
+    sol = _object(raw.get("solver", {}), "solver")
+    cfg.tol = _as(float, sol.get("tol", cfg.tol), "solver.tol")
+    cfg.max_iter = _as(int, sol.get("max_iter", cfg.max_iter), "solver.max_iter")
+    cfg.c = _as(float, sol.get("c", cfg.c), "solver.c")
+    cfg.delta_safe = _as(float, sol.get("delta_safe", cfg.delta_safe), "solver.delta_safe")
     _require(cfg.tol > 0, "solver.tol", "must be > 0")
-    cfg.radii = [float(a) for a in raw.get("radii", [])]
+    radii = raw.get("radii", [])
+    _require(isinstance(radii, list), "radii", "must be an array")
+    cfg.radii = [_as(float, a, f"radii[{i}]") for i, a in enumerate(radii)]
     if cfg.radii:
         _require(all(b > a for a, b in zip(cfg.radii, cfg.radii[1:])),
                  "radii", "must be strictly increasing")
-    sc = raw.get("scan", {})
+    sc = _object(raw.get("scan", {}), "scan")
     cfg.scan = ScanConfig(
-        nodes=int(sc.get("nodes", 65)),
+        nodes=_as(int, sc.get("nodes", 65), "scan.nodes"),
         policy=sc.get("policy", "fixed-nodes"),
-        spacing=float(sc.get("spacing", 0.25)),
+        spacing=_as(float, sc.get("spacing", 0.25), "scan.spacing"),
         domain=sc.get("domain", "disc"),
         tol=cfg.tol,
         max_iter=cfg.max_iter,
-        center_fraction=float(sc.get("center_fraction", 0.25)),
+        center_fraction=_as(float, sc.get("center_fraction", 0.25), "scan.center_fraction"),
     )
     _require(cfg.scan.policy in ("fixed-nodes", "fixed-spacing"), "scan.policy",
              "must be fixed-nodes or fixed-spacing")
     _require(cfg.scan.domain in ("disc", "box"), "scan.domain", "must be disc or box")
     cfg.out = args.out or raw.get("out")
+    _require(cfg.out is None or isinstance(cfg.out, str), "out", "must be a path string")
     cfg.format = args.format or raw.get("format", "csv")
     _require(cfg.format in ("csv", "json"), "format", "must be csv or json")
     cfg.oracle = bool(args.oracle or raw.get("oracle", False))
-    cfg.seed = int(args.seed if args.seed is not None else raw.get("seed", 0))
+    cfg.seed = _as(int, args.seed if args.seed is not None else raw.get("seed", 0), "seed")
     return cfg
 
 
@@ -228,6 +256,20 @@ _NAN_COLS_ANALYZE = ["min_eig", "det_g", "H_norm", "S", "ricci_margin",
                      "extremal_residual", "gauss_dist", "z", "grad_ratio"]
 
 
+def _node_records(cfg: JobConfig, pts: np.ndarray, status: np.ndarray, cols: dict) -> tuple:
+    """Column names and one record per node, from per-node arrays."""
+    columns = ["index"] + [f"x{d+1}" for d in range(cfg.m)] + ["status"] + list(cols)
+    data = [range(pts.shape[0])] + list(pts.T) + [status] + list(cols.values())
+    return columns, [dict(zip(columns, row)) for row in zip(*data)]
+
+
+def _filled(size: int, rows: np.ndarray, values) -> np.ndarray:
+    """A node column: ``values`` on the nodes ``rows`` (an index or mask), nan elsewhere."""
+    out = np.full(size, np.nan)
+    out[rows] = values
+    return out
+
+
 def cmd_analyze(cfg: JobConfig) -> int:
     gm = _graph_map(cfg).with_base_point()
     _require(cfg.lattice is not None, "lattice", "required for analyze")
@@ -243,44 +285,43 @@ def cmd_analyze(cfg: JobConfig) -> int:
     except NotSpacelikeError:
         ref = None
 
-    def one(flat):
-        rec = {"index": int(flat)}
-        for d in range(cfg.m):
-            rec[f"x{d+1}"] = float(pts[flat, d])
-        if not act[flat]:
-            rec["status"] = "inactive"
-            for c in _NAN_COLS_ANALYZE:
-                rec[c] = np.nan
-            return rec
-        try:
-            mp = induced_metric(gm, pts[flat])
-            rec["min_eig"] = mp.min_eig
-            rec["det_g"] = mp.det_g
-            if not mp.spacelike:
-                rec["status"] = "not-spacelike"
-                for c in _NAN_COLS_ANALYZE[2:]:
-                    rec[c] = np.nan
-                return rec
-            pg = fundamental_forms(gm, pts[flat])
-            rec["H_norm"] = pg.H_norm
-            rec["S"] = pg.S
-            rec["ricci_margin"] = ricci_bound_check(gm, pts[flat])
-            rec["extremal_residual"] = float(np.linalg.norm(extremal_residual(gm, pts[flat])))
-            rec["gauss_dist"] = distance(gauss_map(gm, pts[flat]), ref) if ref else np.nan
-            pd = pseudo_distance(gm, pts[flat])
-            rec["z"] = pd.z
-            rec["grad_ratio"] = pd.ratio
-            rec["status"] = "ok"
-        except (DomainError, NotSpacelikeError) as err:
-            rec["status"] = f"error:{type(err).__name__}"
-            for c in _NAN_COLS_ANALYZE:
-                rec.setdefault(c, np.nan)
-        return rec
+    # one pass over the active nodes; each later stage runs on the nodes
+    # that passed the earlier ones, and a node's status is its first failure
+    k = pts.shape[0]
+    nodes = np.flatnonzero(act)
+    geo = graph_geometry(gm, pts[nodes])
+    domain = np.not_equal(geo.fault, None)
+    framed = ~domain & (geo.min_eig > SPACELIKE_TOL)
+    on = nodes[framed]
+    fr = _with_curvature(_take(geo, framed))
+    planes = SpacelikePlane(fr.A)
+    if ref is None:  # no reference plane: the Gauss map is not evaluated
+        gauss_dist, gauss_bad = np.full(on.size, np.nan), np.zeros(on.size, dtype=bool)
+    else:
+        gauss_dist, check = _distances(planes, ref)
+        gauss_bad = ~(planes.sigma_max < 1.0) | check[0]
+    done = on[~gauss_bad]
+    pd = _pseudo_distance(_take(fr, ~gauss_bad), gm.position(pts[done]), signature(cfg.m, cfg.n))
 
-    records = [one(flat) for flat in range(pts.shape[0])]
-    columns = ["index"] + [f"x{d+1}" for d in range(cfg.m)] + ["status"] + _NAN_COLS_ANALYZE
+    status = np.where(act, "ok", "inactive").astype(object)
+    status[nodes[~domain & ~geo.spacelike]] = "not-spacelike"
+    status[nodes[geo.spacelike & ~framed]] = "error:NotSpacelikeError"
+    status[on[gauss_bad]] = "error:NotSpacelikeError"
+    status[nodes[domain]] = "error:DomainError"
+    cols = {
+        "min_eig": _filled(k, nodes[~domain], geo.min_eig[~domain]),
+        "det_g": _filled(k, nodes[~domain], geo.det_g[~domain]),
+        "H_norm": _filled(k, on, fr.H_norm),
+        "S": _filled(k, on, fr.S),
+        "ricci_margin": _filled(k, on, _ricci_margin(fr, cfg.m)),
+        "extremal_residual": _filled(k, on, np.linalg.norm(_extremal_residual(fr), axis=-1)),
+        "gauss_dist": _filled(k, on, gauss_dist),
+        "z": _filled(k, done, pd.z),
+        "grad_ratio": _filled(k, done, pd.ratio),
+    }
+    columns, records = _node_records(cfg, pts, status, cols)
     write_records(cfg.out, columns, records, _meta(cfg), cfg.format)
-    warn = sum(1 for r in records if r["status"] not in ("ok", "inactive"))
+    warn = int(np.sum((status != "ok") & (status != "inactive")))
     print(f"analyze: {len(records)} nodes, {warn} warnings")
     return EXIT_OK
 
@@ -292,43 +333,44 @@ def cmd_lagrangian(cfg: JobConfig) -> int:
     P = _potential(cfg)
     _require(cfg.lattice is not None, "lattice", "required for lagrangian")
     _require(cfg.lattice.m == cfg.m, "lattice", "dimension must match m")
-    lat = cfg.lattice
-    pts = lat_mod.node_points(lat)
-    cols = ["det_hess", "min_eig_hess", "ma_residual", "S", "H_norm",
-            "min_ricci_eig", "scalar_curv"]
+    pts = lat_mod.node_points(cfg.lattice)
+    k = pts.shape[0]
+
+    # one pass over the nodes; each later stage runs on the nodes that
+    # passed the earlier ones, and a node's status is its first failure
+    _, jet, fault = _potential_jets(P, pts)
+    gg = _gradient_graph(pts, jet)
+    convex = np.flatnonzero(gg.convex)
+    jet_c, gg_c = _take(jet, convex), _take(gg, convex)
+    forms, forms_fault = _lagrangian_forms(P, pts[convex], jet_c, gg_c)
+    mc = moduli_curvature_arrays(gg_c.metric, gg_c.metric_inv, jet_c.third)
+    formed = np.equal(forms_fault, None)
+    on = convex[formed]
+
+    clean = np.equal(fault, None)
+    status = np.where(clean, "not-convex", "error:DomainError").astype(object)
+    status[convex] = np.where(formed, "ok", "error:DomainError")
+    cols = {
+        "det_hess": _filled(k, clean, gg.det[clean]),
+        "min_eig_hess": _filled(k, clean, gg.min_eig[clean]),
+        "ma_residual": _filled(k, clean, gg.det[clean] - P.c),
+        "S": _filled(k, on, forms.S[formed]),
+        "H_norm": _filled(k, on, forms.H_norm[formed]),
+        "min_ricci_eig": _filled(k, on, mc.min_ricci_eig[formed]),
+        "scalar_curv": _filled(k, on, mc.scalar[formed]),
+    }
     if cfg.oracle:
-        cols.append("riemann_oracle_err")
-
-    def one(flat):
-        rec = {"index": int(flat)}
-        for d in range(cfg.m):
-            rec[f"x{d+1}"] = float(pts[flat, d])
-        gg = gradient_graph(P, pts[flat])
-        rec["det_hess"] = gg.det
-        rec["min_eig_hess"] = gg.min_eig
-        rec["ma_residual"] = ma_residual(P, pts[flat])
-        if not gg.convex:
-            rec["status"] = "not-convex"
-            for c in cols[3:]:
-                rec[c] = np.nan
-            return rec
-        lf = lagrangian_forms(P, pts[flat])
-        mc = moduli_curvature(P, pts[flat])
-        rec["S"] = lf.S
-        rec["H_norm"] = lf.H_norm
-        rec["min_ricci_eig"] = mc.min_ricci_eig
-        rec["scalar_curv"] = mc.scalar
-        if cfg.oracle:
-            oracle = moduli_curvature_oracle(P, pts[flat])
-            scale = max(float(np.max(np.abs(oracle))), 1e-10)
-            rec["riemann_oracle_err"] = float(np.max(np.abs(mc.riemann - oracle))) / scale
-        rec["status"] = "ok"
-        return rec
-
-    records = [one(flat) for flat in range(pts.shape[0])]
-    columns = ["index"] + [f"x{d+1}" for d in range(cfg.m)] + ["status"] + cols
+        shifted, oracle_fault = _shifted_jets(P, pts[on], ORACLE_FD_STEP)
+        oracle = _moduli_oracle(P, _take(jet_c, formed), shifted, ORACLE_FD_STEP)
+        axes = (-4, -3, -2, -1)
+        scale = np.maximum(np.max(np.abs(oracle), axis=axes), 1e-10)
+        err = np.max(np.abs(mc.riemann[formed] - oracle), axis=axes) / scale
+        checked = np.equal(oracle_fault, None)
+        cols["riemann_oracle_err"] = _filled(k, on[checked], err[checked])
+        status[on[~checked]] = "error:DomainError"
+    columns, records = _node_records(cfg, pts, status, cols)
     write_records(cfg.out, columns, records, _meta(cfg), cfg.format)
-    warn = sum(1 for r in records if r["status"] != "ok")
+    warn = int(np.sum(status != "ok"))
     print(f"lagrangian: {len(records)} nodes, {warn} flagged")
     return EXIT_OK
 
@@ -391,7 +433,7 @@ def _battery(seed: int):
         simons_report,
     )
     from .grassmann import (
-        SpacelikePlane, hyperbolic_distance_n1, pullback_trace,
+        hyperbolic_distance_n1, pullback_trace,
     )
     from .jets import finite_diff_check
     from .lattice import Lattice

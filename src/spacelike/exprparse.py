@@ -294,7 +294,7 @@ def eval_values(node: Expr, points: np.ndarray):
 
     pts = np.asarray(points, dtype=float)
     with np.errstate(all="ignore"):
-        (out,) = _taylor(node, np.atleast_2d(pts), 0)
-    if not np.isfinite(out).all():
-        raise DomainError("non-finite value (overflow or NaN)", node.span)
+        (out,), _, errors = _taylor(node, np.atleast_2d(pts), 0)
+    if errors:
+        raise errors[0]
     return float(out[0]) if pts.ndim == 1 else np.array(out, dtype=float)

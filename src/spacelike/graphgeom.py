@@ -1,12 +1,23 @@
-"""Per-point geometry of space-like graph submanifolds of R^{m+n}_n.
+"""Geometry of space-like graph submanifolds of R^{m+n}_n, in one batched pass.
 
 The ambient bilinear form has signature diag(+1 x m, -1 x n) in
 coordinates (x; y); a graph map f: R^m -> R^n immerses via
-X(x) = (x, f(x)).  For each query point this module produces the induced
-metric, adapted pseudo-orthonormal frames, the second fundamental form h
-with mean curvature H and squared norm S, the curvature tensors it
-generates, the covariant derivative of h, a Simons-type slack report,
-and the pseudo-distance function z = <X, X>.
+X(x) = (x, f(x)).  ``graph_geometry`` evaluates the jets of all components
+once for a batch of points (k, m) and builds on them, with a leading batch
+axis throughout (``...`` in the einsums, numpy's stacked eigvalsh,
+cholesky, inv and det): the induced metric, adapted pseudo-orthonormal
+frames, the second fundamental form h with mean curvature H and squared
+norm S.  Nothing in the pass raises; a point out of the jets' domain or not
+space-like is marked (``Geometry.fault``, ``min_eig``) and holds nan.
+
+The per-point functions (induced_metric, adapted_frames, fundamental_forms,
+curvature, ricci_bound_check, extremal_residual, covariant_h,
+pseudo_distance) are views of that pass.  Each takes a point (m,) or a
+batch (k, m): a point runs as a batch of one and gets back its row; a
+batch gets the batched record, or the exception of its first failing point,
+which is what that point raises on its own.  The module also gives the
+Simons-type slack report over a lattice and geodesics of the induced
+metric.
 
 Sign convention: h_sij = <d2X(e_i, e_j), e_s> under the ambient form.
 This is the unique global sign for which the Hessian identity
@@ -23,11 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.linalg import solve_triangular
 
 from . import lattice as lat_mod
-from .exprparse import parse
-from .jets import evaluate_jet
+from .exprparse import eval_values, parse
+from .jets import evaluate_jet, jet_rows
 from .lattice import Lattice, LatticeError
 
 # Default tolerances: analytically exact identities, jet-vs-coordinate
@@ -66,21 +76,32 @@ class GraphMap:
     def with_base_point(self) -> "GraphMap":
         """Translate the ambient y-coordinates so that X(0) = 0."""
         zero = np.zeros(self.m)
-        off = tuple(float(ev) for ev in (_component_values(self, zero)))
+        off = tuple(float(eval_values(c, zero)) for c in self.components)
         return dataclasses.replace(self, offset=off)
 
     def position(self, x) -> np.ndarray:
+        """X(x) at a point (m,) or a batch of points (..., m)."""
         x = np.asarray(x, dtype=float)
-        vals = _component_values(self, x)
+        vals = np.stack([eval_values(c, x) for c in self.components], axis=-1)
         if self.offset is not None:
             vals = vals - np.asarray(self.offset)
-        return np.concatenate([x, vals])
+        return np.concatenate([x, vals], axis=-1)
 
     def jet_data(self, x):
         """Values, Jacobian, Hessians and third derivatives of all components;
         a batch of points (..., m) leads each result with its shape (...)."""
-        x = np.asarray(x, dtype=float)
-        jets = [evaluate_jet(c, x) for c in self.components]
+        return self._stack([evaluate_jet(c, x) for c in self.components])
+
+    def jet_rows(self, x):
+        """``jet_data`` without raising, plus per point the DomainError it
+        raises on its own (the first component's first), or None."""
+        jets, fault = zip(*(jet_rows(c, x) for c in self.components))
+        first = fault[0]
+        for later in fault[1:]:
+            first = np.where(np.equal(first, None), later, first)
+        return self._stack(jets) + (first,)
+
+    def _stack(self, jets) -> tuple:
         vals = np.stack([j.value for j in jets], axis=-1)    # (..., n)
         if self.offset is not None:
             vals = vals - np.asarray(self.offset)
@@ -90,151 +111,170 @@ class GraphMap:
         return vals, A, He, Th
 
 
-def _component_values(gm: GraphMap, x: np.ndarray) -> np.ndarray:
-    from .exprparse import eval_values
-
-    return np.array([eval_values(c, x) for c in gm.components])
-
-
 def signature(m: int, n: int) -> np.ndarray:
     return np.concatenate([np.ones(m), -np.ones(n)])
 
 
 # ---------------------------------------------------------------------------
-# Metric and frames
+# The batched pass: jets -> metric -> frames -> h
 
 @dataclass
-class MetricPoint:
+class Geometry:
+    """Geometry of an immersion at a batch of points, every field led by the
+    batch axis; the per-point functions return one row, with floats and
+    bools for the per-point scalars.
+
+    g_inv is nan where the metric is not positive definite, and the frames
+    and h are nan where its smallest eigenvalue is at most the space-like
+    tolerance.  For a graph, A, He and Th hold the jets of f the pass was
+    built on and ``fault`` each point's DomainError (None where the jets are
+    fine; the jets of a faulted point are zero).
+    """
+
     g: np.ndarray
     g_inv: np.ndarray
-    det_g: float
-    min_eig: float
-    spacelike: bool
-
-
-@dataclass
-class Frames:
-    tangent: np.ndarray        # (m, m+n) ambient rows, <e_i, e_j> = delta
-    normal: np.ndarray         # (n, m+n) ambient rows, <e_s, e_t> = -delta
+    det_g: np.ndarray
+    min_eig: np.ndarray
+    spacelike: np.ndarray
     tangent_coeff: np.ndarray  # e_i = sum_j tangent_coeff[i, j] * dX/dx^j
+    tangent: np.ndarray        # (m, m+n) ambient rows, <e_i, e_j> = delta
     normal_coeff: np.ndarray   # e_s = sum_t normal_coeff[s, t] * Ntilde_t
+    normal: np.ndarray         # (n, m+n) ambient rows, <e_s, e_t> = -delta
+    h: np.ndarray              # (n, m, m)
+    H: np.ndarray              # (n,)
+    H_norm: np.ndarray
+    S: np.ndarray
+    fault: np.ndarray = None
+    A: np.ndarray = None            # (n, m) Jacobian of f
+    He: np.ndarray = None           # (n, m, m) Hessians of f
+    Th: np.ndarray = None           # (n, m, m, m) third derivatives of f
+    riemann: np.ndarray = None      # frame components R_ijkl
+    ricci: np.ndarray = None        # R_ij = R_kikj
+    normal_curv: np.ndarray = None  # R_stij
 
 
-def induced_metric(gm: GraphMap, x) -> MetricPoint:
-    """g_ij = delta_ij - sum_s f^s_i f^s_j, with inverse, det and min eigenvalue."""
-    _, A, _, _ = gm.jet_data(x)
-    return _metric_from_jacobian(A)
+def _swap(a: np.ndarray) -> np.ndarray:
+    return np.swapaxes(a, -1, -2)
 
 
-def _metric_from_jacobian(A: np.ndarray) -> MetricPoint:
-    m = A.shape[1]
-    g = np.eye(m) - A.T @ A
-    eigs = np.linalg.eigvalsh(g)
-    min_eig = float(eigs[0])
-    spacelike = min_eig > 0.0
-    if spacelike:
-        g_inv = np.linalg.inv(g)
-        det_g = float(np.linalg.det(g))
-    else:
-        g_inv = np.full_like(g, np.nan)
-        det_g = float(np.linalg.det(g))
-    return MetricPoint(g=g, g_inv=g_inv, det_g=det_g, min_eig=min_eig, spacelike=spacelike)
+def _take(v, idx):
+    """Rows ``idx`` of a batched result, field by field for a record; the
+    entries of a single row that are 0-d become Python scalars."""
+    if dataclasses.is_dataclass(v):
+        return dataclasses.replace(v, **{
+            f.name: _take(getattr(v, f.name), idx) for f in dataclasses.fields(v)
+            if isinstance(getattr(v, f.name), np.ndarray)})
+    v = v[idx]
+    return v.item() if isinstance(v, np.generic) else v
 
 
-@dataclass
-class ImmersionGeometry:
-    """Frame-level data of a parametrized space-like immersion."""
+def _raise_first(*checks) -> None:
+    """Raise the error of the first failing point of a batch.  ``checks`` are
+    (bad, error) pairs in the order one point runs them: a mask over the
+    batch and a function from a point's index to its exception."""
+    masks = [np.ravel(bad) for bad, _ in checks]
+    failing = np.logical_or.reduce(masks)
+    if failing.any():
+        i = int(np.argmax(failing))
+        raise next(error(i) for (_, error), bad in zip(checks, masks) if bad[i])
 
-    g: np.ndarray
-    g_inv: np.ndarray
-    min_eig: float
-    tangent_coeff: np.ndarray
-    tangent: np.ndarray
-    normal_coeff: np.ndarray
-    normal: np.ndarray
-    h: np.ndarray        # (n, m, m)
-    H: np.ndarray        # (n,)
-    H_norm: float
-    S: float
+
+def _view(x, value, *checks):
+    """What a per-point function returns at ``x``, a point (m,) or a batch
+    (k, m): the error of its first failing point, else ``value`` (batched)
+    for a batch and its one row for a point."""
+    _raise_first(*checks)
+    return _take(value, 0) if np.ndim(x) == 1 else value
+
+
+def _fault_check(fault: np.ndarray):
+    """The check that raises a point's DomainError from the jets."""
+    return np.not_equal(fault, None), lambda i: fault[i]
+
+
+def _geometry_checks(geo: Geometry, limit=None):
+    """A point's DomainError, then NotSpacelikeError where min_eig <= limit."""
+    checks = [] if geo.fault is None else [_fault_check(geo.fault)]
+    if limit is not None:
+        checks.append((~(geo.min_eig > limit), lambda i: NotSpacelikeError(float(geo.min_eig[i]))))
+    return checks
 
 
 def immersion_geometry(J: np.ndarray, Hss: np.ndarray, sig: np.ndarray,
-                       normals_raw: np.ndarray, tol: float = SPACELIKE_TOL) -> ImmersionGeometry:
-    """Geometry of an immersion given first/second parameter derivatives.
+                       normals_raw: np.ndarray, tol: float = SPACELIKE_TOL) -> Geometry:
+    """Geometry of an immersion at a batch of points, given first/second
+    parameter derivatives.
 
-    J[i] = dX/du^i (m rows of ambient vectors), Hss[i, j] = d2X/du^i du^j,
-    sig the ambient signature, normals_raw a smooth basis of the normal
-    space (its Gram matrix must be negative definite).
+    J[..., i, :] = dX/du^i (m rows of ambient vectors), Hss[..., i, j, :] =
+    d2X/du^i du^j, sig the ambient signature, normals_raw[..., s, :] a smooth
+    basis of the normal space (its Gram matrix must be negative definite).
+    Points whose metric has smallest eigenvalue <= tol get nan frames and h.
     """
-    m = J.shape[0]
-    g = (J * sig) @ J.T
-    eigs = np.linalg.eigvalsh(g)
-    min_eig = float(eigs[0])
-    if min_eig <= tol:
-        raise NotSpacelikeError(min_eig)
-    C = np.linalg.cholesky(g)
-    E = solve_triangular(C, np.eye(m), lower=True)
-    tangent = E @ J
-    gram_n = (normals_raw * sig) @ normals_raw.T
-    D = np.linalg.cholesky(-gram_n)
-    Nc = solve_triangular(D, np.eye(gram_n.shape[0]), lower=True)
-    normal = Nc @ normals_raw
+    m, n = J.shape[-2], normals_raw.shape[-2]
+    g = (J * sig) @ _swap(J)
+    min_eig = np.linalg.eigvalsh(g)[..., 0]
+    spacelike, ok = min_eig > 0.0, min_eig > tol
+    g_inv = np.linalg.inv(np.where(spacelike[..., None, None], g, np.eye(m)))
+    g_inv[~spacelike] = np.nan
+    # triangular inverses by numpy's batched inv (np.tril drops its rounding
+    # above the diagonal); points that are not space-like factor I, then nan
+    E = np.tril(np.linalg.inv(np.linalg.cholesky(np.where(ok[..., None, None], g, np.eye(m)))))
+    gram_n = (normals_raw * sig) @ _swap(normals_raw)
+    Nc = np.tril(np.linalg.inv(np.linalg.cholesky(
+        np.where(ok[..., None, None], -gram_n, np.eye(n)))))
+    E[~ok], Nc[~ok] = np.nan, np.nan
+    tangent, normal = E @ J, Nc @ normals_raw
     # h_sij = <d2X(e_i, e_j), e_s>
-    second = np.einsum("ik,klB,jl->ijB", E, Hss, E)
-    h = np.einsum("B,sB,ijB->sij", sig, normal, second)
-    H = np.einsum("sii->s", h) / m
-    H_norm = float(np.linalg.norm(H))
-    S = float(np.sum(h * h))
-    return ImmersionGeometry(g=g, g_inv=np.linalg.inv(g), min_eig=min_eig,
-                             tangent_coeff=E, tangent=tangent, normal_coeff=Nc,
-                             normal=normal, h=h, H=H, H_norm=H_norm, S=S)
-
-
-def graph_immersion_jet(gm: GraphMap, x):
-    """J, Hss and the raw normal basis of the graph immersion at x."""
-    _, A, He, _ = gm.jet_data(x)
-    return _graph_immersion(A, He)
+    second = np.einsum("...ik,...klB,...jl->...ijB", E, Hss, E)
+    h = np.einsum("B,...sB,...ijB->...sij", sig, normal, second)
+    H = np.einsum("...sii->...s", h) / m
+    return Geometry(g=g, g_inv=g_inv, det_g=np.linalg.det(g), min_eig=min_eig,
+                    spacelike=spacelike, tangent_coeff=E, tangent=tangent, normal_coeff=Nc,
+                    normal=normal, h=h, H=H, H_norm=np.linalg.norm(H, axis=-1),
+                    S=np.sum(h * h, axis=(-3, -2, -1)))
 
 
 def _graph_immersion(A: np.ndarray, He: np.ndarray):
-    n, m = A.shape
-    J = np.hstack([np.eye(m), A.T])
-    Hss = np.concatenate([np.zeros((m, m, m)), He.transpose(1, 2, 0)], axis=2)
-    normals_raw = np.hstack([A, np.eye(n)])  # Ntilde_s = sum_i f^s_i d_i + d_{y^s}
+    """J, Hss and the raw normal basis of a graph with Jacobians A (..., n, m)
+    and Hessians He (..., n, m, m)."""
+    (n, m), batch = A.shape[-2:], A.shape[:-2]
+    J = np.concatenate([np.broadcast_to(np.eye(m), batch + (m, m)), _swap(A)], axis=-1)
+    Hss = np.concatenate([np.zeros(batch + (m, m, m)), np.moveaxis(He, -3, -1)], axis=-1)
+    # Ntilde_s = sum_i f^s_i d_i + d_{y^s}
+    normals_raw = np.concatenate([A, np.broadcast_to(np.eye(n), batch + (n, n))], axis=-1)
     return J, Hss, normals_raw
 
 
-def adapted_frames(gm: GraphMap, x, tol: float = SPACELIKE_TOL) -> Frames:
+def graph_geometry(gm: GraphMap, x, tol: float = SPACELIKE_TOL) -> Geometry:
+    """The one batched pass of a graph at a point (m,) or points (k, m):
+    the jets of all components, then metric, frames and h, always with a
+    leading batch axis.  Nothing is raised: a point whose jets fail holds
+    its DomainError in ``fault`` and the geometry of zero jets."""
+    _, A, He, Th, fault = gm.jet_rows(np.asarray(x, dtype=float).reshape(-1, gm.m))
+    J, Hss, normals_raw = _graph_immersion(A, He)
+    geo = immersion_geometry(J, Hss, signature(gm.m, gm.n), normals_raw, tol)
+    geo.fault, geo.A, geo.He, geo.Th = fault, A, He, Th
+    return geo
+
+
+def induced_metric(gm: GraphMap, x) -> Geometry:
+    """g_ij = delta_ij - sum_s f^s_i f^s_j, with inverse, det and min eigenvalue."""
+    geo = graph_geometry(gm, x)
+    return _view(x, geo, *_geometry_checks(geo))
+
+
+def adapted_frames(gm: GraphMap, x, tol: float = SPACELIKE_TOL) -> Geometry:
     """Pseudo-orthonormal tangent/normal frames from triangular factorizations."""
-    J, Hss, normals_raw = graph_immersion_jet(gm, x)
-    sig = signature(gm.m, gm.n)
-    geo = immersion_geometry(J, Hss, sig, normals_raw, tol=tol)
-    return Frames(tangent=geo.tangent, normal=geo.normal,
-                  tangent_coeff=geo.tangent_coeff, normal_coeff=geo.normal_coeff)
+    geo = graph_geometry(gm, x, tol)
+    return _view(x, geo, *_geometry_checks(geo, tol))
 
 
 # ---------------------------------------------------------------------------
 # Second fundamental form, curvature
 
-@dataclass
-class PointGeometry:
-    m: int
-    n: int
-    h: np.ndarray
-    H: np.ndarray
-    H_norm: float
-    S: float
-    riemann: np.ndarray = None      # frame components R_ijkl
-    ricci: np.ndarray = None        # R_ij = R_kikj
-    normal_curv: np.ndarray = None  # R_stij
-    h_cov: np.ndarray = None        # h_sijk
-
-
-def fundamental_forms(gm: GraphMap, x) -> PointGeometry:
+def fundamental_forms(gm: GraphMap, x) -> Geometry:
     """Second fundamental form h, mean curvature H and S = |h|^2 at x."""
-    J, Hss, normals_raw = graph_immersion_jet(gm, x)
-    geo = immersion_geometry(J, Hss, signature(gm.m, gm.n), normals_raw)
-    return PointGeometry(m=gm.m, n=gm.n, h=geo.h, H=geo.H, H_norm=geo.H_norm, S=geo.S)
+    return adapted_frames(gm, x)
 
 
 def extremal_residual(gm: GraphMap, x) -> np.ndarray:
@@ -243,34 +283,34 @@ def extremal_residual(gm: GraphMap, x) -> np.ndarray:
     Vanishes exactly where the frame-based mean curvature vanishes; the
     two routes cross-validate each other.
     """
-    _, A, He, _ = gm.jet_data(x)
-    mp = _metric_from_jacobian(A)
-    if not mp.spacelike:
-        raise NotSpacelikeError(mp.min_eig)
-    return np.einsum("ij,sij->s", mp.g_inv, He)
+    geo = graph_geometry(gm, x)
+    return _view(x, _extremal_residual(geo), *_geometry_checks(geo, 0.0))
 
 
-def riemann_from_h(h: np.ndarray) -> np.ndarray:
-    """Gauss relation for a flat pseudo-Euclidean ambient: R_ijkl from h."""
-    return -(np.einsum("sik,sjl->ijkl", h, h) - np.einsum("sil,sjk->ijkl", h, h))
+def _extremal_residual(geo: Geometry) -> np.ndarray:
+    return np.einsum("...ij,...sij->...s", geo.g_inv, geo.He)
 
 
-def ricci_from_h(h: np.ndarray) -> np.ndarray:
-    tr = np.einsum("skk->s", h)
-    return -(np.einsum("s,sij->ij", tr, h) - np.einsum("ski,skj->ij", h, h))
+def _with_curvature(geo: Geometry) -> Geometry:
+    """Gauss relation for a flat pseudo-Euclidean ambient: curvature from h."""
+    h = geo.h
+    geo.riemann = -(np.einsum("...sik,...sjl->...ijkl", h, h)
+                    - np.einsum("...sil,...sjk->...ijkl", h, h))
+    tr = np.einsum("...skk->...s", h)
+    geo.ricci = -(np.einsum("...s,...sij->...ij", tr, h) - np.einsum("...ski,...skj->...ij", h, h))
+    geo.normal_curv = (np.einsum("...ski,...tkj->...stij", h, h)
+                       - np.einsum("...skj,...tki->...stij", h, h))
+    return geo
 
 
-def normal_curvature_from_h(h: np.ndarray) -> np.ndarray:
-    return np.einsum("ski,tkj->stij", h, h) - np.einsum("skj,tki->stij", h, h)
-
-
-def curvature(gm: GraphMap, x) -> PointGeometry:
+def curvature(gm: GraphMap, x) -> Geometry:
     """Riemann, Ricci and normal-bundle curvature in the adapted frame."""
-    pg = fundamental_forms(gm, x)
-    pg.riemann = riemann_from_h(pg.h)
-    pg.ricci = ricci_from_h(pg.h)
-    pg.normal_curv = normal_curvature_from_h(pg.h)
-    return pg
+    geo = graph_geometry(gm, x)
+    return _view(x, _with_curvature(geo), *_geometry_checks(geo, SPACELIKE_TOL))
+
+
+def _ricci_margin(geo: Geometry, m: int) -> np.ndarray:
+    return np.linalg.eigvalsh(geo.ricci)[..., 0] - (-(m**2) * geo.H_norm**2 / 4.0)
 
 
 def ricci_bound_check(gm: GraphMap, x) -> float:
@@ -279,9 +319,9 @@ def ricci_bound_check(gm: GraphMap, x) -> float:
     Nonnegative (up to rounding) for every space-like graph with the
     frame conventions used here; violations indicate implementation bugs.
     """
-    pg = curvature(gm, x)
-    lam_min = float(np.linalg.eigvalsh(pg.ricci)[0])
-    return lam_min - (-(gm.m**2) * pg.H_norm**2 / 4.0)
+    geo = graph_geometry(gm, x)
+    _raise_first(*_geometry_checks(geo, SPACELIKE_TOL))
+    return _view(x, _ricci_margin(_with_curvature(geo), gm.m))
 
 
 # ---------------------------------------------------------------------------
@@ -289,56 +329,62 @@ def ricci_bound_check(gm: GraphMap, x) -> float:
 # route: works from g, dg, ddg alone, so agreement pins the h sign.
 
 def christoffel(g: np.ndarray, dg: np.ndarray) -> np.ndarray:
-    """Gamma^k_ij from the metric and its first derivatives dg[p,i,j] = d_p g_ij."""
+    """Gamma^k_ij from the metric and its first derivatives dg[p,i,j] = d_p g_ij
+    (leading batch axes broadcast)."""
     g_inv = np.linalg.inv(g)
-    term = 0.5 * (np.einsum("ijl->ijl", dg)        # d_i g_jl
-                  + np.einsum("jil->ijl", dg)      # d_j g_il
-                  - np.einsum("lij->ijl", dg))     # d_l g_ij
-    return np.einsum("kl,ijl->kij", g_inv, term)
+    term = 0.5 * (np.einsum("...ijl->...ijl", dg)        # d_i g_jl
+                  + np.einsum("...jil->...ijl", dg)      # d_j g_il
+                  - np.einsum("...lij->...ijl", dg))     # d_l g_ij
+    return np.einsum("...kl,...ijl->...kij", g_inv, term)
 
 
 def riemann_lowered(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> np.ndarray:
     """Rm[i,j,k,l] = <R(d_i, d_j) d_k, d_l> from metric derivatives.
 
-    dg[p,i,j] = d_p g_ij and ddg[p,q,i,j] = d_p d_q g_ij.
+    dg[p,i,j] = d_p g_ij and ddg[p,q,i,j] = d_p d_q g_ij (leading batch axes
+    broadcast).
     """
     g_inv = np.linalg.inv(g)
     gamma = christoffel(g, dg)
-    dg_inv = -np.einsum("ka,pab,bl->pkl", g_inv, dg, g_inv)
+    dg_inv = -np.einsum("...ka,...pab,...bl->...pkl", g_inv, dg, g_inv)
     # d_p Gamma via product rule on Gamma^k_ij = g^{kl} T_ijl
-    T = 0.5 * (np.einsum("ijl->ijl", dg)
-               + np.einsum("jil->ijl", dg)
-               - np.einsum("lij->ijl", dg))
-    dT = 0.5 * (np.einsum("pijl->pijl", ddg)      # d_p d_i g_jl
-                + np.einsum("pjil->pijl", ddg)    # d_p d_j g_il
-                - np.einsum("plij->pijl", ddg))   # d_p d_l g_ij
-    dgamma = np.einsum("pkl,ijl->pkij", dg_inv, T) + np.einsum("kl,pijl->pkij", g_inv, dT)
+    T = 0.5 * (np.einsum("...ijl->...ijl", dg)
+               + np.einsum("...jil->...ijl", dg)
+               - np.einsum("...lij->...ijl", dg))
+    dT = 0.5 * (np.einsum("...pijl->...pijl", ddg)      # d_p d_i g_jl
+                + np.einsum("...pjil->...pijl", ddg)    # d_p d_j g_il
+                - np.einsum("...plij->...pijl", ddg))   # d_p d_l g_ij
+    dgamma = (np.einsum("...pkl,...ijl->...pkij", dg_inv, T)
+              + np.einsum("...kl,...pijl->...pkij", g_inv, dT))
     # R^l_kij = d_i Gamma^l_jk - d_j Gamma^l_ik + Gamma^l_ip Gamma^p_jk - Gamma^l_jp Gamma^p_ik
-    r_up = (np.einsum("iljk->lkij", dgamma)
-            - np.einsum("jlik->lkij", dgamma)
-            + np.einsum("lip,pjk->lkij", gamma, gamma)
-            - np.einsum("ljp,pik->lkij", gamma, gamma))
+    r_up = (np.einsum("...iljk->...lkij", dgamma)
+            - np.einsum("...jlik->...lkij", dgamma)
+            + np.einsum("...lip,...pjk->...lkij", gamma, gamma)
+            - np.einsum("...ljp,...pik->...lkij", gamma, gamma))
     # Rm(d_i, d_j, d_k, d_l) = g_{l'l} R^{l'}_kij
-    return np.einsum("al,akij->ijkl", g, r_up)
+    return np.einsum("...al,...akij->...ijkl", g, r_up)
 
 
 def paper_riemann_from_lowered(rm: np.ndarray) -> np.ndarray:
     """Slot order used throughout this package: R_ijkl = Rm(i, j, l, k)."""
-    return rm.transpose(0, 1, 3, 2)
+    return _swap(rm)
 
 
 def graph_metric_derivs(gm: GraphMap, x):
     """Exact (g, dg, ddg) of the induced metric via third-order jets."""
     _, A, He, Th = gm.jet_data(x)
-    m = gm.m
-    g = np.eye(m) - A.T @ A
+    return _metric_derivs(A, He, Th)
+
+
+def _metric_derivs(A: np.ndarray, He: np.ndarray, Th: np.ndarray):
+    g = np.eye(A.shape[-1]) - _swap(A) @ A
     # d_p g_ij = -sum_s (f^s_ip f^s_j + f^s_i f^s_jp)
-    dg = -(np.einsum("sip,sj->pij", He, A) + np.einsum("si,sjp->pij", A, He))
+    dg = -(np.einsum("...sip,...sj->...pij", He, A) + np.einsum("...si,...sjp->...pij", A, He))
     # d_p d_q g_ij
-    ddg = -(np.einsum("sipq,sj->pqij", Th, A)
-            + np.einsum("sip,sjq->pqij", He, He)
-            + np.einsum("siq,sjp->pqij", He, He)
-            + np.einsum("si,sjpq->pqij", A, Th))
+    ddg = -(np.einsum("...sipq,...sj->...pqij", Th, A)
+            + np.einsum("...sip,...sjq->...pqij", He, He)
+            + np.einsum("...siq,...sjp->...pqij", He, He)
+            + np.einsum("...si,...sjpq->...pqij", A, Th))
     return g, dg, ddg
 
 
@@ -373,55 +419,62 @@ class CovariantH:
 
 
 def _d_inv_cholesky(Linv: np.ndarray, dG: np.ndarray) -> np.ndarray:
-    """d_p(L^-1) for G = L L^T, given L^-1 and the stack dG[p] = d_p G.
+    """d_p(L^-1) for G = L L^T, given L^-1 and the stack dG[..., p, :, :] = d_p G.
 
     Forward-mode Cholesky rule d_p L = L Phi(L^-1 dG_p L^-T), Phi keeping
     the lower triangle and halving the diagonal (Murray 2016,
     arXiv:1602.07527); hence d_p(L^-1) = -Phi(L^-1 dG_p L^-T) L^-1.
     """
-    X = Linv @ dG @ Linv.T
-    phi = np.tril(X) - 0.5 * X * np.eye(Linv.shape[0])
+    Linv = Linv[..., None, :, :]
+    X = Linv @ dG @ _swap(Linv)
+    phi = np.tril(X) - 0.5 * X * np.eye(X.shape[-1])
     return -phi @ Linv
 
 
 def covariant_h(gm: GraphMap, x) -> CovariantH:
     """h_sijk from the structure-equation recipe, with a Codazzi symmetry report."""
-    m, n = gm.m, gm.n
-    _, A, He, Th = gm.jet_data(x)
-    J, Hss, normals_raw = _graph_immersion(A, He)
-    sig = signature(m, n)
-    geo = immersion_geometry(J, Hss, sig, normals_raw)
-    E, Nc = geo.tangent_coeff, geo.normal_coeff
+    geo = graph_geometry(gm, x)
+    return _view(x, _covariant_h(geo, signature(gm.m, gm.n)),
+                 *_geometry_checks(geo, SPACELIKE_TOL))
 
-    # first derivatives d_p along the coordinates, stacked on a leading p axis
-    dA = He.transpose(2, 0, 1)                                  # d_p A, (m, n, m)
-    dAt = dA.transpose(0, 2, 1)
-    dE = _d_inv_cholesky(E, -(dAt @ A + A.T @ dA))              # g = I - A^T A
-    dNc = _d_inv_cholesky(Nc, -(dA @ A.T + A @ dAt))            # I - A A^T
-    dtan = np.concatenate([dE, dE @ A.T + E @ dAt], axis=2)     # rows E [I, A^T]
-    dnor = np.concatenate([dNc @ A + Nc @ dA, dNc], axis=2)     # rows Nc [A, I]
+
+def _covariant_h(geo: Geometry, sig: np.ndarray) -> CovariantH:
+    A, He, Th = geo.A, geo.He, geo.Th
+    E, Nc = geo.tangent_coeff, geo.normal_coeff
+    m = A.shape[-1]
+    # first derivatives d_p along the coordinates, on an axis p after the batch
+    P = (slice(None), None)                                     # insert the p axis
+    At = _swap(A)
+    dA = np.moveaxis(He, -1, -3)                                # d_p A, (k, m, n, m)
+    dAt = _swap(dA)
+    dE = _d_inv_cholesky(E, -(dAt @ A[P] + At[P] @ dA))         # g = I - A^T A
+    dNc = _d_inv_cholesky(Nc, -(dA @ At[P] + A[P] @ dAt))       # I - A A^T
+    dtan = np.concatenate([dE, dE @ At[P] + E[P] @ dAt], axis=-1)     # rows E [I, A^T]
+    dnor = np.concatenate([dNc @ A[P] + Nc[P] @ dA, dNc], axis=-1)    # rows Nc [A, I]
     # h_sij = -sum_t Nc[s, t] (E He^t E^T)_ij
-    EHE = E @ He @ E.T
-    dEHE = (dE[:, None] @ He @ E.T + E @ Th.transpose(3, 0, 1, 2) @ E.T
-            + E @ He @ dE[:, None].transpose(0, 1, 3, 2))
-    dh = -(np.einsum("pst,tij->psij", dNc, EHE) + np.einsum("st,ptij->psij", Nc, dEHE))
+    Et = _swap(E)[:, None, None]
+    EHE = E[P] @ He @ _swap(E)[P]
+    dEHE = (dE[:, :, None] @ He[P] @ Et + E[:, None, None] @ np.moveaxis(Th, -1, 1) @ Et
+            + E[:, None, None] @ He[P] @ _swap(dE)[:, :, None])
+    dh = -(np.einsum("...pst,...tij->...psij", dNc, EHE)
+           + np.einsum("...st,...ptij->...psij", Nc, dEHE))
 
     # directional derivatives along frame vectors: e_k = sum_p E[k,p] d/dx^p
-    d_tan_along = np.einsum("kp,piB->kiB", E, dtan)
-    d_nor_along = np.einsum("kp,psB->ksB", E, dnor)
-    dh_along = np.einsum("kp,psij->ksij", E, dh)
+    d_tan_along = np.einsum("...kp,...piB->...kiB", E, dtan)
+    d_nor_along = np.einsum("...kp,...psB->...ksB", E, dnor)
+    dh_along = np.einsum("...kp,...psij->...ksij", E, dh)
 
     # connection coefficients w_AB(e_k) = <D_{e_k} e_A, e_B>
-    w_tt = np.einsum("kiB,B,jB->kij", d_tan_along, sig, geo.tangent)   # w_ij(e_k)
-    w_nn = np.einsum("ksB,B,tB->kst", d_nor_along, sig, geo.normal)    # w_st(e_k)
+    w_tt = np.einsum("...kiB,B,...jB->...kij", d_tan_along, sig, geo.tangent)   # w_ij(e_k)
+    w_nn = np.einsum("...ksB,B,...tB->...kst", d_nor_along, sig, geo.normal)    # w_st(e_k)
 
     h0 = geo.h
-    h_cov = (dh_along.transpose(1, 2, 3, 0)
-             + np.einsum("slj,kli->sijk", h0, w_tt)
-             + np.einsum("sil,klj->sijk", h0, w_tt)
-             - np.einsum("tij,kts->sijk", h0, w_nn))
-    asym = float(np.max(np.abs(h_cov - h_cov.transpose(0, 1, 3, 2))))
-    dh_mean = np.einsum("siik->sk", h_cov) / m
+    h_cov = (np.moveaxis(dh_along, -4, -1)
+             + np.einsum("...slj,...kli->...sijk", h0, w_tt)
+             + np.einsum("...sil,...klj->...sijk", h0, w_tt)
+             - np.einsum("...tij,...kts->...sijk", h0, w_nn))
+    asym = np.max(np.abs(h_cov - _swap(h_cov)), axis=(-4, -3, -2, -1))
+    dh_mean = np.einsum("...siik->...sk", h_cov) / m
     return CovariantH(h_cov=h_cov, codazzi_asym=asym, mean_curv_deriv=dh_mean)
 
 
@@ -439,22 +492,31 @@ class PseudoDistancePoint:
 
 
 def pseudo_distance(gm: GraphMap, x, base_tol: float = 1e-9) -> PseudoDistancePoint:
-    origin = gm.position(np.zeros(gm.m))
-    if np.linalg.norm(origin) > base_tol:
+    _check_base_point(gm, base_tol)
+    geo = graph_geometry(gm, x)
+    _raise_first(*_geometry_checks(geo, SPACELIKE_TOL))
+    pts = np.asarray(x, dtype=float).reshape(-1, gm.m)
+    return _view(x, _pseudo_distance(geo, gm.position(pts), signature(gm.m, gm.n)))
+
+
+def _check_base_point(gm: GraphMap, base_tol: float = 1e-9) -> None:
+    if np.linalg.norm(gm.position(np.zeros(gm.m))) > base_tol:
         raise BasePointError(
             "base point is not on the graph: X(0) != 0 and no offset configured; "
             "use GraphMap.with_base_point()"
         )
-    J, Hss, normals_raw = graph_immersion_jet(gm, x)
-    sig = signature(gm.m, gm.n)
-    geo = immersion_geometry(J, Hss, sig, normals_raw)
-    X = gm.position(x)
-    z = float(np.dot(X * sig, X))
-    grad = 2.0 * geo.tangent @ (sig * X)
-    Xe = geo.normal @ (sig * X)
-    hess = 2.0 * (np.eye(gm.m) - np.einsum("s,sij->ij", Xe, geo.h))
-    lap = 2.0 * gm.m - 2.0 * gm.m * float(np.dot(Xe, geo.H))
-    grad_norm = float(np.linalg.norm(grad))
+
+
+def _pseudo_distance(geo: Geometry, X: np.ndarray, sig: np.ndarray) -> PseudoDistancePoint:
+    """z and its derivatives at positions X (..., m+n) of the points of geo."""
+    m = geo.h.shape[-1]
+    sX = sig * X
+    z = np.einsum("...B,...B->...", sX, X)
+    grad = 2.0 * np.einsum("...iB,...B->...i", geo.tangent, sX)
+    Xe = np.einsum("...sB,...B->...s", geo.normal, sX)
+    hess = 2.0 * (np.eye(m) - np.einsum("...s,...sij->...ij", Xe, geo.h))
+    lap = 2.0 * m - 2.0 * m * np.einsum("...s,...s->...", Xe, geo.H)
+    grad_norm = np.linalg.norm(grad, axis=-1)
     return PseudoDistancePoint(z=z, grad=grad, grad_norm=grad_norm, hess=hess,
                                lap=lap, ratio=grad_norm / (z + 1.0))
 
@@ -480,7 +542,7 @@ def integrate_geodesic(gm: GraphMap, x0, v0, t_span, *, unit_speed: bool = True,
 
     def rhs(t, y):
         x, v = y[:m], y[m:]
-        g, dg, _ = graph_metric_derivs_order2(gm, x)
+        g, dg, _ = graph_metric_derivs(gm, x)
         gamma = christoffel(g, dg)
         acc = -np.einsum("kij,i,j->k", gamma, v, v)
         return np.concatenate([v, acc])
@@ -495,14 +557,6 @@ def integrate_geodesic(gm: GraphMap, x0, v0, t_span, *, unit_speed: bool = True,
     sol = solve_ivp(rhs, t_span, np.concatenate([x0, v0]), rtol=rtol, atol=atol,
                     dense_output=dense, events=events)
     return sol
-
-
-def graph_metric_derivs_order2(gm: GraphMap, x):
-    """(g, dg) only; cheaper than the full third-order pull when ddg is unused."""
-    _, A, He, _ = gm.jet_data(x)
-    g = np.eye(gm.m) - A.T @ A
-    dg = -(np.einsum("sip,sj->pij", He, A) + np.einsum("si,sjp->pij", A, He))
-    return g, dg, None
 
 
 # ---------------------------------------------------------------------------
@@ -539,12 +593,11 @@ def simons_report(gm: GraphMap, lattice: Lattice, stride: int = 1) -> SimonsRepo
     cube = [lat_mod.flat_offset(lattice, off) for off in itertools.product((-1, 0, 1), repeat=m)]
     s_nodes = np.unique(np.flatnonzero(chosen)[:, None] + cube)
 
+    # one pass over the S nodes; the slack nodes are among them
+    geo = graph_geometry(gm, pts[s_nodes])
+    _raise_first(_fault_check(geo.fault))
     s_field = np.full(pts.shape[0], np.nan)
-    for flat in s_nodes:
-        try:
-            s_field[flat] = fundamental_forms(gm, pts[flat]).S
-        except NotSpacelikeError:
-            pass
+    s_field[s_nodes] = geo.S
     ready = chosen & lat_mod.cube_all(np.isfinite(s_field).reshape(lattice.shape), 1)
     flats = np.flatnonzero(ready)
     if not flats.size:
@@ -552,21 +605,16 @@ def simons_report(gm: GraphMap, lattice: Lattice, stride: int = 1) -> SimonsRepo
     grad_s = lat_mod.central_gradient(s_field, lattice, flats)
     hess_s = lat_mod.central_hessian(s_field, lattice, flats)
 
-    slack = np.zeros(flats.size)
-    s_values = np.zeros(flats.size)
-    dh_max = 0.0
-    for k, flat in enumerate(flats):
-        x = pts[flat]
-        g, dg, _ = graph_metric_derivs_order2(gm, x)
-        g_inv = np.linalg.inv(g)
-        gamma = christoffel(g, dg)
-        lap_s = float(np.einsum("ij,ij->", g_inv, hess_s[k])
-                      - np.einsum("ij,kij,k->", g_inv, gamma, grad_s[k]))
-        pg = fundamental_forms(gm, x)
-        ch = covariant_h(gm, x)
-        dh_max = max(dh_max, float(np.linalg.norm(ch.mean_curv_deriv)))
-        rhs = float(np.sum(ch.h_cov**2)) - m * pg.H_norm * pg.S**1.5 + pg.S**2 / n
-        slack[k] = 0.5 * lap_s - rhs
-        s_values[k] = pg.S
+    geo = _take(geo, np.searchsorted(s_nodes, flats))
+    g, dg, _ = _metric_derivs(geo.A, geo.He, geo.Th)
+    g_inv = np.linalg.inv(g)
+    gamma = christoffel(g, dg)
+    lap_s = (np.einsum("...ij,...ij->...", g_inv, hess_s)
+             - np.einsum("...ij,...kij,...k->...", g_inv, gamma, grad_s))
+    ch = _covariant_h(geo, signature(m, n))
+    dh_max = max(0.0, float(np.sqrt(np.sum(ch.mean_curv_deriv**2, axis=(-2, -1))).max()))
+    rhs = (np.sum(ch.h_cov**2, axis=(-4, -3, -2, -1))
+           - m * geo.H_norm * geo.S**1.5 + geo.S**2 / n)
+    slack = 0.5 * lap_s - rhs
     return SimonsReport(points=pts[flats], slack=slack, min_slack=float(slack.min()),
-                        dh_max=dh_max, s_values=s_values)
+                        dh_max=dh_max, s_values=geo.S)

@@ -18,83 +18,114 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphgeom import GraphMap, NotSpacelikeError, adapted_frames, fundamental_forms
+from .graphgeom import (
+    GraphMap, NotSpacelikeError, _fault_check, _raise_first, _view, fundamental_forms,
+)
 
 
 @dataclass(frozen=True)
 class SpacelikePlane:
-    slope: np.ndarray  # (n, m)
+    """A plane, or a batch of planes, by its slope (..., n, m)."""
+
+    slope: np.ndarray  # (..., n, m)
 
     def __post_init__(self):
         object.__setattr__(self, "slope", np.atleast_2d(np.asarray(self.slope, dtype=float)))
 
     @property
     def m(self) -> int:
-        return self.slope.shape[1]
+        return self.slope.shape[-1]
 
     @property
     def n(self) -> int:
-        return self.slope.shape[0]
+        return self.slope.shape[-2]
 
     @property
-    def sigma_max(self) -> float:
-        return float(np.linalg.svd(self.slope, compute_uv=False)[0]) if self.slope.size else 0.0
+    def sigma_max(self):
+        if not min(self.slope.shape[-2:]):  # a plane with no slope
+            s = np.zeros(self.slope.shape[:-2])
+        else:
+            s = np.linalg.svd(self.slope, compute_uv=False)[..., 0]
+        return float(s) if s.ndim == 0 else s
 
     @property
-    def spacelike(self) -> bool:
+    def spacelike(self):
         return self.sigma_max < 1.0
 
 
 def gauss_map(gm: GraphMap, x) -> SpacelikePlane:
-    """Tangent plane of the graph at x, translated to the origin."""
-    _, A, _, _ = gm.jet_data(x)
+    """Tangent plane of the graph at a point x (m,), or the planes at a batch
+    of points (k, m)."""
+    _, A, _, _, fault = gm.jet_rows(np.asarray(x, dtype=float).reshape(-1, gm.m))
     plane = SpacelikePlane(A)
-    if not plane.spacelike:
-        raise NotSpacelikeError(1.0 - plane.sigma_max**2)
-    return plane
+    return _view(x, plane, *_gauss_checks(plane, fault))
 
 
-def _inv_sqrt_sym(M: np.ndarray) -> np.ndarray:
+def _gauss_checks(plane: SpacelikePlane, fault: np.ndarray):
+    """The checks of the Gauss map at a batch of points: a DomainError of
+    the jets, then a tangent plane that is not space-like."""
+    sigma = plane.sigma_max
+    return _fault_check(fault), (~(sigma < 1.0), lambda i: NotSpacelikeError(1.0 - sigma[i]**2))
+
+
+def _failure_check(value: np.ndarray):
+    """A NotSpacelikeError wherever ``value`` (the number it reports) is not nan."""
+    return ~np.isnan(value), lambda i: NotSpacelikeError(float(np.ravel(value)[i]))
+
+
+def _inv_sqrt_sym(M: np.ndarray):
+    """M^{-1/2} of a stack of symmetric matrices and their smallest
+    eigenvalues; M^{-1/2} is meaningless where that is not positive."""
     w, V = np.linalg.eigh(M)
-    if w[0] <= 0:
-        raise NotSpacelikeError(float(w[0]))
-    return (V / np.sqrt(w)) @ V.T
+    return (V / np.sqrt(np.where(w > 0, w, 1.0))[..., None, :]) @ np.swapaxes(V, -1, -2), w[..., 0]
 
 
-def boost_to_base(P: SpacelikePlane):
-    """Blocks of the pseudo-orthogonal boost taking P to the base plane.
+def _transport(A: np.ndarray, B: np.ndarray):
+    """Slopes of the planes B after the polar boost that moves the planes A
+    to the base plane, and per pair nan or the eigenvalue that shows the
+    boost does not exist.
 
-    The polar boost B with B[I; A] spanning P satisfies B^T eta B = eta;
+    The boost B with B[I; A] spanning the plane satisfies B^T eta B = eta;
     its inverse is [[S, -A^T T], [-A S, T]] with S = (I - A^T A)^{-1/2},
     T = (I - A A^T)^{-1/2}.
     """
-    A = P.slope
-    m = P.m
-    S = _inv_sqrt_sym(np.eye(m) - A.T @ A)
-    T = _inv_sqrt_sym(np.eye(P.n) - A @ A.T)
-    return S, T
+    At = np.swapaxes(A, -1, -2)
+    S, ws = _inv_sqrt_sym(np.eye(A.shape[-1]) - At @ A)
+    T, wt = _inv_sqrt_sym(np.eye(A.shape[-2]) - A @ At)
+    U = S - At @ T @ B
+    V = -A @ S + T @ B
+    return V @ np.linalg.inv(U), np.where(ws <= 0, ws, np.where(wt <= 0, wt, np.nan))
 
 
 def transport_slope(P: SpacelikePlane, Q: SpacelikePlane) -> np.ndarray:
     """Slope of Q after the isometry that moves P to the base plane."""
-    S, T = boost_to_base(P)
-    A, B = P.slope, Q.slope
-    U = S - A.T @ T @ B
-    V = -A @ S + T @ B
-    return V @ np.linalg.inv(U)
+    rel, failed = _transport(P.slope, Q.slope)
+    _raise_first(_failure_check(failed))
+    return rel
 
 
-def distance(P: SpacelikePlane, Q: SpacelikePlane) -> float:
-    """Geodesic distance between two space-like planes."""
-    if not P.spacelike or not Q.spacelike:
-        raise NotSpacelikeError(min(1 - P.sigma_max**2, 1 - Q.sigma_max**2))
-    rel = transport_slope(P, Q)
+def distance(P: SpacelikePlane, Q: SpacelikePlane):
+    """Geodesic distance between two space-like planes; batches of planes
+    broadcast against each other and give an array of distances."""
+    d, check = _distances(P, Q)
+    _raise_first(check)
+    return float(d) if d.ndim == 0 else d
+
+
+def _distances(P: SpacelikePlane, Q: SpacelikePlane):
+    """Distances of (batches of) planes, nan for a pair that fails, and the
+    check that raises its NotSpacelikeError."""
+    sp, sq = np.asarray(P.sigma_max), np.asarray(Q.sigma_max)
+    planes = (sp < 1.0) & (sq < 1.0)
+    keep = planes[..., None, None]
+    rel, failed = _transport(np.where(keep, P.slope, 0.0), np.where(keep, Q.slope, 0.0))
     sv = np.linalg.svd(rel, compute_uv=False)
-    if np.any(sv >= 1.0):
-        if np.any(sv >= 1.0 + 1e-12):
-            raise NotSpacelikeError(float(1.0 - sv[0] ** 2))
-        sv = np.clip(sv, 0.0, 1.0 - 1e-16)
-    return float(np.sqrt(np.sum(np.arctanh(sv) ** 2)))
+    beyond = np.where(sv[..., 0] >= 1.0 + 1e-12, 1.0 - sv[..., 0] ** 2, np.nan)
+    value = np.where(planes, np.where(np.isnan(failed), beyond, failed),
+                     np.minimum(1 - sp**2, 1 - sq**2))
+    # singular values in [1, 1 + 1e-12) are rounding: clip them (a no-op below 1)
+    d = np.sqrt(np.sum(np.arctanh(np.minimum(sv, 1.0 - 1e-16)) ** 2, axis=-1))
+    return np.where(np.isnan(value), d, np.nan), _failure_check(value)
 
 
 def chart_metric(A: np.ndarray, dA: np.ndarray) -> float:
@@ -134,8 +165,7 @@ def pullback_check(gm: GraphMap, x, direction, eps: float = 1e-2, rungs: int = 3
     components (normalized internally).
     """
     x = np.asarray(x, dtype=float)
-    fr = adapted_frames(gm, x)
-    pg = fundamental_forms(gm, x)
+    pg = fundamental_forms(gm, x)  # frames and h
     m = gm.m
     if np.isscalar(direction):
         v = np.zeros(m)
@@ -143,14 +173,10 @@ def pullback_check(gm: GraphMap, x, direction, eps: float = 1e-2, rungs: int = 3
     else:
         v = np.asarray(direction, dtype=float)
         v = v / np.linalg.norm(v)
-    coord_step = v @ fr.tangent_coeff  # coordinate displacement of the unit frame vector
-    base = gauss_map(gm, x)
-    quotients = []
-    e = eps
-    for _ in range(rungs):
-        there = gauss_map(gm, x + e * coord_step)
-        quotients.append(distance(base, there) / e)
-        e /= 2.0
+    coord_step = v @ pg.tangent_coeff  # coordinate displacement of the unit frame vector
+    steps = eps / 2.0 ** np.arange(rungs)
+    there = gauss_map(gm, x + steps[:, None] * coord_step)
+    quotients = (distance(gauss_map(gm, x), there) / steps).tolist()
     extrap = 2.0 * quotients[-1] - quotients[-2]
     formula = float(np.sqrt(np.sum((np.einsum("sij,j->si", pg.h, v)) ** 2)))
     rel = abs(extrap - formula) / max(1.0, formula)
@@ -172,7 +198,11 @@ def max_modulus(gm: GraphMap, samples, ref: SpacelikePlane) -> float:
 
     A lower bound for the true supremum over the sampled region.
     """
-    samples = list(samples)
-    if not samples:
+    samples = np.asarray(list(samples), dtype=float)
+    if not samples.size:
         raise ValueError("max_modulus needs a nonempty sample list")
-    return max(distance(gauss_map(gm, x), ref) for x in samples)
+    _, A, _, _, fault = gm.jet_rows(samples.reshape(-1, gm.m))
+    plane = SpacelikePlane(A)
+    d, check = _distances(plane, ref)
+    _raise_first(*_gauss_checks(plane, fault), check)
+    return float(np.max(d))

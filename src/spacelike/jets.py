@@ -9,6 +9,11 @@ gradient (..., m), Hessian (..., m, m) and third derivatives (..., m, m, m)
 for a batch of points of shape (..., m).  Arithmetic broadcasts from the
 right, so a point and a batch share one code path, and the tensors are made
 exactly symmetric by one gather from their sorted (i <= j <= k) slots.
+
+A point that leaves a function's domain, or whose data overflow, is marked
+rather than raised, so one evaluation serves a whole lattice: ``jet_rows``
+returns each point's DomainError next to the jets, while ``evaluate_jet``
+and ``eval_values`` raise the first one in evaluation order.
 """
 
 from __future__ import annotations
@@ -98,13 +103,26 @@ _OUT_OF_DOMAIN = {
 def _taylor(expr: Expr, pts: np.ndarray, order: int) -> tuple:
     """Truncated Taylor data of ``expr`` at points of shape (..., m).
 
-    Returns (value,) for order 0 and (value, grad, hess, third) for order 3,
-    each led by the batch shape of ``pts``.  A DomainError carries the span
-    of the offending subexpression.
+    Returns (coeffs, fault, errors): coeffs is (value,) for order 0 and
+    (value, grad, hess, third) for order 3, each led by the batch shape of
+    ``pts``.  A point that leaves a function's domain, or whose data end up
+    not finite, is marked instead of raised: ``fault`` holds each point's
+    first DomainError (None for a clean point), carrying the span of the
+    offending subexpression (the whole expression for a non-finite result),
+    and ``errors`` lists them in evaluation order.
     """
     shape, m = pts.shape[:-1], pts.shape[-1]
     zeros = (np.zeros(shape + (m,)), np.zeros(shape + (m, m)),
              np.zeros(shape + (m, m, m))) if order else ()
+    fault = np.full(shape, None, dtype=object)
+    errors = []
+
+    def mark(bad, message, span):
+        new = bad & np.equal(fault, None)
+        if np.any(new):
+            errors.append(DomainError(message, span))
+            fault[new] = errors[-1]
+
     post, todo = [], [expr]
     while todo:
         node = todo.pop()
@@ -131,11 +149,11 @@ def _taylor(expr: Expr, pts: np.ndarray, order: int) -> tuple:
                 t = tuple(-c for c in u)
             else:
                 bad = _OUT_OF_DOMAIN.get(node.op)
-                if bad is not None and np.any(bad(u[0])):
-                    raise DomainError(f"{node.op} argument out of range", node.span)
-                if order and node.op == "sqrt" and np.any(u[0] == 0):
-                    raise DomainError("sqrt argument must be positive for differentiation",
-                                      node.span)
+                if bad is not None:
+                    mark(bad(u[0]), f"{node.op} argument out of range", node.span)
+                if order and node.op == "sqrt":
+                    mark(u[0] == 0, "sqrt argument must be positive for differentiation",
+                         node.span)
                 fn, derivs = _ELEMENTARY[node.op]
                 v = fn(u[0])
                 t = _compose(u, v, *derivs(u[0], v)) if order else (v,)
@@ -148,18 +166,21 @@ def _taylor(expr: Expr, pts: np.ndarray, order: int) -> tuple:
             elif node.op == "*":
                 t = _mul(a, b) if order else (a[0] * b[0],)
             else:
-                if np.any(b[0] == 0):
-                    raise DomainError("division by zero", node.span)
+                mark(b[0] == 0, "division by zero", node.span)
                 t = _mul(a, _power(b, -1)) if order else (a[0] / b[0],)
         elif isinstance(node, Pow):
             u = stack.pop()
-            if node.exponent < 0 and np.any(u[0] == 0):
-                raise DomainError("zero raised to a negative power", node.span)
+            if node.exponent < 0:
+                mark(u[0] == 0, "zero raised to a negative power", node.span)
             t = _power(u, node.exponent) if order else (u[0] ** node.exponent,)
         else:
             raise TypeError(f"not an Expr: {node!r}")
         stack.append(t)
-    return stack[0]
+    coeffs = stack[0]
+    finite = np.logical_and.reduce(
+        [np.isfinite(c).all(axis=tuple(range(len(shape), c.ndim))) for c in coeffs])
+    mark(~finite, f"non-finite {'jet' if order else 'value'} (overflow or NaN)", expr.span)
+    return coeffs, fault, errors
 
 
 @lru_cache(maxsize=None)
@@ -194,13 +215,7 @@ class Jet3:
         return Jet3(*_mul(self._coeffs(), other._coeffs()))
 
 
-def evaluate_jet(expr: Expr, point) -> Jet3:
-    """Exact order-3 Taylor data of ``expr`` at a point (shape (m,)) or a batch
-    of points (shape (..., m)), up to rounding.
-
-    Raises DomainError outside an elementary function's domain and where the
-    jet overflows or is otherwise not finite.
-    """
+def _jet(expr: Expr, point) -> tuple:
     x = np.asarray(point, dtype=float)
     shape, m = x.shape[:-1], x.shape[-1]
     if m > MAX_DIM:
@@ -208,13 +223,36 @@ def evaluate_jet(expr: Expr, point) -> Jet3:
     # One point runs as a batch of one: numpy scalars and arrays round some
     # operations (u ** p, for one) differently, and rows must match batches.
     with np.errstate(all="ignore"):
-        value, grad, hess, third = _taylor(expr, x.reshape(-1, m), 3)
-    if not all(np.isfinite(a).all() for a in (value, grad, hess, third)):
-        raise DomainError("non-finite jet (overflow or NaN)", expr.span)
-    return Jet3(np.array(value).reshape(shape)[()],  # a copy: value may view x
-                grad.reshape(shape + (m,)),
-                hess.reshape(-1, m * m)[:, _sorted_slots(m, 2)].reshape(shape + (m, m)),
-                third.reshape(-1, m**3)[:, _sorted_slots(m, 3)].reshape(shape + (m, m, m)))
+        coeffs, fault, errors = _taylor(expr, x.reshape(-1, m), 3)
+    if errors:  # a failing point's jet is zero
+        clean = np.equal(fault, None)
+        coeffs = [np.where(clean.reshape((-1,) + (1,) * (c.ndim - 1)), c, 0.0) for c in coeffs]
+    value, grad, hess, third = coeffs
+    jet = Jet3(np.array(value).reshape(shape)[()],  # a copy: value may view x
+               grad.reshape(shape + (m,)),
+               hess.reshape(-1, m * m)[:, _sorted_slots(m, 2)].reshape(shape + (m, m)),
+               third.reshape(-1, m**3)[:, _sorted_slots(m, 3)].reshape(shape + (m, m, m)))
+    return jet, fault.reshape(shape), errors
+
+
+def evaluate_jet(expr: Expr, point) -> Jet3:
+    """Exact order-3 Taylor data of ``expr`` at a point (shape (m,)) or a batch
+    of points (shape (..., m)), up to rounding.
+
+    Raises DomainError outside an elementary function's domain and where the
+    jet overflows or is otherwise not finite; over a batch, the error of the
+    first offending subexpression in evaluation order.
+    """
+    jet, _, errors = _jet(expr, point)
+    if errors:
+        raise errors[0]
+    return jet
+
+
+def jet_rows(expr: Expr, point) -> tuple:
+    """``evaluate_jet`` without raising: the jet, zero at the points that
+    fail, and per point the DomainError it raises on its own, or None."""
+    return _jet(expr, point)[:2]
 
 
 # ---------------------------------------------------------------------------

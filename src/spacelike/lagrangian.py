@@ -11,6 +11,12 @@ The moduli-space curvature formulas of the induced Hessian metric are
 implemented both directly (third derivatives of F contracted against
 g^{-1}) and via an intrinsic Christoffel oracle for cross-checking.
 
+The per-point functions (gradient_graph, ma_residual, lagrangian_forms,
+moduli_curvature, moduli_curvature_oracle) take a point (m,) or a batch
+(k, m) and evaluate the jets of F once for the batch (plus once for the 2m
+shifted points of each finite-difference route); a batch gets batched
+records or the exception of its first failing point.
+
 to_standard() changes coordinates by the linear isometry
 (x, y) -> ((x+y)/2, (x-y)/2), which takes Q to diag(+1^m, -1^m), so the
 same graph can be processed by the general immersion machinery.
@@ -24,9 +30,13 @@ import numpy as np
 
 from .exprparse import Expr, parse
 from .graphgeom import (
-    ImmersionGeometry, immersion_geometry, paper_riemann_from_lowered, riemann_lowered,
+    SPACELIKE_TOL, Geometry, _fault_check, _geometry_checks, _raise_first, _take, _view,
+    immersion_geometry, paper_riemann_from_lowered, riemann_lowered,
 )
-from .jets import evaluate_jet
+from .jets import evaluate_jet, jet_rows
+
+
+ORACLE_FD_STEP = 1e-4  # central-difference step of the moduli-curvature oracle
 
 
 class NotConvexError(ValueError):
@@ -62,22 +72,45 @@ class GradientGraphPoint:
     convex: bool
 
 
-def gradient_graph(P: Potential, x) -> GradientGraphPoint:
-    jet = P.jet(x)
+def _potential_jets(P: Potential, x):
+    """Points (k, m), the jets of F there (zero where they fail) and each
+    point's DomainError or None."""
+    pts = np.asarray(x, dtype=float).reshape(-1, P.m)
+    return (pts,) + jet_rows(P.F, pts)
+
+
+def _shifted_jets(P: Potential, pts: np.ndarray, step: float):
+    """Jets at the points pts +- step e_l, stacked (k, 2m, ...), and per
+    point the DomainError of the first of its 2m shifted points that fails."""
+    shifts = step * np.eye(P.m)
+    jet, fault = jet_rows(P.F, np.concatenate([pts[:, None] + shifts, pts[:, None] - shifts], 1))
+    return jet, fault[np.arange(len(pts)), np.argmax(np.not_equal(fault, None), axis=1)]
+
+
+def _gradient_graph(pts: np.ndarray, jet) -> GradientGraphPoint:
     g = jet.hess
-    eigs = np.linalg.eigvalsh(g)
-    min_eig = float(eigs[0])
+    min_eig = np.linalg.eigvalsh(g)[..., 0]
     convex = min_eig > 0
-    det = float(np.linalg.det(g))
-    g_inv = np.linalg.inv(g) if convex else np.full_like(g, np.nan)
-    point = np.concatenate([np.asarray(x, dtype=float), jet.grad])
-    return GradientGraphPoint(point=point, metric=g, metric_inv=g_inv,
-                              det=det, min_eig=min_eig, convex=convex)
+    g_inv = np.linalg.inv(np.where(convex[..., None, None], g, np.eye(g.shape[-1])))
+    g_inv[~convex] = np.nan
+    return GradientGraphPoint(point=np.concatenate([pts, jet.grad], axis=-1), metric=g,
+                              metric_inv=g_inv, det=np.linalg.det(g), min_eig=min_eig,
+                              convex=convex)
+
+
+def _convex_check(gg: GradientGraphPoint):
+    return ~gg.convex, lambda i: NotConvexError(float(gg.min_eig[i]))
+
+
+def gradient_graph(P: Potential, x) -> GradientGraphPoint:
+    pts, jet, fault = _potential_jets(P, x)
+    return _view(x, _gradient_graph(pts, jet), _fault_check(fault))
 
 
 def ma_residual(P: Potential, x) -> float:
     """Signed Monge-Ampere residual det(Hess F)(x) - c."""
-    return float(np.linalg.det(P.jet(x).hess)) - P.c
+    pts, jet, fault = _potential_jets(P, x)
+    return _view(x, np.linalg.det(jet.hess) - P.c, _fault_check(fault))
 
 
 @dataclass
@@ -97,27 +130,33 @@ def lagrangian_forms(P: Potential, x) -> LagrangianForms:
     with g = det Hess F.  Frame-invariant norms:
     S = 1/4 g^{ik} g^{jl} g^{ab} F_ija F_klb and |H|^2 = g_pq H^p H^q.
     """
-    x = np.asarray(x, dtype=float)
-    gg = gradient_graph(P, x)
-    if not gg.convex:
-        raise NotConvexError(gg.min_eig)
-    jet = P.jet(x)
-    g, g_inv, det = gg.metric, gg.metric_inv, gg.det
+    pts, jet, fault = _potential_jets(P, x)
+    gg = _gradient_graph(pts, jet)
+    _raise_first(_fault_check(fault), _convex_check(gg))
+    forms, shift_fault = _lagrangian_forms(P, pts, jet, gg)
+    return _view(x, forms, _fault_check(shift_fault))
+
+
+def _lagrangian_forms(P: Potential, pts: np.ndarray, jet, gg: GradientGraphPoint):
+    """The forms at every point, and per point the DomainError of the
+    shifted jets of the identity residual (or None)."""
+    g, g_inv = gg.metric, gg.metric_inv
     T = jet.third
-    B = -0.5 * np.einsum("ijl,lk->ijk", T, g_inv)
+    B = -0.5 * np.einsum("...ijl,...lk->...ijk", T, g_inv)
     # d_l det = det * g^{ij} F_ijl  (Jacobi); verified as an internal identity
-    dlog = np.einsum("ij,ijl->l", g_inv, T)
-    H = -(1.0 / (2.0 * P.m)) * (dlog @ g_inv)
+    dlog = np.einsum("...ij,...ijl->...l", g_inv, T)
+    H = -(1.0 / (2.0 * P.m)) * np.einsum("...l,...lk->...k", dlog, g_inv)
     # independent route to d_l ln g via central differences of the jet values
     h_fd = 1e-6
-    shifts = h_fd * np.eye(P.m)
-    dets = np.linalg.det(P.jet(np.concatenate([x + shifts, x - shifts])).hess)
-    dp, dm = dets[:P.m], dets[P.m:]
-    resid = float(np.max(np.abs((np.log(dp) - np.log(dm)) / (2 * h_fd) - dlog)))
-    S = 0.25 * float(np.einsum("ik,jl,ab,ija,klb->", g_inv, g_inv, g_inv, T, T))
-    H_norm = float(np.sqrt(H @ g @ H))
+    shifted, shift_fault = _shifted_jets(P, pts, h_fd)
+    dets = np.linalg.det(shifted.hess)
+    dets[np.not_equal(shift_fault, None)] = 1.0  # zero jets; no residual there
+    dp, dm = dets[:, :P.m], dets[:, P.m:]
+    resid = np.max(np.abs((np.log(dp) - np.log(dm)) / (2 * h_fd) - dlog), axis=-1)
+    S = 0.25 * np.einsum("...ik,...jl,...ab,...ija,...klb->...", g_inv, g_inv, g_inv, T, T)
+    H_norm = np.sqrt(np.einsum("...p,...pq,...q->...", H, g, H))
     return LagrangianForms(B_coeff=B, H_coeff=H, S=S, H_norm=H_norm,
-                           logdet_identity_residual=resid)
+                           logdet_identity_residual=resid), shift_fault
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +170,7 @@ class StandardImmersion:
     J: np.ndarray              # (m, 2m)
     Hss: np.ndarray            # (m, m, 2m)
     normals: np.ndarray        # (m, 2m) transported n_i
-    geometry: ImmersionGeometry
+    geometry: Geometry
 
 
 def null_to_standard_matrix(m: int) -> np.ndarray:
@@ -159,8 +198,9 @@ def to_standard(P: Potential, x) -> StandardImmersion:
     Hss = np.einsum("ijB,AB->ijA", Hss_null, T)
     normals = normals_null @ T.T
     sig = np.concatenate([np.ones(m), -np.ones(m)])
-    geo = immersion_geometry(J, Hss, sig, normals)
-    return StandardImmersion(T=T, X=X, J=J, Hss=Hss, normals=normals, geometry=geo)
+    geo = immersion_geometry(J[None], Hss[None], sig, normals[None])
+    _raise_first(*_geometry_checks(geo, SPACELIKE_TOL))
+    return StandardImmersion(T=T, X=X, J=J, Hss=Hss, normals=normals, geometry=_take(geo, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -175,26 +215,28 @@ class ModuliCurvature:
 
 
 def moduli_curvature_arrays(g: np.ndarray, g_inv: np.ndarray, third: np.ndarray) -> ModuliCurvature:
-    """Curvature of the Hessian metric from (Hess F, its inverse, F_ijk)."""
-    R = (-0.25 * np.einsum("st,sik,tjl->ijkl", g_inv, third, third)
-         + 0.25 * np.einsum("st,sil,tjk->ijkl", g_inv, third, third))
-    dlog = np.einsum("ij,ijl->l", g_inv, third)  # d_t ln det g
-    ric = (-0.25 * np.einsum("st,sik,t->ik", g_inv, third, dlog)
-           + 0.25 * np.einsum("st,jl,sil,tjk->ik", g_inv, g_inv, third, third))
-    scal = (-0.25 * float(dlog @ g_inv @ dlog)
-            + 0.25 * float(np.einsum("st,jl,ik,sil,tjk->", g_inv, g_inv, g_inv, third, third)))
-    eigs = np.linalg.eigvalsh(0.5 * (ric + ric.T))
-    return ModuliCurvature(riemann=R, ricci=ric, scalar=scal, min_ricci_eig=float(eigs[0]))
+    """Curvature of the Hessian metric from (Hess F, its inverse, F_ijk),
+    over any leading batch axes."""
+    R = (-0.25 * np.einsum("...st,...sik,...tjl->...ijkl", g_inv, third, third)
+         + 0.25 * np.einsum("...st,...sil,...tjk->...ijkl", g_inv, third, third))
+    dlog = np.einsum("...ij,...ijl->...l", g_inv, third)  # d_t ln det g
+    ric = (-0.25 * np.einsum("...st,...sik,...t->...ik", g_inv, third, dlog)
+           + 0.25 * np.einsum("...st,...jl,...sil,...tjk->...ik", g_inv, g_inv, third, third))
+    scal = (-0.25 * np.einsum("...i,...ij,...j->...", dlog, g_inv, dlog)
+            + 0.25 * np.einsum("...st,...jl,...ik,...sil,...tjk->...",
+                               g_inv, g_inv, g_inv, third, third))
+    eigs = np.linalg.eigvalsh(0.5 * (ric + np.swapaxes(ric, -1, -2)))
+    return ModuliCurvature(riemann=R, ricci=ric, scalar=scal, min_ricci_eig=eigs[..., 0])
 
 
 def moduli_curvature(P: Potential, x) -> ModuliCurvature:
-    gg = gradient_graph(P, x)
-    if not gg.convex:
-        raise NotConvexError(gg.min_eig)
-    return moduli_curvature_arrays(gg.metric, gg.metric_inv, P.jet(x).third)
+    pts, jet, fault = _potential_jets(P, x)
+    gg = _gradient_graph(pts, jet)
+    _raise_first(_fault_check(fault), _convex_check(gg))
+    return _view(x, moduli_curvature_arrays(gg.metric, gg.metric_inv, jet.third))
 
 
-def moduli_curvature_oracle(P: Potential, x, fd_step: float = 1e-4) -> np.ndarray:
+def moduli_curvature_oracle(P: Potential, x, fd_step: float = ORACLE_FD_STEP) -> np.ndarray:
     """Intrinsic Christoffel-route curvature of the Hessian metric.
 
     g and dg come exactly from the order-3 jet; ddg (fourth derivatives of
@@ -202,17 +244,18 @@ def moduli_curvature_oracle(P: Potential, x, fd_step: float = 1e-4) -> np.ndarra
     the oracle is exact for quartic potentials and O(fd_step^2) otherwise.
     The fourth-derivative content cancels in the curvature combination.
     """
-    x = np.asarray(x, dtype=float)
-    jet = P.jet(x)
-    g = jet.hess
-    dg = np.einsum("ijp->pij", jet.third)
+    pts, jet, fault = _potential_jets(P, x)
+    shifted, shift_fault = _shifted_jets(P, pts, fd_step)
+    _raise_first(_fault_check(fault), _fault_check(shift_fault))
+    return _view(x, _moduli_oracle(P, jet, shifted, fd_step))
+
+
+def _moduli_oracle(P: Potential, jet, shifted, fd_step: float) -> np.ndarray:
     m = P.m
-    shifts = fd_step * np.eye(m)
-    third = evaluate_jet(P.F, np.concatenate([x + shifts, x - shifts])).third
-    diff = (third[:m] - third[m:]) / (2 * fd_step)
-    ddg = np.einsum("pijq->pqij", diff)  # ddg[p,q,i,j] = d_p d_q g_ij
-    rm = riemann_lowered(g, dg, ddg)
-    return paper_riemann_from_lowered(rm)
+    dg = np.einsum("...ijp->...pij", jet.third)
+    diff = (shifted.third[:, :m] - shifted.third[:, m:]) / (2 * fd_step)
+    ddg = np.einsum("...pijq->...pqij", diff)  # ddg[p,q,i,j] = d_p d_q g_ij
+    return paper_riemann_from_lowered(riemann_lowered(jet.hess, dg, ddg))
 
 
 def moduli_ricci_from_riemann(g_inv: np.ndarray, riemann: np.ndarray) -> np.ndarray:

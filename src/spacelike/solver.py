@@ -29,7 +29,9 @@ from scipy.sparse.linalg import spsolve
 
 from . import lattice as lat_mod
 from .exprparse import Expr, eval_values
-from .graphgeom import _graph_immersion, immersion_geometry, signature
+from .graphgeom import (
+    SPACELIKE_TOL, _geometry_checks, _graph_immersion, _raise_first, immersion_geometry, signature,
+)
 from .lattice import Lattice, LatticeError
 
 
@@ -439,24 +441,21 @@ def spline_geometry(field: GridField, pts, index_box):
         raise LatticeError("index_box must select an active subrectangle")
     sp = RectBivariateSpline(xs[i0:i1], ys[j0:j1], sub, kx=3, ky=3)
     pts = np.asarray(pts, dtype=float).reshape(-1, 2)
-    grad = [[sp(x, y, dx=1)[0, 0], sp(x, y, dy=1)[0, 0]] for x, y in pts]
-    hess = [[[sp(x, y, dx=2)[0, 0], sp(x, y, dx=1, dy=1)[0, 0]],
-             [sp(x, y, dx=1, dy=1)[0, 0], sp(x, y, dy=2)[0, 0]]] for x, y in pts]
-    return _n1_geometry(np.reshape(grad, (-1, 2)), np.reshape(hess, (-1, 2, 2)))
+    x, y = pts.T
+    fx, fy = sp(x, y, dx=1, grid=False), sp(x, y, dy=1, grid=False)
+    fxx, fxy, fyy = (sp(x, y, dx=2, grid=False), sp(x, y, dx=1, dy=1, grid=False),
+                     sp(x, y, dy=2, grid=False))
+    return _n1_geometry(np.stack([fx, fy], axis=-1),
+                        np.stack([fxx, fxy, fxy, fyy], axis=-1).reshape(-1, 2, 2))
 
 
 def _n1_geometry(grad: np.ndarray, hess: np.ndarray):
     """Frame-level S and |H| of the hypersurface graph with the given
     gradients (k, m) and Hessians (k, m, m)."""
-    sig = signature(grad.shape[1], 1)
-    S = np.zeros(grad.shape[0])
-    H = np.zeros(grad.shape[0])
-    for i in range(grad.shape[0]):
-        J, Hss, normals = _graph_immersion(grad[i][None], hess[i][None])
-        geo = immersion_geometry(J, Hss, sig, normals)
-        S[i] = geo.S
-        H[i] = geo.H_norm
-    return S, H
+    J, Hss, normals = _graph_immersion(grad[:, None], hess[:, None])
+    geo = immersion_geometry(J, Hss, signature(grad.shape[1], 1), normals)
+    _raise_first(*_geometry_checks(geo, SPACELIKE_TOL))
+    return geo.S, geo.H_norm
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from spacelike.cli import main
 
 
@@ -255,3 +257,48 @@ def test_determinism_byte_identical(tmp_path):
         assert res.returncode == 0, res.stderr
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def _hostile(change):
+    payload = {"m": 2, "n": 1, "components": ["0.6*x1"],
+               "lattice": {"lo": [-1, -1], "hi": [1, 1], "nodes": 5}}
+    change(payload)
+    return payload
+
+
+@pytest.mark.parametrize("payload, path", [
+    ([1, 2], "config"),
+    (_hostile(lambda p: p.update(m="two")), "m"),
+    (_hostile(lambda p: p["lattice"].update(mask="disc")), "lattice.mask"),
+    (_hostile(lambda p: p["lattice"].update(mask={"kind": "annulus", "r_min": 0.2})),
+     "lattice.mask.r_max"),
+    (_hostile(lambda p: p.update(solver={"tol": "small"})), "solver.tol"),
+    (_hostile(lambda p: p.update(solver=[])), "solver"),
+    (_hostile(lambda p: p["lattice"].update(lo=["a", -1])), "lattice.lo[0]"),
+    (_hostile(lambda p: p.update(components=[3])), "components[0]"),
+], ids=["top-level-array", "m-not-a-number", "mask-not-an-object", "annulus-without-r_max",
+        "tol-not-a-number", "solver-not-an-object", "lo-not-a-number", "component-not-a-string"])
+def test_hostile_config_values_exit_1(tmp_path, capsys, payload, path):
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    assert run_cli(["analyze", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {path}: ")
+
+
+def test_lagrangian_domain_error_is_a_node_status(tmp_path, capsys):
+    out = tmp_path / "l.csv"
+    cfg = write_config(tmp_path, "cfg.json", {
+        "m": 2, "potential": "x1^2+x2^2+0.1*log(x1+0.5)",
+        "lattice": {"lo": [-1, -1], "hi": [1, 1], "nodes": 5}, "out": str(out),
+    })
+    assert run_cli(["lagrangian", "--config", cfg, "--oracle"]) == 0
+    assert "25 nodes, 10 flagged" in capsys.readouterr().out
+    lines = out.read_text().strip().split("\n")
+    header = lines[0].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    for r in rows:
+        if float(r["x1"]) <= -0.5:
+            assert r["status"] == "error:DomainError"
+            assert r["det_hess"] == r["S"] == r["riemann_oracle_err"] == "nan"
+        else:
+            assert r["status"] == "ok"
+            assert float(r["riemann_oracle_err"]) <= 1e-6

@@ -1,0 +1,29 @@
+"""The demos that drive the per-point public API run to completion.
+
+Each demo runs in its own interpreter with numpy RuntimeWarnings turned into
+errors.  Demos 02 (catenoid solver) and 05 (Bernstein decay scan) are left
+out: they run lattice solves for tens of seconds each, and the solver tests
+cover that code.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize("name", ["01_graph_geometry_basics", "03_gauss_map_distances",
+                                  "04_lagrangian_monge_ampere",
+                                  "06_pseudo_distance_completeness"])
+def test_demo_runs(name):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    res = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", str(DEMOS / f"{name}.py")],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert res.returncode == 0, res.stderr
