@@ -29,7 +29,7 @@ import numpy as np
 from . import lattice as lat_mod
 from .exprparse import DomainError, Expr, eval_values
 from .graphgeom import (
-    SPACELIKE_TOL, BasePointError, GraphMap, NotSpacelikeError, _geometry_checks,
+    SPACELIKE_TOL, GraphMap, NotSpacelikeError, _check_base_point, _geometry_checks,
     _raise_first, graph_geometry, integrate_geodesic, pseudo_distance,
 )
 from .grassmann import SpacelikePlane, _distances, _gauss_checks, gauss_map
@@ -269,11 +269,7 @@ def completeness_probe(gm: GraphMap, directions, T: float, n_samples: int = 200,
     empirical growth exponent of z + 1 against the sampled supremum of
     |grad z| / (z + 1); the integrated gradient estimate forces
     b_emp <= ratio_sup (up to quadrature error)."""
-    origin = gm.position(np.zeros(gm.m))
-    if np.linalg.norm(origin) > 1e-9:
-        raise BasePointError(
-            "completeness probe requires X(0) = 0; use GraphMap.with_base_point()"
-        )
+    _check_base_point(gm)
     reports = []
     for d in directions:
         d = np.asarray(d, dtype=float)

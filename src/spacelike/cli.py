@@ -1,10 +1,14 @@
 """Command-line surface.
 
 Commands: analyze | lagrangian | solve-maximal | solve-ma | scan | check.
-Configuration comes from a single JSON file plus flag overrides
-(--config, --out, --format, --oracle, --seed).  Exit codes:
-0 success (warnings allowed), 1 config error, 2 numerical failure,
-3 invariant violation (check only).
+A job is one JSON config file plus flag overrides (--config, --out,
+--format, --oracle, --seed).  ``load_config`` checks it before any work
+starts against two tables: ``SCHEMA`` (each key's path, type, default and
+constraint) and ``REQUIRES`` (what each command needs).
+
+Exit codes: 0 success (warnings allowed), 1 config error (reported as
+``config error: <path>: ...``), 2 numerical failure, 3 invariant
+violation (check only).
 
 Output is fully deterministic: records are emitted in lexicographic node
 order and floats are printed with shortest round-trip repr, so identical
@@ -14,28 +18,31 @@ configs produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
-from . import lattice as lat_mod
-from .bernstein import ScanConfig, completeness_probe, decay_scan
-from .exprparse import DomainError, ParseError, parse
+from .bernstein import DecayScanRow, ScanConfig, completeness_probe, decay_scan
+from .exprparse import DomainError, ParseError, parse, pretty
 from .graphgeom import (
-    SPACELIKE_TOL, BasePointError, GraphMap, NotSpacelikeError, _extremal_residual,
-    _pseudo_distance, _ricci_margin, _take, _with_curvature, covariant_h, curvature,
-    fundamental_forms, graph_geometry, pseudo_distance, ricci_bound_check, signature,
+    BasePointError, GraphMap, NotSpacelikeError, adapted_frames, covariant_h, curvature,
+    first_bianchi_residual, frame_riemann_oracle, fundamental_forms, pseudo_distance,
+    ricci_bound_check, signature, simons_report,
 )
-from .grassmann import SpacelikePlane, _distances, distance, gauss_map
+from .grassmann import (
+    SpacelikePlane, distance, graph_node_table, hyperbolic_distance_n1, pullback_trace,
+)
+from .jets import finite_diff_check
 from .lagrangian import (
-    ORACLE_FD_STEP, NotConvexError, Potential, _gradient_graph, _lagrangian_forms, _moduli_oracle,
-    _potential_jets, _shifted_jets, gradient_graph, lagrangian_forms, moduli_curvature,
-    moduli_curvature_arrays, moduli_curvature_oracle, to_standard,
+    NotConvexError, Potential, gradient_graph, lagrangian_forms, moduli_curvature,
+    moduli_curvature_oracle, node_table, to_standard,
 )
-from .lattice import Lattice, LatticeError
+from .lattice import Lattice, LatticeError, active_mask, node_points
 from .solver import SolverError, save_field, solve_ma, solve_maximal
 
 EXIT_OK = 0
@@ -48,176 +55,195 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class JobConfig:
-    command: str
-    m: int = 2
-    n: int = 1
-    components: list = field(default_factory=list)
-    potential: str = None
-    lattice: Lattice = None
-    tol: float = 1e-10
-    max_iter: int = 40
-    c: float = 1.0
-    delta_safe: float = 1e-6
-    radii: list = field(default_factory=list)
-    scan: ScanConfig = field(default_factory=ScanConfig)
-    out: str = None
-    format: str = "csv"
-    oracle: bool = False
-    seed: int = 0
-    raw: dict = field(default_factory=dict)
+# ---------------------------------------------------------------------------
+# What a job may hold
+
+class Rule(NamedTuple):
+    text: str          # what must hold, as error messages and README print it
+    holds: Callable
 
 
-def _require(cond, path, message):
-    if not cond:
-        raise ConfigError(f"{path}: {message}")
+REQUIRED = "required"  # the default of a key that its object must give
+_POSITIVE = Rule("> 0", lambda v: v > 0)
+_AT_LEAST_1 = Rule(">= 1", lambda v: v >= 1)
+_AT_LEAST_2 = Rule(">= 2", lambda v: all(k >= 2 for k in np.ravel(v)))
+
+# (path, type, default, constraint), each object before its keys.  A key
+# that is absent or null takes its default; a list's constraint is on the
+# whole list.
+SCHEMA = (
+    ("m", "integer", 2, _AT_LEAST_1),
+    ("n", "integer", 1, _AT_LEAST_1),
+    ("components", "[string]", (), None),
+    ("potential", "string", None, None),
+    ("lattice", "object", None, None),
+    ("lattice.lo", "[number]", REQUIRED, None),
+    ("lattice.hi", "[number]", REQUIRED, None),
+    ("lattice.nodes", "integer or [integer]", None, _AT_LEAST_2),
+    ("lattice.spacing", "number", None, _POSITIVE),
+    ("lattice.mask", "object", None, None),
+    ("lattice.mask.kind", ("disc", "annulus"), REQUIRED, None),
+    ("lattice.mask.r_min", "number", None, _POSITIVE),
+    ("lattice.mask.r_max", "number", REQUIRED, _POSITIVE),
+    ("solver", "object", None, None),
+    ("solver.tol", "number", ScanConfig.tol, _POSITIVE),
+    ("solver.max_iter", "integer", ScanConfig.max_iter, _AT_LEAST_1),
+    ("solver.c", "number", 1.0, _POSITIVE),
+    ("solver.delta_safe", "number", 1e-6, Rule("in (0, 1)", lambda v: 0 < v < 1)),
+    ("radii", "[number]", (), Rule("0 < a1 < a2 < ...",
+                                   lambda v: all(b > a for a, b in zip([0.0] + v, v)))),
+    ("scan", "object", None, None),
+    ("scan.nodes", "integer", ScanConfig.nodes, _AT_LEAST_2),
+    ("scan.policy", ("fixed-nodes", "fixed-spacing"), ScanConfig.policy, None),
+    ("scan.spacing", "number", ScanConfig.spacing, _POSITIVE),
+    ("scan.domain", ("disc", "box"), ScanConfig.domain, None),
+    ("scan.center_fraction", "number", ScanConfig.center_fraction,
+     Rule("in (0, 1]", lambda v: 0 < v <= 1)),
+    ("out", "string", None, Rule("a file path", lambda v: v != "")),
+    ("format", ("csv", "json"), "csv", None),
+    ("oracle", "boolean", False, None),
+    ("seed", "integer", 0, Rule(">= 0", lambda v: v >= 0)),
+)
+
+_ONE_COMPONENT = ("components", Rule("one expression", lambda c: len(c["components"]) == 1))
+_POTENTIAL = ("potential", Rule("a potential", lambda c: c["potential"] is not None))
+_LATTICE = ("lattice", Rule("a lattice of dimension {m}",
+                            lambda c: c["lattice"] is not None and c["lattice"].m == c["m"]))
+
+# command -> what it needs beyond the defaults, as (path, rule on the job)
+REQUIRES = {
+    "analyze": (("components", Rule("{n} expressions",
+                                    lambda c: len(c["components"]) == c["n"])), _LATTICE),
+    "lagrangian": (_POTENTIAL, _LATTICE),
+    "solve-maximal": (_ONE_COMPONENT, _LATTICE),
+    "solve-ma": (_POTENTIAL, _LATTICE),
+    "scan": (_ONE_COMPONENT, ("radii", Rule("at least one radius", lambda c: len(c["radii"]) > 0)),
+             ("m", Rule("m = 2", lambda c: c["m"] == 2))),
+    "check": (),
+}
 
 
-def _as(kind, value, path):
-    """``kind(value)`` (int or float), or a ConfigError naming the entry."""
+def _finite(v) -> bool:
+    """A JSON number that is a finite float (a bool is not a number)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+# type -> (what a value must be, test, conversion)
+_TYPES = {
+    "number": ("a finite number", _finite, float),
+    "integer": ("an integer", lambda v: _finite(v) and v == int(v), int),
+    "string": ("a string", lambda v: isinstance(v, str), str),
+    "boolean": ("true or false", lambda v: isinstance(v, bool), bool),
+    "object": ("an object", lambda v: isinstance(v, dict), dict),
+}
+
+
+def _convert(kind, value, path: str):
+    """``value`` as the schema type ``kind``, or a ConfigError naming ``path``."""
+    if kind == "integer or [integer]":
+        kind = "[integer]" if isinstance(value, list) else "integer"
+    if isinstance(kind, tuple):  # one of the listed strings
+        if isinstance(value, str) and value in kind:
+            return value
+        what = "one of " + ", ".join(kind)
+    elif kind.startswith("["):
+        if isinstance(value, list):
+            return [_convert(kind[1:-1], v, f"{path}[{i}]") for i, v in enumerate(value)]
+        what = "an array"
+    else:
+        what, test, cast = _TYPES[kind]
+        if test(value):
+            return cast(value)
+    raise ConfigError(f"{path}: must be {what}, got {value!r}")
+
+
+def _validate(raw: dict) -> dict:
+    """Every schema path's checked value (an object's is its dict, or None)."""
+    cfg = {}
+    for path, kind, default, rule in SCHEMA:
+        parent, _, key = path.rpartition(".")
+        owner = cfg[parent] if parent else raw
+        value = None if owner is None else owner.get(key)
+        if value is None and default is REQUIRED and owner is not None:
+            raise ConfigError(f"{path}: required")
+        if value is None:
+            cfg[path] = None if default is REQUIRED else default
+            continue
+        cfg[path] = value = _convert(kind, value, path)
+        if rule is not None and not rule.holds(value):
+            raise ConfigError(f"{path}: must be {rule.text}, got {value!r}")
+    return cfg
+
+
+def _lattice(cfg: dict) -> Lattice | None:
+    """The lattice that the checked ``lattice.*`` values describe."""
+    if cfg["lattice"] is None:
+        return None
+    lo, hi = tuple(cfg["lattice.lo"]), tuple(cfg["lattice.hi"])
+    nodes, spacing = cfg["lattice.nodes"], cfg["lattice.spacing"]
+    kind, r_min, r_max = (cfg[f"lattice.mask.{key}"] for key in ("kind", "r_min", "r_max"))
+    if kind == "annulus" and not (r_min is not None and r_min < r_max):
+        raise ConfigError("lattice.mask.r_min: an annulus needs 0 < r_min < r_max")
+    if nodes is None and spacing is None:
+        raise ConfigError("lattice: needs spacing or nodes")
+    mask = None if kind is None else (kind, r_max) if kind == "disc" else (kind, r_min, r_max)
     try:
-        return kind(value)
-    except (TypeError, ValueError) as err:
-        what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{path}: must be {what}, got {value!r}") from err
-
-
-def _object(value, path) -> dict:
-    _require(isinstance(value, dict), path, "must be an object")
-    return value
-
-
-def _parse_lattice(d: dict, path: str) -> Lattice:
-    _object(d, path)
-    lo = d.get("lo")
-    hi = d.get("hi")
-    _require(isinstance(lo, list) and isinstance(hi, list), path, "needs lo and hi arrays")
-    _require(len(lo) == len(hi), path, "lo and hi must have equal length")
-    lo = tuple(_as(float, v, f"{path}.lo[{i}]") for i, v in enumerate(lo))
-    hi = tuple(_as(float, v, f"{path}.hi[{i}]") for i, v in enumerate(hi))
-    mask = None
-    md = d.get("mask")
-    if md is not None:
-        kind = _object(md, f"{path}.mask").get("kind")
-        if kind == "disc":
-            mask = ("disc", _as(float, md.get("r_max"), f"{path}.mask.r_max"))
-        elif kind == "annulus":
-            r_min = _as(float, md.get("r_min"), f"{path}.mask.r_min")
-            r_max = _as(float, md.get("r_max"), f"{path}.mask.r_max")
-            _require(0 < r_min < r_max, f"{path}.mask", "needs 0 < r_min < r_max")
-            mask = ("annulus", r_min, r_max)
-        else:
-            raise ConfigError(f"{path}.mask.kind: unknown kind {kind!r}")
-    try:
-        if d.get("spacing") is not None:
-            spacing = _as(float, d["spacing"], f"{path}.spacing")
-            _require(spacing > 0, f"{path}.spacing", "must be > 0")
+        if spacing is not None:
             return Lattice.from_spacing(lo, hi, spacing, mask=mask)
-        nodes = d.get("nodes")
-        _require(nodes is not None, path, "needs spacing or nodes")
-        if not isinstance(nodes, list):
-            nodes = [nodes] * len(lo)
-        return Lattice(lo, hi, tuple(_as(int, v, f"{path}.nodes") for v in nodes), mask)
+        return Lattice(lo, hi, tuple(nodes if isinstance(nodes, list) else [nodes] * len(lo)), mask)
     except LatticeError as err:
-        raise ConfigError(f"{path}: {err}") from err
+        raise ConfigError(f"lattice: {err}") from err
 
 
-def load_config(args) -> JobConfig:
+def load_config(args) -> dict:
+    """The checked job: each schema path's value, the built Lattice under
+    "lattice", and "command" and "raw" (the config file's own JSON)."""
     raw = {}
     if args.config:
         try:
             with open(args.config) as fh:
                 raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as err:
+        except (OSError, ValueError, RecursionError) as err:
             raise ConfigError(f"config: cannot read {args.config}: {err}") from err
-    _object(raw, "config")
-    cfg = JobConfig(command=args.command, raw=raw)
-    cfg.m = _as(int, raw.get("m", cfg.m), "m")
-    cfg.n = _as(int, raw.get("n", cfg.n), "n")
-    _require(cfg.m >= 1, "m", "must be >= 1")
-    _require(cfg.n >= 1, "n", "must be >= 1")
-    cfg.components = raw.get("components", [])
-    _require(isinstance(cfg.components, list), "components", "must be an array")
-    for i, text in enumerate(cfg.components):
-        _require(isinstance(text, str), f"components[{i}]", "must be an expression string")
-    cfg.potential = raw.get("potential")
-    _require(cfg.potential is None or isinstance(cfg.potential, str), "potential",
-             "must be an expression string")
-    if "lattice" in raw:
-        cfg.lattice = _parse_lattice(raw["lattice"], "lattice")
-    sol = _object(raw.get("solver", {}), "solver")
-    cfg.tol = _as(float, sol.get("tol", cfg.tol), "solver.tol")
-    cfg.max_iter = _as(int, sol.get("max_iter", cfg.max_iter), "solver.max_iter")
-    cfg.c = _as(float, sol.get("c", cfg.c), "solver.c")
-    cfg.delta_safe = _as(float, sol.get("delta_safe", cfg.delta_safe), "solver.delta_safe")
-    _require(cfg.tol > 0, "solver.tol", "must be > 0")
-    radii = raw.get("radii", [])
-    _require(isinstance(radii, list), "radii", "must be an array")
-    cfg.radii = [_as(float, a, f"radii[{i}]") for i, a in enumerate(radii)]
-    if cfg.radii:
-        _require(all(b > a for a, b in zip(cfg.radii, cfg.radii[1:])),
-                 "radii", "must be strictly increasing")
-    sc = _object(raw.get("scan", {}), "scan")
-    cfg.scan = ScanConfig(
-        nodes=_as(int, sc.get("nodes", 65), "scan.nodes"),
-        policy=sc.get("policy", "fixed-nodes"),
-        spacing=_as(float, sc.get("spacing", 0.25), "scan.spacing"),
-        domain=sc.get("domain", "disc"),
-        tol=cfg.tol,
-        max_iter=cfg.max_iter,
-        center_fraction=_as(float, sc.get("center_fraction", 0.25), "scan.center_fraction"),
-    )
-    _require(cfg.scan.policy in ("fixed-nodes", "fixed-spacing"), "scan.policy",
-             "must be fixed-nodes or fixed-spacing")
-    _require(cfg.scan.domain in ("disc", "box"), "scan.domain", "must be disc or box")
-    cfg.out = args.out or raw.get("out")
-    _require(cfg.out is None or isinstance(cfg.out, str), "out", "must be a path string")
-    cfg.format = args.format or raw.get("format", "csv")
-    _require(cfg.format in ("csv", "json"), "format", "must be csv or json")
-    cfg.oracle = bool(args.oracle or raw.get("oracle", False))
-    cfg.seed = _as(int, args.seed if args.seed is not None else raw.get("seed", 0), "seed")
+    if not isinstance(raw, dict):
+        raise ConfigError("config: must be an object")
+    flags = {"out": args.out, "format": args.format, "oracle": args.oracle, "seed": args.seed}
+    cfg = _validate({**raw, **{key: v for key, v in flags.items() if v is not None}})
+    cfg.update(command=args.command, raw=raw, lattice=_lattice(cfg))
+    for path, rule in REQUIRES[args.command]:
+        if not rule.holds(cfg):
+            raise ConfigError(f"{path}: {args.command} needs {rule.text.format_map(cfg)}")
     return cfg
 
 
-def _graph_map(cfg: JobConfig) -> GraphMap:
-    _require(len(cfg.components) == cfg.n, "components",
-             f"expected n={cfg.n} expressions, got {len(cfg.components)}")
+def _expressions(cfg: dict, path: str) -> list:
+    """The expressions at ``path`` ("components" or "potential"), parsed in m variables."""
+    texts = cfg[path] if path == "components" else [cfg[path]]
     try:
-        return GraphMap.from_strings(cfg.m, cfg.components)
+        return [parse(text, cfg["m"]) for text in texts]
     except ParseError as err:
-        raise ConfigError(f"components: {err}") from err
-
-
-def _potential(cfg: JobConfig) -> Potential:
-    _require(cfg.potential is not None, "potential", "required in potential mode")
-    try:
-        return Potential.from_string(cfg.m, cfg.potential, cfg.c)
-    except ParseError as err:
-        raise ConfigError(f"potential: {err}") from err
+        raise ConfigError(f"{path}: {err}") from err
 
 
 # ---------------------------------------------------------------------------
 # Deterministic writers
 
-def _fmt(v):
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v)) if np.isfinite(v) else "nan"
-    return str(v)
-
-
-def _json_value(v):
-    if isinstance(v, bool):
-        return v
-    if isinstance(v, (int, np.integer)):
+def _plain(v):
+    """A record value as a JSON value: numpy scalars become Python numbers,
+    and a float that is not finite the string "nan"."""
+    if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
         return int(v)
     if isinstance(v, (float, np.floating)):
         return float(v) if np.isfinite(v) else "nan"
     return v
+
+
+def _fmt(v) -> str:
+    """A record value as text, spelled as in JSON (by repr: json.dumps is slower)."""
+    v = _plain(v)
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return v if isinstance(v, str) else repr(v)
 
 
 def _csv_cell(s: str) -> str:
@@ -235,7 +261,7 @@ def write_records(path, columns, records, meta, fmt):
     else:
         payload = {
             "meta": meta,
-            "records": [{c: _json_value(rec[c]) for c in columns} for rec in records],
+            "records": [{c: _plain(rec[c]) for c in columns} for rec in records],
         }
         text = json.dumps(payload, indent=1) + "\n"
     if path is None:
@@ -245,208 +271,84 @@ def write_records(path, columns, records, meta, fmt):
             fh.write(text)
 
 
-def _meta(cfg: JobConfig) -> dict:
-    return {"version": __version__, "command": cfg.command, "config": cfg.raw}
+def _meta(cfg: dict) -> dict:
+    return {"version": __version__, "command": cfg["command"], "config": cfg["raw"]}
 
 
-# ---------------------------------------------------------------------------
-# analyze
-
-_NAN_COLS_ANALYZE = ["min_eig", "det_g", "H_norm", "S", "ricci_margin",
-                     "extremal_residual", "gauss_dist", "z", "grad_ratio"]
-
-
-def _node_records(cfg: JobConfig, pts: np.ndarray, status: np.ndarray, cols: dict) -> tuple:
-    """Column names and one record per node, from per-node arrays."""
-    columns = ["index"] + [f"x{d+1}" for d in range(cfg.m)] + ["status"] + list(cols)
+def _write_node_table(cfg: dict, pts: np.ndarray, status: np.ndarray, cols: dict) -> None:
+    """One record per node: its index, coordinates, status and columns."""
+    columns = ["index"] + [f"x{d+1}" for d in range(pts.shape[1])] + ["status"] + list(cols)
     data = [range(pts.shape[0])] + list(pts.T) + [status] + list(cols.values())
-    return columns, [dict(zip(columns, row)) for row in zip(*data)]
+    records = [dict(zip(columns, row)) for row in zip(*data)]
+    write_records(cfg["out"], columns, records, _meta(cfg), cfg["format"])
 
 
-def _filled(size: int, rows: np.ndarray, values) -> np.ndarray:
-    """A node column: ``values`` on the nodes ``rows`` (an index or mask), nan elsewhere."""
-    out = np.full(size, np.nan)
-    out[rows] = values
-    return out
+# ---------------------------------------------------------------------------
+# Commands
 
-
-def cmd_analyze(cfg: JobConfig) -> int:
-    gm = _graph_map(cfg).with_base_point()
-    _require(cfg.lattice is not None, "lattice", "required for analyze")
-    _require(cfg.lattice.m == cfg.m, "lattice", "dimension must match m")
-    lat = cfg.lattice
-    pts = lat_mod.node_points(lat)
-    act = lat_mod.active_mask(lat).ravel()
-    base = np.zeros(cfg.m)
-    if not (np.all(np.asarray(lat.lo) <= 0) and np.all(np.asarray(lat.hi) >= 0)):
-        base = 0.5 * (np.asarray(lat.lo) + np.asarray(lat.hi))
-    try:
-        ref = gauss_map(gm, base)
-    except NotSpacelikeError:
-        ref = None
-
-    # one pass over the active nodes; each later stage runs on the nodes
-    # that passed the earlier ones, and a node's status is its first failure
-    k = pts.shape[0]
-    nodes = np.flatnonzero(act)
-    geo = graph_geometry(gm, pts[nodes])
-    domain = np.not_equal(geo.fault, None)
-    framed = ~domain & (geo.min_eig > SPACELIKE_TOL)
-    on = nodes[framed]
-    fr = _with_curvature(_take(geo, framed))
-    planes = SpacelikePlane(fr.A)
-    if ref is None:  # no reference plane: the Gauss map is not evaluated
-        gauss_dist, gauss_bad = np.full(on.size, np.nan), np.zeros(on.size, dtype=bool)
-    else:
-        gauss_dist, check = _distances(planes, ref)
-        gauss_bad = ~(planes.sigma_max < 1.0) | check[0]
-    done = on[~gauss_bad]
-    pd = _pseudo_distance(_take(fr, ~gauss_bad), gm.position(pts[done]), signature(cfg.m, cfg.n))
-
-    status = np.where(act, "ok", "inactive").astype(object)
-    status[nodes[~domain & ~geo.spacelike]] = "not-spacelike"
-    status[nodes[geo.spacelike & ~framed]] = "error:NotSpacelikeError"
-    status[on[gauss_bad]] = "error:NotSpacelikeError"
-    status[nodes[domain]] = "error:DomainError"
-    cols = {
-        "min_eig": _filled(k, nodes[~domain], geo.min_eig[~domain]),
-        "det_g": _filled(k, nodes[~domain], geo.det_g[~domain]),
-        "H_norm": _filled(k, on, fr.H_norm),
-        "S": _filled(k, on, fr.S),
-        "ricci_margin": _filled(k, on, _ricci_margin(fr, cfg.m)),
-        "extremal_residual": _filled(k, on, np.linalg.norm(_extremal_residual(fr), axis=-1)),
-        "gauss_dist": _filled(k, on, gauss_dist),
-        "z": _filled(k, done, pd.z),
-        "grad_ratio": _filled(k, done, pd.ratio),
-    }
-    columns, records = _node_records(cfg, pts, status, cols)
-    write_records(cfg.out, columns, records, _meta(cfg), cfg.format)
+def cmd_analyze(cfg: dict) -> int:
+    gm = GraphMap.from_strings(cfg["m"], _expressions(cfg, "components")).with_base_point()
+    pts = node_points(cfg["lattice"])
+    status, cols = graph_node_table(gm, pts, active_mask(cfg["lattice"]).ravel())
+    _write_node_table(cfg, pts, status, cols)
     warn = int(np.sum((status != "ok") & (status != "inactive")))
-    print(f"analyze: {len(records)} nodes, {warn} warnings")
+    print(f"analyze: {len(status)} nodes, {warn} warnings")
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# lagrangian
-
-def cmd_lagrangian(cfg: JobConfig) -> int:
-    P = _potential(cfg)
-    _require(cfg.lattice is not None, "lattice", "required for lagrangian")
-    _require(cfg.lattice.m == cfg.m, "lattice", "dimension must match m")
-    pts = lat_mod.node_points(cfg.lattice)
-    k = pts.shape[0]
-
-    # one pass over the nodes; each later stage runs on the nodes that
-    # passed the earlier ones, and a node's status is its first failure
-    _, jet, fault = _potential_jets(P, pts)
-    gg = _gradient_graph(pts, jet)
-    convex = np.flatnonzero(gg.convex)
-    jet_c, gg_c = _take(jet, convex), _take(gg, convex)
-    forms, forms_fault = _lagrangian_forms(P, pts[convex], jet_c, gg_c)
-    mc = moduli_curvature_arrays(gg_c.metric, gg_c.metric_inv, jet_c.third)
-    formed = np.equal(forms_fault, None)
-    on = convex[formed]
-
-    clean = np.equal(fault, None)
-    status = np.where(clean, "not-convex", "error:DomainError").astype(object)
-    status[convex] = np.where(formed, "ok", "error:DomainError")
-    cols = {
-        "det_hess": _filled(k, clean, gg.det[clean]),
-        "min_eig_hess": _filled(k, clean, gg.min_eig[clean]),
-        "ma_residual": _filled(k, clean, gg.det[clean] - P.c),
-        "S": _filled(k, on, forms.S[formed]),
-        "H_norm": _filled(k, on, forms.H_norm[formed]),
-        "min_ricci_eig": _filled(k, on, mc.min_ricci_eig[formed]),
-        "scalar_curv": _filled(k, on, mc.scalar[formed]),
-    }
-    if cfg.oracle:
-        shifted, oracle_fault = _shifted_jets(P, pts[on], ORACLE_FD_STEP)
-        oracle = _moduli_oracle(P, _take(jet_c, formed), shifted, ORACLE_FD_STEP)
-        axes = (-4, -3, -2, -1)
-        scale = np.maximum(np.max(np.abs(oracle), axis=axes), 1e-10)
-        err = np.max(np.abs(mc.riemann[formed] - oracle), axis=axes) / scale
-        checked = np.equal(oracle_fault, None)
-        cols["riemann_oracle_err"] = _filled(k, on[checked], err[checked])
-        status[on[~checked]] = "error:DomainError"
-    columns, records = _node_records(cfg, pts, status, cols)
-    write_records(cfg.out, columns, records, _meta(cfg), cfg.format)
-    warn = int(np.sum(status != "ok"))
-    print(f"lagrangian: {len(records)} nodes, {warn} flagged")
+def cmd_lagrangian(cfg: dict) -> int:
+    P = Potential(cfg["m"], *_expressions(cfg, "potential"), cfg["solver.c"])
+    pts = node_points(cfg["lattice"])
+    status, cols = node_table(P, pts, cfg["oracle"])
+    _write_node_table(cfg, pts, status, cols)
+    print(f"lagrangian: {len(status)} nodes, {int(np.sum(status != 'ok'))} flagged")
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# solvers
-
-def cmd_solve(cfg: JobConfig) -> int:
-    _require(cfg.lattice is not None, "lattice", "required for solve commands")
-    if cfg.command == "solve-maximal":
-        gm_exprs = cfg.components
-        _require(len(gm_exprs) == 1, "components", "solve-maximal needs one boundary expression")
-        boundary = parse(gm_exprs[0], cfg.m)
-        fld, log = solve_maximal(cfg.lattice, boundary, tol=cfg.tol,
-                                 max_iter=cfg.max_iter, delta_safe=cfg.delta_safe)
+def cmd_solve(cfg: dict) -> int:
+    tol, max_iter = cfg["solver.tol"], cfg["solver.max_iter"]
+    if cfg["command"] == "solve-maximal":
+        (boundary,) = _expressions(cfg, "components")
+        fld, log = solve_maximal(cfg["lattice"], boundary, tol=tol, max_iter=max_iter,
+                                 delta_safe=cfg["solver.delta_safe"])
     else:
-        P = _potential(cfg)
-        fld, log = solve_ma(cfg.lattice, P.F, c=cfg.c, tol=cfg.tol, max_iter=cfg.max_iter)
-    out = cfg.out or "field.json"
-    save_field(fld, out, cfg.format if cfg.format in ("csv", "json") else "json")
+        (F,) = _expressions(cfg, "potential")
+        fld, log = solve_ma(cfg["lattice"], F, c=cfg["solver.c"], tol=tol, max_iter=max_iter)
+    out = cfg["out"] or "field.json"
+    save_field(fld, out, cfg["format"])
     for stage, it, res, damp in log.steps:
         print(f"stage={_fmt(stage)} iter={it} residual={_fmt(res)} damping={_fmt(damp)}")
-    print(f"final residual {_fmt(log.final_residual)} (tol {_fmt(cfg.tol)}) -> {out}")
+    print(f"final residual {_fmt(log.final_residual)} (tol {_fmt(tol)}) -> {out}")
     return EXIT_OK
 
 
-def cmd_scan(cfg: JobConfig) -> int:
-    _require(len(cfg.components) == 1, "components", "scan needs one boundary expression")
-    _require(len(cfg.radii) >= 1, "radii", "scan needs at least one radius")
-    boundary = parse(cfg.components[0], cfg.m)
-    scan = decay_scan(boundary, cfg.radii, cfg.scan)
-    records = []
-    for row in scan.rows:
-        records.append({
-            "a": row.a, "s_center": row.s_center, "s_center_node": row.s_center_node,
-            "nodes": row.nodes, "spacing": row.spacing, "status": row.status,
-        })
-    meta = _meta(cfg)
-    meta["slope"] = _json_value(scan.slope if scan.slope is not None else np.nan)
-    meta["slope_kind"] = scan.slope_kind
-    write_records(cfg.out, ["a", "s_center", "s_center_node", "nodes", "spacing", "status"],
-                  records, meta, cfg.format)
-    slope_txt = "exact-zero" if scan.slope_kind == "exact-zero" else _fmt(
-        scan.slope if scan.slope is not None else np.nan)
+def cmd_scan(cfg: dict) -> int:
+    (boundary,) = _expressions(cfg, "components")
+    keys = ("nodes", "policy", "spacing", "domain", "center_fraction")
+    scan_cfg = ScanConfig(tol=cfg["solver.tol"], max_iter=cfg["solver.max_iter"],
+                          **{key: cfg[f"scan.{key}"] for key in keys})
+    scan = decay_scan(boundary, cfg["radii"], scan_cfg)
+    slope = np.nan if scan.slope is None else scan.slope
+    meta = {**_meta(cfg), "slope": _plain(slope), "slope_kind": scan.slope_kind}
+    write_records(cfg["out"], [f.name for f in fields(DecayScanRow)],
+                  [asdict(row) for row in scan.rows], meta, cfg["format"])
+    slope_txt = "exact-zero" if scan.slope_kind == "exact-zero" else _fmt(slope)
     print(f"scan: fitted log-log slope {slope_txt}")
-    if any(r.status != "ok" for r in scan.rows):
-        return EXIT_NUMERICAL
-    return EXIT_OK
+    return EXIT_NUMERICAL if any(row.status != "ok" for row in scan.rows) else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # check: built-in battery aggregating the per-module invariants
 
 def _battery(seed: int):
-    import itertools as it
-
-    from .exprparse import pretty
-    from .graphgeom import (
-        adapted_frames, first_bianchi_residual, frame_riemann_oracle, signature,
-        simons_report,
-    )
-    from .grassmann import (
-        hyperbolic_distance_n1, pullback_trace,
-    )
-    from .jets import finite_diff_check
-    from .lattice import Lattice
-
     rng = np.random.default_rng(seed)
 
     def random_graph(m, n, degree=3, sigma=0.5):
-        terms = []
         point = rng.uniform(-0.3, 0.3, size=m)
         comps = []
         for _ in range(n):
             parts = []
-            for alpha in it.product(range(degree + 1), repeat=m):
+            for alpha in itertools.product(range(degree + 1), repeat=m):
                 if sum(alpha) > degree:
                     continue
                 c = float(rng.normal())
@@ -508,7 +410,6 @@ def _battery(seed: int):
     @check("bianchi-schwarz-ricci-bound")
     def _():
         ok = True
-        detail = []
         for _ in range(10):
             gm, x = random_graph(2, 2)
             pg = curvature(gm, x)
@@ -606,7 +507,6 @@ def _battery(seed: int):
     @check("moduli-curvature-oracle")
     def _():
         worst = 0.0
-        quad_ok = True
         for _ in range(5):
             terms = ["0.5*x1^2", "0.5*x2^2"]
             for mono in ("x1^3", "x2^3", "x1^2*x2^2", "x1^4", "x2^4"):
@@ -627,7 +527,7 @@ def _battery(seed: int):
     def _():
         lat = Lattice.box((-1, -1), (1, 1), 17)
         fld, log = solve_maximal(lat, parse("0.25*x1 - 0.1*x2", 2))
-        pts = lat_mod.node_points(lat)
+        pts = node_points(lat)
         exact = 0.25 * pts[:, 0] - 0.1 * pts[:, 1]
         ok = float(np.max(np.abs(fld.values.ravel() - exact))) <= 1e-12
         fld2, log2 = solve_ma(lat, parse("0.5*(x1^2+x2^2)", 2), c=1.0, tol=1e-12)
@@ -651,8 +551,9 @@ def _battery(seed: int):
     return checks
 
 
-def cmd_check(cfg: JobConfig) -> int:
-    checks = _battery(cfg.seed)
+
+def cmd_check(cfg: dict) -> int:
+    checks = _battery(cfg["seed"])
     records = []
     all_ok = True
     for name, fn in checks:
@@ -663,8 +564,12 @@ def cmd_check(cfg: JobConfig) -> int:
         all_ok &= ok
         records.append({"suite": name, "result": "pass" if ok else "FAIL", "detail": detail})
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-    write_records(cfg.out, ["suite", "result", "detail"], records, _meta(cfg), cfg.format)
+    write_records(cfg["out"], ["suite", "result", "detail"], records, _meta(cfg), cfg["format"])
     return EXIT_OK if all_ok else EXIT_INVARIANT
+
+
+COMMANDS = {"analyze": cmd_analyze, "lagrangian": cmd_lagrangian, "solve-maximal": cmd_solve,
+            "solve-ma": cmd_solve, "scan": cmd_scan, "check": cmd_check}
 
 
 # ---------------------------------------------------------------------------
@@ -675,8 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="space-like graph geometry: batch analysis, lattice solvers, "
                     "decay scans and invariant checks",
     )
-    ap.add_argument("command", choices=["analyze", "lagrangian", "solve-maximal",
-                                        "solve-ma", "scan", "check"])
+    ap.add_argument("command", choices=list(COMMANDS))
     ap.add_argument("--config", help="path to the JSON job configuration")
     ap.add_argument("--out", help="output file (default: stdout or command default)")
     ap.add_argument("--format", choices=["csv", "json"], default=None)
@@ -690,24 +594,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args)
-        if cfg.command == "analyze":
-            return cmd_analyze(cfg)
-        if cfg.command == "lagrangian":
-            return cmd_lagrangian(cfg)
-        if cfg.command in ("solve-maximal", "solve-ma"):
-            return cmd_solve(cfg)
-        if cfg.command == "scan":
-            return cmd_scan(cfg)
-        return cmd_check(cfg)
-    except (ConfigError, ParseError) as err:
+        return COMMANDS[args.command](load_config(args))
+    except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as err:  # the output file cannot be written
+        print(f"config error: out: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except (SolverError, NotSpacelikeError, NotConvexError, BasePointError,
             DomainError, LatticeError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -168,6 +168,13 @@ def _take(v, idx):
     return v.item() if isinstance(v, np.generic) else v
 
 
+def _filled(size: int, rows, values) -> np.ndarray:
+    """A node column: ``values`` on the nodes ``rows`` (an index or mask), nan elsewhere."""
+    out = np.full(size, np.nan)
+    out[rows] = values
+    return out
+
+
 def _raise_first(*checks) -> None:
     """Raise the error of the first failing point of a batch.  ``checks`` are
     (bad, error) pairs in the order one point runs them: a mask over the

@@ -19,7 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphgeom import (
-    GraphMap, NotSpacelikeError, _fault_check, _raise_first, _view, fundamental_forms,
+    SPACELIKE_TOL, GraphMap, NotSpacelikeError, _extremal_residual, _fault_check, _filled,
+    _pseudo_distance, _raise_first, _ricci_margin, _take, _view, _with_curvature,
+    fundamental_forms, graph_geometry, signature,
 )
 
 
@@ -206,3 +208,56 @@ def max_modulus(gm: GraphMap, samples, ref: SpacelikePlane) -> float:
     d, check = _distances(plane, ref)
     _raise_first(*_gauss_checks(plane, fault), check)
     return float(np.max(d))
+
+
+# ---------------------------------------------------------------------------
+# Node table of a graph, in the lowest module that sees the Gauss map
+
+def graph_node_table(gm: GraphMap, pts: np.ndarray, active: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Status and named columns of the graph at the nodes ``pts`` (k, m).
+
+    One batched pass over the ``active`` nodes; each stage runs on the
+    nodes that passed the earlier ones, a node's status is its first
+    failure, and a column is nan where a node does not reach it.
+    ``gauss_dist`` is to the tangent plane over the origin, or over the
+    centre of the nodes' box when the origin is outside it (nan where that
+    plane is not space-like); ``z`` assumes X(0) = 0.
+    """
+    k = pts.shape[0]
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    base = np.zeros(gm.m) if np.all(lo <= 0) and np.all(hi >= 0) else 0.5 * (lo + hi)
+    try:
+        ref = gauss_map(gm, base)
+    except NotSpacelikeError:
+        ref = None
+    nodes = np.flatnonzero(active)
+    geo = graph_geometry(gm, pts[nodes])
+    domain = np.not_equal(geo.fault, None)
+    framed = ~domain & (geo.min_eig > SPACELIKE_TOL)
+    on = nodes[framed]
+    fr = _with_curvature(_take(geo, framed))
+    planes = SpacelikePlane(fr.A)
+    if ref is None:
+        gauss_dist, gauss_bad = np.full(on.size, np.nan), np.zeros(on.size, dtype=bool)
+    else:
+        gauss_dist, check = _distances(planes, ref)
+        gauss_bad = ~(planes.sigma_max < 1.0) | check[0]
+    done = on[~gauss_bad]
+    pd = _pseudo_distance(_take(fr, ~gauss_bad), gm.position(pts[done]), signature(gm.m, gm.n))
+
+    status = np.where(active, "ok", "inactive").astype(object)
+    status[nodes[~domain & ~geo.spacelike]] = "not-spacelike"
+    status[nodes[geo.spacelike & ~framed]] = "error:NotSpacelikeError"
+    status[on[gauss_bad]] = "error:NotSpacelikeError"
+    status[nodes[domain]] = "error:DomainError"
+    return status, {
+        "min_eig": _filled(k, nodes[~domain], geo.min_eig[~domain]),
+        "det_g": _filled(k, nodes[~domain], geo.det_g[~domain]),
+        "H_norm": _filled(k, on, fr.H_norm),
+        "S": _filled(k, on, fr.S),
+        "ricci_margin": _filled(k, on, _ricci_margin(fr, gm.m)),
+        "extremal_residual": _filled(k, on, np.linalg.norm(_extremal_residual(fr), axis=-1)),
+        "gauss_dist": _filled(k, on, gauss_dist),
+        "z": _filled(k, done, pd.z),
+        "grad_ratio": _filled(k, done, pd.ratio),
+    }

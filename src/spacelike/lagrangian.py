@@ -30,8 +30,8 @@ import numpy as np
 
 from .exprparse import Expr, parse
 from .graphgeom import (
-    SPACELIKE_TOL, Geometry, _fault_check, _geometry_checks, _raise_first, _take, _view,
-    immersion_geometry, paper_riemann_from_lowered, riemann_lowered,
+    SPACELIKE_TOL, Geometry, _fault_check, _filled, _geometry_checks, _raise_first, _take,
+    _view, immersion_geometry, paper_riemann_from_lowered, riemann_lowered,
 )
 from .jets import evaluate_jet, jet_rows
 
@@ -261,3 +261,48 @@ def _moduli_oracle(P: Potential, jet, shifted, fd_step: float) -> np.ndarray:
 def moduli_ricci_from_riemann(g_inv: np.ndarray, riemann: np.ndarray) -> np.ndarray:
     """g-contraction Ric_ik = g^{jl} R_jilk of the slot-ordered tensor."""
     return np.einsum("jl,jilk->ik", g_inv, riemann)
+
+
+# ---------------------------------------------------------------------------
+# Node table of a potential
+
+def node_table(P: Potential, pts: np.ndarray, oracle: bool) -> tuple[np.ndarray, dict]:
+    """Status and named columns of the gradient graph of P at the nodes ``pts`` (k, m).
+
+    One batched pass; each stage runs on the nodes that passed the earlier
+    ones, a node's status is its first failure, and a column is nan where a
+    node does not reach it.  ``oracle`` adds ``riemann_oracle_err``, the
+    relative deviation of the moduli curvature from its Christoffel oracle.
+    """
+    k = pts.shape[0]
+    _, jet, fault = _potential_jets(P, pts)
+    gg = _gradient_graph(pts, jet)
+    convex = np.flatnonzero(gg.convex)
+    jet_c, gg_c = _take(jet, convex), _take(gg, convex)
+    forms, forms_fault = _lagrangian_forms(P, pts[convex], jet_c, gg_c)
+    mc = moduli_curvature_arrays(gg_c.metric, gg_c.metric_inv, jet_c.third)
+    formed = np.equal(forms_fault, None)
+    on = convex[formed]
+
+    clean = np.equal(fault, None)
+    status = np.where(clean, "not-convex", "error:DomainError").astype(object)
+    status[convex] = np.where(formed, "ok", "error:DomainError")
+    cols = {
+        "det_hess": _filled(k, clean, gg.det[clean]),
+        "min_eig_hess": _filled(k, clean, gg.min_eig[clean]),
+        "ma_residual": _filled(k, clean, gg.det[clean] - P.c),
+        "S": _filled(k, on, forms.S[formed]),
+        "H_norm": _filled(k, on, forms.H_norm[formed]),
+        "min_ricci_eig": _filled(k, on, mc.min_ricci_eig[formed]),
+        "scalar_curv": _filled(k, on, mc.scalar[formed]),
+    }
+    if oracle:
+        shifted, oracle_fault = _shifted_jets(P, pts[on], ORACLE_FD_STEP)
+        ref = _moduli_oracle(P, _take(jet_c, formed), shifted, ORACLE_FD_STEP)
+        axes = (-4, -3, -2, -1)
+        scale = np.maximum(np.max(np.abs(ref), axis=axes), 1e-10)
+        err = np.max(np.abs(mc.riemann[formed] - ref), axis=axes) / scale
+        checked = np.equal(oracle_fault, None)
+        cols["riemann_oracle_err"] = _filled(k, on[checked], err[checked])
+        status[on[~checked]] = "error:DomainError"
+    return status, cols

@@ -266,22 +266,113 @@ def _hostile(change):
     return payload
 
 
-@pytest.mark.parametrize("payload, path", [
-    ([1, 2], "config"),
-    (_hostile(lambda p: p.update(m="two")), "m"),
-    (_hostile(lambda p: p["lattice"].update(mask="disc")), "lattice.mask"),
-    (_hostile(lambda p: p["lattice"].update(mask={"kind": "annulus", "r_min": 0.2})),
+def _scan_job(p):
+    p.update(radii=[2.0], scan={"nodes": 9})
+
+
+def _potential_job(p):
+    p.update(potential="0.5*(x1^2+x2^2)")
+
+
+@pytest.mark.parametrize("argv, payload, path", [
+    (["analyze"], [1, 2], "config"),
+    (["analyze"], _hostile(lambda p: p.update(m="two")), "m"),
+    (["analyze"], _hostile(lambda p: p["lattice"].update(mask="disc")), "lattice.mask"),
+    (["analyze"], _hostile(lambda p: p["lattice"].update(mask={"kind": "annulus", "r_min": 0.2})),
      "lattice.mask.r_max"),
-    (_hostile(lambda p: p.update(solver={"tol": "small"})), "solver.tol"),
-    (_hostile(lambda p: p.update(solver=[])), "solver"),
-    (_hostile(lambda p: p["lattice"].update(lo=["a", -1])), "lattice.lo[0]"),
-    (_hostile(lambda p: p.update(components=[3])), "components[0]"),
+    (["analyze"], _hostile(lambda p: p.update(solver={"tol": "small"})), "solver.tol"),
+    (["analyze"], _hostile(lambda p: p.update(solver=[])), "solver"),
+    (["analyze"], _hostile(lambda p: p["lattice"].update(lo=["a", -1])), "lattice.lo[0]"),
+    (["analyze"], _hostile(lambda p: p.update(components=[3])), "components[0]"),
+    (["solve-ma"], _hostile(lambda p: (_potential_job(p), p.update(solver={"c": -1}))), "solver.c"),
+    (["solve-ma"], _hostile(lambda p: (_potential_job(p), p.update(solver={"c": 0}))), "solver.c"),
+    (["scan"], _hostile(lambda p: (_scan_job(p), p["scan"].update(policy="fixed-spacing", spacing=0))),
+     "scan.spacing"),
+    (["check", "--seed", "-5"], {}, "seed"),
+    (["scan"], _hostile(lambda p: (_scan_job(p), p.update(m=3, components=["0.3*x1+0.1*x3"]))), "m"),
+    (["scan"], _hostile(lambda p: (_scan_job(p), p.update(radii=[-2, -1]))), "radii"),
+    (["analyze"], _hostile(lambda p: p["lattice"].update(lo=[float("nan"), -1])), "lattice.lo[0]"),
+    (["scan"], _hostile(lambda p: (_scan_job(p), p["scan"].update(nodes=1))), "scan.nodes"),
+    (["analyze"], _hostile(lambda p: p["lattice"].update(nodes=5.7)), "lattice.nodes"),
+    (["analyze"], _hostile(lambda p: p.update(m=2.5)), "m"),
+    (["solve-maximal"], _hostile(lambda p: p.update(solver={"delta_safe": 2})), "solver.delta_safe"),
+    (["solve-maximal"], _hostile(lambda p: p.update(solver={"tol": float("inf")})), "solver.tol"),
+    (["solve-maximal"], _hostile(lambda p: p.update(solver={"max_iter": -3})), "solver.max_iter"),
+    (["lagrangian"], _hostile(lambda p: (_potential_job(p), p.update(oracle="false"))), "oracle"),
+    (["scan"], _hostile(lambda p: (_scan_job(p), p["scan"].update(center_fraction=-1))),
+     "scan.center_fraction"),
+    (["analyze"], _hostile(lambda p: p["lattice"].update(mask={"kind": "disc", "r_max": -1})),
+     "lattice.mask.r_max"),
 ], ids=["top-level-array", "m-not-a-number", "mask-not-an-object", "annulus-without-r_max",
-        "tol-not-a-number", "solver-not-an-object", "lo-not-a-number", "component-not-a-string"])
-def test_hostile_config_values_exit_1(tmp_path, capsys, payload, path):
+        "tol-not-a-number", "solver-not-an-object", "lo-not-a-number", "component-not-a-string",
+        "ma-c-negative", "ma-c-zero", "scan-spacing-zero", "check-seed-negative",
+        "scan-m3", "radii-negative", "lo-nan", "scan-one-node", "nodes-fractional",
+        "m-fractional", "delta_safe-above-1", "tol-infinite", "max_iter-negative",
+        "oracle-a-string", "center_fraction-negative", "r_max-negative"])
+def test_hostile_config_values_exit_1(tmp_path, capsys, argv, payload, path):
     cfg = write_config(tmp_path, "cfg.json", payload)
-    assert run_cli(["analyze", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 1
+    assert run_cli(argv + ["--config", cfg, "--out", str(tmp_path / "r.csv")]) == 1
     assert capsys.readouterr().err.startswith(f"config error: {path}: ")
+
+
+def test_unwritable_out_exits_1(tmp_path, capsys):
+    cfg = analyze_config(tmp_path, str(tmp_path / "missing" / "r.csv"))
+    assert run_cli(["analyze", "--config", cfg]) == 1
+    assert capsys.readouterr().err.startswith("config error: out: ")
+    assert run_cli(["analyze", "--config", cfg, "--out", ""]) == 1
+    assert capsys.readouterr().err.startswith("config error: out: must be a file path")
+
+
+def test_integer_valued_numbers_are_counts(tmp_path):
+    # 5.0 is the count 5: the same job gives the same bytes
+    outs = []
+    for m, nodes in ((2, 5), (2.0, 5.0)):
+        out = tmp_path / f"r{nodes}.csv"
+        cfg = write_config(tmp_path, "cfg.json", {
+            "m": m, "n": 1, "components": ["0.6*x1+0.1*x2^2"],
+            "lattice": {"lo": [-1, -1], "hi": [1, 1], "nodes": nodes}})
+        assert run_cli(["analyze", "--config", cfg, "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_cli_imports_only_public_names():
+    import ast
+
+    import spacelike.cli as cli_mod
+
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    tree = ast.parse(open(cli_mod.__file__).read())
+    found, modules = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("spacelike")):
+            found += [alias.name for alias in node.names if private(alias.name)]
+            modules |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names
+                      if alias.name.startswith("spacelike") and any(map(private, alias.name.split(".")))]
+    found += [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules and private(node.attr)]
+    assert found == []
+
+
+def test_readme_lists_the_schema():
+    from pathlib import Path
+
+    from spacelike.cli import REQUIRED, REQUIRES, SCHEMA
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for path, kind, default, rule in SCHEMA:
+        kind = " or ".join(f"`{k}`" for k in kind) if isinstance(kind, tuple) else kind
+        default = "required" if default is REQUIRED else f"`{json.dumps(default)}`"
+        row = f"| `{path}` | {kind} | {default} | {'' if rule is None else rule.text} |"
+        assert row in readme, row
+    for command, needs in REQUIRES.items():
+        needs = ", ".join(rule.text.replace("{", "").replace("}", "") for _, rule in needs)
+        assert f"| `{command}` | {needs or 'nothing'} |" in readme
 
 
 def test_lagrangian_domain_error_is_a_node_status(tmp_path, capsys):
