@@ -6,9 +6,9 @@ A job is one JSON config file plus flag overrides (--config, --out,
 starts against two tables: ``SCHEMA`` (each key's path, type, default and
 constraint) and ``REQUIRES`` (what each command needs).
 
-Exit codes: 0 success (warnings allowed), 1 config error (reported as
-``config error: <path>: ...``), 2 numerical failure, 3 invariant
-violation (check only).
+Exit codes: 0 success (warnings allowed), 1 config error, a flag
+argparse cannot read included (reported as ``config error: <path>: ...``),
+2 numerical failure, 3 invariant violation (check only).
 
 Output is fully deterministic: records are emitted in lexicographic node
 order and floats are printed with shortest round-trip repr, so identical
@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 from dataclasses import asdict, fields
 from typing import Callable, NamedTuple
@@ -64,6 +65,11 @@ class Rule(NamedTuple):
 
 
 REQUIRED = "required"  # the default of a key that its object must give
+# The most nodes one lattice may have: each node holds jets and Jacobian
+# rows, so a larger job exhausts memory before it finishes.  Scan lattices
+# are two-dimensional, so theirs is a cap per axis.
+MAX_NODES = 2**22
+_SCAN_AXIS = math.isqrt(MAX_NODES)
 _POSITIVE = Rule("> 0", lambda v: v > 0)
 _AT_LEAST_1 = Rule(">= 1", lambda v: v >= 1)
 _AT_LEAST_2 = Rule(">= 2", lambda v: all(k >= 2 for k in np.ravel(v)))
@@ -93,7 +99,8 @@ SCHEMA = (
     ("radii", "[number]", (), Rule("0 < a1 < a2 < ...",
                                    lambda v: all(b > a for a, b in zip([0.0] + v, v)))),
     ("scan", "object", None, None),
-    ("scan.nodes", "integer", ScanConfig.nodes, _AT_LEAST_2),
+    ("scan.nodes", "integer", ScanConfig.nodes,
+     Rule(f"in [2, {_SCAN_AXIS}]", lambda v: 2 <= v <= _SCAN_AXIS)),
     ("scan.policy", ("fixed-nodes", "fixed-spacing"), ScanConfig.policy, None),
     ("scan.spacing", "number", ScanConfig.spacing, _POSITIVE),
     ("scan.domain", ("disc", "box"), ScanConfig.domain, None),
@@ -118,7 +125,10 @@ REQUIRES = {
     "solve-maximal": (_ONE_COMPONENT, _LATTICE),
     "solve-ma": (_POTENTIAL, _LATTICE),
     "scan": (_ONE_COMPONENT, ("radii", Rule("at least one radius", lambda c: len(c["radii"]) > 0)),
-             ("m", Rule("m = 2", lambda c: c["m"] == 2))),
+             ("m", Rule("m = 2", lambda c: c["m"] == 2)),
+             ("scan.spacing", Rule(f"at most {_SCAN_AXIS} nodes per axis", lambda c: (
+                 c["scan.policy"] == "fixed-nodes"
+                 or _axis_nodes(2 * c["radii"][-1], c["scan.spacing"]) <= _SCAN_AXIS)))),
     "check": (),
 }
 
@@ -175,6 +185,12 @@ def _validate(raw: dict) -> dict:
     return cfg
 
 
+def _axis_nodes(width: float, spacing: float) -> int:
+    """The nodes a lattice axis of this width gets at this spacing, counted as
+    Lattice.from_spacing counts them but saturating above MAX_NODES."""
+    return round(min(abs(width) / spacing, MAX_NODES)) + 1
+
+
 def _lattice(cfg: dict) -> Lattice | None:
     """The lattice that the checked ``lattice.*`` values describe."""
     if cfg["lattice"] is None:
@@ -186,6 +202,11 @@ def _lattice(cfg: dict) -> Lattice | None:
         raise ConfigError("lattice.mask.r_min: an annulus needs 0 < r_min < r_max")
     if nodes is None and spacing is None:
         raise ConfigError("lattice: needs spacing or nodes")
+    per_axis = ([_axis_nodes(h - l, spacing) for l, h in zip(lo, hi)] if spacing is not None
+                else nodes if isinstance(nodes, list) else [nodes] * len(lo))
+    if math.prod(per_axis) > MAX_NODES:
+        raise ConfigError(f"lattice.{'nodes' if spacing is None else 'spacing'}: "
+                          f"a lattice may have at most {MAX_NODES} nodes")
     mask = None if kind is None else (kind, r_max) if kind == "disc" else (kind, r_min, r_max)
     try:
         if spacing is not None:
@@ -574,8 +595,14 @@ COMMANDS = {"analyze": cmd_analyze, "lagrangian": cmd_lagrangian, "solve-maximal
 
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A bad flag is a config error (exit 1), not argparse's exit 2."""
+        raise ConfigError(message.removeprefix("argument "))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="spacelike",
         description="space-like graph geometry: batch analysis, lattice solvers, "
                     "decay scans and invariant checks",
@@ -592,8 +619,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return COMMANDS[args.command](load_config(args))
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

@@ -16,8 +16,9 @@ pseudo_distance) are views of that pass.  Each takes a point (m,) or a
 batch (k, m): a point runs as a batch of one and gets back its row; a
 batch gets the batched record, or the exception of its first failing point,
 which is what that point raises on its own.  The module also gives the
-Simons-type slack report over a lattice and geodesics of the induced
-metric.
+Simons-type slack report over a lattice and unit-speed geodesics of the
+induced metric (a batch of directions as one ODE), both on the graph's
+closed-form Christoffel symbols Gamma_{l,ij} = -sum_s f^s_l f^s_ij.
 
 Sign convention: h_sij = <d2X(e_i, e_j), e_s> under the ambient form.
 This is the unique global sign for which the Hessian identity
@@ -377,12 +378,6 @@ def paper_riemann_from_lowered(rm: np.ndarray) -> np.ndarray:
     return _swap(rm)
 
 
-def graph_metric_derivs(gm: GraphMap, x):
-    """Exact (g, dg, ddg) of the induced metric via third-order jets."""
-    _, A, He, Th = gm.jet_data(x)
-    return _metric_derivs(A, He, Th)
-
-
 def _metric_derivs(A: np.ndarray, He: np.ndarray, Th: np.ndarray):
     g = np.eye(A.shape[-1]) - _swap(A) @ A
     # d_p g_ij = -sum_s (f^s_ip f^s_j + f^s_i f^s_jp)
@@ -401,8 +396,8 @@ def frame_riemann_oracle(gm: GraphMap, x) -> np.ndarray:
     Entirely independent of the second fundamental form; used to
     cross-check the Gauss-relation route.
     """
-    g, dg, ddg = graph_metric_derivs(gm, x)
-    rm = riemann_lowered(g, dg, ddg)
+    _, A, He, Th = gm.jet_data(x)
+    rm = riemann_lowered(*_metric_derivs(A, He, Th))
     paper = paper_riemann_from_lowered(rm)
     fr = adapted_frames(gm, x)
     E = fr.tangent_coeff
@@ -529,40 +524,46 @@ def _pseudo_distance(geo: Geometry, X: np.ndarray, sig: np.ndarray) -> PseudoDis
 
 
 # ---------------------------------------------------------------------------
-# Geodesics of the induced metric (exact Christoffels from jets)
+# Geodesics of the induced metric, a batch of directions as one ODE
 
-def integrate_geodesic(gm: GraphMap, x0, v0, t_span, *, unit_speed: bool = True,
-                       region_halfwidth: float = np.inf, rtol: float = 1e-10,
-                       atol: float = 1e-12, dense: bool = True):
-    """Integrate x'' + Gamma(x)(x', x') = 0 from x(0)=x0, x'(0)=v0.
+GEODESIC_RTOL, GEODESIC_ATOL = 1e-10, 1e-12  # RK45 tolerances of integrate_geodesic
 
-    v0 is rescaled to unit length in the induced metric when unit_speed is
-    set.  Integration stops early if the path leaves the coordinate box
-    |x_i| <= region_halfwidth.
+
+def integrate_geodesic(gm: GraphMap, x0, v0, t_span, *, region_halfwidth: float = np.inf):
+    """Unit-speed geodesics from k starts x0, v0 ((k, m) each, or (m,) for
+    one start or a shared x0) as one ODE; v0 is normalised in g at x0.  As
+    Gamma_{l,ij} = -sum_s f^s_l f^s_ij, x'' = g^-1 A^T q with q_s = v^T He^s v:
+    one (k, m) jet per right-hand side.
+
+    A direction that leaves the box |x_i| <= region_halfwidth is frozen
+    there and its own exit event gives its end time; the others run on.
+    Returns the solve_ivp result (dense): y holds the k positions, direction-
+    major, then the k velocities, and ``t_end`` (k,) each direction's end time.
     """
-    x0 = np.asarray(x0, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
-    m = gm.m
-    if unit_speed:
-        g0, _, _ = graph_metric_derivs(gm, x0)
-        v0 = v0 / np.sqrt(v0 @ g0 @ v0)
+    v0 = np.atleast_2d(np.asarray(v0, dtype=float))
+    x0 = np.broadcast_to(np.asarray(x0, dtype=float), v0.shape)
+    k, m = v0.shape
+    _, A, _, _ = gm.jet_data(x0)
+    v0 = v0 / np.sqrt(np.einsum("ki,kij,kj->k", v0, np.eye(m) - _swap(A) @ A, v0))[:, None]
 
     def rhs(t, y):
-        x, v = y[:m], y[m:]
-        g, dg, _ = graph_metric_derivs(gm, x)
-        gamma = christoffel(g, dg)
-        acc = -np.einsum("kij,i,j->k", gamma, v, v)
-        return np.concatenate([v, acc])
+        x, v = y[:k * m].reshape(k, m), y[k * m:].reshape(k, m)
+        _, A, He, _ = gm.jet_data(x)
+        q = np.einsum("ksij,ki,kj->ks", He, v, v)
+        acc = np.linalg.solve(np.eye(m) - _swap(A) @ A, _swap(A) @ q[..., None])[..., 0]
+        inside = np.max(np.abs(x), axis=1, keepdims=True) <= region_halfwidth
+        return np.concatenate([np.where(inside, v, 0.0), np.where(inside, acc, 0.0)], axis=None)
 
-    events = None
-    if np.isfinite(region_halfwidth):
-        def exit_event(t, y):
-            return region_halfwidth - np.max(np.abs(y[:m]))
-        exit_event.terminal = True
-        events = exit_event
+    def exit_event(j):
+        def event(t, y):
+            return region_halfwidth - np.max(np.abs(y[j * m:(j + 1) * m]))
+        event.direction = -1
+        return event
 
-    sol = solve_ivp(rhs, t_span, np.concatenate([x0, v0]), rtol=rtol, atol=atol,
-                    dense_output=dense, events=events)
+    events = [exit_event(j) for j in range(k)] if np.isfinite(region_halfwidth) else None
+    sol = solve_ivp(rhs, t_span, np.concatenate([x0, v0], axis=None), rtol=GEODESIC_RTOL,
+                    atol=GEODESIC_ATOL, dense_output=True, events=events)
+    sol.t_end = np.array([te[0] if len(te) else sol.t[-1] for te in sol.t_events or [()] * k])
     return sol
 
 
@@ -613,11 +614,11 @@ def simons_report(gm: GraphMap, lattice: Lattice, stride: int = 1) -> SimonsRepo
     hess_s = lat_mod.central_hessian(s_field, lattice, flats)
 
     geo = _take(geo, np.searchsorted(s_nodes, flats))
-    g, dg, _ = _metric_derivs(geo.A, geo.He, geo.Th)
-    g_inv = np.linalg.inv(g)
-    gamma = christoffel(g, dg)
-    lap_s = (np.einsum("...ij,...ij->...", g_inv, hess_s)
-             - np.einsum("...ij,...kij,...k->...", g_inv, gamma, grad_s))
+    # Laplace-Beltrami: g^ij (d_ij S - Gamma^k_ij d_k S), and for a graph
+    # g^ij Gamma^k_ij = -(g^-1 A^T eps)^k with eps the extremal residual
+    drift = np.einsum("...kl,...sl,...s->...k", geo.g_inv, geo.A, _extremal_residual(geo))
+    lap_s = (np.einsum("...ij,...ij->...", geo.g_inv, hess_s)
+             + np.einsum("...k,...k->...", drift, grad_s))
     ch = _covariant_h(geo, signature(m, n))
     dh_max = max(0.0, float(np.sqrt(np.sum(ch.mean_curv_deriv**2, axis=(-2, -1))).max()))
     rhs = (np.sum(ch.h_cov**2, axis=(-4, -3, -2, -1))

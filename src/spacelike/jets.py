@@ -205,15 +205,6 @@ class Jet3:
     hess: np.ndarray
     third: np.ndarray
 
-    def _coeffs(self) -> tuple:
-        return self.value, self.grad, self.hess, self.third
-
-    def __add__(self, other: "Jet3") -> "Jet3":
-        return Jet3(*(a + b for a, b in zip(self._coeffs(), other._coeffs())))
-
-    def __mul__(self, other: "Jet3") -> "Jet3":
-        return Jet3(*_mul(self._coeffs(), other._coeffs()))
-
 
 def _jet(expr: Expr, point) -> tuple:
     x = np.asarray(point, dtype=float)

@@ -210,6 +210,49 @@ def test_probe_region_exit_reported():
     assert rep.t[-1] <= 2.1
 
 
+def test_probe_integrates_all_directions_as_one_ode(monkeypatch):
+    import spacelike.graphgeom as graphgeom
+
+    calls, real = [], graphgeom.solve_ivp
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(graphgeom, "solve_ivp", counted)
+    dirs = [np.array([1.0, 0.0]), np.array([0.6, 0.8]), np.array([-0.3, 1.1])]
+    reports = completeness_probe(hyperboloid(shifted=True), dirs, T=1.0, n_samples=20)
+    assert len(calls) == 1 and len(reports) == 3
+
+
+def test_probe_region_exit_is_per_direction():
+    # on the flat graph 0.3*x1, (1, 0) runs at coordinate speed 1/sqrt(0.91)
+    # and leaves |x_i| <= 2 at t = 2 sqrt(0.91) < T; (0, 1) stays inside
+    gm = GraphMap.from_strings(2, ["0.3*x1"])
+    out, inside = completeness_probe(gm, [np.array([1.0, 0.0]), np.array([0.0, 1.0])],
+                                     T=1.95, n_samples=50, region_halfwidth=2.0)
+    assert out.status == "left-region"
+    assert out.t[-1] <= 2 * np.sqrt(0.91) + 1e-6
+    assert inside.status == "ok"
+    assert abs(inside.t[-1] - 1.95) <= 1e-12
+    assert np.max(np.abs(inside.z - inside.t**2)) <= 1e-6
+
+
+@pytest.mark.parametrize("gm", [
+    hyperboloid(shifted=True),
+    GraphMap.from_strings(2, ["0.2*x1*x2 + 0.1*x1^2", "0.3*sin(x2)*x1"]).with_base_point(),
+], ids=["shifted-hyperboloid", "m2-n2"])
+def test_probe_batch_rows_equal_single_directions(gm):
+    dirs = [np.array([1.0, 0.0]), np.array([0.6, 0.8]), np.array([-0.5, 0.2])]
+    batch = completeness_probe(gm, dirs, T=1.5, n_samples=40)
+    for d, rep in zip(dirs, batch):
+        (single,) = completeness_probe(gm, [d], T=1.5, n_samples=40)
+        assert rep.status == single.status == "ok"
+        assert np.array_equal(rep.t, single.t)
+        for row, ref in ((rep.z, single.z), (rep.ratio, single.ratio)):
+            assert np.max(np.abs(row - ref)) <= 1e-8 * np.max(np.abs(ref))
+
+
 def test_probe_requires_base_point():
     from spacelike.graphgeom import BasePointError
 

@@ -199,6 +199,23 @@ def test_scan_affine_exact_zero(tmp_path, capsys):
     assert "exact-zero" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("scan, status", [
+    ({"policy": "fixed-spacing", "spacing": 5}, "solver-failed: need at least two nodes per axis"),
+    ({"nodes": 4, "domain": "box"}, "empty-center: no node with |x| <= 0.25 a"),
+], ids=["lattice-fails", "empty-center"])
+def test_scan_bad_radius_is_a_failed_row(tmp_path, scan, status):
+    # the table is still written, one row per radius, and the run exits 2
+    out = tmp_path / "scan.csv"
+    cfg = write_config(tmp_path, "cfg.json", {
+        "m": 2, "n": 1, "components": ["0.3*x1+0.1*x1^2"], "radii": [1.0, 2.0], "scan": scan,
+        "out": str(out), "format": "json"})
+    assert run_cli(["scan", "--config", cfg]) == 2
+    rows = json.loads(out.read_text())["records"]
+    assert [r["a"] for r in rows] == [1.0, 2.0]
+    assert rows[0]["status"] == status and rows[0]["s_center"] == "nan"
+    assert all(r["status"] != "ok" for r in rows)
+
+
 def test_config_errors(tmp_path):
     cfg = write_config(tmp_path, "cfg.json", {
         "m": 2, "n": 2, "components": ["x1"],  # wrong count
@@ -303,12 +320,23 @@ def _potential_job(p):
      "scan.center_fraction"),
     (["analyze"], _hostile(lambda p: p["lattice"].update(mask={"kind": "disc", "r_max": -1})),
      "lattice.mask.r_max"),
+    (["analyze", "--format", "xml"], _hostile(lambda p: None), "--format"),
+    (["check", "--seed", "x"], {}, "--seed"),
+    (["analyze"], _hostile(lambda p: p.update(m=1, lattice={"lo": [-1], "hi": [1], "nodes": 1e300})),
+     "lattice.nodes"),
+    (["analyze"], _hostile(lambda p: p["lattice"].update(nodes=1e6)), "lattice.nodes"),
+    (["analyze"], _hostile(lambda p: p["lattice"].update(nodes=None, spacing=1e-6)), "lattice.spacing"),
+    (["scan"], _hostile(lambda p: (_scan_job(p), p["scan"].update(nodes=10**6))), "scan.nodes"),
+    (["scan"], _hostile(lambda p: (_scan_job(p), p["scan"].update(policy="fixed-spacing", spacing=1e-6))),
+     "scan.spacing"),
 ], ids=["top-level-array", "m-not-a-number", "mask-not-an-object", "annulus-without-r_max",
         "tol-not-a-number", "solver-not-an-object", "lo-not-a-number", "component-not-a-string",
         "ma-c-negative", "ma-c-zero", "scan-spacing-zero", "check-seed-negative",
         "scan-m3", "radii-negative", "lo-nan", "scan-one-node", "nodes-fractional",
         "m-fractional", "delta_safe-above-1", "tol-infinite", "max_iter-negative",
-        "oracle-a-string", "center_fraction-negative", "r_max-negative"])
+        "oracle-a-string", "center_fraction-negative", "r_max-negative", "format-flag-xml",
+        "seed-flag-not-a-number", "nodes-1e300", "nodes-1e6", "spacing-tiny", "scan-nodes-huge",
+        "scan-spacing-tiny"])
 def test_hostile_config_values_exit_1(tmp_path, capsys, argv, payload, path):
     cfg = write_config(tmp_path, "cfg.json", payload)
     assert run_cli(argv + ["--config", cfg, "--out", str(tmp_path / "r.csv")]) == 1

@@ -366,7 +366,7 @@ def test_hess_z_matches_geodesic_second_differences():
         vals = {}
         for t in (-0.02, 0.0, 0.02):
             sol = integrate_geodesic(gm, x0, np.sign(t) * v if t else v,
-                                     (0.0, abs(t) if t else 1e-9), unit_speed=False)
+                                     (0.0, abs(t) if t else 1e-9))
             xt = sol.y[:2, -1] if t else x0
             vals[t] = pseudo_distance(gm, xt).z
         fd = (vals[0.02] - 2 * vals[0.0] + vals[-0.02]) / 0.02**2
