@@ -266,7 +266,8 @@ def completeness_probe(gm: GraphMap, directions, T: float, n_samples: int = 200,
     sampled supremum of |grad z| / (z + 1); the integrated gradient estimate
     forces b_emp <= ratio_sup (up to quadrature error).  A direction that
     leaves the box |x_i| <= region_halfwidth is sampled up to its own exit
-    and reported "left-region"."""
+    and reported "left-region"; one that stops before T without leaving
+    (the integrator failed) is reported "integration-failed: <message>"."""
     _check_base_point(gm)
     m, directions = gm.m, np.array(directions, dtype=float).reshape(-1, gm.m)
     sol = integrate_geodesic(gm, np.zeros(m), directions, (0.0, T),
@@ -275,7 +276,14 @@ def completeness_probe(gm: GraphMap, directions, T: float, n_samples: int = 200,
     pd = pseudo_distance(gm, np.concatenate([sol.sol(t)[j * m:(j + 1) * m].T
                                              for j, t in enumerate(ts)]))
     zs, ratios = pd.z.reshape(ts.shape), pd.ratio.reshape(ts.shape)
+    exited = [len(te) > 0 for te in sol.t_events or [()] * len(ts)]
+
+    def status(end, left):
+        if end >= T * (1 - 1e-9):
+            return "ok"
+        return "left-region" if left else f"integration-failed: {sol.message}"
+
     return [ProbeReport(direction=d, t=t, z=z, ratio=ratio,
                         b_emp=float(np.max(np.log(z + 1.0) / t)), ratio_sup=float(ratio.max()),
-                        status="ok" if end >= T * (1 - 1e-9) else "left-region")
-            for d, t, z, ratio, end in zip(directions, ts, zs, ratios, sol.t_end)]
+                        status=status(end, left))
+            for d, t, z, ratio, end, left in zip(directions, ts, zs, ratios, sol.t_end, exited)]

@@ -339,6 +339,8 @@ def cmd_solve(cfg: dict) -> int:
     save_field(fld, out, cfg["format"])
     for stage, it, res, damp in log.steps:
         print(f"stage={_fmt(stage)} iter={it} residual={_fmt(res)} damping={_fmt(damp)}")
+    for stage, kind, detail in log.events:
+        print(f"event stage={_fmt(stage)} {kind}" + (f": {detail}" if detail else ""))
     print(f"final residual {_fmt(log.final_residual)} (tol {_fmt(tol)}) -> {out}")
     return EXIT_OK
 

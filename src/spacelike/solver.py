@@ -5,16 +5,30 @@ The maximal equation is discretized in divergence form
 div(grad f / sqrt(1 - |grad f|^2)) = 0 with conservative face fluxes
 (second order).  A continuation parameter lam scales |grad f|^2 inside
 the square root: lam = 0 is the Laplace equation (used as the initial
-stage), lam = 1 the full equation; the ladder adapts on failure.  Each
-accepted Newton step must keep every face speed below 1 - delta_safe.
+stage), lam = 1 the full equation.  Each accepted Newton step must keep
+every face speed below 1 - delta_safe.
 
 The Monge-Ampere residual is det(discrete Hessian) - c with compact
-central stencils; a boundary-data homotopy starts from the exactly
+central stencils; a boundary-data homotopy theta starts from the exactly
 solvable quadratic matching c, and backtracking preserves discrete
 convexity.
 
+Continuation is Euler-Newton predictor-corrector: each stage after the
+first starts from u + (param' - param) du/dparam.  For the maximal
+equation du/dlam is the tangent J du/dlam = -dR/dlam, solved with the
+last Newton step's LU (dR/dlam by complex step in lam); for Monge-Ampere
+it is F - quad at the interior nodes, the boundary data extended by its
+expression.  A predicted start that fails the safeguard (space-like cap,
+convexity), a callable boundary and an F undefined in the interior fall
+back to the previous stage's values; a stage that fails is retried at
+half the step (the adaptive ladder).  ConvergenceLog.events records the
+predictions, fallbacks and rejected stages.
+
 Jacobians are exact, assembled by colored complex-step differentiation
-(stencil width 1, 3^m colors), so Newton converges quadratically.
+(stencil width 1, 3^m colors), so Newton converges quadratically.  They
+are assembled straight into a CSC pattern fixed per lattice, in a
+geometric nested-dissection order of the interior nodes, and factored
+with splu in that order; at most one factorization is alive at a time.
 """
 
 from __future__ import annotations
@@ -24,11 +38,11 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import spsolve
+from scipy.sparse import csc_matrix
+from scipy.sparse.linalg import splu
 
 from . import lattice as lat_mod
-from .exprparse import Expr, eval_values
+from .exprparse import DomainError, Expr, eval_values
 from .graphgeom import (
     SPACELIKE_TOL, _geometry_checks, _graph_immersion, _raise_first, immersion_geometry, signature,
 )
@@ -48,10 +62,17 @@ class GridField:
 @dataclass
 class ConvergenceLog:
     steps: list = field(default_factory=list)  # (stage, iteration, residual, damping)
+    events: list = field(default_factory=list)  # (stage, kind, detail)
     final_residual: float = np.nan
 
     def record(self, stage, iteration, residual, damping):
         self.steps.append((float(stage), int(iteration), float(residual), float(damping)))
+
+    def event(self, stage, kind, detail=""):
+        """kind: "predicted" (a stage starts from its prediction),
+        "fallback" (it starts from the previous stage's values; detail says
+        why) or "rejected" (a stage attempt failed; detail is the error)."""
+        self.events.append((float(stage), kind, detail))
 
     def residual_history(self, stage=None):
         if stage is None:
@@ -73,6 +94,31 @@ def _boundary_values(lattice: Lattice, boundary) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Precomputed index machinery
+
+def _nested_dissection(multi: np.ndarray) -> np.ndarray:
+    """Geometric nested dissection of lattice multi-indices (K, m): the
+    permutation (new -> old) that orders every box as its lower half, its
+    upper half, then the plane between them, bisecting the longest axis
+    until a box spans at most two nodes per axis.  The Jacobians couple a
+    node only to its +-1 cube, so a one-node plane separates the halves."""
+    K = multi.shape[0]
+    rows = np.arange(K)
+    lo = np.tile(multi.min(axis=0), (K, 1))
+    hi = np.tile(multi.max(axis=0), (K, 1))
+    open_ = np.ones(K, dtype=bool)
+    digits = []  # per level: 0 lower half, 1 upper half, 2 separator
+    while open_.any():
+        d = np.argmax(hi - lo, axis=1)
+        a, b, c = lo[rows, d], hi[rows, d], multi[rows, d]
+        mid = (a + b) // 2
+        split = open_ & (b - a >= 2)
+        lower, upper = split & (c < mid), split & (c > mid)
+        digits.append(np.select([lower, upper, split], [0, 1, 2], 0))
+        hi[rows, d] = np.where(lower, mid - 1, b)
+        lo[rows, d] = np.where(upper, mid + 1, a)
+        open_ = lower | upper
+    return np.lexsort([rows] + digits[::-1])
+
 
 class _Ops:
     def __init__(self, lattice: Lattice):
@@ -97,12 +143,23 @@ class _Ops:
         for d in range(m):
             self.colors += (multi[:, d] % 3) * 3**d
 
-        # offset -> (rows alpha, cols beta) over interior pairs; an interior
-        # node's +-1 cube lies inside the lattice
-        self.offset_pairs = {}
+        # the Jacobian's CSC pattern in nested-dissection order: entry
+        # (alpha, beta) for each interior pair within a +-1 cube (an interior
+        # node's cube lies inside the lattice), stored as P J P^T; its value
+        # is row alpha of the complex-step probe of beta's color
+        alpha, beta = [], []
         for off in itertools.product((-1, 0, 1), repeat=m):
             nb = self.int_id[self.int_flat + lat_mod.flat_offset(lattice, off)]
-            self.offset_pairs[off] = (np.flatnonzero(nb >= 0), nb[nb >= 0])
+            alpha.append(np.flatnonzero(nb >= 0))
+            beta.append(nb[nb >= 0])
+        alpha, beta = np.concatenate(alpha), np.concatenate(beta)
+        self.perm = _nested_dissection(multi)
+        rank = np.empty(self.K, dtype=int)
+        rank[self.perm] = np.arange(self.K)
+        order = np.lexsort((rank[alpha], rank[beta]))
+        self.jac_rows, self.jac_colors = alpha[order], self.colors[beta[order]]
+        self.jac_indices = rank[alpha[order]]
+        self.jac_indptr = np.concatenate([[0], np.cumsum(np.bincount(rank[beta], minlength=self.K))])
 
         # axis faces for the divergence-form flux
         self.faces = []
@@ -155,7 +212,7 @@ def _face_gradient(ops: _Ops, u_full: np.ndarray, d: int):
     return pd, psq
 
 
-def _maximal_residual(ops: _Ops, u_full: np.ndarray, lam: float) -> np.ndarray:
+def _maximal_residual(ops: _Ops, u_full: np.ndarray, lam) -> np.ndarray:
     res = np.zeros(ops.K, dtype=u_full.dtype)
     for d in range(ops.m):
         fc = ops.faces[d]
@@ -206,41 +263,39 @@ def _ma_min_eig(ops: _Ops, u_full: np.ndarray) -> float:
     return float(np.min(np.linalg.eigvalsh(H)[:, 0]))
 
 
-def _colored_jacobian(ops: _Ops, res_fn, u_int: np.ndarray, eps: float = 1e-50) -> csr_matrix:
-    rows, cols, data = [], [], []
-    ncolors = 3**ops.m
+def _colored_jacobian(ops: _Ops, res_fn, u_int: np.ndarray, eps: float = 1e-50) -> csc_matrix:
+    """P J P^T in the lattice's fixed CSC pattern (see _Ops)."""
+    probes = np.zeros((3**ops.m, ops.K))
     base = u_int.astype(complex)
-    for c in range(ncolors):
-        mask = ops.colors == c
-        if not mask.any():
-            continue
+    for c in np.unique(ops.colors):
         up = base.copy()
-        up[mask] += 1j * eps
-        im = res_fn(up).imag / eps
-        for off, (alpha, beta) in ops.offset_pairs.items():
-            sel = mask[beta]
-            if not sel.any():
-                continue
-            rows.append(alpha[sel])
-            cols.append(beta[sel])
-            data.append(im[alpha[sel]])
-    J = csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(ops.K, ops.K),
-    )
-    return J
+        up[ops.colors == c] += 1j * eps
+        probes[c] = res_fn(up).imag / eps
+    return csc_matrix((probes[ops.jac_colors, ops.jac_rows], ops.jac_indices, ops.jac_indptr),
+                      shape=(ops.K, ops.K))
+
+
+def _lu_solve(ops: _Ops, lu, b: np.ndarray) -> np.ndarray:
+    """Solve J x = b with the LU of P J P^T."""
+    x = np.empty_like(b)
+    x[ops.perm] = lu.solve(b[ops.perm])
+    return x
 
 
 def _newton(ops: _Ops, res_of_int, accept, u_int: np.ndarray, tol: float,
-            max_iter: int, log: ConvergenceLog, stage: float) -> np.ndarray:
+            max_iter: int, log: ConvergenceLog, stage: float):
+    """Damped Newton from u_int; returns the solution and the LU of the
+    last step's Jacobian (None if no step was taken)."""
     r = res_of_int(u_int)
     rnorm = float(np.max(np.abs(r.real)))
     log.record(stage, 0, rnorm, 1.0)
+    lu = None
     for it in range(1, max_iter + 1):
         if rnorm <= tol:
-            return u_int
-        J = _colored_jacobian(ops, res_of_int, u_int)
-        delta = spsolve(J.tocsc(), -r.real)
+            return u_int, lu
+        lu = None  # release the previous factorization before the next
+        lu = splu(_colored_jacobian(ops, res_of_int, u_int), permc_spec="NATURAL")
+        delta = _lu_solve(ops, lu, -r.real)
         t = 1.0
         while t >= 2**-24:
             trial = u_int + t * delta
@@ -255,26 +310,48 @@ def _newton(ops: _Ops, res_of_int, accept, u_int: np.ndarray, tol: float,
         else:
             raise SolverError("step damping floor reached (safeguard exhausted)")
     if rnorm <= tol:
-        return u_int
+        return u_int, lu
     raise SolverError(f"Newton divergence: residual {rnorm:.3e} after {max_iter} iterations")
 
 
-def _adaptive_ladder(solve_stage, start: float, target: float, min_step: float = 1e-3):
-    """March a continuation parameter from start to target, bisecting on failure."""
-    cur = start
-    state = solve_stage(cur, None)
-    step = target - start
-    while cur < target:
-        nxt = min(target, cur + step)
+def _stage_start(log: ConvergenceLog, stage: float, accept, warm, predicted, no_prediction: str,
+                 safeguard: str) -> np.ndarray:
+    """The predicted start if accept passes it, else the warm start (logged
+    as a fallback with its reason)."""
+    if predicted is not None:
+        if accept(predicted):
+            log.event(stage, "predicted")
+            return predicted
+        no_prediction = f"predicted start {safeguard}"
+    log.event(stage, "fallback", no_prediction)
+    if not accept(warm):
+        raise SolverError(f"warm start {safeguard}")
+    return warm
+
+
+def _adaptive_ladder(solve_stage, log: ConvergenceLog, min_step: float = 1e-3) -> np.ndarray:
+    """March a continuation parameter from 0 to 1, halving the step on failure.
+
+    solve_stage(param, warm, predicted) returns (u, slope): the solution at
+    param and du/dparam there (or None).  warm is the last solution (None
+    at the first stage) and predicted its Euler step to param.
+    """
+    cur = 0.0
+    u, slope = solve_stage(cur, None, None)
+    step = 1.0
+    while cur < 1.0:
+        nxt = min(1.0, cur + step)
+        predicted = None if slope is None else u + (nxt - cur) * slope
         try:
-            state = solve_stage(nxt, state)
+            u, slope = solve_stage(nxt, u, predicted)
             cur = nxt
             step *= 2.0
-        except SolverError:
+        except SolverError as err:
+            log.event(nxt, "rejected", str(err))
             step /= 2.0
             if step < min_step:
                 raise
-    return state
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -293,14 +370,7 @@ def solve_maximal(lattice: Lattice, boundary, tol: float = 1e-10, max_iter: int 
     log = ConvergenceLog()
     cap = (1.0 - delta_safe) ** 2
 
-    def stage(lam, warm):
-        if warm is None:
-            finite = bvals[np.isfinite(bvals)]
-            warm = np.full(ops.K, float(np.mean(finite)))
-        u_full0 = _full_from_interior(ops, bvals, warm)
-        if lam > 0 and lam * _maximal_speed2(ops, u_full0) > cap:
-            raise SolverError("warm start violates the space-like safeguard")
-
+    def stage(lam, warm, predicted):
         def res_of_int(u_int):
             return _maximal_residual(ops, _full_from_interior(ops, bvals, u_int), lam)
 
@@ -310,9 +380,21 @@ def solve_maximal(lattice: Lattice, boundary, tol: float = 1e-10, max_iter: int 
             full = _full_from_interior(ops, bvals, u_int)
             return lam * _maximal_speed2(ops, full) <= cap
 
-        return _newton(ops, res_of_int, accept, warm, tol, max_iter, log, lam)
+        if warm is None:
+            start = np.full(ops.K, float(np.mean(bvals[np.isfinite(bvals)])))
+        else:
+            start = _stage_start(log, lam, accept, warm, predicted,
+                                 "no Newton step to take the tangent from",
+                                 "violates the space-like safeguard")
+        u_int, lu = _newton(ops, res_of_int, accept, start, tol, max_iter, log, lam)
+        if lam == 1.0 or lu is None:
+            return u_int, None
+        # Euler tangent J du/dlam = -dR/dlam, dR/dlam by complex step in lam
+        u_full = _full_from_interior(ops, bvals, u_int.astype(complex))
+        dres = _maximal_residual(ops, u_full, lam + 1e-50j).imag / 1e-50
+        return u_int, -_lu_solve(ops, lu, dres)
 
-    u_int = _adaptive_ladder(stage, 0.0, 1.0)
+    u_int = _adaptive_ladder(stage, log)
     u_full = _full_from_interior(ops, bvals, u_int)
     vals = np.full(ops.act.size, np.nan)
     vals[ops.act] = u_full[ops.act]
@@ -332,12 +414,17 @@ def solve_ma(lattice: Lattice, boundary, c: float = 1.0, tol: float = 1e-10,
     quad = 0.5 * c ** (1.0 / lattice.m) * np.sum(pts**2, axis=1)
     bmask = np.isfinite(gvals)
     log = ConvergenceLog()
+    # du/dtheta of the predictor: the boundary data's expression inside
+    slope, no_prediction = None, "boundary data is a callable"
+    if isinstance(boundary, Expr):
+        try:
+            slope = eval_values(boundary, pts[ops.int_flat]) - quad[ops.int_flat]
+        except DomainError as err:
+            no_prediction = f"boundary data undefined in the interior: {err}"
 
-    def stage(theta, warm):
+    def stage(theta, warm, predicted):
         bvals = np.full_like(gvals, np.nan)
         bvals[bmask] = quad[bmask] + theta * (gvals[bmask] - quad[bmask])
-        if warm is None:
-            warm = quad[ops.int_flat].copy()
 
         def res_of_int(u_int):
             return _ma_residual(ops, _full_from_interior(ops, bvals, u_int), c)
@@ -346,17 +433,16 @@ def solve_ma(lattice: Lattice, boundary, c: float = 1.0, tol: float = 1e-10,
             full = _full_from_interior(ops, bvals, u_int)
             return _ma_min_eig(ops, full) > 0.0
 
-        u_full0 = _full_from_interior(ops, bvals, warm)
-        if _ma_min_eig(ops, u_full0) <= 0.0:
-            raise SolverError("warm start lost discrete convexity")
-        return _newton(ops, res_of_int, accept, warm, tol, max_iter, log, theta)
+        start = quad[ops.int_flat] if warm is None else _stage_start(
+            log, theta, accept, warm, predicted, no_prediction, "lost discrete convexity")
+        u_int, _ = _newton(ops, res_of_int, accept, start, tol, max_iter, log, theta)
+        return u_int, slope
 
     try:
-        u_int = _adaptive_ladder(stage, 0.0, 1.0)
+        u_int = _adaptive_ladder(stage, log)
     except SolverError as err:
         raise SolverError(f"convexity loss or divergence in the homotopy: {err}") from err
-    bvals = gvals
-    u_full = _full_from_interior(ops, bvals, u_int)
+    u_full = _full_from_interior(ops, gvals, u_int)
     vals = np.full(ops.act.size, np.nan)
     vals[ops.act] = u_full[ops.act]
     log.final_residual = float(np.max(np.abs(_ma_residual(ops, u_full, c))))

@@ -238,6 +238,19 @@ def test_probe_region_exit_is_per_direction():
     assert np.max(np.abs(inside.z - inside.t**2)) <= 1e-6
 
 
+def test_probe_integration_failure_is_not_a_region_exit():
+    # 0.4*x1^2 stops being space-like at |x1| = 1.25, inside the box: the
+    # integrator fails near there for the whole batch, and only a
+    # direction whose own exit event fired may be called "left-region"
+    gm = GraphMap.from_strings(2, ["0.4*x1^2"])
+    reports = completeness_probe(gm, [np.array([1.0, 0.0]), np.array([0.0, 1.0])],
+                                 T=3.0, n_samples=20, region_halfwidth=1.7)
+    for rep in reports:
+        assert rep.t[-1] < 3.0
+        assert rep.status.startswith("integration-failed: ")
+    assert "step size" in reports[1].status
+
+
 @pytest.mark.parametrize("gm", [
     hyperboloid(shifted=True),
     GraphMap.from_strings(2, ["0.2*x1*x2 + 0.1*x1^2", "0.3*sin(x2)*x1"]).with_base_point(),

@@ -179,6 +179,19 @@ def test_solve_ma_quadratic(tmp_path, capsys):
     assert "final residual" in capsys.readouterr().out
 
 
+def test_solve_prints_events_before_final_residual(tmp_path, capsys):
+    cfg = write_config(tmp_path, "cfg.json", {
+        "m": 2, "potential": "0.5*(x1^2+x2^2) - 0.3*exp(-20*(x1^2+x2^2))",
+        "lattice": {"lo": [-1, -1], "hi": [1, 1], "nodes": 21},
+        "out": str(tmp_path / "f.json"), "format": "json",
+    })
+    assert run_cli(["solve-ma", "--config", cfg]) == 0
+    lines = capsys.readouterr().out.rstrip("\n").split("\n")
+    assert lines[-1].startswith("final residual ")
+    assert lines[-2] == "event stage=1.0 fallback: predicted start lost discrete convexity"
+    assert all(line.startswith("stage=") for line in lines[:-2])
+
+
 def test_solve_failure_exit_code(tmp_path):
     cfg = write_config(tmp_path, "cfg.json", {
         "m": 2, "n": 1, "components": ["2*x1"],

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from spacelike.exprparse import parse
+from spacelike import solver
+from spacelike.exprparse import eval_values, parse
 from spacelike.lattice import Lattice
 from spacelike.solver import (
-    GridField, SolverError, field_immersion_geometry, field_jet2, field_third,
+    ConvergenceLog, GridField, SolverError, field_immersion_geometry, field_jet2, field_third,
     load_field, save_field, solve_ma, solve_maximal, spline_geometry,
 )
 
@@ -148,6 +149,90 @@ def test_ma_perturbed_boundary_converges_and_stays_convex():
 def test_ma_rejects_nonpositive_c():
     with pytest.raises(ValueError):
         solve_ma(Lattice.box((0, 0), (1, 1), 9), parse("x1^2+x2^2", 2), c=-1.0)
+
+
+# -- predicted continuation -------------------------------------------------------
+
+def test_ma_callable_boundary_falls_back_to_the_same_field():
+    lat = Lattice.box((0, 0), (1, 1), 17)
+    expr = parse("0.5*(x1^2+x2^2) + 0.1*sin(x1)*sin(x2)", 2)
+    fld, log = solve_ma(lat, expr, c=1.0, tol=1e-12)
+    fld2, log2 = solve_ma(lat, lambda pts: eval_values(expr, pts), c=1.0, tol=1e-12)
+    assert log.events == [(1.0, "predicted", "")]
+    assert log2.events == [(1.0, "fallback", "boundary data is a callable")]
+    assert np.nanmax(np.abs(fld.values - fld2.values)) <= 1e-12
+
+
+def test_ma_nonconvex_prediction_falls_back():
+    # F dips below convexity near |x| = 0.2, so the prediction F is rejected;
+    # the boundary data is nearly the quadratic and the solve goes on from it
+    lat = Lattice.box((-1, -1), (1, 1), 21)
+    fld, log = solve_ma(lat, parse("0.5*(x1^2+x2^2) - 0.3*exp(-20*(x1^2+x2^2))", 2), c=1.0)
+    assert (1.0, "fallback", "predicted start lost discrete convexity") in log.events
+    assert log.final_residual <= 1e-10
+
+
+def test_ma_data_undefined_inside_falls_back():
+    # the sqrt is real on the boundary (|x| >= 1) and not at |x| < 0.5
+    lat = Lattice.box((-1, -1), (1, 1), 21)
+    fld, log = solve_ma(lat, parse("0.5*(x1^2+x2^2) + 0.01*sqrt(x1^2+x2^2-0.25)", 2), c=1.0)
+    assert [e[1] for e in log.events] == ["fallback"]
+    assert log.events[0][2].startswith("boundary data undefined in the interior: ")
+    assert log.final_residual <= 1e-10
+    assert np.all(np.isfinite(fld.values))
+
+
+def test_ladder_logs_rejected_stages():
+    tried, log = [], ConvergenceLog()
+
+    def stage(param, warm, predicted):
+        tried.append(param)
+        if len(tried) == 2:
+            raise SolverError("Newton divergence")
+        return np.zeros(1), None
+
+    solver._adaptive_ladder(stage, log)
+    assert tried == [0.0, 1.0, 0.5, 1.0]
+    assert log.events == [(1.0, "rejected", "Newton divergence")]
+
+
+def _count_factorizations(monkeypatch):
+    calls, real = [], solver.splu
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "splu", counted)
+    return calls
+
+
+def test_catenoid_factorization_count(monkeypatch):
+    calls = _count_factorizations(monkeypatch)
+    _, log = _catenoid_error(65)
+    assert log.events == [(1.0, "predicted", "")]
+    assert 0 < len(calls) <= 8
+
+
+def test_ma_factorization_count(monkeypatch):
+    calls = _count_factorizations(monkeypatch)
+    lat = Lattice.box((-1, -1), (1, 1), 33)
+    expr = parse("0.5*(x1^2+x2^2)+0.08*sin(1.1*x1)*sin(0.9*x2)+0.05*exp(0.6*x1+0.3*x2)", 2)
+    _, log = solve_ma(lat, expr, c=1.0, tol=1e-10)
+    assert log.final_residual <= 1e-10
+    assert 0 < len(calls) <= 4
+
+
+def test_nested_dissection_is_a_permutation_with_separators_last():
+    lat = Lattice.annulus(0.5, 2.0, 17)
+    ops = solver._Ops(lat)
+    assert np.array_equal(np.sort(ops.perm), np.arange(ops.K))
+    # the first cut halves the longest axis (axis 0 of a square) at its
+    # middle row, whose nodes come last
+    multi = np.array(np.unravel_index(ops.int_flat[ops.perm], lat.shape)).T
+    middle = multi[:, 0] == 8
+    assert np.all(middle[-middle.sum():])
+    assert np.all(multi[:np.sum(multi[:, 0] < 8), 0] < 8)
 
 
 # -- extraction and files ---------------------------------------------------------
