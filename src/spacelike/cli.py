@@ -10,9 +10,9 @@ Exit codes: 0 success (warnings allowed), 1 config error, a flag
 argparse cannot read included (reported as ``config error: <path>: ...``),
 2 numerical failure, 3 invariant violation (check only).
 
-Output is fully deterministic: records are emitted in lexicographic node
-order and floats are printed with shortest round-trip repr, so identical
-configs produce byte-identical files.
+Tables go from the library's columns (name -> values) to text a column at
+a time: nodes in lexicographic order, floats by shortest round-trip repr
+(``nan`` where not finite), so identical configs give byte-identical files.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import asdict, fields
+from dataclasses import fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -38,7 +38,7 @@ from .graphgeom import (
 from .grassmann import (
     SpacelikePlane, distance, graph_node_table, hyperbolic_distance_n1, pullback_trace,
 )
-from .jets import finite_diff_check
+from .jets import MAX_DIM, finite_diff_check
 from .lagrangian import (
     NotConvexError, Potential, gradient_graph, lagrangian_forms, moduli_curvature,
     moduli_curvature_oracle, node_table, to_standard,
@@ -116,12 +116,13 @@ _ONE_COMPONENT = ("components", Rule("one expression", lambda c: len(c["componen
 _POTENTIAL = ("potential", Rule("a potential", lambda c: c["potential"] is not None))
 _LATTICE = ("lattice", Rule("a lattice of dimension {m}",
                             lambda c: c["lattice"] is not None and c["lattice"].m == c["m"]))
+_JETS = ("m", Rule(f"m <= {MAX_DIM}", lambda c: c["m"] <= MAX_DIM))  # the jets' dimension cap
 
 # command -> what it needs beyond the defaults, as (path, rule on the job)
 REQUIRES = {
-    "analyze": (("components", Rule("{n} expressions",
-                                    lambda c: len(c["components"]) == c["n"])), _LATTICE),
-    "lagrangian": (_POTENTIAL, _LATTICE),
+    "analyze": (_JETS, ("components", Rule("{n} expressions",
+                                           lambda c: len(c["components"]) == c["n"])), _LATTICE),
+    "lagrangian": (_JETS, _POTENTIAL, _LATTICE),
     "solve-maximal": (_ONE_COMPONENT, _LATTICE),
     "solve-ma": (_POTENTIAL, _LATTICE),
     "scan": (_ONE_COMPONENT, ("radii", Rule("at least one radius", lambda c: len(c["radii"]) > 0)),
@@ -249,41 +250,40 @@ def _expressions(cfg: dict, path: str) -> list:
 # ---------------------------------------------------------------------------
 # Deterministic writers
 
-def _plain(v):
-    """A record value as a JSON value: numpy scalars become Python numbers,
-    and a float that is not finite the string "nan"."""
-    if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
-        return int(v)
-    if isinstance(v, (float, np.floating)):
-        return float(v) if np.isfinite(v) else "nan"
-    return v
+def _json_column(values) -> list:
+    """A column as JSON values: Python ints and floats, the string "nan"
+    for a float that is not finite, and strings as they are."""
+    col = np.asarray(values)
+    if col.dtype.kind != "f":
+        return col.tolist()
+    return np.where(np.isfinite(col), col.astype(object), "nan").tolist()
 
 
-def _fmt(v) -> str:
-    """A record value as text, spelled as in JSON (by repr: json.dumps is slower)."""
-    v = _plain(v)
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    return v if isinstance(v, str) else repr(v)
+def _csv_column(values) -> list:
+    """A column as CSV cells: the repr of a number, or the string, quoted
+    only if it holds a comma, a quote or a newline."""
+    col = np.asarray(values)
+    cells = list(map(str, _json_column(col)))  # str of a Python number is its repr
+    if col.dtype.kind not in "OU":  # numbers need no quotes
+        return cells
+    return ['"' + c.replace('"', '""') + '"' if any(ch in c for ch in ',"\n') else c
+            for c in cells]
 
 
-def _csv_cell(s: str) -> str:
-    if any(ch in s for ch in ",\"\n"):
-        return '"' + s.replace('"', '""') + '"'
-    return s
+def _number(v) -> str:
+    """One number as the tables spell it."""
+    return _csv_column([v])[0]
 
 
-def write_records(path, columns, records, meta, fmt):
+def write_records(path, table: dict, meta: dict, fmt: str) -> None:
+    """Write ``table`` (column name -> values, all of one length) as CSV, or
+    as JSON records under ``meta``; to stdout when ``path`` is None."""
     if fmt == "csv":
-        lines = [",".join(columns)]
-        for rec in records:
-            lines.append(",".join(_csv_cell(_fmt(rec[c])) for c in columns))
-        text = "\n".join(lines) + "\n"
+        rows = zip(*map(_csv_column, table.values()))
+        text = "\n".join([",".join(table), *map(",".join, rows)]) + "\n"
     else:
-        payload = {
-            "meta": meta,
-            "records": [{c: _plain(rec[c]) for c in columns} for rec in records],
-        }
+        rows = zip(*map(_json_column, table.values()))
+        payload = {"meta": meta, "records": [dict(zip(table, row)) for row in rows]}
         text = json.dumps(payload, indent=1) + "\n"
     if path is None:
         sys.stdout.write(text)
@@ -297,11 +297,10 @@ def _meta(cfg: dict) -> dict:
 
 
 def _write_node_table(cfg: dict, pts: np.ndarray, status: np.ndarray, cols: dict) -> None:
-    """One record per node: its index, coordinates, status and columns."""
-    columns = ["index"] + [f"x{d+1}" for d in range(pts.shape[1])] + ["status"] + list(cols)
-    data = [range(pts.shape[0])] + list(pts.T) + [status] + list(cols.values())
-    records = [dict(zip(columns, row)) for row in zip(*data)]
-    write_records(cfg["out"], columns, records, _meta(cfg), cfg["format"])
+    """The node table: each node's index, coordinates, status and columns."""
+    table = {"index": np.arange(len(pts)), **{f"x{d+1}": x for d, x in enumerate(pts.T)},
+             "status": status, **cols}
+    write_records(cfg["out"], table, _meta(cfg), cfg["format"])
 
 
 # ---------------------------------------------------------------------------
@@ -338,10 +337,10 @@ def cmd_solve(cfg: dict) -> int:
     out = cfg["out"] or "field.json"
     save_field(fld, out, cfg["format"])
     for stage, it, res, damp in log.steps:
-        print(f"stage={_fmt(stage)} iter={it} residual={_fmt(res)} damping={_fmt(damp)}")
+        print(f"stage={_number(stage)} iter={it} residual={_number(res)} damping={_number(damp)}")
     for stage, kind, detail in log.events:
-        print(f"event stage={_fmt(stage)} {kind}" + (f": {detail}" if detail else ""))
-    print(f"final residual {_fmt(log.final_residual)} (tol {_fmt(tol)}) -> {out}")
+        print(f"event stage={_number(stage)} {kind}" + (f": {detail}" if detail else ""))
+    print(f"final residual {_number(log.final_residual)} (tol {_number(tol)}) -> {out}")
     return EXIT_OK
 
 
@@ -352,10 +351,10 @@ def cmd_scan(cfg: dict) -> int:
                           **{key: cfg[f"scan.{key}"] for key in keys})
     scan = decay_scan(boundary, cfg["radii"], scan_cfg)
     slope = np.nan if scan.slope is None else scan.slope
-    meta = {**_meta(cfg), "slope": _plain(slope), "slope_kind": scan.slope_kind}
-    write_records(cfg["out"], [f.name for f in fields(DecayScanRow)],
-                  [asdict(row) for row in scan.rows], meta, cfg["format"])
-    slope_txt = "exact-zero" if scan.slope_kind == "exact-zero" else _fmt(slope)
+    meta = {**_meta(cfg), "slope": _json_column([slope])[0], "slope_kind": scan.slope_kind}
+    table = {f.name: [getattr(row, f.name) for row in scan.rows] for f in fields(DecayScanRow)}
+    write_records(cfg["out"], table, meta, cfg["format"])
+    slope_txt = "exact-zero" if scan.slope_kind == "exact-zero" else _number(slope)
     print(f"scan: fitted log-log slope {slope_txt}")
     return EXIT_NUMERICAL if any(row.status != "ok" for row in scan.rows) else EXIT_OK
 
@@ -574,21 +573,20 @@ def _battery(seed: int):
     return checks
 
 
-
 def cmd_check(cfg: dict) -> int:
-    checks = _battery(cfg["seed"])
-    records = []
-    all_ok = True
-    for name, fn in checks:
+    suites, results, details = [], [], []
+    for name, fn in _battery(cfg["seed"]):
         try:
             ok, detail = fn()
         except Exception as err:  # a crash is a failure, not an abort
             ok, detail = False, f"exception: {type(err).__name__}: {err}"
-        all_ok &= ok
-        records.append({"suite": name, "result": "pass" if ok else "FAIL", "detail": detail})
+        suites.append(name)
+        results.append("pass" if ok else "FAIL")
+        details.append(detail)
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-    write_records(cfg["out"], ["suite", "result", "detail"], records, _meta(cfg), cfg["format"])
-    return EXIT_OK if all_ok else EXIT_INVARIANT
+    write_records(cfg["out"], {"suite": suites, "result": results, "detail": details},
+                  _meta(cfg), cfg["format"])
+    return EXIT_INVARIANT if "FAIL" in results else EXIT_OK
 
 
 COMMANDS = {"analyze": cmd_analyze, "lagrangian": cmd_lagrangian, "solve-maximal": cmd_solve,

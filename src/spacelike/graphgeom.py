@@ -11,11 +11,11 @@ norm S.  Nothing in the pass raises; a point out of the jets' domain or not
 space-like is marked (``Geometry.fault``, ``min_eig``) and holds nan.
 
 The per-point functions (induced_metric, adapted_frames, fundamental_forms,
-curvature, ricci_bound_check, extremal_residual, covariant_h,
-pseudo_distance) are views of that pass.  Each takes a point (m,) or a
-batch (k, m): a point runs as a batch of one and gets back its row; a
-batch gets the batched record, or the exception of its first failing point,
-which is what that point raises on its own.  The module also gives the
+curvature, ricci_bound_check, extremal_residual, frame_riemann_oracle,
+covariant_h, pseudo_distance) are views of that pass.  Each takes a point
+(m,) or a batch (k, m): a point runs as a batch of one and gets back its
+row; a batch gets the batched record, or the exception of its first
+failing point, which is what that point raises on its own.  The module also gives the
 Simons-type slack report over a lattice and unit-speed geodesics of the
 induced metric (a batch of directions as one ODE), both on the graph's
 closed-form Christoffel symbols Gamma_{l,ij} = -sum_s f^s_l f^s_ij.
@@ -41,12 +41,7 @@ from .exprparse import eval_values, parse
 from .jets import evaluate_jet, jet_rows
 from .lattice import Lattice, LatticeError
 
-# Default tolerances: analytically exact identities, jet-vs-coordinate
-# oracle comparisons, finite-difference field operations.
-EXACT_TOL = 1e-9
-ORACLE_TOL = 1e-6
-FIELD_TOL = 1e-3
-SPACELIKE_TOL = 1e-12
+SPACELIKE_TOL = 1e-12  # frames and h need the metric's smallest eigenvalue above this
 
 
 class NotSpacelikeError(ValueError):
@@ -69,10 +64,9 @@ class GraphMap:
     offset: tuple = None  # subtracted from f so that X(0) = 0 when configured
 
     @classmethod
-    def from_strings(cls, m: int, exprs, offset=None) -> "GraphMap":
+    def from_strings(cls, m: int, exprs) -> "GraphMap":
         comps = tuple(parse(s, m) if isinstance(s, str) else s for s in exprs)
-        off = None if offset is None else tuple(float(v) for v in offset)
-        return cls(m, len(comps), comps, off)
+        return cls(m, len(comps), comps)
 
     def with_base_point(self) -> "GraphMap":
         """Translate the ambient y-coordinates so that X(0) = 0."""
@@ -159,12 +153,14 @@ def _swap(a: np.ndarray) -> np.ndarray:
 
 
 def _take(v, idx):
-    """Rows ``idx`` of a batched result, field by field for a record; the
-    entries of a single row that are 0-d become Python scalars."""
+    """Rows ``idx`` of a batched result, field by field for a record (and a
+    record inside it); the entries of a single row that are 0-d become
+    Python scalars, and what is not an array is kept as it is."""
     if dataclasses.is_dataclass(v):
         return dataclasses.replace(v, **{
-            f.name: _take(getattr(v, f.name), idx) for f in dataclasses.fields(v)
-            if isinstance(getattr(v, f.name), np.ndarray)})
+            f.name: _take(getattr(v, f.name), idx) for f in dataclasses.fields(v)})
+    if not isinstance(v, np.ndarray):
+        return v
     v = v[idx]
     return v.item() if isinstance(v, np.generic) else v
 
@@ -209,19 +205,20 @@ def _geometry_checks(geo: Geometry, limit=None):
 
 
 def immersion_geometry(J: np.ndarray, Hss: np.ndarray, sig: np.ndarray,
-                       normals_raw: np.ndarray, tol: float = SPACELIKE_TOL) -> Geometry:
+                       normals_raw: np.ndarray) -> Geometry:
     """Geometry of an immersion at a batch of points, given first/second
     parameter derivatives.
 
     J[..., i, :] = dX/du^i (m rows of ambient vectors), Hss[..., i, j, :] =
     d2X/du^i du^j, sig the ambient signature, normals_raw[..., s, :] a smooth
     basis of the normal space (its Gram matrix must be negative definite).
-    Points whose metric has smallest eigenvalue <= tol get nan frames and h.
+    Points whose metric has smallest eigenvalue <= SPACELIKE_TOL get nan
+    frames and h.
     """
     m, n = J.shape[-2], normals_raw.shape[-2]
     g = (J * sig) @ _swap(J)
     min_eig = np.linalg.eigvalsh(g)[..., 0]
-    spacelike, ok = min_eig > 0.0, min_eig > tol
+    spacelike, ok = min_eig > 0.0, min_eig > SPACELIKE_TOL
     g_inv = np.linalg.inv(np.where(spacelike[..., None, None], g, np.eye(m)))
     g_inv[~spacelike] = np.nan
     # triangular inverses by numpy's batched inv (np.tril drops its rounding
@@ -253,14 +250,14 @@ def _graph_immersion(A: np.ndarray, He: np.ndarray):
     return J, Hss, normals_raw
 
 
-def graph_geometry(gm: GraphMap, x, tol: float = SPACELIKE_TOL) -> Geometry:
+def graph_geometry(gm: GraphMap, x) -> Geometry:
     """The one batched pass of a graph at a point (m,) or points (k, m):
     the jets of all components, then metric, frames and h, always with a
     leading batch axis.  Nothing is raised: a point whose jets fail holds
     its DomainError in ``fault`` and the geometry of zero jets."""
     _, A, He, Th, fault = gm.jet_rows(np.asarray(x, dtype=float).reshape(-1, gm.m))
     J, Hss, normals_raw = _graph_immersion(A, He)
-    geo = immersion_geometry(J, Hss, signature(gm.m, gm.n), normals_raw, tol)
+    geo = immersion_geometry(J, Hss, signature(gm.m, gm.n), normals_raw)
     geo.fault, geo.A, geo.He, geo.Th = fault, A, He, Th
     return geo
 
@@ -271,10 +268,10 @@ def induced_metric(gm: GraphMap, x) -> Geometry:
     return _view(x, geo, *_geometry_checks(geo))
 
 
-def adapted_frames(gm: GraphMap, x, tol: float = SPACELIKE_TOL) -> Geometry:
+def adapted_frames(gm: GraphMap, x) -> Geometry:
     """Pseudo-orthonormal tangent/normal frames from triangular factorizations."""
-    geo = graph_geometry(gm, x, tol)
-    return _view(x, geo, *_geometry_checks(geo, tol))
+    geo = graph_geometry(gm, x)
+    return _view(x, geo, *_geometry_checks(geo, SPACELIKE_TOL))
 
 
 # ---------------------------------------------------------------------------
@@ -396,12 +393,11 @@ def frame_riemann_oracle(gm: GraphMap, x) -> np.ndarray:
     Entirely independent of the second fundamental form; used to
     cross-check the Gauss-relation route.
     """
-    _, A, He, Th = gm.jet_data(x)
-    rm = riemann_lowered(*_metric_derivs(A, He, Th))
-    paper = paper_riemann_from_lowered(rm)
-    fr = adapted_frames(gm, x)
-    E = fr.tangent_coeff
-    return np.einsum("ai,bj,ck,dl,ijkl->abcd", E, E, E, E, paper)
+    geo = graph_geometry(gm, x)
+    _raise_first(*_geometry_checks(geo, SPACELIKE_TOL))
+    paper = paper_riemann_from_lowered(riemann_lowered(*_metric_derivs(geo.A, geo.He, geo.Th)))
+    E = geo.tangent_coeff
+    return _view(x, np.einsum("...ai,...bj,...ck,...dl,...ijkl->...abcd", E, E, E, E, paper))
 
 
 def first_bianchi_residual(riemann: np.ndarray) -> float:
@@ -493,16 +489,16 @@ class PseudoDistancePoint:
     ratio: float          # |grad z| / (z + 1)
 
 
-def pseudo_distance(gm: GraphMap, x, base_tol: float = 1e-9) -> PseudoDistancePoint:
-    _check_base_point(gm, base_tol)
+def pseudo_distance(gm: GraphMap, x) -> PseudoDistancePoint:
+    _check_base_point(gm)
     geo = graph_geometry(gm, x)
     _raise_first(*_geometry_checks(geo, SPACELIKE_TOL))
     pts = np.asarray(x, dtype=float).reshape(-1, gm.m)
     return _view(x, _pseudo_distance(geo, gm.position(pts), signature(gm.m, gm.n)))
 
 
-def _check_base_point(gm: GraphMap, base_tol: float = 1e-9) -> None:
-    if np.linalg.norm(gm.position(np.zeros(gm.m))) > base_tol:
+def _check_base_point(gm: GraphMap) -> None:
+    if np.linalg.norm(gm.position(np.zeros(gm.m))) > 1e-9:
         raise BasePointError(
             "base point is not on the graph: X(0) != 0 and no offset configured; "
             "use GraphMap.with_base_point()"

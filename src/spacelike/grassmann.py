@@ -35,24 +35,9 @@ class SpacelikePlane:
         object.__setattr__(self, "slope", np.atleast_2d(np.asarray(self.slope, dtype=float)))
 
     @property
-    def m(self) -> int:
-        return self.slope.shape[-1]
-
-    @property
-    def n(self) -> int:
-        return self.slope.shape[-2]
-
-    @property
     def sigma_max(self):
-        if not min(self.slope.shape[-2:]):  # a plane with no slope
-            s = np.zeros(self.slope.shape[:-2])
-        else:
-            s = np.linalg.svd(self.slope, compute_uv=False)[..., 0]
+        s = np.linalg.svd(self.slope, compute_uv=False)[..., 0]
         return float(s) if s.ndim == 0 else s
-
-    @property
-    def spacelike(self):
-        return self.sigma_max < 1.0
 
 
 def gauss_map(gm: GraphMap, x) -> SpacelikePlane:
@@ -159,7 +144,12 @@ class PullbackReport:
     quotients: list               # raw quotients per rung, coarse to fine
 
 
-def pullback_check(gm: GraphMap, x, direction, eps: float = 1e-2, rungs: int = 3) -> PullbackReport:
+# Difference-quotient steps of the pullback check, coarse to fine; the
+# Richardson step uses the last two, the first shows the convergence.
+PULLBACK_STEPS = (1e-2, 5e-3, 2.5e-3)
+
+
+def pullback_check(gm: GraphMap, x, direction) -> PullbackReport:
     """Compare the Gauss-map stretch along a unit frame direction with the
     second-fundamental-form prediction.
 
@@ -176,7 +166,7 @@ def pullback_check(gm: GraphMap, x, direction, eps: float = 1e-2, rungs: int = 3
         v = np.asarray(direction, dtype=float)
         v = v / np.linalg.norm(v)
     coord_step = v @ pg.tangent_coeff  # coordinate displacement of the unit frame vector
-    steps = eps / 2.0 ** np.arange(rungs)
+    steps = np.array(PULLBACK_STEPS)
     there = gauss_map(gm, x + steps[:, None] * coord_step)
     quotients = (distance(gauss_map(gm, x), there) / steps).tolist()
     extrap = 2.0 * quotients[-1] - quotients[-2]
@@ -186,11 +176,11 @@ def pullback_check(gm: GraphMap, x, direction, eps: float = 1e-2, rungs: int = 3
                           rel_error=rel, quotients=quotients)
 
 
-def pullback_trace(gm: GraphMap, x, eps: float = 1e-2, rungs: int = 3):
+def pullback_trace(gm: GraphMap, x):
     """Sum of squared stretches over a full tangent frame; equals S."""
     total = 0.0
     for k in range(gm.m):
-        rep = pullback_check(gm, x, k, eps=eps, rungs=rungs)
+        rep = pullback_check(gm, x, k)
         total += rep.stretch_fd**2
     return total, fundamental_forms(gm, x).S
 

@@ -12,10 +12,10 @@ implemented both directly (third derivatives of F contracted against
 g^{-1}) and via an intrinsic Christoffel oracle for cross-checking.
 
 The per-point functions (gradient_graph, ma_residual, lagrangian_forms,
-moduli_curvature, moduli_curvature_oracle) take a point (m,) or a batch
-(k, m) and evaluate the jets of F once for the batch (plus once for the 2m
-shifted points of each finite-difference route); a batch gets batched
-records or the exception of its first failing point.
+moduli_curvature, moduli_curvature_oracle, to_standard) take a point (m,)
+or a batch (k, m) and evaluate the jets of F once for the batch (plus once
+for the 2m shifted points of each finite-difference route); a batch gets
+batched records or the exception of its first failing point.
 
 to_standard() changes coordinates by the linear isometry
 (x, y) -> ((x+y)/2, (x-y)/2), which takes Q to diag(+1^m, -1^m), so the
@@ -31,9 +31,9 @@ import numpy as np
 from .exprparse import Expr, parse
 from .graphgeom import (
     SPACELIKE_TOL, Geometry, _fault_check, _filled, _geometry_checks, _raise_first, _take,
-    _view, immersion_geometry, paper_riemann_from_lowered, riemann_lowered,
+    _view, immersion_geometry, paper_riemann_from_lowered, riemann_lowered, signature,
 )
-from .jets import evaluate_jet, jet_rows
+from .jets import jet_rows
 
 
 ORACLE_FD_STEP = 1e-4  # central-difference step of the moduli-curvature oracle
@@ -57,9 +57,6 @@ class Potential:
     @classmethod
     def from_string(cls, m: int, text: str, c: float = 1.0) -> "Potential":
         return cls(m, parse(text, m), c)
-
-    def jet(self, x):
-        return evaluate_jet(self.F, np.asarray(x, dtype=float))
 
 
 @dataclass
@@ -180,27 +177,24 @@ def null_to_standard_matrix(m: int) -> np.ndarray:
 
 def to_standard(P: Potential, x) -> StandardImmersion:
     """The same gradient graph as an ordinary space-like graph immersion in
-    standard coordinates of signature diag(+1^m, -1^m)."""
-    x = np.asarray(x, dtype=float)
-    jet = P.jet(x)
-    g = jet.hess
-    eigs = np.linalg.eigvalsh(g)
-    if eigs[0] <= 0:
-        raise NotConvexError(float(eigs[0]))
-    m = P.m
+    standard coordinates of signature diag(+1^m, -1^m); every field of a
+    batch leads with the batch axis, T included."""
+    pts, jet, fault = _potential_jets(P, x)
+    gg = _gradient_graph(pts, jet)
+    _raise_first(_fault_check(fault), _convex_check(gg))
+    g, m = gg.metric, P.m
     T = null_to_standard_matrix(m)
-    X = T @ np.concatenate([x, jet.grad])
-    eye = np.eye(m)
-    J_null = np.hstack([eye, g])                      # rows e_i = d_i + F_ij d_{y^j}
-    Hss_null = np.concatenate([np.zeros((m, m, m)), jet.third], axis=2)
-    normals_null = np.hstack([eye, -g])               # rows n_i
-    J = J_null @ T.T
-    Hss = np.einsum("ijB,AB->ijA", Hss_null, T)
-    normals = normals_null @ T.T
-    sig = np.concatenate([np.ones(m), -np.ones(m)])
-    geo = immersion_geometry(J[None], Hss[None], sig, normals[None])
+    eye = np.broadcast_to(np.eye(m), g.shape)
+    # null-coordinate rows e_i = d_i + F_ij d_{y^j} and n_i = d_i - F_ij d_{y^j},
+    # each taken to standard coordinates by T
+    J = np.concatenate([eye, g], axis=-1) @ T.T
+    Hss = np.concatenate([np.zeros(g.shape + (m,)), jet.third], axis=-1) @ T.T
+    normals = np.concatenate([eye, -g], axis=-1) @ T.T
+    geo = immersion_geometry(J, Hss, signature(m, m), normals)
     _raise_first(*_geometry_checks(geo, SPACELIKE_TOL))
-    return StandardImmersion(T=T, X=X, J=J, Hss=Hss, normals=normals, geometry=_take(geo, 0))
+    X = np.concatenate([pts, jet.grad], axis=-1) @ T.T
+    return _view(x, StandardImmersion(T=np.broadcast_to(T, (len(pts),) + T.shape), X=X, J=J,
+                                      Hss=Hss, normals=normals, geometry=geo))
 
 
 # ---------------------------------------------------------------------------
@@ -236,24 +230,25 @@ def moduli_curvature(P: Potential, x) -> ModuliCurvature:
     return _view(x, moduli_curvature_arrays(gg.metric, gg.metric_inv, jet.third))
 
 
-def moduli_curvature_oracle(P: Potential, x, fd_step: float = ORACLE_FD_STEP) -> np.ndarray:
+def moduli_curvature_oracle(P: Potential, x) -> np.ndarray:
     """Intrinsic Christoffel-route curvature of the Hessian metric.
 
     g and dg come exactly from the order-3 jet; ddg (fourth derivatives of
     F) is obtained by central differences of exact third derivatives, so
-    the oracle is exact for quartic potentials and O(fd_step^2) otherwise.
-    The fourth-derivative content cancels in the curvature combination.
+    the oracle is exact for quartic potentials and O(ORACLE_FD_STEP^2)
+    otherwise.  The fourth-derivative content cancels in the curvature
+    combination.
     """
     pts, jet, fault = _potential_jets(P, x)
-    shifted, shift_fault = _shifted_jets(P, pts, fd_step)
+    shifted, shift_fault = _shifted_jets(P, pts, ORACLE_FD_STEP)
     _raise_first(_fault_check(fault), _fault_check(shift_fault))
-    return _view(x, _moduli_oracle(P, jet, shifted, fd_step))
+    return _view(x, _moduli_oracle(P, jet, shifted))
 
 
-def _moduli_oracle(P: Potential, jet, shifted, fd_step: float) -> np.ndarray:
+def _moduli_oracle(P: Potential, jet, shifted) -> np.ndarray:
     m = P.m
     dg = np.einsum("...ijp->...pij", jet.third)
-    diff = (shifted.third[:, :m] - shifted.third[:, m:]) / (2 * fd_step)
+    diff = (shifted.third[:, :m] - shifted.third[:, m:]) / (2 * ORACLE_FD_STEP)
     ddg = np.einsum("...pijq->...pqij", diff)  # ddg[p,q,i,j] = d_p d_q g_ij
     return paper_riemann_from_lowered(riemann_lowered(jet.hess, dg, ddg))
 
@@ -298,7 +293,7 @@ def node_table(P: Potential, pts: np.ndarray, oracle: bool) -> tuple[np.ndarray,
     }
     if oracle:
         shifted, oracle_fault = _shifted_jets(P, pts[on], ORACLE_FD_STEP)
-        ref = _moduli_oracle(P, _take(jet_c, formed), shifted, ORACLE_FD_STEP)
+        ref = _moduli_oracle(P, _take(jet_c, formed), shifted)
         axes = (-4, -3, -2, -1)
         scale = np.maximum(np.max(np.abs(ref), axis=axes), 1e-10)
         err = np.max(np.abs(mc.riemann[formed] - ref), axis=axes) / scale

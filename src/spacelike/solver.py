@@ -569,20 +569,17 @@ def save_field(field: GridField, path: str, fmt: str = "json") -> None:
             json.dump(payload, fh, indent=1)
             fh.write("\n")
     elif fmt == "csv":
-        lat = field.lattice
-        pts = lat_mod.node_points(lat)
-        bnd = lat_mod.boundary_mask(lat).ravel()
-        inter = lat_mod.interior_mask(lat).ravel()
+        lat, vals = field.lattice, field.values.ravel()
+        value = np.where(np.isfinite(vals), vals.astype(object), "nan")
+        role = np.where(lat_mod.interior_mask(lat).ravel(), "interior",
+                        np.where(lat_mod.boundary_mask(lat).ravel(), "boundary", "inactive"))
+        # a column at a time: str of a Python int or float is its repr
+        numbers = [*np.indices(lat.shape).reshape(lat.m, -1), *lat_mod.node_points(lat).T, value]
+        rows = zip(*(map(str, col.tolist()) for col in numbers), role.tolist())
+        head = [f"i{d+1}" for d in range(lat.m)] + [f"x{d+1}" for d in range(lat.m)] + ["value", "role"]
         with open(path, "w", newline="") as fh:
             fh.write("# lattice=" + json.dumps(_lattice_to_dict(lat)) + "\n")
-            cols = [f"i{d+1}" for d in range(lat.m)] + [f"x{d+1}" for d in range(lat.m)] + ["value", "role"]
-            fh.write(",".join(cols) + "\n")
-            for flat, v in enumerate(field.values.ravel()):
-                idx = np.unravel_index(flat, lat.shape)
-                role = "interior" if inter[flat] else ("boundary" if bnd[flat] else "inactive")
-                val = repr(float(v)) if np.isfinite(v) else "nan"
-                row = [str(i) for i in idx] + [repr(float(c)) for c in pts[flat]] + [val, role]
-                fh.write(",".join(row) + "\n")
+            fh.write("\n".join(map(",".join, [head, *rows])) + "\n")
     else:
         raise ValueError(f"unknown format {fmt!r}")
 

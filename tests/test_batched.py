@@ -15,19 +15,19 @@ from conftest import polynomial_string, random_spacelike_graph
 from spacelike.exprparse import BinOp, parse
 from spacelike.graphgeom import (
     GraphMap, _take, adapted_frames, covariant_h, curvature, extremal_residual,
-    fundamental_forms, induced_metric, pseudo_distance, ricci_bound_check,
+    frame_riemann_oracle, fundamental_forms, induced_metric, pseudo_distance, ricci_bound_check,
 )
 from spacelike.grassmann import distance, gauss_map
 from spacelike.lagrangian import (
     Potential, gradient_graph, lagrangian_forms, ma_residual, moduli_curvature,
-    moduli_curvature_oracle,
+    moduli_curvature_oracle, to_standard,
 )
 
 GRAPH_FUNCTIONS = (induced_metric, adapted_frames, fundamental_forms, curvature,
-                   ricci_bound_check, extremal_residual, pseudo_distance, covariant_h,
-                   gauss_map)
+                   ricci_bound_check, extremal_residual, frame_riemann_oracle,
+                   pseudo_distance, covariant_h, gauss_map)
 POTENTIAL_FUNCTIONS = (gradient_graph, ma_residual, lagrangian_forms, moduli_curvature,
-                       moduli_curvature_oracle)
+                       moduli_curvature_oracle, to_standard)
 
 
 def _outcome(fn, *args):

@@ -304,6 +304,11 @@ def _potential_job(p):
     p.update(potential="0.5*(x1^2+x2^2)")
 
 
+def _box(m):
+    """The box [-1, 1]^m with two nodes per axis."""
+    return {"lo": [-1] * m, "hi": [1] * m, "nodes": 2}
+
+
 @pytest.mark.parametrize("argv, payload, path", [
     (["analyze"], [1, 2], "config"),
     (["analyze"], _hostile(lambda p: p.update(m="two")), "m"),
@@ -342,6 +347,8 @@ def _potential_job(p):
     (["scan"], _hostile(lambda p: (_scan_job(p), p["scan"].update(nodes=10**6))), "scan.nodes"),
     (["scan"], _hostile(lambda p: (_scan_job(p), p["scan"].update(policy="fixed-spacing", spacing=1e-6))),
      "scan.spacing"),
+    (["analyze"], _hostile(lambda p: p.update(m=9, components=["x1"], lattice=_box(9))), "m"),
+    (["lagrangian"], _hostile(lambda p: (_potential_job(p), p.update(m=9, lattice=_box(9)))), "m"),
 ], ids=["top-level-array", "m-not-a-number", "mask-not-an-object", "annulus-without-r_max",
         "tol-not-a-number", "solver-not-an-object", "lo-not-a-number", "component-not-a-string",
         "ma-c-negative", "ma-c-zero", "scan-spacing-zero", "check-seed-negative",
@@ -349,7 +356,7 @@ def _potential_job(p):
         "m-fractional", "delta_safe-above-1", "tol-infinite", "max_iter-negative",
         "oracle-a-string", "center_fraction-negative", "r_max-negative", "format-flag-xml",
         "seed-flag-not-a-number", "nodes-1e300", "nodes-1e6", "spacing-tiny", "scan-nodes-huge",
-        "scan-spacing-tiny"])
+        "scan-spacing-tiny", "analyze-m-above-jet-cap", "lagrangian-m-above-jet-cap"])
 def test_hostile_config_values_exit_1(tmp_path, capsys, argv, payload, path):
     cfg = write_config(tmp_path, "cfg.json", payload)
     assert run_cli(argv + ["--config", cfg, "--out", str(tmp_path / "r.csv")]) == 1

@@ -1,7 +1,11 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
 from spacelike import solver
+from spacelike.cli import main
 from spacelike.exprparse import eval_values, parse
 from spacelike.lattice import Lattice
 from spacelike.solver import (
@@ -87,6 +91,36 @@ def test_maximal_three_dimensional_smoke():
     fld, log = solve_maximal(lat, parse("0.2*x1 + 0.1*x2*x3", 3))
     assert log.final_residual <= 1e-10
     assert np.all(np.isfinite(fld.values))
+
+
+# -- Newton's exits: the Laplace stage (lam = 0) runs before the continuation
+# ladder, so a failure there is final
+
+def test_newton_converges_on_its_last_allowed_iteration():
+    lat = Lattice.box((-1, -1), (1, 1), 9)
+    fld, log = solve_maximal(lat, parse("0.3*x1^2", 2), max_iter=1)
+    # the linear stage converges on its only iteration; later stages that
+    # need more are rejected until the ladder's steps are short enough
+    assert [step[:2] for step in log.steps[:2]] == [(0.0, 0), (0.0, 1)]
+    assert log.steps[1][2] <= 1e-10 and log.final_residual <= 1e-10
+    assert any(kind == "rejected" and detail.endswith("after 1 iterations")
+               for _, kind, detail in log.events)
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"tol": 1e-20, "max_iter": 1}, r"Newton divergence: residual \S+ after 1 iterations"),
+    # a tolerance below rounding: no damped step lowers the residual
+    ({"tol": 1e-300}, r"step damping floor reached \(safeguard exhausted\)"),
+], ids=["divergence", "damping-floor"])
+def test_newton_failures_exit_2(tmp_path, capsys, settings, message):
+    lat = Lattice.box((-1, -1), (1, 1), 9)
+    with pytest.raises(SolverError, match=f"^{message}$"):
+        solve_maximal(lat, parse("0.3*x1^2", 2), **settings)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"m": 2, "components": ["0.3*x1^2"], "solver": settings,
+                               "lattice": {"lo": [-1, -1], "hi": [1, 1], "nodes": 9}}))
+    assert main(["solve-maximal", "--config", str(cfg), "--out", str(tmp_path / "f.json")]) == 2
+    assert re.fullmatch(f"numerical failure: {message}\n", capsys.readouterr().err)
 
 
 def test_non_spacelike_data_fails():
