@@ -172,15 +172,28 @@ def _filled(size: int, rows, values) -> np.ndarray:
     return out
 
 
-def _raise_first(*checks) -> None:
-    """Raise the error of the first failing point of a batch.  ``checks`` are
-    (bad, error) pairs in the order one point runs them: a mask over the
-    batch and a function from a point's index to its exception."""
+def _first(checks):
+    """One check from ``checks``, (bad, error) pairs in the order one point
+    runs them: a mask over the batch and a function from a point's index to
+    its exception.  The error at a point is that of its first failing check."""
     masks = [np.ravel(bad) for bad, _ in checks]
-    failing = np.logical_or.reduce(masks)
+    return (np.logical_or.reduce(masks),
+            lambda i: next(error(i) for (_, error), bad in zip(checks, masks) if bad[i]))
+
+
+def _raise_first(*checks) -> None:
+    """Raise the error of the first failing point of a batch (see _first)."""
+    failing, error = _first(checks)
     if failing.any():
-        i = int(np.argmax(failing))
-        raise next(error(i) for (_, error), bad in zip(checks, masks) if bad[i])
+        raise error(int(np.argmax(failing)))
+
+
+def _by_point(k: int, *checks):
+    """A check over k points from checks over their sub-steps (k, s), which
+    each point runs in order: a point fails at its first failing sub-step."""
+    bad, error = _first(checks)
+    bad = bad.reshape(k, -1)
+    return bad.any(axis=1), lambda i: error(i * bad.shape[1] + int(np.argmax(bad[i])))
 
 
 def _view(x, value, *checks):

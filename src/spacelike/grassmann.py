@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphgeom import (
-    SPACELIKE_TOL, GraphMap, NotSpacelikeError, _extremal_residual, _fault_check, _filled,
-    _pseudo_distance, _raise_first, _ricci_margin, _take, _view, _with_curvature,
-    fundamental_forms, graph_geometry, signature,
+    SPACELIKE_TOL, GraphMap, NotSpacelikeError, _by_point, _extremal_residual, _fault_check,
+    _filled, _geometry_checks, _pseudo_distance, _raise_first, _ricci_margin, _take, _view,
+    _with_curvature, fundamental_forms, graph_geometry, signature,
 )
 
 
@@ -141,7 +141,7 @@ class PullbackReport:
     stretch_formula: float        # (sum_{s,i} (h_sij v_j)^2)^{1/2}
     stretch_fd: float             # Richardson-extrapolated difference quotient
     rel_error: float
-    quotients: list               # raw quotients per rung, coarse to fine
+    quotients: np.ndarray         # raw quotients per rung, coarse to fine
 
 
 # Difference-quotient steps of the pullback check, coarse to fine; the
@@ -151,29 +151,37 @@ PULLBACK_STEPS = (1e-2, 5e-3, 2.5e-3)
 
 def pullback_check(gm: GraphMap, x, direction) -> PullbackReport:
     """Compare the Gauss-map stretch along a unit frame direction with the
-    second-fundamental-form prediction.
+    second-fundamental-form prediction, at a point (m,) or a batch (k, m).
 
     ``direction`` is either a tangent frame index or an m-vector of frame
     components (normalized internally).
     """
-    x = np.asarray(x, dtype=float)
-    pg = fundamental_forms(gm, x)  # frames and h
-    m = gm.m
+    pts = np.asarray(x, dtype=float).reshape(-1, gm.m)
+    k, m = pts.shape
+    geo = graph_geometry(gm, pts)  # frames and h
     if np.isscalar(direction):
         v = np.zeros(m)
         v[int(direction)] = 1.0
     else:
         v = np.asarray(direction, dtype=float)
         v = v / np.linalg.norm(v)
-    coord_step = v @ pg.tangent_coeff  # coordinate displacement of the unit frame vector
-    steps = np.array(PULLBACK_STEPS)
-    there = gauss_map(gm, x + steps[:, None] * coord_step)
-    quotients = (distance(gauss_map(gm, x), there) / steps).tolist()
-    extrap = 2.0 * quotients[-1] - quotients[-2]
-    formula = float(np.sqrt(np.sum((np.einsum("sij,j->si", pg.h, v)) ** 2)))
-    rel = abs(extrap - formula) / max(1.0, formula)
-    return PullbackReport(stretch_formula=formula, stretch_fd=extrap,
-                          rel_error=rel, quotients=quotients)
+    # coordinate displacement of the unit frame vector (0 where there is no frame)
+    coord_step = np.nan_to_num(v @ geo.tangent_coeff)
+    # the Gauss map at each point (step 0) and at each rung
+    steps = np.array((0.0,) + PULLBACK_STEPS)
+    rungs = pts[:, None] + steps[:, None] * coord_step[:, None]
+    _, A, _, _, fault = gm.jet_rows(rungs.reshape(-1, m))
+    plane = SpacelikePlane(A)
+    slopes = A.reshape(k, len(steps), gm.n, m)
+    d, d_check = _distances(SpacelikePlane(slopes[:, :1]), SpacelikePlane(slopes[:, 1:]))
+    quotients = d / steps[1:]
+    extrap = 2.0 * quotients[:, -1] - quotients[:, -2]
+    formula = np.sqrt(np.sum(np.einsum("ksij,j->ksi", geo.h, v) ** 2, axis=(1, 2)))
+    rel = np.abs(extrap - formula) / np.maximum(1.0, formula)
+    return _view(x, PullbackReport(stretch_formula=formula, stretch_fd=extrap, rel_error=rel,
+                                   quotients=quotients),
+                 *_geometry_checks(geo, SPACELIKE_TOL),
+                 _by_point(k, *_gauss_checks(plane, fault)), _by_point(k, d_check))
 
 
 def pullback_trace(gm: GraphMap, x):

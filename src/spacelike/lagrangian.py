@@ -130,19 +130,7 @@ def lagrangian_forms(P: Potential, x) -> LagrangianForms:
     pts, jet, fault = _potential_jets(P, x)
     gg = _gradient_graph(pts, jet)
     _raise_first(_fault_check(fault), _convex_check(gg))
-    forms, shift_fault = _lagrangian_forms(P, pts, jet, gg)
-    return _view(x, forms, _fault_check(shift_fault))
-
-
-def _lagrangian_forms(P: Potential, pts: np.ndarray, jet, gg: GradientGraphPoint):
-    """The forms at every point, and per point the DomainError of the
-    shifted jets of the identity residual (or None)."""
-    g, g_inv = gg.metric, gg.metric_inv
-    T = jet.third
-    B = -0.5 * np.einsum("...ijl,...lk->...ijk", T, g_inv)
-    # d_l det = det * g^{ij} F_ijl  (Jacobi); verified as an internal identity
-    dlog = np.einsum("...ij,...ijl->...l", g_inv, T)
-    H = -(1.0 / (2.0 * P.m)) * np.einsum("...l,...lk->...k", dlog, g_inv)
+    B, H, S, H_norm, dlog = _lagrangian_forms(P, jet, gg)
     # independent route to d_l ln g via central differences of the jet values
     h_fd = 1e-6
     shifted, shift_fault = _shifted_jets(P, pts, h_fd)
@@ -150,10 +138,22 @@ def _lagrangian_forms(P: Potential, pts: np.ndarray, jet, gg: GradientGraphPoint
     dets[np.not_equal(shift_fault, None)] = 1.0  # zero jets; no residual there
     dp, dm = dets[:, :P.m], dets[:, P.m:]
     resid = np.max(np.abs((np.log(dp) - np.log(dm)) / (2 * h_fd) - dlog), axis=-1)
+    return _view(x, LagrangianForms(B_coeff=B, H_coeff=H, S=S, H_norm=H_norm,
+                                    logdet_identity_residual=resid), _fault_check(shift_fault))
+
+
+def _lagrangian_forms(P: Potential, jet, gg: GradientGraphPoint):
+    """B_coeff, H_coeff, S and H_norm at every point, and d_l ln det g from
+    the jets."""
+    g, g_inv = gg.metric, gg.metric_inv
+    T = jet.third
+    B = -0.5 * np.einsum("...ijl,...lk->...ijk", T, g_inv)
+    # d_l det = det * g^{ij} F_ijl  (Jacobi); verified as an internal identity
+    dlog = np.einsum("...ij,...ijl->...l", g_inv, T)
+    H = -(1.0 / (2.0 * P.m)) * np.einsum("...l,...lk->...k", dlog, g_inv)
     S = 0.25 * np.einsum("...ik,...jl,...ab,...ija,...klb->...", g_inv, g_inv, g_inv, T, T)
     H_norm = np.sqrt(np.einsum("...p,...pq,...q->...", H, g, H))
-    return LagrangianForms(B_coeff=B, H_coeff=H, S=S, H_norm=H_norm,
-                           logdet_identity_residual=resid), shift_fault
+    return B, H, S, H_norm, dlog
 
 
 # ---------------------------------------------------------------------------
@@ -274,30 +274,28 @@ def node_table(P: Potential, pts: np.ndarray, oracle: bool) -> tuple[np.ndarray,
     gg = _gradient_graph(pts, jet)
     convex = np.flatnonzero(gg.convex)
     jet_c, gg_c = _take(jet, convex), _take(gg, convex)
-    forms, forms_fault = _lagrangian_forms(P, pts[convex], jet_c, gg_c)
+    _, _, S, H_norm, _ = _lagrangian_forms(P, jet_c, gg_c)
     mc = moduli_curvature_arrays(gg_c.metric, gg_c.metric_inv, jet_c.third)
-    formed = np.equal(forms_fault, None)
-    on = convex[formed]
 
     clean = np.equal(fault, None)
     status = np.where(clean, "not-convex", "error:DomainError").astype(object)
-    status[convex] = np.where(formed, "ok", "error:DomainError")
+    status[convex] = "ok"
     cols = {
         "det_hess": _filled(k, clean, gg.det[clean]),
         "min_eig_hess": _filled(k, clean, gg.min_eig[clean]),
         "ma_residual": _filled(k, clean, gg.det[clean] - P.c),
-        "S": _filled(k, on, forms.S[formed]),
-        "H_norm": _filled(k, on, forms.H_norm[formed]),
-        "min_ricci_eig": _filled(k, on, mc.min_ricci_eig[formed]),
-        "scalar_curv": _filled(k, on, mc.scalar[formed]),
+        "S": _filled(k, convex, S),
+        "H_norm": _filled(k, convex, H_norm),
+        "min_ricci_eig": _filled(k, convex, mc.min_ricci_eig),
+        "scalar_curv": _filled(k, convex, mc.scalar),
     }
     if oracle:
-        shifted, oracle_fault = _shifted_jets(P, pts[on], ORACLE_FD_STEP)
-        ref = _moduli_oracle(P, _take(jet_c, formed), shifted)
+        shifted, oracle_fault = _shifted_jets(P, pts[convex], ORACLE_FD_STEP)
+        ref = _moduli_oracle(P, jet_c, shifted)
         axes = (-4, -3, -2, -1)
         scale = np.maximum(np.max(np.abs(ref), axis=axes), 1e-10)
-        err = np.max(np.abs(mc.riemann[formed] - ref), axis=axes) / scale
+        err = np.max(np.abs(mc.riemann - ref), axis=axes) / scale
         checked = np.equal(oracle_fault, None)
-        cols["riemann_oracle_err"] = _filled(k, on[checked], err[checked])
-        status[on[~checked]] = "error:DomainError"
+        cols["riemann_oracle_err"] = _filled(k, convex[checked], err[checked])
+        status[convex[~checked]] = "error:DomainError"
     return status, cols

@@ -3,10 +3,13 @@ equation and the Monge-Ampere equation, with Dirichlet data.
 
 The maximal equation is discretized in divergence form
 div(grad f / sqrt(1 - |grad f|^2)) = 0 with conservative face fluxes
-(second order).  A continuation parameter lam scales |grad f|^2 inside
-the square root: lam = 0 is the Laplace equation (used as the initial
-stage), lam = 1 the full equation.  Each accepted Newton step must keep
-every face speed below 1 - delta_safe.
+(second order), on the lattice-shaped array: per axis d, whole-grid
+slices give the faces (k, k+1) along d at transverse indices 1..n-2, the
+only faces an interior node touches.  The same face pass gives the largest
+face |grad f|^2 of the space-like safeguard.  A continuation parameter lam
+scales |grad f|^2 inside the square root: lam = 0 is the Laplace equation
+(used as the initial stage), lam = 1 the full equation.  Each accepted
+Newton step must keep every face speed below 1 - delta_safe.
 
 The Monge-Ampere residual is det(discrete Hessian) - c with compact
 central stencils; a boundary-data homotopy theta starts from the exactly
@@ -126,16 +129,13 @@ class _Ops:
         m = lattice.m
         self.m = m
         self.h = np.array(lattice.spacing)
-        act = lat_mod.active_mask(lattice).ravel()
-        inter = lat_mod.interior_mask(lattice).ravel()
-        self.act = act
-        self.int_flat = np.flatnonzero(inter)
+        grid = lat_mod.interior_mask(lattice)
+        self.int_flat = np.flatnonzero(grid)
         self.K = self.int_flat.size
         if self.K == 0:
             raise LatticeError("lattice has no interior nodes")
-        self.int_id = np.full(act.size, -1, dtype=int)
+        self.int_id = np.full(grid.size, -1, dtype=int)
         self.int_id[self.int_flat] = np.arange(self.K)
-        self.strides = lat_mod.strides(lattice)
         shape = lattice.shape
 
         multi = np.array(np.unravel_index(self.int_flat, shape)).T  # (K, m)
@@ -161,34 +161,14 @@ class _Ops:
         self.jac_indices = rank[alpha[order]]
         self.jac_indptr = np.concatenate([[0], np.cumsum(np.bincount(rank[beta], minlength=self.K))])
 
-        # axis faces for the divergence-form flux
-        self.faces = []
-        for d in range(m):
-            step = int(self.strides[d])
-            cand = np.flatnonzero(act)
-            nb = cand + step
-            ok = nb < act.size
-            # stay in the same row block along axis d
-            idx_d = np.array(np.unravel_index(cand, shape))[d]
-            ok &= idx_d < shape[d] - 1
-            ok[ok] &= act[nb[ok]]
-            L = cand[ok]
-            R = nb[ok]
-            touching = (self.int_id[L] >= 0) | (self.int_id[R] >= 0)
-            L, R = L[touching], R[touching]
-            # transverse neighbours L +- e_t, R +- e_t: each face has an
-            # interior end, whose whole +-1 cube (inside the lattice) is
-            # active and holds all four, so they need no check
-            trans = {}
-            for t in range(m):
-                if t == d:
-                    continue
-                st = int(self.strides[t])
-                for name, basearr in (("L", L), ("R", R)):
-                    for sgn, tag in ((+1, "p"), (-1, "m")):
-                        trans[(name, t, tag)] = basearr + sgn * st
-            self.faces.append({"L": L, "R": R, "trans": trans,
-                               "rowsL": self.int_id[L], "rowsR": self.int_id[R]})
+        # per axis d, the lower and upper end nodes of the flux faces (k, k+1)
+        # along d at transverse indices 1..n-2, and the idle faces, which
+        # touch no interior node: their psq is zeroed, so that a steep face
+        # between two boundary nodes never reaches the sqrt
+        inner = (slice(1, -1),) * m
+        self.ends = [(inner[:d] + (slice(None, -1),) + inner[d + 1:],
+                      inner[:d] + (slice(1, None),) + inner[d + 1:]) for d in range(m)]
+        self.idle = [~(grid[lo] | grid[hi]) for lo, hi in self.ends]
 
 
 def _full_from_interior(ops: _Ops, bvals: np.ndarray, u_int: np.ndarray) -> np.ndarray:
@@ -197,42 +177,42 @@ def _full_from_interior(ops: _Ops, bvals: np.ndarray, u_int: np.ndarray) -> np.n
     return u
 
 
-def _face_gradient(ops: _Ops, u_full: np.ndarray, d: int):
-    """Normal difference pd and squared gradient psq on the axis-d faces."""
-    fc = ops.faces[d]
-    pd = (u_full[fc["R"]] - u_full[fc["L"]]) / ops.h[d]
-    psq = pd * pd
+def _faces(ops: _Ops, u_full: np.ndarray):
+    """Per axis d, the normal difference pd and the squared gradient psq on
+    the axis-d faces (see _Ops); the tangential derivative along t is the
+    mean of the two end nodes' central differences."""
+    u = u_full.reshape(ops.lattice.shape)
+    # central differences along t, at the nodes 1..n-2 along t (faces read no others)
+    central = np.zeros((ops.m,) + u.shape, dtype=u.dtype)
     for t in range(ops.m):
-        if t == d:
-            continue
-        cL = (u_full[fc["trans"][("L", t, "p")]] - u_full[fc["trans"][("L", t, "m")]]) / (2 * ops.h[t])
-        cR = (u_full[fc["trans"][("R", t, "p")]] - u_full[fc["trans"][("R", t, "m")]]) / (2 * ops.h[t])
-        pt = 0.5 * (cL + cR)
-        psq = psq + pt * pt
-    return pd, psq
+        along = (slice(None),) * t
+        central[t][along + (slice(1, -1),)] = (
+            u[along + (slice(2, None),)] - u[along + (slice(None, -2),)]) / (2 * ops.h[t])
+    for d, (lo, hi) in enumerate(ops.ends):
+        pd = (u[hi] - u[lo]) / ops.h[d]
+        psq = pd * pd
+        for t in range(ops.m):
+            if t != d:
+                pt = 0.5 * (central[t][lo] + central[t][hi])
+                psq = psq + pt * pt
+        psq[ops.idle[d]] = 0.0
+        yield pd, psq
 
 
 def _maximal_residual(ops: _Ops, u_full: np.ndarray, lam) -> np.ndarray:
-    res = np.zeros(ops.K, dtype=u_full.dtype)
-    for d in range(ops.m):
-        fc = ops.faces[d]
-        pd, psq = _face_gradient(ops, u_full, d)
-        phi = pd / np.sqrt(1.0 - lam * psq)
-        okL = fc["rowsL"] >= 0
-        okR = fc["rowsR"] >= 0
-        res[fc["rowsL"][okL]] += phi[okL] / ops.h[d]
-        res[fc["rowsR"][okR]] -= phi[okR] / ops.h[d]
-    return res
+    """Flux out through each node's upper faces minus flux in through its
+    lower faces, at the interior nodes."""
+    res = np.zeros(ops.lattice.shape, dtype=u_full.dtype)
+    for (lo, hi), (pd, psq), h in zip(ops.ends, _faces(ops, u_full), ops.h):
+        phi = pd / np.sqrt(1.0 - lam * psq) / h
+        res[lo] += phi
+        res[hi] -= phi
+    return res.ravel()[ops.int_flat]
 
 
 def _maximal_speed2(ops: _Ops, u_full: np.ndarray) -> float:
     """Largest face |grad f|^2 (the space-like safeguard quantity)."""
-    worst = 0.0
-    for d in range(ops.m):
-        _, psq = _face_gradient(ops, u_full, d)
-        if psq.size:
-            worst = max(worst, float(np.max(psq)))
-    return worst
+    return max(float(np.max(psq, initial=0.0)) for _, psq in _faces(ops, u_full))
 
 
 def _ma_hessians(ops: _Ops, u_full: np.ndarray) -> np.ndarray:
@@ -395,11 +375,9 @@ def solve_maximal(lattice: Lattice, boundary, tol: float = 1e-10, max_iter: int 
         return u_int, -_lu_solve(ops, lu, dres)
 
     u_int = _adaptive_ladder(stage, log)
-    u_full = _full_from_interior(ops, bvals, u_int)
-    vals = np.full(ops.act.size, np.nan)
-    vals[ops.act] = u_full[ops.act]
+    u_full = _full_from_interior(ops, bvals, u_int)  # nan on inactive nodes
     log.final_residual = float(np.max(np.abs(_maximal_residual(ops, u_full, 1.0))))
-    return GridField(lattice, vals.reshape(lattice.shape)), log
+    return GridField(lattice, u_full.reshape(lattice.shape)), log
 
 
 def solve_ma(lattice: Lattice, boundary, c: float = 1.0, tol: float = 1e-10,
@@ -442,11 +420,9 @@ def solve_ma(lattice: Lattice, boundary, c: float = 1.0, tol: float = 1e-10,
         u_int = _adaptive_ladder(stage, log)
     except SolverError as err:
         raise SolverError(f"convexity loss or divergence in the homotopy: {err}") from err
-    u_full = _full_from_interior(ops, gvals, u_int)
-    vals = np.full(ops.act.size, np.nan)
-    vals[ops.act] = u_full[ops.act]
+    u_full = _full_from_interior(ops, gvals, u_int)  # nan on inactive nodes
     log.final_residual = float(np.max(np.abs(_ma_residual(ops, u_full, c))))
-    return GridField(lattice, vals.reshape(lattice.shape)), log
+    return GridField(lattice, u_full.reshape(lattice.shape)), log
 
 
 # ---------------------------------------------------------------------------
@@ -559,17 +535,18 @@ def _lattice_from_dict(d: dict) -> Lattice:
 
 
 def save_field(field: GridField, path: str, fmt: str = "json") -> None:
+    vals = field.values.ravel()
     if fmt == "json":
         payload = {
             "meta": {"kind": "field"},
             "lattice": _lattice_to_dict(field.lattice),
-            "values": [None if not np.isfinite(v) else float(v) for v in field.values.ravel()],
+            "values": np.where(np.isfinite(vals), vals.astype(object), None).tolist(),
         }
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=1)
             fh.write("\n")
     elif fmt == "csv":
-        lat, vals = field.lattice, field.values.ravel()
+        lat = field.lattice
         value = np.where(np.isfinite(vals), vals.astype(object), "nan")
         role = np.where(lat_mod.interior_mask(lat).ravel(), "interior",
                         np.where(lat_mod.boundary_mask(lat).ravel(), "boundary", "inactive"))
@@ -591,7 +568,7 @@ def load_field(path: str) -> GridField:
         if head == "{":
             payload = json.load(fh)
             lat = _lattice_from_dict(payload["lattice"])
-            vals = np.array([np.nan if v is None else float(v) for v in payload["values"]])
+            vals = np.array(payload["values"], dtype=float)  # None reads as nan
             return GridField(lat, vals.reshape(lat.shape))
         first = fh.readline()
         if not first.startswith("# lattice="):

@@ -17,15 +17,20 @@ from spacelike.graphgeom import (
     GraphMap, _take, adapted_frames, covariant_h, curvature, extremal_residual,
     frame_riemann_oracle, fundamental_forms, induced_metric, pseudo_distance, ricci_bound_check,
 )
-from spacelike.grassmann import distance, gauss_map
+from spacelike.grassmann import distance, gauss_map, pullback_check
 from spacelike.lagrangian import (
     Potential, gradient_graph, lagrangian_forms, ma_residual, moduli_curvature,
     moduli_curvature_oracle, to_standard,
 )
 
+
+def pullback_along_e1(gm, x):
+    return pullback_check(gm, x, 0)
+
+
 GRAPH_FUNCTIONS = (induced_metric, adapted_frames, fundamental_forms, curvature,
                    ricci_bound_check, extremal_residual, frame_riemann_oracle,
-                   pseudo_distance, covariant_h, gauss_map)
+                   pseudo_distance, covariant_h, gauss_map, pullback_along_e1)
 POTENTIAL_FUNCTIONS = (gradient_graph, ma_residual, lagrangian_forms, moduli_curvature,
                        moduli_curvature_oracle, to_standard)
 
@@ -113,6 +118,15 @@ def test_graph_batches_equal_single_points(seed, m, n, k):
         batch = distance(gauss_map(gm, pts[keep]), ref)
         for row, i in enumerate(keep):
             assert _same(_take(batch, row), _outcome(distance, planes[i], ref))
+
+
+def test_pullback_check_takes_a_batch():
+    gm, _ = random_spacelike_graph(np.random.default_rng(4), 2, 2)
+    pts = np.array([[0.1, 0.2], [0.0, 0.1]])
+    rep = pullback_check(gm, pts, [1.0, 2.0])
+    assert rep.quotients.shape == (2, 3) and rep.rel_error.shape == (2,)
+    for row, p in enumerate(pts):
+        assert _same(_take(rep, row), pullback_check(gm, p, [1.0, 2.0]))
 
 
 @settings(max_examples=30, deadline=None)

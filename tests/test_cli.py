@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -441,3 +442,28 @@ def test_lagrangian_domain_error_is_a_node_status(tmp_path, capsys):
         else:
             assert r["status"] == "ok"
             assert float(r["riemann_oracle_err"]) <= 1e-6
+
+
+def test_lagrangian_status_ignores_unreported_shifted_points(tmp_path, capsys):
+    # at x1 = -0.5 the jets are finite (det_hess about 8e11), but points
+    # 1e-6 to the left leave the log's domain: without --oracle no column
+    # reads them, so those nodes are ok
+    out = tmp_path / "l.csv"
+    cfg = write_config(tmp_path, "cfg.json", {
+        "m": 2, "potential": "x1^2+x2^2-0.1*log(x1+0.5000005)",
+        "lattice": {"lo": [-1, -1], "hi": [1, 1], "nodes": 5}, "out": str(out),
+    })
+    assert run_cli(["lagrangian", "--config", cfg]) == 0
+    assert "25 nodes, 5 flagged" in capsys.readouterr().out
+    lines = out.read_text().strip().split("\n")
+    header = lines[0].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    for r in rows:
+        if float(r["x1"]) < -0.5:
+            assert r["status"] == "error:DomainError"
+        else:
+            assert r["status"] == "ok"
+            for col in ("S", "H_norm", "min_ricci_eig", "scalar_curv"):
+                assert math.isfinite(float(r[col]))
+        if float(r["x1"]) == -0.5:
+            assert float(r["det_hess"]) > 1e11

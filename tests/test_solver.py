@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from spacelike import lattice as lm
 from spacelike import solver
 from spacelike.cli import main
 from spacelike.exprparse import eval_values, parse
@@ -69,8 +70,6 @@ def test_maximum_principle_spot_check():
     lat = Lattice.box((-1, -1), (1, 1), 33)
     expr = parse("0.2*x1 + 0.1*(1 - x1^2)*(1 - x2^2) + 0.05*cos(x2)", 2)
     fld, _ = solve_maximal(lat, expr)
-    from spacelike import lattice as lm
-
     bvals = fld.values.ravel()[lm.boundary_mask(lat).ravel()]
     interior = fld.values.ravel()[lm.interior_mask(lat).ravel()]
     assert interior.max() <= bvals.max() + 0.15 + 1e-9
@@ -255,6 +254,61 @@ def test_ma_factorization_count(monkeypatch):
     _, log = solve_ma(lat, expr, c=1.0, tol=1e-10)
     assert log.final_residual <= 1e-10
     assert 0 < len(calls) <= 4
+
+
+def _reference_faces(lat, u, lam):
+    """The maximal equation's flux residual at each interior node (C order)
+    and the largest face |grad f|^2, by a plain loop over each interior
+    node's 2m faces.  A node's value is a 1-element array, so that the
+    arithmetic runs through the same ufunc loops as on whole arrays (numpy's
+    complex scalar product can round differently)."""
+    grid, h, e = u.reshape(lat.shape + (1,)), lat.spacing, np.eye(lat.m, dtype=int)
+
+    def face(a, d):  # the face from node a to a + e_d
+        b = a + e[d]
+        pd = (grid[tuple(b)] - grid[tuple(a)]) / h[d]
+        psq = pd * pd
+        for t in range(lat.m):
+            if t != d:
+                c_a = (grid[tuple(a + e[t])] - grid[tuple(a - e[t])]) / (2 * h[t])
+                c_b = (grid[tuple(b + e[t])] - grid[tuple(b - e[t])]) / (2 * h[t])
+                pt = 0.5 * (c_a + c_b)
+                psq = psq + pt * pt
+        return pd, psq
+
+    res, worst = [], 0.0
+    for node in np.argwhere(lm.interior_mask(lat)):
+        r = 0.0
+        for d in range(lat.m):
+            for start, sign in ((node, 1.0), (node - e[d], -1.0)):  # upper face, then lower
+                pd, psq = face(start, d)
+                worst = max(worst, float(psq.real[0]))
+                r = r + sign * (pd / np.sqrt(1.0 - lam * psq) / h[d])
+        res.append(r)
+    return np.concatenate(res), worst
+
+
+@pytest.mark.parametrize("lat", [
+    Lattice.box((0.0,), (1.0,), 11),
+    Lattice.box((-1, -1), (1, 0.5), (7, 9)),
+    Lattice.box((-1, -1, -1), (1, 1, 1), (5, 6, 4)),
+    Lattice.disc(1.0, 17),
+    Lattice.annulus(0.5, 2.0, 21),
+], ids=["box-m1", "box-m2", "box-m3", "disc", "annulus"])
+def test_maximal_stencil_matches_a_per_node_loop(lat):
+    pts = lm.node_points(lat)
+    u = 0.2 * pts.sum(axis=1) + 0.1 * np.sin(2 * pts[:, 0]) + 0.01 * np.cos(7 * pts[:, -1])
+    # steep values outside the mask: no interior node's face reads them, so
+    # they must raise no RuntimeWarning from the sqrt
+    u[~lm.active_mask(lat).ravel()] = 50.0 * pts[~lm.active_mask(lat).ravel(), 0]
+    ops = solver._Ops(lat)
+    stepped = u.astype(complex)
+    stepped[ops.int_flat[::3]] += 1e-50j  # a complex-step probe in u
+    for field, lam in ((u, 0.0), (u, 0.8), (u, 1.0), (stepped, 1.0), (stepped, 0.6 + 1e-50j)):
+        res, worst = _reference_faces(lat, field, lam)
+        assert np.array_equal(solver._maximal_residual(ops, field, lam), res)
+        if field is u:
+            assert solver._maximal_speed2(ops, u) == worst
 
 
 def test_nested_dissection_is_a_permutation_with_separators_last():
