@@ -13,36 +13,32 @@ argparse cannot read included (reported as ``config error: <path>: ...``),
 Tables go from the library's columns (name -> values) to text a column at
 a time: nodes in lexicographic order, floats by shortest round-trip repr
 (``nan`` where not finite), so identical configs give byte-identical files.
+
+``check`` runs the invariant battery, the table ``checks.SUITES``, on one
+generator seeded by ``seed``.  Its file holds each suite's name, result and
+detail; stdout adds each suite's wall time, which would break the file's
+byte-identity.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import sys
+import time
 from dataclasses import fields
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import __version__
-from .bernstein import DecayScanRow, ScanConfig, completeness_probe, decay_scan
-from .exprparse import DomainError, ParseError, parse, pretty
-from .graphgeom import (
-    BasePointError, GraphMap, NotSpacelikeError, adapted_frames, covariant_h, curvature,
-    first_bianchi_residual, frame_riemann_oracle, fundamental_forms, pseudo_distance,
-    ricci_bound_check, signature, simons_report,
-)
-from .grassmann import (
-    SpacelikePlane, distance, graph_node_table, hyperbolic_distance_n1, pullback_trace,
-)
-from .jets import MAX_DIM, finite_diff_check
-from .lagrangian import (
-    NotConvexError, Potential, gradient_graph, lagrangian_forms, moduli_curvature,
-    moduli_curvature_oracle, node_table, to_standard,
-)
+from . import __version__, checks
+from .bernstein import DecayScanRow, ScanConfig, decay_scan
+from .exprparse import DomainError, ParseError, parse
+from .graphgeom import BasePointError, GraphMap, NotSpacelikeError
+from .grassmann import graph_node_table
+from .jets import MAX_DIM
+from .lagrangian import NotConvexError, Potential, node_table
 from .lattice import Lattice, LatticeError, active_mask, node_points
 from .solver import SolverError, save_field, solve_ma, solve_maximal
 
@@ -359,231 +355,20 @@ def cmd_scan(cfg: dict) -> int:
     return EXIT_NUMERICAL if any(row.status != "ok" for row in scan.rows) else EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# check: built-in battery aggregating the per-module invariants
-
-def _battery(seed: int):
-    rng = np.random.default_rng(seed)
-
-    def random_graph(m, n, degree=3, sigma=0.5):
-        point = rng.uniform(-0.3, 0.3, size=m)
-        comps = []
-        for _ in range(n):
-            parts = []
-            for alpha in itertools.product(range(degree + 1), repeat=m):
-                if sum(alpha) > degree:
-                    continue
-                c = float(rng.normal())
-                fs = [f"({c!r})"] + [f"x{i+1}^{a}" if a > 1 else f"x{i+1}"
-                                     for i, a in enumerate(alpha) if a]
-                parts.append("*".join(fs))
-            comps.append("+".join(parts))
-        gm = GraphMap.from_strings(m, comps)
-        _, A, _, _ = gm.jet_data(point)
-        lam = float(sigma / (1.0 + np.linalg.svd(A, compute_uv=False)[0]))
-        gm = GraphMap.from_strings(m, [f"({lam!r})*({s})" for s in comps])
-        return gm, point
-
-    checks = []
-
-    def check(name):
-        def deco(fn):
-            checks.append((name, fn))
-            return fn
-        return deco
-
-    @check("exprparse-round-trip")
-    def _():
-        texts = ["x1^2+x2^2", "sqrt(1+x1^2+x2^2)", "sin(x1)*exp(x2)-3/(1+x1^2)",
-                 "-(x1^3)+pi*x2", "asinh(sqrt(x1^2+x2^2))"]
-        bad = [t for t in texts if parse(pretty(parse(t, 2)), 2) != parse(t, 2)]
-        return not bad, f"{len(texts) - len(bad)}/{len(texts)} round-trip"
-
-    @check("jets-vs-finite-differences")
-    def _():
-        worst = 0.0
-        for s in ["exp(x1)*sin(x2)", "log(2+x1)*x2^3", "tanh(x1*x2)"]:
-            rep = finite_diff_check(parse(s, 2), rng.uniform(-0.5, 0.5, 2), 1e-4)
-            worst = max(worst, rep.max_rel[1], rep.max_rel[2])
-        return worst <= 1e-5, f"max rel dev {worst:.2e}"
-
-    @check("frames-pseudo-orthonormal")
-    def _():
-        worst = 0.0
-        for _ in range(5):
-            gm, x = random_graph(int(rng.integers(1, 4)), int(rng.integers(1, 3)))
-            fr = adapted_frames(gm, x)
-            sig = signature(gm.m, gm.n)
-            worst = max(worst, float(np.max(np.abs((fr.tangent * sig) @ fr.tangent.T - np.eye(gm.m)))))
-            worst = max(worst, float(np.max(np.abs((fr.normal * sig) @ fr.normal.T + np.eye(gm.n)))))
-            worst = max(worst, float(np.max(np.abs((fr.tangent * sig) @ fr.normal.T))))
-        return worst <= 1e-12, f"max residual {worst:.2e}"
-
-    @check("gauss-equation-vs-coordinate-oracle")
-    def _():
-        worst = 0.0
-        for _ in range(10):
-            gm, x = random_graph(int(rng.integers(2, 4)), int(rng.integers(1, 3)))
-            rf = curvature(gm, x).riemann
-            ro = frame_riemann_oracle(gm, x)
-            worst = max(worst, float(np.max(np.abs(rf - ro)) / max(np.max(np.abs(ro)), 1e-10)))
-        return worst <= 1e-6, f"max rel dev {worst:.2e}"
-
-    @check("bianchi-schwarz-ricci-bound")
-    def _():
-        ok = True
-        for _ in range(10):
-            gm, x = random_graph(2, 2)
-            pg = curvature(gm, x)
-            ok &= first_bianchi_residual(pg.riemann) <= 1e-10 * (1 + np.max(np.abs(pg.riemann)))
-            ok &= gm.m * pg.H_norm**2 <= pg.S + 1e-12
-            ok &= ricci_bound_check(gm, x) >= -1e-10
-        return bool(ok), "bianchi + schwarz + ricci bound on 10 random graphs"
-
-    @check("codazzi-symmetry")
-    def _():
-        worst = 0.0
-        for _ in range(5):
-            gm, x = random_graph(2, 2)
-            ch = covariant_h(gm, x)
-            worst = max(worst, ch.codazzi_asym / (1 + float(np.max(np.abs(ch.h_cov)))))
-        return worst <= 1e-6, f"max asymmetry {worst:.2e}"
-
-    @check("hyperboloid-battery")
-    def _():
-        ok = True
-        for m in (2, 3):
-            r2 = "+".join(f"x{i+1}^2" for i in range(m))
-            gm = GraphMap.from_strings(m, [f"sqrt(1+{r2})"])
-            x = np.full(m, 0.3)
-            pg = curvature(gm, x)
-            ok &= abs(pg.H_norm - 1) <= 1e-9 and abs(pg.S - m) <= 1e-9
-            ok &= all(abs(pg.riemann[i, j, i, j] + 1) <= 1e-8
-                      for i in range(m) for j in range(m) if i != j)
-            ok &= float(np.max(np.abs(covariant_h(gm, x).h_cov))) <= 1e-8
-            ok &= ricci_bound_check(gm, x) >= -1e-10
-        return bool(ok), "H=1, S=m, K=-1, parallel h, ricci margin"
-
-    @check("catenoid-maximal-from-jets")
-    def _():
-        gm = GraphMap.from_strings(2, ["asinh(sqrt(x1^2+x2^2))"])
-        worst = max(fundamental_forms(gm, [r * np.cos(t), r * np.sin(t)]).H_norm
-                    for r in (0.6, 1.0, 1.7) for t in (0.0, 1.1, 2.5))
-        return worst <= 1e-9, f"max |H| {worst:.2e}"
-
-    @check("pseudo-distance-identities")
-    def _():
-        gm1 = GraphMap.from_strings(1, ["0.6*x1"])
-        pd1 = pseudo_distance(gm1, [1.0])
-        ok = abs(pd1.z - 0.64) <= 1e-12 and abs(pd1.ratio - 1.6 / 1.64) <= 1e-12
-        gm2 = GraphMap.from_strings(2, ["sqrt(1+x1^2+x2^2) - 1"])
-        pd2 = pseudo_distance(gm2, [1.0, 0.0])
-        ok &= abs(pd2.z - (2 * np.sqrt(2) - 2)) <= 1e-12
-        for gm, x in ((gm1, [0.7]), (gm2, [0.5, -0.4])):
-            pd = pseudo_distance(gm, x)
-            ok &= abs(np.trace(pd.hess) - pd.lap) <= 1e-10 * (1 + abs(pd.lap))
-        return bool(ok), "hand values and trace(hess z) = lap z"
-
-    @check("grassmann-distance-oracles")
-    def _():
-        ok = True
-        for _ in range(20):
-            m = int(rng.integers(1, 4))
-            A = rng.normal(size=(1, m))
-            A *= 0.8 * rng.uniform(0.1, 1) / np.linalg.svd(A, compute_uv=False)[0]
-            B = rng.normal(size=(1, m))
-            B *= 0.8 * rng.uniform(0.1, 1) / np.linalg.svd(B, compute_uv=False)[0]
-            P, Q = SpacelikePlane(A), SpacelikePlane(B)
-            ok &= abs(distance(P, Q) - hyperbolic_distance_n1(P, Q)) <= 1e-8
-        u, v = np.array([1.0]), np.array([0.6, 0.8])
-        P = SpacelikePlane(np.tanh(0.4) * np.outer(u, v))
-        Q = SpacelikePlane(np.tanh(1.5) * np.outer(u, v))
-        ok &= abs(distance(P, Q) - 1.1) <= 1e-9
-        return bool(ok), "n=1 arccosh oracle and boost additivity"
-
-    @check("gauss-map-pullback-trace")
-    def _():
-        worst = 0.0
-        for _ in range(3):
-            gm, x = random_graph(2, 2)
-            tr, S = pullback_trace(gm, x)
-            worst = max(worst, abs(tr - S) / (1 + S))
-        return worst <= 1e-3, f"max |trace - S| ratio {worst:.2e}"
-
-    @check("lagrangian-cross-module")
-    def _():
-        worst = 0.0
-        for _ in range(5):
-            terms = ["0.5*x1^2", "0.5*x2^2"]
-            for mono in ("x1^3", "x1^2*x2", "x1*x2^2", "x2^3", "x1^4", "x2^4"):
-                terms.append(f"({float(0.1 * rng.normal())!r})*{mono}")
-            P = Potential.from_string(2, "+".join(terms))
-            x = rng.uniform(-0.3, 0.3, 2)
-            if not gradient_graph(P, x).convex:
-                continue
-            lf = lagrangian_forms(P, x)
-            si = to_standard(P, x)
-            worst = max(worst, abs(si.geometry.S - lf.S) / (1 + lf.S))
-        return worst <= 1e-8, f"max S deviation {worst:.2e}"
-
-    @check("moduli-curvature-oracle")
-    def _():
-        worst = 0.0
-        for _ in range(5):
-            terms = ["0.5*x1^2", "0.5*x2^2"]
-            for mono in ("x1^3", "x2^3", "x1^2*x2^2", "x1^4", "x2^4"):
-                terms.append(f"({float(0.1 * rng.normal())!r})*{mono}")
-            P = Potential.from_string(2, "+".join(terms))
-            x = rng.uniform(-0.3, 0.3, 2)
-            if not gradient_graph(P, x).convex:
-                continue
-            mc = moduli_curvature(P, x)
-            oracle = moduli_curvature_oracle(P, x)
-            worst = max(worst, float(np.max(np.abs(mc.riemann - oracle))
-                                     / max(np.max(np.abs(oracle)), 1e-10)))
-        Pq = Potential.from_string(2, "x1^2 + 0.3*x1*x2 + 0.7*x2^2")
-        quad_ok = np.all(moduli_curvature(Pq, [0.4, 0.1]).riemann == 0.0)
-        return worst <= 1e-6 and bool(quad_ok), f"max rel dev {worst:.2e}, quadratic exact zero"
-
-    @check("solver-exactness")
-    def _():
-        lat = Lattice.box((-1, -1), (1, 1), 17)
-        fld, log = solve_maximal(lat, parse("0.25*x1 - 0.1*x2", 2))
-        pts = node_points(lat)
-        exact = 0.25 * pts[:, 0] - 0.1 * pts[:, 1]
-        ok = float(np.max(np.abs(fld.values.ravel() - exact))) <= 1e-12
-        fld2, log2 = solve_ma(lat, parse("0.5*(x1^2+x2^2)", 2), c=1.0, tol=1e-12)
-        exact2 = 0.5 * np.sum(pts**2, axis=1)
-        ok &= float(np.max(np.abs(fld2.values.ravel() - exact2))) <= 1e-10
-        return bool(ok), "affine maximal data and quadratic MA data reproduced"
-
-    @check("simons-slack-hyperboloid")
-    def _():
-        gm = GraphMap.from_strings(2, ["sqrt(1+x1^2+x2^2)"])
-        rep = simons_report(gm, Lattice.box((-0.5, -0.5), (0.5, 0.5), 5))
-        return rep.min_slack >= -1e-6, f"min slack {rep.min_slack:.4f}"
-
-    @check("completeness-probe-inequality")
-    def _():
-        gm = GraphMap.from_strings(2, ["sqrt(1+x1^2+x2^2) - 1"])
-        (rep,) = completeness_probe(gm, [np.array([1.0, 0.0])], T=2.0, n_samples=50)
-        return rep.b_emp <= rep.ratio_sup + 1e-3, (
-            f"b_emp {rep.b_emp:.4f} <= ratio sup {rep.ratio_sup:.4f}")
-
-    return checks
-
-
 def cmd_check(cfg: dict) -> int:
+    rng = np.random.default_rng(cfg["seed"])
     suites, results, details = [], [], []
-    for name, fn in _battery(cfg["seed"]):
+    for name, suite in checks.SUITES:
+        start = time.perf_counter()
         try:
-            ok, detail = fn()
+            ok, detail = suite(rng)
         except Exception as err:  # a crash is a failure, not an abort
             ok, detail = False, f"exception: {type(err).__name__}: {err}"
+        ms = 1e3 * (time.perf_counter() - start)
         suites.append(name)
         results.append("pass" if ok else "FAIL")
         details.append(detail)
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail} ({ms:.1f} ms)")
     write_records(cfg["out"], {"suite": suites, "result": results, "detail": details},
                   _meta(cfg), cfg["format"])
     return EXIT_INVARIANT if "FAIL" in results else EXIT_OK

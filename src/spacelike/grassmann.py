@@ -21,7 +21,7 @@ import numpy as np
 from .graphgeom import (
     SPACELIKE_TOL, GraphMap, NotSpacelikeError, _by_point, _extremal_residual, _fault_check,
     _filled, _geometry_checks, _pseudo_distance, _raise_first, _ricci_margin, _take, _view,
-    _with_curvature, fundamental_forms, graph_geometry, signature,
+    _with_curvature, graph_geometry, signature,
 )
 
 
@@ -156,41 +156,43 @@ def pullback_check(gm: GraphMap, x, direction) -> PullbackReport:
     ``direction`` is either a tangent frame index or an m-vector of frame
     components (normalized internally).
     """
-    pts = np.asarray(x, dtype=float).reshape(-1, gm.m)
-    k, m = pts.shape
-    geo = graph_geometry(gm, pts)  # frames and h
-    if np.isscalar(direction):
-        v = np.zeros(m)
-        v[int(direction)] = 1.0
-    else:
-        v = np.asarray(direction, dtype=float)
-        v = v / np.linalg.norm(v)
-    # coordinate displacement of the unit frame vector (0 where there is no frame)
-    coord_step = np.nan_to_num(v @ geo.tangent_coeff)
-    # the Gauss map at each point (step 0) and at each rung
-    steps = np.array((0.0,) + PULLBACK_STEPS)
-    rungs = pts[:, None] + steps[:, None] * coord_step[:, None]
-    _, A, _, _, fault = gm.jet_rows(rungs.reshape(-1, m))
-    plane = SpacelikePlane(A)
-    slopes = A.reshape(k, len(steps), gm.n, m)
-    d, d_check = _distances(SpacelikePlane(slopes[:, :1]), SpacelikePlane(slopes[:, 1:]))
-    quotients = d / steps[1:]
-    extrap = 2.0 * quotients[:, -1] - quotients[:, -2]
-    formula = np.sqrt(np.sum(np.einsum("ksij,j->ksi", geo.h, v) ** 2, axis=(1, 2)))
-    rel = np.abs(extrap - formula) / np.maximum(1.0, formula)
-    return _view(x, PullbackReport(stretch_formula=formula, stretch_fd=extrap, rel_error=rel,
-                                   quotients=quotients),
-                 *_geometry_checks(geo, SPACELIKE_TOL),
-                 _by_point(k, *_gauss_checks(plane, fault)), _by_point(k, d_check))
+    v = np.eye(gm.m)[int(direction)] if np.isscalar(direction) else np.asarray(direction, float)
+    rep, _, checks = _pullback(gm, x, v[None] / np.linalg.norm(v))
+    return _view(x, _take(rep, np.s_[:, 0]), *checks)
 
 
 def pullback_trace(gm: GraphMap, x):
     """Sum of squared stretches over a full tangent frame; equals S."""
-    total = 0.0
-    for k in range(gm.m):
-        rep = pullback_check(gm, x, k)
-        total += rep.stretch_fd**2
-    return total, fundamental_forms(gm, x).S
+    rep, geo, checks = _pullback(gm, x, np.eye(gm.m))
+    _raise_first(*checks)
+    return _view(x, np.sum(rep.stretch_fd**2, axis=1)), _view(x, geo.S)
+
+
+def _pullback(gm: GraphMap, x, V: np.ndarray):
+    """The pullback report along the unit frame directions V (d, m) at a
+    point or batch x, its fields led by (k, d); the geometry at the points;
+    and the checks, in the order a point runs them.  One geometry pass at
+    the points gives the frames, h and the Gauss map there, and one jet pass
+    gives the Gauss map at every rung of every direction."""
+    pts = np.asarray(x, dtype=float).reshape(-1, gm.m)
+    k, m = pts.shape
+    geo = graph_geometry(gm, pts)
+    # coordinate displacement of each unit frame vector (0 where there is no frame)
+    coord_step = np.nan_to_num(V @ geo.tangent_coeff)
+    steps = np.array(PULLBACK_STEPS)
+    rungs = pts[:, None, None] + steps[:, None] * coord_step[:, :, None]
+    _, A, _, _, fault = gm.jet_rows(rungs.reshape(-1, m))
+    plane = SpacelikePlane(A)
+    slopes = A.reshape(k, len(V), len(steps), gm.n, m)
+    d, d_check = _distances(SpacelikePlane(geo.A[:, None, None]), SpacelikePlane(slopes))
+    quotients = d / steps
+    extrap = 2.0 * quotients[..., -1] - quotients[..., -2]
+    formula = np.sqrt(np.sum(np.einsum("ksij,dj->kdsi", geo.h, V) ** 2, axis=(2, 3)))
+    rel = np.abs(extrap - formula) / np.maximum(1.0, formula)
+    return (PullbackReport(stretch_formula=formula, stretch_fd=extrap, rel_error=rel,
+                           quotients=quotients), geo,
+            (*_geometry_checks(geo, SPACELIKE_TOL),
+             _by_point(k, *_gauss_checks(plane, fault)), _by_point(k, d_check)))
 
 
 def max_modulus(gm: GraphMap, samples, ref: SpacelikePlane) -> float:

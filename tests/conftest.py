@@ -1,35 +1,3 @@
-import itertools
+"""Test helpers, imported as ``conftest``: the package's random-graph generator."""
 
-import numpy as np
-
-from spacelike.graphgeom import GraphMap
-
-
-def polynomial_string(rng, m, degree, scale=1.0):
-    """Random polynomial in x1..xm of total degree <= degree, as DSL text."""
-    terms = []
-    for alpha in itertools.product(range(degree + 1), repeat=m):
-        if sum(alpha) > degree:
-            continue
-        c = float(scale * rng.normal())
-        factors = [f"({c!r})"]
-        for i, a in enumerate(alpha):
-            if a == 1:
-                factors.append(f"x{i+1}")
-            elif a > 1:
-                factors.append(f"x{i+1}^{a}")
-        terms.append("*".join(factors))
-    return "+".join(terms)
-
-
-def random_spacelike_graph(rng, m, n, degree=3, point=None, sigma_target=0.5):
-    """Graph map with Jacobian singular values <= sigma_target at `point`."""
-    if point is None:
-        point = rng.uniform(-0.3, 0.3, size=m)
-    raw = [polynomial_string(rng, m, degree) for _ in range(n)]
-    gm = GraphMap.from_strings(m, raw)
-    _, A, _, _ = gm.jet_data(point)
-    smax = np.linalg.svd(A, compute_uv=False)[0]
-    lam = float(sigma_target / (1.0 + smax))
-    scaled = [f"({lam!r})*({s})" for s in raw]
-    return GraphMap.from_strings(m, scaled), np.asarray(point, dtype=float)
+from spacelike.checks import polynomial_string, random_spacelike_graph  # noqa: F401

@@ -11,16 +11,17 @@ import numpy as np
 
 from conftest import random_spacelike_graph
 from spacelike.bernstein import ScanConfig, completeness_probe, decay_scan
+from spacelike.checks import convex_point, convex_quartic, gauss_equation, hyperboloid
 from spacelike.exprparse import parse
 from spacelike.graphgeom import (
-    GraphMap, covariant_h, curvature, frame_riemann_oracle, fundamental_forms,
-    pseudo_distance, ricci_bound_check, simons_report,
+    GraphMap, covariant_h, curvature, fundamental_forms, pseudo_distance, ricci_bound_check,
+    simons_report,
 )
 from spacelike.grassmann import (
     SpacelikePlane, distance, hyperbolic_distance_n1, pullback_check, pullback_trace,
 )
 from spacelike.lagrangian import (
-    Potential, gradient_graph, lagrangian_forms, moduli_curvature,
+    Potential, lagrangian_forms, moduli_curvature,
     moduli_curvature_arrays, moduli_curvature_oracle, to_standard,
 )
 from spacelike.lattice import Lattice
@@ -31,29 +32,15 @@ def report(num, text):
     print(f"ACCEPTANCE {num:02d} PASS: {text}")
 
 
-def hyperboloid(m, shifted=False):
-    r2 = "+".join(f"x{i+1}^2" for i in range(m))
-    tail = " - 1" if shifted else ""
-    return GraphMap.from_strings(m, [f"sqrt(1+{r2}){tail}"])
-
-
 def test_01_gauss_equation_oracle():
     rng = np.random.default_rng(20240901)
     t0 = time.perf_counter()
-    worst = 0.0
-    for k in range(50):
-        m = int(rng.integers(2, 4))
-        n = int(rng.integers(1, 3))
-        gm, x = random_spacelike_graph(rng, m, n, degree=3)
-        r_frame = curvature(gm, x).riemann
-        r_oracle = frame_riemann_oracle(gm, x)
-        scale = max(float(np.max(np.abs(r_oracle))), 1e-10)
-        worst = max(worst, float(np.max(np.abs(r_frame - r_oracle))) / scale)
+    ok, detail = gauss_equation(rng, graphs=50)
     elapsed = time.perf_counter() - t0
-    assert worst <= 1e-6
+    assert ok
     assert elapsed < 10.0
-    report(1, f"frame vs coordinate curvature on 50 graphs: max rel dev "
-              f"{worst:.2e} (tol 1e-6), {elapsed:.1f}s < 10s")
+    report(1, f"frame vs coordinate curvature on 50 graphs: {detail} (tol 1e-6), "
+              f"{elapsed:.1f}s < 10s")
 
 
 def test_02_hyperboloid_battery():
@@ -177,34 +164,12 @@ def test_06_grassmann_distance():
               f"invariance {worst_inv:.1e} (1e-12)")
 
 
-def _convex_quartic(rng, m=2):
-    import itertools
-
-    terms = [f"0.5*x{i+1}^2" for i in range(m)]
-    for alpha in itertools.product(range(5), repeat=m):
-        if not 3 <= sum(alpha) <= 4:
-            continue
-        c = float(0.15 * rng.normal())
-        fs = [f"({c!r})"] + [f"x{i+1}^{a}" if a > 1 else f"x{i+1}"
-                             for i, a in enumerate(alpha) if a]
-        terms.append("*".join(fs))
-    return Potential.from_string(m, "+".join(terms))
-
-
-def _convex_point(rng, P):
-    for _ in range(100):
-        x = rng.uniform(-0.4, 0.4, size=P.m)
-        if gradient_graph(P, x).convex:
-            return x
-    raise RuntimeError("no convex point")
-
-
 def test_07_lagrangian_cross_module():
     rng = np.random.default_rng(77)
     worst = 0.0
     for _ in range(20):
-        P = _convex_quartic(rng)
-        x = _convex_point(rng, P)
+        P = convex_quartic(rng)
+        x = convex_point(rng, P, 100)
         lf = lagrangian_forms(P, x)
         si = to_standard(P, x)
         worst = max(worst, abs(si.geometry.S - lf.S) / (1.0 + lf.S))
@@ -216,8 +181,8 @@ def test_08_moduli_curvature_oracle():
     rng = np.random.default_rng(88)
     worst = 0.0
     for _ in range(20):
-        P = _convex_quartic(rng)
-        x = _convex_point(rng, P)
+        P = convex_quartic(rng)
+        x = convex_point(rng, P, 100)
         mc = moduli_curvature(P, x)
         oracle = moduli_curvature_oracle(P, x)
         scale = max(float(np.max(np.abs(oracle))), 1e-10)

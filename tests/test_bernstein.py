@@ -5,14 +5,10 @@ from spacelike.bernstein import (
     DIJKSTRA_METRICATION, ScanConfig, completeness_probe, decay_scan,
     estimate_report, geodesic_radius,
 )
+from spacelike.checks import hyperboloid
 from spacelike.exprparse import parse
 from spacelike.graphgeom import GraphMap, NotSpacelikeError
 from spacelike.lattice import Lattice, LatticeError
-
-
-def hyperboloid(shifted=False):
-    tail = " - 1" if shifted else ""
-    return GraphMap.from_strings(2, [f"sqrt(1+x1^2+x2^2){tail}"])
 
 
 # -- geodesic radius -----------------------------------------------------------
@@ -54,6 +50,9 @@ def test_radius_refinement_improves():
         mid = lat.shape[1] // 2
         errs.append(abs(rf.r[-1, mid] - np.arcsinh(1.0)))
     assert errs[2] < errs[1] < errs[0]
+    # the midpoint metric makes the radial radius second order
+    orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+    assert np.all((1.8 <= orders) & (orders <= 2.2))
 
 
 def test_radius_triangle_inequality_on_samples():
@@ -201,6 +200,11 @@ def test_probe_shifted_hyperboloid_closed_form():
         # radial geodesics: z(t) = 2 cosh t - 2
         assert np.max(np.abs(rep.z - (2 * np.cosh(rep.t) - 2.0))) <= 1e-5 * np.cosh(3.0)
         assert rep.b_emp <= rep.ratio_sup + 1e-3
+        # the same quantities from z = 2cosh t - 2 and |grad z| = 2 sinh t
+        b_exact = np.max(np.log(2 * np.cosh(rep.t) - 1) / rep.t)
+        ratio_exact = np.max(2 * np.sinh(rep.t) / (2 * np.cosh(rep.t) - 1))
+        assert abs(rep.b_emp - b_exact) <= 1e-8 * b_exact
+        assert abs(rep.ratio_sup - ratio_exact) <= 1e-8 * ratio_exact
 
 
 def test_probe_region_exit_reported():

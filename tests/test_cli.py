@@ -254,19 +254,21 @@ def test_check_battery_passes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert out.count("PASS") >= 14
+    rows = (tmp_path / "check.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == [
+        "exprparse-round-trip", "jets-vs-finite-differences", "frames-pseudo-orthonormal",
+        "gauss-equation-vs-coordinate-oracle", "bianchi-schwarz-ricci-bound", "codazzi-symmetry",
+        "hyperboloid-battery", "catenoid-maximal-from-jets", "pseudo-distance-identities",
+        "grassmann-distance-oracles", "gauss-map-pullback-trace", "lagrangian-cross-module",
+        "moduli-curvature-oracle", "solver-exactness", "simons-slack-hyperboloid",
+        "completeness-probe-inequality"]
 
 
 def test_check_violation_exit_code(tmp_path, monkeypatch, capsys):
-    import spacelike.cli as cli_mod
+    import spacelike.checks as checks_mod
 
-    real_battery = cli_mod._battery
-
-    def broken_battery(seed):
-        checks = real_battery(seed)[:2]
-        checks.append(("forced-failure", lambda: (False, "synthetic violation")))
-        return checks
-
-    monkeypatch.setattr(cli_mod, "_battery", broken_battery)
+    forced = ("forced-failure", lambda rng: (False, "synthetic violation"))
+    monkeypatch.setattr(checks_mod, "SUITES", checks_mod.SUITES[:2] + (forced,))
     cfg = write_config(tmp_path, "cfg.json", {"out": str(tmp_path / "c.csv")})
     assert run_cli(["check", "--config", cfg]) == 3
     assert "FAIL forced-failure" in capsys.readouterr().out

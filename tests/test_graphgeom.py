@@ -2,18 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import random_spacelike_graph
+from spacelike.checks import codazzi_symmetry, frame_residual, gauss_equation, hyperboloid
 from spacelike.graphgeom import (
     BasePointError, GraphMap, NotSpacelikeError, adapted_frames, covariant_h,
-    curvature, extremal_residual, first_bianchi_residual, frame_riemann_oracle,
-    fundamental_forms, induced_metric, integrate_geodesic, pseudo_distance,
-    ricci_bound_check, signature, simons_report,
+    curvature, extremal_residual, first_bianchi_residual, fundamental_forms, induced_metric,
+    integrate_geodesic, pseudo_distance, ricci_bound_check, signature, simons_report,
 )
 from spacelike.lattice import Lattice, LatticeError
-
-
-def hyperboloid(m):
-    r2 = "+".join(f"x{i+1}^2" for i in range(m))
-    return GraphMap.from_strings(m, [f"sqrt(1+{r2})"])
 
 
 def catenoid():
@@ -59,17 +54,6 @@ def test_metric_not_spacelike_flagged():
 
 # -- frames ------------------------------------------------------------------
 
-def _check_frames(gm, x, tol=1e-12):
-    fr = adapted_frames(gm, x)
-    sig = signature(gm.m, gm.n)
-    tt = (fr.tangent * sig) @ fr.tangent.T
-    nn = (fr.normal * sig) @ fr.normal.T
-    tn = (fr.tangent * sig) @ fr.normal.T
-    assert np.max(np.abs(tt - np.eye(gm.m))) <= tol
-    assert np.max(np.abs(nn + np.eye(gm.n))) <= tol
-    assert np.max(np.abs(tn)) <= tol
-
-
 def test_frames_flat():
     gm = GraphMap.from_strings(2, ["0"])
     fr = adapted_frames(gm, [0.1, 0.2])
@@ -93,7 +77,7 @@ def test_frames_random_linear():
             "+".join(f"({float(B[s, i])!r})*x{i+1}" for i in range(m)) for s in range(n)
         ]
         gm = GraphMap.from_strings(m, comps)
-        _check_frames(gm, rng.uniform(-1, 1, size=m))
+        assert frame_residual(gm, rng.uniform(-1, 1, size=m)) <= 1e-12
 
 
 # -- second fundamental form -------------------------------------------------
@@ -185,17 +169,8 @@ def test_hyperboloid_constant_curvature(m):
 
 
 def test_frame_curvature_matches_coordinate_oracle():
-    rng = np.random.default_rng(23)
-    worst = 0.0
-    for _ in range(12):
-        m = int(rng.integers(2, 4))
-        n = int(rng.integers(1, 3))
-        gm, x = random_spacelike_graph(rng, m, n)
-        r_frame = curvature(gm, x).riemann
-        r_oracle = frame_riemann_oracle(gm, x)
-        scale = max(np.max(np.abs(r_oracle)), 1e-10)
-        worst = max(worst, np.max(np.abs(r_frame - r_oracle)) / scale)
-    assert worst <= 1e-6
+    ok, detail = gauss_equation(np.random.default_rng(23), graphs=12)
+    assert ok, detail
 
 
 def test_first_bianchi():
@@ -248,12 +223,8 @@ def test_covariant_h_hyperboloid_parallel(m):
 
 
 def test_codazzi_symmetry_random_cubics():
-    rng = np.random.default_rng(43)
-    for _ in range(8):
-        gm, x = random_spacelike_graph(rng, 2, 2, degree=3)
-        ch = covariant_h(gm, x)
-        scale = 1.0 + np.max(np.abs(ch.h_cov))
-        assert ch.codazzi_asym <= 1e-6 * scale
+    ok, detail = codazzi_symmetry(np.random.default_rng(43), graphs=8)
+    assert ok, detail
 
 
 def test_covariant_h_fully_symmetric_tensor():

@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from conftest import random_spacelike_graph
+from spacelike.checks import gauss_map_pullback_trace
 from spacelike.graphgeom import GraphMap, induced_metric
 from spacelike.grassmann import (
     SpacelikePlane, chart_metric, distance, gauss_map, hyperbolic_distance_n1,
@@ -218,11 +219,24 @@ def test_pullback_random_cubic_richardson():
 
 
 def test_pullback_trace_equals_S():
-    rng = np.random.default_rng(512)
-    for _ in range(5):
-        gm, x = random_spacelike_graph(rng, 2, 2, degree=3)
-        tr, S = pullback_trace(gm, x)
-        assert abs(tr - S) <= 1e-3 * (1 + S)
+    ok, detail = gauss_map_pullback_trace(np.random.default_rng(512), graphs=5)
+    assert ok, detail
+
+
+def test_pullback_trace_is_one_geometry_pass(monkeypatch):
+    import spacelike.grassmann as grassmann
+    from spacelike.graphgeom import fundamental_forms
+
+    gm, x = random_spacelike_graph(np.random.default_rng(1024), 3, 2)
+    parts = sum(pullback_check(gm, x, k).stretch_fd**2 for k in range(gm.m))
+    S_ref = fundamental_forms(gm, x).S
+    calls, real = [], grassmann.graph_geometry
+    monkeypatch.setattr(grassmann, "graph_geometry",
+                        lambda *args: calls.append(args) or real(*args))
+    tr, S = pullback_trace(gm, x)
+    assert len(calls) == 1
+    assert abs(tr - parts) <= 1e-14 * parts
+    assert abs(S - S_ref) <= 1e-14 * S_ref
 
 
 # -- maximum modulus ----------------------------------------------------------

@@ -1,8 +1,7 @@
-import itertools
-
 import numpy as np
 import pytest
 
+from spacelike.checks import convex_point, convex_quartic
 from spacelike.graphgeom import first_bianchi_residual
 from spacelike.jets import evaluate_jet
 from spacelike.lagrangian import (
@@ -10,28 +9,6 @@ from spacelike.lagrangian import (
     moduli_curvature, moduli_curvature_oracle, moduli_ricci_from_riemann,
     null_to_standard_matrix, to_standard,
 )
-
-
-def convex_quartic(rng, m=2, cubic_scale=0.15):
-    """Random potential 0.5|x|^2 + small cubic/quartic terms, as DSL text."""
-    terms = [f"0.5*x{i+1}^2" for i in range(m)]
-    for alpha in itertools.product(range(5), repeat=m):
-        if not 3 <= sum(alpha) <= 4:
-            continue
-        c = float(cubic_scale * rng.normal())
-        factors = [f"({c!r})"] + [
-            f"x{i+1}" if a == 1 else f"x{i+1}^{a}" for i, a in enumerate(alpha) if a
-        ]
-        terms.append("*".join(factors))
-    return Potential.from_string(m, "+".join(terms))
-
-
-def sample_convex_point(rng, P, tries=50):
-    for _ in range(tries):
-        x = rng.uniform(-0.4, 0.4, size=P.m)
-        if gradient_graph(P, x).convex:
-            return x
-    raise RuntimeError("no convex sample point found")
 
 
 # -- gradient graph ------------------------------------------------------------
@@ -53,7 +30,7 @@ def test_quartic_metric_1d():
 def test_metric_is_jet_hessian():
     rng = np.random.default_rng(6)
     P = convex_quartic(rng)
-    x = sample_convex_point(rng, P)
+    x = convex_point(rng, P, 50)
     gg = gradient_graph(P, x)
     assert np.array_equal(gg.metric, evaluate_jet(P.F, x).hess)
 
@@ -63,7 +40,7 @@ def test_null_form_frame_identities():
     # Q((u,v),(u',v')) = (u.v' + u'.v)/2
     rng = np.random.default_rng(9)
     P = convex_quartic(rng)
-    x = sample_convex_point(rng, P)
+    x = convex_point(rng, P, 50)
     g = gradient_graph(P, x).metric
     m = P.m
     eye = np.eye(m)
@@ -163,7 +140,7 @@ def test_cross_module_random_quartics():
     worst = 0.0
     for _ in range(20):
         P = convex_quartic(rng)
-        x = sample_convex_point(rng, P)
+        x = convex_point(rng, P, 50)
         lf = lagrangian_forms(P, x)
         si = to_standard(P, x)
         worst = max(worst, abs(si.geometry.S - lf.S) / (1 + lf.S))
@@ -190,7 +167,7 @@ def test_moduli_1d_riemann_vanishes():
 def test_moduli_tensor_symmetries_and_bianchi():
     rng = np.random.default_rng(99)
     P = convex_quartic(rng)
-    x = sample_convex_point(rng, P)
+    x = convex_point(rng, P, 50)
     R = moduli_curvature(P, x).riemann
     scale = 1 + np.max(np.abs(R))
     assert np.max(np.abs(R + R.transpose(1, 0, 2, 3))) <= 1e-12 * scale
@@ -204,7 +181,7 @@ def test_moduli_matches_intrinsic_oracle():
     worst_r = worst_ric = 0.0
     for _ in range(12):
         P = convex_quartic(rng)
-        x = sample_convex_point(rng, P)
+        x = convex_point(rng, P, 50)
         mc = moduli_curvature(P, x)
         oracle = moduli_curvature_oracle(P, x)
         scale = max(np.max(np.abs(oracle)), 1e-10)
