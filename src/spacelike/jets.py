@@ -279,16 +279,16 @@ def finite_diff_check(expr: Expr, point, h: float) -> FiniteDiffReport:
 
     report = {1: 0.0, 2: 0.0, 3: 0.0}
     for i in range(m):
-        report[1] = max(report[1], rel(jet.grad[i], central(f, i)(x)))
+        report[1] = np.maximum(report[1], rel(jet.grad[i], central(f, i)(x)))
     H = jet.hess
     for i in range(m):
         for j in range(i, m):
             fd = central(central(f, j), i)(x)
-            report[2] = max(report[2], rel(H[i, j], fd))
+            report[2] = np.maximum(report[2], rel(H[i, j], fd))
     T = jet.third
     for i in range(m):
         for j in range(i, m):
             for k in range(j, m):
                 fd = central(central(central(f, k), j), i)(x)
-                report[3] = max(report[3], rel(T[i, j, k], fd))
-    return FiniteDiffReport(h=h, max_rel=report)
+                report[3] = np.maximum(report[3], rel(T[i, j, k], fd))
+    return FiniteDiffReport(h=h, max_rel={k: float(v) for k, v in report.items()})

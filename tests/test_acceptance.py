@@ -9,9 +9,9 @@ import time
 
 import numpy as np
 
-from conftest import random_spacelike_graph
+from conftest import convex_sample, random_spacelike_graph
 from spacelike.bernstein import ScanConfig, completeness_probe, decay_scan
-from spacelike.checks import convex_point, convex_quartic, gauss_equation, hyperboloid
+from spacelike.checks import gauss_equation, hyperboloid
 from spacelike.exprparse import parse
 from spacelike.graphgeom import (
     GraphMap, covariant_h, curvature, fundamental_forms, pseudo_distance, ricci_bound_check,
@@ -74,7 +74,7 @@ def test_03_catenoid_battery():
     for _ in range(10):
         r = rng.uniform(0.5, 2.0)
         t = rng.uniform(0, 2 * np.pi)
-        worst_h = max(worst_h, fundamental_forms(gm, [r * np.cos(t), r * np.sin(t)]).H_norm)
+        worst_h = np.maximum(worst_h, fundamental_forms(gm, [r * np.cos(t), r * np.sin(t)]).H_norm)
     assert worst_h <= 1e-9
 
     expr = parse("asinh(sqrt(x1^2+x2^2))", 2)
@@ -100,7 +100,7 @@ def test_04_codazzi_symmetry():
         n = int(rng.integers(1, 3))
         gm, x = random_spacelike_graph(rng, m, n, degree=3)
         ch = covariant_h(gm, x)
-        worst = max(worst, ch.codazzi_asym / (1.0 + float(np.max(np.abs(ch.h_cov)))))
+        worst = np.maximum(worst, ch.codazzi_asym / (1.0 + float(np.max(np.abs(ch.h_cov)))))
     assert worst <= 1e-6
     report(4, f"max h_sijk asymmetry {worst:.2e} (tol 1e-6) on 20 random graphs")
 
@@ -114,9 +114,9 @@ def test_05_gauss_map_pullback():
     for gm, x in cases:
         for k in range(gm.m):
             rep = pullback_check(gm, x, k)
-            worst_dir = max(worst_dir, rep.rel_error)
+            worst_dir = np.maximum(worst_dir, rep.rel_error)
         tr, S = pullback_trace(gm, x)
-        worst_tr = max(worst_tr, abs(tr - S) / (1.0 + S))
+        worst_tr = np.maximum(worst_tr, abs(tr - S) / (1.0 + S))
     assert worst_dir <= 1e-3
     assert worst_tr <= 1e-3
     report(5, f"pullback stretch dev {worst_dir:.2e}, trace dev {worst_tr:.2e} (tol 1e-3)")
@@ -127,12 +127,10 @@ def test_06_grassmann_distance():
     worst_oracle = 0.0
     for _ in range(100):
         m = int(rng.integers(1, 4))
-        A = rng.normal(size=(1, m))
-        A *= 0.9 * rng.uniform(0.05, 1.0) / np.linalg.svd(A, compute_uv=False)[0]
-        B = rng.normal(size=(1, m))
-        B *= 0.9 * rng.uniform(0.05, 1.0) / np.linalg.svd(B, compute_uv=False)[0]
-        P, Q = SpacelikePlane(A), SpacelikePlane(B)
-        worst_oracle = max(worst_oracle, abs(distance(P, Q) - hyperbolic_distance_n1(P, Q)))
+        P, Q = (SpacelikePlane(A * (0.9 * rng.uniform(0.05, 1.0)
+                                    / np.linalg.svd(A, compute_uv=False)[0]))
+                for A in (rng.normal(size=(1, m)) for _ in range(2)))
+        worst_oracle = np.maximum(worst_oracle, abs(distance(P, Q) - hyperbolic_distance_n1(P, Q)))
     assert worst_oracle <= 1e-8
 
     worst_add = 0.0
@@ -144,21 +142,19 @@ def test_06_grassmann_distance():
         for t1, t2 in [(0.3, 1.1), (-0.7, 0.4)]:
             P = SpacelikePlane(np.tanh(t1) * np.outer(u, v))
             Q = SpacelikePlane(np.tanh(t2) * np.outer(u, v))
-            worst_add = max(worst_add, abs(distance(P, Q) - abs(t1 - t2)))
+            worst_add = np.maximum(worst_add, abs(distance(P, Q) - abs(t1 - t2)))
     assert worst_add <= 1e-9
 
     worst_inv = 0.0
     for _ in range(10):
         m, n = 3, 2
-        A = rng.normal(size=(n, m))
-        A *= 0.7 / np.linalg.svd(A, compute_uv=False)[0]
-        B = rng.normal(size=(n, m))
-        B *= 0.7 / np.linalg.svd(B, compute_uv=False)[0]
+        A, B = (M * (0.7 / np.linalg.svd(M, compute_uv=False)[0])
+                for M in (rng.normal(size=(n, m)) for _ in range(2)))
         qm, _ = np.linalg.qr(rng.normal(size=(m, m)))
         qn, _ = np.linalg.qr(rng.normal(size=(n, n)))
         d0 = distance(SpacelikePlane(A), SpacelikePlane(B))
         d1 = distance(SpacelikePlane(qn @ A @ qm.T), SpacelikePlane(qn @ B @ qm.T))
-        worst_inv = max(worst_inv, abs(d1 - d0))
+        worst_inv = np.maximum(worst_inv, abs(d1 - d0))
     assert worst_inv <= 1e-12
     report(6, f"n=1 oracle {worst_oracle:.1e} (1e-8), additivity {worst_add:.1e} (1e-9), "
               f"invariance {worst_inv:.1e} (1e-12)")
@@ -168,11 +164,10 @@ def test_07_lagrangian_cross_module():
     rng = np.random.default_rng(77)
     worst = 0.0
     for _ in range(20):
-        P = convex_quartic(rng)
-        x = convex_point(rng, P, 100)
+        P, x = convex_sample(rng, 100)
         lf = lagrangian_forms(P, x)
         si = to_standard(P, x)
-        worst = max(worst, abs(si.geometry.S - lf.S) / (1.0 + lf.S))
+        worst = np.maximum(worst, abs(si.geometry.S - lf.S) / (1.0 + lf.S))
     assert worst <= 1e-8
     report(7, f"coefficient-route vs standard-coordinate S dev {worst:.2e} (tol 1e-8)")
 
@@ -181,12 +176,11 @@ def test_08_moduli_curvature_oracle():
     rng = np.random.default_rng(88)
     worst = 0.0
     for _ in range(20):
-        P = convex_quartic(rng)
-        x = convex_point(rng, P, 100)
+        P, x = convex_sample(rng, 100)
         mc = moduli_curvature(P, x)
         oracle = moduli_curvature_oracle(P, x)
         scale = max(float(np.max(np.abs(oracle))), 1e-10)
-        worst = max(worst, float(np.max(np.abs(mc.riemann - oracle))) / scale)
+        worst = np.maximum(worst, float(np.max(np.abs(mc.riemann - oracle))) / scale)
     assert worst <= 1e-6
     Pq = Potential.from_string(2, "x1^2 + 0.4*x1*x2 + 0.8*x2^2")
     mq = moduli_curvature(Pq, [0.3, -0.9])
@@ -240,7 +234,7 @@ def test_11_gradient_estimate_shadow():
         reports = completeness_probe(gm, dirs, T=3.0, n_samples=120)
         for rep in reports:
             assert rep.b_emp <= rep.ratio_sup + 1e-3
-            worst_gap = max(worst_gap, rep.b_emp - rep.ratio_sup)
+            worst_gap = np.maximum(worst_gap, rep.b_emp - rep.ratio_sup)
 
     pd1 = pseudo_distance(GraphMap.from_strings(1, ["0.6*x1"]), [1.0])
     assert abs(pd1.z - 0.64) <= 1e-12
@@ -251,7 +245,7 @@ def test_11_gradient_estimate_shadow():
     for _ in range(10):
         gm, x = random_spacelike_graph(rng, 2, 1)
         pd = pseudo_distance(gm.with_base_point(), x)
-        worst_tr = max(worst_tr, abs(np.trace(pd.hess) - pd.lap))
+        worst_tr = np.maximum(worst_tr, abs(np.trace(pd.hess) - pd.lap))
     assert worst_tr <= 1e-10
     report(11, f"b_emp <= ratio sup + 1e-3 (worst gap {worst_gap:.2e}); z hand values to "
                f"1e-12; trace-lap dev {worst_tr:.1e} (tol 1e-10)")

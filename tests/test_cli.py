@@ -2,9 +2,12 @@ import json
 import math
 import subprocess
 import sys
+from types import SimpleNamespace as NS
 
+import numpy as np
 import pytest
 
+from spacelike import checks
 from spacelike.cli import main
 
 
@@ -265,13 +268,30 @@ def test_check_battery_passes(tmp_path, capsys):
 
 
 def test_check_violation_exit_code(tmp_path, monkeypatch, capsys):
-    import spacelike.checks as checks_mod
-
     forced = ("forced-failure", lambda rng: (False, "synthetic violation"))
-    monkeypatch.setattr(checks_mod, "SUITES", checks_mod.SUITES[:2] + (forced,))
+    monkeypatch.setattr(checks, "SUITES", checks.SUITES[:2] + (forced,))
     cfg = write_config(tmp_path, "cfg.json", {"out": str(tmp_path / "c.csv")})
     assert run_cli(["check", "--config", cfg]) == 3
     assert "FAIL forced-failure" in capsys.readouterr().out
+
+
+def test_check_suites_fail_on_nan(monkeypatch):
+    # a NaN deviation fails its suite instead of being dropped by the fold
+    frames = checks.adapted_frames
+    nan = NS(codazzi_asym=np.nan, h_cov=np.zeros(1), H_norm=np.nan, geometry=NS(S=np.nan))
+    for name, value in [
+            ("adapted_frames", lambda gm, x: NS(tangent=frames(gm, x).tangent,
+                                                normal=frames(gm, x).normal * np.nan)),
+            ("frame_riemann_oracle", lambda gm, x: np.full((gm.m,) * 4, np.nan)),
+            ("covariant_h", lambda gm, x: nan), ("fundamental_forms", lambda gm, x: nan),
+            ("pullback_trace", lambda gm, x: (np.nan, 1.0)), ("to_standard", lambda P, x: nan),
+            ("moduli_curvature_oracle", lambda P, x: np.full((2,) * 4, np.nan))]:
+        monkeypatch.setattr(checks, name, value)
+    for suite in (checks.frames_pseudo_orthonormal, checks.gauss_equation,
+                  checks.codazzi_symmetry, checks.catenoid_maximal, checks.gauss_map_pullback_trace,
+                  checks.lagrangian_cross_module, checks.moduli_curvature_check):
+        ok, detail = suite(np.random.default_rng(0))
+        assert not ok and "nan" in detail, suite.__name__
 
 
 def test_determinism_byte_identical(tmp_path):

@@ -52,6 +52,14 @@ def test_constant_all_orders_zero():
     assert rep.max_rel == {1: 0.0, 2: 0.0, 3: 0.0}
 
 
+def test_nan_difference_is_reported(monkeypatch):
+    import spacelike.jets as jets
+
+    monkeypatch.setattr(jets, "eval_values", lambda expr, p: np.nan)
+    rep = finite_diff_check(parse("x1*x2", 2), [0.3, -0.2], 1e-4)
+    assert all(np.isnan(v) for v in rep.max_rel.values())
+
+
 def test_sin_third_order():
     rep = finite_diff_check(parse("sin(x1)", 1), [0.7], 1e-4)
     assert rep.max_rel[3] <= 1e-4

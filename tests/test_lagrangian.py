@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spacelike.checks import convex_point, convex_quartic
+from conftest import convex_sample
 from spacelike.graphgeom import first_bianchi_residual
 from spacelike.jets import evaluate_jet
 from spacelike.lagrangian import (
@@ -29,8 +29,7 @@ def test_quartic_metric_1d():
 
 def test_metric_is_jet_hessian():
     rng = np.random.default_rng(6)
-    P = convex_quartic(rng)
-    x = convex_point(rng, P, 50)
+    P, x = convex_sample(rng, 50)
     gg = gradient_graph(P, x)
     assert np.array_equal(gg.metric, evaluate_jet(P.F, x).hess)
 
@@ -39,8 +38,7 @@ def test_null_form_frame_identities():
     # <e_i, e_j> = F_ij, <n_i, n_j> = -F_ij, <e_i, n_j> = 0 exactly under
     # Q((u,v),(u',v')) = (u.v' + u'.v)/2
     rng = np.random.default_rng(9)
-    P = convex_quartic(rng)
-    x = convex_point(rng, P, 50)
+    P, x = convex_sample(rng, 50)
     g = gradient_graph(P, x).metric
     m = P.m
     eye = np.eye(m)
@@ -139,12 +137,11 @@ def test_cross_module_random_quartics():
     rng = np.random.default_rng(77)
     worst = 0.0
     for _ in range(20):
-        P = convex_quartic(rng)
-        x = convex_point(rng, P, 50)
+        P, x = convex_sample(rng, 50)
         lf = lagrangian_forms(P, x)
         si = to_standard(P, x)
-        worst = max(worst, abs(si.geometry.S - lf.S) / (1 + lf.S))
-        worst = max(worst, abs(si.geometry.H_norm - lf.H_norm) / (1 + lf.H_norm))
+        worst = np.maximum(worst, abs(si.geometry.S - lf.S) / (1 + lf.S))
+        worst = np.maximum(worst, abs(si.geometry.H_norm - lf.H_norm) / (1 + lf.H_norm))
     assert worst <= 1e-8
 
 
@@ -166,8 +163,7 @@ def test_moduli_1d_riemann_vanishes():
 
 def test_moduli_tensor_symmetries_and_bianchi():
     rng = np.random.default_rng(99)
-    P = convex_quartic(rng)
-    x = convex_point(rng, P, 50)
+    P, x = convex_sample(rng, 50)
     R = moduli_curvature(P, x).riemann
     scale = 1 + np.max(np.abs(R))
     assert np.max(np.abs(R + R.transpose(1, 0, 2, 3))) <= 1e-12 * scale
@@ -180,15 +176,14 @@ def test_moduli_matches_intrinsic_oracle():
     rng = np.random.default_rng(101)
     worst_r = worst_ric = 0.0
     for _ in range(12):
-        P = convex_quartic(rng)
-        x = convex_point(rng, P, 50)
+        P, x = convex_sample(rng, 50)
         mc = moduli_curvature(P, x)
         oracle = moduli_curvature_oracle(P, x)
         scale = max(np.max(np.abs(oracle)), 1e-10)
-        worst_r = max(worst_r, np.max(np.abs(mc.riemann - oracle)) / scale)
+        worst_r = np.maximum(worst_r, np.max(np.abs(mc.riemann - oracle)) / scale)
         ric_oracle = moduli_ricci_from_riemann(gradient_graph(P, x).metric_inv, oracle)
         ric_scale = max(np.max(np.abs(ric_oracle)), 1e-10)
-        worst_ric = max(worst_ric, np.max(np.abs(mc.ricci - ric_oracle)) / ric_scale)
+        worst_ric = np.maximum(worst_ric, np.max(np.abs(mc.ricci - ric_oracle)) / ric_scale)
     assert worst_r <= 1e-6
     assert worst_ric <= 1e-6
 
@@ -202,8 +197,8 @@ def test_mean_curvature_controlled_by_ma_residual_on_lattice():
         h_max = 0.0
         for a in xs:
             for b in xs:
-                delta = max(delta, abs(ma_residual(P, [a, b])))
-                h_max = max(h_max, lagrangian_forms(P, [a, b]).H_norm)
+                delta = np.maximum(delta, abs(ma_residual(P, [a, b])))
+                h_max = np.maximum(h_max, lagrangian_forms(P, [a, b]).H_norm)
         C = h_max / delta
         assert np.isfinite(C) and C <= 10.0
 

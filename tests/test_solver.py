@@ -282,7 +282,7 @@ def _reference_faces(lat, u, lam):
         for d in range(lat.m):
             for start, sign in ((node, 1.0), (node - e[d], -1.0)):  # upper face, then lower
                 pd, psq = face(start, d)
-                worst = max(worst, float(psq.real[0]))
+                worst = np.maximum(worst, float(psq.real[0]))
                 r = r + sign * (pd / np.sqrt(1.0 - lam * psq) / h[d])
         res.append(r)
     return np.concatenate(res), worst
