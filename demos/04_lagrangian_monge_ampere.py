@@ -39,8 +39,5 @@ lat = Lattice.box((0, 0), (1, 1), 49)
 fld, log = solve_ma(lat, parse("0.5*(x1^2+x2^2) + 0.1*sin(x1)*sin(x2)", 2), c=1.0, tol=1e-11)
 print("\nMA solve final residual:", log.final_residual)
 _, _, hess, third = field_third(fld)
-min_eig = min(
-    moduli_curvature_arrays(hess[k], np.linalg.inv(hess[k]), third[k]).min_ricci_eig
-    for k in range(hess.shape[0])
-)
+min_eig = np.min(moduli_curvature_arrays(hess, np.linalg.inv(hess), third).min_ricci_eig)
 print("min moduli-Ricci eigenvalue over the solved field:", min_eig)

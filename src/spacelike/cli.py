@@ -303,10 +303,12 @@ def _write_node_table(cfg: dict, pts: np.ndarray, status: np.ndarray, cols: dict
 # Commands
 
 def cmd_analyze(cfg: dict) -> int:
-    gm = GraphMap.from_strings(cfg["m"], _expressions(cfg, "components")).with_base_point()
+    gm = GraphMap.from_strings(cfg["m"], _expressions(cfg, "components"))
     pts = node_points(cfg["lattice"])
-    status, cols = graph_node_table(gm, pts, active_mask(cfg["lattice"]).ravel())
+    status, cols, notes = graph_node_table(gm, pts, active_mask(cfg["lattice"]).ravel())
     _write_node_table(cfg, pts, status, cols)
+    for note in notes:
+        print(f"analyze: {note}")
     warn = int(np.sum((status != "ok") & (status != "inactive")))
     print(f"analyze: {len(status)} nodes, {warn} warnings")
     return EXIT_OK

@@ -20,6 +20,11 @@ Simons-type slack report over a lattice and unit-speed geodesics of the
 induced metric (a batch of directions as one ODE), both on the graph's
 closed-form Christoffel symbols Gamma_{l,ij} = -sum_s f^s_l f^s_ij.
 
+``riemann_from_metric`` is the curvature oracle independent of h: the
+Riemann tensor of any metric from (g, dg, ddg) through its coordinate
+Christoffel symbols, in this package's slot order.  ``frame_riemann_oracle``
+feeds it the graph metric and the Lagrangian moduli oracle a Hessian metric.
+
 Sign convention: h_sij = <d2X(e_i, e_j), e_s> under the ambient form.
 This is the unique global sign for which the Hessian identity
 Hess z = 2(delta_ij - <X, e_s> h_sij) holds and the Gauss relation
@@ -217,6 +222,16 @@ def _geometry_checks(geo: Geometry, limit=None):
     return checks
 
 
+def _metric_inverse(g: np.ndarray):
+    """Smallest eigenvalue of each symmetric matrix of the stack g, the mask
+    where it is positive, and the inverse there (nan elsewhere)."""
+    min_eig = np.linalg.eigvalsh(g)[..., 0]
+    definite = min_eig > 0.0
+    g_inv = np.linalg.inv(np.where(definite[..., None, None], g, np.eye(g.shape[-1])))
+    g_inv[~definite] = np.nan
+    return min_eig, definite, g_inv
+
+
 def immersion_geometry(J: np.ndarray, Hss: np.ndarray, sig: np.ndarray,
                        normals_raw: np.ndarray) -> Geometry:
     """Geometry of an immersion at a batch of points, given first/second
@@ -230,10 +245,8 @@ def immersion_geometry(J: np.ndarray, Hss: np.ndarray, sig: np.ndarray,
     """
     m, n = J.shape[-2], normals_raw.shape[-2]
     g = (J * sig) @ _swap(J)
-    min_eig = np.linalg.eigvalsh(g)[..., 0]
-    spacelike, ok = min_eig > 0.0, min_eig > SPACELIKE_TOL
-    g_inv = np.linalg.inv(np.where(spacelike[..., None, None], g, np.eye(m)))
-    g_inv[~spacelike] = np.nan
+    min_eig, spacelike, g_inv = _metric_inverse(g)
+    ok = min_eig > SPACELIKE_TOL
     # triangular inverses by numpy's batched inv (np.tril drops its rounding
     # above the diagonal); points that are not space-like factor I, then nan
     E = np.tril(np.linalg.inv(np.linalg.cholesky(np.where(ok[..., None, None], g, np.eye(m)))))
@@ -346,29 +359,20 @@ def ricci_bound_check(gm: GraphMap, x) -> float:
 # Coordinate-Christoffel curvature oracle.  Independent of the frame/h
 # route: works from g, dg, ddg alone, so agreement pins the h sign.
 
-def christoffel(g: np.ndarray, dg: np.ndarray) -> np.ndarray:
-    """Gamma^k_ij from the metric and its first derivatives dg[p,i,j] = d_p g_ij
-    (leading batch axes broadcast)."""
-    g_inv = np.linalg.inv(g)
-    term = 0.5 * (np.einsum("...ijl->...ijl", dg)        # d_i g_jl
-                  + np.einsum("...jil->...ijl", dg)      # d_j g_il
-                  - np.einsum("...lij->...ijl", dg))     # d_l g_ij
-    return np.einsum("...kl,...ijl->...kij", g_inv, term)
-
-
-def riemann_lowered(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> np.ndarray:
-    """Rm[i,j,k,l] = <R(d_i, d_j) d_k, d_l> from metric derivatives.
-
-    dg[p,i,j] = d_p g_ij and ddg[p,q,i,j] = d_p d_q g_ij (leading batch axes
-    broadcast).
+def riemann_from_metric(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> np.ndarray:
+    """R_ijkl = Rm(d_i, d_j, d_l, d_k), the slot order of this package, with
+    Rm(d_i, d_j, d_k, d_l) = <R(d_i, d_j) d_k, d_l>, from the metric and its
+    derivatives dg[p,i,j] = d_p g_ij and ddg[p,q,i,j] = d_p d_q g_ij (leading
+    batch axes broadcast).  g^-1 and the Christoffel symbols
+    Gamma^k_ij = g^{kl} T_ijl are formed once.
     """
     g_inv = np.linalg.inv(g)
-    gamma = christoffel(g, dg)
+    T = 0.5 * (np.einsum("...ijl->...ijl", dg)         # d_i g_jl
+               + np.einsum("...jil->...ijl", dg)       # d_j g_il
+               - np.einsum("...lij->...ijl", dg))      # d_l g_ij
+    gamma = np.einsum("...kl,...ijl->...kij", g_inv, T)
     dg_inv = -np.einsum("...ka,...pab,...bl->...pkl", g_inv, dg, g_inv)
     # d_p Gamma via product rule on Gamma^k_ij = g^{kl} T_ijl
-    T = 0.5 * (np.einsum("...ijl->...ijl", dg)
-               + np.einsum("...jil->...ijl", dg)
-               - np.einsum("...lij->...ijl", dg))
     dT = 0.5 * (np.einsum("...pijl->...pijl", ddg)      # d_p d_i g_jl
                 + np.einsum("...pjil->...pijl", ddg)    # d_p d_j g_il
                 - np.einsum("...plij->...pijl", ddg))   # d_p d_l g_ij
@@ -379,13 +383,8 @@ def riemann_lowered(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> np.ndarra
             - np.einsum("...jlik->...lkij", dgamma)
             + np.einsum("...lip,...pjk->...lkij", gamma, gamma)
             - np.einsum("...ljp,...pik->...lkij", gamma, gamma))
-    # Rm(d_i, d_j, d_k, d_l) = g_{l'l} R^{l'}_kij
-    return np.einsum("...al,...akij->...ijkl", g, r_up)
-
-
-def paper_riemann_from_lowered(rm: np.ndarray) -> np.ndarray:
-    """Slot order used throughout this package: R_ijkl = Rm(i, j, l, k)."""
-    return _swap(rm)
+    # Rm(d_i, d_j, d_k, d_l) = g_{l'l} R^{l'}_kij, then slots k and l swapped
+    return _swap(np.einsum("...al,...akij->...ijkl", g, r_up))
 
 
 def _metric_derivs(A: np.ndarray, He: np.ndarray, Th: np.ndarray):
@@ -408,9 +407,9 @@ def frame_riemann_oracle(gm: GraphMap, x) -> np.ndarray:
     """
     geo = graph_geometry(gm, x)
     _raise_first(*_geometry_checks(geo, SPACELIKE_TOL))
-    paper = paper_riemann_from_lowered(riemann_lowered(*_metric_derivs(geo.A, geo.He, geo.Th)))
+    R = riemann_from_metric(*_metric_derivs(geo.A, geo.He, geo.Th))
     E = geo.tangent_coeff
-    return _view(x, np.einsum("...ai,...bj,...ck,...dl,...ijkl->...abcd", E, E, E, E, paper))
+    return _view(x, np.einsum("...ai,...bj,...ck,...dl,...ijkl->...abcd", E, E, E, E, R))
 
 
 def first_bianchi_residual(riemann: np.ndarray) -> float:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exprparse import DomainError
 from .graphgeom import (
     SPACELIKE_TOL, GraphMap, NotSpacelikeError, _by_point, _extremal_residual, _fault_check,
     _filled, _geometry_checks, _pseudo_distance, _raise_first, _ricci_margin, _take, _view,
@@ -213,23 +214,32 @@ def max_modulus(gm: GraphMap, samples, ref: SpacelikePlane) -> float:
 # ---------------------------------------------------------------------------
 # Node table of a graph, in the lowest module that sees the Gauss map
 
-def graph_node_table(gm: GraphMap, pts: np.ndarray, active: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Status and named columns of the graph at the nodes ``pts`` (k, m).
+def graph_node_table(gm: GraphMap, pts: np.ndarray,
+                     active: np.ndarray) -> tuple[np.ndarray, dict, list]:
+    """Status and named columns of the graph at the nodes ``pts`` (k, m),
+    and notes on the columns that could not be computed.
 
     One batched pass over the ``active`` nodes; each stage runs on the
     nodes that passed the earlier ones, a node's status is its first
     failure, and a column is nan where a node does not reach it.
     ``gauss_dist`` is to the tangent plane over the origin, or over the
     centre of the nodes' box when the origin is outside it (nan where that
-    plane is not space-like); ``z`` assumes X(0) = 0.
+    plane is not space-like); ``z`` and ``grad_ratio`` are of the
+    pseudo-distance from X(0).  Where that plane or X(0) is undefined (f
+    leaves its domain there), the columns built on it are nan at every node
+    and a note says why.
     """
-    k = pts.shape[0]
+    k, notes = pts.shape[0], []
     lo, hi = pts.min(axis=0), pts.max(axis=0)
     base = np.zeros(gm.m) if np.all(lo <= 0) and np.all(hi >= 0) else 0.5 * (lo + hi)
     try:
         ref = gauss_map(gm, base)
     except NotSpacelikeError:
         ref = None
+    except DomainError as err:
+        ref = None
+        notes.append(f"gauss_dist is nan, as the tangent plane at x = {base.tolist()} "
+                     f"is undefined: {err}")
     nodes = np.flatnonzero(active)
     geo = graph_geometry(gm, pts[nodes])
     domain = np.not_equal(geo.fault, None)
@@ -243,7 +253,12 @@ def graph_node_table(gm: GraphMap, pts: np.ndarray, active: np.ndarray) -> tuple
         gauss_dist, check = _distances(planes, ref)
         gauss_bad = ~(planes.sigma_max < 1.0) | check[0]
     done = on[~gauss_bad]
-    pd = _pseudo_distance(_take(fr, ~gauss_bad), gm.position(pts[done]), signature(gm.m, gm.n))
+    try:
+        X = gm.with_base_point().position(pts[done])
+    except DomainError as err:
+        X = np.full((done.size, gm.m + gm.n), np.nan)
+        notes.append(f"z and grad_ratio are nan, as X(0) is undefined: {err}")
+    pd = _pseudo_distance(_take(fr, ~gauss_bad), X, signature(gm.m, gm.n))
 
     status = np.where(active, "ok", "inactive").astype(object)
     status[nodes[~domain & ~geo.spacelike]] = "not-spacelike"
@@ -260,4 +275,4 @@ def graph_node_table(gm: GraphMap, pts: np.ndarray, active: np.ndarray) -> tuple
         "gauss_dist": _filled(k, on, gauss_dist),
         "z": _filled(k, done, pd.z),
         "grad_ratio": _filled(k, done, pd.ratio),
-    }
+    }, notes

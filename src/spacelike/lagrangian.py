@@ -30,8 +30,8 @@ import numpy as np
 
 from .exprparse import Expr, parse
 from .graphgeom import (
-    SPACELIKE_TOL, Geometry, _fault_check, _filled, _geometry_checks, _raise_first, _take,
-    _view, immersion_geometry, paper_riemann_from_lowered, riemann_lowered, signature,
+    SPACELIKE_TOL, Geometry, _fault_check, _filled, _geometry_checks, _metric_inverse,
+    _raise_first, _take, _view, immersion_geometry, riemann_from_metric, signature,
 )
 from .jets import jet_rows
 
@@ -86,10 +86,7 @@ def _shifted_jets(P: Potential, pts: np.ndarray, step: float):
 
 def _gradient_graph(pts: np.ndarray, jet) -> GradientGraphPoint:
     g = jet.hess
-    min_eig = np.linalg.eigvalsh(g)[..., 0]
-    convex = min_eig > 0
-    g_inv = np.linalg.inv(np.where(convex[..., None, None], g, np.eye(g.shape[-1])))
-    g_inv[~convex] = np.nan
+    min_eig, convex, g_inv = _metric_inverse(g)
     return GradientGraphPoint(point=np.concatenate([pts, jet.grad], axis=-1), metric=g,
                               metric_inv=g_inv, det=np.linalg.det(g), min_eig=min_eig,
                               convex=convex)
@@ -250,7 +247,7 @@ def _moduli_oracle(P: Potential, jet, shifted) -> np.ndarray:
     dg = np.einsum("...ijp->...pij", jet.third)
     diff = (shifted.third[:, :m] - shifted.third[:, m:]) / (2 * ORACLE_FD_STEP)
     ddg = np.einsum("...pijq->...pqij", diff)  # ddg[p,q,i,j] = d_p d_q g_ij
-    return paper_riemann_from_lowered(riemann_lowered(jet.hess, dg, ddg))
+    return riemann_from_metric(jet.hess, dg, ddg)
 
 
 def moduli_ricci_from_riemann(g_inv: np.ndarray, riemann: np.ndarray) -> np.ndarray:

@@ -215,12 +215,8 @@ def _maximal_speed2(ops: _Ops, u_full: np.ndarray) -> float:
     return max(float(np.max(psq, initial=0.0)) for _, psq in _faces(ops, u_full))
 
 
-def _ma_hessians(ops: _Ops, u_full: np.ndarray) -> np.ndarray:
-    return lat_mod.central_hessian(u_full, ops.lattice, ops.int_flat)
-
-
 def _ma_residual(ops: _Ops, u_full: np.ndarray, c: float) -> np.ndarray:
-    H = _ma_hessians(ops, u_full)
+    H = lat_mod.central_hessian(u_full, ops.lattice, ops.int_flat)
     m = ops.m
     if m == 1:
         det = H[:, 0, 0]
@@ -232,7 +228,7 @@ def _ma_residual(ops: _Ops, u_full: np.ndarray, c: float) -> np.ndarray:
 
 
 def _ma_min_eig(ops: _Ops, u_full: np.ndarray) -> float:
-    H = _ma_hessians(ops, u_full).real
+    H = lat_mod.central_hessian(u_full, ops.lattice, ops.int_flat).real
     m = ops.m
     if m == 1:
         return float(np.min(H[:, 0, 0]))
@@ -428,57 +424,43 @@ def solve_ma(lattice: Lattice, boundary, c: float = 1.0, tol: float = 1e-10,
 # ---------------------------------------------------------------------------
 # Discrete geometry extraction from solved fields
 
-def _stencil_ready_nodes(field: GridField, margin: int):
-    """Multi-indices of active nodes whose full +-margin cube is active."""
-    return np.argwhere(lat_mod.cube_all(lat_mod.active_mask(field.lattice), margin))
-
-
-def field_jet2(field: GridField, nodes=None):
-    """Central-difference gradient and compact Hessian at lattice nodes.
-
-    Returns (multi-indices, points, grad (k,m), hess (k,m,m)) over nodes
-    whose +-1 cube is active (or the provided node list).
-    """
+def field_jet2(field: GridField):
+    """Central-difference gradient and compact Hessian at the active nodes
+    whose whole +-1 cube is active: (multi-indices, points, grad (k, m),
+    hess (k, m, m))."""
     lat = field.lattice
-    if nodes is None:
-        nodes = _stencil_ready_nodes(field, 1)
-    nodes = np.asarray(nodes, dtype=int).reshape(-1, lat.m)
+    nodes = np.argwhere(lat_mod.cube_all(lat_mod.active_mask(lat), 1))
     flat = np.ravel_multi_index(nodes.T, lat.shape)
     u = field.values.ravel()
     return (nodes, lat_mod.node_points(lat)[flat], lat_mod.central_gradient(u, lat, flat),
             lat_mod.central_hessian(u, lat, flat))
 
 
-def field_third(field: GridField, nodes=None):
-    """Central differences of the compact Hessian: all third derivatives.
-
-    Nodes need a +-2 active cube.
-    """
+def field_third(field: GridField):
+    """Compact Hessian and all third derivatives at the active nodes whose
+    whole +-2 cube is active: (multi-indices, points, hess (k, m, m),
+    third (k, m, m, m)).  d_p of the Hessian is the central difference of
+    the compact Hessians at the nodes +-1 along p."""
     lat = field.lattice
-    m = lat.m
-    h = np.array(lat.spacing)
-    if nodes is None:
-        nodes = _stencil_ready_nodes(field, 2)
-    nodes = np.asarray(nodes, dtype=int).reshape(-1, m)
-    third = np.zeros((nodes.shape[0], m, m, m))
-    for p in range(m):
-        ep = np.zeros(m, dtype=int)
-        ep[p] = 1
-        _, _, _, h_plus = field_jet2(field, nodes + ep)
-        _, _, _, h_minus = field_jet2(field, nodes - ep)
-        third[:, :, :, p] = (h_plus - h_minus) / (2 * h[p])
+    nodes = np.argwhere(lat_mod.cube_all(lat_mod.active_mask(lat), 2))
+    flat = np.ravel_multi_index(nodes.T, lat.shape)
+    u = field.values.ravel()
+    third = np.zeros((flat.size,) + (lat.m,) * 3)
+    for p, (s, h) in enumerate(zip(lat_mod.strides(lat), lat.spacing)):
+        third[..., p] = (lat_mod.central_hessian(u, lat, flat + s)
+                         - lat_mod.central_hessian(u, lat, flat - s)) / (2 * h)
     # symmetrize over the derivative index vs Hessian indices (discretely
     # they already agree to truncation order; averaging keeps exact symmetry)
     third = (third + third.transpose(0, 1, 3, 2) + third.transpose(0, 3, 2, 1)
              + third.transpose(0, 2, 1, 3) + third.transpose(0, 3, 1, 2)
              + third.transpose(0, 2, 3, 1)) / 6.0
-    _, pts, _, hess = field_jet2(field, nodes)
-    return nodes, pts, hess, third
+    return nodes, lat_mod.node_points(lat)[flat], lat_mod.central_hessian(u, lat, flat), third
 
 
-def field_immersion_geometry(field: GridField, nodes=None):
-    """Frame-level S and |H| of the solved graph at stencil-ready nodes."""
-    nodes, pts, grad, hess = field_jet2(field, nodes)
+def field_immersion_geometry(field: GridField):
+    """Frame-level S and |H| of the solved graph at the nodes of field_jet2:
+    (multi-indices, points, S (k,), |H| (k,))."""
+    nodes, pts, grad, hess = field_jet2(field)
     S, H = _n1_geometry(grad, hess)
     return nodes, pts, S, H
 
@@ -575,9 +557,5 @@ def load_field(path: str) -> GridField:
             raise ValueError("not a field file")
         lat = _lattice_from_dict(json.loads(first[len("# lattice="):]))
         fh.readline()  # header
-        vals = np.full(int(np.prod(lat.shape)), np.nan)
-        for flat, line in enumerate(fh):
-            parts = line.rstrip("\n").split(",")
-            v = parts[2 * lat.m]
-            vals[flat] = np.nan if v == "nan" else float(v)
+        vals = np.loadtxt(fh, delimiter=",", usecols=2 * lat.m, ndmin=1, comments=None)
         return GridField(lat, vals.reshape(lat.shape))

@@ -202,11 +202,7 @@ def test_09_monge_ampere_rigidity_shadow():
                           c=1.0, tol=1e-11)
     assert log2.final_residual <= 1e-11
     _, _, hess, third = field_third(fld2)
-    min_eig = np.inf
-    for k in range(hess.shape[0]):
-        g = hess[k]
-        mc = moduli_curvature_arrays(g, np.linalg.inv(g), third[k])
-        min_eig = min(min_eig, mc.min_ricci_eig)
+    min_eig = np.min(moduli_curvature_arrays(hess, np.linalg.inv(hess), third).min_ricci_eig)
     assert min_eig >= -1e-4
     report(9, f"quadratic recovered to {quad_err:.1e} (tol 1e-10); "
               f"perturbed solve min moduli-Ricci eig {min_eig:.2e} >= -1e-4")

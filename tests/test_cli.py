@@ -85,6 +85,39 @@ def test_analyze_domain_error_is_a_node_status(tmp_path):
             assert r["status"] == "ok"
 
 
+@pytest.mark.parametrize("component, lo, hi, nan_cols, expected", [
+    # X(0) undefined; |grad f| = 0.3/x1 < 1 everywhere
+    ("0.3*log(x1)", [1, 1], [2, 2], ("z", "grad_ratio"), lambda x1, x2: "ok"),
+    # X(0) undefined; |grad f| = 1/x1^2 reaches 1 at x1 = 1
+    ("1/x1", [1, 1], [2, 2], ("z", "grad_ratio"),
+     lambda x1, x2: "not-spacelike" if x1 == 1 else "ok"),
+    # the plane over the box centre (3, 1) is undefined, X(0) is not
+    ("0.1*log((x1-3)^2+x2^2-1)", [2, 0.5], [4, 1.5], ("gauss_dist",),
+     lambda x1, x2: "error:DomainError" if (x1 - 3) ** 2 + x2 ** 2 - 1 <= 0 else "ok"),
+])
+def test_analyze_undefined_reference_point_gives_nan_columns(
+        tmp_path, capsys, component, lo, hi, nan_cols, expected):
+    out = tmp_path / "r.csv"
+    cfg = analyze_config(tmp_path, str(out), components=[component],
+                         extra={"lattice": {"lo": lo, "hi": hi, "nodes": 5}})
+    assert run_cli(["analyze", "--config", cfg]) == 0
+    stdout = capsys.readouterr().out
+    assert f"analyze: {' and '.join(nan_cols)} {'are' if len(nan_cols) > 1 else 'is'} nan, as " \
+        in stdout
+    body = out.read_text()
+    assert "undefined" not in body
+    header, *lines = body.strip().split("\n")
+    rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+    assert len(rows) == 25
+    for r in rows:
+        assert r["status"] == expected(float(r["x1"]), float(r["x2"]))
+        for col in ("gauss_dist", "z", "grad_ratio"):
+            if col in nan_cols:
+                assert r[col] == "nan"
+            elif r["status"] == "ok":
+                assert math.isfinite(float(r[col]))
+
+
 def test_bad_expression_exits_1_without_traceback(tmp_path):
     cfg = write_config(tmp_path, "cfg.json", {
         "m": 2, "n": 1, "components": ["1e400*x1"],

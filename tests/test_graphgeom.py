@@ -6,7 +6,8 @@ from spacelike.checks import codazzi_symmetry, frame_residual, gauss_equation, h
 from spacelike.graphgeom import (
     BasePointError, GraphMap, NotSpacelikeError, adapted_frames, covariant_h,
     curvature, extremal_residual, first_bianchi_residual, fundamental_forms, induced_metric,
-    integrate_geodesic, pseudo_distance, ricci_bound_check, signature, simons_report,
+    integrate_geodesic, pseudo_distance, ricci_bound_check, riemann_from_metric, signature,
+    simons_report,
 )
 from spacelike.lattice import Lattice, LatticeError
 
@@ -171,6 +172,23 @@ def test_hyperboloid_constant_curvature(m):
 def test_frame_curvature_matches_coordinate_oracle():
     ok, detail = gauss_equation(np.random.default_rng(23), graphs=12)
     assert ok, detail
+
+
+def test_riemann_from_metric_poincare_half_plane():
+    # g = I / y^2 on y > 0 has constant curvature K = -1, so in the package's
+    # slot order R_ijkl = K (g_ik g_jl - g_il g_jk) and R_1212 = -1 / y^4
+    y = np.array([0.7, 1.0, 2.5])
+    eye = np.eye(2)
+    g = eye / y[:, None, None] ** 2
+    dg = np.zeros((3, 2, 2, 2))
+    dg[:, 1] = -2.0 * eye / y[:, None, None] ** 3                 # d_y g_ij
+    ddg = np.zeros((3, 2, 2, 2, 2))
+    ddg[:, 1, 1] = 6.0 * eye / y[:, None, None] ** 4              # d_y d_y g_ij
+    R = riemann_from_metric(g, dg, ddg)
+    assert R.shape == (3, 2, 2, 2, 2)
+    assert np.allclose(R[:, 0, 1, 0, 1], -1.0 / y**4, rtol=1e-14, atol=0)
+    expected = -(np.einsum("...ik,...jl->...ijkl", g, g) - np.einsum("...il,...jk->...ijkl", g, g))
+    assert np.allclose(R, expected, rtol=0, atol=1e-14 * np.max(np.abs(expected)))
 
 
 def test_first_bianchi():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 
@@ -334,6 +335,31 @@ def test_field_jet2_exact_for_quadratic():
     assert np.allclose(hess[:, 0, 0], 1.0, atol=1e-12)
     assert np.allclose(hess[:, 1, 1], 0.5, atol=1e-12)
     assert np.allclose(hess[:, 0, 1], 0.1, atol=1e-12)
+
+
+def test_field_third_exact_for_cubic():
+    # the compact stencils and their central difference are exact on cubics;
+    # on x^4 / 2 the compact Hessian is off by a constant, which the central
+    # difference cancels and a one-sided one would not
+    lat = Lattice.box((-1, -0.5, 0), (1, 0.5, 1), 9)
+    x, y, z = np.moveaxis(np.stack(np.meshgrid(*lat.axes(), indexing="ij"), axis=-1), -1, 0)
+    vals = (x**3 + 2 * x**2 * y - x * y * z + 0.5 * z**3 + y**2 * z + 0.3 * x * y**2
+            + 0.2 * x**2 - y + 0.5 * x**4)
+    exact = np.zeros((3, 3, 3))
+    for idx, value in (((0, 0, 0), 6.0), ((0, 0, 1), 4.0), ((0, 1, 2), -1.0),
+                       ((2, 2, 2), 3.0), ((1, 1, 2), 2.0), ((0, 1, 1), 0.6)):
+        for perm in set(itertools.permutations(idx)):
+            exact[perm] = value
+    fld = GridField(lat, vals)
+    nodes, pts, hess, third = field_third(fld)
+    assert nodes.shape == (5**3, 3)
+    assert np.array_equal(pts, lm.node_points(lat)[np.ravel_multi_index(nodes.T, lat.shape)])
+    exact = np.broadcast_to(exact, third.shape).copy()
+    exact[:, 0, 0, 0] += 12.0 * pts[:, 0]
+    assert np.max(np.abs(third - exact)) <= 1e-10
+    nodes2, _, _, hess2 = field_jet2(fld)
+    rows = {tuple(n): k for k, n in enumerate(nodes2)}
+    assert np.array_equal(hess, hess2[[rows[tuple(n)] for n in nodes]])
 
 
 def test_field_immersion_geometry_flat():
