@@ -241,8 +241,10 @@ def parse(text: str, dim: int) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Pretty printer.  Guarantee: parse(pretty(parse(t), ...)) is structurally
-# identical to parse(t).
+# Pretty printer.  Every operand that is not a variable, a literal or a
+# function call is parenthesized, so no precedence, associativity or
+# unary-minus rule is needed for parse(pretty(e)) to be structurally
+# identical to e: "-x1^2" prints as "(-x1)^2" and "x1 - -x2" as "x1-(-x2)".
 
 def pretty(node: Expr) -> str:
     if isinstance(node, Const):
@@ -251,35 +253,18 @@ def pretty(node: Expr) -> str:
         return f"x{node.index}"
     if isinstance(node, Unary):
         if node.op == "neg":
-            inner = pretty(node.child)
-            if isinstance(node.child, (BinOp, Pow)):
-                inner = f"({inner})"
-            return f"-{inner}"
+            return f"-{_operand(node.child)}"
         return f"{node.op}({pretty(node.child)})"
     if isinstance(node, Pow):
-        inner = pretty(node.base)
-        if not isinstance(node.base, (Var, Const, Unary)) or (
-            isinstance(node.base, Unary) and node.base.op == "neg"
-        ):
-            inner = f"({inner})"
-        return f"{inner}^{node.exponent}"
+        return f"{_operand(node.base)}^{node.exponent}"
     if isinstance(node, BinOp):
-        lhs, rhs = pretty(node.lhs), pretty(node.rhs)
-        if node.op in "+-":
-            if isinstance(node.rhs, BinOp) and node.rhs.op in "+-":
-                rhs = f"({rhs})"
-            if isinstance(node.rhs, Unary) and node.rhs.op == "neg":
-                rhs = f"({rhs})"
-            return f"{lhs}{node.op}{rhs}"
-        # '*' or '/'
-        if isinstance(node.lhs, BinOp) and node.lhs.op in "+-":
-            lhs = f"({lhs})"
-        if isinstance(node.rhs, BinOp):
-            rhs = f"({rhs})"
-        if isinstance(node.rhs, Unary) and node.rhs.op == "neg":
-            rhs = f"({rhs})"
-        return f"{lhs}{node.op}{rhs}"
+        return f"{_operand(node.lhs)}{node.op}{_operand(node.rhs)}"
     raise TypeError(f"not an Expr: {node!r}")
+
+
+def _operand(node: Expr) -> str:
+    atom = isinstance(node, (Var, Const)) or isinstance(node, Unary) and node.op != "neg"
+    return pretty(node) if atom else f"({pretty(node)})"
 
 
 # ---------------------------------------------------------------------------
@@ -289,12 +274,12 @@ def pretty(node: Expr) -> str:
 
 def eval_values(node: Expr, points: np.ndarray):
     """Evaluate at one point (shape (m,)) or a batch (shape (k, m)); raises
-    DomainError outside a function's domain and for a non-finite value."""
-    from .jets import _taylor  # jets imports this module
+    DomainError outside a function's domain and for a non-finite value, over
+    a batch the error of the first failing point."""
+    from .jets import _taylor, raise_first  # jets imports this module
 
     pts = np.asarray(points, dtype=float)
     with np.errstate(all="ignore"):
-        (out,), _, errors = _taylor(node, np.atleast_2d(pts), 0)
-    if errors:
-        raise errors[0]
+        (out,), fault = _taylor(node, np.atleast_2d(pts), 0)
+    raise_first(fault)
     return float(out[0]) if pts.ndim == 1 else np.array(out, dtype=float)

@@ -43,7 +43,7 @@ from scipy.integrate import solve_ivp
 
 from . import lattice as lat_mod
 from .exprparse import eval_values, parse
-from .jets import evaluate_jet, jet_rows
+from .jets import jet_rows, raise_first
 from .lattice import Lattice, LatticeError
 
 SPACELIKE_TOL = 1e-12  # frames and h need the metric's smallest eigenvalue above this
@@ -79,18 +79,13 @@ class GraphMap:
         off = tuple(float(eval_values(c, zero)) for c in self.components)
         return dataclasses.replace(self, offset=off)
 
-    def position(self, x) -> np.ndarray:
-        """X(x) at a point (m,) or a batch of points (..., m)."""
-        x = np.asarray(x, dtype=float)
-        vals = np.stack([eval_values(c, x) for c in self.components], axis=-1)
-        if self.offset is not None:
-            vals = vals - np.asarray(self.offset)
-        return np.concatenate([x, vals], axis=-1)
-
     def jet_data(self, x):
-        """Values, Jacobian, Hessians and third derivatives of all components;
-        a batch of points (..., m) leads each result with its shape (...)."""
-        return self._stack([evaluate_jet(c, x) for c in self.components])
+        """Values f(x) - offset, Jacobian, Hessians and third derivatives of
+        all components; a batch of points (..., m) leads each result with its
+        shape (...).  Raises the DomainError of the first failing point."""
+        *data, fault = self.jet_rows(x)
+        raise_first(fault)
+        return tuple(data)
 
     def jet_rows(self, x):
         """``jet_data`` without raising, plus per point the DomainError it
@@ -99,16 +94,14 @@ class GraphMap:
         first = fault[0]
         for later in fault[1:]:
             first = np.where(np.equal(first, None), later, first)
-        return self._stack(jets) + (first,)
-
-    def _stack(self, jets) -> tuple:
         vals = np.stack([j.value for j in jets], axis=-1)    # (..., n)
         if self.offset is not None:
             vals = vals - np.asarray(self.offset)
-        A = np.stack([j.grad for j in jets], axis=-2)        # (..., n, m)
-        He = np.stack([j.hess for j in jets], axis=-3)       # (..., n, m, m)
-        Th = np.stack([j.third for j in jets], axis=-4)      # (..., n, m, m, m)
-        return vals, A, He, Th
+        return (vals,
+                np.stack([j.grad for j in jets], axis=-2),   # (..., n, m)
+                np.stack([j.hess for j in jets], axis=-3),   # (..., n, m, m)
+                np.stack([j.third for j in jets], axis=-4),  # (..., n, m, m, m)
+                first)
 
 
 def signature(m: int, n: int) -> np.ndarray:
@@ -126,9 +119,9 @@ class Geometry:
 
     g_inv is nan where the metric is not positive definite, and the frames
     and h are nan where its smallest eigenvalue is at most the space-like
-    tolerance.  For a graph, A, He and Th hold the jets of f the pass was
-    built on and ``fault`` each point's DomainError (None where the jets are
-    fine; the jets of a faulted point are zero).
+    tolerance.  For a graph, X, A, He and Th hold the positions and jets of
+    f the pass was built on and ``fault`` each point's DomainError (None
+    where the jets are fine; the values and jets of a faulted point are 0).
     """
 
     g: np.ndarray
@@ -145,6 +138,7 @@ class Geometry:
     H_norm: np.ndarray
     S: np.ndarray
     fault: np.ndarray = None
+    X: np.ndarray = None            # (m+n,) position (x, f(x) - offset)
     A: np.ndarray = None            # (n, m) Jacobian of f
     He: np.ndarray = None           # (n, m, m) Hessians of f
     Th: np.ndarray = None           # (n, m, m, m) third derivatives of f
@@ -281,10 +275,11 @@ def graph_geometry(gm: GraphMap, x) -> Geometry:
     the jets of all components, then metric, frames and h, always with a
     leading batch axis.  Nothing is raised: a point whose jets fail holds
     its DomainError in ``fault`` and the geometry of zero jets."""
-    _, A, He, Th, fault = gm.jet_rows(np.asarray(x, dtype=float).reshape(-1, gm.m))
+    pts = np.asarray(x, dtype=float).reshape(-1, gm.m)
+    vals, A, He, Th, fault = gm.jet_rows(pts)
     J, Hss, normals_raw = _graph_immersion(A, He)
     geo = immersion_geometry(J, Hss, signature(gm.m, gm.n), normals_raw)
-    geo.fault, geo.A, geo.He, geo.Th = fault, A, He, Th
+    geo.fault, geo.X, geo.A, geo.He, geo.Th = fault, np.concatenate([pts, vals], -1), A, He, Th
     return geo
 
 
@@ -505,23 +500,22 @@ def pseudo_distance(gm: GraphMap, x) -> PseudoDistancePoint:
     _check_base_point(gm)
     geo = graph_geometry(gm, x)
     _raise_first(*_geometry_checks(geo, SPACELIKE_TOL))
-    pts = np.asarray(x, dtype=float).reshape(-1, gm.m)
-    return _view(x, _pseudo_distance(geo, gm.position(pts), signature(gm.m, gm.n)))
+    return _view(x, _pseudo_distance(geo, signature(gm.m, gm.n)))
 
 
 def _check_base_point(gm: GraphMap) -> None:
-    if np.linalg.norm(gm.position(np.zeros(gm.m))) > 1e-9:
+    if np.linalg.norm(np.subtract(gm.with_base_point().offset, gm.offset or 0.0)) > 1e-9:
         raise BasePointError(
             "base point is not on the graph: X(0) != 0 and no offset configured; "
             "use GraphMap.with_base_point()"
         )
 
 
-def _pseudo_distance(geo: Geometry, X: np.ndarray, sig: np.ndarray) -> PseudoDistancePoint:
-    """z and its derivatives at positions X (..., m+n) of the points of geo."""
+def _pseudo_distance(geo: Geometry, sig: np.ndarray) -> PseudoDistancePoint:
+    """z and its derivatives at the points of a graph's geometry pass."""
     m = geo.h.shape[-1]
-    sX = sig * X
-    z = np.einsum("...B,...B->...", sX, X)
+    sX = sig * geo.X
+    z = np.einsum("...B,...B->...", sX, geo.X)
     grad = 2.0 * np.einsum("...iB,...B->...i", geo.tangent, sX)
     Xe = np.einsum("...sB,...B->...s", geo.normal, sX)
     hess = 2.0 * (np.eye(m) - np.einsum("...s,...sij->...ij", Xe, geo.h))
@@ -611,7 +605,7 @@ def simons_report(gm: GraphMap, lattice: Lattice, stride: int = 1) -> SimonsRepo
 
     # one pass over the S nodes; the slack nodes are among them
     geo = graph_geometry(gm, pts[s_nodes])
-    _raise_first(_fault_check(geo.fault))
+    raise_first(geo.fault)
     s_field = np.full(pts.shape[0], np.nan)
     s_field[s_nodes] = geo.S
     ready = chosen & lat_mod.cube_all(np.isfinite(s_field).reshape(lattice.shape), 1)

@@ -225,21 +225,25 @@ def graph_node_table(gm: GraphMap, pts: np.ndarray,
     ``gauss_dist`` is to the tangent plane over the origin, or over the
     centre of the nodes' box when the origin is outside it (nan where that
     plane is not space-like); ``z`` and ``grad_ratio`` are of the
-    pseudo-distance from X(0).  Where that plane or X(0) is undefined (f
-    leaves its domain there), the columns built on it are nan at every node
-    and a note says why.
+    pseudo-distance from X(0).  Where that plane is undefined or not
+    space-like, or X(0) is undefined (f leaves its domain there), the
+    columns built on it are nan at every node and a note says why.
     """
     k, notes = pts.shape[0], []
     lo, hi = pts.min(axis=0), pts.max(axis=0)
     base = np.zeros(gm.m) if np.all(lo <= 0) and np.all(hi >= 0) else 0.5 * (lo + hi)
     try:
         ref = gauss_map(gm, base)
-    except NotSpacelikeError:
+    except (NotSpacelikeError, DomainError) as err:
         ref = None
-    except DomainError as err:
-        ref = None
+        why = "undefined" if isinstance(err, DomainError) else "not space-like"
         notes.append(f"gauss_dist is nan, as the tangent plane at x = {base.tolist()} "
-                     f"is undefined: {err}")
+                     f"is {why}: {err}")
+    try:
+        gm = gm.with_base_point()
+    except DomainError as err:  # positions, and so z, are nan everywhere
+        gm = GraphMap(gm.m, gm.n, gm.components, (np.nan,) * gm.n)
+        notes.append(f"z and grad_ratio are nan, as X(0) is undefined: {err}")
     nodes = np.flatnonzero(active)
     geo = graph_geometry(gm, pts[nodes])
     domain = np.not_equal(geo.fault, None)
@@ -253,12 +257,7 @@ def graph_node_table(gm: GraphMap, pts: np.ndarray,
         gauss_dist, check = _distances(planes, ref)
         gauss_bad = ~(planes.sigma_max < 1.0) | check[0]
     done = on[~gauss_bad]
-    try:
-        X = gm.with_base_point().position(pts[done])
-    except DomainError as err:
-        X = np.full((done.size, gm.m + gm.n), np.nan)
-        notes.append(f"z and grad_ratio are nan, as X(0) is undefined: {err}")
-    pd = _pseudo_distance(_take(fr, ~gauss_bad), X, signature(gm.m, gm.n))
+    pd = _pseudo_distance(_take(fr, ~gauss_bad), signature(gm.m, gm.n))
 
     status = np.where(active, "ok", "inactive").astype(object)
     status[nodes[~domain & ~geo.spacelike]] = "not-spacelike"

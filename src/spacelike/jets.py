@@ -13,7 +13,7 @@ exactly symmetric by one gather from their sorted (i <= j <= k) slots.
 A point that leaves a function's domain, or whose data overflow, is marked
 rather than raised, so one evaluation serves a whole lattice: ``jet_rows``
 returns each point's DomainError next to the jets, while ``evaluate_jet``
-and ``eval_values`` raise the first one in evaluation order.
+and ``eval_values`` raise the error of the first failing point.
 """
 
 from __future__ import annotations
@@ -103,25 +103,22 @@ _OUT_OF_DOMAIN = {
 def _taylor(expr: Expr, pts: np.ndarray, order: int) -> tuple:
     """Truncated Taylor data of ``expr`` at points of shape (..., m).
 
-    Returns (coeffs, fault, errors): coeffs is (value,) for order 0 and
-    (value, grad, hess, third) for order 3, each led by the batch shape of
-    ``pts``.  A point that leaves a function's domain, or whose data end up
-    not finite, is marked instead of raised: ``fault`` holds each point's
-    first DomainError (None for a clean point), carrying the span of the
-    offending subexpression (the whole expression for a non-finite result),
-    and ``errors`` lists them in evaluation order.
+    Returns (coeffs, fault): coeffs is (value,) for order 0 and (value,
+    grad, hess, third) for order 3, each led by the batch shape of ``pts``.
+    A point that leaves a function's domain, or whose data end up not
+    finite, is marked instead of raised: ``fault`` holds each point's first
+    DomainError (None for a clean point), carrying the span of the offending
+    subexpression (the whole expression for a non-finite result).
     """
     shape, m = pts.shape[:-1], pts.shape[-1]
     zeros = (np.zeros(shape + (m,)), np.zeros(shape + (m, m)),
              np.zeros(shape + (m, m, m))) if order else ()
     fault = np.full(shape, None, dtype=object)
-    errors = []
 
     def mark(bad, message, span):
         new = bad & np.equal(fault, None)
-        if np.any(new):
-            errors.append(DomainError(message, span))
-            fault[new] = errors[-1]
+        if new.any():
+            fault[new] = DomainError(message, span)
 
     post, todo = [], [expr]
     while todo:
@@ -177,10 +174,17 @@ def _taylor(expr: Expr, pts: np.ndarray, order: int) -> tuple:
             raise TypeError(f"not an Expr: {node!r}")
         stack.append(t)
     coeffs = stack[0]
-    finite = np.logical_and.reduce(
-        [np.isfinite(c).all(axis=tuple(range(len(shape), c.ndim))) for c in coeffs])
+    rows = [c.reshape(shape + (m**k,)) for k, c in enumerate(coeffs)]  # m^k entries each
+    finite = np.isfinite(np.concatenate(rows, axis=-1)).all(axis=-1)
     mark(~finite, f"non-finite {'jet' if order else 'value'} (overflow or NaN)", expr.span)
-    return coeffs, fault, errors
+    return coeffs, fault
+
+
+def raise_first(fault: np.ndarray) -> None:
+    """Raise the DomainError of the first failing point of ``fault``, if any."""
+    bad = np.not_equal(fault, None)
+    if bad.any():
+        raise np.ravel(fault)[np.argmax(bad)]
 
 
 @lru_cache(maxsize=None)
@@ -206,7 +210,9 @@ class Jet3:
     third: np.ndarray
 
 
-def _jet(expr: Expr, point) -> tuple:
+def jet_rows(expr: Expr, point) -> tuple:
+    """``evaluate_jet`` without raising: the jet, zero at the points that
+    fail, and per point the DomainError it raises on its own, or None."""
     x = np.asarray(point, dtype=float)
     shape, m = x.shape[:-1], x.shape[-1]
     if m > MAX_DIM:
@@ -214,16 +220,16 @@ def _jet(expr: Expr, point) -> tuple:
     # One point runs as a batch of one: numpy scalars and arrays round some
     # operations (u ** p, for one) differently, and rows must match batches.
     with np.errstate(all="ignore"):
-        coeffs, fault, errors = _taylor(expr, x.reshape(-1, m), 3)
-    if errors:  # a failing point's jet is zero
-        clean = np.equal(fault, None)
+        coeffs, fault = _taylor(expr, x.reshape(-1, m), 3)
+    clean = np.equal(fault, None)
+    if not clean.all():  # a failing point's jet is zero
         coeffs = [np.where(clean.reshape((-1,) + (1,) * (c.ndim - 1)), c, 0.0) for c in coeffs]
     value, grad, hess, third = coeffs
     jet = Jet3(np.array(value).reshape(shape)[()],  # a copy: value may view x
                grad.reshape(shape + (m,)),
                hess.reshape(-1, m * m)[:, _sorted_slots(m, 2)].reshape(shape + (m, m)),
                third.reshape(-1, m**3)[:, _sorted_slots(m, 3)].reshape(shape + (m, m, m)))
-    return jet, fault.reshape(shape), errors
+    return jet, fault.reshape(shape)
 
 
 def evaluate_jet(expr: Expr, point) -> Jet3:
@@ -232,18 +238,11 @@ def evaluate_jet(expr: Expr, point) -> Jet3:
 
     Raises DomainError outside an elementary function's domain and where the
     jet overflows or is otherwise not finite; over a batch, the error of the
-    first offending subexpression in evaluation order.
+    first failing point, which is what that point raises on its own.
     """
-    jet, _, errors = _jet(expr, point)
-    if errors:
-        raise errors[0]
+    jet, fault = jet_rows(expr, point)
+    raise_first(fault)
     return jet
-
-
-def jet_rows(expr: Expr, point) -> tuple:
-    """``evaluate_jet`` without raising: the jet, zero at the points that
-    fail, and per point the DomainError it raises on its own, or None."""
-    return _jet(expr, point)[:2]
 
 
 # ---------------------------------------------------------------------------

@@ -234,11 +234,13 @@ def moduli_curvature_oracle(P: Potential, x) -> np.ndarray:
     F) is obtained by central differences of exact third derivatives, so
     the oracle is exact for quartic potentials and O(ORACLE_FD_STEP^2)
     otherwise.  The fourth-derivative content cancels in the curvature
-    combination.
+    combination.  Raises what ``moduli_curvature`` raises, then a
+    DomainError at a shifted point.
     """
     pts, jet, fault = _potential_jets(P, x)
     shifted, shift_fault = _shifted_jets(P, pts, ORACLE_FD_STEP)
-    _raise_first(_fault_check(fault), _fault_check(shift_fault))
+    _raise_first(_fault_check(fault), _convex_check(_gradient_graph(pts, jet)),
+                 _fault_check(shift_fault))
     return _view(x, _moduli_oracle(P, jet, shifted))
 
 

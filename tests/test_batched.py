@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import polynomial_string, random_spacelike_graph
+from spacelike.checks import frame_residual
 from spacelike.exprparse import BinOp, parse
 from spacelike.graphgeom import (
     GraphMap, _take, adapted_frames, covariant_h, curvature, extremal_residual,
@@ -118,6 +119,20 @@ def test_graph_batches_equal_single_points(seed, m, n, k):
         batch = distance(gauss_map(gm, pts[keep]), ref)
         for row, i in enumerate(keep):
             assert _same(_take(batch, row), _outcome(distance, planes[i], ref))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3), n=st.integers(1, 2),
+       k=st.integers(1, 6))
+def test_frames_and_ricci_bound_on_random_batches(seed, m, n, k):
+    # the drawn point and the others near it with Jacobian singular values <= 0.5
+    rng = np.random.default_rng(seed)
+    gm, x = random_spacelike_graph(rng, m, n)
+    pts = np.vstack([x, x + rng.uniform(-0.2, 0.2, size=(k - 1, m))])
+    pts = pts[induced_metric(gm, pts).min_eig >= 0.75]
+    margins = ricci_bound_check(gm, pts)
+    assert margins.shape == (len(pts),) and np.all(margins >= -1e-10)
+    assert max(frame_residual(gm, p) for p in pts) <= 1e-12
 
 
 def test_pullback_check_takes_a_batch():

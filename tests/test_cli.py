@@ -118,6 +118,23 @@ def test_analyze_undefined_reference_point_gives_nan_columns(
                 assert math.isfinite(float(r[col]))
 
 
+def test_analyze_reference_plane_not_spacelike_gives_a_note(tmp_path, capsys):
+    # slope 4cos(4 x1) is inside (-1, 1) only at x1 = 0.4; -1.66 over the box centre
+    out = tmp_path / "r.csv"
+    cfg = analyze_config(tmp_path, str(out), components=["sin(4*x1)"],
+                         extra={"lattice": {"lo": [0.3, 0.3], "hi": [0.7, 0.7], "nodes": 5}})
+    assert run_cli(["analyze", "--config", cfg]) == 0
+    stdout = capsys.readouterr().out.split("\n")
+    assert stdout[0].startswith("analyze: gauss_dist is nan, as the tangent plane at "
+                                "x = [0.5, 0.5] is not space-like: ")
+    assert stdout[1:] == ["analyze: 25 nodes, 20 warnings", ""]
+    header, *lines = out.read_text().strip().split("\n")
+    rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+    ok = [r for r in rows if r["status"] == "ok"]
+    assert len(ok) == 5 and all(abs(float(r["x1"]) - 0.4) < 1e-12 for r in ok)
+    assert all(r["gauss_dist"] == "nan" and math.isfinite(float(r["z"])) for r in ok)
+
+
 def test_bad_expression_exits_1_without_traceback(tmp_path):
     cfg = write_config(tmp_path, "cfg.json", {
         "m": 2, "n": 1, "components": ["1e400*x1"],

@@ -108,12 +108,12 @@ _leaf = st.one_of(
 )
 
 
-def _exprs(depth):
+def _exprs(depth, leaf=_leaf):
     if depth == 0:
-        return _leaf
-    sub = _exprs(depth - 1)
+        return leaf
+    sub = _exprs(depth - 1, leaf)
     return st.one_of(
-        _leaf,
+        leaf,
         st.tuples(sub, st.sampled_from("+-*/"), sub).map(lambda t: f"({t[0]}{t[1]}{t[2]})"),
         st.tuples(st.sampled_from(["sin", "cos", "exp", "sinh", "cosh", "tanh"]), sub).map(
             lambda t: f"{t[0]}({t[1]})"
@@ -129,3 +129,24 @@ def test_pretty_round_trip(text):
     ast = parse(text, 2)
     printed = pretty(ast)
     assert parse(printed, 2) == ast
+
+
+# the smallest subnormal, the smallest normal, the largest finite and values
+# whose repr has an exponent
+_extreme = st.one_of(
+    st.sampled_from([5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]),
+    st.floats(min_value=1e16, max_value=1.7976931348623157e308),
+).map(repr)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(_exprs(3, st.one_of(_leaf, _extreme)), _extreme))
+def test_pretty_round_trip_extreme_literals(parts):
+    ast = parse(f"({parts[0]})*{parts[1]}", 2)
+    assert parse(pretty(ast), 2) == ast
+
+
+def test_pretty_parenthesizes_every_compound_operand():
+    for text, printed in [("-x1^2", "(-x1)^2"), ("x1 - -x2", "x1-(-x2)"),
+                          ("x1-x2-x1", "(x1-x2)-x1"), ("-sin(x1)*2.0", "(-sin(x1))*2.0")]:
+        assert pretty(parse(text, 2)) == printed

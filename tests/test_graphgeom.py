@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_spacelike_graph
 from spacelike.checks import codazzi_symmetry, frame_residual, gauss_equation, hyperboloid
+from spacelike.exprparse import eval_values
 from spacelike.graphgeom import (
     BasePointError, GraphMap, NotSpacelikeError, adapted_frames, covariant_h,
-    curvature, extremal_residual, first_bianchi_residual, fundamental_forms, induced_metric,
-    integrate_geodesic, pseudo_distance, ricci_bound_check, riemann_from_metric, signature,
-    simons_report,
+    curvature, extremal_residual, first_bianchi_residual, fundamental_forms, graph_geometry,
+    induced_metric, integrate_geodesic, pseudo_distance, ricci_bound_check, riemann_from_metric,
+    signature, simons_report,
 )
 from spacelike.lattice import Lattice, LatticeError
 
@@ -370,6 +373,18 @@ def test_batched_jet_data_rows_equal_single_points():
     for row, p in enumerate(pts):
         for b, single in zip(batch, gm.jet_data(p)):
             assert np.array_equal(b[row], single)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3), n=st.integers(1, 2),
+       k=st.integers(1, 6))
+def test_geometry_positions_are_the_values_of_f(seed, m, n, k):
+    # without a division the jets compute the values as eval_values does
+    rng = np.random.default_rng(seed)
+    gm = random_spacelike_graph(rng, m, n)[0].with_base_point()
+    pts = rng.uniform(-1.0, 1.0, size=(k, m))
+    f = np.stack([eval_values(c, pts) for c in gm.components], axis=-1)
+    assert np.array_equal(graph_geometry(gm, pts).X, np.concatenate([pts, f - gm.offset], -1))
 
 
 # -- Simons slack -------------------------------------------------------------

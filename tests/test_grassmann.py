@@ -239,6 +239,26 @@ def test_pullback_trace_is_one_geometry_pass(monkeypatch):
     assert abs(S - S_ref) <= 1e-14 * S_ref
 
 
+def test_positions_come_from_the_one_jet_pass(monkeypatch):
+    # f is evaluated on its own only at X(0), once per component
+    import spacelike.graphgeom as graphgeom
+    from spacelike.graphgeom import pseudo_distance
+    from spacelike.grassmann import graph_node_table
+
+    gm = GraphMap.from_strings(2, ["0.3*x1*x2 + 1", "0.2*sin(x2)"])
+    pts = np.stack(np.meshgrid(np.linspace(-1, 1, 5), np.linspace(-1, 1, 5)), -1).reshape(-1, 2)
+    calls, real = [], graphgeom.eval_values
+    monkeypatch.setattr(graphgeom, "eval_values",
+                        lambda node, x: calls.append(np.shape(x)) or real(node, x))
+    status, cols, notes = graph_node_table(gm, pts, np.ones(len(pts), dtype=bool))
+    assert calls == [(2,), (2,)]
+    assert notes == [] and np.all(status == "ok") and np.all(np.isfinite(cols["z"]))
+    calls.clear()
+    z = pseudo_distance(gm.with_base_point(), pts).z
+    assert calls == [(2,), (2,)] * 2  # the offset, then the base-point check
+    assert np.array_equal(z, cols["z"])
+
+
 # -- maximum modulus ----------------------------------------------------------
 
 def test_max_modulus_affine_zero():

@@ -8,6 +8,7 @@ from test_exprparse import _exprs
 
 from spacelike.exprparse import DomainError, eval_values, parse
 from spacelike.graphgeom import GraphMap, fundamental_forms
+from spacelike.grassmann import gauss_map
 from spacelike.jets import _mul, evaluate_jet, finite_diff_check
 
 
@@ -91,6 +92,18 @@ def test_domain_error_identifies_subexpression():
         evaluate_jet(expr, [1.0, -1.0])
     # the span points at log(x2), not the whole sum
     assert err.value.span == (5, 12)
+
+
+def test_batch_raises_the_error_of_its_first_failing_point():
+    # point 1 fails first in evaluation order (sqrt, the left operand), point 0 at log
+    expr = parse("sqrt(x1)+log(x2)", 2)
+    gm = GraphMap(2, 1, (expr,))
+    pts = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    for fn in (lambda: eval_values(expr, pts), lambda: evaluate_jet(expr, pts),
+               lambda: gm.jet_data(pts), lambda: gauss_map(gm, pts)):
+        with pytest.raises(DomainError, match="log argument out of range") as err:
+            fn()
+        assert err.value.span == (9, 16)
 
 
 def test_sqrt_jet_at_zero_rejected():

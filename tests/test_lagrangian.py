@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from conftest import convex_sample
+from spacelike.exprparse import DomainError
 from spacelike.graphgeom import first_bianchi_residual
 from spacelike.jets import evaluate_jet
 from spacelike.lagrangian import (
@@ -186,6 +189,26 @@ def test_moduli_matches_intrinsic_oracle():
         worst_ric = np.maximum(worst_ric, np.max(np.abs(mc.ricci - ric_oracle)) / ric_scale)
     assert worst_r <= 1e-6
     assert worst_ric <= 1e-6
+
+
+@pytest.mark.parametrize("text, x, error", [
+    ("x1^2 - x2^2 + 0.1*x1^3*x2", [0.1, 0.2], NotConvexError),
+    ("x1^2 + x2^2 + log(x1)", [-0.1, 0.2], DomainError),     # zero jets: not convex too
+    ("x2^2 - x1^2 + log(x1)", [5e-5, 0.2], NotConvexError),  # and a shifted point fails
+    ("x1^2 + x2^2 - log(x1)", [5e-5, 0.2], None),            # only a shifted point fails
+])
+def test_moduli_oracle_checks_as_moduli_curvature_does(text, x, error):
+    # the oracle raises what moduli_curvature raises, then a shifted point's DomainError
+    P = Potential.from_string(2, text)
+    if error is None:
+        moduli_curvature(P, x)
+        with pytest.raises(DomainError, match="log argument out of range"):
+            moduli_curvature_oracle(P, x)
+    else:
+        with pytest.raises(error) as raised:
+            moduli_curvature(P, x)
+        with pytest.raises(error, match=re.escape(str(raised.value))):
+            moduli_curvature_oracle(P, x)
 
 
 def test_mean_curvature_controlled_by_ma_residual_on_lattice():
