@@ -31,7 +31,7 @@ import numpy as np
 from . import lattice as lat_mod
 from .exprparse import DomainError, Expr, eval_values
 from .graphgeom import (
-    SPACELIKE_TOL, GraphMap, NotSpacelikeError, _check_base_point, _geometry_checks,
+    OVERFLOW, SPACELIKE_TOL, GraphMap, NotSpacelikeError, _check_base_point, _geometry_checks,
     _raise_first, graph_geometry, integrate_geodesic, pseudo_distance,
 )
 from .grassmann import SpacelikePlane, _distances, _gauss_checks, gauss_map
@@ -88,8 +88,11 @@ def geodesic_radius(gm: GraphMap, lattice: Lattice, x0) -> RadiusField:
     a, b = np.concatenate(heads), np.concatenate(tails)
     step = np.repeat(np.multiply(offsets, lattice.spacing), counts, axis=0)
 
-    _, A, _, _ = gm.jet_data(0.5 * (pts[a] + pts[b]))
-    g = np.eye(m) - A.transpose(0, 2, 1) @ A
+    _, A, _, _ = gm.jet_data(0.5 * (pts[a] + pts[b]), 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = np.eye(m) - A.transpose(0, 2, 1) @ A
+    if not np.all(np.isfinite(g)):
+        raise DomainError(OVERFLOW)
     min_eig = np.linalg.eigvalsh(g)[:, 0]
     if not np.all(min_eig > 0.0):
         raise NotSpacelikeError(float(np.min(min_eig)))
@@ -144,7 +147,7 @@ def estimate_report(gm: GraphMap, x0, a: float, lattice: Lattice,
     if ref is None:
         ref = gauss_map(gm, np.asarray(x0, dtype=float))
 
-    geo = graph_geometry(gm, pts[sel])
+    geo = graph_geometry(gm, pts[sel], 2)
     planes = SpacelikePlane(geo.A)
     mu_d, check = _distances(planes, ref)
     _raise_first(*_geometry_checks(geo, SPACELIKE_TOL), *_gauss_checks(planes, geo.fault), check)

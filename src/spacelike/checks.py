@@ -56,7 +56,7 @@ def random_spacelike_graph(rng, m, n, degree=3, point=None, sigma_target=0.5):
     if point is None:
         point = rng.uniform(-0.3, 0.3, size=m)
     raw = [polynomial_string(rng, m, degree) for _ in range(n)]
-    _, A, _, _ = GraphMap.from_strings(m, raw).jet_data(point)
+    _, A, _, _ = GraphMap.from_strings(m, raw).jet_data(point, 1)
     lam = float(sigma_target / (1.0 + np.linalg.svd(A, compute_uv=False)[0]))
     scaled = [f"({lam!r})*({s})" for s in raw]
     return GraphMap.from_strings(m, scaled), np.asarray(point, dtype=float)

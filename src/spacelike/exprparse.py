@@ -57,7 +57,15 @@ class Expr:
 
 @dataclass(frozen=True)
 class Const(Expr):
+    """A literal, finite and not negative (not -0.0 either): the parser
+    builds a negative number as Unary("neg", Const(...)), so that
+    parse(pretty(e)) == e holds for every e."""
+
     value: float = 0.0
+
+    def __post_init__(self):
+        if not (math.isfinite(self.value) and math.copysign(1.0, self.value) > 0):
+            raise ValueError(f"a Const is finite and not negative, not {self.value!r}")
 
 
 @dataclass(frozen=True)
@@ -248,7 +256,7 @@ def parse(text: str, dim: int) -> Expr:
 
 def pretty(node: Expr) -> str:
     if isinstance(node, Const):
-        return repr(node.value) if node.value >= 0 else f"(-{repr(-node.value)})"
+        return repr(node.value)
     if isinstance(node, Var):
         return f"x{node.index}"
     if isinstance(node, Unary):

@@ -39,14 +39,14 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import lattice as lat_mod
-from .exprparse import eval_values, parse
+from .exprparse import DomainError, eval_values, parse
 from .jets import jet_rows, raise_first
 from .lattice import Lattice, LatticeError
 
 SPACELIKE_TOL = 1e-12  # frames and h need the metric's smallest eigenvalue above this
+OVERFLOW = "non-finite metric (overflow)"  # the DomainError of a point whose metric overflows
 
 
 class NotSpacelikeError(ValueError):
@@ -79,29 +79,35 @@ class GraphMap:
         off = tuple(float(eval_values(c, zero)) for c in self.components)
         return dataclasses.replace(self, offset=off)
 
-    def jet_data(self, x):
+    def jet_data(self, x, order: int = 3):
         """Values f(x) - offset, Jacobian, Hessians and third derivatives of
-        all components; a batch of points (..., m) leads each result with its
-        shape (...).  Raises the DomainError of the first failing point."""
-        *data, fault = self.jet_rows(x)
+        all components, None above ``order``; a batch of points (..., m)
+        leads each result with its shape (...).  Raises the DomainError of
+        the first failing point."""
+        *data, fault = self.jet_rows(x, order)
         raise_first(fault)
         return tuple(data)
 
-    def jet_rows(self, x):
+    def jet_rows(self, x, order: int = 3):
         """``jet_data`` without raising, plus per point the DomainError it
         raises on its own (the first component's first), or None."""
-        jets, fault = zip(*(jet_rows(c, x) for c in self.components))
-        first = fault[0]
-        for later in fault[1:]:
-            first = np.where(np.equal(first, None), later, first)
+        jets, fault = zip(*(jet_rows(c, x, order) for c in self.components))
         vals = np.stack([j.value for j in jets], axis=-1)    # (..., n)
         if self.offset is not None:
             vals = vals - np.asarray(self.offset)
-        return (vals,
-                np.stack([j.grad for j in jets], axis=-2),   # (..., n, m)
-                np.stack([j.hess for j in jets], axis=-3),   # (..., n, m, m)
-                np.stack([j.third for j in jets], axis=-4),  # (..., n, m, m, m)
-                first)
+        # Jacobian (..., n, m), Hessians (..., n, m, m), third (..., n, m, m, m)
+        derivs = [None if getattr(jets[0], name) is None else
+                  np.stack([getattr(j, name) for j in jets], axis=-1 - k)
+                  for k, name in enumerate(("grad", "hess", "third"), 1)]
+        return (vals, *derivs, _first_fault(*fault))
+
+
+def _first_fault(first, *later):
+    """Per point the first DomainError of the fault arrays, or None; a
+    fault array may be None, for no faults at all."""
+    for fault in later:
+        first = np.where(np.equal(first, None), fault, first)
+    return first
 
 
 def signature(m: int, n: int) -> np.ndarray:
@@ -119,9 +125,11 @@ class Geometry:
 
     g_inv is nan where the metric is not positive definite, and the frames
     and h are nan where its smallest eigenvalue is at most the space-like
-    tolerance.  For a graph, X, A, He and Th hold the positions and jets of
-    f the pass was built on and ``fault`` each point's DomainError (None
-    where the jets are fine; the values and jets of a faulted point are 0).
+    tolerance.  ``fault`` holds each point's DomainError, or None: a metric
+    or normal Gram matrix that overflows, and for a graph a failing jet (the
+    values and jets of such a point are 0); a pass with no fault may leave
+    it None.  For a graph, X, A, He and Th hold the positions and jets of f
+    the pass was built on; Th is None for a pass of order 2.
     """
 
     g: np.ndarray
@@ -226,6 +234,7 @@ def _metric_inverse(g: np.ndarray):
     return min_eig, definite, g_inv
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def immersion_geometry(J: np.ndarray, Hss: np.ndarray, sig: np.ndarray,
                        normals_raw: np.ndarray) -> Geometry:
     """Geometry of an immersion at a batch of points, given first/second
@@ -235,16 +244,19 @@ def immersion_geometry(J: np.ndarray, Hss: np.ndarray, sig: np.ndarray,
     d2X/du^i du^j, sig the ambient signature, normals_raw[..., s, :] a smooth
     basis of the normal space (its Gram matrix must be negative definite).
     Points whose metric has smallest eigenvalue <= SPACELIKE_TOL get nan
-    frames and h.
+    frames and h.  A point whose metric or normal Gram matrix is not finite
+    gets a DomainError in ``fault`` and nan or inf in the rest, without a
+    numpy warning.
     """
     m, n = J.shape[-2], normals_raw.shape[-2]
     g = (J * sig) @ _swap(J)
+    gram_n = (normals_raw * sig) @ _swap(normals_raw)
+    finite = np.isfinite(g).all(axis=(-2, -1)) & np.isfinite(gram_n).all(axis=(-2, -1))
     min_eig, spacelike, g_inv = _metric_inverse(g)
     ok = min_eig > SPACELIKE_TOL
     # triangular inverses by numpy's batched inv (np.tril drops its rounding
     # above the diagonal); points that are not space-like factor I, then nan
     E = np.tril(np.linalg.inv(np.linalg.cholesky(np.where(ok[..., None, None], g, np.eye(m)))))
-    gram_n = (normals_raw * sig) @ _swap(normals_raw)
     Nc = np.tril(np.linalg.inv(np.linalg.cholesky(
         np.where(ok[..., None, None], -gram_n, np.eye(n)))))
     E[~ok], Nc[~ok] = np.nan, np.nan
@@ -256,7 +268,8 @@ def immersion_geometry(J: np.ndarray, Hss: np.ndarray, sig: np.ndarray,
     return Geometry(g=g, g_inv=g_inv, det_g=np.linalg.det(g), min_eig=min_eig,
                     spacelike=spacelike, tangent_coeff=E, tangent=tangent, normal_coeff=Nc,
                     normal=normal, h=h, H=H, H_norm=np.linalg.norm(H, axis=-1),
-                    S=np.sum(h * h, axis=(-3, -2, -1)))
+                    S=np.sum(h * h, axis=(-3, -2, -1)),
+                    fault=None if finite.all() else np.where(finite, None, DomainError(OVERFLOW)))
 
 
 def _graph_immersion(A: np.ndarray, He: np.ndarray):
@@ -270,28 +283,33 @@ def _graph_immersion(A: np.ndarray, He: np.ndarray):
     return J, Hss, normals_raw
 
 
-def graph_geometry(gm: GraphMap, x) -> Geometry:
+def graph_geometry(gm: GraphMap, x, order: int = 3) -> Geometry:
     """The one batched pass of a graph at a point (m,) or points (k, m):
-    the jets of all components, then metric, frames and h, always with a
-    leading batch axis.  Nothing is raised: a point whose jets fail holds
-    its DomainError in ``fault`` and the geometry of zero jets."""
+    the jets of all components to ``order`` (2 or 3; the third derivatives
+    serve only covariant h and the curvature oracle), then metric, frames
+    and h, always with a leading batch axis.  Nothing is raised: a point
+    whose jets fail holds its DomainError in ``fault`` and the geometry of
+    zero jets, and one whose metric overflows holds a DomainError too."""
+    if order not in (2, 3):
+        raise ValueError(f"the geometry pass needs jets of order 2 or 3, not {order!r}")
     pts = np.asarray(x, dtype=float).reshape(-1, gm.m)
-    vals, A, He, Th, fault = gm.jet_rows(pts)
+    vals, A, He, Th, fault = gm.jet_rows(pts, order)
     J, Hss, normals_raw = _graph_immersion(A, He)
     geo = immersion_geometry(J, Hss, signature(gm.m, gm.n), normals_raw)
-    geo.fault, geo.X, geo.A, geo.He, geo.Th = fault, np.concatenate([pts, vals], -1), A, He, Th
+    geo.fault, geo.X, geo.A, geo.He, geo.Th = (_first_fault(fault, geo.fault),
+                                               np.concatenate([pts, vals], -1), A, He, Th)
     return geo
 
 
 def induced_metric(gm: GraphMap, x) -> Geometry:
     """g_ij = delta_ij - sum_s f^s_i f^s_j, with inverse, det and min eigenvalue."""
-    geo = graph_geometry(gm, x)
+    geo = graph_geometry(gm, x, 2)
     return _view(x, geo, *_geometry_checks(geo))
 
 
 def adapted_frames(gm: GraphMap, x) -> Geometry:
     """Pseudo-orthonormal tangent/normal frames from triangular factorizations."""
-    geo = graph_geometry(gm, x)
+    geo = graph_geometry(gm, x, 2)
     return _view(x, geo, *_geometry_checks(geo, SPACELIKE_TOL))
 
 
@@ -309,7 +327,7 @@ def extremal_residual(gm: GraphMap, x) -> np.ndarray:
     Vanishes exactly where the frame-based mean curvature vanishes; the
     two routes cross-validate each other.
     """
-    geo = graph_geometry(gm, x)
+    geo = graph_geometry(gm, x, 2)
     return _view(x, _extremal_residual(geo), *_geometry_checks(geo, 0.0))
 
 
@@ -331,7 +349,7 @@ def _with_curvature(geo: Geometry) -> Geometry:
 
 def curvature(gm: GraphMap, x) -> Geometry:
     """Riemann, Ricci and normal-bundle curvature in the adapted frame."""
-    geo = graph_geometry(gm, x)
+    geo = graph_geometry(gm, x, 2)
     return _view(x, _with_curvature(geo), *_geometry_checks(geo, SPACELIKE_TOL))
 
 
@@ -345,7 +363,7 @@ def ricci_bound_check(gm: GraphMap, x) -> float:
     Nonnegative (up to rounding) for every space-like graph with the
     frame conventions used here; violations indicate implementation bugs.
     """
-    geo = graph_geometry(gm, x)
+    geo = graph_geometry(gm, x, 2)
     _raise_first(*_geometry_checks(geo, SPACELIKE_TOL))
     return _view(x, _ricci_margin(_with_curvature(geo), gm.m))
 
@@ -382,6 +400,14 @@ def riemann_from_metric(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> np.nd
     return _swap(np.einsum("...al,...akij->...ijkl", g, r_up))
 
 
+def _third(geo: Geometry) -> np.ndarray:
+    """The third derivatives of f from an order-3 pass; a lower-order pass
+    has none, and reading zeros in their place would be wrong."""
+    if geo.Th is None:
+        raise ValueError("this needs third derivatives: build the geometry pass at order 3")
+    return geo.Th
+
+
 def _metric_derivs(A: np.ndarray, He: np.ndarray, Th: np.ndarray):
     g = np.eye(A.shape[-1]) - _swap(A) @ A
     # d_p g_ij = -sum_s (f^s_ip f^s_j + f^s_i f^s_jp)
@@ -402,7 +428,7 @@ def frame_riemann_oracle(gm: GraphMap, x) -> np.ndarray:
     """
     geo = graph_geometry(gm, x)
     _raise_first(*_geometry_checks(geo, SPACELIKE_TOL))
-    R = riemann_from_metric(*_metric_derivs(geo.A, geo.He, geo.Th))
+    R = riemann_from_metric(*_metric_derivs(geo.A, geo.He, _third(geo)))
     E = geo.tangent_coeff
     return _view(x, np.einsum("...ai,...bj,...ck,...dl,...ijkl->...abcd", E, E, E, E, R))
 
@@ -444,7 +470,7 @@ def covariant_h(gm: GraphMap, x) -> CovariantH:
 
 
 def _covariant_h(geo: Geometry, sig: np.ndarray) -> CovariantH:
-    A, He, Th = geo.A, geo.He, geo.Th
+    A, He, Th = geo.A, geo.He, _third(geo)
     E, Nc = geo.tangent_coeff, geo.normal_coeff
     m = A.shape[-1]
     # first derivatives d_p along the coordinates, on an axis p after the batch
@@ -498,7 +524,7 @@ class PseudoDistancePoint:
 
 def pseudo_distance(gm: GraphMap, x) -> PseudoDistancePoint:
     _check_base_point(gm)
-    geo = graph_geometry(gm, x)
+    geo = graph_geometry(gm, x, 2)
     _raise_first(*_geometry_checks(geo, SPACELIKE_TOL))
     return _view(x, _pseudo_distance(geo, signature(gm.m, gm.n)))
 
@@ -531,6 +557,14 @@ def _pseudo_distance(geo: Geometry, sig: np.ndarray) -> PseudoDistancePoint:
 GEODESIC_RTOL, GEODESIC_ATOL = 1e-10, 1e-12  # RK45 tolerances of integrate_geodesic
 
 
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on the first call: only the
+    geodesic path needs scipy.integrate, which is slow to import."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(*args, **kwargs)
+
+
 def integrate_geodesic(gm: GraphMap, x0, v0, t_span, *, region_halfwidth: float = np.inf):
     """Unit-speed geodesics from k starts x0, v0 ((k, m) each, or (m,) for
     one start or a shared x0) as one ODE; v0 is normalised in g at x0.  As
@@ -545,12 +579,12 @@ def integrate_geodesic(gm: GraphMap, x0, v0, t_span, *, region_halfwidth: float 
     v0 = np.atleast_2d(np.asarray(v0, dtype=float))
     x0 = np.broadcast_to(np.asarray(x0, dtype=float), v0.shape)
     k, m = v0.shape
-    _, A, _, _ = gm.jet_data(x0)
+    _, A, _, _ = gm.jet_data(x0, 1)
     v0 = v0 / np.sqrt(np.einsum("ki,kij,kj->k", v0, np.eye(m) - _swap(A) @ A, v0))[:, None]
 
     def rhs(t, y):
         x, v = y[:k * m].reshape(k, m), y[k * m:].reshape(k, m)
-        _, A, He, _ = gm.jet_data(x)
+        _, A, He, _ = gm.jet_data(x, 2)
         q = np.einsum("ksij,ki,kj->ks", He, v, v)
         acc = np.linalg.solve(np.eye(m) - _swap(A) @ A, _swap(A) @ q[..., None])[..., 0]
         inside = np.max(np.abs(x), axis=1, keepdims=True) <= region_halfwidth

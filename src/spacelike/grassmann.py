@@ -20,9 +20,9 @@ import numpy as np
 
 from .exprparse import DomainError
 from .graphgeom import (
-    SPACELIKE_TOL, GraphMap, NotSpacelikeError, _by_point, _extremal_residual, _fault_check,
-    _filled, _geometry_checks, _pseudo_distance, _raise_first, _ricci_margin, _take, _view,
-    _with_curvature, graph_geometry, signature,
+    OVERFLOW, SPACELIKE_TOL, GraphMap, NotSpacelikeError, _by_point, _extremal_residual,
+    _fault_check, _filled, _geometry_checks, _pseudo_distance, _raise_first, _ricci_margin, _take,
+    _view, _with_curvature, graph_geometry, signature,
 )
 
 
@@ -44,16 +44,20 @@ class SpacelikePlane:
 def gauss_map(gm: GraphMap, x) -> SpacelikePlane:
     """Tangent plane of the graph at a point x (m,), or the planes at a batch
     of points (k, m)."""
-    _, A, _, _, fault = gm.jet_rows(np.asarray(x, dtype=float).reshape(-1, gm.m))
+    _, A, _, _, fault = gm.jet_rows(np.asarray(x, dtype=float).reshape(-1, gm.m), 1)
     plane = SpacelikePlane(A)
     return _view(x, plane, *_gauss_checks(plane, fault))
 
 
 def _gauss_checks(plane: SpacelikePlane, fault: np.ndarray):
     """The checks of the Gauss map at a batch of points: a DomainError of
-    the jets, then a tangent plane that is not space-like."""
+    the jets, a metric 1 - sigma^2 that overflows, then a tangent plane
+    that is not space-like."""
     sigma = plane.sigma_max
-    return _fault_check(fault), (~(sigma < 1.0), lambda i: NotSpacelikeError(1.0 - sigma[i]**2))
+    with np.errstate(over="ignore"):
+        sigma2 = sigma**2
+    return (_fault_check(fault), (~np.isfinite(sigma2), lambda i: DomainError(OVERFLOW)),
+            (~(sigma < 1.0), lambda i: NotSpacelikeError(1.0 - sigma[i]**2)))
 
 
 def _failure_check(value: np.ndarray):
@@ -109,8 +113,9 @@ def _distances(P: SpacelikePlane, Q: SpacelikePlane):
     rel, failed = _transport(np.where(keep, P.slope, 0.0), np.where(keep, Q.slope, 0.0))
     sv = np.linalg.svd(rel, compute_uv=False)
     beyond = np.where(sv[..., 0] >= 1.0 + 1e-12, 1.0 - sv[..., 0] ** 2, np.nan)
-    value = np.where(planes, np.where(np.isnan(failed), beyond, failed),
-                     np.minimum(1 - sp**2, 1 - sq**2))
+    with np.errstate(over="ignore"):  # a slope that overflows is not a plane
+        value = np.where(planes, np.where(np.isnan(failed), beyond, failed),
+                         np.minimum(1 - sp**2, 1 - sq**2))
     # singular values in [1, 1 + 1e-12) are rounding: clip them (a no-op below 1)
     d = np.sqrt(np.sum(np.arctanh(np.minimum(sv, 1.0 - 1e-16)) ** 2, axis=-1))
     return np.where(np.isnan(value), d, np.nan), _failure_check(value)
@@ -177,12 +182,12 @@ def _pullback(gm: GraphMap, x, V: np.ndarray):
     gives the Gauss map at every rung of every direction."""
     pts = np.asarray(x, dtype=float).reshape(-1, gm.m)
     k, m = pts.shape
-    geo = graph_geometry(gm, pts)
+    geo = graph_geometry(gm, pts, 2)
     # coordinate displacement of each unit frame vector (0 where there is no frame)
     coord_step = np.nan_to_num(V @ geo.tangent_coeff)
     steps = np.array(PULLBACK_STEPS)
     rungs = pts[:, None, None] + steps[:, None] * coord_step[:, :, None]
-    _, A, _, _, fault = gm.jet_rows(rungs.reshape(-1, m))
+    _, A, _, _, fault = gm.jet_rows(rungs.reshape(-1, m), 1)
     plane = SpacelikePlane(A)
     slopes = A.reshape(k, len(V), len(steps), gm.n, m)
     d, d_check = _distances(SpacelikePlane(geo.A[:, None, None]), SpacelikePlane(slopes))
@@ -204,7 +209,7 @@ def max_modulus(gm: GraphMap, samples, ref: SpacelikePlane) -> float:
     samples = np.asarray(list(samples), dtype=float)
     if not samples.size:
         raise ValueError("max_modulus needs a nonempty sample list")
-    _, A, _, _, fault = gm.jet_rows(samples.reshape(-1, gm.m))
+    _, A, _, _, fault = gm.jet_rows(samples.reshape(-1, gm.m), 1)
     plane = SpacelikePlane(A)
     d, check = _distances(plane, ref)
     _raise_first(*_gauss_checks(plane, fault), check)
@@ -245,7 +250,7 @@ def graph_node_table(gm: GraphMap, pts: np.ndarray,
         gm = GraphMap(gm.m, gm.n, gm.components, (np.nan,) * gm.n)
         notes.append(f"z and grad_ratio are nan, as X(0) is undefined: {err}")
     nodes = np.flatnonzero(active)
-    geo = graph_geometry(gm, pts[nodes])
+    geo = graph_geometry(gm, pts[nodes], 2)
     domain = np.not_equal(geo.fault, None)
     framed = ~domain & (geo.min_eig > SPACELIKE_TOL)
     on = nodes[framed]

@@ -1,19 +1,27 @@
 """Truncated Taylor evaluation of expression ASTs over any batch of points.
 
-``_taylor`` is the one evaluator: order 0 gives values (``eval_values``),
-order 3 exact jets (``evaluate_jet``), propagated by truncated Taylor
-arithmetic, never by finite differences (Griewank & Walther, *Evaluating
-Derivatives*, 2008, ch. 13).  It walks the AST iteratively, so depth is not
-bounded by the recursion limit.  A jet is four dense arrays: value (...),
-gradient (..., m), Hessian (..., m, m) and third derivatives (..., m, m, m)
-for a batch of points of shape (..., m).  Arithmetic broadcasts from the
-right, so a point and a batch share one code path, and the tensors are made
-exactly symmetric by one gather from their sorted (i <= j <= k) slots.
+``_taylor`` is the one evaluator.  It computes the Taylor coefficients of an
+expression to any order k from 0 to 3, propagated by truncated Taylor
+arithmetic, never by finite differences, and carries only the degrees asked
+for (Griewank & Walther, *Evaluating Derivatives*, 2008, ch. 13): order 0
+gives values (``eval_values``), and ``evaluate_jet``/``jet_rows`` take the
+order their caller reads, 3 by default.  For k >= 1 the k + 1 coefficients
+of an order-k pass are bit-identical to the first k + 1 of an order-3 pass,
+as every product and chain rule forms each degree from the lower ones
+alone (order 0 divides where jets multiply by a reciprocal).  It walks the AST iteratively, so depth is not bounded by the recursion limit.
+A jet is up to four dense arrays: value (...), gradient (..., m), Hessian
+(..., m, m) and third derivatives (..., m, m, m) for a batch of points of
+shape (..., m); the orders not asked for are None.  Arithmetic broadcasts
+from the right, so a point and a batch share one code path, and the tensors
+are made exactly symmetric by one gather from their sorted (i <= j <= k)
+slots.
 
-A point that leaves a function's domain, or whose data overflow, is marked
-rather than raised, so one evaluation serves a whole lattice: ``jet_rows``
-returns each point's DomainError next to the jets, while ``evaluate_jet``
-and ``eval_values`` raise the error of the first failing point.
+A point that leaves a function's domain, or whose computed coefficients
+overflow, is marked rather than raised, so one evaluation serves a whole
+lattice: ``jet_rows`` returns each point's DomainError next to the jets,
+while ``evaluate_jet`` and ``eval_values`` raise the error of the first
+failing point.  A coefficient that is not computed is not checked: a point
+whose third derivatives overflow faults at order 3 only.
 """
 
 from __future__ import annotations
@@ -40,34 +48,45 @@ def _sym3(g, H):
 
 
 def _mul(a, b):
-    """Truncated Taylor product of two (value, grad, hess, third) tuples."""
-    (a0, ag, aH, aT), (b0, bg, bH, bT) = a, b
-    a1, b1 = a0[..., None], b0[..., None]
-    return (a0 * b0,
-            a1 * bg + b1 * ag,
-            a1[..., None] * bH + b1[..., None] * aH + _outer(ag, bg) + _outer(bg, ag),
-            a1[..., None, None] * bT + b1[..., None, None] * aT
-            + _sym3(ag, bH) + _sym3(bg, aH))
+    """Truncated Taylor product of two coefficient tuples of one order k,
+    (value, grad, hess, third)[:k + 1]; only those k + 1 are computed."""
+    a0, b0 = a[0], b[0]
+    out = [a0 * b0]
+    if len(a) > 1:
+        (ag, bg), a1, b1 = (a[1], b[1]), a0[..., None], b0[..., None]
+        out.append(a1 * bg + b1 * ag)
+    if len(a) > 2:
+        aH, bH = a[2], b[2]
+        out.append(a1[..., None] * bH + b1[..., None] * aH + _outer(ag, bg) + _outer(bg, ag))
+    if len(a) > 3:
+        out.append(a1[..., None, None] * b[3] + b1[..., None, None] * a[3]
+                   + _sym3(ag, bH) + _sym3(bg, aH))
+    return tuple(out)
 
 
-def _compose(u, d0, d1, d2, d3):
-    """Chain rule through a univariate function with derivatives d0..d3 at u's value."""
-    _, g, H, T = u
-    d1, d2, d3 = d1[..., None], d2[..., None], d3[..., None]
-    gg = _outer(g, g)
-    return (d0,
-            d1 * g,
-            d1[..., None] * H + d2[..., None] * gg,
-            d1[..., None, None] * T + d2[..., None, None] * _sym3(g, H)
-            + d3[..., None, None] * gg[..., None] * g[..., None, None, :])
+def _compose(u, d):
+    """Chain rule through a univariate function with derivatives d = (d0, d1,
+    d2, d3) at u's value, to the order of u; the unused d are not read."""
+    out = [d[0]]
+    if len(u) > 1:
+        g, d1 = u[1], d[1][..., None]
+        out.append(d1 * g)
+    if len(u) > 2:
+        H, d2, gg = u[2], d[2][..., None], _outer(g, g)
+        out.append(d1[..., None] * H + d2[..., None] * gg)
+    if len(u) > 3:
+        d3 = d[3][..., None]
+        out.append(d1[..., None, None] * u[3] + d2[..., None, None] * _sym3(g, H)
+                   + d3[..., None, None] * gg[..., None] * g[..., None, None, :])
+    return tuple(out)
 
 
 def _power(u, p: int):
     """Chain rule for u^p; a vanishing coefficient of the derivatives stays exactly 0."""
     u0 = u[0]
-    coeffs = (p, p * (p - 1), p * (p - 1) * (p - 2))
-    return _compose(u, u0 ** p, *(c * u0 ** (p - k) if c else np.zeros_like(u0)
-                                  for k, c in enumerate(coeffs, 1)))
+    coeffs = (p, p * (p - 1), p * (p - 1) * (p - 2))[:len(u) - 1]
+    return _compose(u, (u0 ** p,) + tuple(c * u0 ** (p - k) if c else np.zeros_like(u0)
+                                          for k, c in enumerate(coeffs, 1)))
 
 
 def _tanh_derivs(u, t):
@@ -76,7 +95,7 @@ def _tanh_derivs(u, t):
 
 
 # name -> (numpy function, its derivatives 1..3 from the argument u and value v).
-# Values and jets share this table, so both orders evaluate the same functions.
+# Values and jets share this table, so every order evaluates the same functions.
 _ELEMENTARY = {
     "sin": (np.sin, lambda u, v: (np.cos(u), -v, -np.cos(u))),
     "cos": (np.cos, lambda u, v: (-np.sin(u), -v, np.sin(u))),
@@ -103,22 +122,21 @@ _OUT_OF_DOMAIN = {
 def _taylor(expr: Expr, pts: np.ndarray, order: int) -> tuple:
     """Truncated Taylor data of ``expr`` at points of shape (..., m).
 
-    Returns (coeffs, fault): coeffs is (value,) for order 0 and (value,
-    grad, hess, third) for order 3, each led by the batch shape of ``pts``.
-    A point that leaves a function's domain, or whose data end up not
-    finite, is marked instead of raised: ``fault`` holds each point's first
-    DomainError (None for a clean point), carrying the span of the offending
-    subexpression (the whole expression for a non-finite result).
+    Returns (coeffs, fault): coeffs is (value, grad, hess, third)[:order + 1],
+    for an order from 0 to 3, each led by the batch shape of ``pts``; the
+    higher derivatives are never formed.  A point that leaves a function's
+    domain, or whose computed coefficients end up not finite, is marked
+    instead of raised: ``fault`` holds each point's first DomainError (None
+    for a clean point), carrying the span of the offending subexpression
+    (the whole expression for a non-finite result).
     """
     shape, m = pts.shape[:-1], pts.shape[-1]
-    zeros = (np.zeros(shape + (m,)), np.zeros(shape + (m, m)),
-             np.zeros(shape + (m, m, m))) if order else ()
+    zeros = tuple(np.zeros(shape + (m,) * k) for k in range(1, order + 1))
     fault = np.full(shape, None, dtype=object)
 
     def mark(bad, message, span):
-        new = bad & np.equal(fault, None)
-        if new.any():
-            fault[new] = DomainError(message, span)
+        if bad.any():  # the object comparison only where a point fails
+            fault[bad & np.equal(fault, None)] = DomainError(message, span)
 
     post, todo = [], [expr]
     while todo:
@@ -153,7 +171,7 @@ def _taylor(expr: Expr, pts: np.ndarray, order: int) -> tuple:
                          node.span)
                 fn, derivs = _ELEMENTARY[node.op]
                 v = fn(u[0])
-                t = _compose(u, v, *derivs(u[0], v)) if order else (v,)
+                t = _compose(u, (v, *derivs(u[0], v))) if order else (v,)
         elif isinstance(node, BinOp):
             b, a = stack.pop(), stack.pop()
             if node.op == "+":
@@ -161,7 +179,7 @@ def _taylor(expr: Expr, pts: np.ndarray, order: int) -> tuple:
             elif node.op == "-":
                 t = tuple(x - y for x, y in zip(a, b))
             elif node.op == "*":
-                t = _mul(a, b) if order else (a[0] * b[0],)
+                t = _mul(a, b)
             else:
                 mark(b[0] == 0, "division by zero", node.span)
                 t = _mul(a, _power(b, -1)) if order else (a[0] / b[0],)
@@ -169,7 +187,7 @@ def _taylor(expr: Expr, pts: np.ndarray, order: int) -> tuple:
             u = stack.pop()
             if node.exponent < 0:
                 mark(u[0] == 0, "zero raised to a negative power", node.span)
-            t = _power(u, node.exponent) if order else (u[0] ** node.exponent,)
+            t = _power(u, node.exponent)
         else:
             raise TypeError(f"not an Expr: {node!r}")
         stack.append(t)
@@ -198,49 +216,55 @@ def _sorted_slots(m: int, rank: int) -> np.ndarray:
 
 @dataclass
 class Jet3:
-    """Order-3 Taylor data of a scalar function at a point or a batch of points.
+    """Taylor data of a scalar function, up to order 3, at a point or a batch
+    of points.
 
     ``value`` has the batch shape (a numpy scalar for one point); ``grad``,
-    ``hess`` and ``third`` append m, (m, m) and (m, m, m) to it.
+    ``hess`` and ``third`` append m, (m, m) and (m, m, m) to it, and are
+    None above the order that was asked for.
     """
 
     value: np.ndarray
-    grad: np.ndarray
-    hess: np.ndarray
-    third: np.ndarray
+    grad: np.ndarray = None
+    hess: np.ndarray = None
+    third: np.ndarray = None
 
 
-def jet_rows(expr: Expr, point) -> tuple:
+def jet_rows(expr: Expr, point, order: int = 3) -> tuple:
     """``evaluate_jet`` without raising: the jet, zero at the points that
     fail, and per point the DomainError it raises on its own, or None."""
     x = np.asarray(point, dtype=float)
     shape, m = x.shape[:-1], x.shape[-1]
     if m > MAX_DIM:
         raise ValueError(f"dimension {m} exceeds the supported cap {MAX_DIM}")
+    if order not in (0, 1, 2, 3):
+        raise ValueError(f"jet order must be 0 to 3, not {order!r}")
     # One point runs as a batch of one: numpy scalars and arrays round some
     # operations (u ** p, for one) differently, and rows must match batches.
     with np.errstate(all="ignore"):
-        coeffs, fault = _taylor(expr, x.reshape(-1, m), 3)
+        coeffs, fault = _taylor(expr, x.reshape(-1, m), order)
     clean = np.equal(fault, None)
     if not clean.all():  # a failing point's jet is zero
         coeffs = [np.where(clean.reshape((-1,) + (1,) * (c.ndim - 1)), c, 0.0) for c in coeffs]
-    value, grad, hess, third = coeffs
-    jet = Jet3(np.array(value).reshape(shape)[()],  # a copy: value may view x
-               grad.reshape(shape + (m,)),
-               hess.reshape(-1, m * m)[:, _sorted_slots(m, 2)].reshape(shape + (m, m)),
-               third.reshape(-1, m**3)[:, _sorted_slots(m, 3)].reshape(shape + (m, m, m)))
+    value, *derivs = coeffs
+    # the Hessian and third derivatives read from their sorted slots
+    derivs = [c.reshape(shape + (m,)) if k == 1 else
+              c.reshape(-1, m**k)[:, _sorted_slots(m, k)].reshape(shape + (m,) * k)
+              for k, c in enumerate(derivs, 1)]
+    jet = Jet3(np.array(value).reshape(shape)[()], *derivs)  # a copy: value may view x
     return jet, fault.reshape(shape)
 
 
-def evaluate_jet(expr: Expr, point) -> Jet3:
-    """Exact order-3 Taylor data of ``expr`` at a point (shape (m,)) or a batch
-    of points (shape (..., m)), up to rounding.
+def evaluate_jet(expr: Expr, point, order: int = 3) -> Jet3:
+    """Exact Taylor data of ``expr`` to ``order`` (0 to 3) at a point (shape
+    (m,)) or a batch of points (shape (..., m)), up to rounding.
 
     Raises DomainError outside an elementary function's domain and where the
-    jet overflows or is otherwise not finite; over a batch, the error of the
-    first failing point, which is what that point raises on its own.
+    computed orders overflow or are otherwise not finite; over a batch, the
+    error of the first failing point, which is what that point raises on its
+    own.
     """
-    jet, fault = jet_rows(expr, point)
+    jet, fault = jet_rows(expr, point, order)
     raise_first(fault)
     return jet
 

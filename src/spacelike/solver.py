@@ -41,8 +41,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csc_matrix
-from scipy.sparse.linalg import splu
 
 from . import lattice as lat_mod
 from .exprparse import DomainError, Expr, eval_values
@@ -239,8 +237,19 @@ def _ma_min_eig(ops: _Ops, u_full: np.ndarray) -> float:
     return float(np.min(np.linalg.eigvalsh(H)[:, 0]))
 
 
-def _colored_jacobian(ops: _Ops, res_fn, u_int: np.ndarray, eps: float = 1e-50) -> csc_matrix:
-    """P J P^T in the lattice's fixed CSC pattern (see _Ops)."""
+def splu(*args, **kwargs):
+    """scipy.sparse.linalg.splu, imported on the first call: only the
+    solvers need scipy.sparse.linalg, which is slow to import."""
+    from scipy.sparse.linalg import splu as scipy_splu
+
+    return scipy_splu(*args, **kwargs)
+
+
+def _colored_jacobian(ops: _Ops, res_fn, u_int: np.ndarray, eps: float = 1e-50):
+    """P J P^T in the lattice's fixed CSC pattern (see _Ops), a scipy.sparse
+    csc_matrix."""
+    from scipy.sparse import csc_matrix
+
     probes = np.zeros((3**ops.m, ops.K))
     base = u_int.astype(complex)
     for c in np.unique(ops.colors):

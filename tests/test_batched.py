@@ -12,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import polynomial_string, random_spacelike_graph
+from test_exprparse import _exprs
+
 from spacelike.checks import frame_residual
 from spacelike.exprparse import BinOp, parse
 from spacelike.graphgeom import (
@@ -19,6 +21,7 @@ from spacelike.graphgeom import (
     frame_riemann_oracle, fundamental_forms, induced_metric, pseudo_distance, ricci_bound_check,
 )
 from spacelike.grassmann import distance, gauss_map, pullback_check
+from spacelike.jets import _taylor, jet_rows
 from spacelike.lagrangian import (
     Potential, gradient_graph, lagrangian_forms, ma_residual, moduli_curvature,
     moduli_curvature_oracle, to_standard,
@@ -154,3 +157,30 @@ def test_potential_batches_equal_single_points(seed, m, k):
     pts = rng.uniform(-1.5, 1.5, size=(k, m))
     for fn in POTENTIAL_FUNCTIONS:
         _check_rows(fn, P, pts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), m=st.integers(1, 3), k=st.integers(1, 1000), seed=st.integers(0, 2**32 - 1))
+def test_lower_order_jets_are_the_leading_coefficients(data, m, k, seed):
+    # order 0 is left out: values divide where jets multiply by a reciprocal
+    leaf = st.one_of(st.integers(1, m).map(lambda i: f"x{i}"),
+                     st.floats(min_value=0.001, max_value=100.0).map(repr), st.just("pi"))
+    expr = parse(data.draw(_exprs(3, leaf)), m)
+    pts = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(k, m))
+    with np.errstate(all="ignore"):
+        full, _ = _taylor(expr, pts, 3)
+        for order in (1, 2):
+            coeffs, _ = _taylor(expr, pts, order)
+            assert len(coeffs) == order + 1
+            for c, ref in zip(coeffs, full):
+                assert np.array_equal(c, ref, equal_nan=True)
+    # a point clean at order 3 is clean below it, with the same jet
+    jet3, fault3 = jet_rows(expr, pts)
+    clean = np.equal(fault3, None)
+    names = ("value", "grad", "hess", "third")
+    for order in (1, 2):
+        jet, fault = jet_rows(expr, pts, order)
+        assert np.all(np.equal(fault[clean], None))
+        for name in names[:order + 1]:
+            assert np.array_equal(getattr(jet, name)[clean], getattr(jet3, name)[clean])
+        assert all(getattr(jet, name) is None for name in names[order + 1:])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from spacelike.bernstein import (
     estimate_report, geodesic_radius,
 )
 from spacelike.checks import hyperboloid
-from spacelike.exprparse import parse
+from spacelike.exprparse import DomainError, parse
 from spacelike.graphgeom import GraphMap, NotSpacelikeError
 from spacelike.lattice import Lattice, LatticeError
 
@@ -82,6 +84,15 @@ def test_radius_not_spacelike_raises():
     gm = GraphMap.from_strings(2, ["2*x1"])
     with pytest.raises(NotSpacelikeError):
         geodesic_radius(gm, Lattice.box((-1, -1), (1, 1), 5), [0.0, 0.0])
+
+
+def test_radius_overflowing_metric_is_a_domain_error():
+    # g = 1 - 1e320 at every edge midpoint
+    gm = GraphMap.from_strings(2, ["1e160*x1"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="non-finite metric"):
+            geodesic_radius(gm, Lattice.box((-1, -1), (1, 1), 5), [0.0, 0.0])
 
 
 def test_radius_disconnected_lattice():

@@ -85,6 +85,44 @@ def test_analyze_domain_error_is_a_node_status(tmp_path):
             assert r["status"] == "ok"
 
 
+@pytest.mark.parametrize("component, overflows", [
+    # the metric 1 - 1e320 overflows at every node
+    ("1e160*x1", lambda x1: True),
+    # the metric overflows where x1 != 0; the third derivative overflows too,
+    # but the node table does not read it
+    ("2e307*x1^4", lambda x1: x1 != 0),
+])
+def test_analyze_overflowing_metric_is_a_domain_error(tmp_path, component, overflows):
+    out = tmp_path / "r.csv"
+    cfg = analyze_config(tmp_path, str(out), components=[component],
+                         extra={"lattice": {"lo": [-0.5, -0.5], "hi": [0.5, 0.5], "nodes": 3}})
+    res = subprocess.run([sys.executable, "-m", "spacelike", "analyze", "--config", cfg],
+                         capture_output=True, text=True)
+    assert res.returncode == 0 and res.stderr == ""
+    assert "not space-like" not in res.stdout
+    if overflows(0.0):
+        assert "x = [0.0, 0.0] is undefined: non-finite metric (overflow)" in res.stdout
+    lines = out.read_text().strip().split("\n")
+    rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+    assert len(rows) == 9
+    for r in rows:
+        assert r["status"] == ("error:DomainError" if overflows(float(r["x1"])) else "ok")
+
+
+def test_analyze_imports_no_scipy_it_does_not_use(tmp_path):
+    # scipy.integrate and scipy.sparse.linalg serve only the geodesic and
+    # solver paths, and take most of the start-up time when imported
+    cfg = analyze_config(tmp_path, str(tmp_path / "r.csv"))
+    code = ("import sys, spacelike\n"
+            "from spacelike.cli import main\n"
+            f"assert main(['analyze', '--config', {cfg!r}]) == 0\n"
+            "print(sorted(k for k in sys.modules if k.startswith(('scipy.integrate', "
+            "'scipy.sparse.linalg', 'scipy.interpolate'))))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip().splitlines()[-1] == "[]"
+
+
 @pytest.mark.parametrize("component, lo, hi, nan_cols, expected", [
     # X(0) undefined; |grad f| = 0.3/x1 < 1 everywhere
     ("0.3*log(x1)", [1, 1], [2, 2], ("z", "grad_ratio"), lambda x1, x2: "ok"),

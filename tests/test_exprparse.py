@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spacelike.exprparse import (
-    BinOp, DomainError, ParseError, Pow, Unary, Var, eval_values, parse, pretty,
+    BinOp, Const, DomainError, ParseError, Pow, Unary, Var, eval_values, parse, pretty,
 )
 
 
@@ -144,6 +144,15 @@ _extreme = st.one_of(
 def test_pretty_round_trip_extreme_literals(parts):
     ast = parse(f"({parts[0]})*{parts[1]}", 2)
     assert parse(pretty(ast), 2) == ast
+
+
+@pytest.mark.parametrize("value", [-1.5, -0.0, math.inf, -math.inf, math.nan])
+def test_const_is_finite_and_not_negative(value):
+    # the parser builds -1.5 as Unary("neg", Const(1.5)); a Const(-1.5) would
+    # print as "(-1.5)" and parse back as that Unary
+    with pytest.raises(ValueError, match="finite and not negative"):
+        Const(value=value)
+    assert parse(pretty(Unary(op="neg", child=Const(value=1.5))), 1) == parse("-1.5", 1)
 
 
 def test_pretty_parenthesizes_every_compound_operand():

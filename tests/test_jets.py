@@ -6,10 +6,18 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from test_exprparse import _exprs
 
+import spacelike.jets as jets
+from spacelike.bernstein import geodesic_radius
+from spacelike.checks import hyperboloid, random_spacelike_graph
 from spacelike.exprparse import DomainError, eval_values, parse
-from spacelike.graphgeom import GraphMap, fundamental_forms
-from spacelike.grassmann import gauss_map
-from spacelike.jets import _mul, evaluate_jet, finite_diff_check
+from spacelike.graphgeom import (
+    GraphMap, _covariant_h, fundamental_forms, graph_geometry, integrate_geodesic, signature,
+    simons_report,
+)
+from spacelike.grassmann import gauss_map, graph_node_table
+from spacelike.jets import _mul, evaluate_jet, finite_diff_check, jet_rows
+from spacelike.lagrangian import Potential, node_table
+from spacelike.lattice import Lattice, active_mask, node_points
 
 
 def _coeffs(jet):
@@ -212,3 +220,60 @@ def test_batched_rows_equal_single_point_jets(text, points):
     assert np.array_equal(batch.hess, batch.hess.transpose(0, 2, 1))
     for perm in ((0, 2, 1, 3), (0, 1, 3, 2)):
         assert np.array_equal(batch.third, batch.third.transpose(perm))
+
+
+# -- orders below 3 -----------------------------------------------------------
+
+def test_unread_orders_are_not_checked():
+    # the third derivative 2.4e308 overflows; the lower orders do not
+    expr = parse("2e307*x1^4", 2)
+    _, fault = jet_rows(expr, [[0.5, 0.0]], order=2)
+    assert fault[0] is None
+    _, fault = jet_rows(expr, [[0.5, 0.0]], order=3)
+    assert "non-finite jet" in str(fault[0])
+    for order in (1, 2, 3):
+        _, fault = jet_rows(parse("sqrt(x1)", 1), [[0.0]], order=order)
+        assert "sqrt argument must be positive" in str(fault[0])
+
+
+def test_order_3_readers_reject_a_lower_order_pass():
+    gm = hyperboloid()
+    geo = graph_geometry(gm, [0.1, 0.2], 2)
+    assert geo.Th is None
+    with pytest.raises(ValueError, match="third derivatives"):
+        _covariant_h(geo, signature(2, 1))
+
+
+def _requested_orders(monkeypatch):
+    """The orders of every Taylor pass from here on, in call order."""
+    seen, real = [], jets._taylor
+
+    def recording(expr, pts, order):
+        seen.append(order)
+        return real(expr, pts, order)
+
+    monkeypatch.setattr(jets, "_taylor", recording)
+    return seen
+
+
+def test_each_caller_asks_for_the_order_it_reads(monkeypatch):
+    gm = hyperboloid()
+    lat = Lattice.box((-1.0, -1.0), (1.0, 1.0), 7)
+    pts = node_points(lat)
+    seen = _requested_orders(monkeypatch)
+
+    def orders(call):
+        seen.clear()
+        call()
+        return list(seen)
+
+    assert max(orders(lambda: graph_node_table(gm, pts, active_mask(lat).ravel()))) <= 2
+    # the start normalisation reads the Jacobian, each right-hand side the Hessians
+    geodesic = orders(lambda: integrate_geodesic(gm, np.zeros(2), [[1.0, 0.0]], (0.0, 0.5)))
+    assert geodesic[0] == 1 and set(geodesic[1:]) == {2}
+    assert set(orders(lambda: geodesic_radius(gm, lat, [0.0, 0.0]))) == {1}
+    assert set(orders(lambda: gauss_map(gm, pts))) == {1}
+    assert set(orders(lambda: random_spacelike_graph(np.random.default_rng(0), 2, 1))) == {1}
+    assert set(orders(lambda: simons_report(gm, lat))) == {3}
+    P = Potential.from_string(2, "0.5*x1^2+0.5*x2^2+0.1*x1^3")
+    assert set(orders(lambda: node_table(P, pts, oracle=False))) == {3}
