@@ -16,9 +16,9 @@
   a^{-2}, the rate of the curvature estimate at fixed center.
 * completeness_probe: integrates unit-speed geodesics of the induced
   metric from the origin, all directions as one ODE (each stops on its
-  own when it leaves the coordinate box), and compares the growth
-  exponent of z + 1 with the sampled supremum of |grad z| / (z + 1), the
-  integrated gradient estimate.
+  own when it leaves the coordinate box, and the rest restart from
+  there), and compares the growth exponent of z + 1 with the sampled
+  supremum of |grad z| / (z + 1), the integrated gradient estimate.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ import numpy as np
 from . import lattice as lat_mod
 from .exprparse import DomainError, Expr, eval_values
 from .graphgeom import (
-    OVERFLOW, SPACELIKE_TOL, GraphMap, NotSpacelikeError, _check_base_point, _geometry_checks,
-    _raise_first, graph_geometry, integrate_geodesic, pseudo_distance,
+    SPACELIKE_TOL, GraphMap, _check_base_point, _geometry_checks, _raise_first,
+    _spacelike_metric, graph_geometry, integrate_geodesic, pseudo_distance,
 )
 from .grassmann import SpacelikePlane, _distances, _gauss_checks, gauss_map
 from .lattice import Lattice, LatticeError
@@ -88,14 +88,7 @@ def geodesic_radius(gm: GraphMap, lattice: Lattice, x0) -> RadiusField:
     a, b = np.concatenate(heads), np.concatenate(tails)
     step = np.repeat(np.multiply(offsets, lattice.spacing), counts, axis=0)
 
-    _, A, _, _ = gm.jet_data(0.5 * (pts[a] + pts[b]), 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = np.eye(m) - A.transpose(0, 2, 1) @ A
-    if not np.all(np.isfinite(g)):
-        raise DomainError(OVERFLOW)
-    min_eig = np.linalg.eigvalsh(g)[:, 0]
-    if not np.all(min_eig > 0.0):
-        raise NotSpacelikeError(float(np.min(min_eig)))
+    g = _spacelike_metric(gm, 0.5 * (pts[a] + pts[b]))
     length = np.sqrt(((step[:, None, :] @ g) @ step[:, :, None]).ravel())
 
     dist = dijkstra(csr_matrix((length, (a, b)), shape=(act_flat.size,) * 2),
@@ -264,22 +257,23 @@ class ProbeReport:
 
 def completeness_probe(gm: GraphMap, directions, T: float, n_samples: int = 200,
                        region_halfwidth: float = np.inf) -> list[ProbeReport]:
-    """Integrate unit-speed geodesics from the origin, all directions as one
-    ODE, and compare the empirical growth exponent of z + 1 against the
+    """Integrate unit-speed geodesics from the origin (integrate_geodesic:
+    one ODE for the directions still inside the box, restarted at each
+    exit), and compare the empirical growth exponent of z + 1 against the
     sampled supremum of |grad z| / (z + 1); the integrated gradient estimate
     forces b_emp <= ratio_sup (up to quadrature error).  A direction that
-    leaves the box |x_i| <= region_halfwidth is sampled up to its own exit
-    and reported "left-region"; one that stops before T without leaving
-    (the integrator failed) is reported "integration-failed: <message>"."""
+    leaves the box |x_i| <= region_halfwidth (> 0; inf, the default, is no
+    box) is sampled up to its own exit and reported "left-region"; one that
+    stops before T without leaving (the integrator failed) is reported
+    "integration-failed: <message>"."""
     _check_base_point(gm)
     m, directions = gm.m, np.array(directions, dtype=float).reshape(-1, gm.m)
     sol = integrate_geodesic(gm, np.zeros(m), directions, (0.0, T),
                              region_halfwidth=region_halfwidth)
     ts = np.linspace(0.0, sol.t_end, n_samples + 1, axis=1)[:, 1:]
-    pd = pseudo_distance(gm, np.concatenate([sol.sol(t)[j * m:(j + 1) * m].T
-                                             for j, t in enumerate(ts)]))
+    pd = pseudo_distance(gm, np.concatenate([sol.state(j, t)[:m].T for j, t in enumerate(ts)]))
     zs, ratios = pd.z.reshape(ts.shape), pd.ratio.reshape(ts.shape)
-    exited = [len(te) > 0 for te in sol.t_events or [()] * len(ts)]
+    exited = [len(te) > 0 for te in sol.t_events]
 
     def status(end, left):
         if end >= T * (1 - 1e-9):

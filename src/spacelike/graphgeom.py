@@ -554,7 +554,7 @@ def _pseudo_distance(geo: Geometry, sig: np.ndarray) -> PseudoDistancePoint:
 # ---------------------------------------------------------------------------
 # Geodesics of the induced metric, a batch of directions as one ODE
 
-GEODESIC_RTOL, GEODESIC_ATOL = 1e-10, 1e-12  # RK45 tolerances of integrate_geodesic
+GEODESIC_RTOL, GEODESIC_ATOL = 1e-10, 1e-12  # DOP853 tolerances of integrate_geodesic
 
 
 def solve_ivp(*args, **kwargs):
@@ -565,42 +565,110 @@ def solve_ivp(*args, **kwargs):
     return scipy_solve_ivp(*args, **kwargs)
 
 
-def integrate_geodesic(gm: GraphMap, x0, v0, t_span, *, region_halfwidth: float = np.inf):
-    """Unit-speed geodesics from k starts x0, v0 ((k, m) each, or (m,) for
-    one start or a shared x0) as one ODE; v0 is normalised in g at x0.  As
-    Gamma_{l,ij} = -sum_s f^s_l f^s_ij, x'' = g^-1 A^T q with q_s = v^T He^s v:
-    one (k, m) jet per right-hand side.
+def _spacelike_metric(gm: GraphMap, x: np.ndarray) -> np.ndarray:
+    """The induced metric I - A^T A at points x (k, m) from an order-1 jet.
+    Raises DomainError(OVERFLOW) if it is not finite at some point, else
+    NotSpacelikeError (the batch's smallest eigenvalue) if it is not
+    positive definite at some point."""
+    _, A, _, _ = gm.jet_data(x, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = np.eye(gm.m) - _swap(A) @ A
+    if not np.all(np.isfinite(g)):
+        raise DomainError(OVERFLOW)
+    min_eig = np.linalg.eigvalsh(g)[:, 0]
+    if not np.all(min_eig > 0.0):
+        raise NotSpacelikeError(float(np.min(min_eig)))
+    return g
 
-    A direction that leaves the box |x_i| <= region_halfwidth is frozen
-    there and its own exit event gives its end time; the others run on.
-    Returns the solve_ivp result (dense): y holds the k positions, direction-
-    major, then the k velocities, and ``t_end`` (k,) each direction's end time.
+
+@dataclass
+class GeodesicBatch:
+    """The geodesics of ``integrate_geodesic``.  A direction runs in the
+    solve_ivp segments up to its own end; its dense output is stitched
+    from theirs and holds its end state after ``t_end``."""
+
+    t_end: np.ndarray    # (k,) each direction's end time
+    t_events: list       # per direction its exit time, or an empty array
+    y: np.ndarray        # (2 k m, 1) end states: the k positions, direction-major, then the velocities
+    message: str         # the message of the last solve_ivp call
+    pieces: list         # per direction (segment end, OdeSolution, its rows of that segment's state)
+
+    def state(self, j: int, t):
+        """Position and velocity (2m, ...) of direction j at times t."""
+        t = np.minimum(t, self.t_end[j])
+        flat = np.ravel(t)
+        out = np.empty((self.y.shape[0] // len(self.t_end), flat.size))
+        # piece p covers (end of piece p - 1, its own end]
+        which = np.searchsorted([end for end, _, _ in self.pieces[j]], flat)
+        for p in np.unique(which):
+            _, dense, rows = self.pieces[j][p]
+            out[:, which == p] = dense(flat[which == p])[rows]
+        return out.reshape(out.shape[:1] + np.shape(t))
+
+    def sol(self, t):
+        """The stacked state at times t, in the layout of ``y``."""
+        states = np.stack([self.state(j, t) for j in range(len(self.t_end))])
+        m = states.shape[1] // 2
+        return np.concatenate([states[:, :m], states[:, m:]]).reshape((-1,) + np.shape(t))
+
+
+def integrate_geodesic(gm: GraphMap, x0, v0, t_span, *,
+                       region_halfwidth: float = np.inf) -> GeodesicBatch:
+    """Unit-speed geodesics from k starts x0, v0 ((k, m) each, or (m,) for
+    one start or a shared x0) as one ODE, by DOP853; v0 is normalised in g
+    at x0, which must be finite and positive definite.  As
+    Gamma_{l,ij} = -sum_s f^s_l f^s_ij, x'' = g^-1 A^T q with
+    q_s = v^T He^s v: one (k, m) jet per right-hand side.
+
+    A direction ends where it leaves the box |x_i| <= region_halfwidth
+    (> 0): its exit event is terminal, and solve_ivp restarts at that time
+    on the directions still inside, from their states there.  Without an
+    exit the run is one solve_ivp call.  If a call fails, every direction
+    in it ends at the failure time.
     """
+    if not region_halfwidth > 0.0:
+        raise ValueError(f"region_halfwidth must be positive, got {region_halfwidth}")
     v0 = np.atleast_2d(np.asarray(v0, dtype=float))
     x0 = np.broadcast_to(np.asarray(x0, dtype=float), v0.shape)
     k, m = v0.shape
-    _, A, _, _ = gm.jet_data(x0, 1)
-    v0 = v0 / np.sqrt(np.einsum("ki,kij,kj->k", v0, np.eye(m) - _swap(A) @ A, v0))[:, None]
+    g = _spacelike_metric(gm, x0)
+    v0 = v0 / np.sqrt(np.einsum("ki,kij,kj->k", v0, g, v0))[:, None]
 
     def rhs(t, y):
-        x, v = y[:k * m].reshape(k, m), y[k * m:].reshape(k, m)
+        x, v = y.reshape(2, -1, m)
         _, A, He, _ = gm.jet_data(x, 2)
         q = np.einsum("ksij,ki,kj->ks", He, v, v)
         acc = np.linalg.solve(np.eye(m) - _swap(A) @ A, _swap(A) @ q[..., None])[..., 0]
-        inside = np.max(np.abs(x), axis=1, keepdims=True) <= region_halfwidth
-        return np.concatenate([np.where(inside, v, 0.0), np.where(inside, acc, 0.0)], axis=None)
+        return np.concatenate([v, acc], axis=None)
 
-    def exit_event(j):
+    def exit_event(r):
         def event(t, y):
-            return region_halfwidth - np.max(np.abs(y[j * m:(j + 1) * m]))
-        event.direction = -1
+            return region_halfwidth - np.max(np.abs(y[r * m:(r + 1) * m]))
+        event.terminal, event.direction = True, -1
         return event
 
-    events = [exit_event(j) for j in range(k)] if np.isfinite(region_halfwidth) else None
-    sol = solve_ivp(rhs, t_span, np.concatenate([x0, v0], axis=None), rtol=GEODESIC_RTOL,
-                    atol=GEODESIC_ATOL, dense_output=True, events=events)
-    sol.t_end = np.array([te[0] if len(te) else sol.t[-1] for te in sol.t_events or [()] * k])
-    return sol
+    t, t_stop = t_span
+    run, state = np.arange(k), np.stack([x0, v0])          # state (2, running, m)
+    t_end, ends = np.empty(k), np.empty((2, k, m))
+    t_events, pieces = [np.empty(0)] * k, [[] for _ in range(k)]
+    while run.size:
+        events = [exit_event(r) for r in range(run.size)] if np.isfinite(region_halfwidth) else None
+        sol = solve_ivp(rhs, (t, t_stop), state.ravel(), method="DOP853", rtol=GEODESIC_RTOL,
+                        atol=GEODESIC_ATOL, dense_output=True, events=events)
+        t, state = sol.t[-1], sol.y[:, -1].reshape(2, run.size, m)
+        rows = np.arange(2 * run.size * m).reshape(2, run.size, m)
+        for r, j in enumerate(run):
+            pieces[j].append((t, sol.sol, rows[:, r].ravel()))
+        left = np.zeros(run.size, dtype=bool)
+        if sol.status == 1:                                # a terminal exit event fired
+            left[:] = [len(te) > 0 for te in sol.t_events]
+        done = left | (sol.status != 1 or t == t_stop)
+        t_end[run[done]], ends[:, run[done]] = t, state[:, done]
+        for j in run[left]:
+            t_events[j] = np.array([t])
+        run, state = run[~done], state[:, ~done]
+    return GeodesicBatch(t_end=t_end, t_events=t_events, y=ends.reshape(-1, 1),
+                         message=sol.message, pieces=pieces)
 
 
 # ---------------------------------------------------------------------------

@@ -266,6 +266,68 @@ def test_probe_integration_failure_is_not_a_region_exit():
     assert "step size" in reports[1].status
 
 
+@pytest.fixture
+def probe_calls(monkeypatch):
+    """Counts of GraphMap.jet_data (one per right-hand side, plus the start)
+    and solve_ivp calls made while a test runs."""
+    import spacelike.graphgeom as graphgeom
+
+    counts = {"jet_data": 0, "solve_ivp": 0}
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(GraphMap, "jet_data", counted("jet_data", GraphMap.jet_data))
+    monkeypatch.setattr(graphgeom, "solve_ivp", counted("solve_ivp", graphgeom.solve_ivp))
+    return counts
+
+
+def test_probe_region_exits_are_cheap_and_exact(probe_calls):
+    # on 0.3*x1, g = diag(0.91, 1) everywhere: the unit-speed line along
+    # d / sqrt(d^T g d) leaves |x_i| <= 2 at t = 2 / max_i |v_i|
+    gm = GraphMap.from_strings(2, ["0.3*x1"])
+    dirs = [np.array([1.0, 0.0]), np.array([-0.6, 0.8]), np.array([0.3, -1.0])]
+    reports = completeness_probe(gm, dirs, T=10.0, n_samples=40, region_halfwidth=2.0)
+    g = np.diag([0.91, 1.0])
+    exits = [2.0 / np.max(np.abs(d / np.sqrt(d @ g @ d))) for d in dirs]
+    for rep, t_exit in zip(reports, exits):
+        assert rep.status == "left-region"
+        assert abs(rep.t[-1] - t_exit) <= 5e-9
+        # the samples after the first exit come from the restarted segments
+        assert np.max(np.abs(rep.z - rep.t**2)) <= 1e-6
+    assert probe_calls["jet_data"] <= 300
+    # one call, then one restart at each exit that leaves a direction running
+    assert probe_calls["solve_ivp"] == len(set(exits))
+
+
+def test_probe_benchmark_shape_jet_count(probe_calls):
+    # the benchmark's probe: shifted hyperboloid, 3 directions, T = 2, 40
+    # samples; an RK45 run, or a right-hand side with a kink, costs ~400
+    dirs = [length * np.array([np.cos(t), np.sin(t)])
+            for t, length in zip((0.3, 2.2, 4.1), (1.0, 0.7, 1.6))]
+    reports = completeness_probe(hyperboloid(shifted=True), dirs, T=2.0, n_samples=40)
+    assert all(rep.status == "ok" for rep in reports)
+    assert probe_calls["jet_data"] <= 150 and probe_calls["solve_ivp"] == 1
+
+
+@pytest.mark.parametrize("expr, error", [("1e160*x1", DomainError), ("2*x1", NotSpacelikeError)],
+                         ids=["overflow", "not-spacelike"])
+def test_probe_checks_the_start_metric(expr, error):
+    # RuntimeWarnings are errors here: the check must come before v0 is normalised
+    with pytest.raises(error):
+        completeness_probe(GraphMap.from_strings(1, [expr]), [np.array([1.0])], T=1.0)
+
+
+@pytest.mark.parametrize("halfwidth", [-1.0, np.nan, 0.0])
+def test_probe_rejects_a_region_halfwidth_that_is_not_positive(halfwidth):
+    gm = GraphMap.from_strings(2, ["0.3*x1"])
+    with pytest.raises(ValueError, match="region_halfwidth"):
+        completeness_probe(gm, [np.array([1.0, 0.0])], T=1.0, region_halfwidth=halfwidth)
+
+
 @pytest.mark.parametrize("gm", [
     hyperboloid(shifted=True),
     GraphMap.from_strings(2, ["0.2*x1*x2 + 0.1*x1^2", "0.3*sin(x2)*x1"]).with_base_point(),

@@ -365,6 +365,25 @@ def test_hess_z_matches_geodesic_second_differences():
         assert abs(fd - pd.hess[k, k]) <= 5e-3 * (1 + abs(pd.hess[k, k]))
 
 
+def test_geodesic_batch_stitches_each_direction_across_restarts():
+    # on 0.3*x1 the geodesics are the lines x = v t, v = d / sqrt(d^T g d):
+    # (1, 0) leaves |x_i| <= 1 first, and (0, 1) runs on in a second segment
+    gm = GraphMap.from_strings(2, ["0.3*x1"])
+    dirs = np.array([[1.0, 0.0], [0.0, 1.0]])
+    sol = integrate_geodesic(gm, np.zeros(2), dirs, (0.0, 3.0), region_halfwidth=1.0)
+    v = dirs / np.sqrt([0.91, 1.0])[:, None]
+    assert np.allclose(sol.t_end, 1.0 / np.abs(v).max(axis=1), rtol=0.0, atol=1e-12)
+    assert [len(te) for te in sol.t_events] == [1, 1]
+    ts = np.linspace(0.0, 3.0, 31)
+    stacked = sol.sol(ts).reshape(2, 2, 2, ts.size)  # positions, then velocities
+    for j in range(2):
+        state = sol.state(j, ts)
+        # held at its end state after its own end time
+        assert np.allclose(state[:2], np.outer(v[j], np.minimum(ts, sol.t_end[j])), atol=1e-9)
+        assert np.array_equal(stacked[:, j], state.reshape(2, 2, ts.size))
+    assert np.allclose(sol.y[:, -1], sol.sol(3.0), rtol=0.0, atol=1e-12)
+
+
 def test_batched_jet_data_rows_equal_single_points():
     gm = GraphMap.from_strings(2, ["sqrt(1+x1^2+x2^2)", "0.3*sin(x1)*x2 + 2"]).with_base_point()
     pts = np.array([[0.3, -0.2], [-0.5, 0.7]])  # k == n, so a wrong axis still broadcasts
