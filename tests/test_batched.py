@@ -15,16 +15,17 @@ from conftest import polynomial_string, random_spacelike_graph
 from test_exprparse import _exprs
 
 from spacelike.checks import frame_residual
-from spacelike.exprparse import BinOp, parse
+from spacelike.exprparse import BinOp, DomainError, parse
 from spacelike.graphgeom import (
-    GraphMap, _take, adapted_frames, covariant_h, curvature, extremal_residual,
-    frame_riemann_oracle, fundamental_forms, induced_metric, pseudo_distance, ricci_bound_check,
+    SPACELIKE_TOL, GraphMap, NotSpacelikeError, _take, adapted_frames, covariant_h, curvature,
+    extremal_residual, frame_riemann_oracle, fundamental_forms, induced_metric, pseudo_distance,
+    ricci_bound_check,
 )
-from spacelike.grassmann import distance, gauss_map, pullback_check
+from spacelike.grassmann import distance, gauss_map, graph_node_table, pullback_check
 from spacelike.jets import _taylor, jet_rows
 from spacelike.lagrangian import (
-    Potential, gradient_graph, lagrangian_forms, ma_residual, moduli_curvature,
-    moduli_curvature_oracle, to_standard,
+    NotConvexError, Potential, gradient_graph, lagrangian_forms, ma_residual, moduli_curvature,
+    moduli_curvature_oracle, node_table, to_standard,
 )
 
 
@@ -147,16 +148,84 @@ def test_pullback_check_takes_a_batch():
         assert _same(_take(rep, row), pullback_check(gm, p, [1.0, 2.0]))
 
 
+def _random_potential(rng, m: int) -> Potential:
+    """A potential convex near the origin, with the log term of _with_log_term."""
+    square = "+".join(f"0.5*x{i + 1}^2" for i in range(m))
+    text = f"{square}+{polynomial_string(rng, m, 3, scale=0.2)}+0.01*log(x1+0.5)"
+    return Potential.from_string(m, text)
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3), k=st.integers(1, 6))
 def test_potential_batches_equal_single_points(seed, m, k):
     rng = np.random.default_rng(seed)
-    square = "+".join(f"0.5*x{i + 1}^2" for i in range(m))
-    text = f"{square}+{polynomial_string(rng, m, 3, scale=0.2)}+0.01*log(x1+0.5)"
-    P = Potential.from_string(m, text)
+    P = _random_potential(rng, m)
     pts = rng.uniform(-1.5, 1.5, size=(k, m))
     for fn in POTENTIAL_FUNCTIONS:
         _check_rows(fn, P, pts)
+
+
+# -- node-table statuses are what the per-point functions raise ---------------
+
+def _graph_statuses(gm: GraphMap, pts, active) -> list:
+    """The status of each node of graph_node_table, from the per-point
+    functions: the frames' error, told apart by the sign of min_eig, then a
+    failed Gauss-map distance to the table's reference plane."""
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    base = np.zeros(gm.m) if np.all(lo <= 0) and np.all(hi >= 0) else 0.5 * (lo + hi)
+    ref = _outcome(gauss_map, gm, base)
+
+    def status(p):
+        try:
+            adapted_frames(gm, p)
+        except DomainError:
+            return "error:DomainError"
+        except NotSpacelikeError:
+            return "not-spacelike" if induced_metric(gm, p).min_eig <= 0 else "error:NotSpacelikeError"
+        if not isinstance(ref, tuple) and isinstance(_outcome(distance, gauss_map(gm, p), ref), tuple):
+            return "error:NotSpacelikeError"
+        return "ok"
+
+    return [status(p) if on else "inactive" for p, on in zip(pts, active)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3), n=st.integers(1, 2),
+       k=st.integers(1, 8))
+def test_graph_node_statuses_are_what_the_points_raise(seed, m, n, k):
+    rng = np.random.default_rng(seed)
+    gm, _ = random_spacelike_graph(rng, m, n)
+    gm = _with_log_term(gm)
+    pts = rng.uniform(-1.5, 1.5, size=(k, m))
+    active = rng.random(k) < 0.8
+    status, _, _ = graph_node_table(gm, pts, active)
+    assert list(status) == _graph_statuses(gm, pts, active)
+
+
+def test_graph_node_statuses_at_the_space_like_boundary():
+    # |grad f| = |x1| on x2 = 0, so min_eig = 1 - x1^2; log(x2 + 1) fails at x2 = -1.5
+    gm = GraphMap.from_strings(2, ["0.5*x1^2+0.1*log(x2+1)-0.1*x2"])
+    pts = np.array([[0.0, 0.0], [1.0 - 2.5e-13, 0.0], [1.0, 0.0], [1.5, 0.0], [0.0, -1.5],
+                    [0.5, 0.5]])
+    active = np.array([True] * 5 + [False])
+    status, cols, _ = graph_node_table(gm, pts, active)
+    assert list(status) == ["ok", "error:NotSpacelikeError", "not-spacelike", "not-spacelike",
+                            "error:DomainError", "inactive"]
+    assert 0.0 < cols["min_eig"][1] <= SPACELIKE_TOL
+    assert list(status) == _graph_statuses(gm, pts, active)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3), k=st.integers(1, 8))
+def test_potential_node_statuses_are_what_the_points_raise(seed, m, k):
+    rng = np.random.default_rng(seed)
+    P = _random_potential(rng, m)
+    pts = rng.uniform(-1.5, 1.5, size=(k, m))
+    names = {DomainError: "error:DomainError", NotConvexError: "not-convex"}
+    for oracle, fn in ((True, moduli_curvature_oracle), (False, moduli_curvature)):
+        status, _ = node_table(P, pts, oracle)
+        outcomes = [_outcome(fn, P, p) for p in pts]
+        assert list(status) == [names[o[0]] if isinstance(o, tuple) else "ok" for o in outcomes]
 
 
 @settings(max_examples=60, deadline=None)
