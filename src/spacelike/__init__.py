@@ -22,7 +22,7 @@ from .lagrangian import (
 )
 from .solver import (
     GridField, SolverError, field_immersion_geometry, load_field, save_field,
-    solve_ma, solve_maximal, spline_geometry,
+    solve_ma, solve_maximal,
 )
 from .bernstein import (
     BallReport, ScanConfig, completeness_probe, decay_scan, estimate_report,

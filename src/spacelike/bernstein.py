@@ -31,10 +31,10 @@ import numpy as np
 from . import lattice as lat_mod
 from .exprparse import DomainError, Expr, eval_values
 from .graphgeom import (
-    SPACELIKE_TOL, GraphMap, _check_base_point, _geometry_checks, _raise_first,
-    _spacelike_metric, graph_geometry, integrate_geodesic, pseudo_distance,
+    GraphMap, _check_base_point, _spacelike_metric, graph_geometry, integrate_geodesic,
+    pseudo_distance,
 )
-from .grassmann import SpacelikePlane, _distances, _gauss_checks, gauss_map
+from .grassmann import SpacelikePlane, _distances, gauss_map
 from .lattice import Lattice, LatticeError
 from .solver import SolverError, field_immersion_geometry, solve_maximal
 
@@ -141,9 +141,8 @@ def estimate_report(gm: GraphMap, x0, a: float, lattice: Lattice,
         ref = gauss_map(gm, np.asarray(x0, dtype=float))
 
     geo = graph_geometry(gm, pts[sel], 2)
-    planes = SpacelikePlane(geo.A)
-    mu_d, check = _distances(planes, ref)
-    _raise_first(*_geometry_checks(geo, SPACELIKE_TOL), *_gauss_checks(planes, geo.fault), check)
+    mu_d, d_fails = _distances(SpacelikePlane(geo.A), ref)
+    geo.fails.then(d_fails).raise_first()  # space-like samples have space-like planes
     S, H = geo.S, geo.H_norm
     h_bar = float(H.max(initial=0.0))
     mu = float(mu_d.max(initial=0.0))

@@ -36,13 +36,16 @@ class ParseError(ValueError):
 
 
 class DomainError(ValueError):
-    """An elementary function was evaluated outside its domain.
+    """An elementary function was evaluated outside its domain, or a result
+    overflowed.
 
-    ``span`` locates the offending subexpression in the original source.
+    ``span`` locates the offending subexpression in the original source; it
+    is None, and the message names none, when no subexpression is at fault.
     """
 
-    def __init__(self, message: str, span: tuple[int, int] = (0, 0)):
-        super().__init__(f"{message} (subexpression at offsets {span[0]}..{span[1]})")
+    def __init__(self, message: str, span: tuple[int, int] | None = None):
+        super().__init__(message if span is None
+                         else f"{message} (subexpression at offsets {span[0]}..{span[1]})")
         self.span = span
 
 
@@ -284,10 +287,10 @@ def eval_values(node: Expr, points: np.ndarray):
     """Evaluate at one point (shape (m,)) or a batch (shape (k, m)); raises
     DomainError outside a function's domain and for a non-finite value, over
     a batch the error of the first failing point."""
-    from .jets import _taylor, raise_first  # jets imports this module
+    from .jets import _taylor  # jets imports this module
 
     pts = np.asarray(points, dtype=float)
     with np.errstate(all="ignore"):
-        (out,), fault = _taylor(node, np.atleast_2d(pts), 0)
-    raise_first(fault)
+        (out,), fails = _taylor(node, np.atleast_2d(pts), 0)
+    fails.raise_first()
     return float(out[0]) if pts.ndim == 1 else np.array(out, dtype=float)

@@ -7,8 +7,8 @@ once for a batch of points (k, m) and builds on them, with a leading batch
 axis throughout (``...`` in the einsums, numpy's stacked eigvalsh,
 cholesky, inv and det): the induced metric, adapted pseudo-orthonormal
 frames, the second fundamental form h with mean curvature H and squared
-norm S.  Nothing in the pass raises; a point out of the jets' domain or not
-space-like is marked (``Geometry.fault``, ``min_eig``) and holds nan.
+norm S.  Nothing in the pass raises: each point's first failure, out of the
+jets' domain or not space-like, is in its record (``Geometry.fails``).
 
 The per-point functions (induced_metric, adapted_frames, fundamental_forms,
 curvature, ricci_bound_check, extremal_residual, frame_riemann_oracle,
@@ -35,6 +35,7 @@ of the induced metric (both are tested).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -42,17 +43,12 @@ import numpy as np
 
 from . import lattice as lat_mod
 from .exprparse import DomainError, eval_values, parse
-from .jets import jet_rows, raise_first
+from .failures import DEGENERATE, DOMAIN, INDEFINITE, Failures, NotSpacelikeError
+from .jets import jet_rows
 from .lattice import Lattice, LatticeError
 
 SPACELIKE_TOL = 1e-12  # frames and h need the metric's smallest eigenvalue above this
 OVERFLOW = "non-finite metric (overflow)"  # the DomainError of a point whose metric overflows
-
-
-class NotSpacelikeError(ValueError):
-    def __init__(self, min_eig: float):
-        super().__init__(f"induced metric is not positive definite (min eigenvalue {min_eig:.3e})")
-        self.min_eig = min_eig
 
 
 class BasePointError(ValueError):
@@ -84,14 +80,14 @@ class GraphMap:
         all components, None above ``order``; a batch of points (..., m)
         leads each result with its shape (...).  Raises the DomainError of
         the first failing point."""
-        *data, fault = self.jet_rows(x, order)
-        raise_first(fault)
+        *data, fails = self.jet_rows(x, order)
+        fails.raise_first()
         return tuple(data)
 
     def jet_rows(self, x, order: int = 3):
-        """``jet_data`` without raising, plus per point the DomainError it
-        raises on its own (the first component's first), or None."""
-        jets, fault = zip(*(jet_rows(c, x, order) for c in self.components))
+        """``jet_data`` without raising, plus the failure record of the
+        points: the first component's failure, else the next one's."""
+        jets, fails = zip(*(jet_rows(c, x, order) for c in self.components))
         vals = np.stack([j.value for j in jets], axis=-1)    # (..., n)
         if self.offset is not None:
             vals = vals - np.asarray(self.offset)
@@ -99,15 +95,7 @@ class GraphMap:
         derivs = [None if getattr(jets[0], name) is None else
                   np.stack([getattr(j, name) for j in jets], axis=-1 - k)
                   for k, name in enumerate(("grad", "hess", "third"), 1)]
-        return (vals, *derivs, _first_fault(*fault))
-
-
-def _first_fault(first, *later):
-    """Per point the first DomainError of the fault arrays, or None; a
-    fault array may be None, for no faults at all."""
-    for fault in later:
-        first = np.where(np.equal(first, None), fault, first)
-    return first
+        return (vals, *derivs, functools.reduce(Failures.then, fails))
 
 
 def signature(m: int, n: int) -> np.ndarray:
@@ -125,11 +113,13 @@ class Geometry:
 
     g_inv is nan where the metric is not positive definite, and the frames
     and h are nan where its smallest eigenvalue is at most the space-like
-    tolerance.  ``fault`` holds each point's DomainError, or None: a metric
-    or normal Gram matrix that overflows, and for a graph a failing jet (the
-    values and jets of such a point are 0); a pass with no fault may leave
-    it None.  For a graph, X, A, He and Th hold the positions and jets of f
-    the pass was built on; Th is None for a pass of order 2.
+    tolerance.  ``fails`` records each point's first failure: for a graph a
+    failing jet (the values and jets of such a point are 0), then a metric
+    or normal Gram matrix that overflows (a DomainError), then a metric
+    that is not positive definite (INDEFINITE) or whose smallest eigenvalue
+    is at most the tolerance (DEGENERATE).  For a graph, X, A, He and Th
+    hold the positions and jets of f the pass was built on; Th is None for
+    a pass of order 2.
     """
 
     g: np.ndarray
@@ -145,7 +135,7 @@ class Geometry:
     H: np.ndarray              # (n,)
     H_norm: np.ndarray
     S: np.ndarray
-    fault: np.ndarray = None
+    fails: Failures = None
     X: np.ndarray = None            # (m+n,) position (x, f(x) - offset)
     A: np.ndarray = None            # (n, m) Jacobian of f
     He: np.ndarray = None           # (n, m, m) Hessians of f
@@ -179,49 +169,13 @@ def _filled(size: int, rows, values) -> np.ndarray:
     return out
 
 
-def _first(checks):
-    """One check from ``checks``, (bad, error) pairs in the order one point
-    runs them: a mask over the batch and a function from a point's index to
-    its exception.  The error at a point is that of its first failing check."""
-    masks = [np.ravel(bad) for bad, _ in checks]
-    return (np.logical_or.reduce(masks),
-            lambda i: next(error(i) for (_, error), bad in zip(checks, masks) if bad[i]))
-
-
-def _raise_first(*checks) -> None:
-    """Raise the error of the first failing point of a batch (see _first)."""
-    failing, error = _first(checks)
-    if failing.any():
-        raise error(int(np.argmax(failing)))
-
-
-def _by_point(k: int, *checks):
-    """A check over k points from checks over their sub-steps (k, s), which
-    each point runs in order: a point fails at its first failing sub-step."""
-    bad, error = _first(checks)
-    bad = bad.reshape(k, -1)
-    return bad.any(axis=1), lambda i: error(i * bad.shape[1] + int(np.argmax(bad[i])))
-
-
-def _view(x, value, *checks):
+def _view(x, value, fails: Failures = None):
     """What a per-point function returns at ``x``, a point (m,) or a batch
-    (k, m): the error of its first failing point, else ``value`` (batched)
-    for a batch and its one row for a point."""
-    _raise_first(*checks)
+    (k, m): the error of the first failing point of ``fails``, else
+    ``value`` (batched) for a batch and its one row for a point."""
+    if fails is not None:
+        fails.raise_first()
     return _take(value, 0) if np.ndim(x) == 1 else value
-
-
-def _fault_check(fault: np.ndarray):
-    """The check that raises a point's DomainError from the jets."""
-    return np.not_equal(fault, None), lambda i: fault[i]
-
-
-def _geometry_checks(geo: Geometry, limit=None):
-    """A point's DomainError, then NotSpacelikeError where min_eig <= limit."""
-    checks = [] if geo.fault is None else [_fault_check(geo.fault)]
-    if limit is not None:
-        checks.append((~(geo.min_eig > limit), lambda i: NotSpacelikeError(float(geo.min_eig[i]))))
-    return checks
 
 
 def _metric_inverse(g: np.ndarray):
@@ -245,7 +199,7 @@ def immersion_geometry(J: np.ndarray, Hss: np.ndarray, sig: np.ndarray,
     basis of the normal space (its Gram matrix must be negative definite).
     Points whose metric has smallest eigenvalue <= SPACELIKE_TOL get nan
     frames and h.  A point whose metric or normal Gram matrix is not finite
-    gets a DomainError in ``fault`` and nan or inf in the rest, without a
+    fails with a DomainError and gets nan or inf in the rest, without a
     numpy warning.
     """
     m, n = J.shape[-2], normals_raw.shape[-2]
@@ -269,7 +223,8 @@ def immersion_geometry(J: np.ndarray, Hss: np.ndarray, sig: np.ndarray,
                     spacelike=spacelike, tangent_coeff=E, tangent=tangent, normal_coeff=Nc,
                     normal=normal, h=h, H=H, H_norm=np.linalg.norm(H, axis=-1),
                     S=np.sum(h * h, axis=(-3, -2, -1)),
-                    fault=None if finite.all() else np.where(finite, None, DomainError(OVERFLOW)))
+                    fails=Failures.clean(min_eig.shape).add(~finite, DomainError(OVERFLOW))
+                    .add(~spacelike, INDEFINITE, min_eig).add(~ok, DEGENERATE, min_eig))
 
 
 def _graph_immersion(A: np.ndarray, He: np.ndarray):
@@ -288,29 +243,31 @@ def graph_geometry(gm: GraphMap, x, order: int = 3) -> Geometry:
     the jets of all components to ``order`` (2 or 3; the third derivatives
     serve only covariant h and the curvature oracle), then metric, frames
     and h, always with a leading batch axis.  Nothing is raised: a point
-    whose jets fail holds its DomainError in ``fault`` and the geometry of
-    zero jets, and one whose metric overflows holds a DomainError too."""
+    whose jets fail has the geometry of zero jets, and its DomainError comes
+    first in ``fails``."""
     if order not in (2, 3):
         raise ValueError(f"the geometry pass needs jets of order 2 or 3, not {order!r}")
     pts = np.asarray(x, dtype=float).reshape(-1, gm.m)
-    vals, A, He, Th, fault = gm.jet_rows(pts, order)
+    vals, A, He, Th, fails = gm.jet_rows(pts, order)
     J, Hss, normals_raw = _graph_immersion(A, He)
     geo = immersion_geometry(J, Hss, signature(gm.m, gm.n), normals_raw)
-    geo.fault, geo.X, geo.A, geo.He, geo.Th = (_first_fault(fault, geo.fault),
+    geo.fails, geo.X, geo.A, geo.He, geo.Th = (fails.then(geo.fails),
                                                np.concatenate([pts, vals], -1), A, He, Th)
     return geo
 
 
 def induced_metric(gm: GraphMap, x) -> Geometry:
-    """g_ij = delta_ij - sum_s f^s_i f^s_j, with inverse, det and min eigenvalue."""
+    """g_ij = delta_ij - sum_s f^s_i f^s_j, with inverse, det and min
+    eigenvalue; raises only a DomainError."""
     geo = graph_geometry(gm, x, 2)
-    return _view(x, geo, *_geometry_checks(geo))
+    geo.fails.raise_first(DOMAIN)
+    return _view(x, geo)
 
 
 def adapted_frames(gm: GraphMap, x) -> Geometry:
     """Pseudo-orthonormal tangent/normal frames from triangular factorizations."""
     geo = graph_geometry(gm, x, 2)
-    return _view(x, geo, *_geometry_checks(geo, SPACELIKE_TOL))
+    return _view(x, geo, geo.fails)
 
 
 # ---------------------------------------------------------------------------
@@ -325,10 +282,11 @@ def extremal_residual(gm: GraphMap, x) -> np.ndarray:
     """Coordinate-form extremality residual: sum_ij g^{ij} d2f^s/dx^i dx^j.
 
     Vanishes exactly where the frame-based mean curvature vanishes; the
-    two routes cross-validate each other.
+    two routes cross-validate each other.  Needs g positive definite only.
     """
     geo = graph_geometry(gm, x, 2)
-    return _view(x, _extremal_residual(geo), *_geometry_checks(geo, 0.0))
+    geo.fails.raise_first(INDEFINITE)
+    return _view(x, _extremal_residual(geo))
 
 
 def _extremal_residual(geo: Geometry) -> np.ndarray:
@@ -350,7 +308,7 @@ def _with_curvature(geo: Geometry) -> Geometry:
 def curvature(gm: GraphMap, x) -> Geometry:
     """Riemann, Ricci and normal-bundle curvature in the adapted frame."""
     geo = graph_geometry(gm, x, 2)
-    return _view(x, _with_curvature(geo), *_geometry_checks(geo, SPACELIKE_TOL))
+    return _view(x, _with_curvature(geo), geo.fails)
 
 
 def _ricci_margin(geo: Geometry, m: int) -> np.ndarray:
@@ -364,7 +322,7 @@ def ricci_bound_check(gm: GraphMap, x) -> float:
     frame conventions used here; violations indicate implementation bugs.
     """
     geo = graph_geometry(gm, x, 2)
-    _raise_first(*_geometry_checks(geo, SPACELIKE_TOL))
+    geo.fails.raise_first()
     return _view(x, _ricci_margin(_with_curvature(geo), gm.m))
 
 
@@ -427,7 +385,7 @@ def frame_riemann_oracle(gm: GraphMap, x) -> np.ndarray:
     cross-check the Gauss-relation route.
     """
     geo = graph_geometry(gm, x)
-    _raise_first(*_geometry_checks(geo, SPACELIKE_TOL))
+    geo.fails.raise_first()
     R = riemann_from_metric(*_metric_derivs(geo.A, geo.He, _third(geo)))
     E = geo.tangent_coeff
     return _view(x, np.einsum("...ai,...bj,...ck,...dl,...ijkl->...abcd", E, E, E, E, R))
@@ -465,8 +423,7 @@ def _d_inv_cholesky(Linv: np.ndarray, dG: np.ndarray) -> np.ndarray:
 def covariant_h(gm: GraphMap, x) -> CovariantH:
     """h_sijk from the structure-equation recipe, with a Codazzi symmetry report."""
     geo = graph_geometry(gm, x)
-    return _view(x, _covariant_h(geo, signature(gm.m, gm.n)),
-                 *_geometry_checks(geo, SPACELIKE_TOL))
+    return _view(x, _covariant_h(geo, signature(gm.m, gm.n)), geo.fails)
 
 
 def _covariant_h(geo: Geometry, sig: np.ndarray) -> CovariantH:
@@ -525,7 +482,7 @@ class PseudoDistancePoint:
 def pseudo_distance(gm: GraphMap, x) -> PseudoDistancePoint:
     _check_base_point(gm)
     geo = graph_geometry(gm, x, 2)
-    _raise_first(*_geometry_checks(geo, SPACELIKE_TOL))
+    geo.fails.raise_first()
     return _view(x, _pseudo_distance(geo, signature(gm.m, gm.n)))
 
 
@@ -621,15 +578,17 @@ def integrate_geodesic(gm: GraphMap, x0, v0, t_span, *,
     q_s = v^T He^s v: one (k, m) jet per right-hand side.
 
     A direction ends where it leaves the box |x_i| <= region_halfwidth
-    (> 0): its exit event is terminal, and solve_ivp restarts at that time
-    on the directions still inside, from their states there.  Without an
-    exit the run is one solve_ivp call.  If a call fails, every direction
-    in it ends at the failure time.
+    (> 0), which must hold x0: its exit event is terminal, and solve_ivp
+    restarts at that time on the directions still inside, from their states
+    there.  Without an exit the run is one solve_ivp call.  If a call
+    fails, every direction in it ends at the failure time.
     """
     if not region_halfwidth > 0.0:
         raise ValueError(f"region_halfwidth must be positive, got {region_halfwidth}")
     v0 = np.atleast_2d(np.asarray(v0, dtype=float))
     x0 = np.broadcast_to(np.asarray(x0, dtype=float), v0.shape)
+    if not np.all(np.abs(x0) <= region_halfwidth):
+        raise ValueError(f"x0 must lie in the box |x_i| <= region_halfwidth = {region_halfwidth}")
     k, m = v0.shape
     g = _spacelike_metric(gm, x0)
     v0 = v0 / np.sqrt(np.einsum("ki,kij,kj->k", v0, g, v0))[:, None]
@@ -707,7 +666,7 @@ def simons_report(gm: GraphMap, lattice: Lattice, stride: int = 1) -> SimonsRepo
 
     # one pass over the S nodes; the slack nodes are among them
     geo = graph_geometry(gm, pts[s_nodes])
-    raise_first(geo.fault)
+    geo.fails.raise_first(DOMAIN)  # a node that is not space-like has no S
     s_field = np.full(pts.shape[0], np.nan)
     s_field[s_nodes] = geo.S
     ready = chosen & lat_mod.cube_all(np.isfinite(s_field).reshape(lattice.shape), 1)

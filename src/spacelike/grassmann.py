@@ -19,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exprparse import DomainError
+from .failures import DOMAIN, OK, PLANE, STATUS, Failures
 from .graphgeom import (
-    OVERFLOW, SPACELIKE_TOL, GraphMap, NotSpacelikeError, _by_point, _extremal_residual,
-    _fault_check, _filled, _geometry_checks, _pseudo_distance, _raise_first, _ricci_margin, _take,
-    _view, _with_curvature, graph_geometry, signature,
+    OVERFLOW, GraphMap, NotSpacelikeError, _extremal_residual, _filled, _pseudo_distance,
+    _ricci_margin, _take, _view, _with_curvature, graph_geometry, signature,
 )
 
 
@@ -44,25 +44,20 @@ class SpacelikePlane:
 def gauss_map(gm: GraphMap, x) -> SpacelikePlane:
     """Tangent plane of the graph at a point x (m,), or the planes at a batch
     of points (k, m)."""
-    _, A, _, _, fault = gm.jet_rows(np.asarray(x, dtype=float).reshape(-1, gm.m), 1)
+    return _view(x, *_gauss_map(gm, np.asarray(x, dtype=float).reshape(-1, gm.m)))
+
+
+def _gauss_map(gm: GraphMap, pts: np.ndarray):
+    """The tangent planes at points (..., m) and their failure record: a
+    DomainError of the jets, a metric 1 - sigma^2 that overflows, then a
+    plane that is not space-like."""
+    _, A, _, _, fails = gm.jet_rows(pts, 1)
     plane = SpacelikePlane(A)
-    return _view(x, plane, *_gauss_checks(plane, fault))
-
-
-def _gauss_checks(plane: SpacelikePlane, fault: np.ndarray):
-    """The checks of the Gauss map at a batch of points: a DomainError of
-    the jets, a metric 1 - sigma^2 that overflows, then a tangent plane
-    that is not space-like."""
     sigma = plane.sigma_max
     with np.errstate(over="ignore"):
         sigma2 = sigma**2
-    return (_fault_check(fault), (~np.isfinite(sigma2), lambda i: DomainError(OVERFLOW)),
-            (~(sigma < 1.0), lambda i: NotSpacelikeError(1.0 - sigma[i]**2)))
-
-
-def _failure_check(value: np.ndarray):
-    """A NotSpacelikeError wherever ``value`` (the number it reports) is not nan."""
-    return ~np.isnan(value), lambda i: NotSpacelikeError(float(np.ravel(value)[i]))
+    return plane, (fails.add(~np.isfinite(sigma2), DomainError(OVERFLOW))
+                   .add(~(sigma < 1.0), PLANE, 1.0 - sigma2))
 
 
 def _inv_sqrt_sym(M: np.ndarray):
@@ -92,21 +87,21 @@ def _transport(A: np.ndarray, B: np.ndarray):
 def transport_slope(P: SpacelikePlane, Q: SpacelikePlane) -> np.ndarray:
     """Slope of Q after the isometry that moves P to the base plane."""
     rel, failed = _transport(P.slope, Q.slope)
-    _raise_first(_failure_check(failed))
+    Failures.clean(failed.shape).add(~np.isnan(failed), PLANE, failed).raise_first()
     return rel
 
 
 def distance(P: SpacelikePlane, Q: SpacelikePlane):
     """Geodesic distance between two space-like planes; batches of planes
     broadcast against each other and give an array of distances."""
-    d, check = _distances(P, Q)
-    _raise_first(check)
+    d, fails = _distances(P, Q)
+    fails.raise_first()
     return float(d) if d.ndim == 0 else d
 
 
 def _distances(P: SpacelikePlane, Q: SpacelikePlane):
     """Distances of (batches of) planes, nan for a pair that fails, and the
-    check that raises its NotSpacelikeError."""
+    failure record of the pairs."""
     sp, sq = np.asarray(P.sigma_max), np.asarray(Q.sigma_max)
     planes = (sp < 1.0) & (sq < 1.0)
     keep = planes[..., None, None]
@@ -118,7 +113,8 @@ def _distances(P: SpacelikePlane, Q: SpacelikePlane):
                          np.minimum(1 - sp**2, 1 - sq**2))
     # singular values in [1, 1 + 1e-12) are rounding: clip them (a no-op below 1)
     d = np.sqrt(np.sum(np.arctanh(np.minimum(sv, 1.0 - 1e-16)) ** 2, axis=-1))
-    return np.where(np.isnan(value), d, np.nan), _failure_check(value)
+    return np.where(np.isnan(value), d, np.nan), Failures.clean(value.shape).add(
+        ~np.isnan(value), PLANE, value)
 
 
 def chart_metric(A: np.ndarray, dA: np.ndarray) -> float:
@@ -163,23 +159,23 @@ def pullback_check(gm: GraphMap, x, direction) -> PullbackReport:
     components (normalized internally).
     """
     v = np.eye(gm.m)[int(direction)] if np.isscalar(direction) else np.asarray(direction, float)
-    rep, _, checks = _pullback(gm, x, v[None] / np.linalg.norm(v))
-    return _view(x, _take(rep, np.s_[:, 0]), *checks)
+    rep, _, fails = _pullback(gm, x, v[None] / np.linalg.norm(v))
+    return _view(x, _take(rep, np.s_[:, 0]), fails)
 
 
 def pullback_trace(gm: GraphMap, x):
     """Sum of squared stretches over a full tangent frame; equals S."""
-    rep, geo, checks = _pullback(gm, x, np.eye(gm.m))
-    _raise_first(*checks)
-    return _view(x, np.sum(rep.stretch_fd**2, axis=1)), _view(x, geo.S)
+    rep, geo, fails = _pullback(gm, x, np.eye(gm.m))
+    return _view(x, np.sum(rep.stretch_fd**2, axis=1), fails), _view(x, geo.S)
 
 
 def _pullback(gm: GraphMap, x, V: np.ndarray):
     """The pullback report along the unit frame directions V (d, m) at a
     point or batch x, its fields led by (k, d); the geometry at the points;
-    and the checks, in the order a point runs them.  One geometry pass at
-    the points gives the frames, h and the Gauss map there, and one jet pass
-    gives the Gauss map at every rung of every direction."""
+    and the failure record of the points: the geometry's, then the first
+    failing rung's Gauss map, then the first failing rung's distance.  One
+    geometry pass at the points gives the frames, h and the Gauss map there,
+    and one jet pass gives the Gauss map at every rung of every direction."""
     pts = np.asarray(x, dtype=float).reshape(-1, gm.m)
     k, m = pts.shape
     geo = graph_geometry(gm, pts, 2)
@@ -187,18 +183,15 @@ def _pullback(gm: GraphMap, x, V: np.ndarray):
     coord_step = np.nan_to_num(V @ geo.tangent_coeff)
     steps = np.array(PULLBACK_STEPS)
     rungs = pts[:, None, None] + steps[:, None] * coord_step[:, :, None]
-    _, A, _, _, fault = gm.jet_rows(rungs.reshape(-1, m), 1)
-    plane = SpacelikePlane(A)
-    slopes = A.reshape(k, len(V), len(steps), gm.n, m)
-    d, d_check = _distances(SpacelikePlane(geo.A[:, None, None]), SpacelikePlane(slopes))
-    quotients = d / steps
+    plane, rung_fails = _gauss_map(gm, rungs.reshape(k, -1, m))
+    d, d_fails = _distances(SpacelikePlane(geo.A[:, None]), plane)
+    quotients = d.reshape(k, len(V), len(steps)) / steps
     extrap = 2.0 * quotients[..., -1] - quotients[..., -2]
     formula = np.sqrt(np.sum(np.einsum("ksij,dj->kdsi", geo.h, V) ** 2, axis=(2, 3)))
     rel = np.abs(extrap - formula) / np.maximum(1.0, formula)
     return (PullbackReport(stretch_formula=formula, stretch_fd=extrap, rel_error=rel,
                            quotients=quotients), geo,
-            (*_geometry_checks(geo, SPACELIKE_TOL),
-             _by_point(k, *_gauss_checks(plane, fault)), _by_point(k, d_check)))
+            geo.fails.then(rung_fails.first_along(1)).then(d_fails.first_along(1)))
 
 
 def max_modulus(gm: GraphMap, samples, ref: SpacelikePlane) -> float:
@@ -209,10 +202,9 @@ def max_modulus(gm: GraphMap, samples, ref: SpacelikePlane) -> float:
     samples = np.asarray(list(samples), dtype=float)
     if not samples.size:
         raise ValueError("max_modulus needs a nonempty sample list")
-    _, A, _, _, fault = gm.jet_rows(samples.reshape(-1, gm.m), 1)
-    plane = SpacelikePlane(A)
-    d, check = _distances(plane, ref)
-    _raise_first(*_gauss_checks(plane, fault), check)
+    plane, fails = _gauss_map(gm, samples.reshape(-1, gm.m))
+    d, d_fails = _distances(plane, ref)
+    fails.then(d_fails).raise_first()
     return float(np.max(d))
 
 
@@ -251,27 +243,22 @@ def graph_node_table(gm: GraphMap, pts: np.ndarray,
         notes.append(f"z and grad_ratio are nan, as X(0) is undefined: {err}")
     nodes = np.flatnonzero(active)
     geo = graph_geometry(gm, pts[nodes], 2)
-    domain = np.not_equal(geo.fault, None)
-    framed = ~domain & (geo.min_eig > SPACELIKE_TOL)
+    fails, measured = geo.fails, geo.fails.code != DOMAIN
+    framed = fails.code == OK
     on = nodes[framed]
     fr = _with_curvature(_take(geo, framed))
-    planes = SpacelikePlane(fr.A)
-    if ref is None:
-        gauss_dist, gauss_bad = np.full(on.size, np.nan), np.zeros(on.size, dtype=bool)
-    else:
-        gauss_dist, check = _distances(planes, ref)
-        gauss_bad = ~(planes.sigma_max < 1.0) | check[0]
-    done = on[~gauss_bad]
-    pd = _pseudo_distance(_take(fr, ~gauss_bad), signature(gm.m, gm.n))
+    gauss_dist = np.full(on.size, np.nan)
+    if ref is not None:
+        gauss_dist, d_fails = _distances(SpacelikePlane(fr.A), ref)
+        fails.then(d_fails, framed)
+    done = nodes[fails.code == OK]
+    pd = _pseudo_distance(_take(geo, fails.code == OK), signature(gm.m, gm.n))
 
-    status = np.where(active, "ok", "inactive").astype(object)
-    status[nodes[~domain & ~geo.spacelike]] = "not-spacelike"
-    status[nodes[geo.spacelike & ~framed]] = "error:NotSpacelikeError"
-    status[on[gauss_bad]] = "error:NotSpacelikeError"
-    status[nodes[domain]] = "error:DomainError"
+    status = np.full(k, "inactive", dtype=object)
+    status[nodes] = STATUS[fails.code]
     return status, {
-        "min_eig": _filled(k, nodes[~domain], geo.min_eig[~domain]),
-        "det_g": _filled(k, nodes[~domain], geo.det_g[~domain]),
+        "min_eig": _filled(k, nodes[measured], geo.min_eig[measured]),
+        "det_g": _filled(k, nodes[measured], geo.det_g[measured]),
         "H_norm": _filled(k, on, fr.H_norm),
         "S": _filled(k, on, fr.S),
         "ricci_margin": _filled(k, on, _ricci_margin(fr, gm.m)),

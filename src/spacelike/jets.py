@@ -17,11 +17,12 @@ are made exactly symmetric by one gather from their sorted (i <= j <= k)
 slots.
 
 A point that leaves a function's domain, or whose computed coefficients
-overflow, is marked rather than raised, so one evaluation serves a whole
-lattice: ``jet_rows`` returns each point's DomainError next to the jets,
-while ``evaluate_jet`` and ``eval_values`` raise the error of the first
-failing point.  A coefficient that is not computed is not checked: a point
-whose third derivatives overflow faults at order 3 only.
+overflow, is recorded rather than raised, so one evaluation serves a whole
+lattice: ``jet_rows`` returns the failure record (``failures.Failures``)
+next to the jets, each failing point pointing at the DomainError of its
+subexpression, while ``evaluate_jet`` and ``eval_values`` raise the error of
+the first failing point.  A coefficient that is not computed is not checked:
+a point whose third derivatives overflow fails at order 3 only.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .exprparse import BinOp, Const, DomainError, Expr, Pow, Unary, Var, eval_values
+from .failures import OK, Failures
 
 MAX_DIM = 8  # a dense jet holds m^3 third derivatives per point
 
@@ -122,21 +124,21 @@ _OUT_OF_DOMAIN = {
 def _taylor(expr: Expr, pts: np.ndarray, order: int) -> tuple:
     """Truncated Taylor data of ``expr`` at points of shape (..., m).
 
-    Returns (coeffs, fault): coeffs is (value, grad, hess, third)[:order + 1],
+    Returns (coeffs, fails): coeffs is (value, grad, hess, third)[:order + 1],
     for an order from 0 to 3, each led by the batch shape of ``pts``; the
     higher derivatives are never formed.  A point that leaves a function's
-    domain, or whose computed coefficients end up not finite, is marked
-    instead of raised: ``fault`` holds each point's first DomainError (None
-    for a clean point), carrying the span of the offending subexpression
-    (the whole expression for a non-finite result).
+    domain, or whose computed coefficients end up not finite, is recorded
+    instead of raised: ``fails`` gives each point's first DomainError,
+    carrying the span of the offending subexpression (the whole expression
+    for a non-finite result).
     """
     shape, m = pts.shape[:-1], pts.shape[-1]
     zeros = tuple(np.zeros(shape + (m,) * k) for k in range(1, order + 1))
-    fault = np.full(shape, None, dtype=object)
+    fails = Failures.clean(shape)
 
     def mark(bad, message, span):
-        if bad.any():  # the object comparison only where a point fails
-            fault[bad & np.equal(fault, None)] = DomainError(message, span)
+        if bad.any():  # one DomainError only where a point fails
+            fails.add(bad, DomainError(message, span))
 
     post, todo = [], [expr]
     while todo:
@@ -195,14 +197,7 @@ def _taylor(expr: Expr, pts: np.ndarray, order: int) -> tuple:
     rows = [c.reshape(shape + (m**k,)) for k, c in enumerate(coeffs)]  # m^k entries each
     finite = np.isfinite(np.concatenate(rows, axis=-1)).all(axis=-1)
     mark(~finite, f"non-finite {'jet' if order else 'value'} (overflow or NaN)", expr.span)
-    return coeffs, fault
-
-
-def raise_first(fault: np.ndarray) -> None:
-    """Raise the DomainError of the first failing point of ``fault``, if any."""
-    bad = np.not_equal(fault, None)
-    if bad.any():
-        raise np.ravel(fault)[np.argmax(bad)]
+    return coeffs, fails
 
 
 @lru_cache(maxsize=None)
@@ -232,7 +227,7 @@ class Jet3:
 
 def jet_rows(expr: Expr, point, order: int = 3) -> tuple:
     """``evaluate_jet`` without raising: the jet, zero at the points that
-    fail, and per point the DomainError it raises on its own, or None."""
+    fail, and the failure record of the points."""
     x = np.asarray(point, dtype=float)
     shape, m = x.shape[:-1], x.shape[-1]
     if m > MAX_DIM:
@@ -242,8 +237,8 @@ def jet_rows(expr: Expr, point, order: int = 3) -> tuple:
     # One point runs as a batch of one: numpy scalars and arrays round some
     # operations (u ** p, for one) differently, and rows must match batches.
     with np.errstate(all="ignore"):
-        coeffs, fault = _taylor(expr, x.reshape(-1, m), order)
-    clean = np.equal(fault, None)
+        coeffs, fails = _taylor(expr, x.reshape(-1, m), order)
+    clean = fails.code == OK
     if not clean.all():  # a failing point's jet is zero
         coeffs = [np.where(clean.reshape((-1,) + (1,) * (c.ndim - 1)), c, 0.0) for c in coeffs]
     value, *derivs = coeffs
@@ -252,7 +247,7 @@ def jet_rows(expr: Expr, point, order: int = 3) -> tuple:
               c.reshape(-1, m**k)[:, _sorted_slots(m, k)].reshape(shape + (m,) * k)
               for k, c in enumerate(derivs, 1)]
     jet = Jet3(np.array(value).reshape(shape)[()], *derivs)  # a copy: value may view x
-    return jet, fault.reshape(shape)
+    return jet, Failures(fails.code.reshape(shape), fails.value.reshape(shape), fails.errors)
 
 
 def evaluate_jet(expr: Expr, point, order: int = 3) -> Jet3:
@@ -264,8 +259,8 @@ def evaluate_jet(expr: Expr, point, order: int = 3) -> Jet3:
     error of the first failing point, which is what that point raises on its
     own.
     """
-    jet, fault = jet_rows(expr, point, order)
-    raise_first(fault)
+    jet, fails = jet_rows(expr, point, order)
+    fails.raise_first()
     return jet
 
 

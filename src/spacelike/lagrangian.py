@@ -29,21 +29,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exprparse import Expr, parse
+from .failures import DOMAIN, NOT_CONVEX, OK, STATUS, NotConvexError  # noqa: F401 (re-exported)
 from .graphgeom import (
-    SPACELIKE_TOL, Geometry, _fault_check, _filled, _geometry_checks, _metric_inverse,
-    _raise_first, _take, _view, immersion_geometry, riemann_from_metric, signature,
+    Geometry, _filled, _metric_inverse, _take, _view, immersion_geometry, riemann_from_metric,
+    signature,
 )
 from .jets import jet_rows
 
 
 ORACLE_FD_STEP = 1e-4  # central-difference step of the moduli-curvature oracle
-
-
-class NotConvexError(ValueError):
-    def __init__(self, min_eig: float):
-        super().__init__(f"Hessian of the potential is not positive definite "
-                         f"(min eigenvalue {min_eig:.3e})")
-        self.min_eig = min_eig
 
 
 @dataclass(frozen=True)
@@ -69,42 +63,39 @@ class GradientGraphPoint:
     convex: bool
 
 
-def _potential_jets(P: Potential, x):
-    """Points (k, m), the jets of F there (zero where they fail) and each
-    point's DomainError or None."""
+def _gradient_graph(P: Potential, x):
+    """The one batched pass of a potential at a point (m,) or points (k, m):
+    the gradient graph, the points (k, m), the jets of F there (zero where
+    they fail) and the failure record: a DomainError of the jets, then a
+    Hessian that is not positive definite."""
     pts = np.asarray(x, dtype=float).reshape(-1, P.m)
-    return (pts,) + jet_rows(P.F, pts)
+    jet, fails = jet_rows(P.F, pts)
+    g = jet.hess
+    min_eig, convex, g_inv = _metric_inverse(g)
+    gg = GradientGraphPoint(point=np.concatenate([pts, jet.grad], axis=-1), metric=g,
+                            metric_inv=g_inv, det=np.linalg.det(g), min_eig=min_eig, convex=convex)
+    return gg, pts, jet, fails.add(~convex, NOT_CONVEX, min_eig)
 
 
 def _shifted_jets(P: Potential, pts: np.ndarray, step: float):
     """Jets at the points pts +- step e_l, stacked (k, 2m, ...), and per
-    point the DomainError of the first of its 2m shifted points that fails."""
+    point the failure of the first of its 2m shifted points that fails."""
     shifts = step * np.eye(P.m)
-    jet, fault = jet_rows(P.F, np.concatenate([pts[:, None] + shifts, pts[:, None] - shifts], 1))
-    return jet, fault[np.arange(len(pts)), np.argmax(np.not_equal(fault, None), axis=1)]
-
-
-def _gradient_graph(pts: np.ndarray, jet) -> GradientGraphPoint:
-    g = jet.hess
-    min_eig, convex, g_inv = _metric_inverse(g)
-    return GradientGraphPoint(point=np.concatenate([pts, jet.grad], axis=-1), metric=g,
-                              metric_inv=g_inv, det=np.linalg.det(g), min_eig=min_eig,
-                              convex=convex)
-
-
-def _convex_check(gg: GradientGraphPoint):
-    return ~gg.convex, lambda i: NotConvexError(float(gg.min_eig[i]))
+    jet, fails = jet_rows(P.F, np.concatenate([pts[:, None] + shifts, pts[:, None] - shifts], 1))
+    return jet, fails.first_along(1)
 
 
 def gradient_graph(P: Potential, x) -> GradientGraphPoint:
-    pts, jet, fault = _potential_jets(P, x)
-    return _view(x, _gradient_graph(pts, jet), _fault_check(fault))
+    gg, _, _, fails = _gradient_graph(P, x)
+    fails.raise_first(DOMAIN)
+    return _view(x, gg)
 
 
 def ma_residual(P: Potential, x) -> float:
     """Signed Monge-Ampere residual det(Hess F)(x) - c."""
-    pts, jet, fault = _potential_jets(P, x)
-    return _view(x, np.linalg.det(jet.hess) - P.c, _fault_check(fault))
+    gg, _, _, fails = _gradient_graph(P, x)
+    fails.raise_first(DOMAIN)
+    return _view(x, gg.det - P.c)
 
 
 @dataclass
@@ -124,19 +115,17 @@ def lagrangian_forms(P: Potential, x) -> LagrangianForms:
     with g = det Hess F.  Frame-invariant norms:
     S = 1/4 g^{ik} g^{jl} g^{ab} F_ija F_klb and |H|^2 = g_pq H^p H^q.
     """
-    pts, jet, fault = _potential_jets(P, x)
-    gg = _gradient_graph(pts, jet)
-    _raise_first(_fault_check(fault), _convex_check(gg))
-    B, H, S, H_norm, dlog = _lagrangian_forms(P, jet, gg)
+    gg, pts, jet, fails = _gradient_graph(P, x)
     # independent route to d_l ln g via central differences of the jet values
     h_fd = 1e-6
-    shifted, shift_fault = _shifted_jets(P, pts, h_fd)
+    shifted, shift_fails = _shifted_jets(P, pts, h_fd)
+    fails.then(shift_fails).raise_first()
+    B, H, S, H_norm, dlog = _lagrangian_forms(P, jet, gg)
     dets = np.linalg.det(shifted.hess)
-    dets[np.not_equal(shift_fault, None)] = 1.0  # zero jets; no residual there
     dp, dm = dets[:, :P.m], dets[:, P.m:]
     resid = np.max(np.abs((np.log(dp) - np.log(dm)) / (2 * h_fd) - dlog), axis=-1)
     return _view(x, LagrangianForms(B_coeff=B, H_coeff=H, S=S, H_norm=H_norm,
-                                    logdet_identity_residual=resid), _fault_check(shift_fault))
+                                    logdet_identity_residual=resid))
 
 
 def _lagrangian_forms(P: Potential, jet, gg: GradientGraphPoint):
@@ -176,9 +165,7 @@ def to_standard(P: Potential, x) -> StandardImmersion:
     """The same gradient graph as an ordinary space-like graph immersion in
     standard coordinates of signature diag(+1^m, -1^m); every field of a
     batch leads with the batch axis, T included."""
-    pts, jet, fault = _potential_jets(P, x)
-    gg = _gradient_graph(pts, jet)
-    _raise_first(_fault_check(fault), _convex_check(gg))
+    gg, pts, jet, fails = _gradient_graph(P, x)
     g, m = gg.metric, P.m
     T = null_to_standard_matrix(m)
     eye = np.broadcast_to(np.eye(m), g.shape)
@@ -188,10 +175,10 @@ def to_standard(P: Potential, x) -> StandardImmersion:
     Hss = np.concatenate([np.zeros(g.shape + (m,)), jet.third], axis=-1) @ T.T
     normals = np.concatenate([eye, -g], axis=-1) @ T.T
     geo = immersion_geometry(J, Hss, signature(m, m), normals)
-    _raise_first(*_geometry_checks(geo, SPACELIKE_TOL))
     X = np.concatenate([pts, jet.grad], axis=-1) @ T.T
     return _view(x, StandardImmersion(T=np.broadcast_to(T, (len(pts),) + T.shape), X=X, J=J,
-                                      Hss=Hss, normals=normals, geometry=geo))
+                                      Hss=Hss, normals=normals, geometry=geo),
+                 fails.then(geo.fails))
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +208,8 @@ def moduli_curvature_arrays(g: np.ndarray, g_inv: np.ndarray, third: np.ndarray)
 
 
 def moduli_curvature(P: Potential, x) -> ModuliCurvature:
-    pts, jet, fault = _potential_jets(P, x)
-    gg = _gradient_graph(pts, jet)
-    _raise_first(_fault_check(fault), _convex_check(gg))
+    gg, _, jet, fails = _gradient_graph(P, x)
+    fails.raise_first()
     return _view(x, moduli_curvature_arrays(gg.metric, gg.metric_inv, jet.third))
 
 
@@ -237,10 +223,9 @@ def moduli_curvature_oracle(P: Potential, x) -> np.ndarray:
     combination.  Raises what ``moduli_curvature`` raises, then a
     DomainError at a shifted point.
     """
-    pts, jet, fault = _potential_jets(P, x)
-    shifted, shift_fault = _shifted_jets(P, pts, ORACLE_FD_STEP)
-    _raise_first(_fault_check(fault), _convex_check(_gradient_graph(pts, jet)),
-                 _fault_check(shift_fault))
+    _, pts, jet, fails = _gradient_graph(P, x)
+    shifted, shift_fails = _shifted_jets(P, pts, ORACLE_FD_STEP)
+    fails.then(shift_fails).raise_first()
     return _view(x, _moduli_oracle(P, jet, shifted))
 
 
@@ -269,16 +254,13 @@ def node_table(P: Potential, pts: np.ndarray, oracle: bool) -> tuple[np.ndarray,
     relative deviation of the moduli curvature from its Christoffel oracle.
     """
     k = pts.shape[0]
-    _, jet, fault = _potential_jets(P, pts)
-    gg = _gradient_graph(pts, jet)
-    convex = np.flatnonzero(gg.convex)
+    gg, _, jet, fails = _gradient_graph(P, pts)
+    convex = np.flatnonzero(fails.code == OK)
     jet_c, gg_c = _take(jet, convex), _take(gg, convex)
     _, _, S, H_norm, _ = _lagrangian_forms(P, jet_c, gg_c)
     mc = moduli_curvature_arrays(gg_c.metric, gg_c.metric_inv, jet_c.third)
 
-    clean = np.equal(fault, None)
-    status = np.where(clean, "not-convex", "error:DomainError").astype(object)
-    status[convex] = "ok"
+    clean = fails.code != DOMAIN
     cols = {
         "det_hess": _filled(k, clean, gg.det[clean]),
         "min_eig_hess": _filled(k, clean, gg.min_eig[clean]),
@@ -289,12 +271,12 @@ def node_table(P: Potential, pts: np.ndarray, oracle: bool) -> tuple[np.ndarray,
         "scalar_curv": _filled(k, convex, mc.scalar),
     }
     if oracle:
-        shifted, oracle_fault = _shifted_jets(P, pts[convex], ORACLE_FD_STEP)
+        shifted, shift_fails = _shifted_jets(P, pts[convex], ORACLE_FD_STEP)
         ref = _moduli_oracle(P, jet_c, shifted)
         axes = (-4, -3, -2, -1)
         scale = np.maximum(np.max(np.abs(ref), axis=axes), 1e-10)
         err = np.max(np.abs(mc.riemann - ref), axis=axes) / scale
-        checked = np.equal(oracle_fault, None)
+        checked = shift_fails.code == OK
         cols["riemann_oracle_err"] = _filled(k, convex[checked], err[checked])
-        status[convex[~checked]] = "error:DomainError"
-    return status, cols
+        fails.then(shift_fails, convex)
+    return STATUS[fails.code], cols

@@ -44,9 +44,7 @@ import numpy as np
 
 from . import lattice as lat_mod
 from .exprparse import DomainError, Expr, eval_values
-from .graphgeom import (
-    SPACELIKE_TOL, _geometry_checks, _graph_immersion, _raise_first, immersion_geometry, signature,
-)
+from .graphgeom import _graph_immersion, immersion_geometry, signature
 from .lattice import Lattice, LatticeError
 
 
@@ -470,42 +468,10 @@ def field_immersion_geometry(field: GridField):
     """Frame-level S and |H| of the solved graph at the nodes of field_jet2:
     (multi-indices, points, S (k,), |H| (k,))."""
     nodes, pts, grad, hess = field_jet2(field)
-    S, H = _n1_geometry(grad, hess)
-    return nodes, pts, S, H
-
-
-def spline_geometry(field: GridField, pts, index_box):
-    """S and |H| at arbitrary points via bicubic interpolation of the field.
-
-    index_box = ((i0, i1), (j0, j1)) selects a fully active subrectangle.
-    """
-    from scipy.interpolate import RectBivariateSpline
-
-    lat = field.lattice
-    if lat.m != 2:
-        raise LatticeError("spline extraction is two-dimensional")
-    (i0, i1), (j0, j1) = index_box
-    xs, ys = lat.axes()
-    sub = field.values[i0:i1, j0:j1]
-    if not np.all(np.isfinite(sub)):
-        raise LatticeError("index_box must select an active subrectangle")
-    sp = RectBivariateSpline(xs[i0:i1], ys[j0:j1], sub, kx=3, ky=3)
-    pts = np.asarray(pts, dtype=float).reshape(-1, 2)
-    x, y = pts.T
-    fx, fy = sp(x, y, dx=1, grid=False), sp(x, y, dy=1, grid=False)
-    fxx, fxy, fyy = (sp(x, y, dx=2, grid=False), sp(x, y, dx=1, dy=1, grid=False),
-                     sp(x, y, dy=2, grid=False))
-    return _n1_geometry(np.stack([fx, fy], axis=-1),
-                        np.stack([fxx, fxy, fxy, fyy], axis=-1).reshape(-1, 2, 2))
-
-
-def _n1_geometry(grad: np.ndarray, hess: np.ndarray):
-    """Frame-level S and |H| of the hypersurface graph with the given
-    gradients (k, m) and Hessians (k, m, m)."""
     J, Hss, normals = _graph_immersion(grad[:, None], hess[:, None])
-    geo = immersion_geometry(J, Hss, signature(grad.shape[1], 1), normals)
-    _raise_first(*_geometry_checks(geo, SPACELIKE_TOL))
-    return geo.S, geo.H_norm
+    geo = immersion_geometry(J, Hss, signature(field.lattice.m, 1), normals)
+    geo.fails.raise_first()
+    return nodes, pts, geo.S, geo.H_norm
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ bit for bit (tests/test_jets.py)."""
 import dataclasses
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +17,7 @@ from test_exprparse import _exprs
 
 from spacelike.checks import frame_residual
 from spacelike.exprparse import BinOp, DomainError, parse
+from spacelike.failures import OK
 from spacelike.graphgeom import (
     SPACELIKE_TOL, GraphMap, NotSpacelikeError, _take, adapted_frames, covariant_h, curvature,
     extremal_residual, frame_riemann_oracle, fundamental_forms, induced_metric, pseudo_distance,
@@ -165,6 +167,19 @@ def test_potential_batches_equal_single_points(seed, m, k):
         _check_rows(fn, P, pts)
 
 
+@pytest.mark.parametrize("fn, text, pts", [
+    (lagrangian_forms, "0.5*x1^2+0.5*x2^2+sqrt(x1+0.5)^4-x2^4", [[-0.5 + 5e-7, 0.0], [0.0, 1.0]]),
+    (to_standard, "0.5*x1^2+x2^4/12-x1^4", [[0.0, 1e-7], [1.0, 0.0]]),
+], ids=["shifted-point", "standard-frames"])
+def test_a_batch_raises_its_first_failing_point_at_a_later_check(fn, text, pts):
+    # point 0 fails only a later check (a shifted point is out of the domain;
+    # the frames see min_eig 1e-14), point 1 an earlier one (not convex)
+    P, pts = Potential.from_string(2, text), np.array(pts)
+    first = _outcome(fn, P, pts[0])
+    assert isinstance(first, tuple) and first != _outcome(fn, P, pts[1])
+    assert _outcome(fn, P, pts) == first
+
+
 # -- node-table statuses are what the per-point functions raise ---------------
 
 def _graph_statuses(gm: GraphMap, pts, active) -> list:
@@ -181,10 +196,13 @@ def _graph_statuses(gm: GraphMap, pts, active) -> list:
         except DomainError:
             return "error:DomainError"
         except NotSpacelikeError:
-            return "not-spacelike" if induced_metric(gm, p).min_eig <= 0 else "error:NotSpacelikeError"
-        if not isinstance(ref, tuple) and isinstance(_outcome(distance, gauss_map(gm, p), ref), tuple):
+            if induced_metric(gm, p).min_eig <= 0:
+                return "not-spacelike"
             return "error:NotSpacelikeError"
-        return "ok"
+        if isinstance(ref, tuple):  # no reference plane, so no distance to fail
+            return "ok"
+        boost = _outcome(distance, gauss_map(gm, p), ref)
+        return "error:NotSpacelikeError" if isinstance(boost, tuple) else "ok"
 
     return [status(p) if on else "inactive" for p, on in zip(pts, active)]
 
@@ -244,12 +262,12 @@ def test_lower_order_jets_are_the_leading_coefficients(data, m, k, seed):
             for c, ref in zip(coeffs, full):
                 assert np.array_equal(c, ref, equal_nan=True)
     # a point clean at order 3 is clean below it, with the same jet
-    jet3, fault3 = jet_rows(expr, pts)
-    clean = np.equal(fault3, None)
+    jet3, fails3 = jet_rows(expr, pts)
+    clean = fails3.code == OK
     names = ("value", "grad", "hess", "third")
     for order in (1, 2):
-        jet, fault = jet_rows(expr, pts, order)
-        assert np.all(np.equal(fault[clean], None))
+        jet, fails = jet_rows(expr, pts, order)
+        assert np.all(fails.code[clean] == OK)
         for name in names[:order + 1]:
             assert np.array_equal(getattr(jet, name)[clean], getattr(jet3, name)[clean])
         assert all(getattr(jet, name) is None for name in names[order + 1:])

@@ -321,6 +321,12 @@ def test_probe_checks_the_start_metric(expr, error):
         completeness_probe(GraphMap.from_strings(1, [expr]), [np.array([1.0])], T=1.0)
 
 
+def test_overflow_names_no_subexpression():
+    with pytest.raises(DomainError) as err:
+        completeness_probe(GraphMap.from_strings(1, ["1e160*x1"]), [np.array([1.0])], T=1.0)
+    assert str(err.value) == "non-finite metric (overflow)" and err.value.span is None
+
+
 @pytest.mark.parametrize("halfwidth", [-1.0, np.nan, 0.0])
 def test_probe_rejects_a_region_halfwidth_that_is_not_positive(halfwidth):
     gm = GraphMap.from_strings(2, ["0.3*x1"])

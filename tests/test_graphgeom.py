@@ -384,6 +384,13 @@ def test_geodesic_batch_stitches_each_direction_across_restarts():
     assert np.allclose(sol.y[:, -1], sol.sol(3.0), rtol=0.0, atol=1e-12)
 
 
+def test_geodesic_start_outside_the_box_is_rejected():
+    # on 0.3*x1 from x0 = (3, 0) the run would reach t_end = 1 with no exit event
+    gm = GraphMap.from_strings(2, ["0.3*x1"])
+    with pytest.raises(ValueError, match="x0 must lie in the box"):
+        integrate_geodesic(gm, [3.0, 0.0], [[0.0, 1.0]], (0.0, 1.0), region_halfwidth=2.0)
+
+
 def test_batched_jet_data_rows_equal_single_points():
     gm = GraphMap.from_strings(2, ["sqrt(1+x1^2+x2^2)", "0.3*sin(x1)*x2 + 2"]).with_base_point()
     pts = np.array([[0.3, -0.2], [-0.5, 0.7]])  # k == n, so a wrong axis still broadcasts

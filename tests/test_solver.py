@@ -12,7 +12,7 @@ from spacelike.exprparse import eval_values, parse
 from spacelike.lattice import Lattice
 from spacelike.solver import (
     ConvergenceLog, GridField, SolverError, field_immersion_geometry, field_jet2, field_third,
-    load_field, save_field, solve_ma, solve_maximal, spline_geometry,
+    load_field, save_field, solve_ma, solve_maximal,
 )
 
 
@@ -134,14 +134,11 @@ def test_solver_field_geometry_H_to_zero_under_refinement():
     for nodes in (33, 65, 129):
         lat = Lattice.annulus(0.5, 2.0, nodes)
         fld, _ = solve_maximal(lat, catenoid_expr(), tol=1e-11)
-        # bicubic patch strictly inside the annulus, right of the hole
-        xs = np.asarray(lat.axes()[0])
-        i0 = int(np.searchsorted(xs, 0.75))
-        i1 = int(np.searchsorted(xs, 1.80))
-        j0 = int(np.searchsorted(xs, -0.45))
-        j1 = int(np.searchsorted(xs, 0.45))
+        # the nodes nearest three points strictly inside the annulus, right of the hole
+        _, node_pts, S, H = field_immersion_geometry(fld)
         pts = np.array([[1.2, 0.0], [1.0, 0.3], [1.5, -0.2]])
-        S, H = spline_geometry(fld, pts, ((i0, i1), (j0, j1)))
+        near = np.argmin(np.linalg.norm(node_pts[:, None] - pts, axis=-1), axis=0)
+        S, H = S[near], H[near]
         assert np.all(S > 0)
         h_norms.append(np.max(H))
     assert h_norms[2] < h_norms[1] < h_norms[0]
