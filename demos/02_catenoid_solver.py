@@ -26,6 +26,6 @@ for nodes in (65, 129, 257):
     prev = err
 
 print("\nNewton history of the last solve (stage 1 = full equation):")
-for stage, it, res, damp in log.steps:
+for stage, it, res, damp, kind in log.steps:
     if stage == 1.0:
-        print(f"  iter {it}: residual {res:.3e}  (damping {damp:g})")
+        print(f"  iter {it}: residual {res:.3e}  ({kind} step, damping {damp:g})")

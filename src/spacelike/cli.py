@@ -334,8 +334,9 @@ def cmd_solve(cfg: dict) -> int:
         fld, log = solve_ma(cfg["lattice"], F, c=cfg["solver.c"], tol=tol, max_iter=max_iter)
     out = cfg["out"] or "field.json"
     save_field(fld, out, cfg["format"])
-    for stage, it, res, damp in log.steps:
-        print(f"stage={_number(stage)} iter={it} residual={_number(res)} damping={_number(damp)}")
+    for stage, it, res, damp, kind in log.steps:
+        print(f"stage={_number(stage)} iter={it} residual={_number(res)} damping={_number(damp)} "
+              f"step={kind}")
     for stage, kind, detail in log.events:
         print(f"event stage={_number(stage)} {kind}" + (f": {detail}" if detail else ""))
     print(f"final residual {_number(log.final_residual)} (tol {_number(tol)}) -> {out}")
@@ -354,7 +355,12 @@ def cmd_scan(cfg: dict) -> int:
     write_records(cfg["out"], table, meta, cfg["format"])
     slope_txt = "exact-zero" if scan.slope_kind == "exact-zero" else _number(slope)
     print(f"scan: fitted log-log slope {slope_txt}")
-    return EXIT_NUMERICAL if any(row.status != "ok" for row in scan.rows) else EXIT_OK
+    failed = [row for row in scan.rows if row.status != "ok"]
+    if not failed:
+        return EXIT_OK
+    print(f"numerical failure: {len(failed)} of {len(scan.rows)} radii failed, the first at "
+          f"a = {_number(failed[0].a)}: {failed[0].status}", file=sys.stderr)
+    return EXIT_NUMERICAL
 
 
 def cmd_check(cfg: dict) -> int:

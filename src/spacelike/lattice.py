@@ -12,6 +12,7 @@ lattice field at chosen nodes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -97,12 +98,16 @@ def active_mask(lat: Lattice) -> np.ndarray:
     if lat.mask is None:
         act = np.ones(pts.shape[0], dtype=bool)
     else:
-        r = np.linalg.norm(pts, axis=1)
+        # radii in units of a power of two near the box's largest coordinate:
+        # no |x|^2 overflows, and the scaling is exact, so the mask is the
+        # one of the unscaled radii wherever those are finite
+        scale = math.ldexp(1.0, math.frexp(max(map(abs, lat.lo + lat.hi)))[1] - 1)
+        r = np.linalg.norm(pts / scale, axis=1)
         eps = 1e-9 * max(lat.spacing)
         if lat.mask[0] == "disc":
-            act = r <= lat.mask[1] + eps
+            act = r <= (lat.mask[1] + eps) / scale
         elif lat.mask[0] == "annulus":
-            act = (r >= lat.mask[1] - eps) & (r <= lat.mask[2] + eps)
+            act = (r >= (lat.mask[1] - eps) / scale) & (r <= (lat.mask[2] + eps) / scale)
         else:
             raise LatticeError(f"unknown mask kind {lat.mask[0]!r}")
     return _frozen(act.reshape(lat.shape))

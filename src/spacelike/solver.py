@@ -18,8 +18,9 @@ convexity.
 
 Continuation is Euler-Newton predictor-corrector: each stage after the
 first starts from u + (param' - param) du/dparam.  For the maximal
-equation du/dlam is the tangent J du/dlam = -dR/dlam, solved with the
-last Newton step's LU (dR/dlam by complex step in lam); for Monge-Ampere
+equation du/dlam is the tangent J du/dlam = -dR/dlam, solved with the LU
+of the stage's last Jacobian, which may be that of an earlier iterate than
+the stage's solution (dR/dlam by complex step in lam); for Monge-Ampere
 it is F - quad at the interior nodes, the boundary data extended by its
 expression.  A predicted start that fails the safeguard (space-like cap,
 convexity), a callable boundary and an F undefined in the interior fall
@@ -28,10 +29,17 @@ half the step (the adaptive ladder).  ConvergenceLog.events records the
 predictions, fallbacks and rejected stages.
 
 Jacobians are exact, assembled by colored complex-step differentiation
-(stencil width 1, 3^m colors), so Newton converges quadratically.  They
-are assembled straight into a CSC pattern fixed per lattice, in a
-geometric nested-dissection order of the interior nodes, and factored
-with splu in that order; at most one factorization is alive at a time.
+(stencil width 1, 3^m colors), straight into a CSC pattern fixed per
+lattice, in a geometric nested-dissection order of the interior nodes,
+and factored with splu in that order; at most one factorization is alive
+at a time.  Newton runs as the chord method (Shamanskii's variant): before
+a new Jacobian is built, full steps on the last LU are kept while each
+passes the safeguard and shrinks the residual to CHORD_CONTRACTION of it
+or to tol.  The tail then converges linearly, at that rate or faster,
+with fewer factorizations; max_iter bounds the Jacobians built, and the
+log marks each step as "newton" or "chord".  A residual or Jacobian that
+is not finite (an overflowing gradient or Hessian) ends the solve with
+DomainError(OVERFLOW) before splu sees it.
 """
 
 from __future__ import annotations
@@ -44,8 +52,12 @@ import numpy as np
 
 from . import lattice as lat_mod
 from .exprparse import DomainError, Expr, eval_values
-from .graphgeom import _graph_immersion, immersion_geometry, signature
+from .graphgeom import OVERFLOW, _graph_immersion, immersion_geometry, signature
 from .lattice import Lattice, LatticeError
+
+# A chord step (a full step on the last LU) is kept if the safeguard passes
+# it and it shrinks the residual to at most this fraction of it, or to tol.
+CHORD_CONTRACTION = 0.1
 
 
 class SolverError(RuntimeError):
@@ -60,12 +72,15 @@ class GridField:
 
 @dataclass
 class ConvergenceLog:
-    steps: list = field(default_factory=list)  # (stage, iteration, residual, damping)
+    steps: list = field(default_factory=list)  # (stage, iteration, residual, damping, kind)
     events: list = field(default_factory=list)  # (stage, kind, detail)
     final_residual: float = np.nan
 
-    def record(self, stage, iteration, residual, damping):
-        self.steps.append((float(stage), int(iteration), float(residual), float(damping)))
+    def record(self, stage, iteration, residual, damping, kind):
+        """kind: "start" (the iterate a Newton solve starts from), "newton"
+        (a damped step on a Jacobian built and factored for it) or "chord"
+        (a full step on the last LU, with no new Jacobian)."""
+        self.steps.append((float(stage), int(iteration), float(residual), float(damping), kind))
 
     def event(self, stage, kind, detail=""):
         """kind: "predicted" (a stage starts from its prediction),
@@ -195,6 +210,7 @@ def _faces(ops: _Ops, u_full: np.ndarray):
         yield pd, psq
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is a non-finite residual
 def _maximal_residual(ops: _Ops, u_full: np.ndarray, lam) -> np.ndarray:
     """Flux out through each node's upper faces minus flux in through its
     lower faces, at the interior nodes."""
@@ -206,11 +222,14 @@ def _maximal_residual(ops: _Ops, u_full: np.ndarray, lam) -> np.ndarray:
     return res.ravel()[ops.int_flat]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _maximal_speed2(ops: _Ops, u_full: np.ndarray) -> float:
-    """Largest face |grad f|^2 (the space-like safeguard quantity)."""
+    """Largest face |grad f|^2 (the space-like safeguard quantity); inf or
+    nan if it overflows, which no cap passes."""
     return max(float(np.max(psq, initial=0.0)) for _, psq in _faces(ops, u_full))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _ma_residual(ops: _Ops, u_full: np.ndarray, c: float) -> np.ndarray:
     H = lat_mod.central_hessian(u_full, ops.lattice, ops.int_flat)
     m = ops.m
@@ -223,16 +242,23 @@ def _ma_residual(ops: _Ops, u_full: np.ndarray, c: float) -> np.ndarray:
     return det - c
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _ma_min_eig(ops: _Ops, u_full: np.ndarray) -> float:
+    """Smallest eigenvalue of the discrete Hessians (the convexity
+    safeguard quantity); DomainError(OVERFLOW) if it is not finite."""
     H = lat_mod.central_hessian(u_full, ops.lattice, ops.int_flat).real
     m = ops.m
     if m == 1:
-        return float(np.min(H[:, 0, 0]))
-    if m == 2:
+        min_eig = np.min(H[:, 0, 0])
+    elif m == 2:
         tr = 0.5 * (H[:, 0, 0] + H[:, 1, 1])
         disc = np.sqrt(np.maximum(0.0, (0.5 * (H[:, 0, 0] - H[:, 1, 1])) ** 2 + H[:, 0, 1] ** 2))
-        return float(np.min(tr - disc))
-    return float(np.min(np.linalg.eigvalsh(H)[:, 0]))
+        min_eig = np.min(tr - disc)
+    else:
+        min_eig = np.min(np.linalg.eigvalsh(H)[:, 0])
+    if not (np.isfinite(min_eig) and np.all(np.isfinite(H))):  # eigvalsh may drop a nan
+        raise DomainError(OVERFLOW)
+    return float(min_eig)
 
 
 def splu(*args, **kwargs):
@@ -245,7 +271,7 @@ def splu(*args, **kwargs):
 
 def _colored_jacobian(ops: _Ops, res_fn, u_int: np.ndarray, eps: float = 1e-50):
     """P J P^T in the lattice's fixed CSC pattern (see _Ops), a scipy.sparse
-    csc_matrix."""
+    csc_matrix; DomainError(OVERFLOW) if an entry is not finite."""
     from scipy.sparse import csc_matrix
 
     probes = np.zeros((3**ops.m, ops.K))
@@ -254,6 +280,8 @@ def _colored_jacobian(ops: _Ops, res_fn, u_int: np.ndarray, eps: float = 1e-50):
         up = base.copy()
         up[ops.colors == c] += 1j * eps
         probes[c] = res_fn(up).imag / eps
+    if not np.all(np.isfinite(probes)):
+        raise DomainError(OVERFLOW)
     return csc_matrix((probes[ops.jac_colors, ops.jac_rows], ops.jac_indices, ops.jac_indptr),
                       shape=(ops.K, ops.K))
 
@@ -265,30 +293,57 @@ def _lu_solve(ops: _Ops, lu, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _newton(ops: _Ops, res_of_int, accept, u_int: np.ndarray, tol: float,
-            max_iter: int, log: ConvergenceLog, stage: float):
-    """Damped Newton from u_int; returns the solution and the LU of the
-    last step's Jacobian (None if no step was taken)."""
+def _residual(res_of_int, u_int: np.ndarray):
+    """The residual at u_int and its max norm; DomainError(OVERFLOW) if it
+    is not finite (the field's gradient or Hessian overflowed)."""
     r = res_of_int(u_int)
     rnorm = float(np.max(np.abs(r.real)))
-    log.record(stage, 0, rnorm, 1.0)
-    lu = None
-    for it in range(1, max_iter + 1):
+    if not np.isfinite(rnorm):
+        raise DomainError(OVERFLOW)
+    return r, rnorm
+
+
+def _newton(ops: _Ops, res_of_int, accept, u_int: np.ndarray, tol: float,
+            max_iter: int, log: ConvergenceLog, stage: float):
+    """Damped Newton from u_int with chord steps: before each new Jacobian,
+    full steps on the last LU are taken while each shrinks the residual to
+    CHORD_CONTRACTION of it (or to tol).  max_iter bounds the Jacobians
+    built, not the steps; the step on the last one allowed ends the solve.
+    Returns the solution and the last LU (None if no Jacobian was built)."""
+
+    def trial_residual(trial):
+        """The residual and its norm at a finite trial that the safeguard
+        accepts, else None."""
+        if np.all(np.isfinite(trial)) and accept(trial):
+            return _residual(res_of_int, trial)
+        return None
+
+    r, rnorm = _residual(res_of_int, u_int)
+    log.record(stage, 0, rnorm, 1.0, "start")
+    lu, it = None, 0
+    for _ in range(max_iter):
+        while lu is not None and rnorm > tol:
+            trial = u_int + _lu_solve(ops, lu, -r.real)
+            tried = trial_residual(trial)
+            if tried is None or tried[1] > max(CHORD_CONTRACTION * rnorm, tol):
+                break
+            it += 1
+            u_int, (r, rnorm) = trial, tried
+            log.record(stage, it, rnorm, 1.0, "chord")
         if rnorm <= tol:
             return u_int, lu
         lu = None  # release the previous factorization before the next
         lu = splu(_colored_jacobian(ops, res_of_int, u_int), permc_spec="NATURAL")
         delta = _lu_solve(ops, lu, -r.real)
+        it += 1
         t = 1.0
         while t >= 2**-24:
             trial = u_int + t * delta
-            if accept(trial):
-                tr = res_of_int(trial)
-                tn = float(np.max(np.abs(tr.real)))
-                if tn < rnorm or tn <= tol:
-                    u_int, r, rnorm = trial, tr, tn
-                    log.record(stage, it, rnorm, t)
-                    break
+            tried = trial_residual(trial)
+            if tried is not None and (tried[1] < rnorm or tried[1] <= tol):
+                u_int, (r, rnorm) = trial, tried
+                log.record(stage, it, rnorm, t, "newton")
+                break
             t /= 2.0
         else:
             raise SolverError("step damping floor reached (safeguard exhausted)")

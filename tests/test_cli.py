@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from types import SimpleNamespace as NS
 
 import numpy as np
@@ -319,6 +320,42 @@ def test_scan_bad_radius_is_a_failed_row(tmp_path, scan, status):
     assert [r["a"] for r in rows] == [1.0, 2.0]
     assert rows[0]["status"] == status and rows[0]["s_center"] == "nan"
     assert all(r["status"] != "ok" for r in rows)
+
+
+def test_solve_log_tells_chord_steps_from_newton_steps(tmp_path, capsys):
+    cfg = write_config(tmp_path, "cfg.json", {
+        "m": 2, "n": 1, "components": ["asinh(sqrt(x1^2+x2^2))"],
+        "lattice": {"lo": [-2, -2], "hi": [2, 2], "nodes": 33,
+                    "mask": {"kind": "annulus", "r_min": 0.5, "r_max": 2.0}},
+        "out": str(tmp_path / "field.json"), "format": "json",
+    })
+    assert run_cli(["solve-maximal", "--config", cfg]) == 0
+    steps = [line.rsplit(" ", 1)[1] for line in capsys.readouterr().out.split("\n")
+             if line.startswith("stage=")]
+    assert set(steps) == {"step=start", "step=newton", "step=chord"}
+
+
+_BOX9 = {"lo": [-1, -1], "hi": [1, 1], "nodes": 9}
+
+
+@pytest.mark.parametrize("command, payload, err", [
+    ("solve-maximal", {"components": ["1e154*x1"], "lattice": _BOX9},
+     "numerical failure: non-finite metric (overflow)"),
+    ("solve-ma", {"potential": "1e200*(x1^2+x2^2)", "lattice": _BOX9},
+     "numerical failure: non-finite metric (overflow)"),
+    # the disc masks no longer overflow: the lattices have interior nodes
+    ("scan", {"components": ["0.3*x1+0.1*sin(x2)"], "radii": [1e200, 2e200], "scan": {"nodes": 9}},
+     "numerical failure: 2 of 2 radii failed, the first at a = 1e+200: solver-failed: "),
+], ids=["solve-maximal", "solve-ma", "scan"])
+def test_overflow_exits_2_with_one_line_and_no_warning(tmp_path, capsys, command, payload, err):
+    cfg = write_config(tmp_path, "cfg.json", {"m": 2, "n": 1, **payload})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli([command, "--config", cfg, "--out", str(tmp_path / "out.json")]) == 2
+    assert caught == []
+    lines = capsys.readouterr().err.split("\n")
+    assert len(lines) == 2 and lines[0].startswith(err) and lines[1] == ""
+    assert "no interior nodes" not in lines[0]
 
 
 def test_config_errors(tmp_path):

@@ -77,3 +77,25 @@ def test_central_gradient_and_hessian_exact_for_quadratic_keep_dtype():
     assert np.allclose(grad.imag, [0.0, 1.0, 0.0], atol=1e-12)
     assert np.allclose(hess.real, [[2, 0, 3], [0, 0, -1], [3, -1, 0]], atol=1e-12)
     assert np.allclose(hess.imag, 0.0, atol=1e-12)
+
+
+def _unscaled_active(lat):
+    """The disc or annulus mask from the unscaled radii |x|."""
+    r, eps = np.linalg.norm(lm.node_points(lat), axis=1), 1e-9 * max(lat.spacing)
+    inner = lat.mask[1] - eps if lat.mask[0] == "annulus" else -np.inf
+    return ((r >= inner) & (r <= lat.mask[-1] + eps)).reshape(lat.shape)
+
+
+@pytest.mark.parametrize("name", [name for name, lat in LATTICES.items() if lat.mask])
+def test_scaled_radii_select_the_nodes_of_the_unscaled_ones(name):
+    lat = LATTICES[name]
+    assert np.array_equal(lm.active_mask(lat), _unscaled_active(lat))
+
+
+def test_masks_of_huge_radii_do_not_overflow():
+    # |x|^2 overflows at these radii; the masks are those of radius 1, with
+    # interior nodes, and no RuntimeWarning is raised
+    for small, huge in ((Lattice.disc(1.0, 9), Lattice.disc(1e200, 9)),
+                        (Lattice.annulus(0.5, 2.0, 17), Lattice.annulus(0.5e200, 2e200, 17))):
+        assert np.array_equal(lm.active_mask(huge), lm.active_mask(small))
+        assert lm.interior_mask(huge).any()

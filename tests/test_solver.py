@@ -8,7 +8,7 @@ import pytest
 from spacelike import lattice as lm
 from spacelike import solver
 from spacelike.cli import main
-from spacelike.exprparse import eval_values, parse
+from spacelike.exprparse import DomainError, eval_values, parse
 from spacelike.lattice import Lattice
 from spacelike.solver import (
     ConvergenceLog, GridField, SolverError, field_immersion_geometry, field_jet2, field_third,
@@ -243,6 +243,73 @@ def test_catenoid_factorization_count(monkeypatch):
     _, log = _catenoid_error(65)
     assert log.events == [(1.0, "predicted", "")]
     assert 0 < len(calls) <= 8
+
+
+def test_catenoid_chord_steps_save_factorizations(monkeypatch):
+    # chord steps on the last LU stand in for the last Newton steps' Jacobians
+    calls = _count_factorizations(monkeypatch)
+    _, log = _catenoid_error(65)
+    assert 0 < len(calls) <= 4
+    assert len(calls) == sum(step[4] == "newton" for step in log.steps)
+
+
+def test_max_iter_bounds_the_jacobians_not_the_steps(monkeypatch):
+    calls = _count_factorizations(monkeypatch)
+    lat = Lattice.annulus(0.5, 2.0, 65)
+    _, log = solve_maximal(lat, catenoid_expr(), tol=1e-10, max_iter=5)
+    assert log.events == [(1.0, "predicted", "")]  # no stage is rejected
+    assert log.final_residual <= 1e-10
+    assert max(step[1] for step in log.steps) > 5 >= len(calls)
+
+
+def test_log_marks_chord_steps():
+    _, log = _catenoid_error(65)
+    assert [step[1] == 0 for step in log.steps] == [step[4] == "start" for step in log.steps]
+    full = [step for step in log.steps if step[0] == 1.0]
+    kinds = [step[4] for step in full]
+    assert kinds[0] == "start" and "newton" in kinds and "chord" in kinds
+    for before, step in zip(full, full[1:]):
+        if step[4] == "chord":  # a full step that shrank the residual tenfold, or to tol
+            assert step[3] == 1.0
+            assert step[2] <= max(solver.CHORD_CONTRACTION * before[2], 1e-11)
+
+
+def test_residuals_are_read_only_where_the_safeguard_passes():
+    # the maximal residual is undefined past the space-like cap, so no trial,
+    # chord or damped, may reach the residual before the safeguard passes it
+    ops = solver._Ops(Lattice.box((-1, -1), (1, 1), 6))
+    start, passed = np.zeros(ops.K), []
+
+    def accept(u):
+        passed.append(u.copy())
+        return True
+
+    def res_of_int(u):
+        if not np.iscomplexobj(u):  # complex-step probes are the Jacobian's
+            assert u is start or any(np.array_equal(u, p) for p in passed)
+        return u + u**3 - 1.0
+
+    log = ConvergenceLog()
+    solver._newton(ops, res_of_int, accept, start, 1e-12, 10, log, 1.0)
+    assert "chord" in [step[4] for step in log.steps]
+
+
+def _overflowing_derivative(u):
+    """Finite values whose complex-step derivative overflows."""
+    r = (u.real - 1.0).astype(complex)
+    r.imag = np.where(u.imag != 0, np.inf, 0.0)
+    return r
+
+
+@pytest.mark.parametrize("res_of_int", [lambda u: u + np.inf, _overflowing_derivative],
+                         ids=["residual", "jacobian"])
+def test_an_overflow_never_reaches_splu(monkeypatch, res_of_int):
+    calls = _count_factorizations(monkeypatch)
+    ops = solver._Ops(Lattice.box((-1, -1), (1, 1), 6))
+    with pytest.raises(DomainError, match=r"^non-finite metric \(overflow\)$"):
+        solver._newton(ops, res_of_int, lambda u: True, np.zeros(ops.K), 1e-10, 5,
+                       ConvergenceLog(), 0.0)
+    assert calls == []
 
 
 def test_ma_factorization_count(monkeypatch):
