@@ -146,7 +146,8 @@ def central_hessian(u: np.ndarray, lat: Lattice, flat: np.ndarray) -> np.ndarray
     ``u`` at the flat node indices ``flat``.
 
     Each node needs its +-1 cube inside the lattice.  The result keeps u's
-    dtype, so a complex-step perturbation passes through.
+    dtype and is linear in u: the Monge-Ampere Jacobian reads these
+    stencils' weights off unit fields (solver._hessian_weights).
     """
     h = np.array(lat.spacing)
     st = strides(lat)

@@ -20,26 +20,30 @@ Continuation is Euler-Newton predictor-corrector: each stage after the
 first starts from u + (param' - param) du/dparam.  For the maximal
 equation du/dlam is the tangent J du/dlam = -dR/dlam, solved with the LU
 of the stage's last Jacobian, which may be that of an earlier iterate than
-the stage's solution (dR/dlam by complex step in lam); for Monge-Ampere
-it is F - quad at the interior nodes, the boundary data extended by its
-expression.  A predicted start that fails the safeguard (space-like cap,
-convexity), a callable boundary and an F undefined in the interior fall
-back to the previous stage's values; a stage that fails is retried at
-half the step (the adaptive ladder).  ConvergenceLog.events records the
+the stage's solution (dR/dlam in closed form, from the face fluxes); for
+Monge-Ampere it is F - quad at the interior nodes, the boundary data
+extended by its expression.  A predicted start that fails the safeguard
+(space-like cap, convexity), a callable boundary and an F undefined in
+the interior fall back to the previous stage's values; a stage that fails
+is retried at half the step (the adaptive ladder).  ConvergenceLog.events records the
 predictions, fallbacks and rejected stages.
 
-Jacobians are exact, assembled by colored complex-step differentiation
-(stencil width 1, 3^m colors), straight into a CSC pattern fixed per
-lattice, in a geometric nested-dissection order of the interior nodes,
-and factored with splu in that order; at most one factorization is alive
-at a time.  Newton runs as the chord method (Shamanskii's variant): before
-a new Jacobian is built, full steps on the last LU are kept while each
-passes the safeguard and shrinks the residual to CHORD_CONTRACTION of it
-or to tol.  The tail then converges linearly, at that rate or faster,
-with fewer factorizations; max_iter bounds the Jacobians built, and the
-log marks each step as "newton" or "chord".  A residual or Jacobian that
-is not finite (an overflowing gradient or Hessian) ends the solve with
-DomainError(OVERFLOW) before splu sees it.
+Jacobians are exact and in closed form: each solver differentiates its
+stencil (the face fluxes in their normal and tangential differences; the
+determinant through the cofactors of the discrete Hessian) into a
+(3^m, K) array whose entry [o, alpha] is the derivative of node alpha's
+residual in the value at alpha + offset o of the +-1 cube.  That array
+is gathered straight into a CSC pattern fixed per lattice, in a geometric
+nested-dissection order of the interior nodes, and factored with splu in
+that order; at most one factorization is alive at a time.  Newton runs as
+the chord method (Shamanskii's variant): before a new Jacobian is built,
+full steps on the last LU are kept while each passes the safeguard and
+shrinks the residual to CHORD_CONTRACTION of it or to tol.  The tail then
+converges linearly, at that rate or faster, with fewer factorizations;
+max_iter bounds the Jacobians built, and the log marks each step as
+"newton" or "chord".  A residual or Jacobian that is not finite (an
+overflowing gradient or Hessian) ends the solve with DomainError(OVERFLOW)
+before splu sees it.
 """
 
 from __future__ import annotations
@@ -87,11 +91,6 @@ class ConvergenceLog:
         "fallback" (it starts from the previous stage's values; detail says
         why) or "rejected" (a stage attempt failed; detail is the error)."""
         self.events.append((float(stage), kind, detail))
-
-    def residual_history(self, stage=None):
-        if stage is None:
-            stage = self.steps[-1][0] if self.steps else None
-        return [s[2] for s in self.steps if s[0] == stage]
 
 
 def _boundary_values(lattice: Lattice, boundary) -> np.ndarray:
@@ -150,25 +149,24 @@ class _Ops:
         shape = lattice.shape
 
         multi = np.array(np.unravel_index(self.int_flat, shape)).T  # (K, m)
-        self.colors = np.zeros(self.K, dtype=int)
-        for d in range(m):
-            self.colors += (multi[:, d] % 3) * 3**d
 
         # the Jacobian's CSC pattern in nested-dissection order: entry
         # (alpha, beta) for each interior pair within a +-1 cube (an interior
         # node's cube lies inside the lattice), stored as P J P^T; its value
-        # is row alpha of the complex-step probe of beta's color
-        alpha, beta = [], []
-        for off in itertools.product((-1, 0, 1), repeat=m):
+        # is entry [o, alpha] of the (3^m, K) stencil Jacobian, o the index
+        # of beta - alpha in the +-1 cube, read at the flat index jac_entries
+        alpha, beta, offset = [], [], []
+        for o, off in enumerate(itertools.product((-1, 0, 1), repeat=m)):
             nb = self.int_id[self.int_flat + lat_mod.flat_offset(lattice, off)]
             alpha.append(np.flatnonzero(nb >= 0))
             beta.append(nb[nb >= 0])
-        alpha, beta = np.concatenate(alpha), np.concatenate(beta)
+            offset.append(np.full(alpha[-1].size, o))
+        alpha, beta, offset = map(np.concatenate, (alpha, beta, offset))
         self.perm = _nested_dissection(multi)
         rank = np.empty(self.K, dtype=int)
         rank[self.perm] = np.arange(self.K)
         order = np.lexsort((rank[alpha], rank[beta]))
-        self.jac_rows, self.jac_colors = alpha[order], self.colors[beta[order]]
+        self.jac_entries = offset[order] * self.K + alpha[order]
         self.jac_indices = rank[alpha[order]]
         self.jac_indptr = np.concatenate([[0], np.cumsum(np.bincount(rank[beta], minlength=self.K))])
 
@@ -181,6 +179,10 @@ class _Ops:
                       inner[:d] + (slice(1, None),) + inner[d + 1:]) for d in range(m)]
         self.idle = [~(grid[lo] | grid[hi]) for lo, hi in self.ends]
 
+        # the index of an offset v in the +-1 cube, in the order of
+        # itertools.product((-1, 0, 1), repeat=m), is centre + v . cube
+        self.centre, self.cube = (3**m - 1) // 2, 3 ** np.arange(m - 1, -1, -1)
+
 
 def _full_from_interior(ops: _Ops, bvals: np.ndarray, u_int: np.ndarray) -> np.ndarray:
     u = np.array(bvals, dtype=u_int.dtype)
@@ -189,9 +191,9 @@ def _full_from_interior(ops: _Ops, bvals: np.ndarray, u_int: np.ndarray) -> np.n
 
 
 def _faces(ops: _Ops, u_full: np.ndarray):
-    """Per axis d, the normal difference pd and the squared gradient psq on
-    the axis-d faces (see _Ops); the tangential derivative along t is the
-    mean of the two end nodes' central differences."""
+    """Per axis d, the normal difference pd, the tangential derivatives
+    [(t, pt)] and the squared gradient psq on the axis-d faces (see _Ops);
+    pt is the mean of the two end nodes' central differences along t."""
     u = u_full.reshape(ops.lattice.shape)
     # central differences along t, at the nodes 1..n-2 along t (faces read no others)
     central = np.zeros((ops.m,) + u.shape, dtype=u.dtype)
@@ -202,31 +204,67 @@ def _faces(ops: _Ops, u_full: np.ndarray):
     for d, (lo, hi) in enumerate(ops.ends):
         pd = (u[hi] - u[lo]) / ops.h[d]
         psq = pd * pd
-        for t in range(ops.m):
-            if t != d:
-                pt = 0.5 * (central[t][lo] + central[t][hi])
-                psq = psq + pt * pt
+        pt = [(t, 0.5 * (central[t][lo] + central[t][hi])) for t in range(ops.m) if t != d]
+        for _, p in pt:
+            psq = psq + p * p
         psq[ops.idle[d]] = 0.0
-        yield pd, psq
+        yield pd, pt, psq
+
+
+def _face_sum(ops: _Ops, fluxes, dtype) -> np.ndarray:
+    """Flux out through each node's upper faces minus flux in through its
+    lower faces, at the interior nodes, from one flux array per axis."""
+    res = np.zeros(ops.lattice.shape, dtype=dtype)
+    for (lo, hi), phi in zip(ops.ends, fluxes):
+        res[lo] += phi
+        res[hi] -= phi
+    return res.ravel()[ops.int_flat]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is a non-finite residual
 def _maximal_residual(ops: _Ops, u_full: np.ndarray, lam) -> np.ndarray:
-    """Flux out through each node's upper faces minus flux in through its
-    lower faces, at the interior nodes."""
-    res = np.zeros(ops.lattice.shape, dtype=u_full.dtype)
-    for (lo, hi), (pd, psq), h in zip(ops.ends, _faces(ops, u_full), ops.h):
-        phi = pd / np.sqrt(1.0 - lam * psq) / h
-        res[lo] += phi
-        res[hi] -= phi
-    return res.ravel()[ops.int_flat]
+    """The face fluxes phi = pd / sqrt(1 - lam psq) / h, summed per node."""
+    return _face_sum(ops, (pd / np.sqrt(1.0 - lam * psq) / h
+                           for (pd, _, psq), h in zip(_faces(ops, u_full), ops.h)), u_full.dtype)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _maximal_dlam(ops: _Ops, u_full: np.ndarray, lam: float) -> np.ndarray:
+    """dR/dlam, from the face fluxes' dphi/dlam = pd psq (1 - lam psq)^(-3/2) / (2 h)."""
+    return _face_sum(ops, (pd * psq * (1.0 - lam * psq) ** -1.5 / (2 * h)
+                           for (pd, _, psq), h in zip(_faces(ops, u_full), ops.h)), float)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _maximal_jacobian(ops: _Ops, u_full: np.ndarray, lam: float) -> np.ndarray:
+    """dR/du as a (3^m, K) array: entry [o, alpha] is the derivative of
+    node alpha's residual in the value at alpha + offset o (see _Ops).
+    The flux of the face from a to a + e_d has, with q = 1 - lam psq,
+    dphi/dpd = (q + lam pd^2) q^(-3/2) / h_d and
+    dphi/dpt = lam pd pt q^(-3/2) / h_d; pd reads a and a + e_d, pt reads
+    a +- e_t and a + e_d +- e_t with weights +-1 / (4 h_t).  The flux
+    enters a's residual with + and a + e_d's with -."""
+    c, cube = ops.centre, ops.cube
+    jac = np.zeros((3**ops.m,) + ops.lattice.shape)
+    for d, ((lo, hi), (pd, pt, psq)) in enumerate(zip(ops.ends, _faces(ops, u_full))):
+        q = 1.0 - lam * psq
+        s = q**-1.5 / ops.h[d]
+        g = (q + lam * pd * pd) * s / ops.h[d]
+        dphi = [(cube[d], g), (0, -g)]  # (offset from a, dphi/du there)
+        for t, p in pt:
+            w = lam * pd * p * s / (4 * ops.h[t])
+            dphi += [(cube[t], w), (-cube[t], -w), (cube[d] + cube[t], w), (cube[d] - cube[t], -w)]
+        for off, w in dphi:
+            jac[c + off][lo] += w
+            jac[c + off - cube[d]][hi] -= w
+    return jac.reshape(3**ops.m, -1)[:, ops.int_flat]
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _maximal_speed2(ops: _Ops, u_full: np.ndarray) -> float:
     """Largest face |grad f|^2 (the space-like safeguard quantity); inf or
     nan if it overflows, which no cap passes."""
-    return max(float(np.max(psq, initial=0.0)) for _, psq in _faces(ops, u_full))
+    return max(float(np.max(psq, initial=0.0)) for _, _, psq in _faces(ops, u_full))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -242,11 +280,37 @@ def _ma_residual(ops: _Ops, u_full: np.ndarray, c: float) -> np.ndarray:
     return det - c
 
 
+def _hessian_weights(ops: _Ops) -> np.ndarray:
+    """central_hessian's weights (3^m, m, m): at offset o of the +-1 cube
+    (see _Ops), its Hessian of the unit field at o, on a cube of 3^m nodes
+    with the lattice's spacing."""
+    cube = Lattice.box((0.0,) * ops.m, 2 * ops.h, 3)
+    centre = np.array([ops.centre])
+    return np.stack([lat_mod.central_hessian(unit, cube, centre)[0] for unit in np.eye(3**ops.m)])
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _ma_jacobian(ops: _Ops, u_full: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """dR/du as a (3^m, K) array (see _maximal_jacobian): entry [o, alpha]
+    is the sum over d, e of cof(H)_de weights[o, d, e] (_hessian_weights).
+    The cofactor matrix is closed-form for m <= 2 and det(H) H^-1 beyond;
+    the convexity safeguard keeps H positive definite wherever a Jacobian
+    is built."""
+    H = lat_mod.central_hessian(u_full, ops.lattice, ops.int_flat)
+    if ops.m == 1:
+        cof = np.ones_like(H)
+    elif ops.m == 2:  # the adjugate of a symmetric 2 x 2 matrix
+        cof = H[:, ::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    else:
+        cof = np.linalg.det(H)[:, None, None] * np.linalg.inv(H)
+    return weights.reshape(len(weights), -1) @ cof.reshape(len(cof), -1).T
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _ma_min_eig(ops: _Ops, u_full: np.ndarray) -> float:
     """Smallest eigenvalue of the discrete Hessians (the convexity
     safeguard quantity); DomainError(OVERFLOW) if it is not finite."""
-    H = lat_mod.central_hessian(u_full, ops.lattice, ops.int_flat).real
+    H = lat_mod.central_hessian(u_full, ops.lattice, ops.int_flat)
     m = ops.m
     if m == 1:
         min_eig = np.min(H[:, 0, 0])
@@ -269,21 +333,16 @@ def splu(*args, **kwargs):
     return scipy_splu(*args, **kwargs)
 
 
-def _colored_jacobian(ops: _Ops, res_fn, u_int: np.ndarray, eps: float = 1e-50):
+def _jacobian_matrix(ops: _Ops, jac: np.ndarray):
     """P J P^T in the lattice's fixed CSC pattern (see _Ops), a scipy.sparse
-    csc_matrix; DomainError(OVERFLOW) if an entry is not finite."""
+    csc_matrix, from the (3^m, K) stencil Jacobian jac;
+    DomainError(OVERFLOW) if an entry is not finite."""
     from scipy.sparse import csc_matrix
 
-    probes = np.zeros((3**ops.m, ops.K))
-    base = u_int.astype(complex)
-    for c in np.unique(ops.colors):
-        up = base.copy()
-        up[ops.colors == c] += 1j * eps
-        probes[c] = res_fn(up).imag / eps
-    if not np.all(np.isfinite(probes)):
+    values = jac.ravel()[ops.jac_entries]
+    if not np.all(np.isfinite(values)):
         raise DomainError(OVERFLOW)
-    return csc_matrix((probes[ops.jac_colors, ops.jac_rows], ops.jac_indices, ops.jac_indptr),
-                      shape=(ops.K, ops.K))
+    return csc_matrix((values, ops.jac_indices, ops.jac_indptr), shape=(ops.K, ops.K))
 
 
 def _lu_solve(ops: _Ops, lu, b: np.ndarray) -> np.ndarray:
@@ -297,15 +356,16 @@ def _residual(res_of_int, u_int: np.ndarray):
     """The residual at u_int and its max norm; DomainError(OVERFLOW) if it
     is not finite (the field's gradient or Hessian overflowed)."""
     r = res_of_int(u_int)
-    rnorm = float(np.max(np.abs(r.real)))
+    rnorm = float(np.max(np.abs(r)))
     if not np.isfinite(rnorm):
         raise DomainError(OVERFLOW)
     return r, rnorm
 
 
-def _newton(ops: _Ops, res_of_int, accept, u_int: np.ndarray, tol: float,
+def _newton(ops: _Ops, res_of_int, jac_of_int, accept, u_int: np.ndarray, tol: float,
             max_iter: int, log: ConvergenceLog, stage: float):
-    """Damped Newton from u_int with chord steps: before each new Jacobian,
+    """Damped Newton from u_int with chord steps (jac_of_int gives the
+    (3^m, K) stencil Jacobian at an iterate): before each new Jacobian,
     full steps on the last LU are taken while each shrinks the residual to
     CHORD_CONTRACTION of it (or to tol).  max_iter bounds the Jacobians
     built, not the steps; the step on the last one allowed ends the solve.
@@ -323,7 +383,7 @@ def _newton(ops: _Ops, res_of_int, accept, u_int: np.ndarray, tol: float,
     lu, it = None, 0
     for _ in range(max_iter):
         while lu is not None and rnorm > tol:
-            trial = u_int + _lu_solve(ops, lu, -r.real)
+            trial = u_int + _lu_solve(ops, lu, -r)
             tried = trial_residual(trial)
             if tried is None or tried[1] > max(CHORD_CONTRACTION * rnorm, tol):
                 break
@@ -333,8 +393,8 @@ def _newton(ops: _Ops, res_of_int, accept, u_int: np.ndarray, tol: float,
         if rnorm <= tol:
             return u_int, lu
         lu = None  # release the previous factorization before the next
-        lu = splu(_colored_jacobian(ops, res_of_int, u_int), permc_spec="NATURAL")
-        delta = _lu_solve(ops, lu, -r.real)
+        lu = splu(_jacobian_matrix(ops, jac_of_int(u_int)), permc_spec="NATURAL")
+        delta = _lu_solve(ops, lu, -r)
         it += 1
         t = 1.0
         while t >= 2**-24:
@@ -412,6 +472,9 @@ def solve_maximal(lattice: Lattice, boundary, tol: float = 1e-10, max_iter: int 
         def res_of_int(u_int):
             return _maximal_residual(ops, _full_from_interior(ops, bvals, u_int), lam)
 
+        def jac_of_int(u_int):
+            return _maximal_jacobian(ops, _full_from_interior(ops, bvals, u_int), lam)
+
         def accept(u_int):
             if lam == 0:
                 return True
@@ -424,12 +487,11 @@ def solve_maximal(lattice: Lattice, boundary, tol: float = 1e-10, max_iter: int 
             start = _stage_start(log, lam, accept, warm, predicted,
                                  "no Newton step to take the tangent from",
                                  "violates the space-like safeguard")
-        u_int, lu = _newton(ops, res_of_int, accept, start, tol, max_iter, log, lam)
+        u_int, lu = _newton(ops, res_of_int, jac_of_int, accept, start, tol, max_iter, log, lam)
         if lam == 1.0 or lu is None:
             return u_int, None
-        # Euler tangent J du/dlam = -dR/dlam, dR/dlam by complex step in lam
-        u_full = _full_from_interior(ops, bvals, u_int.astype(complex))
-        dres = _maximal_residual(ops, u_full, lam + 1e-50j).imag / 1e-50
+        # Euler tangent J du/dlam = -dR/dlam
+        dres = _maximal_dlam(ops, _full_from_interior(ops, bvals, u_int), lam)
         return u_int, -_lu_solve(ops, lu, dres)
 
     u_int = _adaptive_ladder(stage, log)
@@ -449,6 +511,7 @@ def solve_ma(lattice: Lattice, boundary, c: float = 1.0, tol: float = 1e-10,
     gvals = _boundary_values(lattice, boundary)
     quad = 0.5 * c ** (1.0 / lattice.m) * np.sum(pts**2, axis=1)
     bmask = np.isfinite(gvals)
+    weights = _hessian_weights(ops)
     log = ConvergenceLog()
     # du/dtheta of the predictor: the boundary data's expression inside
     slope, no_prediction = None, "boundary data is a callable"
@@ -465,13 +528,16 @@ def solve_ma(lattice: Lattice, boundary, c: float = 1.0, tol: float = 1e-10,
         def res_of_int(u_int):
             return _ma_residual(ops, _full_from_interior(ops, bvals, u_int), c)
 
+        def jac_of_int(u_int):
+            return _ma_jacobian(ops, _full_from_interior(ops, bvals, u_int), weights)
+
         def accept(u_int):
             full = _full_from_interior(ops, bvals, u_int)
             return _ma_min_eig(ops, full) > 0.0
 
         start = quad[ops.int_flat] if warm is None else _stage_start(
             log, theta, accept, warm, predicted, no_prediction, "lost discrete convexity")
-        u_int, _ = _newton(ops, res_of_int, accept, start, tol, max_iter, log, theta)
+        u_int, _ = _newton(ops, res_of_int, jac_of_int, accept, start, tol, max_iter, log, theta)
         return u_int, slope
 
     try:

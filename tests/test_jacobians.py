@@ -72,7 +72,17 @@ def test_maximal_jacobian_matches_complex_step(lat, lam):
         return solver._maximal_residual(ops, solver._full_from_interior(ops, u, u_int), lam)
 
     ref = complex_step_jacobian(ops, res_of_int, u[ops.int_flat])
-    assert_close(dense(ops, solver._colored_jacobian(ops, res_of_int, u[ops.int_flat])), ref)
+    assert_close(dense(ops, solver._jacobian_matrix(ops, solver._maximal_jacobian(ops, u, lam))), ref)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.8, 1.0])
+@pytest.mark.parametrize("lat", MAXIMAL_LATTICES, ids=MAXIMAL_IDS)
+def test_maximal_dlam_matches_complex_step(lat, lam):
+    ops = solver._Ops(lat)
+    u = maximal_field(lat)
+    ref = solver._maximal_residual(ops, u.astype(complex), lam + 1j * EPS).imag / EPS
+    dlam = solver._maximal_dlam(ops, u, lam)
+    assert np.max(np.abs(dlam - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("lat", [
@@ -92,4 +102,4 @@ def test_ma_jacobian_matches_complex_step(lat):
         return solver._ma_residual(ops, solver._full_from_interior(ops, u, u_int), 1.0)
 
     ref = complex_step_jacobian(ops, res_of_int, u[ops.int_flat])
-    assert_close(dense(ops, solver._colored_jacobian(ops, res_of_int, u[ops.int_flat])), ref)
+    assert_close(dense(ops, solver._jacobian_matrix(ops, solver._ma_jacobian(ops, u, solver._hessian_weights(ops)))), ref)

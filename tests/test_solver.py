@@ -57,7 +57,7 @@ def test_catenoid_convergence_order():
 
 def test_catenoid_newton_superlinear_tail():
     _, log = _catenoid_error(65)
-    hist = log.residual_history(stage=1.0)
+    hist = [step[2] for step in log.steps if step[0] == 1.0]
     # drop the recorded initial residual, keep accepted iterations
     hist = [h for h in hist if h > 0]
     assert len(hist) >= 3
@@ -285,38 +285,71 @@ def test_residuals_are_read_only_where_the_safeguard_passes():
         return True
 
     def res_of_int(u):
-        if not np.iscomplexobj(u):  # complex-step probes are the Jacobian's
-            assert u is start or any(np.array_equal(u, p) for p in passed)
+        assert u is start or any(np.array_equal(u, p) for p in passed)
         return u + u**3 - 1.0
 
     log = ConvergenceLog()
-    solver._newton(ops, res_of_int, accept, start, 1e-12, 10, log, 1.0)
+    solver._newton(ops, res_of_int, lambda u: _diagonal_jacobian(ops, 1.0 + 3.0 * u**2), accept,
+                   start, 1e-12, 10, log, 1.0)
     assert "chord" in [step[4] for step in log.steps]
 
 
-def _overflowing_derivative(u):
-    """Finite values whose complex-step derivative overflows."""
-    r = (u.real - 1.0).astype(complex)
-    r.imag = np.where(u.imag != 0, np.inf, 0.0)
-    return r
+def _diagonal_jacobian(ops, diagonal):
+    """The (3^m, K) stencil Jacobian of a residual whose node alpha reads
+    only alpha."""
+    jac = np.zeros((3**ops.m, ops.K))
+    jac[ops.centre] = diagonal
+    return jac
 
 
-@pytest.mark.parametrize("res_of_int", [lambda u: u + np.inf, _overflowing_derivative],
-                         ids=["residual", "jacobian"])
-def test_an_overflow_never_reaches_splu(monkeypatch, res_of_int):
+@pytest.mark.parametrize("res_of_int, diagonal", [
+    (lambda u: u + np.inf, 1.0),
+    (lambda u: u - 1.0, np.inf),  # a finite residual whose Jacobian overflows
+], ids=["residual", "jacobian"])
+def test_an_overflow_never_reaches_splu(monkeypatch, res_of_int, diagonal):
     calls = _count_factorizations(monkeypatch)
     ops = solver._Ops(Lattice.box((-1, -1), (1, 1), 6))
     with pytest.raises(DomainError, match=r"^non-finite metric \(overflow\)$"):
-        solver._newton(ops, res_of_int, lambda u: True, np.zeros(ops.K), 1e-10, 5,
-                       ConvergenceLog(), 0.0)
+        solver._newton(ops, res_of_int, lambda u: _diagonal_jacobian(ops, diagonal),
+                       lambda u: True, np.zeros(ops.K), 1e-10, 5, ConvergenceLog(), 0.0)
     assert calls == []
+
+
+def _count_residuals(monkeypatch, name):
+    """The arguments of every call to solver.<name>, a residual function."""
+    calls, real = [], getattr(solver, name)
+
+    def counted(ops, u_full, *args):
+        calls.append(u_full)
+        return real(ops, u_full, *args)
+
+    monkeypatch.setattr(solver, name, counted)
+    return calls
+
+
+def test_catenoid_takes_no_residual_pass_per_jacobian_color(monkeypatch):
+    # a Jacobian built from residual passes would cost 3^m of them
+    calls = _count_residuals(monkeypatch, "_maximal_residual")
+    _, log = _catenoid_error(65)
+    assert len(calls) <= 2 * len(log.steps)
+
+
+def test_no_residual_is_evaluated_at_a_complex_field(monkeypatch):
+    maximal = _count_residuals(monkeypatch, "_maximal_residual")
+    ma = _count_residuals(monkeypatch, "_ma_residual")
+    solve_maximal(Lattice.annulus(0.5, 2.0, 33), catenoid_expr())
+    solve_ma(Lattice.box((-1, -1), (1, 1), 33), parse(MA_DATA, 2), c=1.0)
+    assert maximal and ma
+    assert not any(np.iscomplexobj(u) for u in maximal + ma)
+
+
+MA_DATA = "0.5*(x1^2+x2^2)+0.08*sin(1.1*x1)*sin(0.9*x2)+0.05*exp(0.6*x1+0.3*x2)"
 
 
 def test_ma_factorization_count(monkeypatch):
     calls = _count_factorizations(monkeypatch)
     lat = Lattice.box((-1, -1), (1, 1), 33)
-    expr = parse("0.5*(x1^2+x2^2)+0.08*sin(1.1*x1)*sin(0.9*x2)+0.05*exp(0.6*x1+0.3*x2)", 2)
-    _, log = solve_ma(lat, expr, c=1.0, tol=1e-10)
+    _, log = solve_ma(lat, parse(MA_DATA, 2), c=1.0, tol=1e-10)
     assert log.final_residual <= 1e-10
     assert 0 < len(calls) <= 4
 
