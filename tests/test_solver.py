@@ -334,6 +334,9 @@ def test_catenoid_takes_no_residual_pass_per_jacobian_color(monkeypatch):
     assert len(calls) <= 2 * len(log.steps)
 
 
+MA_DATA = "0.5*(x1^2+x2^2)+0.08*sin(1.1*x1)*sin(0.9*x2)+0.05*exp(0.6*x1+0.3*x2)"
+
+
 def test_no_residual_is_evaluated_at_a_complex_field(monkeypatch):
     maximal = _count_residuals(monkeypatch, "_maximal_residual")
     ma = _count_residuals(monkeypatch, "_ma_residual")
@@ -341,9 +344,6 @@ def test_no_residual_is_evaluated_at_a_complex_field(monkeypatch):
     solve_ma(Lattice.box((-1, -1), (1, 1), 33), parse(MA_DATA, 2), c=1.0)
     assert maximal and ma
     assert not any(np.iscomplexobj(u) for u in maximal + ma)
-
-
-MA_DATA = "0.5*(x1^2+x2^2)+0.08*sin(1.1*x1)*sin(0.9*x2)+0.05*exp(0.6*x1+0.3*x2)"
 
 
 def test_ma_factorization_count(monkeypatch):
