@@ -5,16 +5,23 @@ The maximal equation is discretized in divergence form
 div(grad f / sqrt(1 - |grad f|^2)) = 0 with conservative face fluxes
 (second order), on the lattice-shaped array: per axis d, whole-grid
 slices give the faces (k, k+1) along d at transverse indices 1..n-2, the
-only faces an interior node touches.  The same face pass gives the largest
-face |grad f|^2 of the space-like safeguard.  A continuation parameter lam
-scales |grad f|^2 inside the square root: lam = 0 is the Laplace equation
-(used as the initial stage), lam = 1 the full equation.  Each accepted
-Newton step must keep every face speed below 1 - delta_safe.
+only faces an interior node touches.  The same face pass gives the
+largest face |grad f|^2 of the space-like safeguard, checked before any
+flux is formed.  A continuation parameter lam scales |grad f|^2 inside
+the square root: lam = 0 is the Laplace equation (used as the initial
+stage), lam = 1 the full equation.  Each accepted Newton step must keep
+every face speed below 1 - delta_safe.
 
 The Monge-Ampere residual is det(discrete Hessian) - c with compact
 central stencils; a boundary-data homotopy theta starts from the exactly
 solvable quadratic matching c, and backtracking preserves discrete
-convexity.
+convexity.  Its residual and its safeguard (the smallest eigenvalue of
+the discrete Hessians) come from one central_hessian.
+
+Each solver hands Newton one callable per stage, trial(u_int): the
+residual at a trial iterate, from the same pass as the safeguard, or None
+where the safeguard refuses it.  A stage's start is tried the same way,
+and Newton starts from the residual that trial formed.
 
 Continuation is Euler-Newton predictor-corrector: each stage after the
 first starts from u + (param' - param) du/dparam.  For the maximal
@@ -35,21 +42,25 @@ determinant through the cofactors of the discrete Hessian) into a
 residual in the value at alpha + offset o of the +-1 cube.  That array
 is gathered straight into a CSC pattern fixed per lattice, in a geometric
 nested-dissection order of the interior nodes, and factored with splu in
-that order; at most one factorization is alive at a time.  Newton runs as
-the chord method (Shamanskii's variant): before a new Jacobian is built,
-full steps on the last LU are kept while each passes the safeguard and
-shrinks the residual to CHORD_CONTRACTION of it or to tol.  The tail then
-converges linearly, at that rate or faster, with fewer factorizations;
-max_iter bounds the Jacobians built, and the log marks each step as
-"newton" or "chord".  A residual or Jacobian that is not finite (an
-overflowing gradient or Hessian) ends the solve with DomainError(OVERFLOW)
-before splu sees it.
+that order; at most one factorization is alive at a time.  A box's
+dissection order depends only on its shape, so it is built once per
+shape over the interior nodes' bounding box; the pattern is one sort
+per column of a (K, 3^m) neighbour table.  Newton runs as the chord
+method (Shamanskii's variant): before a new Jacobian is built, full
+steps on the last LU are kept while each passes the safeguard and
+shrinks the residual to CHORD_CONTRACTION of it or to tol.  The tail
+then converges linearly, at that rate or faster, with fewer
+factorizations; max_iter bounds the Jacobians built, and the log marks
+each step as "newton" or "chord".  A residual or Jacobian that is not
+finite (an overflowing gradient or Hessian) ends the solve with
+DomainError(OVERFLOW) before splu sees it.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,6 +73,10 @@ from .lattice import Lattice, LatticeError
 # A chord step (a full step on the last LU) is kept if the safeguard passes
 # it and it shrinks the residual to at most this fraction of it, or to tol.
 CHORD_CONTRACTION = 0.1
+
+# save_field writes a JSON field file's values this many at a time, so that
+# its memory does not grow with the field.
+_JSON_CHUNK = 4096
 
 
 class SolverError(RuntimeError):
@@ -111,26 +126,39 @@ def _boundary_values(lattice: Lattice, boundary) -> np.ndarray:
 def _nested_dissection(multi: np.ndarray) -> np.ndarray:
     """Geometric nested dissection of lattice multi-indices (K, m): the
     permutation (new -> old) that orders every box as its lower half, its
-    upper half, then the plane between them, bisecting the longest axis
-    until a box spans at most two nodes per axis.  The Jacobians couple a
-    node only to its +-1 cube, so a one-node plane separates the halves."""
-    K = multi.shape[0]
-    rows = np.arange(K)
-    lo = np.tile(multi.min(axis=0), (K, 1))
-    hi = np.tile(multi.max(axis=0), (K, 1))
-    open_ = np.ones(K, dtype=bool)
-    digits = []  # per level: 0 lower half, 1 upper half, 2 separator
-    while open_.any():
-        d = np.argmax(hi - lo, axis=1)
-        a, b, c = lo[rows, d], hi[rows, d], multi[rows, d]
-        mid = (a + b) // 2
-        split = open_ & (b - a >= 2)
-        lower, upper = split & (c < mid), split & (c > mid)
-        digits.append(np.select([lower, upper, split], [0, 1, 2], 0))
-        hi[rows, d] = np.where(lower, mid - 1, b)
-        lo[rows, d] = np.where(upper, mid + 1, a)
-        open_ = lower | upper
-    return np.lexsort([rows] + digits[::-1])
+    upper half, then the plane between them in flat order, bisecting the
+    longest axis until a box spans at most two nodes per axis (a leaf, in
+    flat order).  The Jacobians couple a node only to its +-1 cube, so a
+    one-node plane separates the halves.  A box's order depends only on
+    its shape, so it is built once per shape, over the bounding box of the
+    nodes, and the nodes are kept in that order."""
+    orders = {}
+
+    def box_order(shape):
+        """Flat (C-order) indices of a box of this shape, in its order."""
+        if shape not in orders:
+            ids = np.arange(math.prod(shape)).reshape(shape)
+            n = max(shape)
+            if n < 3:
+                orders[shape] = ids.ravel()
+            else:
+                d, mid = shape.index(n), (n - 1) // 2
+                at = (slice(None),) * d
+                halves = [ids[at + (part,)] for part in (slice(None, mid), slice(mid + 1, None))]
+                orders[shape] = np.concatenate([half.ravel()[box_order(half.shape)] for half in halves]
+                                               + [ids[at + (mid,)].ravel()])
+        return orders[shape]
+
+    lo = multi.min(axis=0)
+    shape = tuple(int(n) for n in multi.max(axis=0) - lo + 1)
+    node = np.full(math.prod(shape), -1)
+    node[np.ravel_multi_index((multi - lo).T, shape)] = np.arange(multi.shape[0])
+    order = box_order(shape)
+    # free the memo first: the permutation outlives this call, and if it were
+    # allocated above the memo's arrays it would keep their pages resident
+    orders.clear()
+    perm = node[order]
+    return perm[perm >= 0]
 
 
 class _Ops:
@@ -154,21 +182,19 @@ class _Ops:
         # (alpha, beta) for each interior pair within a +-1 cube (an interior
         # node's cube lies inside the lattice), stored as P J P^T; its value
         # is entry [o, alpha] of the (3^m, K) stencil Jacobian, o the index
-        # of beta - alpha in the +-1 cube, read at the flat index jac_entries
-        alpha, beta, offset = [], [], []
-        for o, off in enumerate(itertools.product((-1, 0, 1), repeat=m)):
-            nb = self.int_id[self.int_flat + lat_mod.flat_offset(lattice, off)]
-            alpha.append(np.flatnonzero(nb >= 0))
-            beta.append(nb[nb >= 0])
-            offset.append(np.full(alpha[-1].size, o))
-        alpha, beta, offset = map(np.concatenate, (alpha, beta, offset))
+        # of beta - alpha in the +-1 cube, read at the flat index jac_entries.
+        # Column beta's rows are the nodes beta - offset o: one sort per
+        # column of a (K, 3^m) table of keys row * 3^m + o, in column order
         self.perm = _nested_dissection(multi)
-        rank = np.empty(self.K, dtype=int)
+        rank = np.full(self.K + 1, self.K)  # rank[-1] = K: no node, sorted last
         rank[self.perm] = np.arange(self.K)
-        order = np.lexsort((rank[alpha], rank[beta]))
-        self.jac_entries = offset[order] * self.K + alpha[order]
-        self.jac_indices = rank[alpha[order]]
-        self.jac_indptr = np.concatenate([[0], np.cumsum(np.bincount(rank[beta], minlength=self.K))])
+        cube = np.array(list(itertools.product((-1, 0, 1), repeat=m))) @ lat_mod.strides(lattice)
+        key = rank[self.int_id[self.int_flat[self.perm, None] - cube]] * 3**m + np.arange(3**m)
+        row, offset = np.divmod(np.sort(key, axis=1), 3**m)
+        held = row < self.K
+        self.jac_indices = row[held]
+        self.jac_entries = offset[held] * self.K + self.perm[self.jac_indices]
+        self.jac_indptr = np.concatenate([[0], np.cumsum(held.sum(axis=1))])
 
         # per axis d, the lower and upper end nodes of the flux faces (k, k+1)
         # along d at transverse indices 1..n-2, and the idle faces, which
@@ -222,10 +248,17 @@ def _face_sum(ops: _Ops, fluxes, dtype) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is a non-finite residual
-def _maximal_residual(ops: _Ops, u_full: np.ndarray, lam) -> np.ndarray:
-    """The face fluxes phi = pd / sqrt(1 - lam psq) / h, summed per node."""
+def _maximal_residual(ops: _Ops, u_full: np.ndarray, lam, cap: float | None = None):
+    """The face fluxes phi = pd / sqrt(1 - lam psq) / h, summed per node.
+    Given a cap, the space-like safeguard comes first, from the same face
+    pass: for lam > 0, None (and no flux formed) unless lam times the
+    largest face psq is at most cap; an overflow, inf or nan, passes no cap."""
+    faces = list(_faces(ops, u_full))
+    if cap is not None and lam != 0:
+        if not lam * np.max([np.max(psq, initial=0.0) for _, _, psq in faces]) <= cap:
+            return None
     return _face_sum(ops, (pd / np.sqrt(1.0 - lam * psq) / h
-                           for (pd, _, psq), h in zip(_faces(ops, u_full), ops.h)), u_full.dtype)
+                           for (pd, _, psq), h in zip(faces, ops.h)), u_full.dtype)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -261,15 +294,31 @@ def _maximal_jacobian(ops: _Ops, u_full: np.ndarray, lam: float) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _maximal_speed2(ops: _Ops, u_full: np.ndarray) -> float:
-    """Largest face |grad f|^2 (the space-like safeguard quantity); inf or
-    nan if it overflows, which no cap passes."""
-    return max(float(np.max(psq, initial=0.0)) for _, _, psq in _faces(ops, u_full))
+def _ma_min_eig(H: np.ndarray) -> float:
+    """Smallest eigenvalue of the discrete Hessians H (k, m, m), the
+    convexity safeguard quantity; DomainError(OVERFLOW) if it is not finite."""
+    m = H.shape[-1]
+    if m == 1:
+        min_eig = np.min(H[:, 0, 0])
+    elif m == 2:
+        tr = 0.5 * (H[:, 0, 0] + H[:, 1, 1])
+        disc = np.sqrt(np.maximum(0.0, (0.5 * (H[:, 0, 0] - H[:, 1, 1])) ** 2 + H[:, 0, 1] ** 2))
+        min_eig = np.min(tr - disc)
+    else:
+        min_eig = np.min(np.linalg.eigvalsh(H)[:, 0])
+    if not (np.isfinite(min_eig) and np.all(np.isfinite(H))):  # eigvalsh may drop a nan
+        raise DomainError(OVERFLOW)
+    return float(min_eig)
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _ma_residual(ops: _Ops, u_full: np.ndarray, c: float) -> np.ndarray:
+def _ma_residual(ops: _Ops, u_full: np.ndarray, c: float, convex: bool = False):
+    """det(discrete Hessian) - c at the interior nodes.  With convex, the
+    convexity safeguard comes first, from the same Hessians: None unless
+    the smallest eigenvalue is positive (see _ma_min_eig)."""
     H = lat_mod.central_hessian(u_full, ops.lattice, ops.int_flat)
+    if convex and not _ma_min_eig(H) > 0.0:
+        return None
     m = ops.m
     if m == 1:
         det = H[:, 0, 0]
@@ -306,25 +355,6 @@ def _ma_jacobian(ops: _Ops, u_full: np.ndarray, weights: np.ndarray) -> np.ndarr
     return weights.reshape(len(weights), -1) @ cof.reshape(len(cof), -1).T
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _ma_min_eig(ops: _Ops, u_full: np.ndarray) -> float:
-    """Smallest eigenvalue of the discrete Hessians (the convexity
-    safeguard quantity); DomainError(OVERFLOW) if it is not finite."""
-    H = lat_mod.central_hessian(u_full, ops.lattice, ops.int_flat)
-    m = ops.m
-    if m == 1:
-        min_eig = np.min(H[:, 0, 0])
-    elif m == 2:
-        tr = 0.5 * (H[:, 0, 0] + H[:, 1, 1])
-        disc = np.sqrt(np.maximum(0.0, (0.5 * (H[:, 0, 0] - H[:, 1, 1])) ** 2 + H[:, 0, 1] ** 2))
-        min_eig = np.min(tr - disc)
-    else:
-        min_eig = np.min(np.linalg.eigvalsh(H)[:, 0])
-    if not (np.isfinite(min_eig) and np.all(np.isfinite(H))):  # eigvalsh may drop a nan
-        raise DomainError(OVERFLOW)
-    return float(min_eig)
-
-
 def splu(*args, **kwargs):
     """scipy.sparse.linalg.splu, imported on the first call: only the
     solvers need scipy.sparse.linalg, which is slow to import."""
@@ -352,43 +382,47 @@ def _lu_solve(ops: _Ops, lu, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _residual(res_of_int, u_int: np.ndarray):
-    """The residual at u_int and its max norm; DomainError(OVERFLOW) if it
-    is not finite (the field's gradient or Hessian overflowed)."""
-    r = res_of_int(u_int)
+def _norm(r: np.ndarray) -> float:
+    """The max norm of a residual; DomainError(OVERFLOW) if it is not
+    finite (the field's gradient or Hessian overflowed)."""
     rnorm = float(np.max(np.abs(r)))
     if not np.isfinite(rnorm):
         raise DomainError(OVERFLOW)
-    return r, rnorm
+    return rnorm
 
 
-def _newton(ops: _Ops, res_of_int, jac_of_int, accept, u_int: np.ndarray, tol: float,
-            max_iter: int, log: ConvergenceLog, stage: float):
-    """Damped Newton from u_int with chord steps (jac_of_int gives the
-    (3^m, K) stencil Jacobian at an iterate): before each new Jacobian,
-    full steps on the last LU are taken while each shrinks the residual to
-    CHORD_CONTRACTION of it (or to tol).  max_iter bounds the Jacobians
-    built, not the steps; the step on the last one allowed ends the solve.
-    Returns the solution and the last LU (None if no Jacobian was built)."""
+def _newton(ops: _Ops, trial, jac_of_int, u_int: np.ndarray, tol: float, max_iter: int,
+            log: ConvergenceLog, stage: float, r: np.ndarray | None = None):
+    """Damped Newton from u_int with chord steps.  trial(u) is the residual
+    at u, from the same pass as the safeguard, or None where the safeguard
+    refuses u; u_int must pass it, and r is the residual at u_int if a
+    trial already formed it.
+    jac_of_int gives the (3^m, K) stencil Jacobian at an iterate.  Before
+    each new Jacobian, full steps on the last LU are taken while each
+    shrinks the residual to CHORD_CONTRACTION of it (or to tol).  max_iter
+    bounds the Jacobians built, not the steps; the step on the last one
+    allowed ends the solve.  Returns the solution and the last LU (None if
+    no Jacobian was built)."""
 
-    def trial_residual(trial):
-        """The residual and its norm at a finite trial that the safeguard
+    def tried(u):
+        """The residual and its norm at a finite u that the safeguard
         accepts, else None."""
-        if np.all(np.isfinite(trial)) and accept(trial):
-            return _residual(res_of_int, trial)
-        return None
+        res = trial(u) if np.all(np.isfinite(u)) else None
+        return None if res is None else (res, _norm(res))
 
-    r, rnorm = _residual(res_of_int, u_int)
+    if r is None:
+        r = trial(u_int)
+    rnorm = _norm(r)
     log.record(stage, 0, rnorm, 1.0, "start")
     lu, it = None, 0
     for _ in range(max_iter):
         while lu is not None and rnorm > tol:
-            trial = u_int + _lu_solve(ops, lu, -r)
-            tried = trial_residual(trial)
-            if tried is None or tried[1] > max(CHORD_CONTRACTION * rnorm, tol):
+            u = u_int + _lu_solve(ops, lu, -r)
+            res = tried(u)
+            if res is None or res[1] > max(CHORD_CONTRACTION * rnorm, tol):
                 break
             it += 1
-            u_int, (r, rnorm) = trial, tried
+            u_int, (r, rnorm) = u, res
             log.record(stage, it, rnorm, 1.0, "chord")
         if rnorm <= tol:
             return u_int, lu
@@ -398,10 +432,10 @@ def _newton(ops: _Ops, res_of_int, jac_of_int, accept, u_int: np.ndarray, tol: f
         it += 1
         t = 1.0
         while t >= 2**-24:
-            trial = u_int + t * delta
-            tried = trial_residual(trial)
-            if tried is not None and (tried[1] < rnorm or tried[1] <= tol):
-                u_int, (r, rnorm) = trial, tried
+            u = u_int + t * delta
+            res = tried(u)
+            if res is not None and (res[1] < rnorm or res[1] <= tol):
+                u_int, (r, rnorm) = u, res
                 log.record(stage, it, rnorm, t, "newton")
                 break
             t /= 2.0
@@ -412,19 +446,21 @@ def _newton(ops: _Ops, res_of_int, jac_of_int, accept, u_int: np.ndarray, tol: f
     raise SolverError(f"Newton divergence: residual {rnorm:.3e} after {max_iter} iterations")
 
 
-def _stage_start(log: ConvergenceLog, stage: float, accept, warm, predicted, no_prediction: str,
-                 safeguard: str) -> np.ndarray:
-    """The predicted start if accept passes it, else the warm start (logged
-    as a fallback with its reason)."""
+def _stage_start(log: ConvergenceLog, stage: float, trial, warm, predicted, no_prediction: str,
+                 safeguard: str):
+    """The predicted start if the safeguard passes it, else the warm start
+    (logged as a fallback with its reason), with its residual from trial."""
     if predicted is not None:
-        if accept(predicted):
+        r = trial(predicted)
+        if r is not None:
             log.event(stage, "predicted")
-            return predicted
+            return predicted, r
         no_prediction = f"predicted start {safeguard}"
     log.event(stage, "fallback", no_prediction)
-    if not accept(warm):
+    r = trial(warm)
+    if r is None:
         raise SolverError(f"warm start {safeguard}")
-    return warm
+    return warm, r
 
 
 def _adaptive_ladder(solve_stage, log: ConvergenceLog, min_step: float = 1e-3) -> np.ndarray:
@@ -469,25 +505,19 @@ def solve_maximal(lattice: Lattice, boundary, tol: float = 1e-10, max_iter: int 
     cap = (1.0 - delta_safe) ** 2
 
     def stage(lam, warm, predicted):
-        def res_of_int(u_int):
-            return _maximal_residual(ops, _full_from_interior(ops, bvals, u_int), lam)
+        def trial(u_int):
+            return _maximal_residual(ops, _full_from_interior(ops, bvals, u_int), lam, cap)
 
         def jac_of_int(u_int):
             return _maximal_jacobian(ops, _full_from_interior(ops, bvals, u_int), lam)
 
-        def accept(u_int):
-            if lam == 0:
-                return True
-            full = _full_from_interior(ops, bvals, u_int)
-            return lam * _maximal_speed2(ops, full) <= cap
-
         if warm is None:
-            start = np.full(ops.K, float(np.mean(bvals[np.isfinite(bvals)])))
+            start, r = np.full(ops.K, float(np.mean(bvals[np.isfinite(bvals)]))), None
         else:
-            start = _stage_start(log, lam, accept, warm, predicted,
-                                 "no Newton step to take the tangent from",
-                                 "violates the space-like safeguard")
-        u_int, lu = _newton(ops, res_of_int, jac_of_int, accept, start, tol, max_iter, log, lam)
+            start, r = _stage_start(log, lam, trial, warm, predicted,
+                                    "no Newton step to take the tangent from",
+                                    "violates the space-like safeguard")
+        u_int, lu = _newton(ops, trial, jac_of_int, start, tol, max_iter, log, lam, r)
         if lam == 1.0 or lu is None:
             return u_int, None
         # Euler tangent J du/dlam = -dR/dlam
@@ -525,19 +555,15 @@ def solve_ma(lattice: Lattice, boundary, c: float = 1.0, tol: float = 1e-10,
         bvals = np.full_like(gvals, np.nan)
         bvals[bmask] = quad[bmask] + theta * (gvals[bmask] - quad[bmask])
 
-        def res_of_int(u_int):
-            return _ma_residual(ops, _full_from_interior(ops, bvals, u_int), c)
+        def trial(u_int):
+            return _ma_residual(ops, _full_from_interior(ops, bvals, u_int), c, True)
 
         def jac_of_int(u_int):
             return _ma_jacobian(ops, _full_from_interior(ops, bvals, u_int), weights)
 
-        def accept(u_int):
-            full = _full_from_interior(ops, bvals, u_int)
-            return _ma_min_eig(ops, full) > 0.0
-
-        start = quad[ops.int_flat] if warm is None else _stage_start(
-            log, theta, accept, warm, predicted, no_prediction, "lost discrete convexity")
-        u_int, _ = _newton(ops, res_of_int, jac_of_int, accept, start, tol, max_iter, log, theta)
+        start, r = (quad[ops.int_flat], None) if warm is None else _stage_start(
+            log, theta, trial, warm, predicted, no_prediction, "lost discrete convexity")
+        u_int, _ = _newton(ops, trial, jac_of_int, start, tol, max_iter, log, theta, r)
         return u_int, slope
 
     try:
@@ -615,14 +641,20 @@ def _lattice_from_dict(d: dict) -> Lattice:
 def save_field(field: GridField, path: str, fmt: str = "json") -> None:
     vals = field.values.ravel()
     if fmt == "json":
-        payload = {
-            "meta": {"kind": "field"},
-            "lattice": _lattice_to_dict(field.lattice),
-            "values": np.where(np.isfinite(vals), vals.astype(object), None).tolist(),
-        }
+        # the bytes of json.dump(indent=1) of {"meta", "lattice", "values"}:
+        # the dump of the first two keys less its closing "\n}", then the
+        # values a chunk at a time, float.__repr__ of each finite one and
+        # null for the others (whose repr is nan here; no finite repr has an n)
+        head = json.dumps({"meta": {"kind": "field"}, "lattice": _lattice_to_dict(field.lattice)},
+                          indent=1)
+        sep = ",\n  "
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=1)
-            fh.write("\n")
+            fh.write(head[:-2] + ',\n "values": [\n  ')
+            for start in range(0, vals.size, _JSON_CHUNK):
+                part = vals[start:start + _JSON_CHUNK]
+                text = sep.join(map(float.__repr__, np.where(np.isfinite(part), part, np.nan).tolist()))
+                fh.write((sep if start else "") + text.replace("nan", "null"))
+            fh.write("\n ]\n}\n")
     elif fmt == "csv":
         lat = field.lattice
         value = np.where(np.isfinite(vals), vals.astype(object), "nan")

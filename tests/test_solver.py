@@ -274,23 +274,33 @@ def test_log_marks_chord_steps():
             assert step[2] <= max(solver.CHORD_CONTRACTION * before[2], 1e-11)
 
 
-def test_residuals_are_read_only_where_the_safeguard_passes():
-    # the maximal residual is undefined past the space-like cap, so no trial,
-    # chord or damped, may reach the residual before the safeguard passes it
+def test_residuals_are_read_only_where_the_safeguard_passes(monkeypatch):
+    # the maximal residual is undefined past the space-like cap, so a trial
+    # forms no flux before its face pass has checked the largest face psq
+    sums, real_sum = [], solver._face_sum
+    monkeypatch.setattr(solver, "_face_sum", lambda *args: sums.append(1) or real_sum(*args))
     ops = solver._Ops(Lattice.box((-1, -1), (1, 1), 6))
-    start, passed = np.zeros(ops.K), []
+    steep = 2.0 * lm.node_points(ops.lattice)[:, 0]  # every face psq is 4, up to rounding
+    assert solver._maximal_residual(ops, steep, 1.0, 1.0) is None and sums == []
+    assert solver._maximal_residual(ops, steep, 0.2, 1.0) is not None and len(sums) == 1
+    assert solver._maximal_residual(ops, steep, 0.0, 1.0) is not None  # Laplace: no safeguard
 
-    def accept(u):
-        passed.append(u.copy())
-        return True
+    # and no trial, chord or damped, reaches a residual that its safeguard
+    # refused: every residual _newton logs is one that trial returned
+    start, refused, norms = np.zeros(ops.K), [], []
 
-    def res_of_int(u):
-        assert u is start or any(np.array_equal(u, p) for p in passed)
-        return u + u**3 - 1.0
+    def trial(u):
+        if np.max(u) > 0.9:
+            refused.append(u)
+            return None
+        r = u + u**3 - 1.0
+        norms.append(float(np.max(np.abs(r))))
+        return r
 
     log = ConvergenceLog()
-    solver._newton(ops, res_of_int, lambda u: _diagonal_jacobian(ops, 1.0 + 3.0 * u**2), accept,
-                   start, 1e-12, 10, log, 1.0)
+    solver._newton(ops, trial, lambda u: _diagonal_jacobian(ops, 1.0 + 3.0 * u**2), start,
+                   1e-12, 10, log, 1.0)
+    assert refused and {step[2] for step in log.steps} <= set(norms)
     assert "chord" in [step[4] for step in log.steps]
 
 
@@ -302,16 +312,16 @@ def _diagonal_jacobian(ops, diagonal):
     return jac
 
 
-@pytest.mark.parametrize("res_of_int, diagonal", [
+@pytest.mark.parametrize("trial, diagonal", [
     (lambda u: u + np.inf, 1.0),
     (lambda u: u - 1.0, np.inf),  # a finite residual whose Jacobian overflows
 ], ids=["residual", "jacobian"])
-def test_an_overflow_never_reaches_splu(monkeypatch, res_of_int, diagonal):
+def test_an_overflow_never_reaches_splu(monkeypatch, trial, diagonal):
     calls = _count_factorizations(monkeypatch)
     ops = solver._Ops(Lattice.box((-1, -1), (1, 1), 6))
     with pytest.raises(DomainError, match=r"^non-finite metric \(overflow\)$"):
-        solver._newton(ops, res_of_int, lambda u: _diagonal_jacobian(ops, diagonal),
-                       lambda u: True, np.zeros(ops.K), 1e-10, 5, ConvergenceLog(), 0.0)
+        solver._newton(ops, trial, lambda u: _diagonal_jacobian(ops, diagonal),
+                       np.zeros(ops.K), 1e-10, 5, ConvergenceLog(), 0.0)
     assert calls == []
 
 
@@ -405,8 +415,9 @@ def test_maximal_stencil_matches_a_per_node_loop(lat):
     for field, lam in ((u, 0.0), (u, 0.8), (u, 1.0), (stepped, 1.0), (stepped, 0.6 + 1e-50j)):
         res, worst = _reference_faces(lat, field, lam)
         assert np.array_equal(solver._maximal_residual(ops, field, lam), res)
-        if field is u:
-            assert solver._maximal_speed2(ops, u) == worst
+        if field is u and lam:  # the safeguard's largest face psq is exactly worst
+            assert np.array_equal(solver._maximal_residual(ops, u, lam, lam * worst), res)
+            assert solver._maximal_residual(ops, u, lam, np.nextafter(lam * worst, 0.0)) is None
 
 
 def test_nested_dissection_is_a_permutation_with_separators_last():
