@@ -112,15 +112,14 @@ class BallReport:
     r: np.ndarray          # geodesic radii of the samples
     S: np.ndarray
     H_norm: np.ndarray
-    mu_dist: np.ndarray    # Gauss-map distance of each sample to the reference
+    mu_dist: np.ndarray    # Gauss-map distance of each sample to the plane at the center
     mu: float              # max modulus over the ball
     h_bar: float           # max sampled |H|
     ratio29: float
     ratio28: float
 
 
-def estimate_report(gm: GraphMap, x0, a: float, lattice: Lattice,
-                    ref: SpacelikePlane = None) -> BallReport:
+def estimate_report(gm: GraphMap, x0, a: float, lattice: Lattice) -> BallReport:
     """Sampled ratios of S against the two curvature-estimate right-hand
     sides on the geodesic ball of radius a about x0.
 
@@ -137,8 +136,7 @@ def estimate_report(gm: GraphMap, x0, a: float, lattice: Lattice,
     if np.nanmax(rflat[act]) < a:
         raise LatticeError("geodesic ball of radius a exceeds the sampled lattice")
     sel = np.flatnonzero(act & np.isfinite(rflat) & (rflat <= a))
-    if ref is None:
-        ref = gauss_map(gm, np.asarray(x0, dtype=float))
+    ref = gauss_map(gm, np.asarray(x0, dtype=float))
 
     geo = graph_geometry(gm, pts[sel], 2)
     mu_d, d_fails = _distances(SpacelikePlane(geo.A), ref)

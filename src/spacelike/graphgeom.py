@@ -541,12 +541,11 @@ def _spacelike_metric(gm: GraphMap, x: np.ndarray) -> np.ndarray:
 @dataclass
 class GeodesicBatch:
     """The geodesics of ``integrate_geodesic``.  A direction runs in the
-    solve_ivp segments up to its own end; its dense output is stitched
-    from theirs and holds its end state after ``t_end``."""
+    solve_ivp segments up to its own end; ``state`` stitches its dense
+    output from theirs and holds its end state after ``t_end``."""
 
     t_end: np.ndarray    # (k,) each direction's end time
     t_events: list       # per direction its exit time, or an empty array
-    y: np.ndarray        # (2 k m, 1) end states: the k positions, direction-major, then the velocities
     message: str         # the message of the last solve_ivp call
     pieces: list         # per direction (segment end, OdeSolution, its rows of that segment's state)
 
@@ -554,19 +553,13 @@ class GeodesicBatch:
         """Position and velocity (2m, ...) of direction j at times t."""
         t = np.minimum(t, self.t_end[j])
         flat = np.ravel(t)
-        out = np.empty((self.y.shape[0] // len(self.t_end), flat.size))
+        out = np.empty((len(self.pieces[j][0][2]), flat.size))  # its 2m state rows
         # piece p covers (end of piece p - 1, its own end]
         which = np.searchsorted([end for end, _, _ in self.pieces[j]], flat)
         for p in np.unique(which):
             _, dense, rows = self.pieces[j][p]
             out[:, which == p] = dense(flat[which == p])[rows]
         return out.reshape(out.shape[:1] + np.shape(t))
-
-    def sol(self, t):
-        """The stacked state at times t, in the layout of ``y``."""
-        states = np.stack([self.state(j, t) for j in range(len(self.t_end))])
-        m = states.shape[1] // 2
-        return np.concatenate([states[:, :m], states[:, m:]]).reshape((-1,) + np.shape(t))
 
 
 def integrate_geodesic(gm: GraphMap, x0, v0, t_span, *,
@@ -608,7 +601,7 @@ def integrate_geodesic(gm: GraphMap, x0, v0, t_span, *,
 
     t, t_stop = t_span
     run, state = np.arange(k), np.stack([x0, v0])          # state (2, running, m)
-    t_end, ends = np.empty(k), np.empty((2, k, m))
+    t_end = np.empty(k)
     t_events, pieces = [np.empty(0)] * k, [[] for _ in range(k)]
     while run.size:
         events = [exit_event(r) for r in range(run.size)] if np.isfinite(region_halfwidth) else None
@@ -622,12 +615,11 @@ def integrate_geodesic(gm: GraphMap, x0, v0, t_span, *,
         if sol.status == 1:                                # a terminal exit event fired
             left[:] = [len(te) > 0 for te in sol.t_events]
         done = left | (sol.status != 1 or t == t_stop)
-        t_end[run[done]], ends[:, run[done]] = t, state[:, done]
+        t_end[run[done]] = t
         for j in run[left]:
             t_events[j] = np.array([t])
         run, state = run[~done], state[:, ~done]
-    return GeodesicBatch(t_end=t_end, t_events=t_events, y=ends.reshape(-1, 1),
-                         message=sol.message, pieces=pieces)
+    return GeodesicBatch(t_end=t_end, t_events=t_events, message=sol.message, pieces=pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -642,34 +634,28 @@ class SimonsReport:
     s_values: np.ndarray
 
 
-def simons_report(gm: GraphMap, lattice: Lattice, stride: int = 1) -> SimonsReport:
+def simons_report(gm: GraphMap, lattice: Lattice) -> SimonsReport:
     """Pointwise slack of the Simons-type inequality
     (1/2) Lap S >= sum h_sijk^2 - m |H| S^{3/2} + S^2 / n
     with Lap S from second-order central differences of the S field and
     everything else exact from jets.  Meaningful for maps with parallel
     mean curvature; dh_max reports how far DH is from zero.
-
-    stride > 1 evaluates the slack on every stride-th interior node per
-    axis (the S field itself always uses the full lattice resolution, on
-    the +-1 cubes of those nodes).
     """
     if any(s < 5 for s in lattice.shape):
         raise LatticeError("simons_report needs at least 5 nodes per axis")
     m, n = gm.m, gm.n
     pts = lat_mod.node_points(lattice)
-    chosen = lat_mod.interior_mask(lattice)
-    if stride > 1:
-        chosen = chosen & np.all(np.indices(lattice.shape) % stride == 0, axis=0)
+    interior = lat_mod.interior_mask(lattice)
     # interior nodes have their whole +-1 cube active and inside the lattice
     cube = [lat_mod.flat_offset(lattice, off) for off in itertools.product((-1, 0, 1), repeat=m)]
-    s_nodes = np.unique(np.flatnonzero(chosen)[:, None] + cube)
+    s_nodes = np.unique(np.flatnonzero(interior)[:, None] + cube)
 
     # one pass over the S nodes; the slack nodes are among them
     geo = graph_geometry(gm, pts[s_nodes])
     geo.fails.raise_first(DOMAIN)  # a node that is not space-like has no S
     s_field = np.full(pts.shape[0], np.nan)
     s_field[s_nodes] = geo.S
-    ready = chosen & lat_mod.cube_all(np.isfinite(s_field).reshape(lattice.shape), 1)
+    ready = interior & lat_mod.cube_all(np.isfinite(s_field).reshape(lattice.shape), 1)
     flats = np.flatnonzero(ready)
     if not flats.size:
         raise LatticeError("no interior nodes with a full space-like neighborhood")

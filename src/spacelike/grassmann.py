@@ -84,13 +84,6 @@ def _transport(A: np.ndarray, B: np.ndarray):
     return V @ np.linalg.inv(U), np.where(ws <= 0, ws, np.where(wt <= 0, wt, np.nan))
 
 
-def transport_slope(P: SpacelikePlane, Q: SpacelikePlane) -> np.ndarray:
-    """Slope of Q after the isometry that moves P to the base plane."""
-    rel, failed = _transport(P.slope, Q.slope)
-    Failures.clean(failed.shape).add(~np.isnan(failed), PLANE, failed).raise_first()
-    return rel
-
-
 def distance(P: SpacelikePlane, Q: SpacelikePlane):
     """Geodesic distance between two space-like planes; batches of planes
     broadcast against each other and give an array of distances."""
@@ -115,14 +108,6 @@ def _distances(P: SpacelikePlane, Q: SpacelikePlane):
     d = np.sqrt(np.sum(np.arctanh(np.minimum(sv, 1.0 - 1e-16)) ** 2, axis=-1))
     return np.where(np.isnan(value), d, np.nan), Failures.clean(value.shape).add(
         ~np.isnan(value), PLANE, value)
-
-
-def chart_metric(A: np.ndarray, dA: np.ndarray) -> float:
-    """Squared length of the chart velocity dA at the plane with slope A."""
-    m, n = A.shape[1], A.shape[0]
-    P = np.linalg.inv(np.eye(m) - A.T @ A)
-    Q = np.linalg.inv(np.eye(n) - A @ A.T)
-    return float(np.trace(P @ dA.T @ Q @ dA))
 
 
 def hyperbolic_distance_n1(P: SpacelikePlane, Q: SpacelikePlane) -> float:

@@ -14,7 +14,7 @@ g^{-1}) and via an intrinsic Christoffel oracle for cross-checking.
 The per-point functions (gradient_graph, ma_residual, lagrangian_forms,
 moduli_curvature, moduli_curvature_oracle, to_standard) take a point (m,)
 or a batch (k, m) and evaluate the jets of F once for the batch (plus once
-for the 2m shifted points of each finite-difference route); a batch gets
+for the 2m shifted points of the oracle's finite differences); a batch gets
 batched records or the exception of its first failing point.
 
 to_standard() changes coordinates by the linear isometry
@@ -104,7 +104,6 @@ class LagrangianForms:
     H_coeff: np.ndarray       # (m,): H = H_coeff[k] n_k
     S: float                  # squared norm of the second fundamental form
     H_norm: float
-    logdet_identity_residual: float  # max |d_l ln g - g^{ij} F_ijl|
 
 
 def lagrangian_forms(P: Potential, x) -> LagrangianForms:
@@ -115,31 +114,22 @@ def lagrangian_forms(P: Potential, x) -> LagrangianForms:
     with g = det Hess F.  Frame-invariant norms:
     S = 1/4 g^{ik} g^{jl} g^{ab} F_ija F_klb and |H|^2 = g_pq H^p H^q.
     """
-    gg, pts, jet, fails = _gradient_graph(P, x)
-    # independent route to d_l ln g via central differences of the jet values
-    h_fd = 1e-6
-    shifted, shift_fails = _shifted_jets(P, pts, h_fd)
-    fails.then(shift_fails).raise_first()
-    B, H, S, H_norm, dlog = _lagrangian_forms(P, jet, gg)
-    dets = np.linalg.det(shifted.hess)
-    dp, dm = dets[:, :P.m], dets[:, P.m:]
-    resid = np.max(np.abs((np.log(dp) - np.log(dm)) / (2 * h_fd) - dlog), axis=-1)
-    return _view(x, LagrangianForms(B_coeff=B, H_coeff=H, S=S, H_norm=H_norm,
-                                    logdet_identity_residual=resid))
+    gg, _, jet, fails = _gradient_graph(P, x)
+    fails.raise_first()
+    return _view(x, LagrangianForms(*_lagrangian_forms(P, jet, gg)))
 
 
 def _lagrangian_forms(P: Potential, jet, gg: GradientGraphPoint):
-    """B_coeff, H_coeff, S and H_norm at every point, and d_l ln det g from
-    the jets."""
+    """B_coeff, H_coeff, S and H_norm at every point, from the jets."""
     g, g_inv = gg.metric, gg.metric_inv
     T = jet.third
     B = -0.5 * np.einsum("...ijl,...lk->...ijk", T, g_inv)
-    # d_l det = det * g^{ij} F_ijl  (Jacobi); verified as an internal identity
+    # d_l ln det g = g^{ij} F_ijl  (Jacobi)
     dlog = np.einsum("...ij,...ijl->...l", g_inv, T)
     H = -(1.0 / (2.0 * P.m)) * np.einsum("...l,...lk->...k", dlog, g_inv)
     S = 0.25 * np.einsum("...ik,...jl,...ab,...ija,...klb->...", g_inv, g_inv, g_inv, T, T)
     H_norm = np.sqrt(np.einsum("...p,...pq,...q->...", H, g, H))
-    return B, H, S, H_norm, dlog
+    return B, H, S, H_norm
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +227,6 @@ def _moduli_oracle(P: Potential, jet, shifted) -> np.ndarray:
     return riemann_from_metric(jet.hess, dg, ddg)
 
 
-def moduli_ricci_from_riemann(g_inv: np.ndarray, riemann: np.ndarray) -> np.ndarray:
-    """g-contraction Ric_ik = g^{jl} R_jilk of the slot-ordered tensor."""
-    return np.einsum("jl,jilk->ik", g_inv, riemann)
-
-
 # ---------------------------------------------------------------------------
 # Node table of a potential
 
@@ -257,7 +242,7 @@ def node_table(P: Potential, pts: np.ndarray, oracle: bool) -> tuple[np.ndarray,
     gg, _, jet, fails = _gradient_graph(P, pts)
     convex = np.flatnonzero(fails.code == OK)
     jet_c, gg_c = _take(jet, convex), _take(gg, convex)
-    _, _, S, H_norm, _ = _lagrangian_forms(P, jet_c, gg_c)
+    _, _, S, H_norm = _lagrangian_forms(P, jet_c, gg_c)
     mc = moduli_curvature_arrays(gg_c.metric, gg_c.metric_inv, jet_c.third)
 
     clean = fails.code != DOMAIN

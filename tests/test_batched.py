@@ -167,8 +167,12 @@ def test_potential_batches_equal_single_points(seed, m, k):
         _check_rows(fn, P, pts)
 
 
+# defined for x1 >= -0.5, convex near there and not convex at (0, 1)
+EDGE_POTENTIAL = "0.5*x1^2+0.5*x2^2+sqrt(x1+0.5)^4-x2^4"
+
+
 @pytest.mark.parametrize("fn, text, pts", [
-    (lagrangian_forms, "0.5*x1^2+0.5*x2^2+sqrt(x1+0.5)^4-x2^4", [[-0.5 + 5e-7, 0.0], [0.0, 1.0]]),
+    (moduli_curvature_oracle, EDGE_POTENTIAL, [[-0.5 + 5e-5, 0.0], [0.0, 1.0]]),
     (to_standard, "0.5*x1^2+x2^4/12-x1^4", [[0.0, 1e-7], [1.0, 0.0]]),
 ], ids=["shifted-point", "standard-frames"])
 def test_a_batch_raises_its_first_failing_point_at_a_later_check(fn, text, pts):
@@ -178,6 +182,19 @@ def test_a_batch_raises_its_first_failing_point_at_a_later_check(fn, text, pts):
     first = _outcome(fn, P, pts[0])
     assert isinstance(first, tuple) and first != _outcome(fn, P, pts[1])
     assert _outcome(fn, P, pts) == first
+
+
+def test_lagrangian_forms_raise_exactly_where_moduli_curvature_raises():
+    # both read the jets at the points alone, so a point 5e-7 from the edge
+    # of F's domain gets its forms
+    P = Potential.from_string(2, EDGE_POTENTIAL)
+    pts = np.array([[-0.5 + 5e-7, 0.0], [0.0, 1.0]])
+    assert not isinstance(_outcome(lagrangian_forms, P, pts[0]), tuple)
+    for x in (pts[0], pts[1], pts):
+        forms, moduli = _outcome(lagrangian_forms, P, x), _outcome(moduli_curvature, P, x)
+        assert isinstance(forms, tuple) == isinstance(moduli, tuple)
+        if isinstance(moduli, tuple):
+            assert forms == moduli
 
 
 # -- node-table statuses are what the per-point functions raise ---------------

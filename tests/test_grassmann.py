@@ -3,11 +3,12 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from conftest import random_spacelike_graph
+from oracles import chart_metric, transport_slope
 from spacelike.checks import gauss_map_pullback_trace
 from spacelike.graphgeom import GraphMap, induced_metric
 from spacelike.grassmann import (
-    SpacelikePlane, chart_metric, distance, gauss_map, hyperbolic_distance_n1,
-    max_modulus, pullback_check, pullback_trace, transport_slope,
+    SpacelikePlane, distance, gauss_map, hyperbolic_distance_n1, max_modulus, pullback_check,
+    pullback_trace,
 )
 
 

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import convex_sample
+from oracles import moduli_ricci_from_riemann
 from spacelike.exprparse import DomainError
 from spacelike.graphgeom import first_bianchi_residual
 from spacelike.jets import evaluate_jet
 from spacelike.lagrangian import (
     NotConvexError, Potential, gradient_graph, lagrangian_forms, ma_residual,
-    moduli_curvature, moduli_curvature_oracle, moduli_ricci_from_riemann,
-    null_to_standard_matrix, to_standard,
+    moduli_curvature, moduli_curvature_oracle, null_to_standard_matrix, to_standard,
 )
 
 
@@ -85,7 +85,12 @@ def test_forms_quartic_1d_hand_values():
     # frame-invariant norms
     assert np.isclose(lf.S, 1.0 / 12.0)
     assert np.isclose(lf.H_norm, 1.0 / np.sqrt(12.0))
-    assert lf.logdet_identity_residual <= 1e-6
+    # Jacobi: d_l ln det g = g^{ij} F_ijl, against central differences of ln det g
+    x, shifts = np.array([1.0]), 1e-6 * np.eye(P.m)
+    jet = evaluate_jet(P.F, x)
+    dlog = np.einsum("ij,ijl->l", np.linalg.inv(jet.hess), jet.third)
+    dp, dm = (np.linalg.det(evaluate_jet(P.F, x + s * shifts).hess) for s in (1, -1))
+    assert np.max(np.abs((np.log(dp) - np.log(dm)) / 2e-6 - dlog)) <= 1e-6
 
 
 def test_ma_residual_values():

@@ -65,6 +65,18 @@ def test_catenoid_newton_superlinear_tail():
     assert ratios[-1] < 0.1 * (1 + ratios[0])
 
 
+@pytest.mark.parametrize("lat, data", [
+    (Lattice.annulus(0.5, 2.0, 33), "asinh(sqrt(x1^2+x2^2))"),
+    (Lattice.annulus(0.5, 2.0, 65), "asinh(sqrt(x1^2+x2^2))"),
+    (Lattice.annulus(0.5, 2.0, 97), "asinh(sqrt(x1^2+x2^2))"),
+    (Lattice.box((-1, -1), (1, 1), 17), "0.3*x1 - 0.2*x2 + 0.5"),
+], ids=["catenoid-33", "catenoid-65", "catenoid-97", "affine-17"])
+def test_final_residual_is_the_residual_of_the_returned_field(lat, data):
+    fld, log = solve_maximal(lat, parse(data, 2))
+    fresh = solver._maximal_residual(solver._Ops(lat), fld.values.ravel(), 1.0)
+    assert log.final_residual == float(np.max(np.abs(fresh)))
+
+
 def test_maximum_principle_spot_check():
     # affine plus a nonnegative boundary bump: interior values stay within
     # the range of the boundary data
