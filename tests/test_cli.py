@@ -376,6 +376,21 @@ def test_config_errors(tmp_path):
     assert run_cli(["scan", "--config", cfg3]) == 1
 
 
+def test_lattice_spacing_rounds_the_node_count(tmp_path):
+    # spacing 0.3 on [-1, 1] gives round(2 / 0.3) + 1 = 8 nodes per axis, at 2/7
+    outs = []
+    for name, size in [("spacing", {"spacing": 0.3}), ("nodes", {"nodes": 8})]:
+        out = tmp_path / f"{name}.csv"
+        cfg = analyze_config(tmp_path, str(out), components=["sqrt(1+x1^2+x2^2)-1"],
+                             extra={"lattice": {"lo": [-1, -1], "hi": [1, 1], **size}})
+        assert run_cli(["analyze", "--config", cfg]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    header, *lines = outs[0].decode().strip().split("\n")
+    x1 = sorted({float(line.split(",")[1]) for line in lines})
+    assert len(lines) == 64 and np.allclose(x1, np.linspace(-1, 1, 8), rtol=0, atol=1e-15)
+
+
 def test_check_battery_passes(tmp_path, capsys):
     cfg = write_config(tmp_path, "cfg.json", {"out": str(tmp_path / "check.csv")})
     assert run_cli(["check", "--config", cfg]) == 0
@@ -398,6 +413,27 @@ def test_check_violation_exit_code(tmp_path, monkeypatch, capsys):
     cfg = write_config(tmp_path, "cfg.json", {"out": str(tmp_path / "c.csv")})
     assert run_cli(["check", "--config", cfg]) == 3
     assert "FAIL forced-failure" in capsys.readouterr().out
+
+
+def test_check_reports_a_crashing_suite_and_runs_the_rest(tmp_path, monkeypatch, capsys):
+    ran = []
+
+    def crash(rng):
+        raise ZeroDivisionError("planted")
+
+    def after(rng):
+        ran.append(True)
+        return True, "ran"
+
+    monkeypatch.setattr(checks, "SUITES", (("crash", crash), ("after", after)))
+    cfg = write_config(tmp_path, "cfg.json", {"out": str(tmp_path / "c.csv")})
+    assert run_cli(["check", "--config", cfg]) == 3
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("FAIL crash: exception: ZeroDivisionError: planted (")
+    assert out[1].startswith("PASS after: ran (")
+    assert ran == [True]
+    assert (tmp_path / "c.csv").read_text().splitlines()[1:] == [
+        "crash,FAIL,exception: ZeroDivisionError: planted", "after,pass,ran"]
 
 
 def test_check_suites_fail_on_nan(monkeypatch):

@@ -176,6 +176,25 @@ def test_ma_recovers_anisotropic_quadratic():
     assert np.max(np.abs(fld.values.ravel() - exact)) <= 1e-10
 
 
+@pytest.mark.parametrize("m, data, c", [
+    (1, "x1^2 + 0.5*x1", 2.0),
+    (3, "x1^2 + 0.25*x2^2 + 0.5*x3^2 + 0.25*x1 - 0.5*x3", 1.0),
+], ids=["m1", "m3"])
+def test_ma_solves_quadratic_data_exactly_off_the_plane(m, data, c):
+    # dyadic nodes and coefficients: the discrete Hessian of the data is its
+    # Hessian exactly, and the prediction F is the solution
+    lat = Lattice.box((-1.0,) * m, (1.0,) * m, 5)
+    expr = parse(data, m)
+    exact = eval_values(expr, lm.node_points(lat))
+    fld, log = solve_ma(lat, expr, c=c)
+    assert np.array_equal(fld.values.ravel(), exact)
+    assert log.final_residual == 0.0
+    # a callable boundary has no prediction: Newton starts from the quadratic
+    fld, log = solve_ma(lat, lambda pts: eval_values(expr, pts), c=c)
+    assert np.max(np.abs(fld.values.ravel() - exact)) <= 1e-12
+    assert log.final_residual <= 1e-10
+
+
 def test_ma_perturbed_boundary_converges_and_stays_convex():
     lat = Lattice.box((0, 0), (1, 1), 33)
     expr = parse("0.5*(x1^2+x2^2) + 0.1*sin(x1)*sin(x2)", 2)
