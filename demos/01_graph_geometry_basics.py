@@ -9,8 +9,7 @@ graph in R^{3}_1 is the hyperbolic plane: every sectional curvature is
 import numpy as np
 
 from spacelike import (
-    GraphMap, adapted_frames, covariant_h, curvature, extremal_residual,
-    fundamental_forms, induced_metric,
+    GraphMap, covariant_h, curvature, extremal_residual, fundamental_forms, induced_metric,
 )
 
 gm = GraphMap.from_strings(2, ["sqrt(1 + x1^2 + x2^2)"])
@@ -20,7 +19,7 @@ mp = induced_metric(gm, x)
 print("induced metric g =\n", mp.g)
 print("min eigenvalue", mp.min_eig, "-> space-like:", mp.spacelike)
 
-fr = adapted_frames(gm, x)
+fr = fundamental_forms(gm, x)
 sig = np.array([1.0, 1.0, -1.0])
 print("\nframe Gram (tangent, should be identity):\n", (fr.tangent * sig) @ fr.tangent.T)
 print("frame Gram (normal, should be -1):\n", (fr.normal * sig) @ fr.normal.T)

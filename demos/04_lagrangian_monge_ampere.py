@@ -23,7 +23,7 @@ print("  frame-invariant S:", lf.S, " |H|:", lf.H_norm)
 print("  Monge-Ampere residual (c=1):", ma_residual(P, [1.0]))
 
 si = to_standard(P, [1.0])
-print("  standard-coordinate route: S =", si.geometry.S, " |H| =", si.geometry.H_norm)
+print("  standard-coordinate route: S =", si.S, " |H| =", si.H_norm)
 
 Q = Potential.from_string(2, "0.5*(x1^2 + x2^2) + 0.1*x1^4 + 0.08*x2^3")
 x = np.array([0.2, -0.1])

@@ -8,10 +8,9 @@ from .exprparse import DomainError, ParseError, eval_values, parse, pretty
 from .jets import Jet3, evaluate_jet, finite_diff_check
 from .lattice import Lattice, LatticeError
 from .graphgeom import (
-    BasePointError, GraphMap, NotSpacelikeError, adapted_frames, covariant_h,
-    curvature, extremal_residual, frame_riemann_oracle, fundamental_forms,
-    induced_metric, integrate_geodesic, pseudo_distance, ricci_bound_check,
-    simons_report,
+    BasePointError, GraphMap, NotSpacelikeError, covariant_h, curvature,
+    extremal_residual, frame_riemann_oracle, fundamental_forms, induced_metric,
+    integrate_geodesic, pseudo_distance, ricci_bound_check, simons_report,
 )
 from .grassmann import (
     SpacelikePlane, distance, gauss_map, max_modulus, pullback_check, pullback_trace,

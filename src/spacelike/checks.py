@@ -22,9 +22,8 @@ import numpy as np
 from .bernstein import completeness_probe
 from .exprparse import parse, pretty
 from .graphgeom import (
-    GraphMap, adapted_frames, covariant_h, curvature, first_bianchi_residual,
-    frame_riemann_oracle, fundamental_forms, pseudo_distance, ricci_bound_check, signature,
-    simons_report,
+    GraphMap, covariant_h, curvature, first_bianchi_residual, frame_riemann_oracle,
+    fundamental_forms, pseudo_distance, ricci_bound_check, signature, simons_report,
 )
 from .grassmann import SpacelikePlane, distance, hyperbolic_distance_n1, pullback_trace
 from .jets import finite_diff_check
@@ -104,7 +103,7 @@ def jets_vs_finite_differences(rng):
 def frame_residual(gm, x) -> float:
     """The largest deviation of the adapted frames at x from
     <e_i, e_j> = delta_ij, <e_s, e_t> = -delta_st and <e_i, e_s> = 0."""
-    fr = adapted_frames(gm, x)
+    fr = fundamental_forms(gm, x)
     sig = signature(gm.m, gm.n)
     return float(np.max([np.max(np.abs((fr.tangent * sig) @ fr.tangent.T - np.eye(gm.m))),
                          np.max(np.abs((fr.normal * sig) @ fr.normal.T + np.eye(gm.n))),
@@ -211,7 +210,7 @@ def lagrangian_cross_module(rng):
     devs = []
     for P, x in _convex_potentials(rng, ("x1^3", "x1^2*x2", "x1*x2^2", "x2^3", "x1^4", "x2^4")):
         S = lagrangian_forms(P, x).S
-        devs.append(abs(to_standard(P, x).geometry.S - S) / (1 + S))
+        devs.append(abs(to_standard(P, x).S - S) / (1 + S))
     return _within(devs, 1e-8, "max S deviation")
 
 

@@ -183,8 +183,8 @@ def _validate(raw: dict) -> dict:
 
 
 def _axis_nodes(width: float, spacing: float) -> int:
-    """The nodes a lattice axis of this width gets at this spacing, counted as
-    Lattice.from_spacing counts them but saturating above MAX_NODES."""
+    """The nodes a lattice axis of this width gets at this spacing: the
+    nearest whole number of steps, saturating above MAX_NODES, plus one."""
     return round(min(abs(width) / spacing, MAX_NODES)) + 1
 
 
@@ -206,9 +206,7 @@ def _lattice(cfg: dict) -> Lattice | None:
                           f"a lattice may have at most {MAX_NODES} nodes")
     mask = None if kind is None else (kind, r_max) if kind == "disc" else (kind, r_min, r_max)
     try:
-        if spacing is not None:
-            return Lattice.from_spacing(lo, hi, spacing, mask=mask)
-        return Lattice(lo, hi, tuple(nodes if isinstance(nodes, list) else [nodes] * len(lo)), mask)
+        return Lattice(lo, hi, tuple(per_axis), mask)
     except LatticeError as err:
         raise ConfigError(f"lattice: {err}") from err
 

@@ -10,8 +10,8 @@ frames, the second fundamental form h with mean curvature H and squared
 norm S.  Nothing in the pass raises: each point's first failure, out of the
 jets' domain or not space-like, is in its record (``Geometry.fails``).
 
-The per-point functions (induced_metric, adapted_frames, fundamental_forms,
-curvature, ricci_bound_check, extremal_residual, frame_riemann_oracle,
+The per-point functions (induced_metric, fundamental_forms for the frames
+and h, curvature, ricci_bound_check, extremal_residual, frame_riemann_oracle,
 covariant_h, pseudo_distance) are views of that pass.  Each takes a point
 (m,) or a batch (k, m): a point runs as a batch of one and gets back its
 row; a batch gets the batched record, or the exception of its first
@@ -179,11 +179,16 @@ def _view(x, value, fails: Failures = None):
 
 
 def _metric_inverse(g: np.ndarray):
-    """Smallest eigenvalue of each symmetric matrix of the stack g, the mask
-    where it is positive, and the inverse there (nan elsewhere)."""
-    min_eig = np.linalg.eigvalsh(g)[..., 0]
+    """Smallest eigenvalue of each symmetric matrix of the stack g (nan where
+    the matrix is not finite), the mask where it is positive, and the
+    inverse there (nan elsewhere)."""
+    eye = np.eye(g.shape[-1])
+    finite = np.isfinite(g).all(axis=(-2, -1))
+    # LAPACK's eigvalsh fails on a non-finite matrix of size 3 and more
+    min_eig = np.linalg.eigvalsh(np.where(finite[..., None, None], g, eye))[..., 0]
+    min_eig[~finite] = np.nan
     definite = min_eig > 0.0
-    g_inv = np.linalg.inv(np.where(definite[..., None, None], g, np.eye(g.shape[-1])))
+    g_inv = np.linalg.inv(np.where(definite[..., None, None], g, eye))
     g_inv[~definite] = np.nan
     return min_eig, definite, g_inv
 
@@ -264,18 +269,14 @@ def induced_metric(gm: GraphMap, x) -> Geometry:
     return _view(x, geo)
 
 
-def adapted_frames(gm: GraphMap, x) -> Geometry:
-    """Pseudo-orthonormal tangent/normal frames from triangular factorizations."""
-    geo = graph_geometry(gm, x, 2)
-    return _view(x, geo, geo.fails)
-
-
 # ---------------------------------------------------------------------------
-# Second fundamental form, curvature
+# Frames and second fundamental form, curvature
 
 def fundamental_forms(gm: GraphMap, x) -> Geometry:
-    """Second fundamental form h, mean curvature H and S = |h|^2 at x."""
-    return adapted_frames(gm, x)
+    """Pseudo-orthonormal tangent/normal frames from triangular factorizations,
+    second fundamental form h, mean curvature H and S = |h|^2 at x."""
+    geo = graph_geometry(gm, x, 2)
+    return _view(x, geo, geo.fails)
 
 
 def extremal_residual(gm: GraphMap, x) -> np.ndarray:

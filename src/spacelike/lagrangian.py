@@ -19,7 +19,7 @@ batched records or the exception of its first failing point.
 
 to_standard() changes coordinates by the linear isometry
 (x, y) -> ((x+y)/2, (x-y)/2), which takes Q to diag(+1^m, -1^m), so the
-same graph can be processed by the general immersion machinery.
+general immersion machinery gives the same graph's Geometry.
 """
 
 from __future__ import annotations
@@ -63,6 +63,7 @@ class GradientGraphPoint:
     convex: bool
 
 
+@np.errstate(over="ignore")  # det Hess F may overflow to inf, which the node table writes as nan
 def _gradient_graph(P: Potential, x):
     """The one batched pass of a potential at a point (m,) or points (k, m):
     the gradient graph, the points (k, m), the jets of F there (zero where
@@ -136,26 +137,16 @@ def _lagrangian_forms(P: Potential, jet, gg: GradientGraphPoint):
 # Standard-coordinate route: run the generic immersion machinery on the
 # linearly transformed graph and compare frame-invariant outputs.
 
-@dataclass
-class StandardImmersion:
-    T: np.ndarray              # (2m, 2m) with T^T diag(+,-) T = Q
-    X: np.ndarray
-    J: np.ndarray              # (m, 2m)
-    Hss: np.ndarray            # (m, m, 2m)
-    normals: np.ndarray        # (m, 2m) transported n_i
-    geometry: Geometry
-
-
 def null_to_standard_matrix(m: int) -> np.ndarray:
+    """T (2m, 2m) with T^T diag(+1^m, -1^m) T = Q."""
     eye = np.eye(m)
     return 0.5 * np.block([[eye, eye], [eye, -eye]])
 
 
-def to_standard(P: Potential, x) -> StandardImmersion:
-    """The same gradient graph as an ordinary space-like graph immersion in
-    standard coordinates of signature diag(+1^m, -1^m); every field of a
-    batch leads with the batch axis, T included."""
-    gg, pts, jet, fails = _gradient_graph(P, x)
+def to_standard(P: Potential, x) -> Geometry:
+    """The Geometry of the same gradient graph as an ordinary space-like
+    immersion in standard coordinates of signature diag(+1^m, -1^m)."""
+    gg, _, jet, fails = _gradient_graph(P, x)
     g, m = gg.metric, P.m
     T = null_to_standard_matrix(m)
     eye = np.broadcast_to(np.eye(m), g.shape)
@@ -165,10 +156,7 @@ def to_standard(P: Potential, x) -> StandardImmersion:
     Hss = np.concatenate([np.zeros(g.shape + (m,)), jet.third], axis=-1) @ T.T
     normals = np.concatenate([eye, -g], axis=-1) @ T.T
     geo = immersion_geometry(J, Hss, signature(m, m), normals)
-    X = np.concatenate([pts, jet.grad], axis=-1) @ T.T
-    return _view(x, StandardImmersion(T=np.broadcast_to(T, (len(pts),) + T.shape), X=X, J=J,
-                                      Hss=Hss, normals=normals, geometry=geo),
-                 fails.then(geo.fails))
+    return _view(x, geo, fails.then(geo.fails))
 
 
 # ---------------------------------------------------------------------------

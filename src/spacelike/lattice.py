@@ -71,14 +71,6 @@ class Lattice:
         r = float(r_max)
         return cls((-r, -r), (r, r), (int(nodes),) * 2, mask=("annulus", float(r_min), r))
 
-    @classmethod
-    def from_spacing(cls, lo, hi, spacing, mask=None) -> "Lattice":
-        lo, hi = tuple(map(float, lo)), tuple(map(float, hi))
-        if np.isscalar(spacing):
-            spacing = (float(spacing),) * len(lo)
-        shape = tuple(int(round((h - l) / s)) + 1 for l, h, s in zip(lo, hi, spacing))
-        return cls(lo, hi, shape, mask=mask)
-
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False  # cached and shared by every caller

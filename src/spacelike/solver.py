@@ -37,15 +37,15 @@ predictions, fallbacks and rejected stages.
 
 Jacobians are exact and in closed form: each solver differentiates its
 stencil (the face fluxes in their normal and tangential differences; the
-determinant through the cofactors of the discrete Hessian) into a
-(3^m, K) array whose entry [o, alpha] is the derivative of node alpha's
-residual in the value at alpha + offset o of the +-1 cube.  That array
-is gathered straight into a CSC pattern fixed per lattice, in a geometric
-nested-dissection order of the interior nodes, and factored with splu in
-that order; at most one factorization is alive at a time.  A box's
-dissection order depends only on its shape, so it is built once per
-shape over the interior nodes' bounding box; the pattern is one sort
-per column of a (K, 3^m) neighbour table.  Newton runs as the chord
+determinant through the cofactors of the discrete Hessian, written out
+for m = 2 only) into a (3^m, K) array whose entry [o, alpha] is the
+derivative of node alpha's residual in the value at alpha + offset o of
+the +-1 cube.  That array is gathered straight into a CSC pattern fixed
+per lattice, in a geometric nested-dissection order of the interior
+nodes, and factored with splu in that order; at most one factorization
+is alive at a time.  A box's dissection order depends only on its
+shape, so it is built once per shape over the interior nodes' bounding
+box; the pattern is one sort per column of a (K, 3^m) neighbour table.  Newton runs as the chord
 method (Shamanskii's variant): before a new Jacobian is built, full
 steps on the last LU are kept while each passes the safeguard and
 shrinks the residual to CHORD_CONTRACTION of it or to tol.  The tail
@@ -296,17 +296,17 @@ def _maximal_jacobian(ops: _Ops, u_full: np.ndarray, lam: float) -> np.ndarray:
 @np.errstate(over="ignore", invalid="ignore")
 def _ma_min_eig(H: np.ndarray) -> float:
     """Smallest eigenvalue of the discrete Hessians H (k, m, m), the
-    convexity safeguard quantity; DomainError(OVERFLOW) if it is not finite."""
-    m = H.shape[-1]
-    if m == 1:
-        min_eig = np.min(H[:, 0, 0])
-    elif m == 2:
+    convexity safeguard quantity; DomainError(OVERFLOW) if H or it is not
+    finite (H first: LAPACK's eigvalsh fails on an infinite 3 x 3 matrix)."""
+    if not np.all(np.isfinite(H)):
+        raise DomainError(OVERFLOW)
+    if H.shape[-1] == 2:
         tr = 0.5 * (H[:, 0, 0] + H[:, 1, 1])
         disc = np.sqrt(np.maximum(0.0, (0.5 * (H[:, 0, 0] - H[:, 1, 1])) ** 2 + H[:, 0, 1] ** 2))
         min_eig = np.min(tr - disc)
     else:
         min_eig = np.min(np.linalg.eigvalsh(H)[:, 0])
-    if not (np.isfinite(min_eig) and np.all(np.isfinite(H))):  # eigvalsh may drop a nan
+    if not np.isfinite(min_eig):  # the m = 2 closed form may overflow
         raise DomainError(OVERFLOW)
     return float(min_eig)
 
@@ -319,14 +319,9 @@ def _ma_residual(ops: _Ops, u_full: np.ndarray, c: float, convex: bool = False):
     H = lat_mod.central_hessian(u_full, ops.lattice, ops.int_flat)
     if convex and not _ma_min_eig(H) > 0.0:
         return None
-    m = ops.m
-    if m == 1:
-        det = H[:, 0, 0]
-    elif m == 2:
-        det = H[:, 0, 0] * H[:, 1, 1] - H[:, 0, 1] ** 2
-    else:
-        det = np.linalg.det(H)
-    return det - c
+    if ops.m == 2:
+        return H[:, 0, 0] * H[:, 1, 1] - H[:, 0, 1] ** 2 - c
+    return np.linalg.det(H) - c
 
 
 def _hessian_weights(ops: _Ops) -> np.ndarray:
@@ -342,13 +337,11 @@ def _hessian_weights(ops: _Ops) -> np.ndarray:
 def _ma_jacobian(ops: _Ops, u_full: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """dR/du as a (3^m, K) array (see _maximal_jacobian): entry [o, alpha]
     is the sum over d, e of cof(H)_de weights[o, d, e] (_hessian_weights).
-    The cofactor matrix is closed-form for m <= 2 and det(H) H^-1 beyond;
+    The cofactor matrix is closed-form for m = 2 and det(H) H^-1 otherwise;
     the convexity safeguard keeps H positive definite wherever a Jacobian
     is built."""
     H = lat_mod.central_hessian(u_full, ops.lattice, ops.int_flat)
-    if ops.m == 1:
-        cof = np.ones_like(H)
-    elif ops.m == 2:  # the adjugate of a symmetric 2 x 2 matrix
+    if ops.m == 2:  # the adjugate of a symmetric 2 x 2 matrix
         cof = H[:, ::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]])
     else:
         cof = np.linalg.det(H)[:, None, None] * np.linalg.inv(H)
@@ -463,8 +456,8 @@ def _stage_start(log: ConvergenceLog, stage: float, trial, warm, predicted, no_p
     return warm, r
 
 
-def _adaptive_ladder(solve_stage, log: ConvergenceLog, min_step: float = 1e-3) -> np.ndarray:
-    """March a continuation parameter from 0 to 1, halving the step on failure.
+def _adaptive_ladder(solve_stage, log: ConvergenceLog) -> np.ndarray:
+    """March a continuation parameter from 0 to 1, halving the step (down to 1e-3) on failure.
 
     solve_stage(param, warm, predicted) returns (u, slope): the solution at
     param and du/dparam there (or None).  warm is the last solution (None
@@ -483,7 +476,7 @@ def _adaptive_ladder(solve_stage, log: ConvergenceLog, min_step: float = 1e-3) -
         except SolverError as err:
             log.event(nxt, "rejected", str(err))
             step /= 2.0
-            if step < min_step:
+            if step < 1e-3:
                 raise
     return u
 
@@ -540,7 +533,6 @@ def solve_ma(lattice: Lattice, boundary, c: float = 1.0, tol: float = 1e-10,
     pts = lat_mod.node_points(lattice)
     gvals = _boundary_values(lattice, boundary)
     quad = 0.5 * c ** (1.0 / lattice.m) * np.sum(pts**2, axis=1)
-    bmask = np.isfinite(gvals)
     weights = _hessian_weights(ops)
     log = ConvergenceLog()
     # du/dtheta of the predictor: the boundary data's expression inside
@@ -552,8 +544,7 @@ def solve_ma(lattice: Lattice, boundary, c: float = 1.0, tol: float = 1e-10,
             no_prediction = f"boundary data undefined in the interior: {err}"
 
     def stage(theta, warm, predicted):
-        bvals = np.full_like(gvals, np.nan)
-        bvals[bmask] = quad[bmask] + theta * (gvals[bmask] - quad[bmask])
+        bvals = gvals if theta == 1.0 else quad + theta * (gvals - quad)  # nan off the boundary
 
         def trial(u_int):
             return _ma_residual(ops, _full_from_interior(ops, bvals, u_int), c, True)
@@ -571,7 +562,7 @@ def solve_ma(lattice: Lattice, boundary, c: float = 1.0, tol: float = 1e-10,
     except SolverError as err:
         raise SolverError(f"convexity loss or divergence in the homotopy: {err}") from err
     u_full = _full_from_interior(ops, gvals, u_int)  # nan on inactive nodes
-    log.final_residual = float(np.max(np.abs(_ma_residual(ops, u_full, c))))
+    log.final_residual = log.steps[-1][2]  # the theta = 1 residual at u_int, from its trial
     return GridField(lattice, u_full.reshape(lattice.shape)), log
 
 

@@ -167,7 +167,7 @@ def test_07_lagrangian_cross_module():
         P, x = convex_sample(rng, 100)
         lf = lagrangian_forms(P, x)
         si = to_standard(P, x)
-        worst = np.maximum(worst, abs(si.geometry.S - lf.S) / (1.0 + lf.S))
+        worst = np.maximum(worst, abs(si.S - lf.S) / (1.0 + lf.S))
     assert worst <= 1e-8
     report(7, f"coefficient-route vs standard-coordinate S dev {worst:.2e} (tol 1e-8)")
 

@@ -19,9 +19,8 @@ from spacelike.checks import frame_residual
 from spacelike.exprparse import BinOp, DomainError, parse
 from spacelike.failures import OK
 from spacelike.graphgeom import (
-    SPACELIKE_TOL, GraphMap, NotSpacelikeError, _take, adapted_frames, covariant_h, curvature,
-    extremal_residual, frame_riemann_oracle, fundamental_forms, induced_metric, pseudo_distance,
-    ricci_bound_check,
+    SPACELIKE_TOL, GraphMap, NotSpacelikeError, _take, covariant_h, curvature, extremal_residual,
+    frame_riemann_oracle, fundamental_forms, induced_metric, pseudo_distance, ricci_bound_check,
 )
 from spacelike.grassmann import distance, gauss_map, graph_node_table, pullback_check
 from spacelike.jets import _taylor, jet_rows
@@ -35,7 +34,7 @@ def pullback_along_e1(gm, x):
     return pullback_check(gm, x, 0)
 
 
-GRAPH_FUNCTIONS = (induced_metric, adapted_frames, fundamental_forms, curvature,
+GRAPH_FUNCTIONS = (induced_metric, fundamental_forms, curvature,
                    ricci_bound_check, extremal_residual, frame_riemann_oracle,
                    pseudo_distance, covariant_h, gauss_map, pullback_along_e1)
 POTENTIAL_FUNCTIONS = (gradient_graph, ma_residual, lagrangian_forms, moduli_curvature,
@@ -209,7 +208,7 @@ def _graph_statuses(gm: GraphMap, pts, active) -> list:
 
     def status(p):
         try:
-            adapted_frames(gm, p)
+            fundamental_forms(gm, p)
         except DomainError:
             return "error:DomainError"
         except NotSpacelikeError:

@@ -110,6 +110,21 @@ def test_analyze_overflowing_metric_is_a_domain_error(tmp_path, component, overf
         assert r["status"] == ("error:DomainError" if overflows(float(r["x1"])) else "ok")
 
 
+def test_analyze_overflowing_metric_at_m_3_is_a_domain_error(tmp_path):
+    # the metric overflows at every node; LAPACK's eigvalsh raises on an
+    # infinite 3 x 3 matrix, where numpy gives nan at m <= 2
+    out = tmp_path / "r.csv"
+    cfg = analyze_config(tmp_path, str(out), components=["1e200*(x1+x2+x3)"], m=3,
+                         extra={"lattice": {"lo": [-1] * 3, "hi": [1] * 3, "nodes": 3}})
+    res = subprocess.run([sys.executable, "-m", "spacelike", "analyze", "--config", cfg],
+                         capture_output=True, text=True)
+    assert res.returncode == 0 and res.stderr == ""
+    assert res.stdout.splitlines()[-1] == "analyze: 27 nodes, 27 warnings"
+    lines = out.read_text().strip().split("\n")
+    rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+    assert len(rows) == 27 and all(r["status"] == "error:DomainError" for r in rows)
+
+
 def test_analyze_imports_no_scipy_it_does_not_use(tmp_path):
     # scipy.integrate and scipy.sparse.linalg serve only the geodesic and
     # solver paths, and take most of the start-up time when imported
@@ -214,6 +229,21 @@ def test_lagrangian_quadratic_zero_curvature(tmp_path):
         assert rec["status"] == "ok"
         assert abs(rec["S"]) <= 1e-14
         assert abs(rec["min_ricci_eig"]) <= 1e-14
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_lagrangian_overflowing_det_is_nan_without_a_warning(tmp_path):
+    out = tmp_path / "l.csv"
+    cfg = write_config(tmp_path, "cfg.json", {
+        "m": 2, "potential": "1e200*x1^2+1e200*x2^2",
+        "lattice": {"lo": [-1, -1], "hi": [1, 1], "nodes": 3}, "out": str(out),
+    })
+    assert run_cli(["lagrangian", "--config", cfg]) == 0
+    lines = out.read_text().strip().split("\n")
+    rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+    assert len(rows) == 9
+    assert all(r["status"] == "ok" and r["det_hess"] == r["ma_residual"] == "nan"
+               and r["min_eig_hess"] == "2e+200" for r in rows)
 
 
 def test_lagrangian_nonconvex_rows_flagged(tmp_path):
@@ -343,10 +373,17 @@ _BOX9 = {"lo": [-1, -1], "hi": [1, 1], "nodes": 9}
      "numerical failure: non-finite metric (overflow)"),
     ("solve-ma", {"potential": "1e200*(x1^2+x2^2)", "lattice": _BOX9},
      "numerical failure: non-finite metric (overflow)"),
+    # data near 1e308: the discrete Hessians overflow, and LAPACK's eigvalsh
+    # raises on them at m = 3
+    ("solve-ma", {"m": 3, "potential": "1e308 + x1^2+x2^2+x3^2",
+                  "lattice": {"lo": [-1] * 3, "hi": [1] * 3, "nodes": 5}},
+     "numerical failure: non-finite metric (overflow)"),
+    ("solve-ma", {"m": 1, "potential": "1e308 + x1^2", "lattice": {"lo": [-1], "hi": [1], "nodes": 5}},
+     "numerical failure: non-finite metric (overflow)"),
     # the disc masks no longer overflow: the lattices have interior nodes
     ("scan", {"components": ["0.3*x1+0.1*sin(x2)"], "radii": [1e200, 2e200], "scan": {"nodes": 9}},
      "numerical failure: 2 of 2 radii failed, the first at a = 1e+200: solver-failed: "),
-], ids=["solve-maximal", "solve-ma", "scan"])
+], ids=["solve-maximal", "solve-ma", "solve-ma-m3", "solve-ma-m1", "scan"])
 def test_overflow_exits_2_with_one_line_and_no_warning(tmp_path, capsys, command, payload, err):
     cfg = write_config(tmp_path, "cfg.json", {"m": 2, "n": 1, **payload})
     with warnings.catch_warnings(record=True) as caught:
@@ -389,6 +426,14 @@ def test_lattice_spacing_rounds_the_node_count(tmp_path):
     header, *lines = outs[0].decode().strip().split("\n")
     x1 = sorted({float(line.split(",")[1]) for line in lines})
     assert len(lines) == 64 and np.allclose(x1, np.linspace(-1, 1, 8), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("size", [{"spacing": 0.5}, {"nodes": 5}], ids=["spacing", "nodes"])
+def test_lattice_hi_below_lo_is_one_config_error(tmp_path, capsys, size):
+    cfg = analyze_config(tmp_path, str(tmp_path / "r.csv"),
+                         extra={"lattice": {"lo": [1, -1], "hi": [-1, 1], **size}})
+    assert run_cli(["analyze", "--config", cfg]) == 1
+    assert capsys.readouterr().err == "config error: lattice: hi must exceed lo on every axis\n"
 
 
 def test_check_battery_passes(tmp_path, capsys):
@@ -438,13 +483,14 @@ def test_check_reports_a_crashing_suite_and_runs_the_rest(tmp_path, monkeypatch,
 
 def test_check_suites_fail_on_nan(monkeypatch):
     # a NaN deviation fails its suite instead of being dropped by the fold
-    frames = checks.adapted_frames
-    nan = NS(codazzi_asym=np.nan, h_cov=np.zeros(1), H_norm=np.nan, geometry=NS(S=np.nan))
+    frames = checks.fundamental_forms
+    nan = NS(codazzi_asym=np.nan, h_cov=np.zeros(1), H_norm=np.nan, S=np.nan)
     for name, value in [
-            ("adapted_frames", lambda gm, x: NS(tangent=frames(gm, x).tangent,
-                                                normal=frames(gm, x).normal * np.nan)),
+            ("fundamental_forms", lambda gm, x: NS(tangent=frames(gm, x).tangent,
+                                                   normal=frames(gm, x).normal * np.nan,
+                                                   H_norm=np.nan)),
             ("frame_riemann_oracle", lambda gm, x: np.full((gm.m,) * 4, np.nan)),
-            ("covariant_h", lambda gm, x: nan), ("fundamental_forms", lambda gm, x: nan),
+            ("covariant_h", lambda gm, x: nan),
             ("pullback_trace", lambda gm, x: (np.nan, 1.0)), ("to_standard", lambda P, x: nan),
             ("moduli_curvature_oracle", lambda P, x: np.full((2,) * 4, np.nan))]:
         monkeypatch.setattr(checks, name, value)

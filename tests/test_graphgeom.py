@@ -7,7 +7,7 @@ from conftest import random_spacelike_graph
 from spacelike.checks import codazzi_symmetry, frame_residual, gauss_equation, hyperboloid
 from spacelike.exprparse import eval_values
 from spacelike.graphgeom import (
-    BasePointError, GraphMap, NotSpacelikeError, adapted_frames, covariant_h,
+    BasePointError, GraphMap, NotSpacelikeError, covariant_h,
     curvature, extremal_residual, first_bianchi_residual, fundamental_forms, graph_geometry,
     induced_metric, integrate_geodesic, pseudo_distance, ricci_bound_check, riemann_from_metric,
     signature, simons_report,
@@ -53,20 +53,20 @@ def test_metric_not_spacelike_flagged():
     mp = induced_metric(gm, [0.0])
     assert not mp.spacelike and mp.min_eig < 0
     with pytest.raises(NotSpacelikeError):
-        adapted_frames(gm, [0.0])
+        fundamental_forms(gm, [0.0])
 
 
 # -- frames ------------------------------------------------------------------
 
 def test_frames_flat():
     gm = GraphMap.from_strings(2, ["0"])
-    fr = adapted_frames(gm, [0.1, 0.2])
+    fr = fundamental_forms(gm, [0.1, 0.2])
     assert np.allclose(fr.tangent, np.eye(3)[:2])
     assert np.allclose(fr.normal, np.eye(3)[2:])
 
 
 def test_frames_hyperboloid_origin():
-    fr = adapted_frames(hyperboloid(2), [0.0, 0.0])
+    fr = fundamental_forms(hyperboloid(2), [0.0, 0.0])
     assert np.allclose(fr.tangent, np.eye(3)[:2], atol=1e-14)
     assert np.allclose(fr.normal, np.eye(3)[2:], atol=1e-14)
 
@@ -260,11 +260,11 @@ def test_covariant_h_fully_symmetric_tensor():
 def _finite_difference_h_cov(gm, x, eps=1e-5):
     """h_sijk from central differences of the frames and h along each e_k."""
     sig = signature(gm.m, gm.n)
-    fr = adapted_frames(gm, x)
+    fr = fundamental_forms(gm, x)
     h = fundamental_forms(gm, x).h
     d_tan, d_nor, d_h = [], [], []
     for v in fr.tangent_coeff:  # e_k = sum_p tangent_coeff[k, p] d/dx^p
-        fp, fm = adapted_frames(gm, x + eps * v), adapted_frames(gm, x - eps * v)
+        fp, fm = fundamental_forms(gm, x + eps * v), fundamental_forms(gm, x - eps * v)
         d_tan.append((fp.tangent - fm.tangent) / (2 * eps))
         d_nor.append((fp.normal - fm.normal) / (2 * eps))
         d_h.append((fundamental_forms(gm, x + eps * v).h
@@ -352,7 +352,7 @@ def test_hess_z_matches_geodesic_second_differences():
     gm = GraphMap.from_strings(2, ["sqrt(1+x1^2+x2^2) - 1"])
     x0 = np.array([0.4, -0.2])
     pd = pseudo_distance(gm, x0)
-    fr = adapted_frames(gm, x0)
+    fr = fundamental_forms(gm, x0)
     for k in range(2):
         v = fr.tangent_coeff[k]  # coordinate components of frame vector e_k
         vals = {}

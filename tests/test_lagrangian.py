@@ -127,18 +127,18 @@ def test_standard_transform_is_isometry():
 def test_quadratic_standard_graph_flat():
     P = Potential.from_string(2, "0.5*(x1^2+x2^2)")
     si = to_standard(P, [0.7, -0.1])
-    assert si.geometry.S <= 1e-15
-    assert si.geometry.H_norm <= 1e-15
+    assert si.S <= 1e-15
+    assert si.H_norm <= 1e-15
 
 
 def test_cross_module_quartic_1d():
     P = Potential.from_string(1, "x1^4")
     lf = lagrangian_forms(P, [1.0])
     si = to_standard(P, [1.0])
-    assert abs(si.geometry.S - lf.S) <= 1e-12
-    assert abs(si.geometry.H_norm - lf.H_norm) <= 1e-12
+    assert abs(si.S - lf.S) <= 1e-12
+    assert abs(si.H_norm - lf.H_norm) <= 1e-12
     # metric agreement: <e_i, e_j> transported equals Hess F
-    assert np.allclose(si.geometry.g, gradient_graph(P, [1.0]).metric, atol=1e-12)
+    assert np.allclose(si.g, gradient_graph(P, [1.0]).metric, atol=1e-12)
 
 
 def test_cross_module_random_quartics():
@@ -148,8 +148,8 @@ def test_cross_module_random_quartics():
         P, x = convex_sample(rng, 50)
         lf = lagrangian_forms(P, x)
         si = to_standard(P, x)
-        worst = np.maximum(worst, abs(si.geometry.S - lf.S) / (1 + lf.S))
-        worst = np.maximum(worst, abs(si.geometry.H_norm - lf.H_norm) / (1 + lf.H_norm))
+        worst = np.maximum(worst, abs(si.S - lf.S) / (1 + lf.S))
+        worst = np.maximum(worst, abs(si.H_norm - lf.H_norm) / (1 + lf.H_norm))
     assert worst <= 1e-8
 
 

@@ -208,6 +208,19 @@ def test_ma_perturbed_boundary_converges_and_stays_convex():
     assert np.std(hess2[:, 0, 0]) > 1e-4
 
 
+@pytest.mark.parametrize("lat, data, c", [
+    (Lattice.box((-1, -1), (1, 1), 33),
+     "0.5*(x1^2+x2^2)+0.08*sin(1.1*x1)*sin(0.9*x2)+0.05*exp(0.6*x1+0.3*x2)", 1.0),
+    (Lattice.box((0, 0), (1, 1), 65), "x1^2+0.7*x2^2+0.02*x1^4", 2.8),
+    (Lattice.box((-1, -1), (1, 1), 21), "0.5*(x1^2+x2^2) - 0.3*exp(-20*(x1^2+x2^2))", 1.0),
+    (Lattice.box((-1,) * 3, (1,) * 3, 9), "0.5*(x1^2+x2^2+x3^2)+0.05*x1^4+0.03*x2^2*x3^2", 1.0),
+], ids=["trig-exp-33", "quartic-65", "fallback-21", "m3-9"])
+def test_ma_final_residual_is_the_residual_of_the_returned_field(lat, data, c):
+    fld, log = solve_ma(lat, parse(data, lat.m), c=c)
+    fresh = solver._ma_residual(solver._Ops(lat), fld.values.ravel(), c)
+    assert log.final_residual == log.steps[-1][2] == float(np.max(np.abs(fresh)))
+
+
 def test_ma_rejects_nonpositive_c():
     with pytest.raises(ValueError):
         solve_ma(Lattice.box((0, 0), (1, 1), 9), parse("x1^2+x2^2", 2), c=-1.0)
