@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,13 +7,15 @@ from hypothesis import strategies as st
 
 from conftest import random_spacelike_graph
 from spacelike.checks import codazzi_symmetry, frame_residual, gauss_equation, hyperboloid
-from spacelike.exprparse import eval_values
+from spacelike.exprparse import DomainError, eval_values, pretty
+from spacelike.failures import Failures
 from spacelike.graphgeom import (
     BasePointError, GraphMap, NotSpacelikeError, covariant_h,
     curvature, extremal_residual, first_bianchi_residual, fundamental_forms, graph_geometry,
     induced_metric, integrate_geodesic, pseudo_distance, ricci_bound_check, riemann_from_metric,
     signature, simons_report,
 )
+from spacelike.jets import jet_rows
 from spacelike.lattice import Lattice, LatticeError
 
 
@@ -396,6 +400,52 @@ def test_batched_jet_data_rows_equal_single_points():
     for row, p in enumerate(pts):
         for b, single in zip(batch, gm.jet_data(p)):
             assert np.array_equal(b[row], single)
+
+
+def _per_component_jet_rows(gm, x, order):
+    """GraphMap.jet_rows built from its parts: one jets.jet_rows per
+    component, stacked, and the components' failure records folded in order."""
+    jets, fails = zip(*(jet_rows(c, x, order) for c in gm.components))
+    vals = np.stack([j.value for j in jets], axis=-1)
+    if gm.offset is not None:
+        vals = vals - np.asarray(gm.offset)
+    derivs = [None if getattr(jets[0], name) is None else
+              np.stack([getattr(j, name) for j in jets], axis=-1 - k)
+              for k, name in enumerate(("grad", "hess", "third"), 1)]
+    return (vals, *derivs, functools.reduce(Failures.then, fails))
+
+
+def _raised(call):
+    try:
+        call()
+    except DomainError as err:
+        return str(err), err.span
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3), n=st.integers(1, 3),
+       k=st.integers(1, 6), order=st.integers(0, 3), single=st.booleans(),
+       based=st.booleans())
+def test_graph_jet_rows_equal_the_per_component_fold(seed, m, n, k, order, single, based):
+    # a log term, on a variable drawn per component, makes the components
+    # fail at different points, so the fold shifts error indices
+    rng = np.random.default_rng(seed)
+    gm = random_spacelike_graph(rng, m, n)[0]
+    gm = GraphMap.from_strings(m, [pretty(c) + f"+0.01*log(x{rng.integers(1, m + 1)}+0.5)"
+                                   for c in gm.components])
+    gm = gm.with_base_point() if based else gm
+    pts = rng.uniform(-1.0, 1.0, size=(m,) if single else (k, m))
+    *data, fails = gm.jet_rows(pts, order)
+    *ref, ref_fails = _per_component_jet_rows(gm, pts, order)
+    for got, want in zip(data, ref):
+        assert (got is None and want is None) or (
+            got.shape == want.shape and np.array_equal(got, want))
+    assert np.array_equal(fails.code, ref_fails.code)
+    assert np.array_equal(fails.value, ref_fails.value, equal_nan=True)
+    assert ([(str(e), e.span) for e in fails.errors]
+            == [(str(e), e.span) for e in ref_fails.errors])
+    assert _raised(lambda: gm.jet_data(pts, order)) == _raised(ref_fails.raise_first)
 
 
 @settings(max_examples=30, deadline=None)
