@@ -292,5 +292,6 @@ def eval_values(node: Expr, points: np.ndarray):
     pts = np.asarray(points, dtype=float)
     with np.errstate(all="ignore"):
         (out,), fails = _taylor(node, np.atleast_2d(pts), 0)
-    fails.raise_first()
+    if fails is not None:
+        fails.raise_first()
     return float(out[0]) if pts.ndim == 1 else np.array(out, dtype=float)

@@ -93,6 +93,8 @@ class Failures:
     def raise_first(self, upto: int = NOT_CONVEX) -> None:
         """Raise the exception of the first point, in C order, that failed a
         check with a code up to ``upto`` (by default any check), if any."""
+        if not self.code.any():
+            return
         failing = (self.code != OK) & (self.code <= upto)
         if failing.any():
             raise self[np.unravel_index(np.argmax(failing), failing.shape)]

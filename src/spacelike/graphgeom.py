@@ -3,12 +3,15 @@
 The ambient bilinear form has signature diag(+1 x m, -1 x n) in
 coordinates (x; y); a graph map f: R^m -> R^n immerses via
 X(x) = (x, f(x)).  ``graph_geometry`` evaluates the jets of all components
-once for a batch of points (k, m) and builds on them, with a leading batch
-axis throughout (``...`` in the einsums, numpy's stacked eigvalsh,
-cholesky, inv and det): the induced metric, adapted pseudo-orthonormal
-frames, the second fundamental form h with mean curvature H and squared
-norm S.  Nothing in the pass raises: each point's first failure, out of the
-jets' domain or not space-like, is in its record (``Geometry.fails``).
+in one pass for a batch of points (k, m) (``GraphMap.jet_rows``, through
+``jets.jet_stack``: the coefficients go straight into (k, n, m, ...) arrays
+under one failure record, which is built only when a point fails) and
+builds on them, with a leading batch axis throughout (``...`` in the
+einsums, numpy's stacked eigvalsh, cholesky, inv and det): the induced
+metric, adapted pseudo-orthonormal frames, the second fundamental form h
+with mean curvature H and squared norm S.  Nothing in the pass raises:
+each point's first failure, out of the jets' domain, not space-like, or
+with an S or |H| that overflows, is in its record (``Geometry.fails``).
 
 The per-point functions (induced_metric, fundamental_forms for the frames
 and h, curvature, ricci_bound_check, extremal_residual, frame_riemann_oracle,
@@ -35,7 +38,6 @@ of the induced metric (both are tested).
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -44,7 +46,7 @@ import numpy as np
 from . import lattice as lat_mod
 from .exprparse import DomainError, eval_values, parse
 from .failures import DEGENERATE, DOMAIN, INDEFINITE, Failures, NotSpacelikeError
-from .jets import jet_rows
+from .jets import jet_stack
 from .lattice import Lattice, LatticeError
 
 SPACELIKE_TOL = 1e-12  # frames and h need the metric's smallest eigenvalue above this
@@ -87,15 +89,11 @@ class GraphMap:
     def jet_rows(self, x, order: int = 3):
         """``jet_data`` without raising, plus the failure record of the
         points: the first component's failure, else the next one's."""
-        jets, fails = zip(*(jet_rows(c, x, order) for c in self.components))
-        vals = np.stack([j.value for j in jets], axis=-1)    # (..., n)
+        # values (..., n), Jacobian (..., n, m), Hessians (..., n, m, m), third (..., n, m, m, m)
+        (vals, *derivs), fails = jet_stack(self.components, x, order)
         if self.offset is not None:
-            vals = vals - np.asarray(self.offset)
-        # Jacobian (..., n, m), Hessians (..., n, m, m), third (..., n, m, m, m)
-        derivs = [None if getattr(jets[0], name) is None else
-                  np.stack([getattr(j, name) for j in jets], axis=-1 - k)
-                  for k, name in enumerate(("grad", "hess", "third"), 1)]
-        return (vals, *derivs, functools.reduce(Failures.then, fails))
+            vals -= np.asarray(self.offset)
+        return (vals, *derivs, *[None] * (3 - order), fails)
 
 
 def signature(m: int, n: int) -> np.ndarray:
@@ -205,7 +203,8 @@ def immersion_geometry(J: np.ndarray, Hss: np.ndarray, sig: np.ndarray,
     Points whose metric has smallest eigenvalue <= SPACELIKE_TOL get nan
     frames and h.  A point whose metric or normal Gram matrix is not finite
     fails with a DomainError and gets nan or inf in the rest, without a
-    numpy warning.
+    numpy warning; so does, after the other checks, a point whose S or |H|
+    overflows.
     """
     m, n = J.shape[-2], normals_raw.shape[-2]
     g = (J * sig) @ _swap(J)
@@ -224,12 +223,13 @@ def immersion_geometry(J: np.ndarray, Hss: np.ndarray, sig: np.ndarray,
     second = np.einsum("...ik,...klB,...jl->...ijB", E, Hss, E)
     h = np.einsum("B,...sB,...ijB->...sij", sig, normal, second)
     H = np.einsum("...sii->...s", h) / m
+    H_norm, S = np.linalg.norm(H, axis=-1), np.sum(h * h, axis=(-3, -2, -1))
     return Geometry(g=g, g_inv=g_inv, det_g=np.linalg.det(g), min_eig=min_eig,
                     spacelike=spacelike, tangent_coeff=E, tangent=tangent, normal_coeff=Nc,
-                    normal=normal, h=h, H=H, H_norm=np.linalg.norm(H, axis=-1),
-                    S=np.sum(h * h, axis=(-3, -2, -1)),
+                    normal=normal, h=h, H=H, H_norm=H_norm, S=S,
                     fails=Failures.clean(min_eig.shape).add(~finite, DomainError(OVERFLOW))
-                    .add(~spacelike, INDEFINITE, min_eig).add(~ok, DEGENERATE, min_eig))
+                    .add(~spacelike, INDEFINITE, min_eig).add(~ok, DEGENERATE, min_eig)
+                    .add(~(np.isfinite(S) & np.isfinite(H_norm)), DomainError(OVERFLOW)))
 
 
 def _graph_immersion(A: np.ndarray, He: np.ndarray):
@@ -294,6 +294,7 @@ def _extremal_residual(geo: Geometry) -> np.ndarray:
     return np.einsum("...ij,...sij->...s", geo.g_inv, geo.He)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _with_curvature(geo: Geometry) -> Geometry:
     """Gauss relation for a flat pseudo-Euclidean ambient: curvature from h."""
     h = geo.h
@@ -566,8 +567,9 @@ class GeodesicBatch:
 def integrate_geodesic(gm: GraphMap, x0, v0, t_span, *,
                        region_halfwidth: float = np.inf) -> GeodesicBatch:
     """Unit-speed geodesics from k starts x0, v0 ((k, m) each, or (m,) for
-    one start or a shared x0) as one ODE, by DOP853; v0 is normalised in g
-    at x0, which must be finite and positive definite.  As
+    one start or a shared x0) as one ODE, by DOP853, over t_span = (t0, t1),
+    finite with t0 < t1; each v0, finite and nonzero, is normalised in g at
+    x0, which must be finite and positive definite.  As
     Gamma_{l,ij} = -sum_s f^s_l f^s_ij, x'' = g^-1 A^T q with
     q_s = v^T He^s v: one (k, m) jet per right-hand side.
 
@@ -579,7 +581,12 @@ def integrate_geodesic(gm: GraphMap, x0, v0, t_span, *,
     """
     if not region_halfwidth > 0.0:
         raise ValueError(f"region_halfwidth must be positive, got {region_halfwidth}")
+    t, t_stop = t_span
+    if not (np.isfinite(t) and np.isfinite(t_stop) and t < t_stop):
+        raise ValueError(f"t_span must be finite and increasing, got {tuple(t_span)}")
     v0 = np.atleast_2d(np.asarray(v0, dtype=float))
+    if not (np.all(np.isfinite(v0)) and np.all(np.any(v0 != 0.0, axis=-1))):
+        raise ValueError("each v0 must be finite and nonzero")
     x0 = np.broadcast_to(np.asarray(x0, dtype=float), v0.shape)
     if not np.all(np.abs(x0) <= region_halfwidth):
         raise ValueError(f"x0 must lie in the box |x_i| <= region_halfwidth = {region_halfwidth}")
@@ -587,11 +594,13 @@ def integrate_geodesic(gm: GraphMap, x0, v0, t_span, *,
     g = _spacelike_metric(gm, x0)
     v0 = v0 / np.sqrt(np.einsum("ki,kij,kj->k", v0, g, v0))[:, None]
 
+    eye = np.eye(m)
+
     def rhs(t, y):
         x, v = y.reshape(2, -1, m)
         _, A, He, _ = gm.jet_data(x, 2)
         q = np.einsum("ksij,ki,kj->ks", He, v, v)
-        acc = np.linalg.solve(np.eye(m) - _swap(A) @ A, _swap(A) @ q[..., None])[..., 0]
+        acc = np.linalg.solve(eye - _swap(A) @ A, _swap(A) @ q[..., None])[..., 0]
         return np.concatenate([v, acc], axis=None)
 
     def exit_event(r):
@@ -600,7 +609,6 @@ def integrate_geodesic(gm: GraphMap, x0, v0, t_span, *,
         event.terminal, event.direction = True, -1
         return event
 
-    t, t_stop = t_span
     run, state = np.arange(k), np.stack([x0, v0])          # state (2, running, m)
     t_end = np.empty(k)
     t_events, pieces = [np.empty(0)] * k, [[] for _ in range(k)]

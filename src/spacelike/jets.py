@@ -8,25 +8,36 @@ gives values (``eval_values``), and ``evaluate_jet``/``jet_rows`` take the
 order their caller reads, 3 by default.  For k >= 1 the k + 1 coefficients
 of an order-k pass are bit-identical to the first k + 1 of an order-3 pass,
 as every product and chain rule forms each degree from the lower ones
-alone (order 0 divides where jets multiply by a reciprocal).  It walks the AST iteratively, so depth is not bounded by the recursion limit.
+alone (order 0 divides where jets multiply by a reciprocal), and an
+elementary function forms only the derivatives the order reads.  It walks
+the AST iteratively, so depth is not bounded by the recursion limit.
 A jet is up to four dense arrays: value (...), gradient (..., m), Hessian
 (..., m, m) and third derivatives (..., m, m, m) for a batch of points of
 shape (..., m); the orders not asked for are None.  Arithmetic broadcasts
-from the right, so a point and a batch share one code path, and the tensors
-are made exactly symmetric by one gather from their sorted (i <= j <= k)
-slots.
+from the right, so a point and a batch share one code path.
+
+``jet_stack`` is the one pass around it, for one expression (``jet_rows``,
+``evaluate_jet``) or the n components of a graph: it writes each
+expression's coefficients straight into one preallocated array per order,
+(..., n), (..., n, m) and so on, and makes the tensors exactly symmetric by
+one gather per order from their sorted (i <= j <= k) slots.
 
 A point that leaves a function's domain, or whose computed coefficients
 overflow, is recorded rather than raised, so one evaluation serves a whole
 lattice: ``jet_rows`` returns the failure record (``failures.Failures``)
 next to the jets, each failing point pointing at the DomainError of its
 subexpression, while ``evaluate_jet`` and ``eval_values`` raise the error of
-the first failing point.  A coefficient that is not computed is not checked:
-a point whose third derivatives overflow fails at order 3 only.
+the first failing point.  The record is built only when a point fails, and
+the per-point finiteness scan runs only when some coefficient is not
+finite; a pass over several expressions keeps one record, each point's
+failure in the first expression that fails there.  A coefficient that is
+not computed is not checked: a point whose third derivatives overflow fails
+at order 3 only.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -91,26 +102,34 @@ def _power(u, p: int):
                                           for k, c in enumerate(coeffs, 1)))
 
 
-def _tanh_derivs(u, t):
-    s = np.cosh(u) ** -2.0  # 1 - t^2 cancels once |u| is a few units
-    return s, -2.0 * t * s, -2.0 * s * s + 4.0 * t * t * s
+def _sech2(u, v):
+    return np.cosh(u) ** -2.0  # 1 - tanh^2 cancels once |u| is a few units
 
 
-# name -> (numpy function, its derivatives 1..3 from the argument u and value v).
-# Values and jets share this table, so every order evaluates the same functions.
+def _tanh3(u, v):
+    s = _sech2(u, v)
+    return -2.0 * s * s + 4.0 * v * v * s
+
+
+# name -> (numpy function, its derivatives 1, 2 and 3, each from the argument u
+# and value v).  Values and jets share this table, so every order evaluates the
+# same functions; a pass of order k forms only the first k derivatives.
 _ELEMENTARY = {
-    "sin": (np.sin, lambda u, v: (np.cos(u), -v, -np.cos(u))),
-    "cos": (np.cos, lambda u, v: (-np.sin(u), -v, np.sin(u))),
-    "exp": (np.exp, lambda u, v: (v, v, v)),
-    "log": (np.log, lambda u, v: (1.0 / u, -1.0 / u**2, 2.0 / u**3)),
-    "sqrt": (np.sqrt, lambda u, v: (0.5 / v, -0.25 / v**3, 0.375 / v**5)),
-    "sinh": (np.sinh, lambda u, v: (np.cosh(u), v, np.cosh(u))),
-    "cosh": (np.cosh, lambda u, v: (np.sinh(u), v, np.sinh(u))),
-    "tanh": (np.tanh, _tanh_derivs),
-    "asinh": (np.arcsinh, lambda u, v: ((1.0 + u * u) ** -0.5, -u * (1.0 + u * u) ** -1.5,
-                                        (2.0 * u * u - 1.0) * (1.0 + u * u) ** -2.5)),
-    "atanh": (np.arctanh, lambda u, v: (1.0 / (1.0 - u * u), 2.0 * u / (1.0 - u * u) ** 2,
-                                        (2.0 + 6.0 * u * u) / (1.0 - u * u) ** 3)),
+    "sin": (np.sin, (lambda u, v: np.cos(u), lambda u, v: -v, lambda u, v: -np.cos(u))),
+    "cos": (np.cos, (lambda u, v: -np.sin(u), lambda u, v: -v, lambda u, v: np.sin(u))),
+    "exp": (np.exp, (lambda u, v: v,) * 3),
+    "log": (np.log, (lambda u, v: 1.0 / u, lambda u, v: -1.0 / u**2, lambda u, v: 2.0 / u**3)),
+    "sqrt": (np.sqrt, (lambda u, v: 0.5 / v, lambda u, v: -0.25 / v**3,
+                       lambda u, v: 0.375 / v**5)),
+    "sinh": (np.sinh, (lambda u, v: np.cosh(u), lambda u, v: v, lambda u, v: np.cosh(u))),
+    "cosh": (np.cosh, (lambda u, v: np.sinh(u), lambda u, v: v, lambda u, v: np.sinh(u))),
+    "tanh": (np.tanh, (_sech2, lambda u, v: -2.0 * v * _sech2(u, v), _tanh3)),
+    "asinh": (np.arcsinh, (lambda u, v: (1.0 + u * u) ** -0.5,
+                           lambda u, v: -u * (1.0 + u * u) ** -1.5,
+                           lambda u, v: (2.0 * u * u - 1.0) * (1.0 + u * u) ** -2.5)),
+    "atanh": (np.arctanh, (lambda u, v: 1.0 / (1.0 - u * u),
+                           lambda u, v: 2.0 * u / (1.0 - u * u) ** 2,
+                           lambda u, v: (2.0 + 6.0 * u * u) / (1.0 - u * u) ** 3)),
 }
 
 # name -> arguments outside the domain.  sqrt(0) has a value but no derivative.
@@ -130,14 +149,18 @@ def _taylor(expr: Expr, pts: np.ndarray, order: int) -> tuple:
     domain, or whose computed coefficients end up not finite, is recorded
     instead of raised: ``fails`` gives each point's first DomainError,
     carrying the span of the offending subexpression (the whole expression
-    for a non-finite result).
+    for a non-finite result).  The record is built at the first failing
+    point; ``fails`` is None where every point passes.
     """
     shape, m = pts.shape[:-1], pts.shape[-1]
     zeros = tuple(np.zeros(shape + (m,) * k) for k in range(1, order + 1))
-    fails = Failures.clean(shape)
+    fails = None
 
     def mark(bad, message, span):
+        nonlocal fails
         if bad.any():  # one DomainError only where a point fails
+            if fails is None:
+                fails = Failures.clean(shape)
             fails.add(bad, DomainError(message, span))
 
     post, todo = [], [expr]
@@ -173,7 +196,7 @@ def _taylor(expr: Expr, pts: np.ndarray, order: int) -> tuple:
                          node.span)
                 fn, derivs = _ELEMENTARY[node.op]
                 v = fn(u[0])
-                t = _compose(u, (v, *derivs(u[0], v))) if order else (v,)
+                t = _compose(u, (v, *(d(u[0], v) for d in derivs[:order])))
         elif isinstance(node, BinOp):
             b, a = stack.pop(), stack.pop()
             if node.op == "+":
@@ -194,9 +217,10 @@ def _taylor(expr: Expr, pts: np.ndarray, order: int) -> tuple:
             raise TypeError(f"not an Expr: {node!r}")
         stack.append(t)
     coeffs = stack[0]
-    rows = [c.reshape(shape + (m**k,)) for k, c in enumerate(coeffs)]  # m^k entries each
-    finite = np.isfinite(np.concatenate(rows, axis=-1)).all(axis=-1)
-    mark(~finite, f"non-finite {'jet' if order else 'value'} (overflow or NaN)", expr.span)
+    if not math.isfinite(sum(c.sum() for c in coeffs)):  # a sum with a non-finite term is not finite
+        rows = [c.reshape(shape + (m**k,)) for k, c in enumerate(coeffs)]  # m^k entries each
+        finite = np.isfinite(np.concatenate(rows, axis=-1)).all(axis=-1)
+        mark(~finite, f"non-finite {'jet' if order else 'value'} (overflow or NaN)", expr.span)
     return coeffs, fails
 
 
@@ -225,9 +249,14 @@ class Jet3:
     third: np.ndarray = None
 
 
-def jet_rows(expr: Expr, point, order: int = 3) -> tuple:
-    """``evaluate_jet`` without raising: the jet, zero at the points that
-    fail, and the failure record of the points."""
+def jet_stack(exprs, point, order: int = 3) -> tuple:
+    """The one pass behind ``jet_rows`` and a graph's jets: the Taylor data
+    of each of the n expressions ``exprs`` at a point (m,) or a batch of
+    points (..., m), written into one array per order, (..., n) for the
+    values, then (..., n, m), (..., n, m, m) and (..., n, m, m, m).  Returns
+    those order + 1 arrays, zero where an expression fails at a point, and
+    the failure record of the points: the first expression's failure, else
+    the next one's."""
     x = np.asarray(point, dtype=float)
     shape, m = x.shape[:-1], x.shape[-1]
     if m > MAX_DIM:
@@ -236,18 +265,35 @@ def jet_rows(expr: Expr, point, order: int = 3) -> tuple:
         raise ValueError(f"jet order must be 0 to 3, not {order!r}")
     # One point runs as a batch of one: numpy scalars and arrays round some
     # operations (u ** p, for one) differently, and rows must match batches.
+    pts = x.reshape(-1, m)
+    k, n = len(pts), len(exprs)
+    out = [np.empty((k, n) + (m,) * j) for j in range(order + 1)]
+    fails = None
     with np.errstate(all="ignore"):
-        coeffs, fails = _taylor(expr, x.reshape(-1, m), order)
-    clean = fails.code == OK
-    if not clean.all():  # a failing point's jet is zero
-        coeffs = [np.where(clean.reshape((-1,) + (1,) * (c.ndim - 1)), c, 0.0) for c in coeffs]
-    value, *derivs = coeffs
-    # the Hessian and third derivatives read from their sorted slots
-    derivs = [c.reshape(shape + (m,)) if k == 1 else
-              c.reshape(-1, m**k)[:, _sorted_slots(m, k)].reshape(shape + (m,) * k)
-              for k, c in enumerate(derivs, 1)]
-    jet = Jet3(np.array(value).reshape(shape)[()], *derivs)  # a copy: value may view x
-    return jet, Failures(fails.code.reshape(shape), fails.value.reshape(shape), fails.errors)
+        for i, expr in enumerate(exprs):
+            coeffs, bad = _taylor(expr, pts, order)
+            for o, c in zip(out, coeffs):
+                o[:, i] = c
+            if bad is not None:
+                failing = bad.code != OK
+                for o in out:  # a failing point's jet is zero
+                    o[failing, i] = 0.0
+                fails = bad if fails is None else fails.then(bad)
+    if fails is None:
+        fails = Failures.clean(k)
+    # the Hessians and third derivatives read from their sorted slots
+    out = [o.reshape(shape + o.shape[1:]) if j < 2 else
+           o.reshape(k, n, m**j)[..., _sorted_slots(m, j)].reshape(shape + o.shape[1:])
+           for j, o in enumerate(out)]
+    return out, Failures(fails.code.reshape(shape), fails.value.reshape(shape), fails.errors)
+
+
+def jet_rows(expr: Expr, point, order: int = 3) -> tuple:
+    """``evaluate_jet`` without raising: the jet, zero at the points that
+    fail, and the failure record of the points."""
+    coeffs, fails = jet_stack((expr,), point, order)
+    value, *derivs = (c.squeeze(-1 - j) for j, c in enumerate(coeffs))
+    return Jet3(value[()], *derivs), fails
 
 
 def evaluate_jet(expr: Expr, point, order: int = 3) -> Jet3:

@@ -334,6 +334,21 @@ def test_probe_rejects_a_region_halfwidth_that_is_not_positive(halfwidth):
         completeness_probe(gm, [np.array([1.0, 0.0])], T=1.0, region_halfwidth=halfwidth)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"T": 0.0}, "t_span must be finite and increasing"),
+    ({"T": -1.0}, "t_span must be finite and increasing"),
+    ({"T": np.nan}, "t_span must be finite and increasing"),
+    ({"n_samples": 0}, "n_samples must be at least 1"),
+    ({"directions": [[0.0, 0.0]]}, "each v0 must be finite and nonzero"),
+], ids=["T-zero", "T-negative", "T-nan", "no-samples", "zero-direction"])
+def test_probe_rejects_arguments_it_cannot_use(kwargs, message):
+    # each failed otherwise: a divide warning, a report of "integration-failed: The
+    # solver successfully reached the end", a non-finite jet, or numpy's empty reduction
+    args = {"directions": [[1.0, 0.0]], "T": 1.0, **kwargs}
+    with pytest.raises(ValueError, match=message):
+        completeness_probe(hyperboloid(shifted=True), **args)
+
+
 @pytest.mark.parametrize("gm", [
     hyperboloid(shifted=True),
     GraphMap.from_strings(2, ["0.2*x1*x2 + 0.1*x1^2", "0.3*sin(x2)*x1"]).with_base_point(),

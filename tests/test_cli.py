@@ -125,6 +125,23 @@ def test_analyze_overflowing_metric_at_m_3_is_a_domain_error(tmp_path):
     assert len(rows) == 27 and all(r["status"] == "error:DomainError" for r in rows)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_analyze_overflowing_curvature_is_a_domain_error(tmp_path):
+    # at the origin the metric is exactly I, but h is about 1e200, so S overflows
+    out = tmp_path / "r.csv"
+    cfg = analyze_config(tmp_path, str(out), components=["1e200*x1*x2"],
+                         extra={"lattice": {"lo": [-1, -1], "hi": [1, 1], "nodes": 5}})
+    res = subprocess.run([sys.executable, "-m", "spacelike", "analyze", "--config", cfg],
+                         capture_output=True, text=True)
+    assert res.returncode == 0 and res.stderr == ""
+    assert res.stdout.splitlines()[-1] == "analyze: 25 nodes, 25 warnings"
+    lines = out.read_text().strip().split("\n")
+    rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+    assert rows[12]["x1"] == rows[12]["x2"] == "0.0"
+    assert all(r["status"] == "error:DomainError" for r in rows)
+    assert main(["analyze", "--config", cfg]) == 0  # in-process, with warnings as errors
+
+
 def test_analyze_imports_no_scipy_it_does_not_use(tmp_path):
     # scipy.integrate and scipy.sparse.linalg serve only the geodesic and
     # solver paths, and take most of the start-up time when imported
