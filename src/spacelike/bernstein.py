@@ -31,7 +31,7 @@ import numpy as np
 from . import lattice as lat_mod
 from .exprparse import DomainError, Expr, eval_values
 from .graphgeom import (
-    GraphMap, _check_base_point, _spacelike_metric, graph_geometry, integrate_geodesic,
+    GraphMap, _check_base_point, _tangent_metric, graph_geometry, integrate_geodesic,
     pseudo_distance,
 )
 from .grassmann import SpacelikePlane, _distances, gauss_map
@@ -79,20 +79,17 @@ def geodesic_radius(gm: GraphMap, lattice: Lattice, x0) -> RadiusField:
         raise LatticeError("source point is not on the lattice")
 
     # one entry per undirected edge: the offsets whose first nonzero entry is +1
-    offsets = [off for off in itertools.product((-1, 0, 1), repeat=m) if off > (0,) * m]
+    offsets = np.array([off for off in itertools.product((-1, 0, 1), repeat=m) if off > (0,) * m])
     nodes = np.argwhere(act)
-    heads, tails, counts = [], [], []
-    for off in offsets:
-        nb = nodes + off
-        ok = np.all((nb >= 0) & (nb < shape), axis=1)
-        ok[ok] = act[tuple(nb[ok].T)]
-        heads.append(np.ravel_multi_index(nodes[ok].T, shape))
-        tails.append(np.ravel_multi_index(nb[ok].T, shape))
-        counts.append(np.count_nonzero(ok))
-    a, b = np.concatenate(heads), np.concatenate(tails)
-    step = np.repeat(np.multiply(offsets, lattice.spacing), counts, axis=0)
+    nb = nodes + offsets[:, None]                          # (offset, node, m), offset-major
+    ok = np.all((nb >= 0) & (nb < shape), axis=-1)
+    ok[ok] = act[tuple(nb[ok].T)]
+    which, node = np.nonzero(ok)
+    a, b = np.ravel_multi_index(nodes[node].T, shape), np.ravel_multi_index(nb[ok].T, shape)
+    step = offsets[which] * lattice.spacing
 
-    g = _spacelike_metric(gm, 0.5 * (pts[a] + pts[b]))
+    _, g, fails = _tangent_metric(gm, 0.5 * (pts[a] + pts[b]))
+    fails.raise_first()
     length = np.sqrt(((step[:, None, :] @ g) @ step[:, :, None]).ravel())
 
     dist = dijkstra(csr_matrix((length, (a, b)), shape=(act_flat.size,) * 2),

@@ -179,14 +179,14 @@ class _Parser:
         node = self.base()
         if self.peek().kind == "op" and self.peek().text == "^":
             self.take()
-            k, end = self.intlit(signed=True)
+            k, end = self.intlit()
             node = Pow(span=(node.span[0], end), base=node, exponent=k)
         return node
 
-    def intlit(self, signed: bool) -> tuple[int, int]:
+    def intlit(self) -> tuple[int, int]:
         sign = 1
         tok = self.peek()
-        if signed and tok.kind == "op" and tok.text == "-":
+        if tok.kind == "op" and tok.text == "-":
             self.take()
             sign = -1
             tok = self.peek()

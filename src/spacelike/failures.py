@@ -18,8 +18,8 @@ from .exprparse import DomainError
 
 # What a point failed first, in the order the checks run: a DomainError, a
 # metric that is not positive definite, one whose smallest eigenvalue is at
-# most the space-like tolerance, a tangent plane that the Gauss map or the
-# boost to another plane cannot use, and a Hessian that is not convex.
+# most the space-like tolerance, a pair of planes that the boost of
+# grassmann's distance cannot join, and a Hessian that is not convex.
 OK, DOMAIN, INDEFINITE, DEGENERATE, PLANE, NOT_CONVEX = range(6)
 STATUS = np.array(["ok", "error:DomainError", "not-spacelike", "error:NotSpacelikeError",
                    "error:NotSpacelikeError", "not-convex"], dtype=object)  # node-table status

@@ -12,6 +12,8 @@ metric, adapted pseudo-orthonormal frames, the second fundamental form h
 with mean curvature H and squared norm S.  Nothing in the pass raises:
 each point's first failure, out of the jets' domain, not space-like, or
 with an S or |H| that overflows, is in its record (``Geometry.fails``).
+``_definite`` is the package's one definiteness test of a metric: the
+graph's, the tangent planes' I - A^T A (``_tangent_metric``) and Hess F.
 
 The per-point functions (induced_metric, fundamental_forms for the frames
 and h, curvature, ricci_bound_check, extremal_residual, frame_riemann_oracle,
@@ -112,10 +114,10 @@ class Geometry:
     g_inv is nan where the metric is not positive definite, and the frames
     and h are nan where its smallest eigenvalue is at most the space-like
     tolerance.  ``fails`` records each point's first failure: for a graph a
-    failing jet (the values and jets of such a point are 0), then a metric
-    or normal Gram matrix that overflows (a DomainError), then a metric
-    that is not positive definite (INDEFINITE) or whose smallest eigenvalue
-    is at most the tolerance (DEGENERATE).  For a graph, X, A, He and Th
+    failing jet (the values and jets of such a point are 0), then a normal
+    Gram matrix that overflows (a DomainError), then ``_definite`` on the
+    metric (a DomainError or INDEFINITE), then a smallest eigenvalue at
+    most the tolerance (DEGENERATE).  For a graph, X, A, He and Th
     hold the positions and jets of f the pass was built on; Th is None for
     a pass of order 2.
     """
@@ -176,19 +178,28 @@ def _view(x, value, fails: Failures = None):
     return _take(value, 0) if np.ndim(x) == 1 else value
 
 
-def _metric_inverse(g: np.ndarray):
-    """Smallest eigenvalue of each symmetric matrix of the stack g (nan where
-    the matrix is not finite), the mask where it is positive, and the
-    inverse there (nan elsewhere)."""
-    eye = np.eye(g.shape[-1])
+def _definite(g: np.ndarray, code: int, fails: Failures) -> np.ndarray:
+    """The one definiteness test of a metric: the smallest eigenvalue of each
+    symmetric matrix of the stack g (nan where the matrix is not finite).
+    Extends ``fails`` in place: first a DomainError(OVERFLOW) where the
+    matrix or that eigenvalue is not finite, then ``code`` (INDEFINITE or
+    NOT_CONVEX) with the eigenvalue where it is not positive."""
     finite = np.isfinite(g).all(axis=(-2, -1))
     # LAPACK's eigvalsh fails on a non-finite matrix of size 3 and more
-    min_eig = np.linalg.eigvalsh(np.where(finite[..., None, None], g, eye))[..., 0]
+    min_eig = np.linalg.eigvalsh(np.where(finite[..., None, None], g, np.eye(g.shape[-1])))[..., 0]
     min_eig[~finite] = np.nan
+    fails.add(~np.isfinite(min_eig), DomainError(OVERFLOW)).add(~(min_eig > 0.0), code, min_eig)
+    return min_eig
+
+
+def _metric_inverse(g: np.ndarray, code: int, fails: Failures):
+    """``_definite``, and the inverse of each matrix where its smallest
+    eigenvalue is positive (nan elsewhere)."""
+    min_eig = _definite(g, code, fails)
     definite = min_eig > 0.0
-    g_inv = np.linalg.inv(np.where(definite[..., None, None], g, eye))
+    g_inv = np.linalg.inv(np.where(definite[..., None, None], g, np.eye(g.shape[-1])))
     g_inv[~definite] = np.nan
-    return min_eig, definite, g_inv
+    return min_eig, g_inv
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -201,16 +212,17 @@ def immersion_geometry(J: np.ndarray, Hss: np.ndarray, sig: np.ndarray,
     d2X/du^i du^j, sig the ambient signature, normals_raw[..., s, :] a smooth
     basis of the normal space (its Gram matrix must be negative definite).
     Points whose metric has smallest eigenvalue <= SPACELIKE_TOL get nan
-    frames and h.  A point whose metric or normal Gram matrix is not finite
-    fails with a DomainError and gets nan or inf in the rest, without a
-    numpy warning; so does, after the other checks, a point whose S or |H|
-    overflows.
+    frames and h.  A point whose normal Gram matrix, metric or smallest
+    metric eigenvalue is not finite fails with a DomainError and gets nan
+    or inf in the rest, without a numpy warning; so does, after the other
+    checks, a point whose S or |H| overflows.
     """
     m, n = J.shape[-2], normals_raw.shape[-2]
     g = (J * sig) @ _swap(J)
     gram_n = (normals_raw * sig) @ _swap(normals_raw)
-    finite = np.isfinite(g).all(axis=(-2, -1)) & np.isfinite(gram_n).all(axis=(-2, -1))
-    min_eig, spacelike, g_inv = _metric_inverse(g)
+    fails = Failures.clean(g.shape[:-2]).add(~np.isfinite(gram_n).all(axis=(-2, -1)),
+                                             DomainError(OVERFLOW))
+    min_eig, g_inv = _metric_inverse(g, INDEFINITE, fails)
     ok = min_eig > SPACELIKE_TOL
     # triangular inverses by numpy's batched inv (np.tril drops its rounding
     # above the diagonal); points that are not space-like factor I, then nan
@@ -225,10 +237,9 @@ def immersion_geometry(J: np.ndarray, Hss: np.ndarray, sig: np.ndarray,
     H = np.einsum("...sii->...s", h) / m
     H_norm, S = np.linalg.norm(H, axis=-1), np.sum(h * h, axis=(-3, -2, -1))
     return Geometry(g=g, g_inv=g_inv, det_g=np.linalg.det(g), min_eig=min_eig,
-                    spacelike=spacelike, tangent_coeff=E, tangent=tangent, normal_coeff=Nc,
+                    spacelike=min_eig > 0.0, tangent_coeff=E, tangent=tangent, normal_coeff=Nc,
                     normal=normal, h=h, H=H, H_norm=H_norm, S=S,
-                    fails=Failures.clean(min_eig.shape).add(~finite, DomainError(OVERFLOW))
-                    .add(~spacelike, INDEFINITE, min_eig).add(~ok, DEGENERATE, min_eig)
+                    fails=fails.add(~ok, DEGENERATE, min_eig)
                     .add(~(np.isfinite(S) & np.isfinite(H_norm)), DomainError(OVERFLOW)))
 
 
@@ -360,14 +371,6 @@ def riemann_from_metric(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> np.nd
     return _swap(np.einsum("...al,...akij->...ijkl", g, r_up))
 
 
-def _third(geo: Geometry) -> np.ndarray:
-    """The third derivatives of f from an order-3 pass; a lower-order pass
-    has none, and reading zeros in their place would be wrong."""
-    if geo.Th is None:
-        raise ValueError("this needs third derivatives: build the geometry pass at order 3")
-    return geo.Th
-
-
 def _metric_derivs(A: np.ndarray, He: np.ndarray, Th: np.ndarray):
     g = np.eye(A.shape[-1]) - _swap(A) @ A
     # d_p g_ij = -sum_s (f^s_ip f^s_j + f^s_i f^s_jp)
@@ -388,7 +391,7 @@ def frame_riemann_oracle(gm: GraphMap, x) -> np.ndarray:
     """
     geo = graph_geometry(gm, x)
     geo.fails.raise_first()
-    R = riemann_from_metric(*_metric_derivs(geo.A, geo.He, _third(geo)))
+    R = riemann_from_metric(*_metric_derivs(geo.A, geo.He, geo.Th))
     E = geo.tangent_coeff
     return _view(x, np.einsum("...ai,...bj,...ck,...dl,...ijkl->...abcd", E, E, E, E, R))
 
@@ -429,7 +432,7 @@ def covariant_h(gm: GraphMap, x) -> CovariantH:
 
 
 def _covariant_h(geo: Geometry, sig: np.ndarray) -> CovariantH:
-    A, He, Th = geo.A, geo.He, _third(geo)
+    A, He, Th = geo.A, geo.He, geo.Th
     E, Nc = geo.tangent_coeff, geo.normal_coeff
     m = A.shape[-1]
     # first derivatives d_p along the coordinates, on an axis p after the batch
@@ -524,20 +527,15 @@ def solve_ivp(*args, **kwargs):
     return scipy_solve_ivp(*args, **kwargs)
 
 
-def _spacelike_metric(gm: GraphMap, x: np.ndarray) -> np.ndarray:
-    """The induced metric I - A^T A at points x (k, m) from an order-1 jet.
-    Raises DomainError(OVERFLOW) if it is not finite at some point, else
-    NotSpacelikeError (the batch's smallest eigenvalue) if it is not
-    positive definite at some point."""
-    _, A, _, _ = gm.jet_data(x, 1)
+def _tangent_metric(gm: GraphMap, x: np.ndarray):
+    """The Jacobians A of f at points x (..., m) from an order-1 jet, the
+    metric I - A^T A of the tangent planes there, and their failure record:
+    a DomainError of the jets, then the one definiteness test (INDEFINITE)."""
+    _, A, _, _, fails = gm.jet_rows(x, 1)
     with np.errstate(over="ignore", invalid="ignore"):
         g = np.eye(gm.m) - _swap(A) @ A
-    if not np.all(np.isfinite(g)):
-        raise DomainError(OVERFLOW)
-    min_eig = np.linalg.eigvalsh(g)[:, 0]
-    if not np.all(min_eig > 0.0):
-        raise NotSpacelikeError(float(np.min(min_eig)))
-    return g
+    _definite(g, INDEFINITE, fails)
+    return A, g, fails
 
 
 @dataclass
@@ -569,7 +567,7 @@ def integrate_geodesic(gm: GraphMap, x0, v0, t_span, *,
     """Unit-speed geodesics from k starts x0, v0 ((k, m) each, or (m,) for
     one start or a shared x0) as one ODE, by DOP853, over t_span = (t0, t1),
     finite with t0 < t1; each v0, finite and nonzero, is normalised in g at
-    x0, which must be finite and positive definite.  As
+    x0, finite, where g must pass ``_definite``.  As
     Gamma_{l,ij} = -sum_s f^s_l f^s_ij, x'' = g^-1 A^T q with
     q_s = v^T He^s v: one (k, m) jet per right-hand side.
 
@@ -588,10 +586,13 @@ def integrate_geodesic(gm: GraphMap, x0, v0, t_span, *,
     if not (np.all(np.isfinite(v0)) and np.all(np.any(v0 != 0.0, axis=-1))):
         raise ValueError("each v0 must be finite and nonzero")
     x0 = np.broadcast_to(np.asarray(x0, dtype=float), v0.shape)
+    if not np.all(np.isfinite(x0)):
+        raise ValueError("x0 must be finite")
     if not np.all(np.abs(x0) <= region_halfwidth):
         raise ValueError(f"x0 must lie in the box |x_i| <= region_halfwidth = {region_halfwidth}")
     k, m = v0.shape
-    g = _spacelike_metric(gm, x0)
+    _, g, fails = _tangent_metric(gm, x0)
+    fails.raise_first()
     v0 = v0 / np.sqrt(np.einsum("ki,kij,kj->k", v0, g, v0))[:, None]
 
     eye = np.eye(m)

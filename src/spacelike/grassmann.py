@@ -21,8 +21,8 @@ import numpy as np
 from .exprparse import DomainError
 from .failures import DOMAIN, OK, PLANE, STATUS, Failures
 from .graphgeom import (
-    OVERFLOW, GraphMap, NotSpacelikeError, _extremal_residual, _filled, _pseudo_distance,
-    _ricci_margin, _take, _view, _with_curvature, graph_geometry, signature,
+    GraphMap, NotSpacelikeError, _extremal_residual, _filled, _pseudo_distance, _ricci_margin,
+    _take, _tangent_metric, _view, _with_curvature, graph_geometry, signature,
 )
 
 
@@ -48,16 +48,11 @@ def gauss_map(gm: GraphMap, x) -> SpacelikePlane:
 
 
 def _gauss_map(gm: GraphMap, pts: np.ndarray):
-    """The tangent planes at points (..., m) and their failure record: a
-    DomainError of the jets, a metric 1 - sigma^2 that overflows, then a
-    plane that is not space-like."""
-    _, A, _, _, fails = gm.jet_rows(pts, 1)
-    plane = SpacelikePlane(A)
-    sigma = plane.sigma_max
-    with np.errstate(over="ignore"):
-        sigma2 = sigma**2
-    return plane, (fails.add(~np.isfinite(sigma2), DomainError(OVERFLOW))
-                   .add(~(sigma < 1.0), PLANE, 1.0 - sigma2))
+    """The tangent planes at points (..., m) and their failure record, that
+    of ``graphgeom._tangent_metric``: a DomainError of the jets, then the
+    one definiteness test of the plane's metric I - A^T A."""
+    A, _, fails = _tangent_metric(gm, pts)
+    return SpacelikePlane(A), fails
 
 
 def _inv_sqrt_sym(M: np.ndarray):

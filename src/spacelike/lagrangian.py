@@ -67,15 +67,16 @@ class GradientGraphPoint:
 def _gradient_graph(P: Potential, x):
     """The one batched pass of a potential at a point (m,) or points (k, m):
     the gradient graph, the points (k, m), the jets of F there (zero where
-    they fail) and the failure record: a DomainError of the jets, then a
-    Hessian that is not positive definite."""
+    they fail) and the failure record: a DomainError of the jets, then
+    ``graphgeom._definite`` on the Hessian metric (a DomainError or NOT_CONVEX)."""
     pts = np.asarray(x, dtype=float).reshape(-1, P.m)
     jet, fails = jet_rows(P.F, pts)
     g = jet.hess
-    min_eig, convex, g_inv = _metric_inverse(g)
+    min_eig, g_inv = _metric_inverse(g, NOT_CONVEX, fails)
     gg = GradientGraphPoint(point=np.concatenate([pts, jet.grad], axis=-1), metric=g,
-                            metric_inv=g_inv, det=np.linalg.det(g), min_eig=min_eig, convex=convex)
-    return gg, pts, jet, fails.add(~convex, NOT_CONVEX, min_eig)
+                            metric_inv=g_inv, det=np.linalg.det(g), min_eig=min_eig,
+                            convex=min_eig > 0.0)
+    return gg, pts, jet, fails
 
 
 def _shifted_jets(P: Potential, pts: np.ndarray, step: float):

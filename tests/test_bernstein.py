@@ -87,12 +87,14 @@ def test_radius_not_spacelike_raises():
 
 
 def test_radius_overflowing_metric_is_a_domain_error():
-    # g = 1 - 1e320 at every edge midpoint
-    gm = GraphMap.from_strings(2, ["1e160*x1"])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(DomainError, match="non-finite metric"):
-            geodesic_radius(gm, Lattice.box((-1, -1), (1, 1), 5), [0.0, 0.0])
+    # g = 1 - 1e320 at every edge midpoint; on 1e154*(x1+x2) g is finite,
+    # but its smallest eigenvalue 1 - 2e308 is not
+    for expr in ("1e160*x1", "1e154*(x1+x2)"):
+        gm = GraphMap.from_strings(2, [expr])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="non-finite metric"):
+                geodesic_radius(gm, Lattice.box((-1, -1), (1, 1), 5), [0.0, 0.0])
 
 
 def test_radius_disconnected_lattice():
@@ -322,9 +324,11 @@ def test_probe_checks_the_start_metric(expr, error):
 
 
 def test_overflow_names_no_subexpression():
-    with pytest.raises(DomainError) as err:
-        completeness_probe(GraphMap.from_strings(1, ["1e160*x1"]), [np.array([1.0])], T=1.0)
-    assert str(err.value) == "non-finite metric (overflow)" and err.value.span is None
+    # 1e160*x1 overflows the metric; 1e154*(x1+x2) only its smallest eigenvalue
+    for m, expr in ((1, "1e160*x1"), (2, "1e154*(x1+x2)")):
+        with pytest.raises(DomainError) as err:
+            completeness_probe(GraphMap.from_strings(m, [expr]), [np.eye(m)[0]], T=1.0)
+        assert str(err.value) == "non-finite metric (overflow)" and err.value.span is None
 
 
 @pytest.mark.parametrize("halfwidth", [-1.0, np.nan, 0.0])

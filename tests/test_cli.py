@@ -263,6 +263,22 @@ def test_lagrangian_overflowing_det_is_nan_without_a_warning(tmp_path):
                and r["min_eig_hess"] == "2e+200" for r in rows)
 
 
+def test_lagrangian_overflowing_hessian_eigenvalue_is_a_domain_error(tmp_path):
+    # Hess F = -1e308 [[1, 1], [1, 1]] is finite, but its smallest eigenvalue
+    # -2e308 is not; F itself overflows where |x1 + x2| = 2
+    out = tmp_path / "l.csv"
+    cfg = write_config(tmp_path, "cfg.json", {
+        "m": 2, "potential": "-5e307*(x1+x2)^2",
+        "lattice": {"lo": [-1, -1], "hi": [1, 1], "nodes": 3}, "out": str(out),
+    })
+    assert run_cli(["lagrangian", "--config", cfg]) == 0
+    lines = out.read_text().strip().split("\n")
+    rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+    assert len(rows) == 9 and all(r["status"] == "error:DomainError" for r in rows)
+    origin = next(r for r in rows if float(r["x1"]) == float(r["x2"]) == 0.0)
+    assert origin["min_eig_hess"] == "nan"
+
+
 def test_lagrangian_nonconvex_rows_flagged(tmp_path):
     out = str(tmp_path / "l.csv")
     cfg = write_config(tmp_path, "cfg.json", {

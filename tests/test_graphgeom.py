@@ -1,20 +1,24 @@
 import functools
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import spacelike.graphgeom as graphgeom
 from conftest import random_spacelike_graph
 from spacelike.checks import codazzi_symmetry, frame_residual, gauss_equation, hyperboloid
 from spacelike.exprparse import DomainError, eval_values, pretty
 from spacelike.failures import Failures
 from spacelike.graphgeom import (
-    BasePointError, GraphMap, NotSpacelikeError, covariant_h,
+    SPACELIKE_TOL, BasePointError, GraphMap, NotSpacelikeError, covariant_h,
     curvature, extremal_residual, first_bianchi_residual, fundamental_forms, graph_geometry,
     induced_metric, integrate_geodesic, pseudo_distance, ricci_bound_check, riemann_from_metric,
     signature, simons_report,
 )
+from spacelike.grassmann import gauss_map
 from spacelike.jets import jet_rows
 from spacelike.lattice import Lattice, LatticeError
 
@@ -390,6 +394,62 @@ def test_geodesic_start_outside_the_box_is_rejected():
     gm = GraphMap.from_strings(2, ["0.3*x1"])
     with pytest.raises(ValueError, match="x0 must lie in the box"):
         integrate_geodesic(gm, [3.0, 0.0], [[0.0, 1.0]], (0.0, 1.0), region_halfwidth=2.0)
+
+
+@pytest.mark.parametrize("x0", [[np.nan, 0.0], [np.inf, 0.0]])
+def test_geodesic_start_that_is_not_finite_is_rejected(x0):
+    # abs(nan) <= inf is false and abs(inf) <= inf is true: neither is a box question
+    gm = GraphMap.from_strings(2, ["0.3*x1"])
+    with pytest.raises(ValueError, match="x0 must be finite"):
+        integrate_geodesic(gm, x0, [[1.0, 0.0]], (0.0, 1.0))
+
+
+def test_geodesic_starts_raise_what_the_gauss_map_raises():
+    # min_eig = 1 - 4 x1^2 is -0.44 at the first start and -2.24 at the second
+    gm = GraphMap.from_strings(2, ["x1^2"])
+    starts = [[0.6, 0.0], [0.9, 0.0]]
+    with pytest.raises(NotSpacelikeError) as raised:
+        gauss_map(gm, starts)
+    with pytest.raises(NotSpacelikeError, match=re.escape(str(raised.value))):
+        integrate_geodesic(gm, starts, [[1.0, 0.0]] * 2, (0.0, 1.0))
+
+
+class _Started(Exception):
+    """Raised in place of the integration once the geodesic starts pass."""
+
+
+def _verdict(call):
+    """None where ``call`` passes its metric check, else the type of its error."""
+    try:
+        call()
+    except (NotSpacelikeError, DomainError) as err:
+        return type(err)
+    except _Started:
+        pass
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.integers(1, 3), n=st.integers(1, 2), data=st.data(),
+       decade=st.one_of(st.floats(-3.0, 160.0), st.floats(153.5, 154.5)))
+def test_every_metric_check_gives_the_same_verdict(m, n, decade, data):
+    # random graphs whose slope is scaled by 10^decade, often near 1e154,
+    # where g can be finite and its smallest eigenvalue not; the quadratic
+    # part is not scaled, so S stays finite wherever the metric is definite
+    # (its overflow is a DomainError of the geometry pass alone)
+    coeff = st.floats(-2.0, 2.0)
+    slope = data.draw(st.lists(st.lists(coeff, min_size=m, max_size=m), min_size=n, max_size=n))
+    quad = data.draw(st.lists(st.lists(coeff, min_size=m, max_size=m), min_size=n, max_size=n))
+    x = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m)))
+    comps = ["+".join(f"({10.0 ** decade * a!r})*x{i + 1}+({b!r})*x{i + 1}^2"
+                      for i, (a, b) in enumerate(zip(row, qrow)))
+             for row, qrow in zip(slope, quad)]
+    gm = GraphMap.from_strings(m, comps)
+    geo = graph_geometry(gm, x, 2)
+    assume(not abs(geo.min_eig[0]) <= SPACELIKE_TOL)  # the band where only analyze has DEGENERATE
+    verdicts = {_verdict(geo.fails.raise_first), _verdict(lambda: gauss_map(gm, x))}
+    with mock.patch.object(graphgeom, "solve_ivp", side_effect=_Started):
+        verdicts.add(_verdict(lambda: integrate_geodesic(gm, x, np.eye(m)[0], (0.0, 1.0))))
+    assert len(verdicts) == 1
 
 
 def test_batched_jet_data_rows_equal_single_points():

@@ -10,10 +10,7 @@ import spacelike.jets as jets
 from spacelike.bernstein import geodesic_radius
 from spacelike.checks import hyperboloid, random_spacelike_graph
 from spacelike.exprparse import DomainError, eval_values, parse
-from spacelike.graphgeom import (
-    GraphMap, _covariant_h, fundamental_forms, graph_geometry, integrate_geodesic, signature,
-    simons_report,
-)
+from spacelike.graphgeom import GraphMap, fundamental_forms, integrate_geodesic, simons_report
 from spacelike.grassmann import gauss_map, graph_node_table
 from spacelike.jets import _mul, evaluate_jet, finite_diff_check, jet_rows
 from spacelike.lagrangian import Potential, node_table
@@ -234,14 +231,6 @@ def test_unread_orders_are_not_checked():
     for order in (1, 2, 3):
         _, fault = jet_rows(parse("sqrt(x1)", 1), [[0.0]], order=order)
         assert "sqrt argument must be positive" in str(fault[0])
-
-
-def test_order_3_readers_reject_a_lower_order_pass():
-    gm = hyperboloid()
-    geo = graph_geometry(gm, [0.1, 0.2], 2)
-    assert geo.Th is None
-    with pytest.raises(ValueError, match="third derivatives"):
-        _covariant_h(geo, signature(2, 1))
 
 
 def _requested_orders(monkeypatch):

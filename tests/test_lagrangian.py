@@ -216,6 +216,12 @@ def test_moduli_oracle_checks_as_moduli_curvature_does(text, x, error):
             moduli_curvature_oracle(P, x)
 
 
+def test_hessian_whose_smallest_eigenvalue_overflows_is_a_domain_error():
+    # Hess F = -1e308 [[1, 1], [1, 1]] is finite; its eigenvalue -2e308 is not
+    with pytest.raises(DomainError, match=re.escape("non-finite metric (overflow)")):
+        gradient_graph(Potential.from_string(2, "-5e307*(x1+x2)^2"), [0.0, 0.0])
+
+
 def test_mean_curvature_controlled_by_ma_residual_on_lattice():
     # on a sampled box, max |H| <= C * max |det Hess F - c| with a modest C
     for eps in (1e-3, 1e-2):

@@ -3,11 +3,18 @@ function and class of the package is named, as a whole word, somewhere
 other than its own definition line, in the package, the demos, the
 benchmark or the README.  A test-only oracle belongs in tests/oracles.py.
 Nor is a public function an alias: one whose body only returns another
-function's call on its own parameters."""
+function's call on its own parameters.  And the console script that an
+install of the checkout gives is the CLI's main, in the package the build
+finds."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
+
+import pytest
+
+from spacelike import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "spacelike"
@@ -66,3 +73,13 @@ def test_no_public_function_is_an_alias_of_another():
                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
                and _forwards_its_parameters(node)]
     assert aliases == []
+
+
+def test_the_console_script_is_the_cli_main_of_the_built_package():
+    # the tests import the package from src/ and never install it
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    module, _, name = project["project"]["scripts"]["spacelike"].partition(":")
+    assert getattr(importlib.import_module(module), name) is cli.main
+    where = project["tool"]["setuptools"]["packages"]["find"]["where"]
+    assert [ROOT / w / "spacelike" for w in where] == [PACKAGE]
