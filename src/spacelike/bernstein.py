@@ -23,7 +23,6 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,7 +78,7 @@ def geodesic_radius(gm: GraphMap, lattice: Lattice, x0) -> RadiusField:
         raise LatticeError("source point is not on the lattice")
 
     # one entry per undirected edge: the offsets whose first nonzero entry is +1
-    offsets = np.array([off for off in itertools.product((-1, 0, 1), repeat=m) if off > (0,) * m])
+    offsets = lat_mod.cube_offsets(m)[(3**m + 1) // 2:]
     nodes = np.argwhere(act)
     nb = nodes + offsets[:, None]                          # (offset, node, m), offset-major
     ok = np.all((nb >= 0) & (nb < shape), axis=-1)
@@ -262,9 +261,11 @@ def completeness_probe(gm: GraphMap, directions, T: float, n_samples: int = 200,
     forces b_emp <= ratio_sup (up to quadrature error).  A direction that
     leaves the box |x_i| <= region_halfwidth (> 0; inf, the default, is no
     box) is sampled up to its own exit and reported "left-region"; one that
-    stops before T without leaving (the integrator failed) is reported
-    "integration-failed: <message>".  T > 0 is finite, each direction finite
-    and nonzero, and n_samples >= 1."""
+    stops before T without leaving is reported "integration-failed:
+    <message>".  The directions inside the box run as one ODE, so when the
+    integrator fails on one of them, each of them stops there and is
+    reported so, a direction that runs to T on its own too.  T > 0 is
+    finite, each direction finite and nonzero, and n_samples >= 1."""
     _check_base_point(gm)
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")

@@ -18,8 +18,8 @@ from .exprparse import DomainError
 
 # What a point failed first, in the order the checks run: a DomainError, a
 # metric that is not positive definite, one whose smallest eigenvalue is at
-# most the space-like tolerance, a pair of planes that the boost of
-# grassmann's distance cannot join, and a Hessian that is not convex.
+# most the space-like tolerance, a pair of planes of grassmann's distance of
+# which one has such a metric I - A^T A, and a Hessian that is not convex.
 OK, DOMAIN, INDEFINITE, DEGENERATE, PLANE, NOT_CONVEX = range(6)
 STATUS = np.array(["ok", "error:DomainError", "not-spacelike", "error:NotSpacelikeError",
                    "error:NotSpacelikeError", "not-convex"], dtype=object)  # node-table status
@@ -42,7 +42,7 @@ class NotConvexError(ValueError):
 class Failures:
     """Each point's first failure over a batch of points.  ``code`` is OK
     where a point passes and otherwise names the check it failed first;
-    ``value`` is the number that check reports (an eigenvalue, or 1 - sigma^2),
+    ``value`` is the number that check reports (a smallest eigenvalue),
     and for DOMAIN the index in ``errors`` of the point's DomainError."""
 
     code: np.ndarray

@@ -40,7 +40,6 @@ of the induced metric (both are tested).
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -657,7 +656,7 @@ def simons_report(gm: GraphMap, lattice: Lattice) -> SimonsReport:
     pts = lat_mod.node_points(lattice)
     interior = lat_mod.interior_mask(lattice)
     # interior nodes have their whole +-1 cube active and inside the lattice
-    cube = [lat_mod.flat_offset(lattice, off) for off in itertools.product((-1, 0, 1), repeat=m)]
+    cube = lat_mod.cube_offsets(m) @ lat_mod.strides(lattice)
     s_nodes = np.unique(np.flatnonzero(interior)[:, None] + cube)
 
     # one pass over the S nodes; the slack nodes are among them

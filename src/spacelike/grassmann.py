@@ -6,10 +6,17 @@ a noncompact symmetric space; its invariant metric in the slope chart is
 
     ds^2 = tr[(I - A^T A)^{-1} dA^T (I - A A^T)^{-1} dA].
 
-Geodesic distance is computed by boosting the first plane to the base
-plane with the pseudo-orthogonal polar factor and reading off inverse
-hyperbolic tangents of singular values of the transported slope, the
-exact analogue of principal angles in the compact picture.
+Geodesic distance works in Cholesky frames, the pseudo-orthonormal frames
+that ``immersion_geometry`` builds: the plane A has tangent frame
+[I; A] L_M^-T and normal frame [A^T; I] L_N^-T, with I - A^T A = L_M L_M^T
+and I - A A^T = L_N L_N^T.  The boost between the frames of planes A and B
+has the normal-tangent block L_N(B)^-1 (B - A) L_M(A)^-T, up to sign; its
+singular values are sinh theta_i of the hyperbolic principal angles, the
+exact analogue of principal angles in the compact picture, and the
+distance is |theta|.  Other frames turn that block by orthogonal factors
+only, so the angles do not depend on the choice; read as sinh, an angle
+keeps its relative accuracy near the null cone, where tanh theta rounds
+towards 1.
 """
 
 from __future__ import annotations
@@ -21,8 +28,9 @@ import numpy as np
 from .exprparse import DomainError
 from .failures import DOMAIN, OK, PLANE, STATUS, Failures
 from .graphgeom import (
-    GraphMap, NotSpacelikeError, _extremal_residual, _filled, _pseudo_distance, _ricci_margin,
-    _take, _tangent_metric, _view, _with_curvature, graph_geometry, signature,
+    SPACELIKE_TOL, GraphMap, NotSpacelikeError, _definite, _extremal_residual, _filled,
+    _pseudo_distance, _ricci_margin, _swap, _take, _tangent_metric, _view, _with_curvature,
+    graph_geometry, signature,
 )
 
 
@@ -34,11 +42,6 @@ class SpacelikePlane:
 
     def __post_init__(self):
         object.__setattr__(self, "slope", np.atleast_2d(np.asarray(self.slope, dtype=float)))
-
-    @property
-    def sigma_max(self):
-        s = np.linalg.svd(self.slope, compute_uv=False)[..., 0]
-        return float(s) if s.ndim == 0 else s
 
 
 def gauss_map(gm: GraphMap, x) -> SpacelikePlane:
@@ -55,30 +58,6 @@ def _gauss_map(gm: GraphMap, pts: np.ndarray):
     return SpacelikePlane(A), fails
 
 
-def _inv_sqrt_sym(M: np.ndarray):
-    """M^{-1/2} of a stack of symmetric matrices and their smallest
-    eigenvalues; M^{-1/2} is meaningless where that is not positive."""
-    w, V = np.linalg.eigh(M)
-    return (V / np.sqrt(np.where(w > 0, w, 1.0))[..., None, :]) @ np.swapaxes(V, -1, -2), w[..., 0]
-
-
-def _transport(A: np.ndarray, B: np.ndarray):
-    """Slopes of the planes B after the polar boost that moves the planes A
-    to the base plane, and per pair nan or the eigenvalue that shows the
-    boost does not exist.
-
-    The boost B with B[I; A] spanning the plane satisfies B^T eta B = eta;
-    its inverse is [[S, -A^T T], [-A S, T]] with S = (I - A^T A)^{-1/2},
-    T = (I - A A^T)^{-1/2}.
-    """
-    At = np.swapaxes(A, -1, -2)
-    S, ws = _inv_sqrt_sym(np.eye(A.shape[-1]) - At @ A)
-    T, wt = _inv_sqrt_sym(np.eye(A.shape[-2]) - A @ At)
-    U = S - At @ T @ B
-    V = -A @ S + T @ B
-    return V @ np.linalg.inv(U), np.where(ws <= 0, ws, np.where(wt <= 0, wt, np.nan))
-
-
 def distance(P: SpacelikePlane, Q: SpacelikePlane):
     """Geodesic distance between two space-like planes; batches of planes
     broadcast against each other and give an array of distances."""
@@ -89,20 +68,25 @@ def distance(P: SpacelikePlane, Q: SpacelikePlane):
 
 def _distances(P: SpacelikePlane, Q: SpacelikePlane):
     """Distances of (batches of) planes, nan for a pair that fails, and the
-    failure record of the pairs."""
-    sp, sq = np.asarray(P.sigma_max), np.asarray(Q.sigma_max)
-    planes = (sp < 1.0) & (sq < 1.0)
-    keep = planes[..., None, None]
-    rel, failed = _transport(np.where(keep, P.slope, 0.0), np.where(keep, Q.slope, 0.0))
-    sv = np.linalg.svd(rel, compute_uv=False)
-    beyond = np.where(sv[..., 0] >= 1.0 + 1e-12, 1.0 - sv[..., 0] ** 2, np.nan)
-    with np.errstate(over="ignore"):  # a slope that overflows is not a plane
-        value = np.where(planes, np.where(np.isnan(failed), beyond, failed),
-                         np.minimum(1 - sp**2, 1 - sq**2))
-    # singular values in [1, 1 + 1e-12) are rounding: clip them (a no-op below 1)
-    d = np.sqrt(np.sum(np.arctanh(np.minimum(sv, 1.0 - 1e-16)) ** 2, axis=-1))
-    return np.where(np.isnan(value), d, np.nan), Failures.clean(value.shape).add(
-        ~np.isnan(value), PLANE, value)
+    failure record of the pairs: ``_definite`` (PLANE) on the metric
+    I - A^T A of P, then of Q, then that metric's smallest eigenvalue at most
+    SPACELIKE_TOL on P, then on Q, the margin the frames need."""
+    A, B = P.slope, Q.slope
+    fails = Failures.clean(np.broadcast_shapes(A.shape[:-2], B.shape[:-2]))
+    with np.errstate(over="ignore", invalid="ignore"):  # a slope that overflows is not a plane
+        g = [np.eye(S.shape[-1]) - _swap(S) @ S for S in (A, B)]
+    min_eig = [_definite(metric, PLANE, fails) for metric in g]
+    for e in min_eig:
+        fails.add(~(e > SPACELIKE_TOL), PLANE, e)
+    # a plane that fails is replaced by the base plane, which factors
+    keep = [(e > SPACELIKE_TOL)[..., None, None] for e in min_eig]
+    A, B = np.where(keep[0], A, 0.0), np.where(keep[1], B, 0.0)
+    L_M = np.linalg.cholesky(np.where(keep[0], g[0], np.eye(A.shape[-1])))
+    L_N = np.linalg.cholesky(np.eye(B.shape[-2]) - B @ _swap(B))
+    # sinh theta: singular values of L_N(B)^-1 (B - A) L_M(A)^-T (see above)
+    sinh = np.linalg.svd(np.linalg.solve(L_M, _swap(np.linalg.solve(L_N, B - A))), compute_uv=False)
+    d = np.sqrt(np.sum(np.arcsinh(sinh) ** 2, axis=-1))
+    return np.where(fails.code == OK, d, np.nan), fails
 
 
 def hyperbolic_distance_n1(P: SpacelikePlane, Q: SpacelikePlane) -> float:
@@ -201,16 +185,18 @@ def graph_node_table(gm: GraphMap, pts: np.ndarray,
     failure, and a column is nan where a node does not reach it.
     ``gauss_dist`` is to the tangent plane over the origin, or over the
     centre of the nodes' box when the origin is outside it (nan where that
-    plane is not space-like); ``z`` and ``grad_ratio`` are of the
-    pseudo-distance from X(0).  Where that plane is undefined or not
-    space-like, or X(0) is undefined (f leaves its domain there), the
-    columns built on it are nan at every node and a note says why.
+    plane is not space-like, or within SPACELIKE_TOL of it); ``z`` and
+    ``grad_ratio`` are of the pseudo-distance from X(0).  Where that plane
+    is undefined or not space-like, or X(0) is undefined (f leaves its
+    domain there), the columns built on it are nan at every node and a note
+    says why.
     """
     k, notes = pts.shape[0], []
     lo, hi = pts.min(axis=0), pts.max(axis=0)
     base = np.zeros(gm.m) if np.all(lo <= 0) and np.all(hi >= 0) else 0.5 * (lo + hi)
     try:
         ref = gauss_map(gm, base)
+        distance(ref, ref)  # within SPACELIKE_TOL of the null cone it has no distances
     except (NotSpacelikeError, DomainError) as err:
         ref = None
         why = "undefined" if isinstance(err, DomainError) else "not space-like"

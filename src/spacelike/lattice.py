@@ -6,8 +6,8 @@ full 3^m - 1 neighborhood), or interior.  Solvers impose Dirichlet data
 on boundary nodes and unknowns live on interior nodes.  The cached node
 and mask arrays are read-only: every caller shares them.  ``cube_all``
 tests a mask over the +-k cube around each node (the interior mask is its
-k = 1 case); ``central_gradient`` and ``central_hessian`` difference a
-lattice field at chosen nodes.
+k = 1 case), and ``cube_offsets`` lists the +-1 cube; ``central_gradient``
+and ``central_hessian`` difference a lattice field at chosen nodes.
 """
 
 from __future__ import annotations
@@ -38,6 +38,15 @@ class Lattice:
             raise LatticeError("need at least two nodes per axis")
         if any(h <= l for l, h in zip(self.lo, self.hi)):
             raise LatticeError("hi must exceed lo on every axis")
+        if self.mask is not None:
+            kind, *radii = self.mask
+            if (kind, len(radii)) not in (("disc", 1), ("annulus", 2)):
+                raise LatticeError(f"unknown mask {self.mask!r}: need ('disc', r) "
+                                   "or ('annulus', r_min, r_max)")
+            if not all(0 < r < math.inf for r in radii):
+                raise LatticeError(f"mask radii must be finite and positive, got {radii}")
+            if kind == "annulus" and not radii[0] < radii[1]:
+                raise LatticeError("need 0 < r_min < r_max")
 
     @property
     def m(self) -> int:
@@ -66,8 +75,6 @@ class Lattice:
 
     @classmethod
     def annulus(cls, r_min: float, r_max: float, nodes: int) -> "Lattice":
-        if not 0 < r_min < r_max:
-            raise LatticeError("need 0 < r_min < r_max")
         r = float(r_max)
         return cls((-r, -r), (r, r), (int(nodes),) * 2, mask=("annulus", float(r_min), r))
 
@@ -98,10 +105,8 @@ def active_mask(lat: Lattice) -> np.ndarray:
         eps = 1e-9 * max(lat.spacing)
         if lat.mask[0] == "disc":
             act = r <= (lat.mask[1] + eps) / scale
-        elif lat.mask[0] == "annulus":
-            act = (r >= (lat.mask[1] - eps) / scale) & (r <= (lat.mask[2] + eps) / scale)
         else:
-            raise LatticeError(f"unknown mask kind {lat.mask[0]!r}")
+            act = (r >= (lat.mask[1] - eps) / scale) & (r <= (lat.mask[2] + eps) / scale)
     return _frozen(act.reshape(lat.shape))
 
 
@@ -161,5 +166,9 @@ def strides(lat: Lattice) -> np.ndarray:
     return st
 
 
-def flat_offset(lat: Lattice, off) -> int:
-    return int(np.dot(strides(lat), np.asarray(off, dtype=int)))
+def cube_offsets(m: int) -> np.ndarray:
+    """The 3^m offsets (3^m, m) of the +-1 cube around a node, in the order
+    of itertools.product((-1, 0, 1), repeat=m): offset v is row
+    (3^m - 1) / 2 + v . (3^(m-1), ..., 3, 1), so the centre is the middle
+    row and the rows after it are the offsets whose first nonzero entry is +1."""
+    return np.indices((3,) * m).reshape(m, -1).T - 1

@@ -58,7 +58,6 @@ DomainError(OVERFLOW) before splu sees it.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -188,7 +187,7 @@ class _Ops:
         self.perm = _nested_dissection(multi)
         rank = np.full(self.K + 1, self.K)  # rank[-1] = K: no node, sorted last
         rank[self.perm] = np.arange(self.K)
-        cube = np.array(list(itertools.product((-1, 0, 1), repeat=m))) @ lat_mod.strides(lattice)
+        cube = lat_mod.cube_offsets(m) @ lat_mod.strides(lattice)
         key = rank[self.int_id[self.int_flat[self.perm, None] - cube]] * 3**m + np.arange(3**m)
         row, offset = np.divmod(np.sort(key, axis=1), 3**m)
         held = row < self.K
@@ -205,8 +204,8 @@ class _Ops:
                       inner[:d] + (slice(1, None),) + inner[d + 1:]) for d in range(m)]
         self.idle = [~(grid[lo] | grid[hi]) for lo, hi in self.ends]
 
-        # the index of an offset v in the +-1 cube, in the order of
-        # itertools.product((-1, 0, 1), repeat=m), is centre + v . cube
+        # the index of an offset v in the +-1 cube (lattice.cube_offsets)
+        # is centre + v . cube
         self.centre, self.cube = (3**m - 1) // 2, 3 ** np.arange(m - 1, -1, -1)
 
 

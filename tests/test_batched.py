@@ -205,6 +205,8 @@ def _graph_statuses(gm: GraphMap, pts, active) -> list:
     lo, hi = pts.min(axis=0), pts.max(axis=0)
     base = np.zeros(gm.m) if np.all(lo <= 0) and np.all(hi >= 0) else 0.5 * (lo + hi)
     ref = _outcome(gauss_map, gm, base)
+    if not isinstance(ref, tuple) and isinstance(_outcome(distance, ref, ref), tuple):
+        ref = ()  # within the tolerance of the null cone: no reference, as in the table
 
     def status(p):
         try:

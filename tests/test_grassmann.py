@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from conftest import random_spacelike_graph
-from oracles import chart_metric, transport_slope
+from oracles import chart_metric, plane_distance, transport_slope
 from spacelike.checks import gauss_map_pullback_trace
-from spacelike.graphgeom import GraphMap, induced_metric
+from spacelike.exprparse import DomainError
+from spacelike.graphgeom import GraphMap, NotSpacelikeError, induced_metric
 from spacelike.grassmann import (
-    SpacelikePlane, distance, gauss_map, hyperbolic_distance_n1, max_modulus, pullback_check,
-    pullback_trace,
+    SpacelikePlane, distance, gauss_map, graph_node_table, hyperbolic_distance_n1, max_modulus,
+    pullback_check, pullback_trace,
 )
 
 
@@ -40,7 +43,7 @@ def test_spacelike_equivalence_of_tests():
     for _ in range(10):
         gm, x = random_spacelike_graph(rng, 2, 2)
         assert induced_metric(gm, x).spacelike
-        assert gauss_map(gm, x).sigma_max < 1.0
+        assert np.linalg.svd(gauss_map(gm, x).slope, compute_uv=False)[0] < 1.0
 
 
 # -- distance -----------------------------------------------------------------
@@ -103,10 +106,60 @@ def test_rotation_invariance():
 
 
 def test_distance_rejects_non_spacelike():
-    from spacelike.graphgeom import NotSpacelikeError
-
     with pytest.raises(NotSpacelikeError):
         distance(SpacelikePlane([[1.2]]), SpacelikePlane([[0.0]]))
+
+
+def _raised(f):
+    try:
+        f()
+    except (NotSpacelikeError, DomainError) as err:
+        return type(err), str(err)
+    return None
+
+
+@pytest.mark.parametrize("bad", [1e200, 1e160, np.nan])
+def test_distance_to_a_slope_that_overflows_is_a_domain_error(bad):
+    P, Q = SpacelikePlane([[bad, 0.0]]), SpacelikePlane([[0.1, 0.0]])
+    for args in ((P, Q), (Q, P)):
+        with pytest.raises(DomainError, match="overflow"):
+            distance(*args)
+
+
+@pytest.mark.parametrize("gap", [1e-13, 3e-16, 1e-16])
+def test_plane_within_the_tolerance_of_the_null_cone_has_no_distance(gap):
+    # sigma_max = 1 - gap: I - A^T A is positive definite, or rounds to
+    # singular, but its smallest eigenvalue is below SPACELIKE_TOL
+    rng = np.random.default_rng(5)
+    for m, n in [(1, 1), (2, 1), (2, 3), (3, 2)]:
+        u, v = (w / np.linalg.norm(w) for w in (rng.normal(size=n), rng.normal(size=m)))
+        P = SpacelikePlane((1.0 - gap) * np.outer(u, v))
+        Q = random_plane(rng, m, n)
+        assert _raised(lambda: distance(P, Q)) == _raised(lambda: distance(Q, P))
+        with pytest.raises(NotSpacelikeError):
+            distance(P, Q)
+
+
+def test_reference_plane_within_the_tolerance_gives_a_note_not_failing_nodes():
+    # the tangent plane at the origin has I - A^T A = 2e-13: positive, but
+    # inside SPACELIKE_TOL, so the table has no reference plane
+    gm = GraphMap.from_strings(2, ["(1 - 1e-13)*x1 + x1^2"])
+    pts = np.array([[0.0, 0.0], [-0.3, 0.1], [-0.2, -0.4]])
+    status, cols, notes = graph_node_table(gm, pts, np.ones(3, dtype=bool))
+    assert list(status) == ["error:NotSpacelikeError", "ok", "ok"]
+    assert np.all(np.isnan(cols["gauss_dist"])) and np.all(np.isfinite(cols["S"][1:]))
+    assert len(notes) == 1 and "x = [0.0, 0.0] is not space-like" in notes[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3), n=st.integers(1, 3),
+       scale=st.floats(0.0, 0.9))
+def test_distance_matches_the_frame_free_oracle(seed, m, n, scale):
+    rng = np.random.default_rng(seed)
+    P, Q = random_plane(rng, m, n, 0.9), random_plane(rng, m, n, scale)
+    d = distance(P, Q)
+    assume(d >= 1e-3)
+    assert abs(d - plane_distance(P, Q)) <= 1e-9 * d
 
 
 def test_distance_equals_chart_path_length_and_geodesic_ode():
@@ -244,7 +297,6 @@ def test_positions_come_from_the_one_jet_pass(monkeypatch):
     # f is evaluated on its own only at X(0), once per component
     import spacelike.graphgeom as graphgeom
     from spacelike.graphgeom import pseudo_distance
-    from spacelike.grassmann import graph_node_table
 
     gm = GraphMap.from_strings(2, ["0.3*x1*x2 + 1", "0.2*sin(x2)"])
     pts = np.stack(np.meshgrid(np.linspace(-1, 1, 5), np.linspace(-1, 1, 5)), -1).reshape(-1, 2)

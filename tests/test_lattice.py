@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -99,3 +100,30 @@ def test_masks_of_huge_radii_do_not_overflow():
                         (Lattice.annulus(0.5, 2.0, 17), Lattice.annulus(0.5e200, 2e200, 17))):
         assert np.array_equal(lm.active_mask(huge), lm.active_mask(small))
         assert lm.interior_mask(huge).any()
+
+
+@pytest.mark.parametrize("mask", [
+    ("annulus", 2.0, 1.0), ("annulus", 1.0, 1.0), ("annulus", 0.0, 1.0), ("disc", -1.0),
+    ("disc", 0.0), ("disc", float("inf")), ("disc", float("nan")), ("annulus", 0.5, float("inf")),
+    ("ring", 1.0), ("disc",), ("disc", 1.0, 2.0), ("annulus", 1.0),
+])
+def test_a_mask_without_nodes_to_select_is_rejected_when_built(mask, tmp_path):
+    # these once built lattices of 0 active nodes, or failed only in active_mask
+    with pytest.raises(lm.LatticeError):
+        Lattice((-1.0, -1.0), (1.0, 1.0), (9, 9), mask)
+    from spacelike.solver import load_field
+
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps({"lattice": {"lo": [-1, -1], "hi": [1, 1], "shape": [3, 3],
+                                            "mask": list(mask)}, "values": [0.0] * 9}))
+    with pytest.raises(lm.LatticeError):
+        load_field(str(path))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_cube_offsets_are_the_product_order(m):
+    ref = np.array(list(itertools.product((-1, 0, 1), repeat=m)))
+    got = lm.cube_offsets(m)
+    assert got.dtype == ref.dtype and np.array_equal(got, ref)
+    # the rows after the centre are the offsets whose first nonzero entry is +1
+    assert np.array_equal(got[(3**m + 1) // 2:], [off for off in ref if tuple(off) > (0,) * m])

@@ -50,7 +50,7 @@ def reference_pattern(lat):
     multi = np.array(np.unravel_index(int_flat, lat.shape)).T
     alpha, beta, offset = [], [], []
     for o, off in enumerate(itertools.product((-1, 0, 1), repeat=lat.m)):
-        nb = int_id[int_flat + lm.flat_offset(lat, off)]
+        nb = int_id[int_flat + int(np.dot(lm.strides(lat), off))]
         alpha.append(np.flatnonzero(nb >= 0))
         beta.append(nb[nb >= 0])
         offset.append(np.full(alpha[-1].size, o))
