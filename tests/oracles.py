@@ -1,8 +1,13 @@
 """Oracles that only tests read, kept out of the package."""
 
+import math
+
 import numpy as np
 
+from spacelike.exprparse import BinOp, Const, DomainError, Expr, Pow, Unary, Var
+from spacelike.failures import Failures
 from spacelike.grassmann import SpacelikePlane
+from spacelike.jets import _ELEMENTARY, _OUT_OF_DOMAIN
 
 
 def transport_slope(P: SpacelikePlane, Q: SpacelikePlane) -> np.ndarray:
@@ -38,3 +43,145 @@ def chart_metric(A: np.ndarray, dA: np.ndarray) -> float:
 def moduli_ricci_from_riemann(g_inv: np.ndarray, riemann: np.ndarray) -> np.ndarray:
     """g-contraction Ric_ik = g^{jl} R_jilk of the slot-ordered tensor."""
     return np.einsum("jl,jilk->ik", g_inv, riemann)
+
+
+# ---------------------------------------------------------------------------
+# The dense Taylor evaluator: every derivative block is an array, the zero
+# gradient of a constant and the zero Hessian of a variable included.
+
+def _outer(a, b):
+    return a[..., :, None] * b[..., None, :]
+
+
+def _sym3(g, H):
+    """g_i H_jk + g_j H_ik + g_k H_ij over the trailing axes (H symmetric)."""
+    return (g[..., :, None, None] * H[..., None, :, :]
+            + g[..., None, :, None] * H[..., :, None, :]
+            + g[..., None, None, :] * H[..., :, :, None])
+
+
+def _mul(a, b):
+    """Truncated Taylor product of two coefficient tuples of one order k,
+    (value, grad, hess, third)[:k + 1]; only those k + 1 are computed."""
+    a0, b0 = a[0], b[0]
+    out = [a0 * b0]
+    if len(a) > 1:
+        (ag, bg), a1, b1 = (a[1], b[1]), a0[..., None], b0[..., None]
+        out.append(a1 * bg + b1 * ag)
+    if len(a) > 2:
+        aH, bH = a[2], b[2]
+        out.append(a1[..., None] * bH + b1[..., None] * aH + _outer(ag, bg) + _outer(bg, ag))
+    if len(a) > 3:
+        out.append(a1[..., None, None] * b[3] + b1[..., None, None] * a[3]
+                   + _sym3(ag, bH) + _sym3(bg, aH))
+    return tuple(out)
+
+
+def _compose(u, d):
+    """Chain rule through a univariate function with derivatives d = (d0, d1,
+    d2, d3) at u's value, to the order of u; the unused d are not read."""
+    out = [d[0]]
+    if len(u) > 1:
+        g, d1 = u[1], d[1][..., None]
+        out.append(d1 * g)
+    if len(u) > 2:
+        H, d2, gg = u[2], d[2][..., None], _outer(g, g)
+        out.append(d1[..., None] * H + d2[..., None] * gg)
+    if len(u) > 3:
+        d3 = d[3][..., None]
+        out.append(d1[..., None, None] * u[3] + d2[..., None, None] * _sym3(g, H)
+                   + d3[..., None, None] * gg[..., None] * g[..., None, None, :])
+    return tuple(out)
+
+
+def _power(u, p: int):
+    """Chain rule for u^p; a vanishing coefficient of the derivatives stays exactly 0."""
+    u0 = u[0]
+    coeffs = (p, p * (p - 1), p * (p - 1) * (p - 2))[:len(u) - 1]
+    return _compose(u, (u0 ** p,) + tuple(c * u0 ** (p - k) if c else np.zeros_like(u0)
+                                          for k, c in enumerate(coeffs, 1)))
+
+
+def dense_taylor(expr: Expr, pts: np.ndarray, order: int) -> tuple:
+    """Truncated Taylor data of ``expr`` at points of shape (..., m), as
+    ``jets._taylor`` returns it.
+
+    Returns (coeffs, fails): coeffs is (value, grad, hess, third)[:order + 1],
+    for an order from 0 to 3, each led by the batch shape of ``pts``; the
+    higher derivatives are never formed.  A point that leaves a function's
+    domain, or whose computed coefficients end up not finite, is recorded
+    instead of raised: ``fails`` gives each point's first DomainError,
+    carrying the span of the offending subexpression (the whole expression
+    for a non-finite result).  The record is built at the first failing
+    point; ``fails`` is None where every point passes.
+    """
+    shape, m = pts.shape[:-1], pts.shape[-1]
+    zeros = tuple(np.zeros(shape + (m,) * k) for k in range(1, order + 1))
+    fails = None
+
+    def mark(bad, message, span):
+        nonlocal fails
+        if bad.any():  # one DomainError only where a point fails
+            if fails is None:
+                fails = Failures.clean(shape)
+            fails.add(bad, DomainError(message, span))
+
+    post, todo = [], [expr]
+    while todo:
+        node = todo.pop()
+        post.append(node)
+        if isinstance(node, Unary):
+            todo.append(node.child)
+        elif isinstance(node, BinOp):
+            todo += (node.lhs, node.rhs)
+        elif isinstance(node, Pow):
+            todo.append(node.base)
+    stack = []
+    for node in reversed(post):
+        if isinstance(node, Const):
+            t = (np.full(shape, node.value),) + zeros
+        elif isinstance(node, Var):
+            t = (pts[..., node.index - 1],)
+            if order:
+                g = np.zeros(shape + (m,))
+                g[..., node.index - 1] = 1.0
+                t += (g,) + zeros[1:]
+        elif isinstance(node, Unary):
+            u = stack.pop()
+            if node.op == "neg":
+                t = tuple(-c for c in u)
+            else:
+                bad = _OUT_OF_DOMAIN.get(node.op)
+                if bad is not None:
+                    mark(bad(u[0]), f"{node.op} argument out of range", node.span)
+                if order and node.op == "sqrt":
+                    mark(u[0] == 0, "sqrt argument must be positive for differentiation",
+                         node.span)
+                fn, derivs = _ELEMENTARY[node.op]
+                v = fn(u[0])
+                t = _compose(u, (v, *(d(u[0], v) for d in derivs[:order])))
+        elif isinstance(node, BinOp):
+            b, a = stack.pop(), stack.pop()
+            if node.op == "+":
+                t = tuple(x + y for x, y in zip(a, b))
+            elif node.op == "-":
+                t = tuple(x - y for x, y in zip(a, b))
+            elif node.op == "*":
+                t = _mul(a, b)
+            else:
+                mark(b[0] == 0, "division by zero", node.span)
+                t = _mul(a, _power(b, -1)) if order else (a[0] / b[0],)
+        elif isinstance(node, Pow):
+            u = stack.pop()
+            if node.exponent < 0:
+                mark(u[0] == 0, "zero raised to a negative power", node.span)
+            t = _power(u, node.exponent)
+        else:
+            raise TypeError(f"not an Expr: {node!r}")
+        stack.append(t)
+    coeffs = stack[0]
+    if not math.isfinite(sum(c.sum() for c in coeffs)):  # a sum with a non-finite term is not finite
+        rows = [c.reshape(shape + (m**k,)) for k, c in enumerate(coeffs)]  # m^k entries each
+        finite = np.isfinite(np.concatenate(rows, axis=-1)).all(axis=-1)
+        mark(~finite, f"non-finite {'jet' if order else 'value'} (overflow or NaN)", expr.span)
+    return coeffs, fails

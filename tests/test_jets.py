@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
+from oracles import dense_taylor
 from test_exprparse import _exprs
 
 import spacelike.jets as jets
 from spacelike.bernstein import geodesic_radius
 from spacelike.checks import hyperboloid, random_spacelike_graph
-from spacelike.exprparse import DomainError, eval_values, parse
+from spacelike.exprparse import (FUNCTIONS, BinOp, Const, DomainError, Unary, Var, eval_values,
+                                 parse)
 from spacelike.graphgeom import GraphMap, fundamental_forms, integrate_geodesic, simons_report
 from spacelike.grassmann import gauss_map, graph_node_table
 from spacelike.jets import _mul, evaluate_jet, finite_diff_check, jet_rows
@@ -217,6 +219,90 @@ def test_batched_rows_equal_single_point_jets(text, points):
     assert np.array_equal(batch.hess, batch.hess.transpose(0, 2, 1))
     for perm in ((0, 2, 1, 3), (0, 1, 3, 2)):
         assert np.array_equal(batch.third, batch.third.transpose(perm))
+
+
+_literal = st.one_of(st.floats(min_value=1e-3, max_value=100.0).map(repr), st.just("pi"))
+
+
+def _trees(leaf, depth):
+    """Expression texts over ``leaf`` up to ``depth`` operations deep, every
+    function and operator of the language, exponents -2 to 4."""
+    if depth == 0:
+        return leaf
+    sub = _trees(leaf, depth - 1)
+    return st.one_of(
+        leaf,
+        st.tuples(sub, st.sampled_from("+-*/"), sub).map(lambda t: f"({t[0]}{t[1]}{t[2]})"),
+        st.tuples(st.sampled_from(FUNCTIONS), sub).map(lambda t: f"{t[0]}({t[1]})"),
+        sub.map(lambda s: f"-({s})"),
+        st.tuples(sub, st.integers(min_value=-2, max_value=4)).map(lambda t: f"({t[0]})^{t[1]}"),
+    )
+
+
+@st.composite
+def _taylor_cases(draw):
+    """An expression in x1..xm (m 1 to 3) whose leaves are variables,
+    literals, pi and constant subtrees such as sin(2.0) or (3)^2, at 1 to 6
+    points, and an order from 0 to 3."""
+    m = draw(st.integers(min_value=1, max_value=3))
+    var = st.integers(min_value=1, max_value=m).map(lambda i: f"x{i}")
+    text = draw(_trees(st.one_of(var, _literal, _trees(_literal, 2)), 3))
+    k = draw(st.integers(min_value=1, max_value=6))
+    pts = draw(st.lists(st.floats(-2.0, 2.0), min_size=k * m, max_size=k * m))
+    return parse(text, m), np.reshape(pts, (k, m)), draw(st.integers(min_value=0, max_value=3))
+
+
+def _constant_subtrees(expr):
+    """The subtrees whose derivatives are zero by their form: literals,
+    anything built from literals alone, and a power u^0."""
+    found = []
+
+    def visit(node):
+        if isinstance(node, (Const, Var)):
+            const = isinstance(node, Const)
+        elif isinstance(node, Unary):
+            const = visit(node.child)
+        elif isinstance(node, BinOp):
+            const = visit(node.lhs) & visit(node.rhs)
+        else:
+            const = visit(node.base) or node.exponent == 0
+        if const:
+            found.append(node)
+        return const
+
+    visit(expr)
+    return found
+
+
+@settings(max_examples=300, deadline=None)
+@given(_taylor_cases())
+def test_taylor_equals_the_dense_evaluator(case):
+    # _taylor skips the derivative blocks that are exactly zero; the dense
+    # evaluator forms them.  Where the dense one passes, both give the same
+    # numbers; and both fail at the same points with the same errors, except
+    # where a dense constant subtree's zero derivatives meet an infinite
+    # factor (0 * inf = nan), which _taylor never forms.
+    expr, pts, order = case
+    with np.errstate(all="ignore"):
+        got, got_fails = jets._taylor(expr, pts, order)
+        want, want_fails = dense_taylor(expr, pts, order)
+        nan_zeros = np.zeros(len(pts), dtype=bool)
+        for sub in _constant_subtrees(expr):
+            for c in dense_taylor(sub, pts, order)[0][1:]:
+                nan_zeros |= ~np.isfinite(c.reshape(len(pts), -1)).all(axis=-1)
+    assert len(got) == len(want) == order + 1
+
+    def errors(fails):
+        return [None if fails is None else str(fails[p]) for p in range(len(pts))]
+
+    got_errors, want_errors = errors(got_fails), errors(want_fails)
+    for p in range(len(pts)):
+        if not nan_zeros[p]:
+            assert got_errors[p] == want_errors[p]
+        if want_errors[p] is None:
+            assert got_errors[p] is None
+            for g, w in zip(got, want):
+                assert np.array_equal(g[p], w[p], equal_nan=True)
 
 
 # -- orders below 3 -----------------------------------------------------------
