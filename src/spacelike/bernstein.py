@@ -262,9 +262,9 @@ def completeness_probe(gm: GraphMap, directions, T: float, n_samples: int = 200,
     leaves the box |x_i| <= region_halfwidth (> 0; inf, the default, is no
     box) is sampled up to its own exit and reported "left-region"; one that
     stops before T without leaving is reported "integration-failed:
-    <message>".  The directions inside the box run as one ODE, so when the
-    integrator fails on one of them, each of them stops there and is
-    reported so, a direction that runs to T on its own too.  T > 0 is
+    <message>".  The directions inside the box run as one ODE until the
+    integrator fails; then each runs on alone from there, so a failure is
+    reported only for the direction that fails on its own.  T > 0 is
     finite, each direction finite and nonzero, and n_samples >= 1."""
     _check_base_point(gm)
     if n_samples < 1:
@@ -277,12 +277,13 @@ def completeness_probe(gm: GraphMap, directions, T: float, n_samples: int = 200,
     zs, ratios = pd.z.reshape(ts.shape), pd.ratio.reshape(ts.shape)
     exited = [len(te) > 0 for te in sol.t_events]
 
-    def status(end, left):
+    def status(end, left, message):
         if end >= T * (1 - 1e-9):
             return "ok"
-        return "left-region" if left else f"integration-failed: {sol.message}"
+        return "left-region" if left else f"integration-failed: {message}"
 
     return [ProbeReport(direction=d, t=t, z=z, ratio=ratio,
                         b_emp=float(np.max(np.log(z + 1.0) / t)), ratio_sup=float(ratio.max()),
-                        status=status(end, left))
-            for d, t, z, ratio, end, left in zip(directions, ts, zs, ratios, sol.t_end, exited)]
+                        status=status(end, left, message))
+            for d, t, z, ratio, end, left, message
+            in zip(directions, ts, zs, ratios, sol.t_end, exited, sol.messages)]

@@ -545,7 +545,7 @@ class GeodesicBatch:
 
     t_end: np.ndarray    # (k,) each direction's end time
     t_events: list       # per direction its exit time, or an empty array
-    message: str         # the message of the last solve_ivp call
+    messages: list       # per direction the message of the solve_ivp call it ended in
     pieces: list         # per direction (segment end, OdeSolution, its rows of that segment's state)
 
     def state(self, j: int, t):
@@ -573,8 +573,11 @@ def integrate_geodesic(gm: GraphMap, x0, v0, t_span, *,
     A direction ends where it leaves the box |x_i| <= region_halfwidth
     (> 0), which must hold x0: its exit event is terminal, and solve_ivp
     restarts at that time on the directions still inside, from their states
-    there.  Without an exit the run is one solve_ivp call.  If a call
-    fails, every direction in it ends at the failure time.
+    there.  Without an exit or a failure the run is one solve_ivp call.  If
+    a call of several directions fails, each of them runs on in a call of
+    its own from the failure time and its state there, so a direction that
+    fails alone ends there, with that call's message, and the others are
+    not stopped by it.
     """
     if not region_halfwidth > 0.0:
         raise ValueError(f"region_halfwidth must be positive, got {region_halfwidth}")
@@ -609,10 +612,11 @@ def integrate_geodesic(gm: GraphMap, x0, v0, t_span, *,
         event.terminal, event.direction = True, -1
         return event
 
-    run, state = np.arange(k), np.stack([x0, v0])          # state (2, running, m)
-    t_end = np.empty(k)
+    t_end, messages = np.empty(k), [""] * k
     t_events, pieces = [np.empty(0)] * k, [[] for _ in range(k)]
-    while run.size:
+    calls = [(t, np.arange(k), np.stack([x0, v0]))]       # start, directions, state (2, running, m)
+    while calls:
+        t, run, state = calls.pop()
         events = [exit_event(r) for r in range(run.size)] if np.isfinite(region_halfwidth) else None
         sol = solve_ivp(rhs, (t, t_stop), state.ravel(), method="DOP853", rtol=GEODESIC_RTOL,
                         atol=GEODESIC_ATOL, dense_output=True, events=events)
@@ -620,15 +624,21 @@ def integrate_geodesic(gm: GraphMap, x0, v0, t_span, *,
         rows = np.arange(2 * run.size * m).reshape(2, run.size, m)
         for r, j in enumerate(run):
             pieces[j].append((t, sol.sol, rows[:, r].ravel()))
+        if sol.status < 0 and run.size > 1:                # each direction on its own, in order
+            calls += [(t, run[r:r + 1], state[:, r:r + 1]) for r in reversed(range(run.size))]
+            continue
         left = np.zeros(run.size, dtype=bool)
         if sol.status == 1:                                # a terminal exit event fired
             left[:] = [len(te) > 0 for te in sol.t_events]
         done = left | (sol.status != 1 or t == t_stop)
         t_end[run[done]] = t
+        for j in run[done]:
+            messages[j] = sol.message
         for j in run[left]:
             t_events[j] = np.array([t])
-        run, state = run[~done], state[:, ~done]
-    return GeodesicBatch(t_end=t_end, t_events=t_events, message=sol.message, pieces=pieces)
+        if not done.all():
+            calls.append((t, run[~done], state[:, ~done]))
+    return GeodesicBatch(t_end=t_end, t_events=t_events, messages=messages, pieces=pieces)
 
 
 # ---------------------------------------------------------------------------

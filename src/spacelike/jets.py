@@ -16,6 +16,19 @@ A jet is up to four dense arrays: value (...), gradient (..., m), Hessian
 shape (..., m); the orders not asked for are None.  Arithmetic broadcasts
 from the right, so a point and a batch share one code path.
 
+Inside ``_taylor`` a derivative block that is zero by the form of the
+expression is None, not an array of zeros: a constant carries only its
+value, a variable its value and its unit gradient, and u^p drops a
+coefficient that vanishes.  Products, the chain rule, sums and negation
+drop every term with a None factor and add the others in their fixed
+order (Griewank & Walther, ch. 7), so a term that would be exactly 0.0 is
+never formed, and only the sign of a zero can differ from the dense sum.
+A None block at the root becomes zeros.  So a constant's derivatives are
+exact zeros: ``x1 + sqrt(1e-320)`` and ``x1*log(5e-324)`` have clean
+order-3 jets, those of ``x1`` plus or times the constant, where dense
+zeros would meet the infinite derivatives of sqrt and log (0 * inf = nan);
+``sqrt(0)*x1`` still fails, as sqrt(0) has no derivative.
+
 ``jet_stack`` is the one pass around it, for one expression (``jet_rows``,
 ``evaluate_jet``) or the n components of a graph: it writes each
 expression's coefficients straight into one preallocated array per order,
@@ -49,12 +62,39 @@ from .failures import OK, Failures
 MAX_DIM = 8  # a dense jet holds m^3 third derivatives per point
 
 
+def _times(c, x):
+    """c (one number per point) times the block x; None, an exact zero, if either is."""
+    if c is None or x is None:
+        return None
+    return c[(...,) + (None,) * (x.ndim - c.ndim)] * x
+
+
+def _sum(*terms):
+    """The terms that are not None, added from the left; None if none is left."""
+    out = None
+    for t in terms:
+        if t is not None:
+            out = t if out is None else out + t
+    return out
+
+
+def _sub(x, y):
+    """x - y, with None an exact zero."""
+    if y is None:
+        return x
+    return -y if x is None else x - y
+
+
 def _outer(a, b):
+    if a is None or b is None:
+        return None
     return a[..., :, None] * b[..., None, :]
 
 
 def _sym3(g, H):
     """g_i H_jk + g_j H_ik + g_k H_ij over the trailing axes (H symmetric)."""
+    if g is None or H is None:
+        return None
     return (g[..., :, None, None] * H[..., None, :, :]
             + g[..., None, :, None] * H[..., :, None, :]
             + g[..., None, None, :] * H[..., :, :, None])
@@ -66,14 +106,13 @@ def _mul(a, b):
     a0, b0 = a[0], b[0]
     out = [a0 * b0]
     if len(a) > 1:
-        (ag, bg), a1, b1 = (a[1], b[1]), a0[..., None], b0[..., None]
-        out.append(a1 * bg + b1 * ag)
+        ag, bg = a[1], b[1]
+        out.append(_sum(_times(a0, bg), _times(b0, ag)))
     if len(a) > 2:
         aH, bH = a[2], b[2]
-        out.append(a1[..., None] * bH + b1[..., None] * aH + _outer(ag, bg) + _outer(bg, ag))
+        out.append(_sum(_times(a0, bH), _times(b0, aH), _outer(ag, bg), _outer(bg, ag)))
     if len(a) > 3:
-        out.append(a1[..., None, None] * b[3] + b1[..., None, None] * a[3]
-                   + _sym3(ag, bH) + _sym3(bg, aH))
+        out.append(_sum(_times(a0, b[3]), _times(b0, a[3]), _sym3(ag, bH), _sym3(bg, aH)))
     return tuple(out)
 
 
@@ -82,23 +121,23 @@ def _compose(u, d):
     d2, d3) at u's value, to the order of u; the unused d are not read."""
     out = [d[0]]
     if len(u) > 1:
-        g, d1 = u[1], d[1][..., None]
-        out.append(d1 * g)
+        g = u[1]
+        out.append(_times(d[1], g))
     if len(u) > 2:
-        H, d2, gg = u[2], d[2][..., None], _outer(g, g)
-        out.append(d1[..., None] * H + d2[..., None] * gg)
+        H, gg = u[2], _outer(g, g)
+        out.append(_sum(_times(d[1], H), _times(d[2], gg)))
     if len(u) > 3:
-        d3 = d[3][..., None]
-        out.append(d1[..., None, None] * u[3] + d2[..., None, None] * _sym3(g, H)
-                   + d3[..., None, None] * gg[..., None] * g[..., None, None, :])
+        d3gg = None if gg is None else _times(d[3], gg[..., None])
+        out.append(_sum(_times(d[1], u[3]), _times(d[2], _sym3(g, H)),
+                        None if d3gg is None else d3gg * g[..., None, None, :]))
     return tuple(out)
 
 
 def _power(u, p: int):
-    """Chain rule for u^p; a vanishing coefficient of the derivatives stays exactly 0."""
+    """Chain rule for u^p; a vanishing coefficient of the derivatives is an exact zero."""
     u0 = u[0]
     coeffs = (p, p * (p - 1), p * (p - 1) * (p - 2))[:len(u) - 1]
-    return _compose(u, (u0 ** p,) + tuple(c * u0 ** (p - k) if c else np.zeros_like(u0)
+    return _compose(u, (u0 ** p,) + tuple(c * u0 ** (p - k) if c else None
                                           for k, c in enumerate(coeffs, 1)))
 
 
@@ -153,7 +192,6 @@ def _taylor(expr: Expr, pts: np.ndarray, order: int) -> tuple:
     point; ``fails`` is None where every point passes.
     """
     shape, m = pts.shape[:-1], pts.shape[-1]
-    zeros = tuple(np.zeros(shape + (m,) * k) for k in range(1, order + 1))
     fails = None
 
     def mark(bad, message, span):
@@ -176,17 +214,17 @@ def _taylor(expr: Expr, pts: np.ndarray, order: int) -> tuple:
     stack = []
     for node in reversed(post):
         if isinstance(node, Const):
-            t = (np.full(shape, node.value),) + zeros
+            t = (np.full(shape, node.value),) + (None,) * order
         elif isinstance(node, Var):
             t = (pts[..., node.index - 1],)
             if order:
                 g = np.zeros(shape + (m,))
                 g[..., node.index - 1] = 1.0
-                t += (g,) + zeros[1:]
+                t += (g,) + (None,) * (order - 1)
         elif isinstance(node, Unary):
             u = stack.pop()
             if node.op == "neg":
-                t = tuple(-c for c in u)
+                t = tuple(None if c is None else -c for c in u)
             else:
                 bad = _OUT_OF_DOMAIN.get(node.op)
                 if bad is not None:
@@ -200,9 +238,9 @@ def _taylor(expr: Expr, pts: np.ndarray, order: int) -> tuple:
         elif isinstance(node, BinOp):
             b, a = stack.pop(), stack.pop()
             if node.op == "+":
-                t = tuple(x + y for x, y in zip(a, b))
+                t = tuple(map(_sum, a, b))
             elif node.op == "-":
-                t = tuple(x - y for x, y in zip(a, b))
+                t = tuple(map(_sub, a, b))
             elif node.op == "*":
                 t = _mul(a, b)
             else:
@@ -216,7 +254,8 @@ def _taylor(expr: Expr, pts: np.ndarray, order: int) -> tuple:
         else:
             raise TypeError(f"not an Expr: {node!r}")
         stack.append(t)
-    coeffs = stack[0]
+    coeffs = tuple(np.zeros(shape + (m,) * k) if c is None else c
+                   for k, c in enumerate(stack[0]))
     if not math.isfinite(sum(c.sum() for c in coeffs)):  # a sum with a non-finite term is not finite
         rows = [c.reshape(shape + (m**k,)) for k, c in enumerate(coeffs)]  # m^k entries each
         finite = np.isfinite(np.concatenate(rows, axis=-1)).all(axis=-1)

@@ -1,7 +1,14 @@
-"""Test helpers, imported as ``conftest``: the random-graph and convex-potential samplers."""
+"""Test helpers, imported as ``conftest``: the random-graph and convex-potential
+samplers, and the hypothesis profile ``ci`` (``--hypothesis-profile=ci``):
+derandomized, so a failure in CI reproduces exactly, and printing the blob
+that replays a failing example.  Without it, runs keep exploring at random."""
+
+from hypothesis import settings
 
 from spacelike.checks import polynomial_string, random_spacelike_graph  # noqa: F401
 from spacelike.lagrangian import Potential, gradient_graph
+
+settings.register_profile("ci", derandomize=True, print_blob=True)
 
 
 def convex_sample(rng, tries):

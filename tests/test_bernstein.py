@@ -257,15 +257,32 @@ def test_probe_region_exit_is_per_direction():
 
 def test_probe_integration_failure_is_not_a_region_exit():
     # 0.4*x1^2 stops being space-like at |x1| = 1.25, inside the box: the
-    # integrator fails near there for the whole batch, and only a
-    # direction whose own exit event fired may be called "left-region"
+    # integrator fails near there on (1, 0), which is not called
+    # "left-region"; (0, 1) runs on alone and leaves the box at t = 1.7
     gm = GraphMap.from_strings(2, ["0.4*x1^2"])
-    reports = completeness_probe(gm, [np.array([1.0, 0.0]), np.array([0.0, 1.0])],
-                                 T=3.0, n_samples=20, region_halfwidth=1.7)
-    for rep in reports:
-        assert rep.t[-1] < 3.0
-        assert rep.status.startswith("integration-failed: ")
-    assert "step size" in reports[1].status
+    failed, out = completeness_probe(gm, [np.array([1.0, 0.0]), np.array([0.0, 1.0])],
+                                     T=3.0, n_samples=20, region_halfwidth=1.7)
+    assert failed.t[-1] < 1.25
+    assert failed.status.startswith("integration-failed: ")
+    assert "step size" in failed.status
+    assert out.status == "left-region"
+    assert abs(out.t[-1] - 1.7) <= 1e-9
+
+
+def test_probe_failure_of_one_direction_spares_the_others():
+    # on 0.5*x1^2, (1, 0) fails near x1 = 1, where g = 1 - x1^2 vanishes, at
+    # t = pi/4 (x1 = sin t); (0, 1) stays on the flat line x1 = 0 and reaches
+    # T, as it does when run alone
+    gm = GraphMap.from_strings(2, ["0.5*x1^2"])
+    failed, flat = completeness_probe(gm, [np.array([1.0, 0.0]), np.array([0.0, 1.0])],
+                                      T=3.0, n_samples=30)
+    assert failed.status.startswith("integration-failed: ")
+    assert abs(failed.t[-1] - np.pi / 4) <= 1e-3
+    alone, = completeness_probe(gm, [np.array([0.0, 1.0])], T=3.0, n_samples=30)
+    for rep in (flat, alone):
+        assert rep.status == "ok"
+        assert rep.t[-1] == 3.0
+        assert np.max(np.abs(rep.z - rep.t**2)) <= 1e-6
 
 
 @pytest.fixture

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from oracles import dense_taylor
 from test_exprparse import _exprs
@@ -224,19 +224,15 @@ def test_batched_rows_equal_single_point_jets(text, points):
 _literal = st.one_of(st.floats(min_value=1e-3, max_value=100.0).map(repr), st.just("pi"))
 
 
-def _trees(leaf, depth):
-    """Expression texts over ``leaf`` up to ``depth`` operations deep, every
+def _trees(leaf, max_leaves):
+    """Expression texts over ``leaf`` with up to ``max_leaves`` leaves, every
     function and operator of the language, exponents -2 to 4."""
-    if depth == 0:
-        return leaf
-    sub = _trees(leaf, depth - 1)
-    return st.one_of(
-        leaf,
+    return st.recursive(leaf, lambda sub: st.one_of(
         st.tuples(sub, st.sampled_from("+-*/"), sub).map(lambda t: f"({t[0]}{t[1]}{t[2]})"),
         st.tuples(st.sampled_from(FUNCTIONS), sub).map(lambda t: f"{t[0]}({t[1]})"),
         sub.map(lambda s: f"-({s})"),
         st.tuples(sub, st.integers(min_value=-2, max_value=4)).map(lambda t: f"({t[0]})^{t[1]}"),
-    )
+    ), max_leaves=max_leaves)
 
 
 @st.composite
@@ -246,10 +242,10 @@ def _taylor_cases(draw):
     points, and an order from 0 to 3."""
     m = draw(st.integers(min_value=1, max_value=3))
     var = st.integers(min_value=1, max_value=m).map(lambda i: f"x{i}")
-    text = draw(_trees(st.one_of(var, _literal, _trees(_literal, 2)), 3))
+    text = draw(_trees(st.one_of(var, _literal, _trees(_literal, 3)), 8))
     k = draw(st.integers(min_value=1, max_value=6))
     pts = draw(st.lists(st.floats(-2.0, 2.0), min_size=k * m, max_size=k * m))
-    return parse(text, m), np.reshape(pts, (k, m)), draw(st.integers(min_value=0, max_value=3))
+    return parse(text, m), np.reshape(pts, (k, m)), draw(st.sampled_from((3, 2, 1, 0)))
 
 
 def _constant_subtrees(expr):
@@ -274,8 +270,16 @@ def _constant_subtrees(expr):
     return found
 
 
+_POINTS = np.array([[0.3, -0.7], [1.1, 0.4]])
+
+
 @settings(max_examples=300, deadline=None)
 @given(_taylor_cases())
+# one example per kind of term that has an exact-zero factor
+@example((parse("x1*sin(x2) + x2*x1", 2), _POINTS, 3))
+@example((parse("(sin(x1) - 2.5) + (pi - x2)", 2), _POINTS, 3))
+@example((parse("cos(2*x1) + (x1 - x2)^3", 2), _POINTS, 3))
+@example((parse("-(1.5)*sin(2.0)*x1^2 + (3)^2/x2 + (x1*x2)^0 - (x2)^1", 2), _POINTS, 3))
 def test_taylor_equals_the_dense_evaluator(case):
     # _taylor skips the derivative blocks that are exactly zero; the dense
     # evaluator forms them.  Where the dense one passes, both give the same
@@ -293,7 +297,8 @@ def test_taylor_equals_the_dense_evaluator(case):
     assert len(got) == len(want) == order + 1
 
     def errors(fails):
-        return [None if fails is None else str(fails[p]) for p in range(len(pts))]
+        found = [None] * len(pts) if fails is None else [fails[p] for p in range(len(pts))]
+        return [None if e is None else str(e) for e in found]
 
     got_errors, want_errors = errors(got_fails), errors(want_fails)
     for p in range(len(pts)):
@@ -303,6 +308,25 @@ def test_taylor_equals_the_dense_evaluator(case):
             assert got_errors[p] is None
             for g, w in zip(got, want):
                 assert np.array_equal(g[p], w[p], equal_nan=True)
+
+
+def test_constant_derivatives_are_exact_zeros():
+    # sqrt(1e-320) and log(5e-324) have finite values and infinite
+    # derivatives; a constant's zero gradient never meets them, so no 0 * inf
+    x = np.array([[0.5, 0.25], [-1.5, 2.0]])
+    var = evaluate_jet(parse("x1", 2), x)
+    jet = evaluate_jet(parse("x1 + sqrt(1e-320)", 2), x)
+    assert np.array_equal(jet.value, x[:, 0] + np.sqrt(1e-320))
+    for got, want in zip(_coeffs(jet)[1:], _coeffs(var)[1:]):
+        assert np.array_equal(got, want)
+    c = np.log(5e-324)
+    jet = evaluate_jet(parse("x1*log(5e-324)", 2), x)
+    assert np.array_equal(jet.value, x[:, 0] * c)
+    assert np.array_equal(jet.grad, c * var.grad)
+    assert not jet.hess.any() and not jet.third.any()
+    # sqrt(0) has a value but no derivative, constant or not
+    with pytest.raises(DomainError, match="sqrt argument must be positive for differentiation"):
+        evaluate_jet(parse("sqrt(0)*x1", 2), x)
 
 
 # -- orders below 3 -----------------------------------------------------------
