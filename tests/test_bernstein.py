@@ -7,10 +7,12 @@ from spacelike.bernstein import (
     DIJKSTRA_METRICATION, ScanConfig, completeness_probe, decay_scan,
     estimate_report, geodesic_radius,
 )
+import spacelike.lattice as lm
 from spacelike.checks import hyperboloid
-from spacelike.exprparse import DomainError, parse
+from spacelike.exprparse import DomainError, eval_values, parse
 from spacelike.graphgeom import GraphMap, NotSpacelikeError
 from spacelike.lattice import Lattice, LatticeError
+from spacelike.solver import field_immersion_geometry, solve_maximal
 
 
 # -- geodesic radius -----------------------------------------------------------
@@ -191,6 +193,49 @@ def test_decay_scan_partial_failure_reported():
     scan = decay_scan(parse("2*x1", 2), [2.0, 4.0], ScanConfig(nodes=17))
     assert all(r.status.startswith("solver-failed") for r in scan.rows)
     assert scan.slope_kind == "insufficient"
+
+
+def _scan_row_oracle(boundary, a, cfg):
+    """(s_center, s_center_node, status) of one scan radius, from the
+    frame geometry at every cube-complete node of the same solved field."""
+    lat = Lattice.box((-a, -a), (a, a), cfg.nodes) if cfg.domain == "box" else Lattice.disc(a, cfg.nodes)
+    fld, _ = solve_maximal(lat, lambda pts: a * eval_values(boundary, np.asarray(pts) / a),
+                           tol=cfg.tol, max_iter=cfg.max_iter)
+    _, pts, S, _ = field_immersion_geometry(fld)
+    rad = np.linalg.norm(pts, axis=1)
+    region = rad <= cfg.center_fraction * a
+    if not region.any():
+        return np.nan, float(S[np.argmin(rad)]), f"empty-center: no node with |x| <= {cfg.center_fraction:g} a"
+    return float(np.max(S[region])), float(S[np.argmin(rad)]), "ok"
+
+
+@pytest.mark.parametrize("cfg", [
+    ScanConfig(nodes=17, domain="disc"),
+    ScanConfig(nodes=16, domain="disc"),
+    ScanConfig(nodes=17, domain="box", center_fraction=0.4),
+    ScanConfig(nodes=16, domain="box", center_fraction=0.01),  # no node within 0.01 a
+])
+def test_decay_scan_rows_equal_the_all_node_oracle(cfg):
+    boundary = parse("0.3*x1 + 0.1*sin(x2)", 2)
+    radii = [4.0, 8.0, 16.0]
+    scan = decay_scan(boundary, radii, cfg)
+    for a, row in zip(radii, scan.rows):
+        s_center, s_node, status = _scan_row_oracle(boundary, a, cfg)
+        assert row.status == status
+        assert row.s_center_node == s_node
+        assert row.s_center == s_center or (np.isnan(row.s_center) and np.isnan(s_center))
+    if cfg.center_fraction == 0.01:
+        assert all(row.status.startswith("empty-center") for row in scan.rows)
+
+
+def test_field_immersion_geometry_defaults_to_every_cube_complete_node():
+    lat = Lattice.disc(4.0, 16)
+    fld, _ = solve_maximal(lat, parse("0.3*x1 + 0.1*sin(x2)", 2))
+    nodes, pts, S, H = field_immersion_geometry(fld)
+    expected = np.argwhere(lm.cube_all(lm.active_mask(lat), 1))
+    assert np.array_equal(nodes, expected)
+    assert np.array_equal(pts, lm.node_points(lat)[np.ravel_multi_index(expected.T, lat.shape)])
+    assert S.shape == H.shape == (len(expected),)
 
 
 # -- completeness probe ------------------------------------------------------------
