@@ -197,7 +197,10 @@ def decay_scan(boundary: Expr, radii, cfg: ScanConfig = None) -> DecayScan:
     blow-down data family a * g(x/a) and record the decay of S near the
     center.  Returns the per-radius table and the fitted log-log slope; a
     radius whose lattice or solve fails, or whose center region holds no
-    node, gets a status other than "ok".
+    node, gets a status other than "ok".  S is evaluated only where a row
+    reads it: at the cube-complete nodes with |x| <= center_fraction * a
+    and at the node nearest the center, so a node elsewhere whose frame
+    geometry fails does not stop the scan.
     """
     cfg = cfg or ScanConfig()
     rows = []
@@ -217,7 +220,14 @@ def decay_scan(boundary: Expr, radii, cfg: ScanConfig = None) -> DecayScan:
             kind = "domain-error" if isinstance(err, DomainError) else "solver-failed"
             row.status = f"{kind}: {err}"
             continue
-        _, pts, S, _ = field_immersion_geometry(fld)
+
+        def centre(pts, _a=a):
+            rad = np.linalg.norm(pts, axis=1)
+            keep = rad <= cfg.center_fraction * _a
+            keep[np.argmin(rad)] = True
+            return keep
+
+        _, pts, S, _ = field_immersion_geometry(fld, centre)
         rad = np.linalg.norm(pts, axis=1)
         region = rad <= cfg.center_fraction * a
         row.s_center_node = float(S[np.argmin(rad)])

@@ -45,14 +45,19 @@ per lattice, in a geometric nested-dissection order of the interior
 nodes, and factored with splu in that order; at most one factorization
 is alive at a time.  A box's dissection order depends only on its
 shape, so it is built once per shape over the interior nodes' bounding
-box; the pattern is one sort per column of a (K, 3^m) neighbour table.  Newton runs as the chord
-method (Shamanskii's variant): before a new Jacobian is built, full
-steps on the last LU are kept while each passes the safeguard and
-shrinks the residual to CHORD_CONTRACTION of it or to tol.  The tail
-then converges linearly, at that rate or faster, with fewer
-factorizations; max_iter bounds the Jacobians built, and the log marks
-each step as "newton" or "chord".  A residual or Jacobian that is not
-finite (an overflowing gradient or Hessian) ends the solve with
+box; the pattern is one sort per column of a (K, 3^m) neighbour table.
+Newton runs as the chord method (Shamanskii's variant): before a new
+Jacobian is built, full steps on the last LU are kept while each passes
+the safeguard and shrinks the residual to CHORD_CONTRACTION of it or to
+tol.  Chord steps are tried only after a full (undamped) Newton step on
+that LU that itself shrank the residual to CHORD_CONTRACTION of it; a
+chord step is not expected to contract better than the Newton step on
+its LU (Kelley, Iterative Methods for Linear and Nonlinear Equations,
+1995, ch. 5), so after any other step the next Jacobian is built at
+once.  The tail then converges linearly, at that rate or faster, with
+fewer factorizations; max_iter bounds the Jacobians built, and the log
+marks each step as "newton" or "chord".  A residual or Jacobian that is
+not finite (an overflowing gradient or Hessian) ends the solve with
 DomainError(OVERFLOW) before splu sees it.
 """
 
@@ -391,10 +396,13 @@ def _newton(ops: _Ops, trial, jac_of_int, u_int: np.ndarray, tol: float, max_ite
     trial already formed it.
     jac_of_int gives the (3^m, K) stencil Jacobian at an iterate.  Before
     each new Jacobian, full steps on the last LU are taken while each
-    shrinks the residual to CHORD_CONTRACTION of it (or to tol).  max_iter
-    bounds the Jacobians built, not the steps; the step on the last one
-    allowed ends the solve.  Returns the solution and the last LU (None if
-    no Jacobian was built)."""
+    shrinks the residual to CHORD_CONTRACTION of it (or to tol), but only
+    if the Newton step on that LU was a full one (t = 1) that shrank the
+    residual to CHORD_CONTRACTION of it: a chord step is not expected to
+    contract better, so after a damped or a slower step the next Jacobian
+    is built at once.  max_iter bounds the Jacobians built, not the
+    steps; the step on the last one allowed ends the solve.  Returns the
+    solution and the last LU (None if no Jacobian was built)."""
 
     def tried(u):
         """The residual and its norm at a finite u that the safeguard
@@ -406,9 +414,9 @@ def _newton(ops: _Ops, trial, jac_of_int, u_int: np.ndarray, tol: float, max_ite
         r = trial(u_int)
     rnorm = _norm(r)
     log.record(stage, 0, rnorm, 1.0, "start")
-    lu, it = None, 0
+    lu, it, chord = None, 0, False
     for _ in range(max_iter):
-        while lu is not None and rnorm > tol:
+        while chord and rnorm > tol:
             u = u_int + _lu_solve(ops, lu, -r)
             res = tried(u)
             if res is None or res[1] > max(CHORD_CONTRACTION * rnorm, tol):
@@ -427,6 +435,7 @@ def _newton(ops: _Ops, trial, jac_of_int, u_int: np.ndarray, tol: float, max_ite
             u = u_int + t * delta
             res = tried(u)
             if res is not None and (res[1] < rnorm or res[1] <= tol):
+                chord = t == 1.0 and res[1] <= CHORD_CONTRACTION * rnorm
                 u_int, (r, rnorm) = u, res
                 log.record(stage, it, rnorm, t, "newton")
                 break
@@ -568,16 +577,20 @@ def solve_ma(lattice: Lattice, boundary, c: float = 1.0, tol: float = 1e-10,
 # ---------------------------------------------------------------------------
 # Discrete geometry extraction from solved fields
 
-def field_jet2(field: GridField):
+def field_jet2(field: GridField, select=None):
     """Central-difference gradient and compact Hessian at the active nodes
     whose whole +-1 cube is active: (multi-indices, points, grad (k, m),
-    hess (k, m, m))."""
+    hess (k, m, m)).  select, if given, maps those nodes' points (k, m) to
+    a boolean mask of the nodes to keep; the default keeps them all."""
     lat = field.lattice
     nodes = np.argwhere(lat_mod.cube_all(lat_mod.active_mask(lat), 1))
     flat = np.ravel_multi_index(nodes.T, lat.shape)
+    pts = lat_mod.node_points(lat)[flat]
+    if select is not None:
+        keep = select(pts)
+        nodes, flat, pts = nodes[keep], flat[keep], pts[keep]
     u = field.values.ravel()
-    return (nodes, lat_mod.node_points(lat)[flat], lat_mod.central_gradient(u, lat, flat),
-            lat_mod.central_hessian(u, lat, flat))
+    return nodes, pts, lat_mod.central_gradient(u, lat, flat), lat_mod.central_hessian(u, lat, flat)
 
 
 def field_third(field: GridField):
@@ -601,10 +614,10 @@ def field_third(field: GridField):
     return nodes, lat_mod.node_points(lat)[flat], lat_mod.central_hessian(u, lat, flat), third
 
 
-def field_immersion_geometry(field: GridField):
-    """Frame-level S and |H| of the solved graph at the nodes of field_jet2:
-    (multi-indices, points, S (k,), |H| (k,))."""
-    nodes, pts, grad, hess = field_jet2(field)
+def field_immersion_geometry(field: GridField, select=None):
+    """Frame-level S and |H| of the solved graph at the nodes of
+    field_jet2(field, select): (multi-indices, points, S (k,), |H| (k,))."""
+    nodes, pts, grad, hess = field_jet2(field, select)
     J, Hss, normals = _graph_immersion(grad[:, None], hess[:, None])
     geo = immersion_geometry(J, Hss, signature(field.lattice.m, 1), normals)
     geo.fails.raise_first()

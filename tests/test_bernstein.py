@@ -3,11 +3,12 @@ import warnings
 import numpy as np
 import pytest
 
+from spacelike import lattice as lm
+from spacelike import solver
 from spacelike.bernstein import (
     DIJKSTRA_METRICATION, ScanConfig, completeness_probe, decay_scan,
     estimate_report, geodesic_radius,
 )
-import spacelike.lattice as lm
 from spacelike.checks import hyperboloid
 from spacelike.exprparse import DomainError, eval_values, parse
 from spacelike.graphgeom import GraphMap, NotSpacelikeError
@@ -236,6 +237,25 @@ def test_field_immersion_geometry_defaults_to_every_cube_complete_node():
     assert np.array_equal(nodes, expected)
     assert np.array_equal(pts, lm.node_points(lat)[np.ravel_multi_index(expected.T, lat.shape)])
     assert S.shape == H.shape == (len(expected),)
+
+
+@pytest.mark.parametrize("cfg", [
+    ScanConfig(nodes=17, domain="disc"),
+    ScanConfig(nodes=16, domain="box", center_fraction=0.01),  # only the node nearest the centre
+])
+def test_decay_scan_builds_frames_only_where_its_rows_read(monkeypatch, cfg):
+    sizes, real = [], solver.immersion_geometry
+    monkeypatch.setattr(solver, "immersion_geometry",
+                        lambda J, *args: sizes.append(len(J)) or real(J, *args))
+    radii = [4.0, 8.0]
+    decay_scan(parse("0.3*x1 + 0.1*sin(x2)", 2), radii, cfg)
+    expected = []
+    for a in radii:
+        lat = Lattice.box((-a, -a), (a, a), cfg.nodes) if cfg.domain == "box" else Lattice.disc(a, cfg.nodes)
+        flat = np.flatnonzero(lm.cube_all(lm.active_mask(lat), 1))
+        rad = np.linalg.norm(lm.node_points(lat)[flat], axis=1)
+        expected.append(max(int(np.sum(rad <= cfg.center_fraction * a)), 1))
+    assert sizes == expected
 
 
 # -- completeness probe ------------------------------------------------------------

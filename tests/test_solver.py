@@ -318,6 +318,56 @@ def test_log_marks_chord_steps():
             assert step[2] <= max(solver.CHORD_CONTRACTION * before[2], 1e-11)
 
 
+def _count_calls(monkeypatch, *names):
+    """Call counts of the named solver functions, wrapped in place."""
+    counts = dict.fromkeys(names, 0)
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(solver, name, counted(name, getattr(solver, name)))
+    return counts
+
+
+CATENOID_65_STEPS = ([(0.0, 0, 1.0, "start"), (0.0, 1, 1.0, "newton"), (1.0, 0, 1.0, "start"),
+                      (1.0, 1, 0.5, "newton"), (1.0, 2, 1.0, "newton"), (1.0, 3, 1.0, "newton")]
+                     + [(1.0, it, 1.0, "chord") for it in range(4, 12)])
+
+
+# (solve, factorizations, LU solves, (stage, iteration, damping, kind) of
+# each logged step).  A chord trial after every Newton step would make 15,
+# 29 and 8 LU solves: the catenoid's damped step and its step that shrinks
+# the residual 2.0 -> 0.75, and the disc's steps at contractions 0.39 and
+# 0.13, each rule out the chord step that would follow.
+@pytest.mark.parametrize("solve, factorizations, lu_solves, steps", [
+    (lambda: solve_maximal(Lattice.annulus(0.5, 2.0, 65), catenoid_expr(), tol=1e-11), 4, 13,
+     CATENOID_65_STEPS),
+    (lambda: solve_maximal(Lattice.disc(1.0, 41), parse("0.9*x1+0.05*sin(5*x2)", 2)), 6, 27, None),
+    (lambda: solve_ma(Lattice.box((-1, -1), (1, 1), 33), parse(MA_DATA, 2), c=1.0, tol=1e-10), 1, 8,
+     None),
+], ids=["catenoid-65", "disc-41", "ma-33"])
+def test_chord_trials_only_after_a_full_contracting_newton_step(monkeypatch, solve, factorizations,
+                                                               lu_solves, steps):
+    counts = _count_calls(monkeypatch, "splu", "_lu_solve")
+    _, log = solve()
+    assert counts == {"splu": factorizations, "_lu_solve": lu_solves}
+    if steps is not None:
+        assert [step[:2] + step[3:] for step in log.steps] == steps
+    # a chord step follows a full Newton step on its LU that shrank the
+    # residual to CHORD_CONTRACTION of it, and the chord steps after that
+    chord_open = False
+    for before, step in zip(log.steps, log.steps[1:]):
+        if step[4] == "chord":
+            assert chord_open
+        else:
+            chord_open = (step[4] == "newton" and step[3] == 1.0
+                          and step[2] <= solver.CHORD_CONTRACTION * before[2])
+
+
 def test_residuals_are_read_only_where_the_safeguard_passes(monkeypatch):
     # the maximal residual is undefined past the space-like cap, so a trial
     # forms no flux before its face pass has checked the largest face psq
