@@ -196,33 +196,72 @@ def test_lagrangian_forms_raise_exactly_where_moduli_curvature_raises():
             assert forms == moduli
 
 
-# -- node-table statuses are what the per-point functions raise ---------------
+# -- the node table is what the per-point functions give, node by node --------
 
-def _graph_statuses(gm: GraphMap, pts, active) -> list:
-    """The status of each node of graph_node_table, from the per-point
-    functions: the frames' error, told apart by the sign of min_eig, then a
-    failed Gauss-map distance to the table's reference plane."""
+GRAPH_COLUMNS = ("min_eig", "det_g", "H_norm", "S", "ricci_margin", "extremal_residual",
+                 "gauss_dist", "z", "grad_ratio")
+
+
+def _graph_reference(gm: GraphMap, pts, active):
+    """Status, columns and notes of graph_node_table, from the per-point
+    functions one node at a time.  A node's status is the frames' error,
+    told apart by the sign of min_eig, then a failed Gauss-map distance to
+    the table's reference plane: the tangent plane at the origin, or at the
+    centre of the nodes' box when the origin is outside it, unless that
+    plane is undefined or within the tolerance of the null cone."""
+    k, m, notes = len(pts), gm.m, []
     lo, hi = pts.min(axis=0), pts.max(axis=0)
-    base = np.zeros(gm.m) if np.all(lo <= 0) and np.all(hi >= 0) else 0.5 * (lo + hi)
+    base = np.zeros(m) if np.all(lo <= 0) and np.all(hi >= 0) else 0.5 * (lo + hi)
     ref = _outcome(gauss_map, gm, base)
     if not isinstance(ref, tuple) and isinstance(_outcome(distance, ref, ref), tuple):
-        ref = ()  # within the tolerance of the null cone: no reference, as in the table
+        ref = _outcome(distance, ref, ref)
+    if isinstance(ref, tuple):
+        why = "undefined" if ref[0] is DomainError else "not space-like"
+        notes.append(f"gauss_dist is nan, as the tangent plane at x = {base.tolist()} "
+                     f"is {why}: {ref[1]}")
+    based = _outcome(GraphMap.with_base_point, gm)
+    if isinstance(based, tuple):
+        notes.append(f"z and grad_ratio are nan, as X(0) is undefined: {based[1]}")
+    cols = {name: np.full(k, np.nan) for name in GRAPH_COLUMNS}
 
-    def status(p):
+    def node(i, p):
         try:
-            fundamental_forms(gm, p)
+            metric = induced_metric(gm, p)
+        except DomainError:
+            return "error:DomainError"
+        cols["min_eig"][i], cols["det_g"][i] = metric.min_eig, metric.det_g
+        try:
+            fr = curvature(gm, p)
         except DomainError:
             return "error:DomainError"
         except NotSpacelikeError:
-            if induced_metric(gm, p).min_eig <= 0:
-                return "not-spacelike"
-            return "error:NotSpacelikeError"
-        if isinstance(ref, tuple):  # no reference plane, so no distance to fail
-            return "ok"
-        boost = _outcome(distance, gauss_map(gm, p), ref)
-        return "error:NotSpacelikeError" if isinstance(boost, tuple) else "ok"
+            return "not-spacelike" if metric.min_eig <= 0 else "error:NotSpacelikeError"
+        cols["H_norm"][i], cols["S"][i] = fr.H_norm, fr.S
+        cols["ricci_margin"][i] = ricci_bound_check(gm, p)
+        cols["extremal_residual"][i] = np.linalg.norm(extremal_residual(gm, p), axis=-1)
+        if not isinstance(ref, tuple):
+            d = _outcome(distance, gauss_map(gm, p), ref)
+            if isinstance(d, tuple):
+                return "error:NotSpacelikeError"
+            cols["gauss_dist"][i] = d
+        if not isinstance(based, tuple):
+            pd = pseudo_distance(based, p)
+            cols["z"][i], cols["grad_ratio"][i] = pd.z, pd.ratio
+        return "ok"
 
-    return [status(p) if on else "inactive" for p, on in zip(pts, active)]
+    status = [node(i, p) if on else "inactive" for i, (p, on) in enumerate(zip(pts, active))]
+    return status, cols, notes
+
+
+def _check_graph_table(gm: GraphMap, pts, active):
+    status, cols, notes = graph_node_table(gm, pts, active)
+    ref_status, ref_cols, ref_notes = _graph_reference(gm, pts, active)
+    assert list(status) == ref_status
+    assert notes == ref_notes
+    assert list(cols) == list(GRAPH_COLUMNS)
+    for name in GRAPH_COLUMNS:
+        assert np.array_equal(cols[name], ref_cols[name], equal_nan=True), name
+    return status, cols, notes
 
 
 @settings(max_examples=30, deadline=None)
@@ -234,8 +273,32 @@ def test_graph_node_statuses_are_what_the_points_raise(seed, m, n, k):
     gm = _with_log_term(gm)
     pts = rng.uniform(-1.5, 1.5, size=(k, m))
     active = rng.random(k) < 0.8
-    status, _, _ = graph_node_table(gm, pts, active)
-    assert list(status) == _graph_statuses(gm, pts, active)
+    _check_graph_table(gm, pts, active)
+
+
+def _grid(lo, hi, nodes=5):
+    axis = np.linspace(lo, hi, nodes)
+    return np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2)
+
+
+@pytest.mark.parametrize("component, pts, notes", [
+    # the origin outside the box: the base point and the origin are two rows
+    ("sqrt(1+x1^2+x2^2)", _grid(0.5, 1.5), 0),
+    # the jets fail at the origin, its value exists
+    ("asinh(sqrt(x1^2+x2^2))", _grid(-1.0, 1.0, 4), 1),
+    # the Hessian overflows at the origin, the plane there is valid
+    ("1e308*x1^2", _grid(-1.0, 1.0), 0),
+    # the same at the origin only: the other nodes reach every column
+    ("0.3*x1+0.1*x2^2+1e308*exp(-1e4*(x1^2+x2^2))*x2^2", _grid(-1.0, 1.0), 0),
+    # no plane and no X(0) at the origin
+    ("log(x1)", _grid(-1.0, 1.0), 2),
+    ("sin(4*x1)", _grid(0.3, 0.7), 1),
+], ids=["origin-outside", "asinh", "hessian-overflow", "overflow-at-origin", "log", "sin"])
+def test_graph_node_table_fixed_cases(component, pts, notes):
+    active = np.ones(len(pts), dtype=bool)
+    active[1] = False
+    _, _, got = _check_graph_table(GraphMap.from_strings(2, [component]), pts, active)
+    assert len(got) == notes
 
 
 def test_graph_node_statuses_at_the_space_like_boundary():
@@ -244,11 +307,10 @@ def test_graph_node_statuses_at_the_space_like_boundary():
     pts = np.array([[0.0, 0.0], [1.0 - 2.5e-13, 0.0], [1.0, 0.0], [1.5, 0.0], [0.0, -1.5],
                     [0.5, 0.5]])
     active = np.array([True] * 5 + [False])
-    status, cols, _ = graph_node_table(gm, pts, active)
+    status, cols, _ = _check_graph_table(gm, pts, active)
     assert list(status) == ["ok", "error:NotSpacelikeError", "not-spacelike", "not-spacelike",
                             "error:DomainError", "inactive"]
     assert 0.0 < cols["min_eig"][1] <= SPACELIKE_TOL
-    assert list(status) == _graph_statuses(gm, pts, active)
 
 
 @settings(max_examples=30, deadline=None)
