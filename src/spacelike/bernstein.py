@@ -30,10 +30,10 @@ import numpy as np
 from . import lattice as lat_mod
 from .exprparse import DomainError, Expr, eval_values
 from .graphgeom import (
-    GraphMap, _check_base_point, _tangent_metric, graph_geometry, integrate_geodesic,
+    GraphMap, _check_base_point, _take, _tangent_metric, graph_geometry, integrate_geodesic,
     pseudo_distance,
 )
-from .grassmann import SpacelikePlane, _distances, gauss_map
+from .grassmann import SpacelikePlane, _distances, _plane_in_pass
 from .lattice import Lattice, LatticeError
 from .solver import SolverError, field_immersion_geometry, solve_maximal
 
@@ -136,9 +136,12 @@ def estimate_report(gm: GraphMap, x0, a: float, lattice: Lattice) -> BallReport:
     if np.nanmax(rflat[act]) < a:
         raise LatticeError("geodesic ball of radius a exceeds the sampled lattice")
     sel = np.flatnonzero(act & np.isfinite(rflat) & (rflat <= a))
-    ref = gauss_map(gm, np.asarray(x0, dtype=float))
+    x0 = np.asarray(x0, dtype=float)
 
-    geo = graph_geometry(gm, pts[sel], 2)
+    # one pass over the samples and, as its last row, x0 for the reference plane
+    geo = graph_geometry(gm, np.vstack([pts[sel], x0]), 2)
+    ref, _ = _plane_in_pass(gm, geo, -1, x0)
+    geo = _take(geo, np.s_[:-1])
     mu_d, d_fails = _distances(SpacelikePlane(geo.A), ref)
     geo.fails.then(d_fails).raise_first()  # space-like samples have space-like planes
     S, H = geo.S, geo.H_norm
@@ -156,7 +159,7 @@ def estimate_report(gm: GraphMap, x0, a: float, lattice: Lattice) -> BallReport:
         bracket = ((8 * mu * a + m * a**2 * h_bar) ** 2 * mu**4 / w**2
                    + (2 * (m + 4) * a**2 + m * (m - 1) * h_bar * a**3) * mu**2 / w)
     ratio28 = float(np.max(num / bracket)) if bracket > 0 else 0.0
-    return BallReport(center=np.asarray(x0, dtype=float), radius=float(a),
+    return BallReport(center=x0, radius=float(a),
                       points=pts[sel], r=r, S=S, H_norm=H, mu_dist=mu_d,
                       mu=mu, h_bar=h_bar, ratio29=ratio29, ratio28=ratio28)
 

@@ -297,11 +297,11 @@ def extremal_residual(gm: GraphMap, x) -> np.ndarray:
     """
     geo = graph_geometry(gm, x, 2)
     geo.fails.raise_first(INDEFINITE)
-    return _view(x, _extremal_residual(geo))
+    return _view(x, _extremal_residual(geo.g_inv, geo.He))
 
 
-def _extremal_residual(geo: Geometry) -> np.ndarray:
-    return np.einsum("...ij,...sij->...s", geo.g_inv, geo.He)
+def _extremal_residual(g_inv: np.ndarray, He: np.ndarray) -> np.ndarray:
+    return np.einsum("...ij,...sij->...s", g_inv, He)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -310,11 +310,17 @@ def _with_curvature(geo: Geometry) -> Geometry:
     h = geo.h
     geo.riemann = -(np.einsum("...sik,...sjl->...ijkl", h, h)
                     - np.einsum("...sil,...sjk->...ijkl", h, h))
-    tr = np.einsum("...skk->...s", h)
-    geo.ricci = -(np.einsum("...s,...sij->...ij", tr, h) - np.einsum("...ski,...skj->...ij", h, h))
+    geo.ricci = _ricci(h)
     geo.normal_curv = (np.einsum("...ski,...tkj->...stij", h, h)
                        - np.einsum("...skj,...tki->...stij", h, h))
     return geo
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _ricci(h: np.ndarray) -> np.ndarray:
+    """R_ij = R_kikj of the Gauss relation, from h (..., n, m, m)."""
+    tr = np.einsum("...skk->...s", h)
+    return -(np.einsum("...s,...sij->...ij", tr, h) - np.einsum("...ski,...skj->...ij", h, h))
 
 
 def curvature(gm: GraphMap, x) -> Geometry:
@@ -323,8 +329,8 @@ def curvature(gm: GraphMap, x) -> Geometry:
     return _view(x, _with_curvature(geo), geo.fails)
 
 
-def _ricci_margin(geo: Geometry, m: int) -> np.ndarray:
-    return np.linalg.eigvalsh(geo.ricci)[..., 0] - (-(m**2) * geo.H_norm**2 / 4.0)
+def _ricci_margin(ricci: np.ndarray, H_norm: np.ndarray, m: int) -> np.ndarray:
+    return np.linalg.eigvalsh(ricci)[..., 0] - (-(m**2) * H_norm**2 / 4.0)
 
 
 def ricci_bound_check(gm: GraphMap, x) -> float:
@@ -335,7 +341,7 @@ def ricci_bound_check(gm: GraphMap, x) -> float:
     """
     geo = graph_geometry(gm, x, 2)
     geo.fails.raise_first()
-    return _view(x, _ricci_margin(_with_curvature(geo), gm.m))
+    return _view(x, _ricci_margin(_ricci(geo.h), geo.H_norm, gm.m))
 
 
 # ---------------------------------------------------------------------------
@@ -501,15 +507,22 @@ def _check_base_point(gm: GraphMap) -> None:
 def _pseudo_distance(geo: Geometry, sig: np.ndarray) -> PseudoDistancePoint:
     """z and its derivatives at the points of a graph's geometry pass."""
     m = geo.h.shape[-1]
-    sX = sig * geo.X
-    z = np.einsum("...B,...B->...", sX, geo.X)
-    grad = 2.0 * np.einsum("...iB,...B->...i", geo.tangent, sX)
-    Xe = np.einsum("...sB,...B->...s", geo.normal, sX)
+    z, grad, grad_norm, ratio = _z_gradient(geo.X, geo.tangent, sig)
+    Xe = np.einsum("...sB,...B->...s", geo.normal, sig * geo.X)
     hess = 2.0 * (np.eye(m) - np.einsum("...s,...sij->...ij", Xe, geo.h))
     lap = 2.0 * m - 2.0 * m * np.einsum("...s,...s->...", Xe, geo.H)
-    grad_norm = np.linalg.norm(grad, axis=-1)
     return PseudoDistancePoint(z=z, grad=grad, grad_norm=grad_norm, hess=hess,
-                               lap=lap, ratio=grad_norm / (z + 1.0))
+                               lap=lap, ratio=ratio)
+
+
+def _z_gradient(X: np.ndarray, tangent: np.ndarray, sig: np.ndarray):
+    """z = <X, X> at positions X (..., m+n), the frame components
+    z_i = 2 <X, e_i> of its gradient, |grad z| and |grad z| / (z + 1)."""
+    sX = sig * X
+    z = np.einsum("...B,...B->...", sX, X)
+    grad = 2.0 * np.einsum("...iB,...B->...i", tangent, sX)
+    grad_norm = np.linalg.norm(grad, axis=-1)
+    return z, grad, grad_norm, grad_norm / (z + 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -531,10 +544,16 @@ def _tangent_metric(gm: GraphMap, x: np.ndarray):
     metric I - A^T A of the tangent planes there, and their failure record:
     a DomainError of the jets, then the one definiteness test (INDEFINITE)."""
     _, A, _, _, fails = gm.jet_rows(x, 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = np.eye(gm.m) - _swap(A) @ A
-    _definite(g, INDEFINITE, fails)
+    g, _ = _plane_metric(A, INDEFINITE, fails)
     return A, g, fails
+
+
+def _plane_metric(A: np.ndarray, code: int, fails: Failures):
+    """The metric I - A^T A of the planes of slope A (..., n, m) and its
+    smallest eigenvalue, from ``_definite`` with ``code`` into ``fails``."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a slope that overflows is not a plane
+        g = np.eye(A.shape[-1]) - _swap(A) @ A
+    return g, _definite(g, code, fails)
 
 
 @dataclass
@@ -684,7 +703,8 @@ def simons_report(gm: GraphMap, lattice: Lattice) -> SimonsReport:
     geo = _take(geo, np.searchsorted(s_nodes, flats))
     # Laplace-Beltrami: g^ij (d_ij S - Gamma^k_ij d_k S), and for a graph
     # g^ij Gamma^k_ij = -(g^-1 A^T eps)^k with eps the extremal residual
-    drift = np.einsum("...kl,...sl,...s->...k", geo.g_inv, geo.A, _extremal_residual(geo))
+    drift = np.einsum("...kl,...sl,...s->...k", geo.g_inv, geo.A,
+                      _extremal_residual(geo.g_inv, geo.He))
     lap_s = (np.einsum("...ij,...ij->...", geo.g_inv, hess_s)
              + np.einsum("...k,...k->...", drift, grad_s))
     ch = _covariant_h(geo, signature(m, n))

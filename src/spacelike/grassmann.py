@@ -26,10 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exprparse import DomainError
-from .failures import DOMAIN, OK, PLANE, STATUS, Failures
+from .failures import DOMAIN, INDEFINITE, OK, PLANE, STATUS, Failures
 from .graphgeom import (
-    SPACELIKE_TOL, GraphMap, NotSpacelikeError, _definite, _extremal_residual, _filled,
-    _pseudo_distance, _ricci_margin, _swap, _take, _tangent_metric, _view, _with_curvature,
+    SPACELIKE_TOL, Geometry, GraphMap, NotSpacelikeError, _extremal_residual, _filled,
+    _plane_metric, _ricci, _ricci_margin, _swap, _take, _tangent_metric, _view, _z_gradient,
     graph_geometry, signature,
 )
 
@@ -58,6 +58,21 @@ def _gauss_map(gm: GraphMap, pts: np.ndarray):
     return SpacelikePlane(A), fails
 
 
+def _plane_in_pass(gm: GraphMap, geo: Geometry, row: int, x: np.ndarray):
+    """The tangent plane at the point x (m,), which is row ``row`` of the
+    order-2 pass ``geo``, and the smallest eigenvalue of its metric
+    I - A^T A; raises what ``gauss_map(gm, x)`` raises.  A row whose first
+    failure in the pass is DOMAIN, where the Hessians may fail or overflow
+    and the plane still exist, gets its order-1 jet on its own."""
+    if geo.fails.code[row] == DOMAIN:
+        _, A, _, _, fails = gm.jet_rows(x[None], 1)
+    else:
+        A, fails = geo.A[row][None], Failures.clean(1)
+    _, min_eig = _plane_metric(A, INDEFINITE, fails)
+    fails.raise_first()
+    return SpacelikePlane(A), min_eig
+
+
 def distance(P: SpacelikePlane, Q: SpacelikePlane):
     """Geodesic distance between two space-like planes; batches of planes
     broadcast against each other and give an array of distances."""
@@ -73,9 +88,7 @@ def _distances(P: SpacelikePlane, Q: SpacelikePlane):
     SPACELIKE_TOL on P, then on Q, the margin the frames need."""
     A, B = P.slope, Q.slope
     fails = Failures.clean(np.broadcast_shapes(A.shape[:-2], B.shape[:-2]))
-    with np.errstate(over="ignore", invalid="ignore"):  # a slope that overflows is not a plane
-        g = [np.eye(S.shape[-1]) - _swap(S) @ S for S in (A, B)]
-    min_eig = [_definite(metric, PLANE, fails) for metric in g]
+    g, min_eig = zip(*(_plane_metric(S, PLANE, fails) for S in (A, B)))
     for e in min_eig:
         fails.add(~(e > SPACELIKE_TOL), PLANE, e)
     # a plane that fails is replaced by the base plane, which factors
@@ -180,56 +193,68 @@ def graph_node_table(gm: GraphMap, pts: np.ndarray,
     """Status and named columns of the graph at the nodes ``pts`` (k, m),
     and notes on the columns that could not be computed.
 
-    One batched pass over the ``active`` nodes; each stage runs on the
-    nodes that passed the earlier ones, a node's status is its first
-    failure, and a column is nan where a node does not reach it.
-    ``gauss_dist`` is to the tangent plane over the origin, or over the
-    centre of the nodes' box when the origin is outside it (nan where that
-    plane is not space-like, or within SPACELIKE_TOL of it); ``z`` and
-    ``grad_ratio`` are of the pseudo-distance from X(0).  Where that plane
-    is undefined or not space-like, or X(0) is undefined (f leaves its
-    domain there), the columns built on it are nan at every node and a note
-    says why.
+    One batched order-2 pass over the ``active`` nodes and, as extra rows
+    after them, the base point of ``gauss_dist`` and the origin (one row
+    when they coincide); each stage runs on the nodes that passed the
+    earlier ones, a node's status is its first failure, and a column is nan
+    where a node does not reach it.  ``gauss_dist`` is to the tangent plane
+    over the origin, or over the centre of the nodes' box when the origin is
+    outside it (nan where that plane is not space-like, or within
+    SPACELIKE_TOL of it); ``z`` and ``grad_ratio`` are of the
+    pseudo-distance from X(0), whose offset is the origin row's value.  An
+    extra row whose first failure is a DomainError (its Hessians may fail or
+    overflow where the plane and the value exist) is evaluated on its own,
+    as ``gauss_map`` and ``GraphMap.with_base_point`` do.
+    Where that plane is undefined or not space-like, or X(0) is undefined
+    (f leaves its domain there), the columns built on it are nan at every
+    node and a note says why.
     """
-    k, notes = pts.shape[0], []
+    k, m, notes = pts.shape[0], gm.m, []
     lo, hi = pts.min(axis=0), pts.max(axis=0)
-    base = np.zeros(gm.m) if np.all(lo <= 0) and np.all(hi >= 0) else 0.5 * (lo + hi)
+    base = np.zeros(m) if np.all(lo <= 0) and np.all(hi >= 0) else 0.5 * (lo + hi)
+    nodes = np.flatnonzero(active)
+    extra = [base, np.zeros(m)] if base.any() else [base]
+    # positions of f itself: X(0) is subtracted from them below
+    geo = graph_geometry(GraphMap(m, gm.n, gm.components), np.vstack([pts[nodes], *extra]), 2)
     try:
-        ref = gauss_map(gm, base)
-        distance(ref, ref)  # within SPACELIKE_TOL of the null cone it has no distances
+        ref, min_eig = _plane_in_pass(gm, geo, nodes.size, base)
+        if not min_eig[0] > SPACELIKE_TOL:  # so near the null cone it has no distances
+            raise NotSpacelikeError(float(min_eig[0]))
     except (NotSpacelikeError, DomainError) as err:
         ref = None
         why = "undefined" if isinstance(err, DomainError) else "not space-like"
         notes.append(f"gauss_dist is nan, as the tangent plane at x = {base.tolist()} "
                      f"is {why}: {err}")
-    try:
-        gm = gm.with_base_point()
+    try:  # the origin is the last row
+        origin_failed = geo.fails.code[-1] == DOMAIN
+        offset = gm.with_base_point().offset if origin_failed else geo.X[-1, m:].copy()
     except DomainError as err:  # positions, and so z, are nan everywhere
-        gm = GraphMap(gm.m, gm.n, gm.components, (np.nan,) * gm.n)
+        offset = np.nan
         notes.append(f"z and grad_ratio are nan, as X(0) is undefined: {err}")
-    nodes = np.flatnonzero(active)
-    geo = graph_geometry(gm, pts[nodes], 2)
+    geo = _take(geo, np.s_[:nodes.size])  # the nodes' rows
+    geo.X[:, m:] -= offset
     fails, measured = geo.fails, geo.fails.code != DOMAIN
     framed = fails.code == OK
     on = nodes[framed]
-    fr = _with_curvature(_take(geo, framed))
+    H_norm = geo.H_norm[framed]
     gauss_dist = np.full(on.size, np.nan)
     if ref is not None:
-        gauss_dist, d_fails = _distances(SpacelikePlane(fr.A), ref)
+        gauss_dist, d_fails = _distances(SpacelikePlane(geo.A[framed]), ref)
         fails.then(d_fails, framed)
-    done = nodes[fails.code == OK]
-    pd = _pseudo_distance(_take(geo, fails.code == OK), signature(gm.m, gm.n))
+    done = fails.code == OK
+    z, _, _, ratio = _z_gradient(geo.X[done], geo.tangent[done], signature(m, gm.n))
+    residual = _extremal_residual(geo.g_inv[framed], geo.He[framed])
 
     status = np.full(k, "inactive", dtype=object)
     status[nodes] = STATUS[fails.code]
     return status, {
         "min_eig": _filled(k, nodes[measured], geo.min_eig[measured]),
         "det_g": _filled(k, nodes[measured], geo.det_g[measured]),
-        "H_norm": _filled(k, on, fr.H_norm),
-        "S": _filled(k, on, fr.S),
-        "ricci_margin": _filled(k, on, _ricci_margin(fr, gm.m)),
-        "extremal_residual": _filled(k, on, np.linalg.norm(_extremal_residual(fr), axis=-1)),
+        "H_norm": _filled(k, on, H_norm),
+        "S": _filled(k, on, geo.S[framed]),
+        "ricci_margin": _filled(k, on, _ricci_margin(_ricci(geo.h[framed]), H_norm, m)),
+        "extremal_residual": _filled(k, on, np.linalg.norm(residual, axis=-1)),
         "gauss_dist": _filled(k, on, gauss_dist),
-        "z": _filled(k, done, pd.z),
-        "grad_ratio": _filled(k, done, pd.ratio),
+        "z": _filled(k, nodes[done], z),
+        "grad_ratio": _filled(k, nodes[done], ratio),
     }, notes

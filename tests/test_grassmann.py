@@ -294,22 +294,42 @@ def test_pullback_trace_is_one_geometry_pass(monkeypatch):
 
 
 def test_positions_come_from_the_one_jet_pass(monkeypatch):
-    # f is evaluated on its own only at X(0), once per component
+    # X(0) is the origin row of the table's one pass, so f is not evaluated
+    # on its own; where the jets fail at the origin and the value exists,
+    # X(0) is evaluated on its own, once per component
     import spacelike.graphgeom as graphgeom
     from spacelike.graphgeom import pseudo_distance
 
-    gm = GraphMap.from_strings(2, ["0.3*x1*x2 + 1", "0.2*sin(x2)"])
     pts = np.stack(np.meshgrid(np.linspace(-1, 1, 5), np.linspace(-1, 1, 5)), -1).reshape(-1, 2)
     calls, real = [], graphgeom.eval_values
     monkeypatch.setattr(graphgeom, "eval_values",
                         lambda node, x: calls.append(np.shape(x)) or real(node, x))
-    status, cols, notes = graph_node_table(gm, pts, np.ones(len(pts), dtype=bool))
-    assert calls == [(2,), (2,)]
-    assert notes == [] and np.all(status == "ok") and np.all(np.isfinite(cols["z"]))
-    calls.clear()
-    z = pseudo_distance(gm.with_base_point(), pts).z
-    assert calls == [(2,), (2,)] * 2  # the offset, then the base-point check
-    assert np.array_equal(z, cols["z"])
+    # the second graph has no plane at the origin (a note) and no frames at the origin node
+    for components, own, notes_seen, ok in (
+            (["0.3*x1*x2 + 1", "0.2*sin(x2)"], [], 0, len(pts)),
+            (["asinh(sqrt(x1^2+x2^2))", "0.2*sin(x2)"], [(2,), (2,)], 1, len(pts) - 1)):
+        gm = GraphMap.from_strings(2, components)
+        calls.clear()
+        status, cols, notes = graph_node_table(gm, pts, np.ones(len(pts), dtype=bool))
+        assert calls == own
+        assert len(notes) == notes_seen and list(status).count("ok") == ok
+        done = status == "ok"
+        assert np.all(np.isfinite(cols["z"]) == done)
+        calls.clear()
+        z = pseudo_distance(gm.with_base_point(), pts[done]).z
+        assert calls == [(2,), (2,)] * 2  # the offset, then the base-point check
+        assert np.array_equal(z, cols["z"][done])
+
+
+def test_z_vanishes_exactly_at_the_origin_node():
+    # X(0) and the nodes' positions come from the same jet pass, so X(0) = 0
+    # at the origin node even where f(0) is a quotient: order-0 values
+    # divide, jets multiply by a reciprocal, and the two may differ by an ulp
+    gm = GraphMap.from_strings(2, ["x1/3+5/(3+x2)"])
+    pts = np.array([[0.0, 0.0], [0.5, -0.5], [-0.5, 0.25]])
+    status, cols, notes = graph_node_table(gm, pts, np.ones(3, dtype=bool))
+    assert notes == [] and np.all(status == "ok")
+    assert cols["z"][0] == 0.0 and cols["grad_ratio"][0] == 0.0
 
 
 # -- maximum modulus ----------------------------------------------------------
