@@ -1,10 +1,14 @@
 """Oracles that only tests read, kept out of the package."""
 
 import math
+import re
+from dataclasses import dataclass
 
 import numpy as np
 
-from spacelike.exprparse import BinOp, Const, DomainError, Expr, Pow, Unary, Var
+from spacelike.exprparse import (
+    CONSTANTS, FUNCTIONS, BinOp, Const, DomainError, Expr, ParseError, Pow, Unary, Var,
+)
 from spacelike.failures import Failures
 from spacelike.grassmann import SpacelikePlane
 from spacelike.jets import _ELEMENTARY, _OUT_OF_DOMAIN
@@ -185,3 +189,162 @@ def dense_taylor(expr: Expr, pts: np.ndarray, order: int) -> tuple:
         finite = np.isfinite(np.concatenate(rows, axis=-1)).all(axis=-1)
         mark(~finite, f"non-finite {'jet' if order else 'value'} (overflow or NaN)", expr.span)
     return coeffs, fails
+
+
+# ---------------------------------------------------------------------------
+# The token-by-token parser: one regex match and one _Token per token, and a
+# dataclasses.replace per parenthesised group.  Its ASTs, spans and errors
+# are the reference for spacelike.exprparse.parse.
+
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
+    r"|(?P<ident>[A-Za-z][A-Za-z0-9]*)"
+    r"|(?P<op>[-+*/^()]))"
+)
+
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str  # 'num' | 'ident' | 'op' | 'end'
+    text: str
+    pos: int
+
+
+def _tokenize(text: str) -> list[_Token]:
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        mo = _TOKEN_RE.match(text, pos)
+        if mo is None:
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            raise ParseError(f"unexpected character {stripped[0]!r}", len(text) - len(stripped))
+        for kind in ("num", "ident", "op"):
+            if mo.group(kind) is not None:
+                tokens.append(_Token(kind, mo.group(kind), mo.start(kind)))
+                break
+        pos = mo.end()
+    tokens.append(_Token("end", "", len(text)))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, text: str, dim: int):
+        self.text = text
+        self.dim = dim
+        self.tokens = _tokenize(text)
+        self.i = 0
+
+    def peek(self) -> _Token:
+        return self.tokens[self.i]
+
+    def take(self) -> _Token:
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect_op(self, op: str) -> _Token:
+        tok = self.take()
+        if tok.kind != "op" or tok.text != op:
+            raise ParseError(f"expected {op!r}", tok.pos)
+        return tok
+
+    def parse(self) -> Expr:
+        node = self.expr()
+        tok = self.peek()
+        if tok.kind != "end":
+            raise ParseError(f"trailing input {tok.text!r}", tok.pos)
+        return node
+
+    def expr(self) -> Expr:
+        node = self.term()
+        while self.peek().kind == "op" and self.peek().text in "+-":
+            op = self.take().text
+            rhs = self.term()
+            node = BinOp(span=(node.span[0], rhs.span[1]), op=op, lhs=node, rhs=rhs)
+        return node
+
+    def term(self) -> Expr:
+        node = self.factor()
+        while self.peek().kind == "op" and self.peek().text in "*/":
+            op = self.take().text
+            rhs = self.factor()
+            node = BinOp(span=(node.span[0], rhs.span[1]), op=op, lhs=node, rhs=rhs)
+        return node
+
+    def factor(self) -> Expr:
+        node = self.base()
+        if self.peek().kind == "op" and self.peek().text == "^":
+            self.take()
+            k, end = self.intlit()
+            node = Pow(span=(node.span[0], end), base=node, exponent=k)
+        return node
+
+    def intlit(self) -> tuple[int, int]:
+        sign = 1
+        tok = self.peek()
+        if tok.kind == "op" and tok.text == "-":
+            self.take()
+            sign = -1
+            tok = self.peek()
+        if tok.kind != "num":
+            raise ParseError("expected integer literal", tok.pos)
+        self.take()
+        if any(c in tok.text for c in ".eE"):
+            raise ParseError("integer exponent required (use sqrt for fractional powers)", tok.pos)
+        return sign * int(tok.text), tok.pos + len(tok.text)
+
+    def base(self) -> Expr:
+        tok = self.take()
+        if tok.kind == "num":
+            value = float(tok.text)
+            if not math.isfinite(value):
+                raise ParseError(f"literal {tok.text!r} is not a finite number", tok.pos)
+            return Const(span=(tok.pos, tok.pos + len(tok.text)), value=value)
+        if tok.kind == "ident":
+            name = tok.text
+            span = (tok.pos, tok.pos + len(name))
+            if name in CONSTANTS:
+                return Const(span=span, value=CONSTANTS[name])
+            if name in FUNCTIONS:
+                self.expect_op("(")
+                arg = self.expr()
+                close = self.expect_op(")")
+                return Unary(span=(tok.pos, close.pos + 1), op=name, child=arg)
+            if name[0] == "x" and name[1:].isdigit():
+                idx = int(name[1:])
+                if not 1 <= idx <= self.dim:
+                    raise ParseError(
+                        f"variable index out of range: {name} with dimension {self.dim}", tok.pos
+                    )
+                return Var(span=span, index=idx)
+            raise ParseError(f"unknown identifier {name!r}", tok.pos)
+        if tok.kind == "op":
+            if tok.text == "(":
+                node = self.expr()
+                close = self.expect_op(")")
+                return _with_span(node, (tok.pos, close.pos + 1))
+            if tok.text == "-":
+                child = self.base()
+                return Unary(span=(tok.pos, child.span[1]), op="neg", child=child)
+        raise ParseError(f"unexpected token {tok.text!r}", tok.pos)
+
+
+def _with_span(node: Expr, span: tuple[int, int]) -> Expr:
+    import dataclasses
+
+    return dataclasses.replace(node, span=span)
+
+
+def reference_parse(text: str, dim: int) -> Expr:
+    """``text`` parsed as ``exprparse.parse`` must parse it: the same AST,
+    the same spans and the same ParseError, message and offset."""
+    if dim < 1:
+        raise ValueError("dimension must be >= 1")
+    parser = _Parser(text, dim)
+    try:
+        return parser.parse()
+    except RecursionError:
+        tok = parser.tokens[min(parser.i, len(parser.tokens) - 1)]
+        raise ParseError("expression nested too deeply", tok.pos) from None

@@ -1,12 +1,14 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import reference_parse
 from spacelike.exprparse import (
-    BinOp, Const, DomainError, ParseError, Pow, Unary, Var, eval_values, parse, pretty,
+    BinOp, Const, DomainError, Expr, ParseError, Pow, Unary, Var, eval_values, parse, pretty,
 )
 
 
@@ -159,3 +161,62 @@ def test_pretty_parenthesizes_every_compound_operand():
     for text, printed in [("-x1^2", "(-x1)^2"), ("x1 - -x2", "x1-(-x2)"),
                           ("x1-x2-x1", "(x1-x2)-x1"), ("-sin(x1)*2.0", "(-sin(x1))*2.0")]:
         assert pretty(parse(text, 2)) == printed
+
+
+# -- the token-by-token reference parser ---------------------------------------
+
+# a token of the texts that _exprs generates: a number (its exponent included),
+# a name, or one character
+_PIECE = re.compile(r"[\d.]+(?:[eE][+-]?\d+)?|[A-Za-z]\w*|\S")
+_BLANKS = st.text(alphabet=" \t\n\u00a0", max_size=3)
+_EDIT_CHARS = st.one_of(st.sampled_from(list("()+-*/^.eEx0129 \t\n\u00a0,$")), st.characters())
+
+
+def _spans(node: Expr) -> list:
+    """The span of every node of the tree, in preorder (spans take no part in ==)."""
+    return [node.span] + [s for child in vars(node).values() if isinstance(child, Expr)
+                          for s in _spans(child)]
+
+
+def _outcome(parser, text: str, dim: int = 2):
+    """What ``parser`` makes of ``text``: the AST and its spans, or the
+    error's type, message and offset."""
+    try:
+        ast = parser(text, dim)
+    except Exception as err:
+        return type(err), str(err), getattr(err, "offset", None)
+    return ast, _spans(ast)
+
+
+def _spaced(data, text: str) -> str:
+    """``text`` with a drawn run of blanks before, between and after its tokens."""
+    return "".join(data.draw(_BLANKS) + piece for piece in _PIECE.findall(text)) + data.draw(_BLANKS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_exprs(3), st.data())
+def test_parse_matches_the_reference_on_valid_texts(text, data):
+    spaced = _spaced(data, text)
+    ast, spans = _outcome(parse, spaced)
+    assert isinstance(ast, Expr)
+    assert (ast, spans) == _outcome(reference_parse, spaced)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exprs(3), st.sampled_from(["insert", "delete", "replace"]), _EDIT_CHARS, st.data())
+def test_parse_matches_the_reference_on_malformed_texts(text, edit, char, data):
+    text = _spaced(data, text)
+    i = data.draw(st.integers(min_value=0, max_value=len(text) - (edit != "insert")))
+    after = text[i:] if edit == "insert" else text[i + 1:]
+    edited = text[:i] + ("" if edit == "delete" else char) + after
+    assert _outcome(parse, edited) == _outcome(reference_parse, edited)
+
+
+@pytest.mark.parametrize("text", [
+    "", "   ", " \t\n\u00a0", "x1 + x2 \t\n\u00a0 ", "(x1", "sin(x1 + x2", "((x1)", "x1 $",
+    "x1^", "x1^1.5", "x1 ^ - 2", "x3", "y1", "1e400", "sin x1", "()", "x1 x2",
+    "(" * 2000 + "x1" + ")" * 2000, "-" * 3000 + "x1", "sin(" * 500 + "x1" + ")" * 500,
+    "(-" * 1500 + "x1" + ")" * 1500,
+], ids=lambda text: repr(text[:12]))
+def test_parse_matches_the_reference_on_fixed_texts(text):
+    assert _outcome(parse, text) == _outcome(reference_parse, text)
