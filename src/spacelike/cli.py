@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import __version__, checks
+from . import __version__
 from .bernstein import DecayScanRow, ScanConfig, decay_scan
 from .exprparse import DomainError, ParseError, parse
 from .graphgeom import BasePointError, GraphMap, NotSpacelikeError
@@ -260,6 +260,9 @@ def _csv_column(values) -> list:
     cells = list(map(str, _json_column(col)))  # str of a Python number is its repr
     if col.dtype.kind not in "OU":  # numbers need no quotes
         return cells
+    joined = "".join(cells)  # one test for the column, a cell's only where it fails
+    if not any(ch in joined for ch in ',"\n'):
+        return cells
     return ['"' + c.replace('"', '""') + '"' if any(ch in c for ch in ',"\n') else c
             for c in cells]
 
@@ -362,6 +365,8 @@ def cmd_scan(cfg: dict) -> int:
 
 
 def cmd_check(cfg: dict) -> int:
+    from . import checks  # only check reads the battery; other commands skip its import
+
     rng = np.random.default_rng(cfg["seed"])
     suites, results, details = [], [], []
     for name, suite in checks.SUITES:
@@ -409,9 +414,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# One parser per process: parse_args keeps no state between calls, and
+# building the parser costs more than a call.
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = PARSER.parse_args(argv)
         return COMMANDS[args.command](load_config(args))
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

@@ -96,147 +96,136 @@ class Pow(Expr):
 
 
 # ---------------------------------------------------------------------------
-# Lexer
+# Lexer: one scan of one pattern.  Each match is a run of blanks and then a
+# number, a name, an operator, or any other character, which is an error.
+# Trailing blanks are cut off before the scan, so the matches tile the text.
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z][A-Za-z0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
+    r"|(?P<op>[-+*/^()])"
+    r"|(?P<bad>\S))"
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'num' | 'ident' | 'op' | 'end'
-    text: str
-    pos: int
-
-
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The tokens of ``text`` as (kind, text, offset), kind 'num', 'ident',
+    'op' or, last, 'end'.  An operator's text alone tells it apart, since
+    no other token's text is one of the operator characters."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        mo = _TOKEN_RE.match(text, pos)
-        if mo is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError(f"unexpected character {stripped[0]!r}", len(text) - len(stripped))
-        for kind in ("num", "ident", "op"):
-            if mo.group(kind) is not None:
-                tokens.append(_Token(kind, mo.group(kind), mo.start(kind)))
-                break
-        pos = mo.end()
-    tokens.append(_Token("end", "", len(text)))
+    for mo in _TOKEN_RE.finditer(text, 0, len(text.rstrip())):
+        kind = mo.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {mo[kind]!r}", mo.start(kind))
+        tokens.append((kind, mo[kind], mo.start(kind)))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
 class _Parser:
+    """Recursive descent over the token list, read by index.  ``base`` takes
+    its first token through ``take`` and a function's '(' through
+    ``expect_op``: these calls decide at which token a too-deep nesting
+    stops, the offset of its ParseError."""
+
     def __init__(self, text: str, dim: int):
-        self.text = text
         self.dim = dim
         self.tokens = _tokenize(text)
         self.i = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
-
-    def take(self) -> _Token:
+    def take(self) -> tuple[str, str, int]:
         tok = self.tokens[self.i]
         self.i += 1
         return tok
 
-    def expect_op(self, op: str) -> _Token:
+    def expect_op(self, op: str) -> tuple[str, str, int]:
         tok = self.take()
-        if tok.kind != "op" or tok.text != op:
-            raise ParseError(f"expected {op!r}", tok.pos)
+        if tok[1] != op:
+            raise ParseError(f"expected {op!r}", tok[2])
         return tok
 
     def parse(self) -> Expr:
         node = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(f"trailing input {tok.text!r}", tok.pos)
+        kind, text, pos = self.tokens[self.i]
+        if kind != "end":
+            raise ParseError(f"trailing input {text!r}", pos)
         return node
 
     def expr(self) -> Expr:
         node = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.take().text
+        tokens = self.tokens
+        while (op := tokens[self.i][1]) in ("+", "-"):
+            self.i += 1
             rhs = self.term()
             node = BinOp(span=(node.span[0], rhs.span[1]), op=op, lhs=node, rhs=rhs)
         return node
 
     def term(self) -> Expr:
         node = self.factor()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.take().text
+        tokens = self.tokens
+        while (op := tokens[self.i][1]) in ("*", "/"):
+            self.i += 1
             rhs = self.factor()
             node = BinOp(span=(node.span[0], rhs.span[1]), op=op, lhs=node, rhs=rhs)
         return node
 
     def factor(self) -> Expr:
         node = self.base()
-        if self.peek().kind == "op" and self.peek().text == "^":
-            self.take()
+        if self.tokens[self.i][1] == "^":
+            self.i += 1
             k, end = self.intlit()
             node = Pow(span=(node.span[0], end), base=node, exponent=k)
         return node
 
     def intlit(self) -> tuple[int, int]:
         sign = 1
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.take()
+        kind, text, pos = self.tokens[self.i]
+        if text == "-":
+            self.i += 1
             sign = -1
-            tok = self.peek()
-        if tok.kind != "num":
-            raise ParseError("expected integer literal", tok.pos)
-        self.take()
-        if any(c in tok.text for c in ".eE"):
-            raise ParseError("integer exponent required (use sqrt for fractional powers)", tok.pos)
-        return sign * int(tok.text), tok.pos + len(tok.text)
+            kind, text, pos = self.tokens[self.i]
+        if kind != "num":
+            raise ParseError("expected integer literal", pos)
+        self.i += 1
+        if any(c in text for c in ".eE"):
+            raise ParseError("integer exponent required (use sqrt for fractional powers)", pos)
+        return sign * int(text), pos + len(text)
 
     def base(self) -> Expr:
-        tok = self.take()
-        if tok.kind == "num":
-            value = float(tok.text)
+        kind, text, pos = self.take()
+        if kind == "num":
+            value = float(text)
             if not math.isfinite(value):
-                raise ParseError(f"literal {tok.text!r} is not a finite number", tok.pos)
-            return Const(span=(tok.pos, tok.pos + len(tok.text)), value=value)
-        if tok.kind == "ident":
-            name = tok.text
-            span = (tok.pos, tok.pos + len(name))
-            if name in CONSTANTS:
-                return Const(span=span, value=CONSTANTS[name])
-            if name in FUNCTIONS:
+                raise ParseError(f"literal {text!r} is not a finite number", pos)
+            return Const(span=(pos, pos + len(text)), value=value)
+        if kind == "ident":
+            span = (pos, pos + len(text))
+            if text in CONSTANTS:
+                return Const(span=span, value=CONSTANTS[text])
+            if text in FUNCTIONS:
                 self.expect_op("(")
                 arg = self.expr()
                 close = self.expect_op(")")
-                return Unary(span=(tok.pos, close.pos + 1), op=name, child=arg)
-            if name[0] == "x" and name[1:].isdigit():
-                idx = int(name[1:])
+                return Unary(span=(pos, close[2] + 1), op=text, child=arg)
+            if text[0] == "x" and text[1:].isdigit():
+                idx = int(text[1:])
                 if not 1 <= idx <= self.dim:
                     raise ParseError(
-                        f"variable index out of range: {name} with dimension {self.dim}", tok.pos
+                        f"variable index out of range: {text} with dimension {self.dim}", pos
                     )
                 return Var(span=span, index=idx)
-            raise ParseError(f"unknown identifier {name!r}", tok.pos)
-        if tok.kind == "op":
-            if tok.text == "(":
-                node = self.expr()
-                close = self.expect_op(")")
-                return _with_span(node, (tok.pos, close.pos + 1))
-            if tok.text == "-":
-                child = self.base()
-                return Unary(span=(tok.pos, child.span[1]), op="neg", child=child)
-        raise ParseError(f"unexpected token {tok.text!r}", tok.pos)
-
-
-def _with_span(node: Expr, span: tuple[int, int]) -> Expr:
-    import dataclasses
-
-    return dataclasses.replace(node, span=span)
+            raise ParseError(f"unknown identifier {text!r}", pos)
+        if text == "(":
+            node = self.expr()
+            close = self.expect_op(")")
+            # the node is this parse's own, not yet seen by anyone: widen its
+            # span to the parentheses in place, as a frozen __init__ sets it
+            object.__setattr__(node, "span", (pos, close[2] + 1))
+            return node
+        if text == "-":
+            child = self.base()
+            return Unary(span=(pos, child.span[1]), op="neg", child=child)
+        raise ParseError(f"unexpected token {text!r}", pos)
 
 
 def parse(text: str, dim: int) -> Expr:
@@ -247,8 +236,8 @@ def parse(text: str, dim: int) -> Expr:
     try:
         return parser.parse()
     except RecursionError:
-        tok = parser.tokens[min(parser.i, len(parser.tokens) - 1)]
-        raise ParseError("expression nested too deeply", tok.pos) from None
+        pos = parser.tokens[min(parser.i, len(parser.tokens) - 1)][2]
+        raise ParseError("expression nested too deeply", pos) from None
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from spacelike import checks
-from spacelike.cli import main
+from spacelike.cli import main, write_records
 
 
 def run_cli(args):
@@ -729,3 +730,70 @@ def test_lagrangian_status_ignores_unreported_shifted_points(tmp_path, capsys):
                 assert math.isfinite(float(r[col]))
         if float(r["x1"]) == -0.5:
             assert float(r["det_hess"]) > 1e11
+
+
+@pytest.mark.parametrize("cells, written", [
+    (["ok", "not-spacelike", "error:DomainError"],
+     b"status,n\nok,0\nnot-spacelike,1\nerror:DomainError,2\n"),
+    (["ok", "a,b"], b'status,n\nok,0\n"a,b",1\n'),
+    (["ok", 'say "x"'], b'status,n\nok,0\n"say ""x""",1\n'),
+    (["ok", "two\nlines"], b'status,n\nok,0\n"two\nlines",1\n'),
+    (["a,b", "ok", 'c"d'], b'status,n\n"a,b",0\nok,1\n"c""d",2\n'),
+], ids=["plain", "comma", "quote", "newline", "mixed"])
+def test_string_cells_are_quoted_only_where_they_need_it(tmp_path, cells, written):
+    out = tmp_path / "t.csv"
+    write_records(str(out), {"status": np.array(cells), "n": np.arange(len(cells))}, {}, "csv")
+    assert out.read_bytes() == written
+
+
+def test_importing_the_cli_leaves_the_check_battery_unimported():
+    # only the check command reads spacelike.checks; every other job skips compiling it
+    code = "import sys, spacelike.cli\nprint('spacelike.checks' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
+
+
+def test_one_process_reuses_the_argument_parser_safely(tmp_path, capsys):
+    # a bad flag, a good job and a bad flag again through the one parser of the
+    # process: the good job writes what a fresh process writes
+    assert main(["analyze", "--format", "xml"]) == 1
+    assert capsys.readouterr().err.startswith("config error: --format: invalid choice: 'xml'")
+    cfg = analyze_config(tmp_path, None, components=["sqrt(1+x1^2+x2^2)-1"])
+    assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "in.csv")]) == 0
+    stdout = capsys.readouterr().out
+    res = subprocess.run([sys.executable, "-m", "spacelike", "analyze", "--config", cfg,
+                          "--out", str(tmp_path / "fresh.csv")], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert (tmp_path / "in.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+    assert stdout == res.stdout
+    assert main(["check", "--seed", "x"]) == 1
+    assert capsys.readouterr().err.startswith("config error: --seed: invalid int value: 'x'")
+
+
+HELP_80 = """\
+usage: spacelike [-h] [--config CONFIG] [--out OUT] [--format {csv,json}]
+                 [--oracle] [--seed SEED]
+                 {analyze,lagrangian,solve-maximal,solve-ma,scan,check}
+
+space-like graph geometry: batch analysis, lattice solvers, decay scans and
+invariant checks
+
+positional arguments:
+  {analyze,lagrangian,solve-maximal,solve-ma,scan,check}
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       path to the JSON job configuration
+  --out OUT             output file (default: stdout or command default)
+  --format {csv,json}
+  --oracle              emit independent-oracle comparison columns
+  --seed SEED           seed for sample-point jitter in property suites
+"""
+
+
+def test_help_text_at_80_columns():
+    res = subprocess.run([sys.executable, "-m", "spacelike", "--help"], capture_output=True,
+                         text=True, env={**os.environ, "COLUMNS": "80"})
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == HELP_80
