@@ -260,7 +260,7 @@ def _csv_column(values) -> list:
     cells = list(map(str, _json_column(col)))  # str of a Python number is its repr
     if col.dtype.kind not in "OU":  # numbers need no quotes
         return cells
-    joined = "".join(cells)  # one test for the column, a cell's only where it fails
+    joined = "".join(cells)  # most string columns need no quotes: test the column once
     if not any(ch in joined for ch in ',"\n'):
         return cells
     return ['"' + c.replace('"', '""') + '"' if any(ch in c for ch in ',"\n') else c
