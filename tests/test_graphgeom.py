@@ -508,6 +508,36 @@ def test_graph_jet_rows_equal_the_per_component_fold(seed, m, n, k, order, singl
     assert _raised(lambda: gm.jet_data(pts, order)) == _raised(ref_fails.raise_first)
 
 
+def _bits(rows):
+    """The arrays and the failure record of a jet_rows result, as bytes."""
+    *data, fails = rows
+    return ([None if a is None else (a.shape, a.tobytes()) for a in data],
+            fails.code.tobytes(), fails.value.tobytes(), [(str(e), e.span) for e in fails.errors])
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_a_graph_map_run_again_equals_a_fresh_one(order):
+    # log fails at x2 <= -0.5 and the quotient at x1 = 0.2; x1 alone, less
+    # its offset, must not be subtracted from the caller's points
+    texts = ["sqrt(1+x1^2+x2^2)", "x1", "0.3*log(x2+0.5)/(x1-0.2)"]
+    offset = (1.0, 0.25, -0.5)
+
+    def graph():  # parsed afresh, so its expressions have run nowhere yet
+        return GraphMap(2, 3, GraphMap.from_strings(2, texts).components, offset)
+
+    p1 = np.array([[0.3, -0.2], [-0.5, -0.7], [0.2, 0.1]])
+    p2 = np.array([[0.1, 0.4], [0.6, -0.9], [-0.3, 0.2], [0.9, 0.9]])
+    p3 = np.array([0.2, 0.6])
+    points = [p.copy() for p in (p1, p2, p3)]
+    gm = graph()
+    first = gm.jet_rows(p1, order)
+    first_bits = _bits(first)
+    for p in (p2, p3, p1):
+        assert _bits(gm.jet_rows(p, order)) == _bits(graph().jet_rows(p, order))
+    assert _bits(first) == first_bits
+    assert all(np.array_equal(p, q) for p, q in zip((p1, p2, p3), points))
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3), n=st.integers(1, 2),
        k=st.integers(1, 6))
