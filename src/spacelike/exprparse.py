@@ -57,6 +57,11 @@ class DomainError(ValueError):
 class Expr:
     span: tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
 
+    def __getstate__(self):
+        # the jet programs that spacelike.jets keeps on an expression are
+        # not part of it: a copy or an unpickled one builds its own
+        return {k: v for k, v in self.__dict__.items() if k != "_jet_programs"}
+
 
 @dataclass(frozen=True)
 class Const(Expr):

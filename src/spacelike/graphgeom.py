@@ -46,8 +46,8 @@ import numpy as np
 
 from . import lattice as lat_mod
 from .exprparse import DomainError, eval_values, parse
-from .failures import DEGENERATE, DOMAIN, INDEFINITE, Failures, NotSpacelikeError
-from .jets import jet_stack
+from .failures import DEGENERATE, DOMAIN, INDEFINITE, OK, Failures, NotSpacelikeError
+from .jets import jet_rows, jet_stack
 from .lattice import Lattice, LatticeError
 
 SPACELIKE_TOL = 1e-12  # frames and h need the metric's smallest eigenvalue above this
@@ -73,10 +73,16 @@ class GraphMap:
         return cls(m, len(comps), comps)
 
     def with_base_point(self) -> "GraphMap":
-        """Translate the ambient y-coordinates so that X(0) = 0."""
+        """Translate the ambient y-coordinates so that X(0) = 0.  f(0) is the
+        value of an order-1 jet, as every geometry pass takes its positions
+        from jets (values alone divide where jets multiply by a reciprocal);
+        a component whose jet fails at 0 gives its value alone, if it has one."""
         zero = np.zeros(self.m)
-        off = tuple(float(eval_values(c, zero)) for c in self.components)
-        return dataclasses.replace(self, offset=off)
+        off = []
+        for c in self.components:
+            jet, fails = jet_rows(c, zero, 1)
+            off.append(float(jet.value) if fails.code == OK else eval_values(c, zero))
+        return dataclasses.replace(self, offset=tuple(off))
 
     def jet_data(self, x, order: int = 3):
         """Values f(x) - offset, Jacobian, Hessians and third derivatives of

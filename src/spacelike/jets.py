@@ -9,31 +9,41 @@ order their caller reads, 3 by default.  For k >= 1 the k + 1 coefficients
 of an order-k pass are bit-identical to the first k + 1 of an order-3 pass,
 as every product and chain rule forms each degree from the lower ones
 alone (order 0 divides where jets multiply by a reciprocal), and an
-elementary function forms only the derivatives the order reads.  It walks
-the AST iteratively, so depth is not bounded by the recursion limit.
+elementary function forms only the derivatives the order reads.
 A jet is up to four dense arrays: value (...), gradient (..., m), Hessian
 (..., m, m) and third derivatives (..., m, m, m) for a batch of points of
 shape (..., m); the orders not asked for are None.  Arithmetic broadcasts
 from the right, so a point and a batch share one code path.
 
-Inside ``_taylor`` a derivative block that is zero by the form of the
-expression is None, not an array of zeros: a constant carries only its
-value, a variable its value and its unit gradient, and u^p drops a
-coefficient that vanishes.  Products, the chain rule, sums and negation
-drop every term with a None factor and add the others in their fixed
-order (Griewank & Walther, ch. 7), so a term that would be exactly 0.0 is
-never formed, and only the sign of a zero can differ from the dense sum.
-A None block at the root becomes zeros.  So a constant's derivatives are
-exact zeros: ``x1 + sqrt(1e-320)`` and ``x1*log(5e-324)`` have clean
-order-3 jets, those of ``x1`` plus or times the constant, where dense
-zeros would meet the infinite derivatives of sqrt and log (0 * inf = nan);
-``sqrt(0)*x1`` still fails, as sqrt(0) has no derivative.
+Each pass runs a jet program, the tape of Griewank & Walther: at its first
+call at an order, an expression gets its program for that order (``_build``
+walks the AST once, iteratively, so depth is not bounded by the recursion
+limit), keeps it as an attribute, and every later pass at that order runs
+it.  A program is a straight list of numpy steps over a register file: the
+build resolved everything that the form of the expression decides, which
+derivative blocks are zero, each product's broadcasting index, the
+elementary functions and the domain tests, so a run dispatches nothing.  A
+build costs about as much Python as the rules themselves, so a program
+pays from its second run, as in the right-hand sides of the geodesic ODE.
+
+A derivative block that is zero by the form of the expression is None in
+the build, not an array of zeros: a constant carries only its value, a
+variable its value and its unit gradient, and u^p drops a coefficient that
+vanishes.  Products, the chain rule, sums and negation drop every term with
+a None factor and add the others in their fixed order (Griewank & Walther,
+ch. 7), so a term that would be exactly 0.0 is never formed, and only the
+sign of a zero can differ from the dense sum.  A None block at the root
+becomes zeros.  So a constant's derivatives are exact zeros:
+``x1 + sqrt(1e-320)`` and ``x1*log(5e-324)`` have clean order-3 jets, those
+of ``x1`` plus or times the constant, where dense zeros would meet the
+infinite derivatives of sqrt and log (0 * inf = nan); ``sqrt(0)*x1`` still
+fails, as sqrt(0) has no derivative.
 
 ``jet_stack`` is the one pass around it, for one expression (``jet_rows``,
-``evaluate_jet``) or the n components of a graph: it writes each
-expression's coefficients straight into one preallocated array per order,
-(..., n), (..., n, m) and so on, and makes the tensors exactly symmetric by
-one gather per order from their sorted (i <= j <= k) slots.
+``evaluate_jet``) or the n components of a graph: it stacks the
+expressions' coefficients into one array per order, (..., n), (..., n, m)
+and so on, reads the tensors exactly symmetric from their sorted
+(i <= j <= k) slots, and returns values that are its own.
 
 A point that leaves a function's domain, or whose computed coefficients
 overflow, is recorded rather than raised, so one evaluation serves a whole
@@ -51,6 +61,7 @@ at order 3 only.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -62,83 +73,70 @@ from .failures import OK, Failures
 MAX_DIM = 8  # a dense jet holds m^3 third derivatives per point
 
 
-def _times(c, x):
-    """c (one number per point) times the block x; None, an exact zero, if either is."""
-    if c is None or x is None:
-        return None
-    return c[(...,) + (None,) * (x.ndim - c.ndim)] * x
+# ---------------------------------------------------------------------------
+# The steps of a jet program.  Each is a function of two registers (a block,
+# a per-point coefficient, the points or a constant of the expression) and
+# makes the numpy operation that the truncated Taylor arithmetic asks for
+# there.  ``c`` is one number per point, a block is (..., m, ...).
 
-
-def _sum(*terms):
-    """The terms that are not None, added from the left; None if none is left."""
-    out = None
-    for t in terms:
-        if t is not None:
-            out = t if out is None else out + t
+def _full(pts, value):
+    """A constant at every point: np.full's empty array and fill, without
+    its dtype lookup (a Python float is a float64)."""
+    out = np.empty(pts.shape[:-1])
+    out.fill(value)
     return out
 
 
-def _sub(x, y):
-    """x - y, with None an exact zero."""
-    if y is None:
-        return x
-    return -y if x is None else x - y
+def _unit(pts, i):
+    """The gradient of the variable x_{i+1}."""
+    g = np.zeros(pts.shape)
+    g[..., i] = 1.0
+    return g
+
+
+def _apply(u, fn):
+    return fn(u)
+
+
+def _neg(x, _):
+    return -x
+
+
+def _times1(c, x):
+    return c[..., None] * x
+
+
+def _times2(c, x):
+    return c[..., None, None] * x
+
+
+def _times3(c, x):
+    return c[..., None, None, None] * x
 
 
 def _outer(a, b):
-    if a is None or b is None:
-        return None
     return a[..., :, None] * b[..., None, :]
 
 
 def _sym3(g, H):
     """g_i H_jk + g_j H_ik + g_k H_ij over the trailing axes (H symmetric)."""
-    if g is None or H is None:
-        return None
     return (g[..., :, None, None] * H[..., None, :, :]
             + g[..., None, :, None] * H[..., :, None, :]
             + g[..., None, None, :] * H[..., :, :, None])
 
 
-def _mul(a, b):
-    """Truncated Taylor product of two coefficient tuples of one order k,
-    (value, grad, hess, third)[:k + 1]; only those k + 1 are computed."""
-    a0, b0 = a[0], b[0]
-    out = [a0 * b0]
-    if len(a) > 1:
-        ag, bg = a[1], b[1]
-        out.append(_sum(_times(a0, bg), _times(b0, ag)))
-    if len(a) > 2:
-        aH, bH = a[2], b[2]
-        out.append(_sum(_times(a0, bH), _times(b0, aH), _outer(ag, bg), _outer(bg, ag)))
-    if len(a) > 3:
-        out.append(_sum(_times(a0, b[3]), _times(b0, a[3]), _sym3(ag, bH), _sym3(bg, aH)))
-    return tuple(out)
+def _times_gg(c, gg):
+    """c g_i g_j as (..., m, m, 1), from gg = g g^T."""
+    return c[..., None, None, None] * gg[..., None]
 
 
-def _compose(u, d):
-    """Chain rule through a univariate function with derivatives d = (d0, d1,
-    d2, d3) at u's value, to the order of u; the unused d are not read."""
-    out = [d[0]]
-    if len(u) > 1:
-        g = u[1]
-        out.append(_times(d[1], g))
-    if len(u) > 2:
-        H, gg = u[2], _outer(g, g)
-        out.append(_sum(_times(d[1], H), _times(d[2], gg)))
-    if len(u) > 3:
-        d3gg = None if gg is None else _times(d[3], gg[..., None])
-        out.append(_sum(_times(d[1], u[3]), _times(d[2], _sym3(g, H)),
-                        None if d3gg is None else d3gg * g[..., None, None, :]))
-    return tuple(out)
+def _times_g(cgg, g):
+    """c g_i g_j g_k, from c g_i g_j."""
+    return cgg * g[..., None, None, :]
 
 
-def _power(u, p: int):
-    """Chain rule for u^p; a vanishing coefficient of the derivatives is an exact zero."""
-    u0 = u[0]
-    coeffs = (p, p * (p - 1), p * (p - 1) * (p - 2))[:len(u) - 1]
-    return _compose(u, (u0 ** p,) + tuple(c * u0 ** (p - k) if c else None
-                                          for k, c in enumerate(coeffs, 1)))
+def _is_zero(u):
+    return u == 0
 
 
 def _sech2(u, v):
@@ -179,6 +177,248 @@ _OUT_OF_DOMAIN = {
 }
 
 
+def _build(expr: Expr, order: int) -> "_Program":
+    """The jet program of ``expr`` at ``order`` (see ``_Program``).
+
+    The build walks the AST once, iteratively, with the rules of truncated
+    Taylor arithmetic, and each rule emits a step for each numpy operation
+    it needs: a derivative block that is zero by the form of the expression
+    is None and every term with it is dropped, the others are added in
+    their fixed order.  What a rule emits depends on the form of the
+    expression alone, never on the points.  A rule frees
+    the registers it reads for the last time, its children's blocks and its
+    own temporaries, and a later step takes their slots, so a run drops
+    each array as soon as no step reads it; the registers that the domain
+    tests read keep theirs.  add, sub and neg free their operands, which are
+    never such a register.
+    """
+    regs, steps, checks, free, kept = [None], [], [], [], set()
+
+    def step(fn, a, b=0):
+        if free:
+            out = free.pop()
+        else:
+            out = len(regs)
+            regs.append(None)
+        steps.append((out, fn, a, b))
+        return out
+
+    def const(value):
+        regs.append(value)
+        return len(regs) - 1
+
+    def release(blocks):
+        """Free the registers of ``blocks``, which no later step reads, but
+        those that the domain tests read."""
+        for x in blocks:
+            if x is not None and x not in kept:
+                free.append(x)
+
+    def check(test, u, message, span):
+        kept.add(u)
+        checks.append((test, u, message, span))
+
+    def add(x, y):
+        """x + y, with None an exact zero."""
+        if y is None:
+            return x
+        if x is None:
+            return y
+        free.append(x)
+        free.append(y)
+        return step(operator.add, x, y)
+
+    def add_all(*terms):
+        """The terms that are not None, added from the left; None if none is left."""
+        out = None
+        for t in terms:
+            out = add(out, t)
+        return out
+
+    def neg(x):
+        free.append(x)
+        return step(_neg, x)
+
+    def sub(x, y):
+        """x - y, with None an exact zero."""
+        if y is None:
+            return x
+        if x is None:
+            return neg(y)
+        free.append(x)
+        free.append(y)
+        return step(operator.sub, x, y)
+
+    def mul(a, b):
+        """Truncated Taylor product of two coefficient tuples of one order k,
+        (value, grad, hess, third)[:k + 1]; only those k + 1 are computed."""
+        a0, b0 = a[0], b[0]
+        out = [step(operator.mul, a0, b0)]
+        if order > 0:
+            ag, bg = a[1], b[1]
+            out.append(add(None if bg is None else step(_times1, a0, bg),
+                           None if ag is None else step(_times1, b0, ag)))
+        if order > 1:
+            aH, bH = a[2], b[2]
+            both = ag is not None and bg is not None
+            out.append(add_all(None if bH is None else step(_times2, a0, bH),
+                               None if aH is None else step(_times2, b0, aH),
+                               step(_outer, ag, bg) if both else None,
+                               step(_outer, bg, ag) if both else None))
+        if order > 2:
+            aT, bT = a[3], b[3]
+            out.append(add_all(None if bT is None else step(_times3, a0, bT),
+                               None if aT is None else step(_times3, b0, aT),
+                               None if ag is None or bH is None else step(_sym3, ag, bH),
+                               None if bg is None or aH is None else step(_sym3, bg, aH)))
+        release(a + b)
+        return tuple(out)
+
+    def compose(u, d):
+        """Chain rule through a univariate function with derivatives d = (d0,
+        d1, d2, d3) at u's value, to the order of u; the unused d are not read."""
+        out = [d[0]]
+        if order > 0:
+            g, d1 = u[1], d[1]
+            out.append(None if g is None or d1 is None else step(_times1, d1, g))
+        if order > 1:
+            H, d2 = u[2], d[2]
+            gg = None if g is None else step(_outer, g, g)
+            out.append(add(None if d1 is None or H is None else step(_times2, d1, H),
+                           None if d2 is None or gg is None else step(_times2, d2, gg)))
+        if order > 2:
+            T, d3 = u[3], d[3]
+            d3gg = None if d3 is None or gg is None else step(_times_gg, d3, gg)
+            gH = None if g is None or H is None else step(_sym3, g, H)
+            out.append(add_all(None if d1 is None or T is None else step(_times3, d1, T),
+                               None if d2 is None or gH is None else step(_times3, d2, gH),
+                               None if d3gg is None else step(_times_g, d3gg, g)))
+            release((d3gg, gH))
+        if order > 1:
+            release((gg,))
+        release(u)
+        release(d[1:])
+        return tuple(out)
+
+    def power(u, p):
+        """Chain rule for u^p; a vanishing coefficient of the derivatives is an exact zero."""
+        u0 = u[0]
+        d = [step(operator.pow, u0, const(p))]
+        for k, c in enumerate((p, p * (p - 1), p * (p - 1) * (p - 2))[:order], 1):
+            if c:
+                w = step(operator.pow, u0, const(p - k))
+                free.append(w)
+                d.append(step(operator.mul, const(c), w))
+            else:
+                d.append(None)
+        return compose(u, d)
+
+    post, todo = [], [expr]
+    while todo:
+        node = todo.pop()
+        post.append(node)
+        kind = type(node)
+        if kind is Unary:
+            todo.append(node.child)
+        elif kind is BinOp:
+            todo += (node.lhs, node.rhs)
+        elif kind is Pow:
+            todo.append(node.base)
+    stack, zeros = [], (None,) * order
+    for node in reversed(post):
+        kind = type(node)
+        if kind is Const:
+            t = (step(_full, 0, const(node.value)),) + zeros
+        elif kind is Var:
+            i = node.index - 1
+            t = (step(operator.getitem, 0, const((Ellipsis, i))),)
+            if order:
+                t += (step(_unit, 0, const(i)),) + zeros[1:]
+        elif kind is Unary:
+            u = stack.pop()
+            if node.op == "neg":
+                t = tuple(None if c is None else neg(c) for c in u)
+            else:
+                bad = _OUT_OF_DOMAIN.get(node.op)
+                if bad is not None:
+                    check(bad, u[0], f"{node.op} argument out of range", node.span)
+                if order and node.op == "sqrt":
+                    check(_is_zero, u[0], "sqrt argument must be positive for differentiation",
+                          node.span)
+                fn, derivs = _ELEMENTARY[node.op]
+                v = step(_apply, u[0], const(fn))
+                t = compose(u, (v, *(step(d, u[0], v) for d in derivs[:order])))
+        elif kind is BinOp:
+            b, a = stack.pop(), stack.pop()
+            if node.op == "+":
+                t = tuple(map(add, a, b))
+            elif node.op == "-":
+                t = tuple(map(sub, a, b))
+            elif node.op == "*":
+                t = mul(a, b)
+            elif order:
+                check(_is_zero, b[0], "division by zero", node.span)
+                t = mul(a, power(b, -1))
+            else:
+                check(_is_zero, b[0], "division by zero", node.span)
+                t = (step(operator.truediv, a[0], b[0]),)
+                release(a + b)
+        elif kind is Pow:
+            u = stack.pop()
+            if node.exponent < 0:
+                check(_is_zero, u[0], "zero raised to a negative power", node.span)
+            t = power(u, node.exponent)
+        else:
+            raise TypeError(f"not an Expr: {node!r}")
+        stack.append(t)
+    message = f"non-finite {'jet' if order else 'value'} (overflow or NaN)"
+    return _Program(regs, steps, checks, stack[0], message, expr.span)
+
+
+class _Program:
+    """The Taylor pass of one expression at one order: a straight list of
+    steps ``r[out] = fn(r[a], r[b])`` over a register file r that holds the
+    points (r[0]), the constants of the expression (``regs``) and the
+    steps' results, each step one numpy operation of the truncated Taylor
+    arithmetic.  The domain tests of ``checks`` only read registers; they
+    run after the steps, in the order of the walk that recorded them.
+    ``root`` gives the registers of the result, None for an exact zero."""
+
+    __slots__ = ("regs", "steps", "checks", "root", "message", "span")
+
+    def __init__(self, regs, steps, checks, root, message, span):
+        self.regs, self.steps, self.checks = regs, steps, checks
+        self.root, self.message, self.span = root, message, span
+
+    def run(self, pts: np.ndarray) -> tuple:
+        """The Taylor data at points (..., m), as ``_taylor`` returns it."""
+        r = self.regs.copy()
+        r[0] = pts
+        for out, fn, a, b in self.steps:
+            r[out] = fn(r[a], r[b])
+        fails = None
+        for test, u, message, span in self.checks:
+            fails = _mark(fails, test(r[u]), message, span)
+        shape, m = pts.shape[:-1], pts.shape[-1]
+        coeffs = tuple(np.zeros(shape + (m,) * k) if i is None else r[i]
+                       for k, i in enumerate(self.root))
+        if not math.isfinite(sum(c.sum() for c in coeffs)):  # a sum with a non-finite term is not finite
+            rows = [c.reshape(shape + (m**k,)) for k, c in enumerate(coeffs)]  # m^k entries each
+            finite = np.isfinite(np.concatenate(rows, axis=-1)).all(axis=-1)
+            fails = _mark(fails, ~finite, self.message, self.span)
+        return coeffs, fails
+
+
+def _mark(fails, bad, message, span):
+    """The record ``fails`` (None while every point passes) with the points
+    where ``bad`` holds failing with DomainError(message, span), if any does."""
+    if bad.any():  # one DomainError only where a point fails
+        if fails is None:
+            fails = Failures.clean(bad.shape)
+        fails.add(bad, DomainError(message, span))
+    return fails
+
+
 def _taylor(expr: Expr, pts: np.ndarray, order: int) -> tuple:
     """Truncated Taylor data of ``expr`` at points of shape (..., m).
 
@@ -189,78 +429,14 @@ def _taylor(expr: Expr, pts: np.ndarray, order: int) -> tuple:
     instead of raised: ``fails`` gives each point's first DomainError,
     carrying the span of the offending subexpression (the whole expression
     for a non-finite result).  The record is built at the first failing
-    point; ``fails`` is None where every point passes.
+    point; ``fails`` is None where every point passes.  The expression
+    keeps its program for each order, built at the first call.
     """
-    shape, m = pts.shape[:-1], pts.shape[-1]
-    fails = None
-
-    def mark(bad, message, span):
-        nonlocal fails
-        if bad.any():  # one DomainError only where a point fails
-            if fails is None:
-                fails = Failures.clean(shape)
-            fails.add(bad, DomainError(message, span))
-
-    post, todo = [], [expr]
-    while todo:
-        node = todo.pop()
-        post.append(node)
-        if isinstance(node, Unary):
-            todo.append(node.child)
-        elif isinstance(node, BinOp):
-            todo += (node.lhs, node.rhs)
-        elif isinstance(node, Pow):
-            todo.append(node.base)
-    stack = []
-    for node in reversed(post):
-        if isinstance(node, Const):
-            t = (np.full(shape, node.value),) + (None,) * order
-        elif isinstance(node, Var):
-            t = (pts[..., node.index - 1],)
-            if order:
-                g = np.zeros(shape + (m,))
-                g[..., node.index - 1] = 1.0
-                t += (g,) + (None,) * (order - 1)
-        elif isinstance(node, Unary):
-            u = stack.pop()
-            if node.op == "neg":
-                t = tuple(None if c is None else -c for c in u)
-            else:
-                bad = _OUT_OF_DOMAIN.get(node.op)
-                if bad is not None:
-                    mark(bad(u[0]), f"{node.op} argument out of range", node.span)
-                if order and node.op == "sqrt":
-                    mark(u[0] == 0, "sqrt argument must be positive for differentiation",
-                         node.span)
-                fn, derivs = _ELEMENTARY[node.op]
-                v = fn(u[0])
-                t = _compose(u, (v, *(d(u[0], v) for d in derivs[:order])))
-        elif isinstance(node, BinOp):
-            b, a = stack.pop(), stack.pop()
-            if node.op == "+":
-                t = tuple(map(_sum, a, b))
-            elif node.op == "-":
-                t = tuple(map(_sub, a, b))
-            elif node.op == "*":
-                t = _mul(a, b)
-            else:
-                mark(b[0] == 0, "division by zero", node.span)
-                t = _mul(a, _power(b, -1)) if order else (a[0] / b[0],)
-        elif isinstance(node, Pow):
-            u = stack.pop()
-            if node.exponent < 0:
-                mark(u[0] == 0, "zero raised to a negative power", node.span)
-            t = _power(u, node.exponent)
-        else:
-            raise TypeError(f"not an Expr: {node!r}")
-        stack.append(t)
-    coeffs = tuple(np.zeros(shape + (m,) * k) if c is None else c
-                   for k, c in enumerate(stack[0]))
-    if not math.isfinite(sum(c.sum() for c in coeffs)):  # a sum with a non-finite term is not finite
-        rows = [c.reshape(shape + (m**k,)) for k, c in enumerate(coeffs)]  # m^k entries each
-        finite = np.isfinite(np.concatenate(rows, axis=-1)).all(axis=-1)
-        mark(~finite, f"non-finite {'jet' if order else 'value'} (overflow or NaN)", expr.span)
-    return coeffs, fails
+    programs = expr.__dict__.setdefault("_jet_programs", [None] * 4)
+    program = programs[order]
+    if program is None:
+        program = programs[order] = _build(expr, order)
+    return program.run(pts)
 
 
 @lru_cache(maxsize=None)
@@ -306,24 +482,31 @@ def jet_stack(exprs, point, order: int = 3) -> tuple:
     # operations (u ** p, for one) differently, and rows must match batches.
     pts = x.reshape(-1, m)
     k, n = len(pts), len(exprs)
-    out = [np.empty((k, n) + (m,) * j) for j in range(order + 1)]
-    fails = None
     with np.errstate(all="ignore"):
-        for i, expr in enumerate(exprs):
-            coeffs, bad = _taylor(expr, pts, order)
-            for o, c in zip(out, coeffs):
+        passes = [_taylor(expr, pts, order) for expr in exprs]
+    out = []
+    for j, blocks in enumerate(zip(*(coeffs for coeffs, _ in passes))):
+        if n == 1:
+            o = blocks[0].reshape((k, 1) + (m,) * j)
+        else:
+            o = np.empty((k, n) + (m,) * j)
+            for i, c in enumerate(blocks):
                 o[:, i] = c
-            if bad is not None:
-                failing = bad.code != OK
-                for o in out:  # a failing point's jet is zero
-                    o[failing, i] = 0.0
-                fails = bad if fails is None else fails.then(bad)
+        if j >= 2:  # the Hessians and third derivatives read from their sorted slots
+            o = o.reshape(k, n, m**j)[..., _sorted_slots(m, j)].reshape(o.shape)
+        elif n == 1:
+            o = o.copy()  # a value may be a view of the points, and callers subtract from it
+        out.append(o)
+    fails = None
+    for i, (_, bad) in enumerate(passes):
+        if bad is not None:
+            failing = bad.code != OK
+            for o in out:  # a failing point's jet is zero
+                o[failing, i] = 0.0
+            fails = bad if fails is None else fails.then(bad)
+    out = [o.reshape(shape + o.shape[1:]) for o in out]
     if fails is None:
-        fails = Failures.clean(k)
-    # the Hessians and third derivatives read from their sorted slots
-    out = [o.reshape(shape + o.shape[1:]) if j < 2 else
-           o.reshape(k, n, m**j)[..., _sorted_slots(m, j)].reshape(shape + o.shape[1:])
-           for j, o in enumerate(out)]
+        return out, Failures.clean(shape)
     return out, Failures(fails.code.reshape(shape), fails.value.reshape(shape), fails.errors)
 
 

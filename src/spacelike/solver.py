@@ -583,7 +583,7 @@ def field_jet2(field: GridField, select=None):
     hess (k, m, m)).  select, if given, maps those nodes' points (k, m) to
     a boolean mask of the nodes to keep; the default keeps them all."""
     lat = field.lattice
-    nodes = np.argwhere(lat_mod.cube_all(lat_mod.active_mask(lat), 1))
+    nodes = np.argwhere(lat_mod.interior_mask(lat))
     flat = np.ravel_multi_index(nodes.T, lat.shape)
     pts = lat_mod.node_points(lat)[flat]
     if select is not None:

@@ -143,18 +143,46 @@ def test_analyze_overflowing_curvature_is_a_domain_error(tmp_path):
     assert main(["analyze", "--config", cfg]) == 0  # in-process, with warnings as errors
 
 
+def _imported(argv, prefixes):
+    """The modules under ``prefixes`` that a fresh interpreter holds after main(argv)."""
+    code = ("import sys, spacelike\n"
+            "from spacelike.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            f"print(sorted(k for k in sys.modules if k.startswith({prefixes!r})))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    return res.stdout.strip().splitlines()[-1]
+
+
 def test_analyze_imports_no_scipy_it_does_not_use(tmp_path):
     # scipy.integrate and scipy.sparse.linalg serve only the geodesic and
     # solver paths, and take most of the start-up time when imported
     cfg = analyze_config(tmp_path, str(tmp_path / "r.csv"))
-    code = ("import sys, spacelike\n"
-            "from spacelike.cli import main\n"
-            f"assert main(['analyze', '--config', {cfg!r}]) == 0\n"
-            "print(sorted(k for k in sys.modules if k.startswith(('scipy.integrate', "
-            "'scipy.sparse.linalg', 'scipy.interpolate'))))")
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.strip().splitlines()[-1] == "[]"
+    assert _imported(["analyze", "--config", cfg],
+                     ("scipy.integrate", "scipy.sparse.linalg", "scipy.interpolate")) == "[]"
+
+
+_SMALL_RUNS = {
+    "lagrangian": {"m": 2, "potential": "0.5*(x1^2+x2^2)+0.1*x1^3",
+                   "lattice": {"lo": [-1, -1], "hi": [1, 1], "nodes": 5}},
+    "solve-maximal": {"m": 2, "n": 1, "components": ["0.3*x1+0.1*x2^2"],
+                      "lattice": {"lo": [-1, -1], "hi": [1, 1], "nodes": 9}},
+    "solve-ma": {"m": 2, "potential": "0.5*(x1^2+x2^2)+0.05*x1^4",
+                 "lattice": {"lo": [-1, -1], "hi": [1, 1], "nodes": 9}},
+    "scan": {"m": 2, "n": 1, "components": ["0.3*x1+0.1*sin(x2)"], "radii": [2.0, 4.0],
+             "scan": {"nodes": 9}},
+}
+
+
+@pytest.mark.parametrize("command", list(_SMALL_RUNS))
+def test_commands_import_no_scipy_they_do_not_use(tmp_path, command):
+    # lagrangian needs no scipy at all, and the solvers only scipy.sparse:
+    # importing scipy.integrate alone takes about 0.4 s and 50 MiB
+    cfg = write_config(tmp_path, "cfg.json", {**_SMALL_RUNS[command],
+                                              "out": str(tmp_path / "out.json"), "format": "json"})
+    unused = ("scipy",) if command == "lagrangian" else (
+        "scipy.integrate", "scipy.special", "scipy.optimize")
+    assert _imported([command, "--config", cfg], unused) == "[]"
 
 
 @pytest.mark.parametrize("component, lo, hi, nan_cols, expected", [

@@ -336,6 +336,19 @@ def test_pseudo_distance_requires_base_point():
     assert abs(pd.z - (2 * np.sqrt(2) - 2)) <= 1e-12
 
 
+def test_base_point_offset_is_the_value_the_geometry_passes_compute():
+    # a jet multiplies by the reciprocal of 3 + x2 where a value alone divides
+    # by it: 5 * (1/3) is 1.6666666666666665, 5/3 is 1.6666666666666667
+    gm = GraphMap.from_strings(2, ["x1/3+5/(3+x2)"]).with_base_point()
+    assert gm.offset == (1.6666666666666665,)
+    assert pseudo_distance(gm, [0.0, 0.0]).z == 0.0
+    # where the jet fails at 0 but the value exists, the offset is the value
+    gm = GraphMap.from_strings(2, ["asinh(sqrt(x1^2+x2^2))+5/3", "sqrt(1+x1^2)"])
+    assert gm.with_base_point().offset == (5 / 3, 1.0)
+    with pytest.raises(DomainError, match="log argument out of range"):
+        GraphMap.from_strings(2, ["x2", "log(x1)"]).with_base_point()
+
+
 def test_trace_hess_equals_lap():
     rng = np.random.default_rng(53)
     for _ in range(10):

@@ -296,7 +296,7 @@ def test_pullback_trace_is_one_geometry_pass(monkeypatch):
 def test_positions_come_from_the_one_jet_pass(monkeypatch):
     # X(0) is the origin row of the table's one pass, so f is not evaluated
     # on its own; where the jets fail at the origin and the value exists,
-    # X(0) is evaluated on its own, once per component
+    # X(0) is evaluated on its own, once per component whose jet fails there
     import spacelike.graphgeom as graphgeom
     from spacelike.graphgeom import pseudo_distance
 
@@ -307,7 +307,7 @@ def test_positions_come_from_the_one_jet_pass(monkeypatch):
     # the second graph has no plane at the origin (a note) and no frames at the origin node
     for components, own, notes_seen, ok in (
             (["0.3*x1*x2 + 1", "0.2*sin(x2)"], [], 0, len(pts)),
-            (["asinh(sqrt(x1^2+x2^2))", "0.2*sin(x2)"], [(2,), (2,)], 1, len(pts) - 1)):
+            (["asinh(sqrt(x1^2+x2^2))", "0.2*sin(x2)"], [(2,)], 1, len(pts) - 1)):
         gm = GraphMap.from_strings(2, components)
         calls.clear()
         status, cols, notes = graph_node_table(gm, pts, np.ones(len(pts), dtype=bool))
@@ -317,7 +317,7 @@ def test_positions_come_from_the_one_jet_pass(monkeypatch):
         assert np.all(np.isfinite(cols["z"]) == done)
         calls.clear()
         z = pseudo_distance(gm.with_base_point(), pts[done]).z
-        assert calls == [(2,), (2,)] * 2  # the offset, then the base-point check
+        assert calls == own * 2  # the offset, then the base-point check
         assert np.array_equal(z, cols["z"][done])
 
 

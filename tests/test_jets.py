@@ -1,10 +1,12 @@
+import copy
+import pickle
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
-from oracles import dense_taylor
+from oracles import _mul, dense_taylor
 from test_exprparse import _exprs
 
 import spacelike.jets as jets
@@ -14,7 +16,7 @@ from spacelike.exprparse import (FUNCTIONS, BinOp, Const, DomainError, Unary, Va
                                  parse)
 from spacelike.graphgeom import GraphMap, fundamental_forms, integrate_geodesic, simons_report
 from spacelike.grassmann import gauss_map, graph_node_table
-from spacelike.jets import _mul, evaluate_jet, finite_diff_check, jet_rows
+from spacelike.jets import evaluate_jet, finite_diff_check, jet_rows
 from spacelike.lagrangian import Potential, node_table
 from spacelike.lattice import Lattice, active_mask, node_points
 
@@ -196,6 +198,17 @@ def test_deep_left_sum_evaluates():
     assert jet.value == 1500.0
     assert jet.grad[0] == 3000.0
     assert jet.hess[0, 0] == 0.0 and jet.third[0, 0, 0] == 0.0
+
+
+def test_an_evaluated_expression_pickles_and_copies():
+    # the jet programs an expression keeps are not part of its value
+    expr = parse("sqrt(1+x1^2)*sin(x2)/x1", 2)
+    x = np.array([[0.5, 0.3], [1.5, -0.2]])
+    jet = evaluate_jet(expr, x)
+    for other in (pickle.loads(pickle.dumps(expr)), copy.deepcopy(expr)):
+        assert other == expr and other.span == expr.span
+        for got, want in zip(_coeffs(evaluate_jet(other, x)), _coeffs(jet)):
+            assert np.array_equal(got, want)
 
 
 @settings(max_examples=100, deadline=None)
