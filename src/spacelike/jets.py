@@ -218,21 +218,17 @@ def _build(expr: Expr, order: int) -> "_Program":
         kept.add(u)
         checks.append((test, u, message, span))
 
-    def add(x, y):
-        """x + y, with None an exact zero."""
-        if y is None:
-            return x
-        if x is None:
-            return y
-        free.append(x)
-        free.append(y)
-        return step(operator.add, x, y)
-
-    def add_all(*terms):
+    def add(*terms):
         """The terms that are not None, added from the left; None if none is left."""
         out = None
         for t in terms:
-            out = add(out, t)
+            if t is not None:
+                if out is None:
+                    out = t
+                else:
+                    free.append(out)
+                    free.append(t)
+                    out = step(operator.add, out, t)
         return out
 
     def neg(x):
@@ -261,23 +257,23 @@ def _build(expr: Expr, order: int) -> "_Program":
         if order > 1:
             aH, bH = a[2], b[2]
             both = ag is not None and bg is not None
-            out.append(add_all(None if bH is None else step(_times2, a0, bH),
-                               None if aH is None else step(_times2, b0, aH),
-                               step(_outer, ag, bg) if both else None,
-                               step(_outer, bg, ag) if both else None))
+            out.append(add(None if bH is None else step(_times2, a0, bH),
+                           None if aH is None else step(_times2, b0, aH),
+                           step(_outer, ag, bg) if both else None,
+                           step(_outer, bg, ag) if both else None))
         if order > 2:
             aT, bT = a[3], b[3]
-            out.append(add_all(None if bT is None else step(_times3, a0, bT),
-                               None if aT is None else step(_times3, b0, aT),
-                               None if ag is None or bH is None else step(_sym3, ag, bH),
-                               None if bg is None or aH is None else step(_sym3, bg, aH)))
+            out.append(add(None if bT is None else step(_times3, a0, bT),
+                           None if aT is None else step(_times3, b0, aT),
+                           None if ag is None or bH is None else step(_sym3, ag, bH),
+                           None if bg is None or aH is None else step(_sym3, bg, aH)))
         release(a + b)
         return tuple(out)
 
     def compose(u, d):
         """Chain rule through a univariate function with derivatives d = (d0,
         d1, d2, d3) at u's value, to the order of u; the unused d are not read."""
-        out = [d[0]]
+        out, gg, d3gg, gH = [d[0]], None, None, None
         if order > 0:
             g, d1 = u[1], d[1]
             out.append(None if g is None or d1 is None else step(_times1, d1, g))
@@ -290,14 +286,12 @@ def _build(expr: Expr, order: int) -> "_Program":
             T, d3 = u[3], d[3]
             d3gg = None if d3 is None or gg is None else step(_times_gg, d3, gg)
             gH = None if g is None or H is None else step(_sym3, g, H)
-            out.append(add_all(None if d1 is None or T is None else step(_times3, d1, T),
-                               None if d2 is None or gH is None else step(_times3, d2, gH),
-                               None if d3gg is None else step(_times_g, d3gg, g)))
-            release((d3gg, gH))
-        if order > 1:
-            release((gg,))
+            out.append(add(None if d1 is None or T is None else step(_times3, d1, T),
+                           None if d2 is None or gH is None else step(_times3, d2, gH),
+                           None if d3gg is None else step(_times_g, d3gg, g)))
         release(u)
         release(d[1:])
+        release((gg, d3gg, gH))
         return tuple(out)
 
     def power(u, p):

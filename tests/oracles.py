@@ -192,6 +192,151 @@ def dense_taylor(expr: Expr, pts: np.ndarray, order: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# The Taylor walk that skips exact-zero blocks: every node of the AST, in
+# post-order, dispatched on its type, with None for a derivative block that
+# is zero by the form of the expression.  A jet program must give its
+# numbers bit for bit, the sign of a zero included, and its failures.
+
+def _sp_times(c, x):
+    if c is None or x is None:
+        return None
+    return c[(...,) + (None,) * (x.ndim - c.ndim)] * x
+
+
+def _sp_sum(*terms):
+    out = None
+    for t in terms:
+        if t is not None:
+            out = t if out is None else out + t
+    return out
+
+
+def _sp_sub(x, y):
+    if y is None:
+        return x
+    return -y if x is None else x - y
+
+
+def _sp_outer(a, b):
+    return None if a is None or b is None else _outer(a, b)
+
+
+def _sp_sym3(g, H):
+    return None if g is None or H is None else _sym3(g, H)
+
+
+def _sp_mul(a, b):
+    a0, b0 = a[0], b[0]
+    out = [a0 * b0]
+    if len(a) > 1:
+        ag, bg = a[1], b[1]
+        out.append(_sp_sum(_sp_times(a0, bg), _sp_times(b0, ag)))
+    if len(a) > 2:
+        aH, bH = a[2], b[2]
+        out.append(_sp_sum(_sp_times(a0, bH), _sp_times(b0, aH),
+                           _sp_outer(ag, bg), _sp_outer(bg, ag)))
+    if len(a) > 3:
+        out.append(_sp_sum(_sp_times(a0, b[3]), _sp_times(b0, a[3]),
+                           _sp_sym3(ag, bH), _sp_sym3(bg, aH)))
+    return tuple(out)
+
+
+def _sp_compose(u, d):
+    out = [d[0]]
+    if len(u) > 1:
+        g = u[1]
+        out.append(_sp_times(d[1], g))
+    if len(u) > 2:
+        H, gg = u[2], _sp_outer(g, g)
+        out.append(_sp_sum(_sp_times(d[1], H), _sp_times(d[2], gg)))
+    if len(u) > 3:
+        d3gg = None if gg is None else _sp_times(d[3], gg[..., None])
+        out.append(_sp_sum(_sp_times(d[1], u[3]), _sp_times(d[2], _sp_sym3(g, H)),
+                           None if d3gg is None else d3gg * g[..., None, None, :]))
+    return tuple(out)
+
+
+def _sp_power(u, p: int):
+    u0 = u[0]
+    coeffs = (p, p * (p - 1), p * (p - 1) * (p - 2))[:len(u) - 1]
+    return _sp_compose(u, (u0 ** p,) + tuple(c * u0 ** (p - k) if c else None
+                                             for k, c in enumerate(coeffs, 1)))
+
+
+def sparse_taylor(expr: Expr, pts: np.ndarray, order: int) -> tuple:
+    """``jets._taylor`` as a walk over the AST: (coeffs, fails), fails None
+    where every point passes."""
+    shape, m = pts.shape[:-1], pts.shape[-1]
+    fails = None
+
+    def mark(bad, message, span):
+        nonlocal fails
+        if bad.any():
+            if fails is None:
+                fails = Failures.clean(shape)
+            fails.add(bad, DomainError(message, span))
+
+    post, todo = [], [expr]
+    while todo:
+        node = todo.pop()
+        post.append(node)
+        if isinstance(node, Unary):
+            todo.append(node.child)
+        elif isinstance(node, BinOp):
+            todo += (node.lhs, node.rhs)
+        elif isinstance(node, Pow):
+            todo.append(node.base)
+    stack = []
+    for node in reversed(post):
+        if isinstance(node, Const):
+            t = (np.full(shape, node.value),) + (None,) * order
+        elif isinstance(node, Var):
+            t = (pts[..., node.index - 1],)
+            if order:
+                g = np.zeros(shape + (m,))
+                g[..., node.index - 1] = 1.0
+                t += (g,) + (None,) * (order - 1)
+        elif isinstance(node, Unary):
+            u = stack.pop()
+            if node.op == "neg":
+                t = tuple(None if c is None else -c for c in u)
+            else:
+                bad = _OUT_OF_DOMAIN.get(node.op)
+                if bad is not None:
+                    mark(bad(u[0]), f"{node.op} argument out of range", node.span)
+                if order and node.op == "sqrt":
+                    mark(u[0] == 0, "sqrt argument must be positive for differentiation",
+                         node.span)
+                fn, derivs = _ELEMENTARY[node.op]
+                v = fn(u[0])
+                t = _sp_compose(u, (v, *(d(u[0], v) for d in derivs[:order])))
+        elif isinstance(node, BinOp):
+            b, a = stack.pop(), stack.pop()
+            if node.op == "+":
+                t = tuple(map(_sp_sum, a, b))
+            elif node.op == "-":
+                t = tuple(map(_sp_sub, a, b))
+            elif node.op == "*":
+                t = _sp_mul(a, b)
+            else:
+                mark(b[0] == 0, "division by zero", node.span)
+                t = _sp_mul(a, _sp_power(b, -1)) if order else (a[0] / b[0],)
+        else:
+            u = stack.pop()
+            if node.exponent < 0:
+                mark(u[0] == 0, "zero raised to a negative power", node.span)
+            t = _sp_power(u, node.exponent)
+        stack.append(t)
+    coeffs = tuple(np.zeros(shape + (m,) * k) if c is None else c
+                   for k, c in enumerate(stack[0]))
+    if not math.isfinite(sum(c.sum() for c in coeffs)):
+        rows = [c.reshape(shape + (m**k,)) for k, c in enumerate(coeffs)]
+        finite = np.isfinite(np.concatenate(rows, axis=-1)).all(axis=-1)
+        mark(~finite, f"non-finite {'jet' if order else 'value'} (overflow or NaN)", expr.span)
+    return coeffs, fails
+
+
+# ---------------------------------------------------------------------------
 # The token-by-token parser: one regex match and one _Token per token, and a
 # dataclasses.replace per parenthesised group.  Its ASTs, spans and errors
 # are the reference for spacelike.exprparse.parse.

@@ -529,14 +529,16 @@ def _bits(rows):
 
 
 @pytest.mark.parametrize("order", [0, 1, 2, 3])
-def test_a_graph_map_run_again_equals_a_fresh_one(order):
+@pytest.mark.parametrize("texts, offset", [
+    (["sqrt(1+x1^2+x2^2)", "x1", "0.3*log(x2+0.5)/(x1-0.2)"], (1.0, 0.25, -0.5)),
+    (["x1"], (0.25,)),
+], ids=["three-components", "bare-variable"])
+def test_a_graph_map_run_again_equals_a_fresh_one(order, texts, offset):
     # log fails at x2 <= -0.5 and the quotient at x1 = 0.2; x1 alone, less
     # its offset, must not be subtracted from the caller's points
-    texts = ["sqrt(1+x1^2+x2^2)", "x1", "0.3*log(x2+0.5)/(x1-0.2)"]
-    offset = (1.0, 0.25, -0.5)
 
     def graph():  # parsed afresh, so its expressions have run nowhere yet
-        return GraphMap(2, 3, GraphMap.from_strings(2, texts).components, offset)
+        return GraphMap(2, len(texts), GraphMap.from_strings(2, texts).components, offset)
 
     p1 = np.array([[0.3, -0.2], [-0.5, -0.7], [0.2, 0.1]])
     p2 = np.array([[0.1, 0.4], [0.6, -0.9], [-0.3, 0.2], [0.9, 0.9]])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
-from oracles import _mul, dense_taylor
+from oracles import _mul, dense_taylor, sparse_taylor
 from test_exprparse import _exprs
 
 import spacelike.jets as jets
@@ -321,6 +321,28 @@ def test_taylor_equals_the_dense_evaluator(case):
             assert got_errors[p] is None
             for g, w in zip(got, want):
                 assert np.array_equal(g[p], w[p], equal_nan=True)
+
+
+def _bits(result):
+    coeffs, fails = result
+    return ([(c.shape, c.tobytes()) for c in coeffs], None if fails is None else (
+        fails.code.tobytes(), fails.value.tobytes(), [(str(e), e.span) for e in fails.errors]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_taylor_cases())
+@example((parse("x1*sin(x2) + x2*x1", 2), _POINTS, 3))
+@example((parse("-(1.5)*sin(2.0)*x1^2 + (3)^2/x2 + (x1*x2)^0 - (x2)^1", 2), _POINTS, 3))
+@example((parse("-(x1 - x1) * (0 - x2) / (x1 - 1.1)^3", 2), _POINTS, 3))
+def test_taylor_equals_the_walk_bit_for_bit(case):
+    # the program makes the walk's numpy operations on the walk's operands,
+    # so its coefficients and failures are the walk's, the sign of a zero
+    # included; it is built at the first point set and run at the second
+    expr, pts, order = case
+    more = np.concatenate([pts[::-1], 1.5 * pts - 0.25])
+    with np.errstate(all="ignore"):
+        for x in (pts, more):
+            assert _bits(jets._taylor(expr, x, order)) == _bits(sparse_taylor(expr, x, order))
 
 
 def test_constant_derivatives_are_exact_zeros():
