@@ -396,7 +396,8 @@ class _Program:
         shape, m = pts.shape[:-1], pts.shape[-1]
         coeffs = tuple(np.zeros(shape + (m,) * k) if i is None else r[i]
                        for k, i in enumerate(self.root))
-        if not math.isfinite(sum(c.sum() for c in coeffs)):  # a sum with a non-finite term is not finite
+        # a sum with a non-finite term is not finite
+        if not math.isfinite(sum(c.sum() for c in coeffs)):
             rows = [c.reshape(shape + (m**k,)) for k, c in enumerate(coeffs)]  # m^k entries each
             finite = np.isfinite(np.concatenate(rows, axis=-1)).all(axis=-1)
             fails = _mark(fails, ~finite, self.message, self.span)
@@ -461,7 +462,7 @@ class Jet3:
 def jet_stack(exprs, point, order: int = 3) -> tuple:
     """The one pass behind ``jet_rows`` and a graph's jets: the Taylor data
     of each of the n expressions ``exprs`` at a point (m,) or a batch of
-    points (..., m), written into one array per order, (..., n) for the
+    points (..., m), stacked into one array per order, (..., n) for the
     values, then (..., n, m), (..., n, m, m) and (..., n, m, m, m).  Returns
     those order + 1 arrays, zero where an expression fails at a point, and
     the failure record of the points: the first expression's failure, else
@@ -488,7 +489,7 @@ def jet_stack(exprs, point, order: int = 3) -> tuple:
                 o[:, i] = c
         if j >= 2:  # the Hessians and third derivatives read from their sorted slots
             o = o.reshape(k, n, m**j)[..., _sorted_slots(m, j)].reshape(o.shape)
-        elif n == 1:
+        elif j == 0 and n == 1:
             o = o.copy()  # a value may be a view of the points, and callers subtract from it
         out.append(o)
     fails = None
