@@ -185,12 +185,12 @@ def _build(expr: Expr, order: int) -> "_Program":
     it needs: a derivative block that is zero by the form of the expression
     is None and every term with it is dropped, the others are added in
     their fixed order.  What a rule emits depends on the form of the
-    expression alone, never on the points.  A rule frees
-    the registers it reads for the last time, its children's blocks and its
-    own temporaries, and a later step takes their slots, so a run drops
-    each array as soon as no step reads it; the registers that the domain
-    tests read keep theirs.  add, sub and neg free their operands, which are
-    never such a register.
+    expression alone, never on the points.  A rule frees the registers it
+    reads for the last time, its children's blocks and its own temporaries,
+    and a later step takes their slots, so a run drops each array as soon
+    as no step reads it; the registers that the domain tests read keep
+    theirs.  add, sub and neg free their operands, which are never such a
+    register.
     """
     regs, steps, checks, free, kept = [None], [], [], [], set()
 
@@ -374,9 +374,10 @@ class _Program:
     steps ``r[out] = fn(r[a], r[b])`` over a register file r that holds the
     points (r[0]), the constants of the expression (``regs``) and the
     steps' results, each step one numpy operation of the truncated Taylor
-    arithmetic.  The domain tests of ``checks`` only read registers; they
-    run after the steps, in the order of the walk that recorded them.
-    ``root`` gives the registers of the result, None for an exact zero."""
+    arithmetic (``_sym3``: its fixed five).  The domain tests of ``checks``
+    only read registers; they run after the steps, in the order the build
+    met them.  ``root`` gives the registers of the result, None for an
+    exact zero."""
 
     __slots__ = ("regs", "steps", "checks", "root", "message", "span")
 
