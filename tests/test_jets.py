@@ -14,6 +14,7 @@ from spacelike.bernstein import geodesic_radius
 from spacelike.checks import hyperboloid, random_spacelike_graph
 from spacelike.exprparse import (FUNCTIONS, BinOp, Const, DomainError, Unary, Var, eval_values,
                                  parse)
+from spacelike.failures import OK
 from spacelike.graphgeom import GraphMap, fundamental_forms, integrate_geodesic, simons_report
 from spacelike.grassmann import gauss_map, graph_node_table
 from spacelike.jets import evaluate_jet, finite_diff_check, jet_rows
@@ -343,6 +344,39 @@ def test_taylor_equals_the_walk_bit_for_bit(case):
     with np.errstate(all="ignore"):
         for x in (pts, more):
             assert _bits(jets._taylor(expr, x, order)) == _bits(sparse_taylor(expr, x, order))
+
+
+_POWERS = ["x1^1", "x1^2", "x1^3", "(x1-1)^2", "(x1+x2)^3"]
+# x1 at 0, -0.0, 1 and 1e200 (whose powers above 1 overflow), x2 = 0.0 * x1
+# so that x1 + x2 keeps the sign of a zero, then a random batch
+_BASES = np.array([0.0, -0.0, 1.0, 1e200])
+_POWER_POINTS = [np.stack([_BASES, 0.0 * _BASES], axis=-1),
+                 np.random.default_rng(31).uniform(-2.0, 2.0, size=(6, 2))]
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("text", _POWERS)
+def test_power_rule_equals_the_walk_and_the_dense_evaluator(text, order):
+    # the program forms c u^1 as c*u and c u^0 as the constant c, where the
+    # walk and the dense evaluator compute u**1 and u**0: the same numbers,
+    # the sign of a zero and the failure records of an overflow included
+    expr = parse(text, 2)
+    for pts in _POWER_POINTS:
+        with np.errstate(all="ignore"):
+            got, fails = jets._taylor(expr, pts, order)
+            assert _bits((got, fails)) == _bits(sparse_taylor(expr, pts, order))
+            want, want_fails = dense_taylor(expr, pts, order)
+        assert _bits((got, fails))[1] == _bits((want, want_fails))[1]
+        ok = np.ones(len(pts), dtype=bool) if fails is None else fails.code == OK
+        for g, w in zip(got, want):
+            assert np.allclose(g[ok], w[ok], rtol=1e-15, atol=0.0)
+    with np.errstate(all="ignore"):
+        _, fails = jets._taylor(expr, _POWER_POINTS[0], order)
+    # only x1 = 1e200 fails, where every power above 1 overflows
+    failing = [False] * 3 + [text != "x1^1"]
+    assert ([False] * 4 if fails is None else list(fails.code != OK)) == failing
+    if fails is not None:
+        assert str(fails[3]).startswith("non-finite jet (overflow or NaN)")
 
 
 def test_constant_derivatives_are_exact_zeros():
