@@ -277,8 +277,11 @@ def completeness_probe(gm: GraphMap, directions, T: float, n_samples: int = 200,
     stops before T without leaving is reported "integration-failed:
     <message>".  The directions inside the box run as one ODE until the
     integrator fails; then each runs on alone from there, so a failure is
-    reported only for the direction that fails on its own.  T > 0 is
-    finite, each direction finite and nonzero, and n_samples >= 1."""
+    reported only for the direction that fails on its own.  A direction
+    that runs into the edge of f's domain fails there, as the integrator
+    rejects the steps whose stages leave the domain; the origin must be
+    inside it.  T > 0 is finite, each direction finite and nonzero, and
+    n_samples >= 1."""
     _check_base_point(gm)
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")

@@ -591,9 +591,13 @@ def integrate_geodesic(gm: GraphMap, x0, v0, t_span, *,
     """Unit-speed geodesics from k starts x0, v0 ((k, m) each, or (m,) for
     one start or a shared x0) as one ODE, by DOP853, over t_span = (t0, t1),
     finite with t0 < t1; each v0, finite and nonzero, is normalised in g at
-    x0, finite, where g must pass ``_definite``.  As
+    x0, finite, where g must pass ``_definite``, or the start raises.  As
     Gamma_{l,ij} = -sum_s f^s_l f^s_ij, x'' = g^-1 A^T q with
-    q_s = v^T He^s v: one (k, m) jet per right-hand side.
+    q_s = v^T He^s v: one order-2 ``jets.jet_stack`` pass per right-hand
+    side, which reads only its Jacobians A and Hessians He.  A stage point
+    outside f's domain, or whose jets overflow, gets a nan acceleration
+    instead of an error, so DOP853 rejects the step and tries a shorter
+    one; a direction that cannot get past such points fails there.
 
     A direction ends where it leaves the box |x_i| <= region_halfwidth
     (> 0), which must hold x0: its exit event is terminal, and solve_ivp
@@ -622,13 +626,16 @@ def integrate_geodesic(gm: GraphMap, x0, v0, t_span, *,
     fails.raise_first()
     v0 = v0 / np.sqrt(np.einsum("ki,kij,kj->k", v0, g, v0))[:, None]
 
-    eye = np.eye(m)
+    comps, eye = gm.components, np.eye(m)
 
     def rhs(t, y):
         x, v = y.reshape(2, -1, m)
-        _, A, He, _ = gm.jet_data(x, 2)
+        (_, A, He), fails = jet_stack(comps, x, 2)
+        At = _swap(A)
         q = np.einsum("ksij,ki,kj->ks", He, v, v)
-        acc = np.linalg.solve(eye - _swap(A) @ A, _swap(A) @ q[..., None])[..., 0]
+        acc = np.linalg.solve(eye - At @ A, At @ q[..., None])[..., 0]
+        if fails.code.any():  # out of f's domain or overflowing: DOP853 rejects the step
+            acc[fails.code != OK] = np.nan
         return np.concatenate([v, acc], axis=None)
 
     def exit_event(r):

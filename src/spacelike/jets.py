@@ -29,11 +29,13 @@ pays from its second run, as in the right-hand sides of the geodesic ODE.
 A derivative block that is zero by the form of the expression is None in
 the build, not an array of zeros: a constant carries only its value, a
 variable its value and its unit gradient, and u^p drops a coefficient that
-vanishes.  Products, the chain rule, sums and negation drop every term with
-a None factor and add the others in their fixed order (Griewank & Walther,
-ch. 7), so a term that would be exactly 0.0 is never formed, and only the
-sign of a zero can differ from the dense sum.  A None block at the root
-becomes zeros.  So a constant's derivatives are exact zeros:
+vanishes; its derivative c u^(p-k) is c*u for p - k = 1 and the constant c
+for p - k = 0, not a power, as u**1 == u and u**0 == 1 at every u, nan and
+inf included.  Products, the chain rule, sums and negation drop every term
+with a None factor and add the others in their fixed order (Griewank &
+Walther, ch. 7), so a term that would be exactly 0.0 is never formed, and
+only the sign of a zero can differ from the dense sum.  A None block at
+the root becomes zeros.  So a constant's derivatives are exact zeros:
 ``x1 + sqrt(1e-320)`` and ``x1*log(5e-324)`` have clean order-3 jets, those
 of ``x1`` plus or times the constant, where dense zeros would meet the
 infinite derivatives of sqrt and log (0 * inf = nan); ``sqrt(0)*x1`` still
@@ -295,16 +297,22 @@ def _build(expr: Expr, order: int) -> "_Program":
         return tuple(out)
 
     def power(u, p):
-        """Chain rule for u^p; a vanishing coefficient of the derivatives is an exact zero."""
+        """Chain rule for u^p, with d_k = c u^(p-k): a vanishing c is an
+        exact zero, c u^1 is c*u and c u^0 the constant c, as u**1 == u and
+        u**0 == 1 at every u, nan and inf included."""
         u0 = u[0]
         d = [step(operator.pow, u0, const(p))]
         for k, c in enumerate((p, p * (p - 1), p * (p - 1) * (p - 2))[:order], 1):
-            if c:
+            if not c:
+                d.append(None)
+            elif p - k == 0:
+                d.append(step(_full, 0, const(c)))
+            elif p - k == 1:
+                d.append(step(operator.mul, const(c), u0))
+            else:
                 w = step(operator.pow, u0, const(p - k))
                 free.append(w)
                 d.append(step(operator.mul, const(c), w))
-            else:
-                d.append(None)
         return compose(u, d)
 
     post, todo = [], [expr]
@@ -500,6 +508,8 @@ def jet_stack(exprs, point, order: int = 3) -> tuple:
             for o in out:  # a failing point's jet is zero
                 o[failing, i] = 0.0
             fails = bad if fails is None else fails.then(bad)
+    if x.ndim == 2:  # the batch is already flat
+        return out, Failures.clean(shape) if fails is None else fails
     out = [o.reshape(shape + o.shape[1:]) for o in out]
     if fails is None:
         return out, Failures.clean(shape)

@@ -11,7 +11,7 @@ from spacelike.bernstein import (
 )
 from spacelike.checks import hyperboloid
 from spacelike.exprparse import DomainError, eval_values, parse
-from spacelike.graphgeom import GraphMap, NotSpacelikeError
+from spacelike.graphgeom import GraphMap, NotSpacelikeError, integrate_geodesic
 from spacelike.lattice import Lattice, LatticeError
 from spacelike.solver import field_immersion_geometry, solve_maximal
 
@@ -350,13 +350,36 @@ def test_probe_failure_of_one_direction_spares_the_others():
         assert np.max(np.abs(rep.z - rep.t**2)) <= 1e-6
 
 
+@pytest.mark.parametrize("expr", ["1e-6*sqrt(1-x1)", "1e-6*log(1-x1)"], ids=["sqrt", "log"])
+def test_probe_stages_outside_the_domain_fail_only_their_direction(expr):
+    # f is defined for x1 < 1 only, and nearly flat: (1, 0) runs along x1 ~ t
+    # and meets x1 = 1 at t ~ 1, where DOP853's stages past it get nan
+    # accelerations and their steps are rejected, so it fails there with
+    # finite samples; (0, 1) stays on x1 = 0 and reaches T as it does alone.
+    # RuntimeWarnings are errors here.
+    gm = GraphMap.from_strings(2, [expr]).with_base_point()
+    failed, inside = completeness_probe(gm, [[1.0, 0.0], [0.0, 1.0]], T=3.0)
+    assert failed.status.startswith("integration-failed: ")
+    assert "step size" in failed.status
+    assert abs(failed.t[-1] - 1.0) <= 1e-5
+    assert np.all(np.isfinite(failed.z)) and np.all(np.isfinite(failed.ratio))
+    alone, = completeness_probe(gm, [[0.0, 1.0]], T=3.0)
+    for rep in (inside, alone):
+        assert rep.status == "ok" and rep.t[-1] == 3.0
+    assert np.max(np.abs(inside.z - alone.z)) <= 1e-12 * np.max(alone.z)
+    # a start outside the domain still raises
+    with pytest.raises(DomainError, match="argument out of range"):
+        integrate_geodesic(gm, [1.5, 0.0], [1.0, 0.0], (0.0, 1.0))
+
+
 @pytest.fixture
 def probe_calls(monkeypatch):
-    """Counts of GraphMap.jet_data (one per right-hand side, plus the start)
-    and solve_ivp calls made while a test runs."""
+    """Counts of the jet passes that graphgeom makes (one per right-hand
+    side, plus the start check and the pass over the samples) and of the
+    solve_ivp calls, while a test runs."""
     import spacelike.graphgeom as graphgeom
 
-    counts = {"jet_data": 0, "solve_ivp": 0}
+    counts = {"jet_stack": 0, "solve_ivp": 0}
 
     def counted(name, real):
         def call(*args, **kwargs):
@@ -364,7 +387,7 @@ def probe_calls(monkeypatch):
             return real(*args, **kwargs)
         return call
 
-    monkeypatch.setattr(GraphMap, "jet_data", counted("jet_data", GraphMap.jet_data))
+    monkeypatch.setattr(graphgeom, "jet_stack", counted("jet_stack", graphgeom.jet_stack))
     monkeypatch.setattr(graphgeom, "solve_ivp", counted("solve_ivp", graphgeom.solve_ivp))
     return counts
 
@@ -382,7 +405,7 @@ def test_probe_region_exits_are_cheap_and_exact(probe_calls):
         assert abs(rep.t[-1] - t_exit) <= 5e-9
         # the samples after the first exit come from the restarted segments
         assert np.max(np.abs(rep.z - rep.t**2)) <= 1e-6
-    assert probe_calls["jet_data"] <= 300
+    assert probe_calls["jet_stack"] <= 300
     # one call, then one restart at each exit that leaves a direction running
     assert probe_calls["solve_ivp"] == len(set(exits))
 
@@ -394,7 +417,7 @@ def test_probe_benchmark_shape_jet_count(probe_calls):
             for t, length in zip((0.3, 2.2, 4.1), (1.0, 0.7, 1.6))]
     reports = completeness_probe(hyperboloid(shifted=True), dirs, T=2.0, n_samples=40)
     assert all(rep.status == "ok" for rep in reports)
-    assert probe_calls["jet_data"] <= 150 and probe_calls["solve_ivp"] == 1
+    assert probe_calls["jet_stack"] <= 150 and probe_calls["solve_ivp"] == 1
 
 
 @pytest.mark.parametrize("expr, error", [("1e160*x1", DomainError), ("2*x1", NotSpacelikeError)],

@@ -1,4 +1,5 @@
 import copy
+import operator
 import pickle
 import warnings
 
@@ -377,6 +378,22 @@ def test_power_rule_equals_the_walk_and_the_dense_evaluator(text, order):
     assert ([False] * 4 if fails is None else list(fails.code != OK)) == failing
     if fails is not None:
         assert str(fails[3]).startswith("non-finite jet (overflow or NaN)")
+
+
+def test_power_rule_emits_no_pow_for_u1_or_u0():
+    # d_k = c u^(p-k) takes a pow step only for an exponent p - k outside 0
+    # and 1; the probe's order-2 program of the hyperboloid has 29 steps
+    program = jets._build(parse("sqrt(1+x1^2+x2^2)", 2), 2)
+    assert len(program.steps) == 29
+
+    def exponents(program):
+        return [program.regs[b] for _, fn, _, b in program.steps if fn is operator.pow]
+
+    assert exponents(program) == [2, 2]
+    for p in range(-2, 5):
+        for order in range(4):
+            value, *derivs = exponents(jets._build(parse(f"x1^{p}", 1), order))
+            assert value == p and not {0, 1} & set(derivs)
 
 
 def test_constant_derivatives_are_exact_zeros():
