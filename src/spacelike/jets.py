@@ -508,12 +508,11 @@ def jet_stack(exprs, point, order: int = 3) -> tuple:
             for o in out:  # a failing point's jet is zero
                 o[failing, i] = 0.0
             fails = bad if fails is None else fails.then(bad)
-    if x.ndim == 2:  # the batch is already flat
-        return out, Failures.clean(shape) if fails is None else fails
-    out = [o.reshape(shape + o.shape[1:]) for o in out]
-    if fails is None:
-        return out, Failures.clean(shape)
-    return out, Failures(fails.code.reshape(shape), fails.value.reshape(shape), fails.errors)
+    if x.ndim != 2:  # a point, or a batch of several axes
+        out = [o.reshape(shape + o.shape[1:]) for o in out]
+        if fails is not None:
+            fails = Failures(fails.code.reshape(shape), fails.value.reshape(shape), fails.errors)
+    return out, Failures.clean(shape) if fails is None else fails
 
 
 def jet_rows(expr: Expr, point, order: int = 3) -> tuple:
