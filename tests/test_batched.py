@@ -23,7 +23,7 @@ from spacelike.graphgeom import (
     frame_riemann_oracle, fundamental_forms, induced_metric, pseudo_distance, ricci_bound_check,
 )
 from spacelike.grassmann import distance, gauss_map, graph_node_table, pullback_check
-from spacelike.jets import _taylor, jet_rows
+from spacelike.jets import _taylor, jet_stack
 from spacelike.lagrangian import (
     NotConvexError, Potential, gradient_graph, lagrangian_forms, ma_residual, moduli_curvature,
     moduli_curvature_oracle, node_table, to_standard,
@@ -342,12 +342,11 @@ def test_lower_order_jets_are_the_leading_coefficients(data, m, k, seed):
             for c, ref in zip(coeffs, full):
                 assert np.array_equal(c, ref, equal_nan=True)
     # a point clean at order 3 is clean below it, with the same jet
-    jet3, fails3 = jet_rows(expr, pts)
+    full, fails3 = jet_stack((expr,), pts)
     clean = fails3.code == OK
-    names = ("value", "grad", "hess", "third")
     for order in (1, 2):
-        jet, fails = jet_rows(expr, pts, order)
+        coeffs, fails = jet_stack((expr,), pts, order)
         assert np.all(fails.code[clean] == OK)
-        for name in names[:order + 1]:
-            assert np.array_equal(getattr(jet, name)[clean], getattr(jet3, name)[clean])
-        assert all(getattr(jet, name) is None for name in names[order + 1:])
+        assert len(coeffs) == order + 1
+        for c, ref in zip(coeffs, full):
+            assert np.array_equal(c[clean], ref[clean])

@@ -11,7 +11,7 @@ import spacelike.graphgeom as graphgeom
 from conftest import random_spacelike_graph
 from spacelike.checks import codazzi_symmetry, frame_residual, gauss_equation, hyperboloid
 from spacelike.exprparse import DomainError, eval_values, pretty
-from spacelike.failures import Failures
+from spacelike.failures import DOMAIN, Failures
 from spacelike.graphgeom import (
     SPACELIKE_TOL, BasePointError, GraphMap, NotSpacelikeError, covariant_h,
     curvature, extremal_residual, first_bianchi_residual, fundamental_forms, graph_geometry,
@@ -19,7 +19,7 @@ from spacelike.graphgeom import (
     signature, simons_report,
 )
 from spacelike.grassmann import gauss_map
-from spacelike.jets import jet_rows
+from spacelike.jets import jet_stack
 from spacelike.lattice import Lattice, LatticeError
 
 
@@ -465,27 +465,25 @@ def test_every_metric_check_gives_the_same_verdict(m, n, decade, data):
     assert len(verdicts) == 1
 
 
-def test_batched_jet_data_rows_equal_single_points():
+def test_batched_jet_stack_rows_equal_single_points():
     gm = GraphMap.from_strings(2, ["sqrt(1+x1^2+x2^2)", "0.3*sin(x1)*x2 + 2"]).with_base_point()
     pts = np.array([[0.3, -0.2], [-0.5, 0.7]])  # k == n, so a wrong axis still broadcasts
-    batch = gm.jet_data(pts)
+    batch, _ = jet_stack(gm.components, pts)
     assert [a.shape for a in batch] == [(2, 2), (2, 2, 2), (2, 2, 2, 2), (2, 2, 2, 2, 2)]
+    X = graph_geometry(gm, pts).X
     for row, p in enumerate(pts):
-        for b, single in zip(batch, gm.jet_data(p)):
+        for b, single in zip(batch, jet_stack(gm.components, p)[0]):
             assert np.array_equal(b[row], single)
+        assert np.array_equal(X[row], graph_geometry(gm, p).X[0])
 
 
-def _per_component_jet_rows(gm, x, order):
-    """GraphMap.jet_rows built from its parts: one jets.jet_rows per
-    component, stacked, and the components' failure records folded in order."""
-    jets, fails = zip(*(jet_rows(c, x, order) for c in gm.components))
-    vals = np.stack([j.value for j in jets], axis=-1)
-    if gm.offset is not None:
-        vals = vals - np.asarray(gm.offset)
-    derivs = [None if getattr(jets[0], name) is None else
-              np.stack([getattr(j, name) for j in jets], axis=-1 - k)
-              for k, name in enumerate(("grad", "hess", "third"), 1)]
-    return (vals, *derivs, functools.reduce(Failures.then, fails))
+def _per_component_jet_stack(gm, x, order):
+    """jet_stack over all components built from its parts: one jet_stack
+    per component, stacked, and the components' failure records folded in
+    order."""
+    coeffs, fails = zip(*(jet_stack((c,), x, order) for c in gm.components))
+    stacked = [np.concatenate(blocks, axis=-1 - k) for k, blocks in enumerate(zip(*coeffs))]
+    return stacked, functools.reduce(Failures.then, fails)
 
 
 def _raised(call):
@@ -500,7 +498,7 @@ def _raised(call):
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3), n=st.integers(1, 3),
        k=st.integers(1, 6), order=st.integers(0, 3), single=st.booleans(),
        based=st.booleans())
-def test_graph_jet_rows_equal_the_per_component_fold(seed, m, n, k, order, single, based):
+def test_graph_jet_stack_equals_the_per_component_fold(seed, m, n, k, order, single, based):
     # a log term, on a variable drawn per component, makes the components
     # fail at different points, so the fold shifts error indices
     rng = np.random.default_rng(seed)
@@ -509,23 +507,29 @@ def test_graph_jet_rows_equal_the_per_component_fold(seed, m, n, k, order, singl
                                    for c in gm.components])
     gm = gm.with_base_point() if based else gm
     pts = rng.uniform(-1.0, 1.0, size=(m,) if single else (k, m))
-    *data, fails = gm.jet_rows(pts, order)
-    *ref, ref_fails = _per_component_jet_rows(gm, pts, order)
+    data, fails = jet_stack(gm.components, pts, order)
+    ref, ref_fails = _per_component_jet_stack(gm, pts, order)
+    assert len(data) == len(ref) == order + 1
     for got, want in zip(data, ref):
-        assert (got is None and want is None) or (
-            got.shape == want.shape and np.array_equal(got, want))
+        assert got.shape == want.shape and np.array_equal(got, want)
     assert np.array_equal(fails.code, ref_fails.code)
     assert np.array_equal(fails.value, ref_fails.value, equal_nan=True)
     assert ([(str(e), e.span) for e in fails.errors]
             == [(str(e), e.span) for e in ref_fails.errors])
-    assert _raised(lambda: gm.jet_data(pts, order)) == _raised(ref_fails.raise_first)
+    assert _raised(fails.raise_first) == _raised(ref_fails.raise_first)
+    if order >= 2:  # the geometry pass reads these jets, less the offset in its positions
+        geo = graph_geometry(gm, pts, order)
+        vals = ref[0].reshape(-1, n) - (0.0 if gm.offset is None else np.asarray(gm.offset))
+        assert np.array_equal(geo.X, np.concatenate([pts.reshape(-1, m), vals], -1))
+        assert np.array_equal(geo.A, ref[1].reshape(-1, n, m))
+        assert np.array_equal(geo.He, ref[2].reshape(-1, n, m, m))
+        assert _raised(lambda: geo.fails.raise_first(DOMAIN)) == _raised(ref_fails.raise_first)
 
 
-def _bits(rows):
-    """The arrays and the failure record of a jet_rows result, as bytes."""
-    *data, fails = rows
-    return ([None if a is None else (a.shape, a.tobytes()) for a in data],
-            fails.code.tobytes(), fails.value.tobytes(), [(str(e), e.span) for e in fails.errors])
+def _bits(arrays, fails):
+    """Arrays and a failure record, as bytes."""
+    return ([(a.shape, a.tobytes()) for a in arrays], fails.code.tobytes(), fails.value.tobytes(),
+            [(str(e), e.span) for e in fails.errors])
 
 
 @pytest.mark.parametrize("order", [0, 1, 2, 3])
@@ -540,16 +544,26 @@ def test_a_graph_map_run_again_equals_a_fresh_one(order, texts, offset):
     def graph():  # parsed afresh, so its expressions have run nowhere yet
         return GraphMap(2, len(texts), GraphMap.from_strings(2, texts).components, offset)
 
+    def run(gm, p):
+        """The jets at p, and for a geometry pass its positions too."""
+        coeffs, fails = jet_stack(gm.components, p, order)
+        if order < 2:
+            return _bits(coeffs, fails)
+        geo = graph_geometry(gm, p, order)
+        vals = coeffs[0].reshape(-1, len(texts)) - np.asarray(offset)
+        assert np.array_equal(geo.X, np.concatenate([p.reshape(-1, 2), vals], -1))
+        return _bits([*coeffs, geo.X], fails)
+
     p1 = np.array([[0.3, -0.2], [-0.5, -0.7], [0.2, 0.1]])
     p2 = np.array([[0.1, 0.4], [0.6, -0.9], [-0.3, 0.2], [0.9, 0.9]])
     p3 = np.array([0.2, 0.6])
     points = [p.copy() for p in (p1, p2, p3)]
     gm = graph()
-    first = gm.jet_rows(p1, order)
-    first_bits = _bits(first)
+    first = jet_stack(gm.components, p1, order)
+    first_bits = _bits(*first)
     for p in (p2, p3, p1):
-        assert _bits(gm.jet_rows(p, order)) == _bits(graph().jet_rows(p, order))
-    assert _bits(first) == first_bits
+        assert run(gm, p) == run(graph(), p)
+    assert _bits(*first) == first_bits
     assert all(np.array_equal(p, q) for p, q in zip((p1, p2, p3), points))
 
 

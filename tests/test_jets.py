@@ -16,9 +16,10 @@ from spacelike.checks import hyperboloid, random_spacelike_graph
 from spacelike.exprparse import (FUNCTIONS, BinOp, Const, DomainError, Unary, Var, eval_values,
                                  parse)
 from spacelike.failures import OK
-from spacelike.graphgeom import GraphMap, fundamental_forms, integrate_geodesic, simons_report
+from spacelike.graphgeom import (GraphMap, fundamental_forms, graph_geometry, integrate_geodesic,
+                                 simons_report)
 from spacelike.grassmann import gauss_map, graph_node_table
-from spacelike.jets import evaluate_jet, finite_diff_check, jet_rows
+from spacelike.jets import evaluate_jet, finite_diff_check, jet_stack
 from spacelike.lagrangian import Potential, node_table
 from spacelike.lattice import Lattice, active_mask, node_points
 
@@ -111,7 +112,8 @@ def test_batch_raises_the_error_of_its_first_failing_point():
     gm = GraphMap(2, 1, (expr,))
     pts = np.array([[1.0, -1.0], [-1.0, 1.0]])
     for fn in (lambda: eval_values(expr, pts), lambda: evaluate_jet(expr, pts),
-               lambda: gm.jet_data(pts), lambda: gauss_map(gm, pts)):
+               lambda: jet_stack(gm.components, pts)[1].raise_first(),
+               lambda: graph_geometry(gm, pts).fails.raise_first(), lambda: gauss_map(gm, pts)):
         with pytest.raises(DomainError, match="log argument out of range") as err:
             fn()
         assert err.value.span == (9, 16)
@@ -120,6 +122,19 @@ def test_batch_raises_the_error_of_its_first_failing_point():
 def test_sqrt_jet_at_zero_rejected():
     with pytest.raises(DomainError):
         evaluate_jet(parse("sqrt(x1)", 1), [0.0])
+
+
+def test_the_dimension_cap_guards_the_derivative_orders():
+    # m = 9 is the boundary data of a 9-dimensional lattice, which has no m
+    # cap; only the derivative blocks, m^3 per point at order 3, are capped
+    m = jets.MAX_DIM + 1
+    expr = parse("+".join(f"x{i}^2" for i in range(1, m + 1)), m)
+    pts = np.arange(2.0 * m).reshape(2, m)
+    assert eval_values(expr, pts[0]) == float(np.sum(pts[0] ** 2))
+    assert np.array_equal(eval_values(expr, pts), np.sum(pts**2, axis=-1))
+    for order in (1, 2, 3):
+        with pytest.raises(ValueError, match=f"dimension {m} exceeds the supported cap"):
+            evaluate_jet(expr, pts, order)
 
 
 @settings(max_examples=60, deadline=None)
@@ -417,12 +432,12 @@ def test_constant_derivatives_are_exact_zeros():
 def test_unread_orders_are_not_checked():
     # the third derivative 2.4e308 overflows; the lower orders do not
     expr = parse("2e307*x1^4", 2)
-    _, fault = jet_rows(expr, [[0.5, 0.0]], order=2)
+    _, fault = jet_stack((expr,), [[0.5, 0.0]], order=2)
     assert fault[0] is None
-    _, fault = jet_rows(expr, [[0.5, 0.0]], order=3)
+    _, fault = jet_stack((expr,), [[0.5, 0.0]], order=3)
     assert "non-finite jet" in str(fault[0])
     for order in (1, 2, 3):
-        _, fault = jet_rows(parse("sqrt(x1)", 1), [[0.0]], order=order)
+        _, fault = jet_stack((parse("sqrt(x1)", 1),), [[0.0]], order=order)
         assert "sqrt argument must be positive" in str(fault[0])
 
 
