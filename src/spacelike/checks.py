@@ -26,7 +26,7 @@ from .graphgeom import (
     fundamental_forms, pseudo_distance, ricci_bound_check, signature, simons_report,
 )
 from .grassmann import SpacelikePlane, distance, hyperbolic_distance_n1, pullback_trace
-from .jets import finite_diff_check
+from .jets import finite_diff_check, jet_stack
 from .lagrangian import (
     Potential, gradient_graph, lagrangian_forms, moduli_curvature, moduli_curvature_oracle,
     to_standard,
@@ -55,7 +55,8 @@ def random_spacelike_graph(rng, m, n, degree=3, point=None, sigma_target=0.5):
     if point is None:
         point = rng.uniform(-0.3, 0.3, size=m)
     raw = [polynomial_string(rng, m, degree) for _ in range(n)]
-    _, A, _, _ = GraphMap.from_strings(m, raw).jet_data(point, 1)
+    (_, A), fails = jet_stack(GraphMap.from_strings(m, raw).components, point, 1)
+    fails.raise_first()
     lam = float(sigma_target / (1.0 + np.linalg.svd(A, compute_uv=False)[0]))
     scaled = [f"({lam!r})*({s})" for s in raw]
     return GraphMap.from_strings(m, scaled), np.asarray(point, dtype=float)

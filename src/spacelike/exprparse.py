@@ -278,14 +278,12 @@ def _operand(node: Expr) -> str:
 # for boundary data on lattices.
 
 def eval_values(node: Expr, points: np.ndarray):
-    """Evaluate at one point (shape (m,)) or a batch (shape (k, m)); raises
-    DomainError outside a function's domain and for a non-finite value, over
-    a batch the error of the first failing point."""
-    from .jets import _taylor  # jets imports this module
+    """Evaluate at one point (shape (m,)) or a batch (shape (k, m)): the
+    order-0 view of ``jets.jet_stack``.  Raises DomainError outside a
+    function's domain and for a non-finite value, over a batch the error of
+    the first failing point."""
+    from .jets import jet_stack  # jets imports this module
 
-    pts = np.asarray(points, dtype=float)
-    with np.errstate(all="ignore"):
-        (out,), fails = _taylor(node, np.atleast_2d(pts), 0)
-    if fails is not None:
-        fails.raise_first()
-    return float(out[0]) if pts.ndim == 1 else np.array(out, dtype=float)
+    (out,), fails = jet_stack((node,), points, 0)
+    fails.raise_first()
+    return float(out[0]) if np.ndim(points) == 1 else out[..., 0]

@@ -3,12 +3,13 @@
 The ambient bilinear form has signature diag(+1 x m, -1 x n) in
 coordinates (x; y); a graph map f: R^m -> R^n immerses via
 X(x) = (x, f(x)).  ``graph_geometry`` evaluates the jets of all components
-in one pass for a batch of points (k, m) (``GraphMap.jet_rows``, through
-``jets.jet_stack``: the coefficients go straight into (k, n, m, ...) arrays
-under one failure record, which is built only when a point fails) and
-builds on them, with a leading batch axis throughout (``...`` in the
-einsums, numpy's stacked eigvalsh, cholesky, inv and det): the induced
-metric, adapted pseudo-orthonormal frames, the second fundamental form h
+in one pass for a batch of points (k, m) (``jets.jet_stack``: the
+coefficients go straight into (k, n, m, ...) arrays under one failure
+record, which is built only when a point fails), subtracts the offset
+from the values for its positions X, and builds on the jets, with a
+leading batch axis throughout (``...`` in the einsums, numpy's stacked
+eigvalsh, cholesky, inv and det): the induced metric, adapted
+pseudo-orthonormal frames, the second fundamental form h
 with mean curvature H and squared norm S.  Nothing in the pass raises:
 each point's first failure, out of the jets' domain, not space-like, or
 with an S or |H| that overflows, is in its record (``Geometry.fails``).
@@ -47,7 +48,7 @@ import numpy as np
 from . import lattice as lat_mod
 from .exprparse import DomainError, eval_values, parse
 from .failures import DEGENERATE, DOMAIN, INDEFINITE, OK, Failures, NotSpacelikeError
-from .jets import jet_rows, jet_stack
+from .jets import jet_stack
 from .lattice import Lattice, LatticeError
 
 SPACELIKE_TOL = 1e-12  # frames and h need the metric's smallest eigenvalue above this
@@ -80,27 +81,9 @@ class GraphMap:
         zero = np.zeros(self.m)
         off = []
         for c in self.components:
-            jet, fails = jet_rows(c, zero, 1)
-            off.append(float(jet.value) if fails.code == OK else eval_values(c, zero))
+            (value, _), fails = jet_stack((c,), zero, 1)
+            off.append(float(value[0]) if fails.code == OK else eval_values(c, zero))
         return dataclasses.replace(self, offset=tuple(off))
-
-    def jet_data(self, x, order: int = 3):
-        """Values f(x) - offset, Jacobian, Hessians and third derivatives of
-        all components, None above ``order``; a batch of points (..., m)
-        leads each result with its shape (...).  Raises the DomainError of
-        the first failing point."""
-        *data, fails = self.jet_rows(x, order)
-        fails.raise_first()
-        return tuple(data)
-
-    def jet_rows(self, x, order: int = 3):
-        """``jet_data`` without raising, plus the failure record of the
-        points: the first component's failure, else the next one's."""
-        # values (..., n), Jacobian (..., n, m), Hessians (..., n, m, m), third (..., n, m, m, m)
-        (vals, *derivs), fails = jet_stack(self.components, x, order)
-        if self.offset is not None:
-            vals -= np.asarray(self.offset)
-        return (vals, *derivs, *[None] * (3 - order), fails)
 
 
 def signature(m: int, n: int) -> np.ndarray:
@@ -269,7 +252,10 @@ def graph_geometry(gm: GraphMap, x, order: int = 3) -> Geometry:
     if order not in (2, 3):
         raise ValueError(f"the geometry pass needs jets of order 2 or 3, not {order!r}")
     pts = np.asarray(x, dtype=float).reshape(-1, gm.m)
-    vals, A, He, Th, fails = gm.jet_rows(pts, order)
+    coeffs, fails = jet_stack(gm.components, pts, order)
+    vals, A, He, Th = (*coeffs, None)[:4]
+    if gm.offset is not None:
+        vals -= np.asarray(gm.offset)
     J, Hss, normals_raw = _graph_immersion(A, He)
     geo = immersion_geometry(J, Hss, signature(gm.m, gm.n), normals_raw)
     geo.fails, geo.X, geo.A, geo.He, geo.Th = (fails.then(geo.fails),
@@ -549,7 +535,7 @@ def _tangent_metric(gm: GraphMap, x: np.ndarray):
     """The Jacobians A of f at points x (..., m) from an order-1 jet, the
     metric I - A^T A of the tangent planes there, and their failure record:
     a DomainError of the jets, then the one definiteness test (INDEFINITE)."""
-    _, A, _, _, fails = gm.jet_rows(x, 1)
+    (_, A), fails = jet_stack(gm.components, x, 1)
     g, _ = _plane_metric(A, INDEFINITE, fails)
     return A, g, fails
 

@@ -32,6 +32,7 @@ from .graphgeom import (
     _plane_metric, _ricci, _ricci_margin, _swap, _take, _tangent_metric, _view, _z_gradient,
     graph_geometry, signature,
 )
+from .jets import jet_stack
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,7 @@ def _plane_in_pass(gm: GraphMap, geo: Geometry, row: int, x: np.ndarray):
     failure in the pass is DOMAIN, where the Hessians may fail or overflow
     and the plane still exist, gets its order-1 jet on its own."""
     if geo.fails.code[row] == DOMAIN:
-        _, A, _, _, fails = gm.jet_rows(x[None], 1)
+        (_, A), fails = jet_stack(gm.components, x[None], 1)
     else:
         A, fails = geo.A[row][None], Failures.clean(1)
     _, min_eig = _plane_metric(A, INDEFINITE, fails)

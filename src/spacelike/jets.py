@@ -4,8 +4,8 @@
 expression to any order k from 0 to 3, propagated by truncated Taylor
 arithmetic, never by finite differences, and carries only the degrees asked
 for (Griewank & Walther, *Evaluating Derivatives*, 2008, ch. 13): order 0
-gives values (``eval_values``), and ``evaluate_jet``/``jet_rows`` take the
-order their caller reads, 3 by default.  For k >= 1 the k + 1 coefficients
+gives values (``eval_values``), and every other caller takes the order it
+reads, 3 by default.  For k >= 1 the k + 1 coefficients
 of an order-k pass are bit-identical to the first k + 1 of an order-3 pass,
 as every product and chain rule forms each degree from the lower ones
 alone (order 0 divides where jets multiply by a reciprocal), and an
@@ -41,15 +41,17 @@ of ``x1`` plus or times the constant, where dense zeros would meet the
 infinite derivatives of sqrt and log (0 * inf = nan); ``sqrt(0)*x1`` still
 fails, as sqrt(0) has no derivative.
 
-``jet_stack`` is the one pass around it, for one expression (``jet_rows``,
-``evaluate_jet``) or the n components of a graph: it stacks the
-expressions' coefficients into one array per order, (..., n), (..., n, m)
-and so on, reads the tensors exactly symmetric from their sorted
-(i <= j <= k) slots, and returns values that are its own.
+``jet_stack`` is the one pass around it, and every jet of the package
+comes from it: for one expression (``eval_values``, its order-0 view, and
+``evaluate_jet``) or the n components of a graph or a potential, it stacks
+the expressions' coefficients into one array per order, (..., n),
+(..., n, m) and so on, reads the tensors exactly symmetric from their
+sorted (i <= j <= k) slots, and returns values that are its own.  Only its
+derivative orders 1 to 3 are capped at m <= ``MAX_DIM``.
 
 A point that leaves a function's domain, or whose computed coefficients
 overflow, is recorded rather than raised, so one evaluation serves a whole
-lattice: ``jet_rows`` returns the failure record (``failures.Failures``)
+lattice: ``jet_stack`` returns the failure record (``failures.Failures``)
 next to the jets, each failing point pointing at the DomainError of its
 subexpression, while ``evaluate_jet`` and ``eval_values`` raise the error of
 the first failing point.  The record is built only when a point fails, and
@@ -72,7 +74,7 @@ import numpy as np
 from .exprparse import BinOp, Const, DomainError, Expr, Pow, Unary, Var, eval_values
 from .failures import OK, Failures
 
-MAX_DIM = 8  # a dense jet holds m^3 third derivatives per point
+MAX_DIM = 8  # a dense jet holds m^3 third derivatives per point; values have no cap
 
 
 # ---------------------------------------------------------------------------
@@ -469,19 +471,19 @@ class Jet3:
 
 
 def jet_stack(exprs, point, order: int = 3) -> tuple:
-    """The one pass behind ``jet_rows`` and a graph's jets: the Taylor data
-    of each of the n expressions ``exprs`` at a point (m,) or a batch of
-    points (..., m), stacked into one array per order, (..., n) for the
-    values, then (..., n, m), (..., n, m, m) and (..., n, m, m, m).  Returns
-    those order + 1 arrays, zero where an expression fails at a point, and
-    the failure record of the points: the first expression's failure, else
-    the next one's."""
+    """The one pass of the package: the Taylor data of each of the n
+    expressions ``exprs`` at a point (m,) or a batch of points (..., m),
+    stacked into one array per order, (..., n) for the values, then
+    (..., n, m), (..., n, m, m) and (..., n, m, m, m).  Returns those
+    order + 1 arrays, zero where an expression fails at a point, and the
+    failure record of the points: the first expression's failure, else the
+    next one's."""
     x = np.asarray(point, dtype=float)
     shape, m = x.shape[:-1], x.shape[-1]
-    if m > MAX_DIM:
-        raise ValueError(f"dimension {m} exceeds the supported cap {MAX_DIM}")
     if order not in (0, 1, 2, 3):
         raise ValueError(f"jet order must be 0 to 3, not {order!r}")
+    if order and m > MAX_DIM:
+        raise ValueError(f"dimension {m} exceeds the supported cap {MAX_DIM}")
     # One point runs as a batch of one: numpy scalars and arrays round some
     # operations (u ** p, for one) differently, and rows must match batches.
     pts = x.reshape(-1, m)
@@ -515,14 +517,6 @@ def jet_stack(exprs, point, order: int = 3) -> tuple:
     return out, Failures.clean(shape) if fails is None else fails
 
 
-def jet_rows(expr: Expr, point, order: int = 3) -> tuple:
-    """``evaluate_jet`` without raising: the jet, zero at the points that
-    fail, and the failure record of the points."""
-    coeffs, fails = jet_stack((expr,), point, order)
-    value, *derivs = (c.squeeze(-1 - j) for j, c in enumerate(coeffs))
-    return Jet3(value[()], *derivs), fails
-
-
 def evaluate_jet(expr: Expr, point, order: int = 3) -> Jet3:
     """Exact Taylor data of ``expr`` to ``order`` (0 to 3) at a point (shape
     (m,)) or a batch of points (shape (..., m)), up to rounding.
@@ -532,9 +526,10 @@ def evaluate_jet(expr: Expr, point, order: int = 3) -> Jet3:
     error of the first failing point, which is what that point raises on its
     own.
     """
-    jet, fails = jet_rows(expr, point, order)
+    coeffs, fails = jet_stack((expr,), point, order)
     fails.raise_first()
-    return jet
+    value, *derivs = (c.squeeze(-1 - j) for j, c in enumerate(coeffs))
+    return Jet3(value[()], *derivs)
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,12 @@ g^{-1}) and via an intrinsic Christoffel oracle for cross-checking.
 
 The per-point functions (gradient_graph, ma_residual, lagrangian_forms,
 moduli_curvature, moduli_curvature_oracle, to_standard) take a point (m,)
-or a batch (k, m) and evaluate the jets of F once for the batch (plus once
-for the 2m shifted points of the oracle's finite differences); a batch gets
-batched records or the exception of its first failing point.
+or a batch (k, m) and evaluate the jets of F once for the batch, one
+``jets.jet_stack`` pass (plus one for the 2m shifted points of the oracle's
+finite differences, of which only the third derivatives are read); the
+gradient graph holds F's gradient and Hessian, and the third derivatives
+travel beside it as a plain array.  A batch gets batched records or the
+exception of its first failing point.
 
 to_standard() changes coordinates by the linear isometry
 (x, y) -> ((x+y)/2, (x-y)/2), which takes Q to diag(+1^m, -1^m), so the
@@ -34,7 +37,7 @@ from .graphgeom import (
     Geometry, _filled, _metric_inverse, _take, _view, immersion_geometry, riemann_from_metric,
     signature,
 )
-from .jets import jet_rows
+from .jets import jet_stack
 
 
 ORACLE_FD_STEP = 1e-4  # central-difference step of the moduli-curvature oracle
@@ -66,25 +69,26 @@ class GradientGraphPoint:
 @np.errstate(over="ignore")  # det Hess F may overflow to inf, which the node table writes as nan
 def _gradient_graph(P: Potential, x):
     """The one batched pass of a potential at a point (m,) or points (k, m):
-    the gradient graph, the points (k, m), the jets of F there (zero where
-    they fail) and the failure record: a DomainError of the jets, then
-    ``graphgeom._definite`` on the Hessian metric (a DomainError or NOT_CONVEX)."""
+    the gradient graph, the points (k, m), F's third derivatives there (zero
+    where the jets fail) and the failure record: a DomainError of the jets,
+    then ``graphgeom._definite`` on the Hessian metric (a DomainError or NOT_CONVEX)."""
     pts = np.asarray(x, dtype=float).reshape(-1, P.m)
-    jet, fails = jet_rows(P.F, pts)
-    g = jet.hess
+    (_, grad, hess, third), fails = jet_stack((P.F,), pts)
+    g = hess[:, 0]
     min_eig, g_inv = _metric_inverse(g, NOT_CONVEX, fails)
-    gg = GradientGraphPoint(point=np.concatenate([pts, jet.grad], axis=-1), metric=g,
+    gg = GradientGraphPoint(point=np.concatenate([pts, grad[:, 0]], axis=-1), metric=g,
                             metric_inv=g_inv, det=np.linalg.det(g), min_eig=min_eig,
                             convex=min_eig > 0.0)
-    return gg, pts, jet, fails
+    return gg, pts, third[:, 0], fails
 
 
 def _shifted_jets(P: Potential, pts: np.ndarray, step: float):
-    """Jets at the points pts +- step e_l, stacked (k, 2m, ...), and per
-    point the failure of the first of its 2m shifted points that fails."""
+    """Third derivatives of F at the points pts +- step e_l, (k, 2m, m, m, m),
+    and per point the failure of the first of its 2m shifted points that fails."""
     shifts = step * np.eye(P.m)
-    jet, fails = jet_rows(P.F, np.concatenate([pts[:, None] + shifts, pts[:, None] - shifts], 1))
-    return jet, fails.first_along(1)
+    shifted = np.concatenate([pts[:, None] + shifts, pts[:, None] - shifts], 1)
+    (*_, third), fails = jet_stack((P.F,), shifted)
+    return third[:, :, 0], fails.first_along(1)
 
 
 def gradient_graph(P: Potential, x) -> GradientGraphPoint:
@@ -116,15 +120,14 @@ def lagrangian_forms(P: Potential, x) -> LagrangianForms:
     with g = det Hess F.  Frame-invariant norms:
     S = 1/4 g^{ik} g^{jl} g^{ab} F_ija F_klb and |H|^2 = g_pq H^p H^q.
     """
-    gg, _, jet, fails = _gradient_graph(P, x)
+    gg, _, third, fails = _gradient_graph(P, x)
     fails.raise_first()
-    return _view(x, LagrangianForms(*_lagrangian_forms(P, jet, gg)))
+    return _view(x, LagrangianForms(*_lagrangian_forms(P, third, gg)))
 
 
-def _lagrangian_forms(P: Potential, jet, gg: GradientGraphPoint):
-    """B_coeff, H_coeff, S and H_norm at every point, from the jets."""
+def _lagrangian_forms(P: Potential, T: np.ndarray, gg: GradientGraphPoint):
+    """B_coeff, H_coeff, S and H_norm at every point, from F's third derivatives T."""
     g, g_inv = gg.metric, gg.metric_inv
-    T = jet.third
     B = -0.5 * np.einsum("...ijl,...lk->...ijk", T, g_inv)
     # d_l ln det g = g^{ij} F_ijl  (Jacobi)
     dlog = np.einsum("...ij,...ijl->...l", g_inv, T)
@@ -147,14 +150,14 @@ def null_to_standard_matrix(m: int) -> np.ndarray:
 def to_standard(P: Potential, x) -> Geometry:
     """The Geometry of the same gradient graph as an ordinary space-like
     immersion in standard coordinates of signature diag(+1^m, -1^m)."""
-    gg, _, jet, fails = _gradient_graph(P, x)
+    gg, _, third, fails = _gradient_graph(P, x)
     g, m = gg.metric, P.m
     T = null_to_standard_matrix(m)
     eye = np.broadcast_to(np.eye(m), g.shape)
     # null-coordinate rows e_i = d_i + F_ij d_{y^j} and n_i = d_i - F_ij d_{y^j},
     # each taken to standard coordinates by T
     J = np.concatenate([eye, g], axis=-1) @ T.T
-    Hss = np.concatenate([np.zeros(g.shape + (m,)), jet.third], axis=-1) @ T.T
+    Hss = np.concatenate([np.zeros(g.shape + (m,)), third], axis=-1) @ T.T
     normals = np.concatenate([eye, -g], axis=-1) @ T.T
     geo = immersion_geometry(J, Hss, signature(m, m), normals)
     return _view(x, geo, fails.then(geo.fails))
@@ -187,9 +190,9 @@ def moduli_curvature_arrays(g: np.ndarray, g_inv: np.ndarray, third: np.ndarray)
 
 
 def moduli_curvature(P: Potential, x) -> ModuliCurvature:
-    gg, _, jet, fails = _gradient_graph(P, x)
+    gg, _, third, fails = _gradient_graph(P, x)
     fails.raise_first()
-    return _view(x, moduli_curvature_arrays(gg.metric, gg.metric_inv, jet.third))
+    return _view(x, moduli_curvature_arrays(gg.metric, gg.metric_inv, third))
 
 
 def moduli_curvature_oracle(P: Potential, x) -> np.ndarray:
@@ -202,18 +205,18 @@ def moduli_curvature_oracle(P: Potential, x) -> np.ndarray:
     combination.  Raises what ``moduli_curvature`` raises, then a
     DomainError at a shifted point.
     """
-    _, pts, jet, fails = _gradient_graph(P, x)
+    gg, pts, third, fails = _gradient_graph(P, x)
     shifted, shift_fails = _shifted_jets(P, pts, ORACLE_FD_STEP)
     fails.then(shift_fails).raise_first()
-    return _view(x, _moduli_oracle(P, jet, shifted))
+    return _view(x, _moduli_oracle(P, gg, third, shifted))
 
 
-def _moduli_oracle(P: Potential, jet, shifted) -> np.ndarray:
+def _moduli_oracle(P: Potential, gg: GradientGraphPoint, third, shifted) -> np.ndarray:
     m = P.m
-    dg = np.einsum("...ijp->...pij", jet.third)
-    diff = (shifted.third[:, :m] - shifted.third[:, m:]) / (2 * ORACLE_FD_STEP)
+    dg = np.einsum("...ijp->...pij", third)
+    diff = (shifted[:, :m] - shifted[:, m:]) / (2 * ORACLE_FD_STEP)
     ddg = np.einsum("...pijq->...pqij", diff)  # ddg[p,q,i,j] = d_p d_q g_ij
-    return riemann_from_metric(jet.hess, dg, ddg)
+    return riemann_from_metric(gg.metric, dg, ddg)
 
 
 # ---------------------------------------------------------------------------
@@ -228,11 +231,11 @@ def node_table(P: Potential, pts: np.ndarray, oracle: bool) -> tuple[np.ndarray,
     relative deviation of the moduli curvature from its Christoffel oracle.
     """
     k = pts.shape[0]
-    gg, _, jet, fails = _gradient_graph(P, pts)
+    gg, _, third, fails = _gradient_graph(P, pts)
     convex = np.flatnonzero(fails.code == OK)
-    jet_c, gg_c = _take(jet, convex), _take(gg, convex)
-    _, _, S, H_norm = _lagrangian_forms(P, jet_c, gg_c)
-    mc = moduli_curvature_arrays(gg_c.metric, gg_c.metric_inv, jet_c.third)
+    third_c, gg_c = third[convex], _take(gg, convex)
+    _, _, S, H_norm = _lagrangian_forms(P, third_c, gg_c)
+    mc = moduli_curvature_arrays(gg_c.metric, gg_c.metric_inv, third_c)
 
     clean = fails.code != DOMAIN
     cols = {
@@ -246,7 +249,7 @@ def node_table(P: Potential, pts: np.ndarray, oracle: bool) -> tuple[np.ndarray,
     }
     if oracle:
         shifted, shift_fails = _shifted_jets(P, pts[convex], ORACLE_FD_STEP)
-        ref = _moduli_oracle(P, jet_c, shifted)
+        ref = _moduli_oracle(P, gg_c, third_c, shifted)
         axes = (-4, -3, -2, -1)
         scale = np.maximum(np.max(np.abs(ref), axis=axes), 1e-10)
         err = np.max(np.abs(mc.riemann - ref), axis=axes) / scale
