@@ -30,8 +30,8 @@ import numpy as np
 from . import lattice as lat_mod
 from .exprparse import DomainError, Expr, eval_values
 from .graphgeom import (
-    GraphMap, _check_base_point, _take, _tangent_metric, graph_geometry, integrate_geodesic,
-    pseudo_distance,
+    GraphMap, _check_base_point, _points, _take, _tangent_metric, graph_geometry,
+    integrate_geodesic, pseudo_distance,
 )
 from .grassmann import SpacelikePlane, _distances, _plane_in_pass
 from .lattice import Lattice, LatticeError
@@ -285,7 +285,7 @@ def completeness_probe(gm: GraphMap, directions, T: float, n_samples: int = 200,
     _check_base_point(gm)
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
-    m, directions = gm.m, np.array(directions, dtype=float).reshape(-1, gm.m)
+    m, directions = gm.m, _points(np.array(directions, dtype=float), gm.m)
     sol = integrate_geodesic(gm, np.zeros(m), directions, (0.0, T),
                              region_halfwidth=region_halfwidth)
     ts = np.linspace(0.0, sol.t_end, n_samples + 1, axis=1)[:, 1:]

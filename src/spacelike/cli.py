@@ -113,20 +113,24 @@ _POTENTIAL = ("potential", Rule("a potential", lambda c: c["potential"] is not N
 _LATTICE = ("lattice", Rule("a lattice of dimension {m}",
                             lambda c: c["lattice"] is not None and c["lattice"].m == c["m"]))
 _JETS = ("m", Rule(f"m <= {MAX_DIM}", lambda c: c["m"] <= MAX_DIM))  # the jets' dimension cap
+# only lagrangian has an oracle column; elsewhere the flag would change nothing
+_NO_ORACLE = ("oracle", Rule("oracle false", lambda c: not c["oracle"]))
 
 # command -> what it needs beyond the defaults, as (path, rule on the job)
 REQUIRES = {
     "analyze": (_JETS, ("components", Rule("{n} expressions",
-                                           lambda c: len(c["components"]) == c["n"])), _LATTICE),
+                                           lambda c: len(c["components"]) == c["n"])), _LATTICE,
+                _NO_ORACLE),
     "lagrangian": (_JETS, _POTENTIAL, _LATTICE),
-    "solve-maximal": (_ONE_COMPONENT, _LATTICE),
-    "solve-ma": (_POTENTIAL, _LATTICE),
+    "solve-maximal": (_ONE_COMPONENT, _LATTICE, _NO_ORACLE),
+    "solve-ma": (_POTENTIAL, _LATTICE, _NO_ORACLE),
     "scan": (_ONE_COMPONENT, ("radii", Rule("at least one radius", lambda c: len(c["radii"]) > 0)),
              ("m", Rule("m = 2", lambda c: c["m"] == 2)),
              ("scan.spacing", Rule(f"at most {_SCAN_AXIS} nodes per axis", lambda c: (
                  c["scan.policy"] == "fixed-nodes"
-                 or _axis_nodes(2 * c["radii"][-1], c["scan.spacing"]) <= _SCAN_AXIS)))),
-    "check": (),
+                 or _axis_nodes(2 * c["radii"][-1], c["scan.spacing"]) <= _SCAN_AXIS))),
+             _NO_ORACLE),
+    "check": (_NO_ORACLE,),
 }
 
 

@@ -157,6 +157,15 @@ def _filled(size: int, rows, values) -> np.ndarray:
     return out
 
 
+def _points(x, m: int) -> np.ndarray:
+    """x, a point (m,) or a batch (..., m), as points (k, m); raises
+    ValueError when its last axis is not m long."""
+    pts = np.asarray(x, dtype=float)
+    if pts.ndim == 0 or pts.shape[-1] != m:
+        raise ValueError(f"a point must have m = {m} coordinates, got shape {pts.shape}")
+    return pts.reshape(-1, m)
+
+
 def _view(x, value, fails: Failures = None):
     """What a per-point function returns at ``x``, a point (m,) or a batch
     (k, m): the error of the first failing point of ``fails``, else
@@ -251,7 +260,7 @@ def graph_geometry(gm: GraphMap, x, order: int = 3) -> Geometry:
     first in ``fails``."""
     if order not in (2, 3):
         raise ValueError(f"the geometry pass needs jets of order 2 or 3, not {order!r}")
-    pts = np.asarray(x, dtype=float).reshape(-1, gm.m)
+    pts = _points(x, gm.m)
     coeffs, fails = jet_stack(gm.components, pts, order)
     vals, A, He, Th = (*coeffs, None)[:4]
     if gm.offset is not None:
@@ -599,10 +608,10 @@ def integrate_geodesic(gm: GraphMap, x0, v0, t_span, *,
     t, t_stop = t_span
     if not (np.isfinite(t) and np.isfinite(t_stop) and t < t_stop):
         raise ValueError(f"t_span must be finite and increasing, got {tuple(t_span)}")
-    v0 = np.atleast_2d(np.asarray(v0, dtype=float))
+    v0 = _points(v0, gm.m)
     if not (np.all(np.isfinite(v0)) and np.all(np.any(v0 != 0.0, axis=-1))):
         raise ValueError("each v0 must be finite and nonzero")
-    x0 = np.broadcast_to(np.asarray(x0, dtype=float), v0.shape)
+    x0 = np.broadcast_to(_points(x0, gm.m), v0.shape)
     if not np.all(np.isfinite(x0)):
         raise ValueError("x0 must be finite")
     if not np.all(np.abs(x0) <= region_halfwidth):

@@ -29,8 +29,8 @@ from .exprparse import DomainError
 from .failures import DOMAIN, INDEFINITE, OK, PLANE, STATUS, Failures
 from .graphgeom import (
     SPACELIKE_TOL, Geometry, GraphMap, NotSpacelikeError, _extremal_residual, _filled,
-    _plane_metric, _ricci, _ricci_margin, _swap, _take, _tangent_metric, _view, _z_gradient,
-    graph_geometry, signature,
+    _plane_metric, _points, _ricci, _ricci_margin, _swap, _take, _tangent_metric, _view,
+    _z_gradient, graph_geometry, signature,
 )
 from .jets import jet_stack
 
@@ -48,7 +48,7 @@ class SpacelikePlane:
 def gauss_map(gm: GraphMap, x) -> SpacelikePlane:
     """Tangent plane of the graph at a point x (m,), or the planes at a batch
     of points (k, m)."""
-    return _view(x, *_gauss_map(gm, np.asarray(x, dtype=float).reshape(-1, gm.m)))
+    return _view(x, *_gauss_map(gm, _points(x, gm.m)))
 
 
 def _gauss_map(gm: GraphMap, pts: np.ndarray):
@@ -154,7 +154,7 @@ def _pullback(gm: GraphMap, x, V: np.ndarray):
     failing rung's Gauss map, then the first failing rung's distance.  One
     geometry pass at the points gives the frames, h and the Gauss map there,
     and one jet pass gives the Gauss map at every rung of every direction."""
-    pts = np.asarray(x, dtype=float).reshape(-1, gm.m)
+    pts = _points(x, gm.m)
     k, m = pts.shape
     geo = graph_geometry(gm, pts, 2)
     # coordinate displacement of each unit frame vector (0 where there is no frame)
@@ -180,7 +180,7 @@ def max_modulus(gm: GraphMap, samples, ref: SpacelikePlane) -> float:
     samples = np.asarray(list(samples), dtype=float)
     if not samples.size:
         raise ValueError("max_modulus needs a nonempty sample list")
-    plane, fails = _gauss_map(gm, samples.reshape(-1, gm.m))
+    plane, fails = _gauss_map(gm, _points(samples, gm.m))
     d, d_fails = _distances(plane, ref)
     fails.then(d_fails).raise_first()
     return float(np.max(d))

@@ -34,8 +34,8 @@ import numpy as np
 from .exprparse import Expr, parse
 from .failures import DOMAIN, NOT_CONVEX, OK, STATUS, NotConvexError  # noqa: F401 (re-exported)
 from .graphgeom import (
-    Geometry, _filled, _metric_inverse, _take, _view, immersion_geometry, riemann_from_metric,
-    signature,
+    Geometry, _filled, _metric_inverse, _points, _take, _view, immersion_geometry,
+    riemann_from_metric, signature,
 )
 from .jets import jet_stack
 
@@ -72,7 +72,7 @@ def _gradient_graph(P: Potential, x):
     the gradient graph, the points (k, m), F's third derivatives there (zero
     where the jets fail) and the failure record: a DomainError of the jets,
     then ``graphgeom._definite`` on the Hessian metric (a DomainError or NOT_CONVEX)."""
-    pts = np.asarray(x, dtype=float).reshape(-1, P.m)
+    pts = _points(x, P.m)
     (_, grad, hess, third), fails = jet_stack((P.F,), pts)
     g = hess[:, 0]
     min_eig, g_inv = _metric_inverse(g, NOT_CONVEX, fails)

@@ -15,14 +15,16 @@ from hypothesis import strategies as st
 from conftest import polynomial_string, random_spacelike_graph
 from test_exprparse import _exprs
 
+from spacelike.bernstein import completeness_probe
 from spacelike.checks import frame_residual
 from spacelike.exprparse import BinOp, DomainError, parse
 from spacelike.failures import OK
 from spacelike.graphgeom import (
     SPACELIKE_TOL, GraphMap, NotSpacelikeError, _take, covariant_h, curvature, extremal_residual,
-    frame_riemann_oracle, fundamental_forms, induced_metric, pseudo_distance, ricci_bound_check,
+    frame_riemann_oracle, fundamental_forms, graph_geometry, induced_metric, integrate_geodesic,
+    pseudo_distance, ricci_bound_check,
 )
-from spacelike.grassmann import distance, gauss_map, graph_node_table, pullback_check
+from spacelike.grassmann import distance, gauss_map, graph_node_table, max_modulus, pullback_check
 from spacelike.jets import _taylor, jet_stack
 from spacelike.lagrangian import (
     NotConvexError, Potential, gradient_graph, lagrangian_forms, ma_residual, moduli_curvature,
@@ -147,6 +149,37 @@ def test_pullback_check_takes_a_batch():
     assert rep.quotients.shape == (2, 3) and rep.rel_error.shape == (2,)
     for row, p in enumerate(pts):
         assert _same(_take(rep, row), pullback_check(gm, p, [1.0, 2.0]))
+
+
+_PLANE_AT_0 = gauss_map(GraphMap.from_strings(2, ["0.3*x1*x2"]), [0.0, 0.0])
+# each entry point that takes points of the m = 2 graph 0.3*x1*x2 or the
+# m = 2 potential below, called with x in place of one of them
+WRONG_DIMENSION_CALLS = {
+    "graph_geometry": lambda gm, P, x: graph_geometry(gm, x),
+    "fundamental_forms": lambda gm, P, x: fundamental_forms(gm, x),
+    "gauss_map": lambda gm, P, x: gauss_map(gm, x),
+    "pullback_check": lambda gm, P, x: pullback_check(gm, x, 0),
+    "max_modulus": lambda gm, P, x: max_modulus(gm, x, _PLANE_AT_0),
+    "gradient_graph": lambda gm, P, x: gradient_graph(P, x),
+    "moduli_curvature": lambda gm, P, x: moduli_curvature(P, x),
+    "integrate_geodesic-x0": lambda gm, P, x: integrate_geodesic(
+        gm, x, np.ones(np.shape(x)[:-1] + (2,)), (0.0, 1.0)),
+    "integrate_geodesic-v0": lambda gm, P, x: integrate_geodesic(gm, [0.1, 0.2], x, (0.0, 1.0)),
+    "completeness_probe": lambda gm, P, x: completeness_probe(gm, x, T=1.0),
+}
+
+
+@pytest.mark.parametrize("x", [[0.5, 0.5, 0.1, 0.1], [0.5, 0.5, 9.0, 9.0],
+                               [[0.1, 0.2, 0.3], [0.0, 0.1, -0.2], [0.3, 0.0, 0.1]]],
+                         ids=["2m-point", "2m-point-far", "batch-of-m+1"])
+@pytest.mark.parametrize("call", WRONG_DIMENSION_CALLS.values(), ids=WRONG_DIMENSION_CALLS.keys())
+def test_a_point_of_the_wrong_dimension_is_refused(call, x):
+    # reshaped to (-1, m), a (2m,) point was read as two points and a
+    # (k, m + 1) batch as other points, or as a point of dimension m + 1
+    gm = GraphMap.from_strings(2, ["0.3*x1*x2"])
+    P = Potential.from_string(2, "0.5*x1^2+0.5*x2^2+0.1*x1^3")
+    with pytest.raises(ValueError, match=r"m = 2 coordinates, got shape \((4,|3, 3)\)"):
+        call(gm, P, np.array(x))
 
 
 def _random_potential(rng, m: int) -> Potential:

@@ -405,7 +405,7 @@ def test_probe_region_exits_are_cheap_and_exact(probe_calls):
         assert abs(rep.t[-1] - t_exit) <= 5e-9
         # the samples after the first exit come from the restarted segments
         assert np.max(np.abs(rep.z - rep.t**2)) <= 1e-6
-    assert probe_calls["jet_stack"] <= 300
+    assert probe_calls["jet_stack"] <= 200
     # one call, then one restart at each exit that leaves a direction running
     assert probe_calls["solve_ivp"] == len(set(exits))
 

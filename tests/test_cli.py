@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 from types import SimpleNamespace as NS
 
 import numpy as np
@@ -655,6 +656,33 @@ def test_hostile_config_values_exit_1(tmp_path, capsys, argv, payload, path):
     assert capsys.readouterr().err.startswith(f"config error: {path}: ")
 
 
+@pytest.mark.parametrize("command, job", [
+    ("analyze", lambda p: None), ("solve-maximal", lambda p: None), ("solve-ma", _potential_job),
+    ("scan", _scan_job), ("check", lambda p: None),
+], ids=["analyze", "solve-maximal", "solve-ma", "scan", "check"])
+def test_only_lagrangian_takes_the_oracle(tmp_path, capsys, command, job):
+    # the flag and the config key are refused alike, before any file is
+    # written; "oracle": false, the default, is accepted
+    out = tmp_path / "r.out"
+    for key, flags in ((None, ["--oracle"]), (True, []), (True, ["--oracle"])):
+        cfg = write_config(tmp_path, "cfg.json", _hostile(lambda p: (job(p), p.update(oracle=key))))
+        assert run_cli([command, "--config", cfg, "--out", str(out)] + flags) == 1
+        assert capsys.readouterr().err == f"config error: oracle: {command} needs oracle false\n"
+        assert not out.exists()
+    cfg = write_config(tmp_path, "cfg.json", _hostile(lambda p: (job(p), p.update(oracle=False))))
+    assert run_cli([command, "--config", cfg, "--out", str(out)]) == 0
+    assert out.exists()
+
+
+def test_lagrangian_reads_the_oracle_key(tmp_path):
+    cfg = write_config(tmp_path, "cfg.json", _hostile(lambda p: (_potential_job(p),
+                                                                 p.update(oracle=True))))
+    for flags in ([], ["--oracle"]):
+        out = tmp_path / "l.csv"
+        assert run_cli(["lagrangian", "--config", cfg, "--out", str(out)] + flags) == 0
+        assert "riemann_oracle_err" in out.read_text().split("\n")[0]
+
+
 def test_unwritable_out_exits_1(tmp_path, capsys):
     cfg = analyze_config(tmp_path, str(tmp_path / "missing" / "r.csv"))
     assert run_cli(["analyze", "--config", cfg]) == 1
@@ -684,7 +712,7 @@ def test_cli_imports_only_public_names():
     def private(name):
         return name.startswith("_") and not name.endswith("__")
 
-    tree = ast.parse(open(cli_mod.__file__).read())
+    tree = ast.parse(Path(cli_mod.__file__).read_text())
     found, modules = [], set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("spacelike")):

@@ -132,6 +132,7 @@ def test_the_dimension_cap_guards_the_derivative_orders():
     pts = np.arange(2.0 * m).reshape(2, m)
     assert eval_values(expr, pts[0]) == float(np.sum(pts[0] ** 2))
     assert np.array_equal(eval_values(expr, pts), np.sum(pts**2, axis=-1))
+    assert np.array_equal(evaluate_jet(expr, pts, 0).value, eval_values(expr, pts))
     for order in (1, 2, 3):
         with pytest.raises(ValueError, match=f"dimension {m} exceeds the supported cap"):
             evaluate_jet(expr, pts, order)
