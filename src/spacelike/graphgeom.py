@@ -19,9 +19,10 @@ graph's, the tangent planes' I - A^T A (``_tangent_metric``) and Hess F.
 The per-point functions (induced_metric, fundamental_forms for the frames
 and h, curvature, ricci_bound_check, extremal_residual, frame_riemann_oracle,
 covariant_h, pseudo_distance) are views of that pass.  Each takes a point
-(m,) or a batch (k, m): a point runs as a batch of one and gets back its
-row; a batch gets the batched record, or the exception of its first
-failing point, which is what that point raises on its own.  The module also gives the
+(m,) or a batch (k, m), and ``_points`` refuses any other last axis: a
+point runs as a batch of one and gets back its row; a batch gets the
+batched record, or the exception of its first failing point, which is
+what that point raises on its own.  The module also gives the
 Simons-type slack report over a lattice and unit-speed geodesics of the
 induced metric (a batch of directions as one ODE), both on the graph's
 closed-form Christoffel symbols Gamma_{l,ij} = -sum_s f^s_l f^s_ij.

@@ -151,7 +151,6 @@ def test_pullback_check_takes_a_batch():
         assert _same(_take(rep, row), pullback_check(gm, p, [1.0, 2.0]))
 
 
-_PLANE_AT_0 = gauss_map(GraphMap.from_strings(2, ["0.3*x1*x2"]), [0.0, 0.0])
 # each entry point that takes points of the m = 2 graph 0.3*x1*x2 or the
 # m = 2 potential below, called with x in place of one of them
 WRONG_DIMENSION_CALLS = {
@@ -159,7 +158,7 @@ WRONG_DIMENSION_CALLS = {
     "fundamental_forms": lambda gm, P, x: fundamental_forms(gm, x),
     "gauss_map": lambda gm, P, x: gauss_map(gm, x),
     "pullback_check": lambda gm, P, x: pullback_check(gm, x, 0),
-    "max_modulus": lambda gm, P, x: max_modulus(gm, x, _PLANE_AT_0),
+    "max_modulus": lambda gm, P, x: max_modulus(gm, x, gauss_map(gm, [0.0, 0.0])),
     "gradient_graph": lambda gm, P, x: gradient_graph(P, x),
     "moduli_curvature": lambda gm, P, x: moduli_curvature(P, x),
     "integrate_geodesic-x0": lambda gm, P, x: integrate_geodesic(

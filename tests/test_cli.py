@@ -664,7 +664,7 @@ def test_only_lagrangian_takes_the_oracle(tmp_path, capsys, command, job):
     # the flag and the config key are refused alike, before any file is
     # written; "oracle": false, the default, is accepted
     out = tmp_path / "r.out"
-    for key, flags in ((None, ["--oracle"]), (True, []), (True, ["--oracle"])):
+    for key, flags in ((None, ["--oracle"]), (True, [])):
         cfg = write_config(tmp_path, "cfg.json", _hostile(lambda p: (job(p), p.update(oracle=key))))
         assert run_cli([command, "--config", cfg, "--out", str(out)] + flags) == 1
         assert capsys.readouterr().err == f"config error: oracle: {command} needs oracle false\n"
@@ -677,10 +677,9 @@ def test_only_lagrangian_takes_the_oracle(tmp_path, capsys, command, job):
 def test_lagrangian_reads_the_oracle_key(tmp_path):
     cfg = write_config(tmp_path, "cfg.json", _hostile(lambda p: (_potential_job(p),
                                                                  p.update(oracle=True))))
-    for flags in ([], ["--oracle"]):
-        out = tmp_path / "l.csv"
-        assert run_cli(["lagrangian", "--config", cfg, "--out", str(out)] + flags) == 0
-        assert "riemann_oracle_err" in out.read_text().split("\n")[0]
+    out = tmp_path / "l.csv"
+    assert run_cli(["lagrangian", "--config", cfg, "--out", str(out)]) == 0
+    assert "riemann_oracle_err" in out.read_text().split("\n")[0]
 
 
 def test_unwritable_out_exits_1(tmp_path, capsys):
