@@ -11,7 +11,7 @@ import spacelike.graphgeom as graphgeom
 from conftest import random_spacelike_graph
 from spacelike.checks import codazzi_symmetry, frame_residual, gauss_equation, hyperboloid
 from spacelike.exprparse import DomainError, eval_values, pretty
-from spacelike.failures import DOMAIN, Failures
+from spacelike.failures import DEGENERATE, DOMAIN, INDEFINITE, OK, Failures
 from spacelike.graphgeom import (
     SPACELIKE_TOL, BasePointError, GraphMap, NotSpacelikeError, covariant_h,
     curvature, extremal_residual, first_bianchi_residual, fundamental_forms, graph_geometry,
@@ -90,6 +90,67 @@ def test_frames_random_linear():
         ]
         gm = GraphMap.from_strings(m, comps)
         assert frame_residual(gm, rng.uniform(-1, 1, size=m)) <= 1e-12
+
+
+def _generic_route(gm, x):
+    """The order-2 pass of a graph by the generic immersion route: the
+    parameter derivatives J = [I, A^T], Hss = [0, He] and the normals
+    [A, I] through ``immersion_geometry``, after the jets' failures."""
+    pts = np.reshape(x, (-1, gm.m))
+    (_, A, He), fails = jet_stack(gm.components, pts, 2)
+    (n, m), k = A.shape[-2:], len(pts)
+    J = np.concatenate([np.broadcast_to(np.eye(m), (k, m, m)), np.swapaxes(A, -1, -2)], axis=-1)
+    Hss = np.concatenate([np.zeros((k, m, m, m)), np.moveaxis(He, -3, -1)], axis=-1)
+    normals = np.concatenate([A, np.broadcast_to(np.eye(n), (k, n, n))], axis=-1)
+    geo = graphgeom.immersion_geometry(J, Hss, signature(m, n), normals)
+    geo.fails = fails.then(geo.fails)
+    return geo
+
+
+def _agree(a, b, rel=1e-12):
+    """Equal non-finite entries in the same places, finite ones within ``rel``
+    of the largest finite magnitude of ``a``."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert a.shape == b.shape
+    fin = np.isfinite(a)
+    assert np.array_equal(fin, np.isfinite(b)) and np.array_equal(a[~fin], b[~fin], equal_nan=True)
+    assert np.all(np.abs(a[fin] - b[fin]) <= rel * np.max(np.abs(a[fin]), initial=0.0))
+
+
+GRAPH_FORM_FIELDS = ("g", "g_inv", "det_g", "min_eig", "spacelike", "tangent_coeff", "tangent",
+                     "normal_coeff", "normal", "h", "H", "H_norm", "S")
+DEGENERATE_SLOPE = float(np.sqrt(1.0 - 5e-13))  # 0 < 1 - c^2 <= SPACELIKE_TOL
+
+
+def _graph_form_cases():
+    """(graph, points, the codes of their first failures, or None for any):
+    random space-like graphs with m = 1-4 and n = 1-3 at a batch and at a
+    single point, and hand-made rows that fail each check of the pass."""
+    rng = np.random.default_rng(33)
+    for m in range(1, 5):
+        for n in range(1, 4):
+            gm, x = random_spacelike_graph(rng, m, n)
+            yield gm, x + rng.uniform(-0.2, 0.2, size=(4, m)), None
+            yield gm, x, None
+    mixed = GraphMap.from_strings(2, ["0.3*x1*x2 + sqrt(x1 + 1)", "x1^2 - 0.2*x2"])
+    yield mixed, [[0.1, 0.2], [-2.0, 0.0], [1.5, 0.0]], [OK, DOMAIN, INDEFINITE]
+    degenerate = GraphMap.from_strings(2, [f"{DEGENERATE_SLOPE!r}*x1 + 0.1*x2^2"])
+    yield degenerate, [[0.3, 0.0], [0.0, 0.0]], [DEGENERATE, DEGENERATE]
+    yield degenerate, [0.3, 0.0], [DEGENERATE]
+    overflow = GraphMap.from_strings(2, ["1e200*x1 + x2^2", "0.5*x2"])
+    yield overflow, [[0.1, 0.1], [0.0, -0.2]], [DOMAIN, DOMAIN]
+
+
+def test_graph_pass_equals_the_generic_route():
+    for gm, x, codes in _graph_form_cases():
+        geo, oracle = graph_geometry(gm, x, 2), _generic_route(gm, x)
+        for name in GRAPH_FORM_FIELDS:
+            _agree(getattr(oracle, name), getattr(geo, name))
+        assert np.array_equal(geo.fails.code, oracle.fails.code)
+        assert np.array_equal(geo.fails.value, oracle.fails.value, equal_nan=True)
+        assert [(type(e), str(e)) for e in geo.fails.errors] == [
+            (type(e), str(e)) for e in oracle.fails.errors]
+        assert codes is None or list(geo.fails.code) == codes
 
 
 # -- second fundamental form -------------------------------------------------
