@@ -6,11 +6,14 @@ X(x) = (x, f(x)).  ``graph_geometry`` evaluates the jets of all components
 in one pass for a batch of points (k, m) (``jets.jet_stack``: the
 coefficients go straight into (k, n, m, ...) arrays under one failure
 record, which is built only when a point fails), subtracts the offset
-from the values for its positions X, and builds on the jets, with a
-leading batch axis throughout (``...`` in the einsums, numpy's stacked
-eigvalsh, cholesky, inv and det): the induced metric, adapted
-pseudo-orthonormal frames, the second fundamental form h
-with mean curvature H and squared norm S.  Nothing in the pass raises:
+from the values for its positions X, and builds on the jets in graph form,
+from the Jacobians A and Hessians He alone (``_graph_form``), with a
+leading batch axis throughout (batched matmuls, numpy's stacked eigvalsh,
+cholesky, inv and det): the induced metric, adapted pseudo-orthonormal
+frames, the second fundamental form h with mean curvature H and squared
+norm S.  ``immersion_geometry`` is the same pass for any immersion, from
+its parameter derivatives; the gradient graph of a potential in standard
+coordinates (``lagrangian.to_standard``) takes it.  Nothing in the pass raises:
 each point's first failure, out of the jets' domain, not space-like, or
 with an S or |H| that overflows, is in its record (``Geometry.fails``).
 ``_definite`` is the package's one definiteness test of a metric: the
@@ -200,11 +203,48 @@ def _metric_inverse(g: np.ndarray, code: int, fails: Failures):
     return min_eig, g_inv
 
 
+def _frames(g: np.ndarray, gram_n: np.ndarray) -> Geometry:
+    """The checks and frames that both routes share, from the metric g and
+    the negated normal Gram matrix gram_n (positive definite for a
+    space-like point): a point whose gram_n is not finite fails with a
+    DomainError, then ``_metric_inverse`` (INDEFINITE), then DEGENERATE
+    where the smallest eigenvalue is at most SPACELIKE_TOL.  The frame
+    coefficients are the inverse Cholesky factors of g and gram_n, nan
+    where a point is not space-like; ``_second_form`` adds the rest."""
+    m, n = g.shape[-1], gram_n.shape[-1]
+    fails = Failures.clean(g.shape[:-2]).add(~np.isfinite(gram_n).all(axis=(-2, -1)),
+                                             DomainError(OVERFLOW))
+    min_eig, g_inv = _metric_inverse(g, INDEFINITE, fails)
+    ok = min_eig > SPACELIKE_TOL
+    # triangular inverses by numpy's batched inv (np.tril drops its rounding
+    # above the diagonal); points that are not space-like factor I, then nan
+    E = np.tril(np.linalg.inv(np.linalg.cholesky(np.where(ok[..., None, None], g, np.eye(m)))))
+    Nc = np.tril(np.linalg.inv(np.linalg.cholesky(
+        np.where(ok[..., None, None], gram_n, np.eye(n)))))
+    E[~ok], Nc[~ok] = np.nan, np.nan
+    return Geometry(g=g, g_inv=g_inv, det_g=np.linalg.det(g), min_eig=min_eig,
+                    spacelike=min_eig > 0.0, tangent_coeff=E, tangent=None, normal_coeff=Nc,
+                    normal=None, h=None, H=None, H_norm=None, S=None,
+                    fails=fails.add(~ok, DEGENERATE, min_eig))
+
+
+def _second_form(geo: Geometry, tangent: np.ndarray, normal: np.ndarray,
+                 h: np.ndarray) -> Geometry:
+    """A pass of ``_frames`` completed with its frame rows and h, and with H
+    and S = |h|^2; a point whose S or |H| overflows fails last, with a DomainError."""
+    H = np.einsum("...sii->...s", h) / h.shape[-1]
+    H_norm, S = np.linalg.norm(H, axis=-1), np.sum(h * h, axis=(-3, -2, -1))
+    geo.tangent, geo.normal, geo.h, geo.H, geo.H_norm, geo.S = tangent, normal, h, H, H_norm, S
+    geo.fails.add(~(np.isfinite(S) & np.isfinite(H_norm)), DomainError(OVERFLOW))
+    return geo
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def immersion_geometry(J: np.ndarray, Hss: np.ndarray, sig: np.ndarray,
                        normals_raw: np.ndarray) -> Geometry:
-    """Geometry of an immersion at a batch of points, given first/second
-    parameter derivatives.
+    """Geometry of any immersion at a batch of points, given first/second
+    parameter derivatives: the generic route, which serves
+    ``lagrangian.to_standard`` and checks the graph form in the tests.
 
     J[..., i, :] = dX/du^i (m rows of ambient vectors), Hss[..., i, j, :] =
     d2X/du^i du^j, sig the ambient signature, normals_raw[..., s, :] a smooth
@@ -215,41 +255,30 @@ def immersion_geometry(J: np.ndarray, Hss: np.ndarray, sig: np.ndarray,
     or inf in the rest, without a numpy warning; so does, after the other
     checks, a point whose S or |H| overflows.
     """
-    m, n = J.shape[-2], normals_raw.shape[-2]
-    g = (J * sig) @ _swap(J)
-    gram_n = (normals_raw * sig) @ _swap(normals_raw)
-    fails = Failures.clean(g.shape[:-2]).add(~np.isfinite(gram_n).all(axis=(-2, -1)),
-                                             DomainError(OVERFLOW))
-    min_eig, g_inv = _metric_inverse(g, INDEFINITE, fails)
-    ok = min_eig > SPACELIKE_TOL
-    # triangular inverses by numpy's batched inv (np.tril drops its rounding
-    # above the diagonal); points that are not space-like factor I, then nan
-    E = np.tril(np.linalg.inv(np.linalg.cholesky(np.where(ok[..., None, None], g, np.eye(m)))))
-    Nc = np.tril(np.linalg.inv(np.linalg.cholesky(
-        np.where(ok[..., None, None], -gram_n, np.eye(n)))))
-    E[~ok], Nc[~ok] = np.nan, np.nan
-    tangent, normal = E @ J, Nc @ normals_raw
+    geo = _frames((J * sig) @ _swap(J), -((normals_raw * sig) @ _swap(normals_raw)))
+    E, Nc = geo.tangent_coeff, geo.normal_coeff
+    normal = Nc @ normals_raw
     # h_sij = <d2X(e_i, e_j), e_s>
     second = np.einsum("...ik,...klB,...jl->...ijB", E, Hss, E)
     h = np.einsum("B,...sB,...ijB->...sij", sig, normal, second)
-    H = np.einsum("...sii->...s", h) / m
-    H_norm, S = np.linalg.norm(H, axis=-1), np.sum(h * h, axis=(-3, -2, -1))
-    return Geometry(g=g, g_inv=g_inv, det_g=np.linalg.det(g), min_eig=min_eig,
-                    spacelike=min_eig > 0.0, tangent_coeff=E, tangent=tangent, normal_coeff=Nc,
-                    normal=normal, h=h, H=H, H_norm=H_norm, S=S,
-                    fails=fails.add(~ok, DEGENERATE, min_eig)
-                    .add(~(np.isfinite(S) & np.isfinite(H_norm)), DomainError(OVERFLOW)))
+    return _second_form(geo, E @ J, normal, h)
 
 
-def _graph_immersion(A: np.ndarray, He: np.ndarray):
-    """J, Hss and the raw normal basis of a graph with Jacobians A (..., n, m)
-    and Hessians He (..., n, m, m)."""
-    (n, m), batch = A.shape[-2:], A.shape[:-2]
-    J = np.concatenate([np.broadcast_to(np.eye(m), batch + (m, m)), _swap(A)], axis=-1)
-    Hss = np.concatenate([np.zeros(batch + (m, m, m)), np.moveaxis(He, -3, -1)], axis=-1)
-    # Ntilde_s = sum_i f^s_i d_i + d_{y^s}
-    normals_raw = np.concatenate([A, np.broadcast_to(np.eye(n), batch + (n, n))], axis=-1)
-    return J, Hss, normals_raw
+@np.errstate(over="ignore", invalid="ignore")
+def _graph_form(A: np.ndarray, He: np.ndarray) -> Geometry:
+    """The geometry of a graph straight from the Jacobians A (..., n, m)
+    and Hessians He (..., n, m, m) of f, with the checks and nan frames of
+    ``immersion_geometry``: the metric I - A^T A (``_plane_metric``'s
+    expression), the normal Gram matrix I - A A^T, the frame rows
+    E [I, A^T] and Nc [A, I], and h_s = -sum_t Nc[s, t] E He^t E^T, as
+    the Hessians of f are the only nonzero part of d2X."""
+    At = _swap(A)
+    geo = _frames(np.eye(A.shape[-1]) - At @ A, np.eye(A.shape[-2]) - A @ At)
+    E, Nc = geo.tangent_coeff, geo.normal_coeff
+    EHE = E[..., None, :, :] @ He @ _swap(E)[..., None, :, :]
+    h = -(Nc @ EHE.reshape(EHE.shape[:-2] + (-1,))).reshape(EHE.shape)
+    return _second_form(geo, np.concatenate([E, E @ At], axis=-1),
+                        np.concatenate([Nc @ A, Nc], axis=-1), h)
 
 
 def graph_geometry(gm: GraphMap, x, order: int = 3) -> Geometry:
@@ -266,8 +295,7 @@ def graph_geometry(gm: GraphMap, x, order: int = 3) -> Geometry:
     vals, A, He, Th = (*coeffs, None)[:4]
     if gm.offset is not None:
         vals -= np.asarray(gm.offset)
-    J, Hss, normals_raw = _graph_immersion(A, He)
-    geo = immersion_geometry(J, Hss, signature(gm.m, gm.n), normals_raw)
+    geo = _graph_form(A, He)
     geo.fails, geo.X, geo.A, geo.He, geo.Th = (fails.then(geo.fails),
                                                np.concatenate([pts, vals], -1), A, He, Th)
     return geo
@@ -460,13 +488,12 @@ def _covariant_h(geo: Geometry, sig: np.ndarray) -> CovariantH:
            + np.einsum("...st,...ptij->...psij", Nc, dEHE))
 
     # directional derivatives along frame vectors: e_k = sum_p E[k,p] d/dx^p
-    d_tan_along = np.einsum("...kp,...piB->...kiB", E, dtan)
-    d_nor_along = np.einsum("...kp,...psB->...ksB", E, dnor)
-    dh_along = np.einsum("...kp,...psij->...ksij", E, dh)
+    d_tan_along, d_nor_along, dh_along = (
+        (E @ d.reshape(d.shape[:2] + (-1,))).reshape(d.shape) for d in (dtan, dnor, dh))
 
     # connection coefficients w_AB(e_k) = <D_{e_k} e_A, e_B>
-    w_tt = np.einsum("...kiB,B,...jB->...kij", d_tan_along, sig, geo.tangent)   # w_ij(e_k)
-    w_nn = np.einsum("...ksB,B,...tB->...kst", d_nor_along, sig, geo.normal)    # w_st(e_k)
+    w_tt = (d_tan_along * sig) @ _swap(geo.tangent)[:, None]    # w_ij(e_k)
+    w_nn = (d_nor_along * sig) @ _swap(geo.normal)[:, None]     # w_st(e_k)
 
     h0 = geo.h
     h_cov = (np.moveaxis(dh_along, -4, -1)

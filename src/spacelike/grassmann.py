@@ -7,7 +7,7 @@ a noncompact symmetric space; its invariant metric in the slope chart is
     ds^2 = tr[(I - A^T A)^{-1} dA^T (I - A A^T)^{-1} dA].
 
 Geodesic distance works in Cholesky frames, the pseudo-orthonormal frames
-that ``immersion_geometry`` builds: the plane A has tangent frame
+that the geometry pass builds (``graphgeom._graph_form``): the plane A has tangent frame
 [I; A] L_M^-T and normal frame [A^T; I] L_N^-T, with I - A^T A = L_M L_M^T
 and I - A A^T = L_N L_N^T.  The boost between the frames of planes A and B
 has the normal-tangent block L_N(B)^-1 (B - A) L_M(A)^-T, up to sign; its

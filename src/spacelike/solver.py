@@ -71,7 +71,7 @@ import numpy as np
 
 from . import lattice as lat_mod
 from .exprparse import DomainError, Expr, eval_values
-from .graphgeom import OVERFLOW, _graph_immersion, immersion_geometry, signature
+from .graphgeom import OVERFLOW, _graph_form
 from .lattice import Lattice, LatticeError
 
 # A chord step (a full step on the last LU) is kept if the safeguard passes
@@ -618,8 +618,7 @@ def field_immersion_geometry(field: GridField, select=None):
     """Frame-level S and |H| of the solved graph at the nodes of
     field_jet2(field, select): (multi-indices, points, S (k,), |H| (k,))."""
     nodes, pts, grad, hess = field_jet2(field, select)
-    J, Hss, normals = _graph_immersion(grad[:, None], hess[:, None])
-    geo = immersion_geometry(J, Hss, signature(field.lattice.m, 1), normals)
+    geo = _graph_form(grad[:, None], hess[:, None])
     geo.fails.raise_first()
     return nodes, pts, geo.S, geo.H_norm
 

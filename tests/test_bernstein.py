@@ -1,17 +1,22 @@
+import json
 import warnings
 
 import numpy as np
 import pytest
 
+from spacelike import graphgeom, solver
 from spacelike import lattice as lm
-from spacelike import solver
 from spacelike.bernstein import (
     DIJKSTRA_METRICATION, ScanConfig, completeness_probe, decay_scan,
     estimate_report, geodesic_radius,
 )
 from spacelike.checks import hyperboloid
+from spacelike.cli import main
 from spacelike.exprparse import DomainError, eval_values, parse
-from spacelike.graphgeom import GraphMap, NotSpacelikeError, integrate_geodesic
+from spacelike.graphgeom import (
+    GraphMap, NotSpacelikeError, covariant_h, curvature, fundamental_forms, integrate_geodesic,
+    pseudo_distance, simons_report,
+)
 from spacelike.lattice import Lattice, LatticeError
 from spacelike.solver import field_immersion_geometry, solve_maximal
 
@@ -244,9 +249,9 @@ def test_field_immersion_geometry_defaults_to_every_cube_complete_node():
     ScanConfig(nodes=16, domain="box", center_fraction=0.01),  # only the node nearest the centre
 ])
 def test_decay_scan_builds_frames_only_where_its_rows_read(monkeypatch, cfg):
-    sizes, real = [], solver.immersion_geometry
-    monkeypatch.setattr(solver, "immersion_geometry",
-                        lambda J, *args: sizes.append(len(J)) or real(J, *args))
+    sizes, real = [], solver._graph_form
+    monkeypatch.setattr(solver, "_graph_form",
+                        lambda A, *args: sizes.append(len(A)) or real(A, *args))
     radii = [4.0, 8.0]
     decay_scan(parse("0.3*x1 + 0.1*sin(x2)", 2), radii, cfg)
     expected = []
@@ -256,6 +261,26 @@ def test_decay_scan_builds_frames_only_where_its_rows_read(monkeypatch, cfg):
         rad = np.linalg.norm(lm.node_points(lat)[flat], axis=1)
         expected.append(max(int(np.sum(rad <= cfg.center_fraction * a)), 1))
     assert sizes == expected
+
+
+def test_no_graph_path_reaches_the_generic_route(monkeypatch, tmp_path):
+    def generic_route(*args):
+        raise AssertionError("a graph pass went through immersion_geometry")
+
+    for module in (graphgeom, solver):
+        monkeypatch.setattr(module, "immersion_geometry", generic_route, raising=False)
+    gm = hyperboloid(2, shifted=True)
+    for per_point in (fundamental_forms, curvature, covariant_h, pseudo_distance):
+        per_point(gm, [0.3, -0.2])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"m": 2, "n": 1, "components": ["sqrt(1+x1^2+x2^2)"],
+                               "lattice": {"lo": [-1, -1], "hi": [1, 1], "nodes": 5},
+                               "out": str(tmp_path / "nodes.csv")}))
+    assert main(["analyze", "--config", str(cfg)]) == 0
+    estimate_report(gm, [0.0, 0.0], 0.5, Lattice.box((-1, -1), (1, 1), 9))
+    simons_report(gm, Lattice.box((-0.5, -0.5), (0.5, 0.5), 5))
+    completeness_probe(gm, [np.array([1.0, 0.0])], T=1.0, n_samples=10)
+    decay_scan(parse("0.3*x1 + 0.1*sin(x2)", 2), [4.0, 8.0], ScanConfig(nodes=17))
 
 
 # -- completeness probe ------------------------------------------------------------

@@ -147,10 +147,18 @@ def test_graph_pass_equals_the_generic_route():
         for name in GRAPH_FORM_FIELDS:
             _agree(getattr(oracle, name), getattr(geo, name))
         assert np.array_equal(geo.fails.code, oracle.fails.code)
-        assert np.array_equal(geo.fails.value, oracle.fails.value, equal_nan=True)
+        _agree(oracle.fails.value, geo.fails.value)
         assert [(type(e), str(e)) for e in geo.fails.errors] == [
             (type(e), str(e)) for e in oracle.fails.errors]
         assert codes is None or list(geo.fails.code) == codes
+
+
+def test_graph_pass_metric_is_the_plane_metric():
+    """g and its smallest eigenvalue are those of ``_plane_metric``, bit for bit."""
+    for gm, x, _ in _graph_form_cases():
+        geo = graph_geometry(gm, x, 2)
+        g, min_eig = graphgeom._plane_metric(geo.A, INDEFINITE, Failures.clean(geo.g.shape[:-2]))
+        assert np.array_equal(geo.g, g) and np.array_equal(geo.min_eig, min_eig, equal_nan=True)
 
 
 # -- second fundamental form -------------------------------------------------
