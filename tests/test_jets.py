@@ -1,6 +1,7 @@
 import copy
 import operator
 import pickle
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -395,9 +396,19 @@ def test_power_rule_equals_the_walk_and_the_dense_evaluator(text, order):
 
 def test_power_rule_emits_no_pow_for_u1_or_u0():
     # d_k = c u^(p-k) takes a pow step only for an exponent p - k outside 0
-    # and 1; the probe's order-2 program of the hyperboloid has 29 steps
-    program = jets._build(parse("sqrt(1+x1^2+x2^2)", 2), 2)
-    assert len(program.steps) == 29
+    # and 1; the probe's order-2 program of the hyperboloid has 19 steps,
+    # as the constant 1, the unit gradients and the Hessians 2 e_i e_i^T of
+    # the x_i^2 are folded at build time
+    program = jets._build(parse("sqrt(1+x1^2+x2^2)", 2), 2, 2)
+    assert len(program.steps) == 19
+
+    def at_run_time(x):
+        return x != 0 and program.regs[x] is None
+
+    # the fold is complete: every step reads the points' values or a block
+    # that a step computes
+    assert all(at_run_time(a) or at_run_time(b) or (a == 0 and fn is operator.getitem)
+               for _, fn, a, b in program.steps)
 
     def exponents(program):
         return [program.regs[b] for _, fn, _, b in program.steps if fn is operator.pow]
@@ -405,7 +416,7 @@ def test_power_rule_emits_no_pow_for_u1_or_u0():
     assert exponents(program) == [2, 2]
     for p in range(-2, 5):
         for order in range(4):
-            value, *derivs = exponents(jets._build(parse(f"x1^{p}", 1), order))
+            value, *derivs = exponents(jets._build(parse(f"x1^{p}", 1), order, 1))
             assert value == p and not {0, 1} & set(derivs)
 
 
@@ -426,6 +437,67 @@ def test_constant_derivatives_are_exact_zeros():
     # sqrt(0) has a value but no derivative, constant or not
     with pytest.raises(DomainError, match="sqrt argument must be positive for differentiation"):
         evaluate_jet(parse("sqrt(0)*x1", 2), x)
+
+
+# -- blocks folded at build time ---------------------------------------------
+
+_FOLDED = ["sin(0.9)*x1 + exp(2)", "2", "x1^2", "(3*x1*x2)^2", "x1*x2*x3",
+           "log(0)*x1", "x1/(2-2)", "sqrt(0)*x1"]
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+@pytest.mark.parametrize("text", _FOLDED)
+def test_folded_blocks_equal_the_walk_bit_for_bit(text, order):
+    # functions of constants, a constant root, the constant Hessians and
+    # third derivatives of monomials, and constants outside a domain, which
+    # fail at every point: the build computes each once, on one row, and
+    # the run broadcasts it over a batch, a single point and an empty batch
+    expr = parse(text, 3)
+    pts = np.random.default_rng(5).uniform(-2.0, 2.0, size=(4, 3))
+    with np.errstate(all="ignore"):
+        for x in (pts, pts[1:2], pts[:0]):
+            assert _bits(jets._taylor(expr, x, order)) == _bits(sparse_taylor(expr, x, order))
+        # each call returns arrays of its own, a folded root's too
+        for c in jets._taylor(expr, pts, order)[0]:
+            c[...] = np.nan
+        assert _bits(jets._taylor(expr, pts, order)) == _bits(sparse_taylor(expr, pts, order))
+    folded = [r for r in expr._jet_programs[order, 3].regs if isinstance(r, np.ndarray)]
+    assert folded or order == 0
+    assert not any(r.flags.writeable for r in folded)
+
+
+def test_programs_are_kept_per_order_and_dimension():
+    # a unit gradient has m entries, so one expression evaluated at 2-D and
+    # at 3-D points keeps a program for each m; a copy builds its own
+    expr = parse("x1*x2 + 1", 2)
+    for m in (2, 3):
+        x = np.arange(2.0 * m).reshape(2, m)
+        grad = np.zeros((2, m))
+        grad[:, 0], grad[:, 1] = x[:, 1], x[:, 0]
+        assert np.array_equal(evaluate_jet(expr, x, order=2).grad, grad)
+    assert sorted(expr._jet_programs) == [(2, 2), (2, 3)]
+    for (_, m), program in expr._jet_programs.items():
+        units = [r for r in program.regs if isinstance(r, np.ndarray) and r.ndim == 2]
+        assert len(units) == 2 and all(r.shape == (1, m) for r in units)
+    for other in (pickle.loads(pickle.dumps(expr)), copy.copy(expr), copy.deepcopy(expr)):
+        assert other == expr and "_jet_programs" not in other.__dict__
+
+
+def test_order3_pass_peak_memory():
+    # an order-3 pass of an m = 3 polynomial-plus-sine component at 40k
+    # points peaks at 46.7 MiB when every step runs and 37.0 MiB with the
+    # point-independent blocks folded at build time
+    expr = parse("0.6*x1 - 1.2*x2 + 0.8*x3 + 0.5*x1*x2 - 0.7*x3^2 + 0.9*x1*x2*x3"
+                 " + 1.1*sin(0.8*x1 + 1.3*x3)", 3)
+    pts = np.random.default_rng(0).uniform(-1.0, 1.0, size=(40_000, 3))
+    jet_stack((expr,), pts[:1], 3)  # the build is not measured
+    tracemalloc.start()
+    try:
+        jet_stack((expr,), pts, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 42 * 2**20
 
 
 # -- orders below 3 -----------------------------------------------------------
