@@ -29,8 +29,9 @@ gradient, the Hessian 2 e_i e_i^T of x_i^2, a function of a constant.
 Each is one read-only row that the steps broadcast against, so a run forms
 only the blocks that depend on the points; the order-2 program of
 ``sqrt(1+x1^2+x2^2)`` has 19 steps where every block would take 29.  A
-build costs about as much Python as the rules themselves, so a program
-pays from its second run, as in the right-hand sides of the geodesic ODE.
+build costs the rules' Python and one numpy operation on one row per
+folded block, about two runs on a small batch, so a program pays where it
+runs many times, as in the right-hand sides of the geodesic ODE.
 
 A derivative block that is zero by the form of the expression is None in
 the build, not an array of zeros: a constant carries only its value, a
@@ -205,11 +206,12 @@ def _build(expr: Expr, order: int, m: int) -> "_Program":
     points where it reads only their shape, as ``_full`` and ``_unit`` do)
     is not emitted but folded: the build computes it once, on a batch of
     one row, and keeps the result as a read-only constant register of
-    leading axis 1, against which later steps broadcast.  A rule frees the
-    registers it reads for the last time, its children's blocks and its
-    own temporaries, and a later step takes their slots, so a run drops
-    each array as soon as no step reads it; the registers that the domain
-    tests read and the folded ones keep theirs.
+    leading axis 1, against which later steps broadcast; the occurrences of
+    a variable share its unit gradient.  A rule frees the registers it
+    reads for the last time, its children's blocks and its own
+    temporaries, and a later step takes their slots, so a run drops each
+    array as soon as no step reads it; the registers that the domain tests
+    read and the folded ones keep theirs.
     """
     # regs[x] is not None exactly where register x is known at build time;
     # the points are a row of zeros while the build runs
@@ -347,7 +349,7 @@ def _build(expr: Expr, order: int, m: int) -> "_Program":
             todo += (node.lhs, node.rhs)
         elif kind is Pow:
             todo.append(node.base)
-    stack, zeros = [], (None,) * order
+    stack, zeros, units = [], (None,) * order, {}
     for node in reversed(post):
         kind = type(node)
         if kind is Const:
@@ -356,7 +358,9 @@ def _build(expr: Expr, order: int, m: int) -> "_Program":
             i = node.index - 1
             t = (step(operator.getitem, 0, const((Ellipsis, i))),)
             if order:
-                t += (step(_unit, 0, const(i)),) + zeros[1:]
+                if i not in units:  # folded, so every occurrence of x_i shares it
+                    units[i] = step(_unit, 0, const(i))
+                t += (units[i],) + zeros[1:]
         elif kind is Unary:
             u = stack.pop()
             if node.op == "neg":
@@ -474,7 +478,7 @@ def _taylor(expr: Expr, pts: np.ndarray, order: int) -> tuple:
     key = order, pts.shape[-1]
     program = programs.get(key)
     if program is None:
-        program = programs[key] = _build(expr, order, pts.shape[-1])
+        program = programs[key] = _build(expr, *key)
     return program.run(pts)
 
 

@@ -468,12 +468,13 @@ def test_folded_blocks_equal_the_walk_bit_for_bit(text, order):
 
 def test_programs_are_kept_per_order_and_dimension():
     # a unit gradient has m entries, so one expression evaluated at 2-D and
-    # at 3-D points keeps a program for each m; a copy builds its own
-    expr = parse("x1*x2 + 1", 2)
+    # at 3-D points keeps a program for each m, with one unit gradient per
+    # variable however often it occurs; a copy builds its own
+    expr = parse("x1*x2 + x2 + 1", 2)
     for m in (2, 3):
         x = np.arange(2.0 * m).reshape(2, m)
         grad = np.zeros((2, m))
-        grad[:, 0], grad[:, 1] = x[:, 1], x[:, 0]
+        grad[:, 0], grad[:, 1] = x[:, 1], x[:, 0] + 1.0
         assert np.array_equal(evaluate_jet(expr, x, order=2).grad, grad)
     assert sorted(expr._jet_programs) == [(2, 2), (2, 3)]
     for (_, m), program in expr._jet_programs.items():
