@@ -30,8 +30,8 @@ import numpy as np
 from . import lattice as lat_mod
 from .exprparse import DomainError, Expr, eval_values
 from .graphgeom import (
-    GraphMap, _check_base_point, _points, _take, _tangent_metric, graph_geometry,
-    integrate_geodesic, pseudo_distance,
+    GraphMap, _check_base_point, _points, _take, _tangent_metric, _z_gradient, graph_geometry,
+    integrate_geodesic, signature,
 )
 from .grassmann import SpacelikePlane, _distances, _plane_in_pass
 from .lattice import Lattice, LatticeError
@@ -142,7 +142,7 @@ def estimate_report(gm: GraphMap, x0, a: float, lattice: Lattice) -> BallReport:
     geo = graph_geometry(gm, np.vstack([pts[sel], x0]), 2)
     ref, _ = _plane_in_pass(gm, geo, -1, x0)
     geo = _take(geo, np.s_[:-1])
-    mu_d, d_fails = _distances(SpacelikePlane(geo.A), ref)
+    mu_d, d_fails = _distances(SpacelikePlane(geo.A), ref, (geo.min_eig, geo.g_chol))
     geo.fails.then(d_fails).raise_first()  # space-like samples have space-like planes
     S, H = geo.S, geo.H_norm
     h_bar = float(H.max(initial=0.0))
@@ -281,7 +281,12 @@ def completeness_probe(gm: GraphMap, directions, T: float, n_samples: int = 200,
     that runs into the edge of f's domain fails there, as the integrator
     rejects the steps whose stages leave the domain; the origin must be
     inside it.  T > 0 is finite, each direction finite and nonzero, and
-    n_samples >= 1."""
+    n_samples >= 1.
+
+    The base point is checked once.  The samples come from
+    ``GeodesicBatch.states``, which evaluates a dense output once for all
+    the directions that ran in its segments to the same end, and one order-2
+    geometry pass over them forms only z and |grad z| / (z + 1)."""
     _check_base_point(gm)
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
@@ -289,8 +294,10 @@ def completeness_probe(gm: GraphMap, directions, T: float, n_samples: int = 200,
     sol = integrate_geodesic(gm, np.zeros(m), directions, (0.0, T),
                              region_halfwidth=region_halfwidth)
     ts = np.linspace(0.0, sol.t_end, n_samples + 1, axis=1)[:, 1:]
-    pd = pseudo_distance(gm, np.concatenate([sol.state(j, t)[:m].T for j, t in enumerate(ts)]))
-    zs, ratios = pd.z.reshape(ts.shape), pd.ratio.reshape(ts.shape)
+    geo = graph_geometry(gm, np.concatenate([x.T for x in sol.states(ts)[:, :m]]), 2)
+    geo.fails.raise_first()
+    zs, _, _, ratios = _z_gradient(geo.X, geo.tangent, signature(m, gm.n))
+    zs, ratios = zs.reshape(ts.shape), ratios.reshape(ts.shape)
     exited = [len(te) > 0 for te in sol.t_events]
 
     def status(end, left, message):

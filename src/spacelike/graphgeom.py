@@ -9,10 +9,11 @@ record, which is built only when a point fails), subtracts the offset
 from the values for its positions X, and builds on the jets in graph form,
 from the Jacobians A and Hessians He alone (``_graph_form``), with a
 leading batch axis throughout (batched matmuls, numpy's stacked eigvalsh,
-cholesky, inv and det): the induced metric, adapted pseudo-orthonormal
-frames, the second fundamental form h with mean curvature H and squared
-norm S.  ``immersion_geometry`` is the same pass for any immersion, from
-its parameter derivatives; the gradient graph of a potential in standard
+cholesky, inv and det, and the frames by forward substitution on the
+Cholesky factors): the induced metric, adapted pseudo-orthonormal frames,
+the second fundamental form h with mean curvature H and squared norm S.
+``immersion_geometry`` is the same pass for any immersion, from its
+parameter derivatives; the gradient graph of a potential in standard
 coordinates (``lagrangian.to_standard``) takes it.  Nothing in the pass raises:
 each point's first failure, out of the jets' domain, not space-like, or
 with an S or |H| that overflows, is in its record (``Geometry.fails``).
@@ -105,7 +106,9 @@ class Geometry:
 
     g_inv is nan where the metric is not positive definite, and the frames
     and h are nan where its smallest eigenvalue is at most the space-like
-    tolerance.  ``fails`` records each point's first failure: for a graph a
+    tolerance; there g_chol, the Cholesky factor of g that the frames
+    invert, is I, so ``grassmann._distances`` can take it at every row.
+    ``fails`` records each point's first failure: for a graph a
     failing jet (the values and jets of such a point are 0), then a normal
     Gram matrix that overflows (a DomainError), then ``_definite`` on the
     metric (a DomainError or INDEFINITE), then a smallest eigenvalue at
@@ -119,7 +122,8 @@ class Geometry:
     det_g: np.ndarray
     min_eig: np.ndarray
     spacelike: np.ndarray
-    tangent_coeff: np.ndarray  # e_i = sum_j tangent_coeff[i, j] * dX/dx^j
+    g_chol: np.ndarray         # L with g = L L^T where the frames are built, I elsewhere
+    tangent_coeff: np.ndarray  # e_i = sum_j tangent_coeff[i, j] * dX/dx^j, L^-1
     tangent: np.ndarray        # (m, m+n) ambient rows, <e_i, e_j> = delta
     normal_coeff: np.ndarray   # e_s = sum_t normal_coeff[s, t] * Ntilde_t
     normal: np.ndarray         # (n, m+n) ambient rows, <e_s, e_t> = -delta
@@ -189,8 +193,14 @@ def _definite(g: np.ndarray, code: int, fails: Failures) -> np.ndarray:
     # LAPACK's eigvalsh fails on a non-finite matrix of size 3 and more
     min_eig = np.linalg.eigvalsh(np.where(finite[..., None, None], g, np.eye(g.shape[-1])))[..., 0]
     min_eig[~finite] = np.nan
-    fails.add(~np.isfinite(min_eig), DomainError(OVERFLOW)).add(~(min_eig > 0.0), code, min_eig)
+    _judge_definite(min_eig, code, fails)
     return min_eig
+
+
+def _judge_definite(min_eig: np.ndarray, code: int, fails: Failures) -> None:
+    """The record that ``_definite`` adds to ``fails`` for the smallest
+    eigenvalues ``min_eig`` it found."""
+    fails.add(~np.isfinite(min_eig), DomainError(OVERFLOW)).add(~(min_eig > 0.0), code, min_eig)
 
 
 def _metric_inverse(g: np.ndarray, code: int, fails: Failures):
@@ -203,28 +213,45 @@ def _metric_inverse(g: np.ndarray, code: int, fails: Failures):
     return min_eig, g_inv
 
 
+def _lower_inverse(L: np.ndarray) -> np.ndarray:
+    """The inverse of each lower-triangular matrix of the stack L (..., m, m),
+    with a nonzero diagonal, by forward substitution over its m rows, in
+    place on I: row k is scaled by the reciprocal of L_kk, as LAPACK's
+    triangular solves do, and then taken off the rows below it.  The
+    result is exactly lower-triangular, and each matrix of a batch gets
+    the inverse it gets alone (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2002, ch. 8)."""
+    m = L.shape[-1]
+    E = np.broadcast_to(np.eye(m), L.shape).copy()
+    for k in range(m):
+        E[..., k, :] *= (1.0 / L[..., k, k])[..., None]
+        E[..., k + 1:, :] -= L[..., k + 1:, k, None] * E[..., k, None, :]
+    return E
+
+
 def _frames(g: np.ndarray, gram_n: np.ndarray) -> Geometry:
     """The checks and frames that both routes share, from the metric g and
     the negated normal Gram matrix gram_n (positive definite for a
     space-like point): a point whose gram_n is not finite fails with a
     DomainError, then ``_metric_inverse`` (INDEFINITE), then DEGENERATE
     where the smallest eigenvalue is at most SPACELIKE_TOL.  The frame
-    coefficients are the inverse Cholesky factors of g and gram_n, nan
-    where a point is not space-like; ``_second_form`` adds the rest."""
+    coefficients E and N_c are the inverses of the Cholesky factors of g
+    and gram_n by forward substitution (``_lower_inverse``), nan where a
+    point is not space-like; g's factor is kept, I at those points, for
+    ``grassmann._distances``.  ``_second_form`` adds the rest."""
     m, n = g.shape[-1], gram_n.shape[-1]
     fails = Failures.clean(g.shape[:-2]).add(~np.isfinite(gram_n).all(axis=(-2, -1)),
                                              DomainError(OVERFLOW))
     min_eig, g_inv = _metric_inverse(g, INDEFINITE, fails)
     ok = min_eig > SPACELIKE_TOL
-    # triangular inverses by numpy's batched inv (np.tril drops its rounding
-    # above the diagonal); points that are not space-like factor I, then nan
-    E = np.tril(np.linalg.inv(np.linalg.cholesky(np.where(ok[..., None, None], g, np.eye(m)))))
-    Nc = np.tril(np.linalg.inv(np.linalg.cholesky(
-        np.where(ok[..., None, None], gram_n, np.eye(n)))))
+    # points that are not space-like factor I, then get nan frames
+    L = np.linalg.cholesky(np.where(ok[..., None, None], g, np.eye(m)))
+    E = _lower_inverse(L)
+    Nc = _lower_inverse(np.linalg.cholesky(np.where(ok[..., None, None], gram_n, np.eye(n))))
     E[~ok], Nc[~ok] = np.nan, np.nan
     return Geometry(g=g, g_inv=g_inv, det_g=np.linalg.det(g), min_eig=min_eig,
-                    spacelike=min_eig > 0.0, tangent_coeff=E, tangent=None, normal_coeff=Nc,
-                    normal=None, h=None, H=None, H_norm=None, S=None,
+                    spacelike=min_eig > 0.0, g_chol=L, tangent_coeff=E, tangent=None,
+                    normal_coeff=Nc, normal=None, h=None, H=None, H_norm=None, S=None,
                     fails=fails.add(~ok, DEGENERATE, min_eig))
 
 
@@ -589,7 +616,10 @@ def _plane_metric(A: np.ndarray, code: int, fails: Failures):
 class GeodesicBatch:
     """The geodesics of ``integrate_geodesic``.  A direction runs in the
     solve_ivp segments up to its own end; ``state`` stitches its dense
-    output from theirs and holds its end state after ``t_end``."""
+    output from theirs and holds its end state after ``t_end``.  Directions
+    that ran in the same segments share their dense outputs, and
+    ``states`` evaluates each of them once for all the directions that
+    share it and their sample times."""
 
     t_end: np.ndarray    # (k,) each direction's end time
     t_events: list       # per direction its exit time, or an empty array
@@ -598,15 +628,35 @@ class GeodesicBatch:
 
     def state(self, j: int, t):
         """Position and velocity (2m, ...) of direction j at times t."""
-        t = np.minimum(t, self.t_end[j])
+        return self._shared_state([j], t)[0]
+
+    def states(self, t: np.ndarray) -> np.ndarray:
+        """Positions and velocities (k, 2m, s) of the k directions, direction
+        j at its times t[j] (s,); equal to ``state(j, t[j])`` bit for bit.
+        The directions with the same segments and the same times share one
+        evaluation of each dense output."""
+        groups = {}
+        for j, (pieces, tj) in enumerate(zip(self.pieces, t)):
+            key = tuple((end, dense) for end, dense, _ in pieces), tj.tobytes()
+            groups.setdefault(key, []).append(j)
+        out = np.empty((len(t), len(self.pieces[0][0][2]), t.shape[-1]))
+        for js in groups.values():
+            out[js] = self._shared_state(js, t[js[0]])
+        return out
+
+    def _shared_state(self, js: list, t):
+        """Position and velocity (len(js), 2m, ...) at times t of the
+        directions js, which ran in the same segments."""
+        pieces = self.pieces[js[0]]
+        t = np.minimum(t, self.t_end[js[0]])
         flat = np.ravel(t)
-        out = np.empty((len(self.pieces[j][0][2]), flat.size))  # its 2m state rows
+        out = np.empty((len(js), len(pieces[0][2]), flat.size))  # their 2m state rows
         # piece p covers (end of piece p - 1, its own end]
-        which = np.searchsorted([end for end, _, _ in self.pieces[j]], flat)
+        which = np.searchsorted([end for end, _, _ in pieces], flat)
         for p in np.unique(which):
-            _, dense, rows = self.pieces[j][p]
-            out[:, which == p] = dense(flat[which == p])[rows]
-        return out.reshape(out.shape[:1] + np.shape(t))
+            rows, sel = np.concatenate([self.pieces[j][p][2] for j in js]), which == p
+            out[..., sel] = pieces[p][1](flat[sel])[rows].reshape(out.shape[:2] + (-1,))
+        return out.reshape(out.shape[:2] + np.shape(t))
 
 
 def integrate_geodesic(gm: GraphMap, x0, v0, t_span, *,
@@ -657,7 +707,9 @@ def integrate_geodesic(gm: GraphMap, x0, v0, t_span, *,
         At = _swap(A)
         q = np.einsum("ksij,ki,kj->ks", He, v, v)
         acc = np.linalg.solve(eye - At @ A, At @ q[..., None])[..., 0]
-        if fails.code.any():  # out of f's domain or overflowing: DOP853 rejects the step
+        # out of f's domain or overflowing: DOP853 rejects the step.  A record
+        # of the jets holds a DomainError exactly where some point fails.
+        if fails.errors:
             acc[fails.code != OK] = np.nan
         return np.concatenate([v, acc], axis=None)
 

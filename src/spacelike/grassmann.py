@@ -29,8 +29,8 @@ from .exprparse import DomainError
 from .failures import DOMAIN, INDEFINITE, OK, PLANE, STATUS, Failures
 from .graphgeom import (
     SPACELIKE_TOL, Geometry, GraphMap, NotSpacelikeError, _extremal_residual, _filled,
-    _plane_metric, _points, _ricci, _ricci_margin, _swap, _take, _tangent_metric, _view,
-    _z_gradient, graph_geometry, signature,
+    _judge_definite, _plane_metric, _points, _ricci, _ricci_margin, _swap, _take,
+    _tangent_metric, _view, _z_gradient, graph_geometry, signature,
 )
 from .jets import jet_stack
 
@@ -82,20 +82,31 @@ def distance(P: SpacelikePlane, Q: SpacelikePlane):
     return float(d) if d.ndim == 0 else d
 
 
-def _distances(P: SpacelikePlane, Q: SpacelikePlane):
+def _distances(P: SpacelikePlane, Q: SpacelikePlane, known=None):
     """Distances of (batches of) planes, nan for a pair that fails, and the
     failure record of the pairs: ``_definite`` (PLANE) on the metric
     I - A^T A of P, then of Q, then that metric's smallest eigenvalue at most
-    SPACELIKE_TOL on P, then on Q, the margin the frames need."""
+    SPACELIKE_TOL on P, then on Q, the margin the frames need.
+
+    A caller with a geometry pass at P's planes passes ``known``, P's
+    ``Geometry.min_eig`` and ``g_chol`` with the batch axes of P's slope:
+    the pass has the same metric, eigenvalue and Cholesky factor to the
+    last bit, so only Q's metric is formed, tested and factored."""
     A, B = P.slope, Q.slope
     fails = Failures.clean(np.broadcast_shapes(A.shape[:-2], B.shape[:-2]))
-    g, min_eig = zip(*(_plane_metric(S, PLANE, fails) for S in (A, B)))
+    if known is None:
+        g, e_P = _plane_metric(A, PLANE, fails)
+    else:
+        e_P, L_M = known
+        _judge_definite(e_P, PLANE, fails)
+    min_eig = e_P, _plane_metric(B, PLANE, fails)[1]
     for e in min_eig:
         fails.add(~(e > SPACELIKE_TOL), PLANE, e)
     # a plane that fails is replaced by the base plane, which factors
     keep = [(e > SPACELIKE_TOL)[..., None, None] for e in min_eig]
+    if known is None:
+        L_M = np.linalg.cholesky(np.where(keep[0], g, np.eye(A.shape[-1])))
     A, B = np.where(keep[0], A, 0.0), np.where(keep[1], B, 0.0)
-    L_M = np.linalg.cholesky(np.where(keep[0], g[0], np.eye(A.shape[-1])))
     L_N = np.linalg.cholesky(np.eye(B.shape[-2]) - B @ _swap(B))
     # sinh theta: singular values of L_N(B)^-1 (B - A) L_M(A)^-T (see above)
     sinh = np.linalg.svd(np.linalg.solve(L_M, _swap(np.linalg.solve(L_N, B - A))), compute_uv=False)
@@ -162,7 +173,8 @@ def _pullback(gm: GraphMap, x, V: np.ndarray):
     steps = np.array(PULLBACK_STEPS)
     rungs = pts[:, None, None] + steps[:, None] * coord_step[:, :, None]
     plane, rung_fails = _gauss_map(gm, rungs.reshape(k, -1, m))
-    d, d_fails = _distances(SpacelikePlane(geo.A[:, None]), plane)
+    d, d_fails = _distances(SpacelikePlane(geo.A[:, None]), plane,
+                            (geo.min_eig[:, None], geo.g_chol[:, None]))
     quotients = d.reshape(k, len(V), len(steps)) / steps
     extrap = 2.0 * quotients[..., -1] - quotients[..., -2]
     formula = np.sqrt(np.sum(np.einsum("ksij,dj->kdsi", geo.h, V) ** 2, axis=(2, 3)))
@@ -240,7 +252,8 @@ def graph_node_table(gm: GraphMap, pts: np.ndarray,
     H_norm = geo.H_norm[framed]
     gauss_dist = np.full(on.size, np.nan)
     if ref is not None:
-        gauss_dist, d_fails = _distances(SpacelikePlane(geo.A[framed]), ref)
+        gauss_dist, d_fails = _distances(SpacelikePlane(geo.A[framed]), ref,
+                                         (geo.min_eig[framed], geo.g_chol[framed]))
         fails.then(d_fails, framed)
     done = fails.code == OK
     z, _, _, ratio = _z_gradient(geo.X[done], geo.tangent[done], signature(m, gm.n))

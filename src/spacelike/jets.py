@@ -52,8 +52,9 @@ fails, as sqrt(0) has no derivative.
 comes from it: for one expression (``eval_values``, its order-0 view, and
 ``evaluate_jet``) or the n components of a graph or a potential, it stacks
 the expressions' coefficients into one array per order, (..., n),
-(..., n, m) and so on, reads the tensors exactly symmetric from their
-sorted (i <= j <= k) slots, and returns values that are its own.  Only its
+(..., n, m) and so on (one expression's are reshaped, not copied), reads
+the tensors exactly symmetric from their sorted (i <= j <= k) slots, and
+returns values that are its own.  Only its
 derivative orders 1 to 3 are capped at m <= ``MAX_DIM``.
 
 A point that leaves a function's domain, or whose computed coefficients
@@ -191,6 +192,15 @@ _OUT_OF_DOMAIN = {
 }
 
 
+def _literal(node: Expr):
+    """The value of a constant, or of a negated one, which is how the parser
+    reads a negative literal such as (-2.5); None for any other node.  The
+    build folds either straight from its value."""
+    if type(node) is Unary and node.op == "neg":
+        return -node.child.value if type(node.child) is Const else None
+    return node.value if type(node) is Const else None
+
+
 @np.errstate(all="ignore")
 def _build(expr: Expr, order: int, m: int) -> "_Program":
     """The jet program of ``expr`` at ``order`` for points in R^m (see
@@ -207,11 +217,12 @@ def _build(expr: Expr, order: int, m: int) -> "_Program":
     is not emitted but folded: the build computes it once, on a batch of
     one row, and keeps the result as a read-only constant register of
     leading axis 1, against which later steps broadcast; the occurrences of
-    a variable share its unit gradient.  A rule frees the registers it
-    reads for the last time, its children's blocks and its own
-    temporaries, and a later step takes their slots, so a run drops each
-    array as soon as no step reads it; the registers that the domain tests
-    read and the folded ones keep theirs.
+    a variable share its unit gradient, and a negative literal is folded
+    from its value, not from its negated constant.  A rule frees the
+    registers it reads for the last time, its children's blocks and its
+    own temporaries, and a later step takes their slots, so a run drops
+    each array as soon as no step reads it; the registers that the domain
+    tests read and the folded ones keep theirs.
     """
     # regs[x] is not None exactly where register x is known at build time;
     # the points are a row of zeros while the build runs
@@ -343,7 +354,7 @@ def _build(expr: Expr, order: int, m: int) -> "_Program":
         node = todo.pop()
         post.append(node)
         kind = type(node)
-        if kind is Unary:
+        if kind is Unary and _literal(node) is None:
             todo.append(node.child)
         elif kind is BinOp:
             todo += (node.lhs, node.rhs)
@@ -351,9 +362,9 @@ def _build(expr: Expr, order: int, m: int) -> "_Program":
             todo.append(node.base)
     stack, zeros, units = [], (None,) * order, {}
     for node in reversed(post):
-        kind = type(node)
-        if kind is Const:
-            t = (step(_full, 0, const(node.value)),) + zeros
+        kind, value = type(node), _literal(node)
+        if value is not None:
+            t = (step(_full, 0, const(value)),) + zeros
         elif kind is Var:
             i = node.index - 1
             t = (step(operator.getitem, 0, const((Ellipsis, i))),)
@@ -527,19 +538,20 @@ def jet_stack(exprs, point, order: int = 3) -> tuple:
     k, n = len(pts), len(exprs)
     with np.errstate(all="ignore"):
         passes = [_taylor(expr, pts, order) for expr in exprs]
-    out = []
-    for j, blocks in enumerate(zip(*(coeffs for coeffs, _ in passes))):
-        if n == 1:
-            o = blocks[0].reshape((k, 1) + (m,) * j)
-        else:
+    if n == 1:  # one expression: no stacking, and one gather per tensor
+        out = [c.reshape((k, 1) + c.shape[1:]) if j < 2 else
+               c.reshape(k, m**j)[:, _sorted_slots(m, j)].reshape((k, 1) + c.shape[1:])
+               for j, c in enumerate(passes[0][0])]
+        out[0] = out[0].copy()  # a value may be a view of the points, and callers subtract from it
+    else:
+        out = []
+        for j, blocks in enumerate(zip(*(coeffs for coeffs, _ in passes))):
             o = np.empty((k, n) + (m,) * j)
             for i, c in enumerate(blocks):
                 o[:, i] = c
-        if j >= 2:  # the Hessians and third derivatives read from their sorted slots
-            o = o.reshape(k, n, m**j)[..., _sorted_slots(m, j)].reshape(o.shape)
-        elif j == 0 and n == 1:
-            o = o.copy()  # a value may be a view of the points, and callers subtract from it
-        out.append(o)
+            if j >= 2:  # the Hessians and third derivatives read from their sorted slots
+                o = o.reshape(k, n, m**j)[..., _sorted_slots(m, j)].reshape(o.shape)
+            out.append(o)
     fails = None
     for i, (_, bad) in enumerate(passes):
         if bad is not None:

@@ -445,6 +445,72 @@ def test_probe_benchmark_shape_jet_count(probe_calls):
     assert probe_calls["jet_stack"] <= 150 and probe_calls["solve_ivp"] == 1
 
 
+@pytest.fixture
+def dense_calls(monkeypatch):
+    """The number of times sampled by each evaluation of the dense output
+    of a solve_ivp call that graphgeom makes, while a test runs."""
+    calls, real = [], graphgeom.solve_ivp
+
+    class Counted:
+        def __init__(self, dense):
+            self.dense = dense
+
+        def __call__(self, t):
+            calls.append(np.size(t))
+            return self.dense(t)
+
+    def counted(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        sol.sol = Counted(sol.sol)
+        return sol
+
+    monkeypatch.setattr(graphgeom, "solve_ivp", counted)
+    return calls
+
+
+def _probe_by_direction(gm, dirs, T, n_samples, **kwargs):
+    """z and |grad z| / (z + 1) along each direction, from its own ``state``
+    and ``pseudo_distance``: the probe's samples one direction at a time."""
+    sol = integrate_geodesic(gm, np.zeros(gm.m), np.array(dirs, dtype=float), (0.0, T), **kwargs)
+    ts = np.linspace(0.0, sol.t_end, n_samples + 1, axis=1)[:, 1:]
+    pd = pseudo_distance(gm, np.concatenate([sol.state(j, t)[:gm.m].T for j, t in enumerate(ts)]))
+    return ts, pd.z.reshape(ts.shape), pd.ratio.reshape(ts.shape)
+
+
+@pytest.mark.parametrize("gm, dirs, T, halfwidth, shared", [
+    (hyperboloid(shifted=True), [length * np.array([np.cos(t), np.sin(t)])
+                                 for t, length in zip((0.3, 2.2, 4.1), (1.0, 0.7, 1.6))],
+     2.0, np.inf, True),
+    (GraphMap.from_strings(2, ["0.3*x1"]), [[1.0, 0.0], [-0.6, 0.8], [0.3, -1.0]], 10.0, 2.0,
+     False),
+], ids=["one-segment", "region-exits"])
+def test_probe_samples_each_dense_output_once_for_the_directions_sharing_it(
+        dense_calls, gm, dirs, T, halfwidth, shared):
+    # the benchmark's probe runs as one segment: one evaluation of its dense
+    # output gives every direction's samples; where the exits split the
+    # segments, each direction samples its own, as its state does.  Either
+    # way the reports equal the route one direction at a time, bit for bit.
+    reports = completeness_probe(gm, dirs, T=T, n_samples=40, region_halfwidth=halfwidth)
+    probe_calls = list(dense_calls)
+    dense_calls.clear()
+    ts, zs, ratios = _probe_by_direction(gm, dirs, T, 40, region_halfwidth=halfwidth)
+    assert probe_calls == ([40] if shared else dense_calls) and len(dense_calls) >= 3
+    for rep, t, z, ratio in zip(reports, ts, zs, ratios):
+        assert np.array_equal(rep.t, t) and np.array_equal(rep.z, z)
+        assert np.array_equal(rep.ratio, ratio)
+        assert rep.b_emp == np.max(np.log(z + 1.0) / t) and rep.ratio_sup == ratio.max()
+
+
+def test_probe_checks_its_base_point_once(monkeypatch):
+    import spacelike.bernstein as bernstein
+
+    calls, real = [], bernstein._check_base_point
+    monkeypatch.setattr(bernstein, "_check_base_point", lambda gm: calls.append(real(gm)))
+    monkeypatch.setattr(graphgeom, "_check_base_point", lambda gm: calls.append(real(gm)))
+    completeness_probe(hyperboloid(shifted=True), [[1.0, 0.0], [0.0, 1.0]], T=0.5, n_samples=5)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("expr, error", [("1e160*x1", DomainError), ("2*x1", NotSpacelikeError)],
                          ids=["overflow", "not-spacelike"])
 def test_probe_checks_the_start_metric(expr, error):

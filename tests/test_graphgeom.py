@@ -18,7 +18,7 @@ from spacelike.graphgeom import (
     induced_metric, integrate_geodesic, pseudo_distance, ricci_bound_check, riemann_from_metric,
     signature, simons_report,
 )
-from spacelike.grassmann import gauss_map
+from spacelike.grassmann import SpacelikePlane, _distances, gauss_map
 from spacelike.jets import jet_stack
 from spacelike.lattice import Lattice, LatticeError
 
@@ -92,6 +92,30 @@ def test_frames_random_linear():
         assert frame_residual(gm, rng.uniform(-1, 1, size=m)) <= 1e-12
 
 
+@pytest.mark.parametrize("m", range(1, 9))
+def test_lower_inverse_is_lapacks_inverse_up_to_rounding(m):
+    # Cholesky factors of metrics with condition numbers from 1 to 1e12, and
+    # every seventh factor I, as _frames factors at a point not space-like
+    rng = np.random.default_rng(m)
+    k = 25
+    Q = np.linalg.qr(rng.normal(size=(k, m, m)))[0]
+    eig = np.logspace(0, 12, k)[:, None] ** -np.linspace(0.0, 1.0, m)
+    g = (Q * eig[:, None, :]) @ np.swapaxes(Q, -1, -2) * rng.uniform(0.1, 10.0, size=(k, 1, 1))
+    L = np.linalg.cholesky(0.5 * (g + np.swapaxes(g, -1, -2)))
+    L[::7] = np.eye(m)
+    E, R = graphgeom._lower_inverse(L), np.linalg.inv(L)
+    assert not np.triu(E, 1).any()  # exactly lower-triangular
+    assert np.array_equal(E[::7], L[::7])
+    assert np.array_equal(np.diagonal(E, 0, -2, -1), 1.0 / np.diagonal(L, 0, -2, -1))
+    # forward substitution is normwise as accurate as cond(L) allows (Higham, ch. 8)
+    scale = m * np.finfo(float).eps * np.linalg.cond(L) * np.abs(R).max(axis=(-2, -1))
+    assert np.all(np.abs(E - R).max(axis=(-2, -1)) <= scale)
+    for i in range(k):  # a factor alone, and in a batch of one, gets its row of the batch
+        assert np.array_equal(graphgeom._lower_inverse(L[i]), E[i])
+        assert np.array_equal(graphgeom._lower_inverse(L[i:i + 1]), E[i:i + 1])
+    assert graphgeom._lower_inverse(np.empty((0, m, m))).shape == (0, m, m)
+
+
 def _generic_route(gm, x):
     """The order-2 pass of a graph by the generic immersion route: the
     parameter derivatives J = [I, A^T], Hss = [0, He] and the normals
@@ -159,6 +183,25 @@ def test_graph_pass_metric_is_the_plane_metric():
         geo = graph_geometry(gm, x, 2)
         g, min_eig = graphgeom._plane_metric(geo.A, INDEFINITE, Failures.clean(geo.g.shape[:-2]))
         assert np.array_equal(geo.g, g) and np.array_equal(geo.min_eig, min_eig, equal_nan=True)
+
+
+def test_distances_from_the_pass_equal_the_standalone_route():
+    """``_distances`` fed P's smallest eigenvalue and Cholesky factor from the
+    pass at P's planes gives the distances and failure record of P's own
+    metric, bit for bit: at rows that fail each check, at the reference row
+    (the first, distance 0), and broadcast as the pullback's rungs are."""
+    for gm, x, _ in _graph_form_cases():
+        geo = graph_geometry(gm, x, 2)
+        rungs = np.stack([geo.A, 0.5 * geo.A, geo.A[:1] + 0.0 * geo.A], axis=1)
+        for P, Q, known in ((SpacelikePlane(geo.A), SpacelikePlane(geo.A[0]),
+                             (geo.min_eig, geo.g_chol)),
+                            (SpacelikePlane(geo.A[:, None]), SpacelikePlane(rungs),
+                             (geo.min_eig[:, None], geo.g_chol[:, None]))):
+            (d, fails), (ref, ref_fails) = _distances(P, Q, known), _distances(P, Q)
+            assert np.array_equal(d, ref, equal_nan=True)
+            assert np.array_equal(fails.code, ref_fails.code)
+            assert np.array_equal(fails.value, ref_fails.value, equal_nan=True)
+            assert [str(e) for e in fails.errors] == [str(e) for e in ref_fails.errors]
 
 
 # -- second fundamental form -------------------------------------------------
@@ -469,6 +512,22 @@ def test_geodesic_batch_stitches_each_direction_across_restarts():
         state = sol.state(j, ts)
         # held at its end state after its own end time
         assert np.allclose(state[:2], np.outer(v[j], np.minimum(ts, sol.t_end[j])), atol=1e-9)
+
+
+def test_geodesic_states_equal_each_directions_state():
+    # three directions share one segment: a row of times of its own, or one
+    # shared with another direction, gives what that direction's state
+    # gives, bit for bit; and so it does across the restarts of exits
+    gm = hyperboloid(shifted=True)
+    dirs = np.array([[1.0, 0.0], [0.6, 0.8], [-0.5, 0.2]])
+    t = np.stack([np.linspace(0.1, 1.5, 7), np.linspace(0.1, 1.5, 7), np.linspace(0.0, 1.2, 7)])
+    exits = integrate_geodesic(GraphMap.from_strings(2, ["0.3*x1"]), np.zeros(2), dirs,
+                               (0.0, 3.0), region_halfwidth=1.0)
+    for sol in (integrate_geodesic(gm, np.zeros(2), dirs, (0.0, 1.5)), exits):
+        for times in (t, t[[0, 0, 0]], t[[2, 0, 2]]):
+            ref = np.stack([sol.state(j, tj) for j, tj in enumerate(times)])
+            assert np.array_equal(sol.states(times), ref)
+    assert len({len(p) for p in exits.pieces}) == 3  # the exits split the segments
 
 
 def test_geodesic_start_outside_the_box_is_rejected():

@@ -466,6 +466,20 @@ def test_folded_blocks_equal_the_walk_bit_for_bit(text, order):
     assert not any(r.flags.writeable for r in folded)
 
 
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_a_negative_literal_is_folded_from_its_value(order):
+    # the parser reads (-2.5) as the negation of the constant 2.5: the build
+    # folds -2.5 straight from the literal's value, so the program holds one
+    # row per constant and no dead row of 2.5; -0 keeps its sign
+    expr = parse("(-2.5)*x1 + x2*(-0.5) - 3 + (-0)*x1*x2", 2)
+    pts = np.random.default_rng(7).uniform(-2.0, 2.0, size=(5, 2))
+    for x in (pts, pts[:1], pts[:0]):
+        assert _bits(jets._taylor(expr, x, order)) == _bits(sparse_taylor(expr, x, order))
+    rows = sorted(float(r[0]) for r in expr._jet_programs[order, 2].regs
+                  if isinstance(r, np.ndarray) and r.shape == (1,))
+    assert rows == [-2.5, -0.5, 0.0, 3.0] and np.signbit(rows[2])
+
+
 def test_programs_are_kept_per_order_and_dimension():
     # a unit gradient has m entries, so one expression evaluated at 2-D and
     # at 3-D points keeps a program for each m, with one unit gradient per
